@@ -36,10 +36,9 @@ use joinstudy_exec::ops::{
 };
 use joinstudy_exec::pipeline::{LocalState, Sink, Source, StreamSpec};
 use joinstudy_exec::profile::{DetailValue, PipelineObs, QueryProfile};
-use joinstudy_exec::progress;
 use joinstudy_exec::registry;
 use joinstudy_exec::trace::{self, QueryTrace};
-use joinstudy_exec::{Batch, Executor};
+use joinstudy_exec::{Batch, Executor, PipelineLabel};
 use joinstudy_storage::table::{Field, Schema, Table};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -727,9 +726,7 @@ impl Engine {
             self.ctx.arm();
             let (spec, _) = self.stream(plan, None)?;
             let sink = CollectSink::new(spec.schema.clone());
-            trace::label_next_pipeline("output");
-            self.executor()
-                .run_pipeline(&self.ctx, spec.source.as_ref(), &spec.ops, &sink)?;
+            self.run_breaker("output", &spec, &sink, None)?;
             Ok(sink.into_table())
         })
     }
@@ -792,20 +789,13 @@ impl Engine {
             };
             let root = root.expect("profiled stream always returns a trace node");
             let sink = CollectSink::new(spec.schema.clone());
-            let obs = Arc::new(PipelineObs::new(spec.ops.len()));
-            trace::label_next_pipeline("output");
-            let run = self.executor().run_pipeline_obs(
-                &self.ctx,
-                spec.source.as_ref(),
-                &spec.ops,
-                &sink,
-                Some(&obs),
-            );
-            pc.bind_pending(&obs);
-            if let Err(e) = run {
-                stash_partial(pc, t0, deg0);
-                return Err(e);
-            }
+            let obs = match self.run_breaker("output", &spec, &sink, Some(&mut pc)) {
+                Ok(obs) => obs.expect("profiled breaker returns its observation"),
+                Err(e) => {
+                    stash_partial(pc, t0, deg0);
+                    return Err(e);
+                }
+            };
             let out = pc.node("Output", vec![root]);
             pc.bind(out, &obs, Slot::Sink);
             hw_details(&mut pc, out, "hw_", &obs);
@@ -834,36 +824,33 @@ impl Engine {
         self.execute(plan).expect("query execution failed")
     }
 
-    /// Run a pipeline breaker, observing it when profiling. The observation
-    /// is bound to all pending trace slots *before* the error check so a
-    /// failed pipeline still leaves the trace arena consistent (the
-    /// degradation fallback relies on this).
-    fn run_breaker(
+    /// Run one pipeline under `label` into `sink`, observing it when
+    /// profiling. The observation is bound to all pending trace slots
+    /// *before* the error check so a failed pipeline still leaves the trace
+    /// arena consistent (the degradation fallback relies on this).
+    fn run_breaker<'l>(
         &self,
+        label: impl Into<PipelineLabel<'l>>,
         spec: &StreamSpec,
         sink: &dyn Sink,
         pc: Option<&mut ProfCtx>,
     ) -> ExecResult<Option<Arc<PipelineObs>>> {
-        match pc {
-            None => {
-                self.executor()
-                    .run_pipeline(&self.ctx, spec.source.as_ref(), &spec.ops, sink)?;
-                Ok(None)
-            }
-            Some(pc) => {
-                let obs = Arc::new(PipelineObs::new(spec.ops.len()));
-                let run = self.executor().run_pipeline_obs(
-                    &self.ctx,
-                    spec.source.as_ref(),
-                    &spec.ops,
-                    sink,
-                    Some(&obs),
-                );
-                pc.bind_pending(&obs);
-                run?;
-                Ok(Some(obs))
-            }
+        let obs = pc
+            .is_some()
+            .then(|| Arc::new(PipelineObs::new(spec.ops.len())));
+        let run = self.executor().run_pipeline_obs(
+            &self.ctx,
+            spec.source.as_ref(),
+            &spec.ops,
+            sink,
+            obs.as_deref(),
+            label.into(),
+        );
+        if let (Some(pc), Some(obs)) = (pc, &obs) {
+            pc.bind_pending(obs);
         }
+        run?;
+        Ok(obs)
     }
 
     /// Compile a plan into its topmost pipeline, running every pipeline
@@ -956,8 +943,7 @@ impl Engine {
                 let (spec, child) = self.stream(input, prof.as_deref_mut())?;
                 let sink = AggSink::new(spec.schema.clone(), group_cols.clone(), aggs.clone());
                 let schema = sink.output_schema();
-                trace::label_next_pipeline("aggregate");
-                let obs = self.run_breaker(&spec, &sink, prof.as_deref_mut())?;
+                let obs = self.run_breaker("aggregate", &spec, &sink, prof.as_deref_mut())?;
                 let result = Arc::new(sink.into_table());
                 let node = prof.map(|pc| {
                     let label = format!(
@@ -986,8 +972,7 @@ impl Engine {
             Plan::Sort { input, keys, limit } => {
                 let (spec, child) = self.stream(input, prof.as_deref_mut())?;
                 let sink = SortSink::new(spec.schema.clone(), keys.clone(), *limit);
-                trace::label_next_pipeline("sort");
-                let obs = self.run_breaker(&spec, &sink, prof.as_deref_mut())?;
+                let obs = self.run_breaker("sort", &spec, &sink, prof.as_deref_mut())?;
                 let schema = sink.output_schema();
                 let result = Arc::new(sink.into_table());
                 let node = prof.map(|pc| {
@@ -1050,8 +1035,8 @@ impl Engine {
                 let build_types: Vec<_> =
                     build_spec.schema.fields.iter().map(|f| f.dtype).collect();
                 let sink = GroupJoinBuildSink::new(&build_types, build_keys.clone());
-                trace::label_next_pipeline("groupjoin build");
-                let build_obs = self.run_breaker(&build_spec, &sink, prof.as_deref_mut())?;
+                let build_obs =
+                    self.run_breaker("groupjoin build", &build_spec, &sink, prof.as_deref_mut())?;
                 let state = sink.into_state(aggs.clone());
                 let out_schema = state.output_schema(&build_spec.schema);
 
@@ -1081,8 +1066,7 @@ impl Engine {
                     pc.pend(id, Slot::Op(op_idx));
                     id
                 });
-                trace::label_next_pipeline("groupjoin probe");
-                self.run_breaker(&spec, &DiscardSink, prof.as_deref_mut())?;
+                self.run_breaker("groupjoin probe", &spec, &DiscardSink, prof.as_deref_mut())?;
 
                 // Pipeline 3: one row per group.
                 if let (Some(pc), Some(id)) = (prof.as_deref_mut(), node) {
@@ -1262,8 +1246,7 @@ impl Engine {
         let sink = BhjBuildSink::new(&build_types, build_keys.to_vec())
             .with_context(Arc::clone(&self.ctx));
         metrics::mark_phase(MemPhase::Build);
-        trace::label_next_pipeline("BHJ build");
-        let build_obs = self.run_breaker(&build_spec, &sink, prof.as_deref_mut())?;
+        let build_obs = self.run_breaker("BHJ build", &build_spec, &sink, prof.as_deref_mut())?;
         let state = {
             let _span = trace::phase_scope("BHJ build finalize (hash table)");
             sink.into_state(self.threads)?
@@ -1324,8 +1307,7 @@ impl Engine {
             // hash table (how real systems start an anti-join's output).
             metrics::mark_phase(MemPhase::Other);
             let spec = probe_spec.push_op(probe_op, out_schema.clone());
-            trace::label_next_pipeline("BHJ probe (mark)");
-            self.run_breaker(&spec, &DiscardSink, prof.as_deref_mut())?;
+            self.run_breaker("BHJ probe (mark)", &spec, &DiscardSink, prof.as_deref_mut())?;
             if let (Some(pc), Some(id)) = (prof, node) {
                 pc.pend(id, Slot::Source);
             }
@@ -1414,8 +1396,12 @@ impl Engine {
             Arc::clone(&dir),
         );
         metrics::mark_phase(MemPhase::Build);
-        trace::label_next_pipeline("HHJ partition build");
-        let build_obs = self.run_breaker(&build_spec, &build_sink, prof.as_deref_mut())?;
+        let build_obs = self.run_breaker(
+            "HHJ partition build",
+            &build_spec,
+            &build_sink,
+            prof.as_deref_mut(),
+        )?;
         let build_parts = build_sink.finalize()?;
 
         // Pipeline 2: partition (and spill) the probe side.
@@ -1429,8 +1415,12 @@ impl Engine {
             Arc::clone(&dir),
         );
         metrics::mark_phase(MemPhase::PartitionPass1);
-        trace::label_next_pipeline("HHJ partition probe");
-        let probe_obs = self.run_breaker(&probe_spec, &probe_sink, prof.as_deref_mut())?;
+        let probe_obs = self.run_breaker(
+            "HHJ partition probe",
+            &probe_spec,
+            &probe_sink,
+            prof.as_deref_mut(),
+        )?;
         let probe_parts = probe_sink.finalize()?;
 
         joinlog::record(joinlog::JoinSizes {
@@ -1671,16 +1661,14 @@ impl Engine {
         .with_context(Arc::clone(&self.ctx));
         let tag = if with_bloom { "BRJ" } else { "RJ" };
         metrics::mark_phase(MemPhase::Build);
-        trace::label_next_pipeline(format!("{tag} partition (build)"));
-        if let Some(d) = adaptive {
-            // Attach the cost model's cardinality estimate so
-            // `jsys.query_progress` can report an est-vs-actual fraction.
-            progress::label_next_pipeline(
-                &format!("{tag} partition (build)"),
-                d.estimate.build_rows as u64,
-            );
-        }
-        let build_obs = self.run_breaker(&build_spec, &build_sink, prof.as_deref_mut())?;
+        // The cost model's cardinality estimate rides along so
+        // `jsys.query_progress` can report an est-vs-actual fraction.
+        let build_label = PipelineLabel {
+            name: &format!("{tag} partition (build)"),
+            est_rows: adaptive.map_or(0, |d| d.estimate.build_rows as u64),
+        };
+        let build_obs =
+            self.run_breaker(build_label, &build_spec, &build_sink, prof.as_deref_mut())?;
         let (build_side, bloom) = build_sink.finalize(self.threads, None, use_bloom)?;
         if let Some(decision) = adaptive {
             self.check_regime(decision, &build_side)?;
@@ -1719,11 +1707,12 @@ impl Engine {
         } else {
             format!("{tag} partition (probe)")
         };
-        trace::label_next_pipeline(probe_label.clone());
-        if let Some(d) = adaptive {
-            progress::label_next_pipeline(&probe_label, d.estimate.probe_rows as u64);
-        }
-        let probe_obs = self.run_breaker(&probe_spec, &probe_sink, prof.as_deref_mut())?;
+        let probe_label = PipelineLabel {
+            name: &probe_label,
+            est_rows: adaptive.map_or(0, |d| d.estimate.probe_rows as u64),
+        };
+        let probe_obs =
+            self.run_breaker(probe_label, &probe_spec, &probe_sink, prof.as_deref_mut())?;
         let (probe_side, _) = probe_sink.finalize(self.threads, Some(bits2), false)?;
         let stats = Arc::new(crate::join_common::JoinStats::default());
         joinlog::record(joinlog::JoinSizes {

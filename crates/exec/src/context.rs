@@ -336,7 +336,7 @@ impl QueryContext {
 
     /// Stamp the current [`WaitState`]. One relaxed store; called at
     /// boundaries that already exist (admission queue, pipeline submit,
-    /// morsel claim, participation flush, spill I/O) — never in a
+    /// morsel claim, worker drain, spill I/O) — never in a
     /// per-tuple loop. Advisory: the ASH sampler reads it every ~10 ms.
     #[inline]
     pub fn stamp_wait(&self, state: WaitState) {

@@ -9,9 +9,11 @@
 //!   batches morsel-by-morsel, a chain of fused [`pipeline::Operator`]s
 //!   transforms them *without materialization*, and a
 //!   [`pipeline::Sink`] (the pipeline breaker) materializes.
-//! * **Morsel-driven parallelism** ([`sched`]): worker threads pull morsels
-//!   from a shared queue, giving work stealing and skew tolerance
-//!   (Leis et al., SIGMOD'14).
+//! * **Morsel-driven parallelism** ([`morsel`], [`sched`]): worker threads
+//!   pull morsels from a shared queue, giving work stealing and skew
+//!   tolerance (Leis et al., SIGMOD'14). One claim → poll → feed → drain
+//!   loop serves every pipeline, on the per-query scoped teams and on the
+//!   shared pool alike.
 //! * **Relaxed operator fusion**: tuples flow in cache-resident batches of
 //!   [`batch::BATCH_ROWS`] rows — exactly the staging points ROF
 //!   (Menon et al., VLDB'17) introduces into data-centric plans, which is
@@ -51,6 +53,7 @@ pub mod context;
 pub mod error;
 pub mod expr;
 pub mod metrics;
+pub mod morsel;
 pub mod ops;
 pub mod pipeline;
 pub mod pmu;
@@ -59,12 +62,15 @@ pub mod profile;
 pub mod progress;
 pub mod registry;
 pub mod sched;
+#[cfg(test)]
+mod test_fixtures;
 pub mod trace;
 
 pub use admission::{AdmissionController, AdmissionGrant};
 pub use batch::{Batch, BATCH_ROWS};
 pub use context::{BudgetLease, QueryContext};
 pub use error::{ExecError, ExecResult};
+pub use morsel::PipelineLabel;
 pub use pipeline::{Operator, Sink, Source, StreamSpec};
 pub use pmu::{CounterGroup, CounterKind, CounterValues, HwSlot};
 pub use pool::WorkerPool;

@@ -1,0 +1,646 @@
+//! The one morsel loop: claim → poll → feed → drain.
+//!
+//! Every pipeline of every query — BHJ build and probe, both radix passes,
+//! scans, aggregates — crosses exactly the code in this module, whichever
+//! back-end owns the threads. The scoped team ([`crate::sched`]) runs
+//! `while worker.step()? {}` then `worker.drain()`; the shared pool
+//! ([`crate::pool`]) runs one `step()` per fairness quantum and `drain()`
+//! once the pipeline is exhausted. The back-ends differ only in thread
+//! management; what a tuple crosses is shared by construction.
+//!
+//! Observation is data, not a second code path. A [`Worker`] always keeps
+//! its row/batch/morsel counts in a private [`WorkerProf`] (plain integer
+//! adds); clock reads happen only when somebody will read the time (a
+//! [`PipelineObs`], a live [`PipelineProgress`], or a trace track), and the
+//! counts are published into whichever shared blocks the [`Pipeline`]
+//! carries — per morsel when a live reader exists, otherwise once at drain.
+
+use crate::batch::Batch;
+use crate::context::QueryContext;
+use crate::error::{ExecError, ExecResult};
+use crate::pipeline::{LocalState, Operator, Sink, Source};
+use crate::profile::{PipelineObs, WorkerProf};
+use crate::progress::{PipelineProgress, WaitState};
+use crate::registry::Histogram;
+use crate::trace::{self, SpanKind, TraceSpan};
+use std::borrow::Cow;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
+
+/// What a pipeline is called and how many source rows the planner expects
+/// (0 = no estimate). Passed at submit; shows up as the pipeline's name in
+/// traces and as label + `est_rows` in `jsys.query_progress`.
+#[derive(Debug, Clone, Copy)]
+pub struct PipelineLabel<'a> {
+    pub name: &'a str,
+    pub est_rows: u64,
+}
+
+impl PipelineLabel<'static> {
+    /// What a pipeline submitted through [`crate::Executor::run_pipeline`]
+    /// is reported as.
+    pub const UNLABELED: PipelineLabel<'static> = PipelineLabel {
+        name: "pipeline",
+        est_rows: 0,
+    };
+}
+
+impl<'a> From<&'a str> for PipelineLabel<'a> {
+    fn from(name: &'a str) -> PipelineLabel<'a> {
+        PipelineLabel { name, est_rows: 0 }
+    }
+}
+
+/// First-error-wins failure slot shared by all workers of one pipeline.
+pub(crate) struct Failure {
+    raised: AtomicBool,
+    first: Mutex<Option<ExecError>>,
+}
+
+impl Failure {
+    pub(crate) fn new() -> Failure {
+        Failure {
+            raised: AtomicBool::new(false),
+            first: Mutex::new(None),
+        }
+    }
+
+    /// Whether any worker has failed; checked per morsel by the others.
+    #[inline]
+    pub(crate) fn raised(&self) -> bool {
+        self.raised.load(Ordering::Acquire)
+    }
+
+    fn set(&self, err: ExecError) {
+        let mut slot = self.first.lock().unwrap_or_else(|e| e.into_inner());
+        if slot.is_none() {
+            *slot = Some(err);
+        }
+        self.raised.store(true, Ordering::Release);
+    }
+
+    /// Run one stretch of worker code. An `Err` or a panic lands in the
+    /// slot (a panic as [`ExecError::WorkerPanic`]), so a bug in one
+    /// operator cannot abort the process or, on the pool, another query.
+    pub(crate) fn guard(&self, f: impl FnOnce() -> ExecResult) {
+        match std::panic::catch_unwind(AssertUnwindSafe(f)) {
+            Ok(Ok(())) => {}
+            Ok(Err(err)) => self.set(err),
+            Err(payload) => self.set(ExecError::WorkerPanic {
+                message: panic_message(payload.as_ref()),
+            }),
+        }
+    }
+
+    /// End of the pipeline, after every worker drained: the first error if
+    /// there was one (the sink stays un-finalized), else `sink.finish()`.
+    pub(crate) fn conclude(&self, sink: &dyn Sink) -> ExecResult {
+        match self.first.lock().unwrap_or_else(|e| e.into_inner()).take() {
+            Some(err) => Err(err),
+            None => {
+                sink.finish();
+                Ok(())
+            }
+        }
+    }
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
+}
+
+/// Everything the workers of one pipeline run share: the borrowed parts,
+/// the claim cursor and failure slot, and whichever shared observation
+/// blocks exist for this run.
+pub(crate) struct Pipeline<'a> {
+    pub ctx: &'a QueryContext,
+    pub source: &'a dyn Source,
+    pub ops: &'a [Arc<dyn Operator>],
+    pub sink: &'a dyn Sink,
+    /// Next unclaimed task — the simplest form of work stealing: no worker
+    /// idles while tasks remain.
+    pub cursor: &'a AtomicUsize,
+    pub task_count: usize,
+    pub failure: &'a Failure,
+    /// Post-mortem profile slots (`EXPLAIN ANALYZE`); turns clock reads on.
+    pub obs: Option<&'a PipelineObs>,
+    /// Live progress block (pooled pipelines); also turns on the
+    /// wait-state stamps and per-morsel publication.
+    pub live: Option<&'a PipelineProgress>,
+    /// Tracer pipeline id (traced pipelines).
+    pub trace: Option<u32>,
+}
+
+/// Scheduler histograms, recorded on traced pipelines only: morsel
+/// latency, queue depth at claim time, and source batch fill.
+struct SchedHists {
+    morsel_ns: Arc<Histogram>,
+    queue_depth: Arc<Histogram>,
+    batch_rows: Arc<Histogram>,
+}
+
+fn sched_hists() -> &'static SchedHists {
+    static SCHED_HISTS: OnceLock<SchedHists> = OnceLock::new();
+    SCHED_HISTS.get_or_init(|| {
+        let reg = crate::registry::global();
+        SchedHists {
+            morsel_ns: reg.histogram("sched.morsel_ns"),
+            queue_depth: reg.histogram("sched.queue_depth"),
+            batch_rows: reg.histogram("sched.batch_rows"),
+        }
+    })
+}
+
+/// A traced worker's timeline: spans are buffered here without locks and
+/// moved into the collector once, at drain.
+struct TraceTrack {
+    pipe: u32,
+    track: u32,
+    spans: Vec<TraceSpan>,
+    hists: &'static SchedHists,
+}
+
+/// One worker's state for one pipeline: operator and sink locals plus its
+/// private observation record.
+pub(crate) struct Worker {
+    op_locals: Vec<LocalState>,
+    /// `None` once handed to `finish_local`.
+    sink_local: Option<LocalState>,
+    counts: WorkerProf,
+    hw: Option<crate::pmu::WorkerSampler>,
+    trace: Option<TraceTrack>,
+}
+
+impl Worker {
+    /// `track` is this worker's index in the trace timeline (ignored on
+    /// untraced pipelines).
+    pub(crate) fn new(p: &Pipeline<'_>, track: u32) -> Worker {
+        Worker {
+            op_locals: p.ops.iter().map(|o| o.create_local()).collect(),
+            sink_local: Some(p.sink.create_local()),
+            counts: WorkerProf::new(p.ops.len()),
+            // One PMU sample per worker per pipeline, folded in at drain;
+            // one relaxed load when counters are off.
+            hw: crate::pmu::worker_sampler(p.ctx.counters()),
+            trace: p.trace.map(|pipe| TraceTrack {
+                pipe,
+                track,
+                spans: trace::take_worker_buffer(),
+                hists: sched_hists(),
+            }),
+        }
+    }
+
+    /// Claim and run at most one morsel. `Ok(false)` means nothing is left
+    /// to claim (tasks drained, or a sibling failed) and the caller should
+    /// [`Worker::drain`].
+    pub(crate) fn step(&mut self, p: &Pipeline<'_>) -> ExecResult<bool> {
+        // Stop claiming as soon as any sibling failed; the per-morsel
+        // cancellation/deadline check bounds reaction latency to one morsel.
+        if p.failure.raised() {
+            return Ok(false);
+        }
+        p.ctx.check()?;
+        let task = p.cursor.fetch_add(1, Ordering::Relaxed);
+        if task >= p.task_count {
+            return Ok(false);
+        }
+        if let Some(live) = p.live {
+            // This query is on-CPU in this pipeline's phase for the morsel.
+            p.ctx.stamp_wait(live.cpu_state);
+        }
+        let hists = self.trace.as_ref().map(|t| t.hists);
+        if let Some(h) = hists {
+            h.queue_depth
+                .record(p.task_count.saturating_sub(task + 1) as u64);
+        }
+        let timed = p.obs.is_some();
+        let clock = timed || p.live.is_some() || self.trace.is_some();
+        let t0 = if clock { trace::now_ns() } else { 0 };
+        let rows_before = self.counts.src_rows;
+
+        // Emit callbacks are infallible, so a downstream error is parked in
+        // `chain_err` and later batches of the task are dropped.
+        let mut chain_err: Option<ExecError> = None;
+        let (counts, op_locals) = (&mut self.counts, &mut self.op_locals);
+        let sink_local = self.sink_local.as_mut().expect("step after drain");
+        let polled = p.source.poll_task(task, &mut |batch| {
+            if chain_err.is_none() {
+                let n = batch.num_rows() as u64;
+                counts.src_batches += 1;
+                counts.src_rows += n;
+                if let Some(h) = hists {
+                    h.batch_rows.record(n);
+                }
+                if let Err(e) = feed_chain(p, op_locals, sink_local, batch, 0, counts, timed) {
+                    chain_err = Some(e);
+                }
+            }
+        });
+        self.counts.morsels += 1;
+
+        if clock {
+            // Source busy time is *inclusive* of the downstream work done in
+            // the emit callback (pipeline time).
+            let dur = trace::now_ns().saturating_sub(t0);
+            self.counts.src_busy_ns += dur;
+            if let Some(t) = &mut self.trace {
+                t.hists.morsel_ns.record(dur);
+                t.spans.push(TraceSpan {
+                    name: Cow::Borrowed("morsel"),
+                    kind: SpanKind::Morsel,
+                    track: t.track,
+                    pipeline: t.pipe,
+                    start_ns: t0,
+                    dur_ns: dur,
+                    arg: self.counts.src_rows - rows_before,
+                    hw: None,
+                });
+            }
+            if p.live.is_some() {
+                p.ctx.add_cpu_ns(dur);
+                // Until the next claim this query is waiting on the pool.
+                p.ctx.stamp_wait(WaitState::PoolWait);
+                // Somebody may be watching mid-flight.
+                self.publish(p);
+            }
+        }
+        if let Some(e) = chain_err {
+            return Err(e);
+        }
+        polled.map(|()| true)
+    }
+
+    /// End of this worker's part in the pipeline: flush operators
+    /// front-to-back and merge the sink local (both skipped once a failure
+    /// is raised), then publish the observation record — on success *and*
+    /// on error, so a failed query still shows partial counts and a partial
+    /// timeline.
+    pub(crate) fn drain(&mut self, p: &Pipeline<'_>) -> ExecResult {
+        if p.live.is_some() {
+            p.ctx.stamp_wait(WaitState::Finalizing);
+        }
+        let result = self.flush_and_merge(p);
+        self.publish(p);
+        crate::pmu::finish_worker(self.hw.take(), p.obs.map(|o| &o.hw));
+        if let Some(t) = self.trace.take() {
+            trace::flush_worker(t.pipe, t.track, t.spans, trace::now_ns());
+        }
+        result
+    }
+
+    fn flush_and_merge(&mut self, p: &Pipeline<'_>) -> ExecResult {
+        let timed = p.obs.is_some();
+        let sink_local = self.sink_local.as_mut().expect("drain runs once");
+        // ROF staging buffers flush front-to-back so that a flush from
+        // operator i still traverses operators i+1.. and the sink.
+        for i in 0..p.ops.len() {
+            if p.failure.raised() {
+                return Ok(());
+            }
+            let mut pending: Vec<Batch> = Vec::new();
+            let t0 = timed.then(Instant::now);
+            p.ops[i].flush(&mut self.op_locals[i], &mut |b| pending.push(b))?;
+            if let Some(t0) = t0 {
+                self.counts.ops[i].busy_ns += t0.elapsed().as_nanos() as u64;
+            }
+            for b in pending {
+                self.counts.ops[i].batches += 1;
+                self.counts.ops[i].rows_out += b.num_rows() as u64;
+                let (locals, counts) = (&mut self.op_locals, &mut self.counts);
+                feed_chain(p, locals, sink_local, b, i + 1, counts, timed)?;
+            }
+        }
+        if p.failure.raised() {
+            return Ok(());
+        }
+        let sink_local = self.sink_local.take().expect("drain runs once");
+        let t0 = timed.then(Instant::now);
+        let merged = p.sink.finish_local(sink_local);
+        if let Some(t0) = t0 {
+            self.counts.sink_busy_ns += t0.elapsed().as_nanos() as u64;
+        }
+        merged
+    }
+
+    /// Add the private counts to the shared blocks that exist and zero
+    /// them. Purely additive, so per-morsel and drain-time publication
+    /// give the same totals.
+    fn publish(&mut self, p: &Pipeline<'_>) {
+        if let Some(obs) = p.obs {
+            obs.add(&self.counts);
+        }
+        if let Some(live) = p.live {
+            live.add(&self.counts);
+        }
+        self.counts.reset();
+    }
+}
+
+/// Push a batch through operators `from..` and finally into the sink,
+/// counting rows and batches in and out of every stage (and, when `timed`,
+/// the exclusive time of each `process`/`consume` call: produced batches
+/// are staged on the explicit stack and processed after `process` returns).
+/// Iterative because operators may emit many batches and recursion through
+/// `dyn FnMut` closures cannot borrow-check.
+fn feed_chain(
+    p: &Pipeline<'_>,
+    op_locals: &mut [LocalState],
+    sink_local: &mut LocalState,
+    batch: Batch,
+    from: usize,
+    counts: &mut WorkerProf,
+    timed: bool,
+) -> ExecResult {
+    let mut stack: Vec<(usize, Batch)> = vec![(from, batch)];
+    while let Some((i, b)) = stack.pop() {
+        let n = b.num_rows() as u64;
+        if n == 0 {
+            continue;
+        }
+        let t0 = timed.then(Instant::now);
+        if i == p.ops.len() {
+            counts.sink_batches += 1;
+            counts.sink_rows += n;
+            p.sink.consume(sink_local, b)?;
+            if let Some(t0) = t0 {
+                counts.sink_busy_ns += t0.elapsed().as_nanos() as u64;
+            }
+            continue;
+        }
+        let slot = &mut counts.ops[i];
+        slot.batches += 1;
+        slot.rows_in += n;
+        let mut rows_out = 0u64;
+        p.ops[i].process(&mut op_locals[i], b, &mut |nb| {
+            rows_out += nb.num_rows() as u64;
+            stack.push((i + 1, nb));
+        })?;
+        slot.rows_out += rows_out;
+        if let Some(t0) = t0 {
+            slot.busy_ns += t0.elapsed().as_nanos() as u64;
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    //! One table over {scoped×1, scoped×4, pooled×1, pooled×4} × {plain,
+    //! profiled, traced+profiled where supported}: whatever owns the
+    //! threads and whatever is observing, a pipeline gives the same sink
+    //! total, the same per-stage counts and the same failure behaviour.
+
+    use super::*;
+    use crate::pool::WorkerPool;
+    use crate::sched::Executor;
+    use crate::test_fixtures::*;
+    use crate::trace::QueryTrace;
+
+    #[derive(Debug, Clone, Copy)]
+    enum Backend {
+        Scoped(usize),
+        Pooled(usize),
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Mode {
+        Plain,
+        Profiled,
+        /// Traced *and* profiled, so the two are shown to compose. Traced
+        /// pipelines of a pooled executor run on a scoped team of the
+        /// pool's size.
+        Traced,
+    }
+
+    impl Backend {
+        fn executor(self) -> Executor {
+            match self {
+                Backend::Scoped(n) => Executor::new(n),
+                Backend::Pooled(n) => Executor::pooled(WorkerPool::new(n)),
+            }
+        }
+
+        fn threads(self) -> usize {
+            match self {
+                Backend::Scoped(n) | Backend::Pooled(n) => n,
+            }
+        }
+    }
+
+    /// What one pipeline run left behind.
+    struct Outcome {
+        result: ExecResult,
+        sink: SumSink,
+        obs: Option<PipelineObs>,
+        trace: Option<QueryTrace>,
+    }
+
+    fn run(
+        exec: &Executor,
+        mode: Mode,
+        ctx: &Arc<QueryContext>,
+        tasks: usize,
+        ops: &[Arc<dyn Operator>],
+    ) -> Outcome {
+        let sink = SumSink::default();
+        let obs = (mode != Mode::Plain).then(|| PipelineObs::new(ops.len()));
+        let traced = mode == Mode::Traced;
+        if traced {
+            assert!(trace::begin("morsel-test"), "no other trace may be active");
+        }
+        let result = exec.run_pipeline_obs(
+            ctx,
+            &NumberSource { tasks },
+            ops,
+            &sink,
+            obs.as_ref(),
+            "test pipeline".into(),
+        );
+        let trace = traced.then(|| trace::end().expect("trace recorded"));
+        Outcome {
+            result,
+            sink,
+            obs,
+            trace,
+        }
+    }
+
+    /// `(rows_in, rows_out)` of every stage, source first, sink last.
+    fn stage_rows(obs: &PipelineObs) -> Vec<(u64, u64)> {
+        let mut rows = vec![(obs.source.rows_in(), obs.source.rows_out())];
+        rows.extend(obs.ops.iter().map(|o| (o.rows_in(), o.rows_out())));
+        rows.push((obs.sink.rows_in(), obs.sink.rows_out()));
+        rows
+    }
+
+    fn morsel_spans(t: &QueryTrace) -> Vec<&TraceSpan> {
+        t.spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Morsel)
+            .collect()
+    }
+
+    #[test]
+    fn every_backend_and_observation_mode_runs_the_same_pipeline() {
+        // The tracer is process-global: serialize with its lifecycle test.
+        let _serial = trace::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let backends = [
+            Backend::Scoped(1),
+            Backend::Scoped(4),
+            Backend::Pooled(1),
+            Backend::Pooled(4),
+        ];
+        for backend in backends {
+            // One executor per backend for all rows: it must stay usable
+            // after the failing and panicking ones.
+            let exec = backend.executor();
+            assert_eq!(exec.threads(), backend.threads());
+            for mode in [Mode::Plain, Mode::Profiled, Mode::Traced] {
+                let case = format!("{backend:?} {mode:?}");
+                let scoped = matches!(backend, Backend::Scoped(_)) || mode == Mode::Traced;
+                let ctx = QueryContext::unbounded();
+
+                // No operators: every value reaches the sink once.
+                let o = run(&exec, mode, &ctx, 40, &[]);
+                o.result.unwrap();
+                assert_eq!(o.sink.total(), expected_sum(40), "{case}");
+                assert!(o.sink.finished(), "{case}");
+
+                // Multi-emission through a chain, and the counts it leaves.
+                let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(DupOp), Arc::new(DupOp)];
+                let o = run(&exec, mode, &ctx, 20, &ops);
+                o.result.unwrap();
+                assert_eq!(o.sink.total(), 4 * expected_sum(20), "{case}");
+                assert!(o.sink.finished(), "{case}");
+                if let Some(obs) = &o.obs {
+                    assert_eq!(obs.source.morsels(), 20, "{case}");
+                    assert_eq!(
+                        stage_rows(obs),
+                        [(0, 40), (40, 80), (80, 160), (160, 0)],
+                        "{case}"
+                    );
+                    assert!(obs.wall_ns() > 0, "{case}");
+                    if scoped {
+                        assert_eq!(obs.workers(), backend.threads() as u64, "{case}");
+                    } else {
+                        assert!((1..=backend.threads() as u64).contains(&obs.workers()));
+                    }
+                }
+                if let Some(t) = &o.trace {
+                    // One morsel span per task, rows attributed, pipeline
+                    // labeled.
+                    let morsels = morsel_spans(t);
+                    assert_eq!(morsels.len(), 20, "{case}");
+                    assert_eq!(morsels.iter().map(|s| s.arg).sum::<u64>(), 40, "{case}");
+                    assert_eq!(t.pipelines.len(), 1, "{case}");
+                    assert_eq!(t.pipelines[0].label, "test pipeline", "{case}");
+                    assert_eq!(t.pipelines[0].workers as usize, backend.threads());
+                    t.validate().expect("trace invariants");
+                }
+
+                // A flush traverses the operators downstream of it, and its
+                // rows are attributed to the buffering operator.
+                let buffer = Arc::new(BufferAllOp::default());
+                let ops: Vec<Arc<dyn Operator>> = vec![buffer.clone(), Arc::new(DupOp)];
+                let o = run(&exec, mode, &ctx, 7, &ops);
+                o.result.unwrap();
+                assert_eq!(o.sink.total(), 2 * expected_sum(7), "{case}");
+                if let Some(obs) = &o.obs {
+                    assert_eq!(
+                        stage_rows(obs),
+                        [(0, 14), (14, 14), (14, 28), (28, 0)],
+                        "{case}"
+                    );
+                }
+
+                // A zero-task pipeline still gets exactly one flush, one
+                // `finish_local` and `finish`.
+                let buffer = Arc::new(BufferAllOp::default());
+                let ops: Vec<Arc<dyn Operator>> = vec![buffer.clone()];
+                let o = run(&exec, mode, &ctx, 0, &ops);
+                o.result.unwrap();
+                assert_eq!(o.sink.total(), 0, "{case}");
+                assert!(o.sink.finished(), "{case}");
+                assert_eq!(buffer.flushes.load(Ordering::Relaxed), 1, "{case}");
+                assert_eq!(o.sink.finish_locals.load(Ordering::Relaxed), 1, "{case}");
+                if let Some(obs) = &o.obs {
+                    assert_eq!(obs.source.morsels(), 0, "{case}");
+                }
+
+                // An operator error comes back, `finish` is skipped, and
+                // the partial counts and spans are still published.
+                let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(FailOnValueOp { trigger: 200 })];
+                let o = run(&exec, mode, &ctx, 40, &ops);
+                let err = o.result.unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        ExecError::Operator {
+                            op: "fail-on-value",
+                            ..
+                        }
+                    ),
+                    "{case}: {err}"
+                );
+                assert!(!o.sink.finished(), "{case}: finish must be skipped");
+                if let Some(obs) = &o.obs {
+                    // Task 20 failed, but its source emission was counted.
+                    assert!(obs.source.rows_out() >= 2, "{case}");
+                }
+                if let Some(t) = &o.trace {
+                    assert!(!morsel_spans(t).is_empty(), "{case}: partial timeline");
+                    t.validate().expect("trace invariants after failure");
+                }
+
+                // A panic is isolated and typed.
+                let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(PanicOnValueOp { trigger: 130 })];
+                let o = run(&exec, mode, &ctx, 30, &ops);
+                match o.result.unwrap_err() {
+                    ExecError::WorkerPanic { message } => {
+                        assert!(message.contains("injected panic"), "{case}: {message}")
+                    }
+                    other => panic!("{case}: expected WorkerPanic, got {other}"),
+                }
+                assert!(!o.sink.finished(), "{case}");
+                if let Some(t) = &o.trace {
+                    t.validate().expect("trace invariants after panic");
+                }
+
+                // A pre-cancelled context stops before any work.
+                let cancelled = QueryContext::unbounded();
+                cancelled.cancel();
+                let o = run(&exec, mode, &cancelled, 40, &[]);
+                assert_eq!(o.result.unwrap_err(), ExecError::Cancelled, "{case}");
+                assert_eq!(o.sink.total(), 0, "{case}");
+
+                // And the executor serves the next query.
+                let o = run(&exec, mode, &ctx, 10, &[]);
+                o.result.unwrap();
+                assert_eq!(o.sink.total(), expected_sum(10), "{case}");
+            }
+        }
+        assert_eq!(crate::pool::pipelines_in_flight(), 0);
+    }
+
+    #[test]
+    fn first_error_wins_and_finish_is_skipped() {
+        let failure = Failure::new();
+        assert!(!failure.raised());
+        failure.guard(|| Err(ExecError::Cancelled));
+        failure.guard(|| Err(ExecError::operator("late", "second error")));
+        failure.guard(|| panic!("third"));
+        assert!(failure.raised());
+        let sink = SumSink::default();
+        assert_eq!(failure.conclude(&sink).unwrap_err(), ExecError::Cancelled);
+        assert!(!sink.finished());
+    }
+}

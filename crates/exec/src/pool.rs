@@ -9,31 +9,35 @@
 //!
 //! # Design
 //!
-//! A submitted pipeline becomes an [`ActivePipeline`]: the same shared
-//! atomic task cursor and first-error [`Failure`] slot the scoped executor
-//! uses, tagged with a pipeline id. Workers loop over a small state
-//! machine:
+//! This module owns the threads, the fairness rule and retirement; what
+//! runs on the threads is the one morsel loop of [`crate::morsel`], the
+//! same `step` / `drain` a scoped worker runs. A submitted pipeline becomes
+//! an [`ActivePipeline`]: the shared atomic task cursor and first-error
+//! failure slot, tagged with a pipeline id. Workers loop over a small
+//! state machine:
 //!
-//! 1. If this worker holds local state for a pipeline that is *exhausted*
-//!    (cursor drained or failure raised), flush it — operators
-//!    front-to-back, then `finish_local` — exactly like a scoped worker
-//!    that ran out of tasks. Flushing before anything else is what makes
-//!    the pool deadlock-free: a worker never parks while it still owes a
-//!    pipeline its merge step.
-//! 2. Otherwise claim one morsel from the next claimable pipeline in
-//!    round-robin order (the fairness rule: a heavy query cannot starve a
-//!    light one — between two morsels of query A every other active query
-//!    gets offered a morsel first). A pipeline with zero tasks is still
-//!    *adopted* by exactly one worker so its flush/`finish_local`
-//!    semantics match the scoped executor.
+//! 1. If this worker holds a [`Worker`] for a pipeline that is *exhausted*
+//!    (cursor drained or failure raised), `drain` it — exactly like a
+//!    scoped worker that ran out of tasks. Draining before anything else is
+//!    what makes the pool deadlock-free: a worker never parks while it
+//!    still owes a pipeline its merge step.
+//! 2. Otherwise run one `step` — at most one morsel — of the next claimable
+//!    pipeline in round-robin order (the fairness rule: a heavy query
+//!    cannot starve a light one — between two morsels of query A every
+//!    other active query gets offered a morsel first). A pipeline with zero
+//!    tasks is still *adopted* by exactly one worker so it gets the one
+//!    flush + `finish_local` a scoped run gives it.
 //! 3. If nothing is claimable, park on a condvar until a submit, an
 //!    exhaustion, or shutdown wakes the pool.
 //!
-//! Per-(worker, pipeline) local state ([`Participation`]) mirrors a scoped
-//! worker's: operator locals, sink local, optional [`WorkerProf`], and one
-//! PMU sampler per participation. Panics are caught per burst and land in
-//! the pipeline's failure slot as [`ExecError::WorkerPanic`] — a bug in
-//! one query cannot take down the pool or any other query.
+//! Panics are caught per step and land in the pipeline's failure slot as
+//! `ExecError::WorkerPanic` — a bug in one query cannot take down the pool
+//! or any other query.
+//!
+//! Every pooled pipeline also carries a live
+//! [`PipelineProgress`](crate::progress::PipelineProgress), registered at
+//! submit under the label the submitter passed; the morsel loop publishes
+//! into it after every morsel and stamps the query's wait state around it.
 //!
 //! # Borrow safety
 //!
@@ -42,7 +46,7 @@
 //! pipeline record stores raw pointers. This is sound because the
 //! submitting thread **blocks until the pipeline retires**: retirement
 //! requires that no worker is engaged on the pipeline and that every
-//! participation has been flushed and dropped, and a retired pipeline is
+//! held [`Worker`] has been drained and dropped, and a retired pipeline is
 //! removed from the active list so no worker can select it again. The
 //! pointers therefore never outlive the borrow they were created from.
 //!
@@ -50,15 +54,13 @@
 //! routes them to a private scoped team so a query's timeline contains
 //! only its own workers (see `run_pipeline_obs` in `sched.rs`).
 
-use crate::batch::Batch;
 use crate::context::QueryContext;
-use crate::error::{ExecError, ExecResult};
-use crate::pipeline::{LocalState, Operator, Sink, Source};
-use crate::profile::{PipelineObs, WorkerProf};
+use crate::error::ExecResult;
+use crate::morsel::{Failure, Pipeline, PipelineLabel, Worker};
+use crate::pipeline::{Operator, Sink, Source};
+use crate::profile::PipelineObs;
 use crate::progress::{self, PipelineProgress, WaitState};
-use crate::sched::{panic_message, Failure};
 use std::collections::HashMap;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -102,11 +104,10 @@ struct ActivePipeline {
     cursor: AtomicUsize,
     /// First-error-wins slot, shared by every participating worker.
     failure: Failure,
-    /// Workers currently inside a burst (claiming or flushing) for this
-    /// pipeline. Retirement requires zero.
+    /// Workers currently inside a step or drain for this pipeline.
+    /// Retirement requires zero.
     engaged: AtomicUsize,
-    /// Workers holding un-flushed [`Participation`] state. Retirement
-    /// requires zero.
+    /// Workers holding an un-drained [`Worker`]. Retirement requires zero.
     holders: AtomicUsize,
     /// Whether any worker ever created locals — guarantees zero-task
     /// pipelines still get one ops-flush + `finish_local` pass.
@@ -122,8 +123,30 @@ struct ActivePipeline {
 }
 
 impl ActivePipeline {
+    /// The view of this pipeline the morsel loop runs against.
+    ///
+    /// # Safety
+    ///
+    /// Only while the pipeline has not retired (the caller is engaged on it
+    /// or holds the state lock with the pipeline still in the active list):
+    /// until then the submitter is blocked and the pointees are alive.
+    unsafe fn view(&self) -> Pipeline<'_> {
+        Pipeline {
+            ctx: &*self.refs.ctx,
+            source: &*self.refs.source,
+            ops: &*self.refs.ops,
+            sink: &*self.refs.sink,
+            cursor: &self.cursor,
+            task_count: self.task_count,
+            failure: &self.failure,
+            obs: self.refs.obs.map(|o| &*o),
+            live: Some(&self.progress),
+            trace: None,
+        }
+    }
+
     /// No more morsels will ever be claimed: tasks drained or a failure
-    /// raised. Held participations must now be flushed.
+    /// raised. Held workers must now be drained.
     #[inline]
     fn exhausted(&self) -> bool {
         self.failure.raised() || self.cursor.load(Ordering::Relaxed) >= self.task_count
@@ -132,36 +155,7 @@ impl ActivePipeline {
     /// Whether a worker scanning the active list should pick this
     /// pipeline: either a morsel is claimable or nobody adopted it yet.
     fn selectable(&self) -> bool {
-        let claimable =
-            !self.failure.raised() && self.cursor.load(Ordering::Relaxed) < self.task_count;
-        claimable || !self.adopted.load(Ordering::Relaxed)
-    }
-}
-
-/// Per-(worker, pipeline) local state — exactly what a scoped worker keeps
-/// on its stack for the duration of a pipeline.
-struct Participation {
-    pipe: Arc<ActivePipeline>,
-    op_locals: Vec<LocalState>,
-    sink_local: LocalState,
-    prof: Option<WorkerProf>,
-    hw: Option<crate::pmu::WorkerSampler>,
-}
-
-impl Participation {
-    fn new(pipe: Arc<ActivePipeline>) -> Participation {
-        let ctx = unsafe { &*pipe.refs.ctx };
-        let ops = unsafe { &*pipe.refs.ops };
-        let sink = unsafe { &*pipe.refs.sink };
-        let prof = pipe.refs.obs.map(|_| WorkerProf::new(ops.len()));
-        let hw = crate::pmu::worker_sampler(ctx.counters());
-        Participation {
-            op_locals: ops.iter().map(|o| o.create_local()).collect(),
-            sink_local: sink.create_local(),
-            prof,
-            hw,
-            pipe,
-        }
+        !self.exhausted() || !self.adopted.load(Ordering::Relaxed)
     }
 }
 
@@ -169,7 +163,7 @@ impl Participation {
 enum Action {
     /// Claim (at most) one morsel from this pipeline.
     Work(Arc<ActivePipeline>),
-    /// Flush this worker's participation in an exhausted pipeline.
+    /// Drain this worker's state for an exhausted pipeline.
     Flush(u64),
 }
 
@@ -250,11 +244,12 @@ impl WorkerPool {
             .len()
     }
 
-    /// Submit one pipeline and block until it retires. Semantics are
-    /// identical to [`crate::sched::Executor::run_pipeline_obs`]: on
-    /// success the sink is finalized; on error the first failure is
-    /// returned and `finish` is skipped — but every participation has been
-    /// flushed or dropped, so no worker still references the pipeline.
+    /// Submit one pipeline and block until it retires. Same contract as
+    /// [`crate::sched::Executor::run_pipeline_obs`] — it is the same loop:
+    /// on success the sink is finalized; on error the first failure is
+    /// returned and `finish` is skipped — but every held worker state has
+    /// been drained and dropped, so no worker still references the
+    /// pipeline.
     pub fn run_pipeline_obs(
         &self,
         ctx: &Arc<QueryContext>,
@@ -262,22 +257,19 @@ impl WorkerPool {
         ops: &[Arc<dyn Operator>],
         sink: &dyn Sink,
         obs: Option<&PipelineObs>,
+        label: PipelineLabel<'_>,
     ) -> ExecResult {
         let started = obs.map(|_| Instant::now());
-        // The engine labels the pipeline (thread-locally) just before
-        // submitting it; unlabeled pipelines still get a progress entry.
-        let (label, est_rows) =
-            progress::take_next_label().unwrap_or_else(|| ("pipeline".to_string(), 0));
         let live = Arc::new(PipelineProgress::new(
             ctx,
-            label,
-            est_rows,
+            label.name.to_string(),
+            label.est_rows,
             ops.len(),
             source.task_count() as u64,
         ));
         progress::global().register(Arc::clone(&live));
-        // Submitted but no morsel claimed yet; each worker burst re-stamps
-        // the CPU flavor on entry and PoolWait on exit.
+        // Submitted but no morsel claimed yet; each morsel re-stamps the
+        // CPU flavor on entry and PoolWait on exit.
         ctx.stamp_wait(WaitState::PoolWait);
         // Erase the borrow lifetimes into raw pointers. SAFETY: this
         // function blocks until the pipeline retires (no worker can reach
@@ -338,13 +330,7 @@ impl WorkerPool {
             let workers = pipe.participants.load(Ordering::Relaxed).max(1) as u64;
             obs.record_run(t0.elapsed().as_nanos() as u64, workers);
         }
-        match pipe.failure.take_first() {
-            Some(err) => Err(err),
-            None => {
-                sink.finish();
-                Ok(())
-            }
-        }
+        pipe.failure.conclude(sink)
     }
 }
 
@@ -360,20 +346,18 @@ impl Drop for WorkerPool {
 }
 
 fn worker_loop(inner: Arc<PoolInner>) {
-    let mut held: HashMap<u64, Participation> = HashMap::new();
+    // Per-(worker, pipeline) state — exactly what a scoped worker keeps on
+    // its stack for the duration of a pipeline.
+    let mut held: HashMap<u64, (Arc<ActivePipeline>, Worker)> = HashMap::new();
     loop {
-        // Selection under the state lock: flush duties first, then a fair
+        // Selection under the state lock: drain duties first, then a fair
         // round-robin scan, then park.
         let (action, fresh) = {
             let mut state = inner.state.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some(id) = held
-                    .iter()
-                    .find(|(_, p)| p.pipe.exhausted())
-                    .map(|(id, _)| *id)
-                {
-                    held[&id].pipe.engaged.fetch_add(1, Ordering::Relaxed);
-                    break (Action::Flush(id), false);
+                if let Some((id, (pipe, _))) = held.iter().find(|(_, (p, _))| p.exhausted()) {
+                    pipe.engaged.fetch_add(1, Ordering::Relaxed);
+                    break (Action::Flush(*id), false);
                 }
                 let n = state.active.len();
                 let mut picked = None;
@@ -396,7 +380,7 @@ fn worker_loop(inner: Arc<PoolInner>) {
                     break (Action::Work(p), fresh);
                 }
                 if inner.shutdown.load(Ordering::Acquire) && state.active.is_empty() {
-                    debug_assert!(held.is_empty(), "shutdown with unflushed participations");
+                    debug_assert!(held.is_empty(), "shutdown with undrained workers");
                     return;
                 }
                 state = inner.work_cv.wait(state).unwrap_or_else(|e| e.into_inner());
@@ -404,18 +388,23 @@ fn worker_loop(inner: Arc<PoolInner>) {
         };
 
         match action {
+            // One-morsel steps are the fairness quantum: after every morsel
+            // the worker rescans the active list, so other queries get
+            // served in between.
             Action::Work(pipe) => {
-                let outcome =
-                    std::panic::catch_unwind(AssertUnwindSafe(|| work_burst(&mut held, &pipe)));
-                match outcome {
-                    Ok(Ok(())) => {}
-                    Ok(Err(err)) => pipe.failure.set(err),
-                    Err(payload) => pipe.failure.set(ExecError::WorkerPanic {
-                        message: panic_message(payload.as_ref()),
-                    }),
+                {
+                    // SAFETY: `engaged` was raised under the lock, so the
+                    // pipeline cannot retire before it is lowered below.
+                    let p = unsafe { pipe.view() };
+                    pipe.failure.guard(|| {
+                        let (_, worker) = held
+                            .entry(pipe.id)
+                            .or_insert_with(|| (Arc::clone(&pipe), Worker::new(&p, 0)));
+                        worker.step(&p).map(drop)
+                    });
                 }
                 let mut state = inner.state.lock().unwrap_or_else(|e| e.into_inner());
-                // If creating locals panicked, no participation exists and
+                // If creating locals panicked, no worker state exists and
                 // the holder slot reserved above must be handed back.
                 if fresh && !held.contains_key(&pipe.id) {
                     pipe.holders.fetch_sub(1, Ordering::Relaxed);
@@ -423,23 +412,18 @@ fn worker_loop(inner: Arc<PoolInner>) {
                 pipe.engaged.fetch_sub(1, Ordering::Relaxed);
                 maybe_retire(&mut state, &inner, &pipe);
                 if pipe.exhausted() {
-                    // Wake holders on other workers so they flush.
+                    // Wake holders on other workers so they drain.
                     inner.work_cv.notify_all();
                 }
             }
             Action::Flush(id) => {
-                let mut part = held.remove(&id).expect("flush of un-held pipeline");
-                let pipe = Arc::clone(&part.pipe);
-                let outcome =
-                    std::panic::catch_unwind(AssertUnwindSafe(|| flush_participation(&mut part)));
-                match outcome {
-                    Ok(Ok(())) => {}
-                    Ok(Err(err)) => pipe.failure.set(err),
-                    Err(payload) => pipe.failure.set(ExecError::WorkerPanic {
-                        message: panic_message(payload.as_ref()),
-                    }),
+                let (pipe, mut worker) = held.remove(&id).expect("drain of un-held pipeline");
+                {
+                    // SAFETY: as above — engaged until lowered below.
+                    let p = unsafe { pipe.view() };
+                    pipe.failure.guard(|| worker.drain(&p));
                 }
-                drop(part);
+                drop(worker);
                 let mut state = inner.state.lock().unwrap_or_else(|e| e.into_inner());
                 pipe.holders.fetch_sub(1, Ordering::Relaxed);
                 pipe.engaged.fetch_sub(1, Ordering::Relaxed);
@@ -464,358 +448,16 @@ fn maybe_retire(state: &mut PoolState, inner: &PoolInner, pipe: &Arc<ActivePipel
     }
 }
 
-/// Claim and run at most one morsel of `pipe`, creating this worker's
-/// participation on first contact. One-morsel bursts are the fairness
-/// quantum: after every morsel the worker rescans the active list, so
-/// other queries get served in between.
-fn work_burst(held: &mut HashMap<u64, Participation>, pipe: &Arc<ActivePipeline>) -> ExecResult {
-    let part = held
-        .entry(pipe.id)
-        .or_insert_with(|| Participation::new(Arc::clone(pipe)));
-    let ctx = unsafe { &*pipe.refs.ctx };
-    // Same per-morsel discipline as the scoped worker body: observe a
-    // sibling failure before claiming, honor cancellation/deadline, then
-    // claim-and-run.
-    if pipe.failure.raised() {
-        return Ok(());
-    }
-    ctx.check()?;
-    let task = pipe.cursor.fetch_add(1, Ordering::Relaxed);
-    if task >= pipe.task_count {
-        return Ok(());
-    }
-    let source = unsafe { &*pipe.refs.source };
-    let ops = unsafe { &*pipe.refs.ops };
-    let sink = unsafe { &*pipe.refs.sink };
-    let live = &pipe.progress;
-    let Participation {
-        op_locals,
-        sink_local,
-        prof,
-        ..
-    } = part;
-    // Wait-state stamp: this query is on-CPU in this pipeline's phase for
-    // the duration of the burst. Two relaxed stores per morsel.
-    ctx.stamp_wait(live.cpu_state);
-    let mut chain_err: Option<ExecError> = None;
-    let morsel_start = Instant::now();
-    let polled = source.poll_task(task, &mut |batch| {
-        if chain_err.is_none() {
-            let n = batch.num_rows() as u64;
-            live.source.batches.fetch_add(1, Ordering::Relaxed);
-            live.source.rows_out.fetch_add(n, Ordering::Relaxed);
-            if let Some(p) = prof.as_mut() {
-                p.src_batches += 1;
-                p.src_rows += n;
-            }
-            let fed = feed_chain_live(
-                ops,
-                op_locals,
-                sink,
-                sink_local,
-                batch,
-                0,
-                live,
-                prof.as_mut(),
-            );
-            if let Err(e) = fed {
-                chain_err = Some(e);
-            }
-        }
-    });
-    let morsel_ns = morsel_start.elapsed().as_nanos() as u64;
-    ctx.add_cpu_ns(morsel_ns);
-    live.tasks_done.fetch_add(1, Ordering::Relaxed);
-    if let Some(p) = prof.as_mut() {
-        p.morsels += 1;
-        p.src_busy_ns += morsel_ns;
-        // Incremental flush: fold this morsel's counts into the shared
-        // `PipelineObs` now (and reset the local), so `EXPLAIN ANALYZE`
-        // observation slots are readable mid-flight instead of only at
-        // participation drain. `flush` is purely additive, so drain-time
-        // totals are unchanged.
-        if let Some(obs) = pipe.refs.obs {
-            p.flush(unsafe { &*obs });
-            *p = WorkerProf::new(ops.len());
-        }
-    }
-    // Burst over: until the next claim this query is waiting on the pool.
-    ctx.stamp_wait(WaitState::PoolWait);
-    if let Some(e) = chain_err {
-        return Err(e);
-    }
-    polled
-}
-
-/// Pooled twin of `sched::feed_chain` / `feed_chain_prof`: pushes a batch
-/// through operators `from..` into the sink, always counting rows/batches
-/// into the pipeline's live [`PipelineProgress`] (relaxed adds, no clock
-/// reads) and, when profiling is on, also doing the profiler's timing
-/// accounting.
-#[allow(clippy::too_many_arguments)]
-fn feed_chain_live(
-    ops: &[Arc<dyn Operator>],
-    op_locals: &mut [LocalState],
-    sink: &dyn Sink,
-    sink_local: &mut LocalState,
-    batch: Batch,
-    from: usize,
-    live: &PipelineProgress,
-    mut prof: Option<&mut WorkerProf>,
-) -> ExecResult {
-    let mut stack: Vec<(usize, Batch)> = vec![(from, batch)];
-    while let Some((i, b)) = stack.pop() {
-        if i == ops.len() {
-            if b.num_rows() > 0 {
-                let n = b.num_rows() as u64;
-                live.sink.add_in(n);
-                match prof.as_deref_mut() {
-                    Some(p) => {
-                        p.sink_batches += 1;
-                        p.sink_rows += n;
-                        let t0 = Instant::now();
-                        sink.consume(sink_local, b)?;
-                        p.sink_busy_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                    None => sink.consume(sink_local, b)?,
-                }
-            }
-            continue;
-        }
-        if b.num_rows() == 0 {
-            continue;
-        }
-        let n = b.num_rows() as u64;
-        live.ops[i].add_in(n);
-        if let Some(p) = prof.as_deref_mut() {
-            p.ops[i].batches += 1;
-            p.ops[i].rows_in += n;
-        }
-        let (op, local) = (&ops[i], &mut op_locals[i]);
-        let mut produced: Vec<(usize, Batch)> = Vec::new();
-        let mut rows_out = 0u64;
-        let t0 = prof.is_some().then(Instant::now);
-        op.process(local, b, &mut |nb| {
-            rows_out += nb.num_rows() as u64;
-            produced.push((i + 1, nb));
-        })?;
-        if let (Some(p), Some(t0)) = (prof.as_deref_mut(), t0) {
-            p.ops[i].busy_ns += t0.elapsed().as_nanos() as u64;
-            p.ops[i].rows_out += rows_out;
-        }
-        live.ops[i].add_out(rows_out);
-        stack.extend(produced);
-    }
-    Ok(())
-}
-
-/// End-of-participation merge, mirroring the tail of the scoped worker
-/// body: flush operators front-to-back (skipped entirely once a failure is
-/// raised, like a scoped worker that observes `failure.raised()`), then
-/// `finish_local`; profile and PMU data are flushed on success *and* on
-/// error so partial counts of a failed query stay visible.
-fn flush_participation(part: &mut Participation) -> ExecResult {
-    let pipe = Arc::clone(&part.pipe);
-    let ctx = unsafe { &*pipe.refs.ctx };
-    let ops = unsafe { &*pipe.refs.ops };
-    let sink = unsafe { &*pipe.refs.sink };
-    let obs = pipe.refs.obs.map(|o| unsafe { &*o });
-    let live = &pipe.progress;
-    ctx.stamp_wait(WaitState::Finalizing);
-
-    let result = (|| -> ExecResult {
-        for i in 0..ops.len() {
-            if pipe.failure.raised() {
-                return Ok(());
-            }
-            let mut pending: Vec<crate::batch::Batch> = Vec::new();
-            let flush_start = part.prof.as_ref().map(|_| Instant::now());
-            ops[i].flush(&mut part.op_locals[i], &mut |b| pending.push(b))?;
-            if let (Some(p), Some(t0)) = (part.prof.as_mut(), flush_start) {
-                p.ops[i].busy_ns += t0.elapsed().as_nanos() as u64;
-            }
-            for b in pending {
-                let n = b.num_rows() as u64;
-                live.ops[i].add_out(n);
-                if let Some(p) = part.prof.as_mut() {
-                    p.ops[i].batches += 1;
-                    p.ops[i].rows_out += n;
-                }
-                feed_chain_live(
-                    ops,
-                    &mut part.op_locals,
-                    sink,
-                    &mut part.sink_local,
-                    b,
-                    i + 1,
-                    live,
-                    part.prof.as_mut(),
-                )?;
-            }
-        }
-        if pipe.failure.raised() {
-            return Ok(());
-        }
-        let local = std::mem::replace(&mut part.sink_local, Box::new(()));
-        match part.prof.as_mut() {
-            Some(p) => {
-                let t0 = Instant::now();
-                let finished = sink.finish_local(local);
-                p.sink_busy_ns += t0.elapsed().as_nanos() as u64;
-                finished
-            }
-            None => sink.finish_local(local),
-        }
-    })();
-
-    if let (Some(p), Some(obs)) = (&part.prof, obs) {
-        p.flush(obs);
-    }
-    crate::pmu::finish_worker(part.hw.take(), obs.map(|o| &o.hw));
-    result
-}
-
 #[cfg(test)]
 mod tests {
+    //! What only the pool does: interleaving concurrent pipelines and
+    //! publishing live progress. That a pooled pipeline computes what a
+    //! scoped one does is a row of the table in [`crate::morsel`].
+
     use super::*;
-    use crate::batch::Batch;
     use crate::pipeline::Emit;
-    use joinstudy_storage::column::ColumnData;
-
-    /// Source emitting `tasks` tasks of one i64 batch each: task t => [t*10, t*10+1].
-    struct NumberSource {
-        tasks: usize,
-    }
-
-    impl Source for NumberSource {
-        fn task_count(&self) -> usize {
-            self.tasks
-        }
-
-        fn poll_task(&self, task: usize, out: Emit) -> ExecResult {
-            let base = task as i64 * 10;
-            out(Batch::new(vec![ColumnData::Int64(vec![base, base + 1])]));
-            Ok(())
-        }
-    }
-
-    struct FailOnValueOp {
-        trigger: i64,
-    }
-
-    impl Operator for FailOnValueOp {
-        fn process(&self, _local: &mut LocalState, input: Batch, out: Emit) -> ExecResult {
-            if input.column(0).as_i64().contains(&self.trigger) {
-                return Err(ExecError::operator("fail-on-value", "injected failure"));
-            }
-            out(input);
-            Ok(())
-        }
-    }
-
-    struct PanicOnValueOp {
-        trigger: i64,
-    }
-
-    impl Operator for PanicOnValueOp {
-        fn process(&self, _local: &mut LocalState, input: Batch, out: Emit) -> ExecResult {
-            assert!(
-                !input.column(0).as_i64().contains(&self.trigger),
-                "injected panic"
-            );
-            out(input);
-            Ok(())
-        }
-    }
-
-    /// Operator buffering everything until flush (exercises the
-    /// participation-flush path across interleaved pipelines).
-    struct BufferAllOp;
-
-    impl Operator for BufferAllOp {
-        fn create_local(&self) -> LocalState {
-            Box::new(Vec::<Batch>::new())
-        }
-
-        fn process(&self, local: &mut LocalState, input: Batch, _out: Emit) -> ExecResult {
-            local.downcast_mut::<Vec<Batch>>().unwrap().push(input);
-            Ok(())
-        }
-
-        fn flush(&self, local: &mut LocalState, out: Emit) -> ExecResult {
-            for b in local.downcast_mut::<Vec<Batch>>().unwrap().drain(..) {
-                out(b);
-            }
-            Ok(())
-        }
-    }
-
-    #[derive(Default)]
-    struct SumSink {
-        total: Mutex<i64>,
-        finished: AtomicBool,
-    }
-
-    impl Sink for SumSink {
-        fn create_local(&self) -> LocalState {
-            Box::new(0i64)
-        }
-
-        fn consume(&self, local: &mut LocalState, input: Batch) -> ExecResult {
-            let acc = local.downcast_mut::<i64>().unwrap();
-            *acc += input.column(0).as_i64().iter().sum::<i64>();
-            Ok(())
-        }
-
-        fn finish_local(&self, local: LocalState) -> ExecResult {
-            *self.total.lock().unwrap() += *local.downcast::<i64>().unwrap();
-            Ok(())
-        }
-
-        fn finish(&self) {
-            self.finished.store(true, Ordering::Relaxed);
-        }
-    }
-
-    fn expected_sum(tasks: usize) -> i64 {
-        (0..tasks as i64).map(|t| t * 10 + t * 10 + 1).sum()
-    }
-
-    fn run(pool: &Arc<WorkerPool>, tasks: usize, ops: Vec<Arc<dyn Operator>>) -> ExecResult<i64> {
-        let sink = SumSink::default();
-        pool.run_pipeline_obs(
-            &QueryContext::unbounded(),
-            &NumberSource { tasks },
-            &ops,
-            &sink,
-            None,
-        )?;
-        assert!(sink.finished.load(Ordering::Relaxed));
-        let total = *sink.total.lock().unwrap();
-        Ok(total)
-    }
-
-    #[test]
-    fn pool_runs_single_pipeline() {
-        for threads in [1, 4] {
-            let pool = WorkerPool::new(threads);
-            assert_eq!(run(&pool, 17, vec![]).unwrap(), expected_sum(17));
-            assert_eq!(pool.active_pipelines(), 0);
-        }
-    }
-
-    #[test]
-    fn pool_zero_task_pipeline_still_finishes() {
-        let pool = WorkerPool::new(2);
-        assert_eq!(run(&pool, 0, vec![]).unwrap(), 0);
-    }
-
-    #[test]
-    fn pool_flushes_buffering_operators() {
-        let pool = WorkerPool::new(4);
-        let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(BufferAllOp)];
-        assert_eq!(run(&pool, 23, ops).unwrap(), expected_sum(23));
-    }
+    use crate::sched::Executor;
+    use crate::test_fixtures::*;
 
     #[test]
     fn pool_interleaves_concurrent_pipelines() {
@@ -827,12 +469,23 @@ mod tests {
                     scope.spawn(move || {
                         let tasks = 5 + client * 3;
                         let ops: Vec<Arc<dyn Operator>> = if client % 2 == 0 {
-                            vec![Arc::new(BufferAllOp)]
+                            vec![Arc::new(BufferAllOp::default())]
                         } else {
                             vec![]
                         };
+                        let sink = SumSink::default();
+                        pool.run_pipeline_obs(
+                            &QueryContext::unbounded(),
+                            &NumberSource { tasks },
+                            &ops,
+                            &sink,
+                            None,
+                            PipelineLabel::UNLABELED,
+                        )
+                        .unwrap();
+                        assert!(sink.finished());
                         assert_eq!(
-                            run(&pool, tasks, ops).unwrap(),
+                            sink.total(),
                             expected_sum(tasks),
                             "client {client} threads {threads}"
                         );
@@ -840,109 +493,95 @@ mod tests {
                 }
             });
             assert_eq!(pool.active_pipelines(), 0);
-            assert_eq!(pipelines_in_flight(), 0);
         }
     }
 
-    #[test]
-    fn pool_error_propagates_and_skips_finish() {
-        let pool = WorkerPool::new(4);
-        let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(FailOnValueOp { trigger: 200 })];
-        let sink = SumSink::default();
-        let err = pool
-            .run_pipeline_obs(
-                &QueryContext::unbounded(),
-                &NumberSource { tasks: 40 },
-                &ops,
-                &sink,
-                None,
-            )
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ExecError::Operator {
-                    op: "fail-on-value",
-                    ..
-                }
-            ),
-            "{err}"
-        );
-        assert!(!sink.finished.load(Ordering::Relaxed));
-        // The pool survives a failed query and serves the next one.
-        assert_eq!(run(&pool, 9, vec![]).unwrap(), expected_sum(9));
+    /// A [`NumberSource`] that, from inside its last task, looks its own
+    /// pipeline up in the live-progress registry.
+    struct SelfWatchingSource {
+        inner: NumberSource,
+        query_id: u64,
+        seen: Mutex<Vec<progress::PipelineSnapshot>>,
     }
 
-    #[test]
-    fn pool_isolates_worker_panics() {
-        let pool = WorkerPool::new(4);
-        let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(PanicOnValueOp { trigger: 130 })];
-        let sink = SumSink::default();
-        let err = pool
-            .run_pipeline_obs(
-                &QueryContext::unbounded(),
-                &NumberSource { tasks: 30 },
-                &ops,
-                &sink,
-                None,
-            )
-            .unwrap_err();
-        match err {
-            ExecError::WorkerPanic { message } => {
-                assert!(message.contains("injected panic"), "got: {message}")
+    impl Source for SelfWatchingSource {
+        fn task_count(&self) -> usize {
+            self.inner.tasks
+        }
+
+        fn poll_task(&self, task: usize, out: Emit) -> ExecResult {
+            if task + 1 == self.inner.tasks {
+                let mine = progress::global()
+                    .snapshot()
+                    .into_iter()
+                    .filter(|s| s.query_id == self.query_id);
+                self.seen.lock().unwrap().extend(mine);
             }
-            other => panic!("expected WorkerPanic, got {other}"),
+            self.inner.poll_task(task, out)
         }
-        // A panicking query must not poison the pool for its neighbors.
-        assert_eq!(run(&pool, 9, vec![]).unwrap(), expected_sum(9));
     }
 
-    #[test]
-    fn pool_honors_pre_cancelled_context() {
-        let pool = WorkerPool::new(2);
+    fn watch(exec: &Executor, label: Option<PipelineLabel<'_>>) -> progress::PipelineSnapshot {
         let ctx = QueryContext::unbounded();
-        ctx.cancel();
+        ctx.arm();
+        let source = SelfWatchingSource {
+            inner: NumberSource { tasks: 6 },
+            query_id: ctx.query_id(),
+            seen: Mutex::new(Vec::new()),
+        };
+        let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(DupOp)];
         let sink = SumSink::default();
-        let err = pool
-            .run_pipeline_obs(&ctx, &NumberSource { tasks: 40 }, &[], &sink, None)
-            .unwrap_err();
-        assert_eq!(err, ExecError::Cancelled);
-        assert_eq!(*sink.total.lock().unwrap(), 0);
+        match label {
+            Some(label) => exec.run_pipeline_obs(&ctx, &source, &ops, &sink, None, label),
+            None => exec.run_pipeline(&ctx, &source, &ops, &sink),
+        }
+        .unwrap();
+        let mut seen = source.seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 1, "exactly one live pipeline for the query");
+        seen.remove(0)
     }
 
     #[test]
-    fn pooled_executor_dispatches_to_pool() {
-        let pool = WorkerPool::new(3);
-        let exec = crate::sched::Executor::pooled(Arc::clone(&pool));
-        assert_eq!(exec.threads(), 3);
-        let sink = SumSink::default();
-        exec.run_pipeline(
-            &QueryContext::unbounded(),
-            &NumberSource { tasks: 12 },
-            &[],
-            &sink,
-        )
-        .unwrap();
-        assert_eq!(*sink.total.lock().unwrap(), expected_sum(12));
+    fn live_progress_carries_the_submitted_label_and_per_morsel_counts() {
+        // One worker, so the five morsels before the watching one are done
+        // and published when it looks.
+        let exec = Executor::pooled(WorkerPool::new(1));
+        let label = PipelineLabel {
+            name: "RJ partition (build)",
+            est_rows: 12,
+        };
+        let s = watch(&exec, Some(label));
+        assert_eq!((s.label.as_str(), s.est_rows), ("RJ partition (build)", 12));
+        assert_eq!((s.tasks_done, s.tasks_total), (5, 6));
+        let rows: Vec<_> = s
+            .stages
+            .iter()
+            .map(|st| (st.rows_in, st.rows_out))
+            .collect();
+        assert_eq!(rows, [(0, 10), (10, 20), (20, 0)]);
     }
 
     #[test]
-    fn pool_profiled_run_counts_rows() {
-        let pool = WorkerPool::new(4);
+    fn unlabeled_pooled_pipeline_does_not_inherit_an_earlier_label() {
+        // A labelled run on a scoped team, where nothing reads the label …
+        let label = PipelineLabel {
+            name: "BHJ build",
+            est_rows: 7,
+        };
         let sink = SumSink::default();
-        let obs = PipelineObs::new(0);
-        pool.run_pipeline_obs(
-            &QueryContext::unbounded(),
-            &NumberSource { tasks: 20 },
-            &[],
-            &sink,
-            Some(&obs),
-        )
-        .unwrap();
-        assert_eq!(obs.source.morsels(), 20);
-        assert_eq!(obs.source.rows_out(), 40);
-        assert_eq!(obs.sink.rows_in(), 40);
-        assert!(obs.wall_ns() > 0);
-        assert!(obs.workers() >= 1);
+        Executor::new(1)
+            .run_pipeline_obs(
+                &QueryContext::unbounded(),
+                &NumberSource { tasks: 3 },
+                &[],
+                &sink,
+                None,
+                label,
+            )
+            .unwrap();
+        // … must not name an unlabelled pooled pipeline this thread submits
+        // next.
+        let s = watch(&Executor::pooled(WorkerPool::new(2)), None);
+        assert_eq!((s.label.as_str(), s.est_rows), ("pipeline", 0));
     }
 }

@@ -6,18 +6,20 @@
 //! a pipeline gets its own [`OpStats`] slot, and the slots are stitched back
 //! into a [`QueryProfile`] tree that mirrors the query plan.
 //!
-//! # Design (per-worker slots, drain-time aggregation)
+//! # Design (per-worker counts, additive publication)
 //!
 //! * A [`PipelineObs`] holds one shared [`OpStats`] slot per pipeline stage
 //!   (source, each fused operator, sink). Slots are relaxed atomics.
-//! * Workers never touch the shared slots while streaming: each worker
-//!   accumulates into a plain-integer [`WorkerProf`] and flushes it into the
-//!   `PipelineObs` exactly once, when the worker drains (one `fetch_add`
-//!   burst per worker per pipeline).
-//! * Timing is taken at batch granularity with monotonic [`Instant`] pairs;
-//!   the *unprofiled* path executes exactly the same code as before — the
-//!   profiled worker body is a separate branch, so profiling off adds no
-//!   work to the hot loop.
+//! * Workers never touch the shared slots while streaming: the one morsel
+//!   loop ([`crate::morsel`]) always counts into a plain-integer
+//!   [`WorkerProf`] and adds it into the `PipelineObs` when the worker
+//!   drains (one `fetch_add` burst per worker per pipeline) — or after
+//!   every morsel on the shared pool, so the slots are readable mid-flight.
+//! * Timing is taken at batch granularity with monotonic [`Instant`] pairs,
+//!   and only when the pipeline carries a `PipelineObs`: with profiling off
+//!   the loop does the integer adds and reads no clock.
+//!
+//! [`Instant`]: std::time::Instant
 //!
 //! The engine (`joinstudy-core`) maps slots onto plan nodes and attaches
 //! algorithm-specific details (partition histograms, Bloom selectivity,
@@ -42,7 +44,7 @@ impl OpStats {
         OpStats::default()
     }
 
-    /// Merge one worker's local counts (drain-time aggregation).
+    /// Merge one worker's local counts.
     pub fn add(&self, morsels: u64, batches: u64, rows_in: u64, rows_out: u64, busy_ns: u64) {
         self.morsels.fetch_add(morsels, Ordering::Relaxed);
         self.batches.fetch_add(batches, Ordering::Relaxed);
@@ -107,6 +109,18 @@ impl PipelineObs {
         }
     }
 
+    /// Add one worker's private counts (one relaxed burst; purely
+    /// additive, so it may be called per morsel or once at drain).
+    pub(crate) fn add(&self, w: &WorkerProf) {
+        self.source
+            .add(w.morsels, w.src_batches, 0, w.src_rows, w.src_busy_ns);
+        for (slot, stats) in w.ops.iter().zip(&self.ops) {
+            stats.add(0, slot.batches, slot.rows_in, slot.rows_out, slot.busy_ns);
+        }
+        self.sink
+            .add(0, w.sink_batches, w.sink_rows, 0, w.sink_busy_ns);
+    }
+
     /// Record one completed `run_pipeline` invocation on this observation.
     pub fn record_run(&self, wall_ns: u64, workers: u64) {
         self.wall_ns.fetch_add(wall_ns, Ordering::Relaxed);
@@ -122,8 +136,9 @@ impl PipelineObs {
     }
 }
 
-/// One worker's private accumulator: plain integers, no sharing, flushed
-/// once into the [`PipelineObs`] when the worker drains.
+/// One worker's private accumulator: plain integers, no sharing, added
+/// into the shared blocks (`PipelineObs::add`, `PipelineProgress::add`) at
+/// morsel end or drain.
 #[derive(Debug)]
 pub struct WorkerProf {
     pub morsels: u64,
@@ -159,20 +174,14 @@ impl WorkerProf {
         }
     }
 
-    /// Drain-time aggregation: one atomic burst per worker per pipeline.
-    pub fn flush(&self, obs: &PipelineObs) {
-        obs.source.add(
-            self.morsels,
-            self.src_batches,
-            0,
-            self.src_rows,
-            self.src_busy_ns,
-        );
-        for (slot, stats) in self.ops.iter().zip(&obs.ops) {
-            stats.add(0, slot.batches, slot.rows_in, slot.rows_out, slot.busy_ns);
-        }
-        obs.sink
-            .add(0, self.sink_batches, self.sink_rows, 0, self.sink_busy_ns);
+    /// Zero every count, keeping the per-operator allocation.
+    pub(crate) fn reset(&mut self) {
+        let mut ops = std::mem::take(&mut self.ops);
+        ops.fill(LocalSlot::default());
+        *self = WorkerProf {
+            ops,
+            ..WorkerProf::new(0)
+        };
     }
 }
 
@@ -416,7 +425,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn worker_prof_flushes_into_obs() {
+    fn worker_prof_adds_into_obs_and_resets() {
         let obs = PipelineObs::new(2);
         let mut w = WorkerProf::new(2);
         w.morsels = 3;
@@ -438,10 +447,11 @@ mod tests {
         w.sink_batches = 4;
         w.sink_rows = 60;
         w.sink_busy_ns = 50;
-        w.flush(&obs);
-        // A second worker flushing accumulates.
-        let w2 = WorkerProf::new(2);
-        w2.flush(&obs);
+        obs.add(&w);
+        // A reset record adds nothing, and keeps its per-operator slots.
+        w.reset();
+        assert_eq!(w.ops.len(), 2);
+        obs.add(&w);
         assert_eq!(obs.source.morsels(), 3);
         assert_eq!(obs.source.rows_out(), 100);
         assert_eq!(obs.ops[0].rows_in(), 100);

@@ -9,25 +9,26 @@
 //! * Every [`QueryContext`](crate::context::QueryContext) carries a
 //!   **wait-state stamp** — one relaxed `AtomicU64` written at boundaries
 //!   that already exist (admission enqueue/grant, pipeline submit, morsel
-//!   claim, participation flush, spill I/O). An external sampler reads the
+//!   claim, worker drain, spill I/O). An external sampler reads the
 //!   stamp every ~10 ms; between stamps nothing on the hot path is touched.
 //! * Every pooled pipeline registers a [`PipelineProgress`] here: relaxed
 //!   per-operator row/batch counters plus a done/total task cursor,
-//!   readable mid-flight. The counters are advisory while the pipeline
-//!   runs (plain relaxed loads may trail the workers by a morsel) and
-//!   exact once it retires — the same contract as the profiler.
+//!   readable mid-flight. The morsel loop ([`crate::morsel`]) adds each
+//!   worker's private counts after every morsel, so the counters are
+//!   advisory while the pipeline runs (they trail the workers by at most a
+//!   morsel) and exact once it retires — the same contract as the profiler.
 //!
-//! Labels reach the registry through [`label_next_pipeline`], the untraced
-//! twin of `trace::label_next_pipeline`: the engine stamps a thread-local
-//! just before submitting a pipeline, and the pool takes it at submit on
-//! the same thread. Unlike the tracer's version it needs no active trace,
-//! so pooled serving queries are labeled too.
+//! The pipeline's label and the planner's row estimate arrive with the
+//! submit call (a [`PipelineLabel`](crate::morsel::PipelineLabel) argument
+//! of `run_pipeline_obs`), so a pipeline can only ever be reported under
+//! the name its own submitter gave it; one submitted without a label is
+//! `"pipeline"` with no estimate.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use crate::context::QueryContext;
+use crate::profile::WorkerProf;
 
 /// What a query is doing (or waiting on) right now. Stamped into
 /// [`QueryContext`] with relaxed stores at existing phase boundaries and
@@ -53,7 +54,7 @@ pub enum WaitState {
     CpuScan = 6,
     /// Inside a spill-file read or write.
     SpillIo = 7,
-    /// Draining participations: operator flush + sink merge.
+    /// Draining a worker: operator flush + sink merge.
     Finalizing = 8,
 }
 
@@ -125,15 +126,10 @@ pub struct StageProgress {
 }
 
 impl StageProgress {
-    #[inline]
-    pub fn add_in(&self, rows: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.rows_in.fetch_add(rows, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn add_out(&self, rows: u64) {
-        self.rows_out.fetch_add(rows, Ordering::Relaxed);
+    fn add(&self, batches: u64, rows_in: u64, rows_out: u64) {
+        self.batches.fetch_add(batches, Ordering::Relaxed);
+        self.rows_in.fetch_add(rows_in, Ordering::Relaxed);
+        self.rows_out.fetch_add(rows_out, Ordering::Relaxed);
     }
 }
 
@@ -192,6 +188,17 @@ impl PipelineProgress {
             done: AtomicBool::new(false),
             ctx: Arc::downgrade(ctx),
         }
+    }
+
+    /// Add one worker's private counts since its last publication (the
+    /// morsel loop calls this after every morsel of a pooled pipeline).
+    pub(crate) fn add(&self, w: &WorkerProf) {
+        self.tasks_done.fetch_add(w.morsels, Ordering::Relaxed);
+        self.source.add(w.src_batches, 0, w.src_rows);
+        for (slot, stage) in w.ops.iter().zip(&self.ops) {
+            stage.add(slot.batches, slot.rows_in, slot.rows_out);
+        }
+        self.sink.add(w.sink_batches, w.sink_rows, 0);
     }
 
     /// The owning query's context, if the session still holds it.
@@ -349,24 +356,6 @@ pub fn global() -> &'static ProgressRegistry {
     GLOBAL.get_or_init(ProgressRegistry::default)
 }
 
-thread_local! {
-    /// (label, est_rows) for the next pipeline this thread submits.
-    static NEXT_LABEL: RefCell<Option<(String, u64)>> = const { RefCell::new(None) };
-}
-
-/// Untraced twin of `trace::label_next_pipeline`: name the next pipeline
-/// this thread submits to the pool (with an optional planner cardinality
-/// estimate for its source). Always active — pooled serving queries get
-/// labels even though no trace is recording.
-pub fn label_next_pipeline(label: &str, est_rows: u64) {
-    NEXT_LABEL.with(|slot| *slot.borrow_mut() = Some((label.to_string(), est_rows)));
-}
-
-/// Take (and clear) the pending label for this thread, if any.
-pub fn take_next_label() -> Option<(String, u64)> {
-    NEXT_LABEL.with(|slot| slot.borrow_mut().take())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,12 +403,16 @@ mod tests {
         ctx.arm();
         let p = Arc::new(PipelineProgress::new(&ctx, "BHJ probe".into(), 100, 1, 8));
         reg.register(Arc::clone(&p));
-        p.tasks_done.fetch_add(3, Ordering::Relaxed);
-        p.source.add_in(0);
-        p.source.add_out(50);
-        p.ops[0].add_in(50);
-        p.ops[0].add_out(40);
-        p.sink.add_in(40);
+        let mut w = WorkerProf::new(1);
+        w.morsels = 3;
+        w.src_batches = 1;
+        w.src_rows = 50;
+        w.ops[0].batches = 1;
+        w.ops[0].rows_in = 50;
+        w.ops[0].rows_out = 40;
+        w.sink_batches = 1;
+        w.sink_rows = 40;
+        p.add(&w);
 
         let snap = reg.snapshot();
         assert_eq!(snap.len(), 1);
@@ -456,12 +449,5 @@ mod tests {
         reg.register(Arc::clone(&p));
         let s = &reg.snapshot()[0];
         assert!((s.fraction() - 0.4).abs() < 1e-9);
-    }
-
-    #[test]
-    fn next_label_is_taken_once() {
-        label_next_pipeline("probe", 42);
-        assert_eq!(take_next_label(), Some(("probe".to_string(), 42)));
-        assert_eq!(take_next_label(), None);
     }
 }

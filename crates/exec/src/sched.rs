@@ -1,4 +1,4 @@
-//! Morsel-driven parallel pipeline executor.
+//! Morsel-driven parallel pipeline executor: the scoped worker team.
 //!
 //! Workers claim tasks from a shared atomic cursor — the simplest form of
 //! work stealing: no worker ever idles while tasks remain, which is what
@@ -6,6 +6,13 @@
 //! doesn't block the others; they drain the remaining tasks). This mirrors
 //! the morsel-driven scheduler of Leis et al. that the paper's host system
 //! uses for all pipelines, including both radix-partitioning passes.
+//!
+//! This module owns only the threads: an [`Executor`] spawns one scoped
+//! team per pipeline (or hands the pipeline to the shared
+//! [`WorkerPool`](crate::pool::WorkerPool)), and every worker runs the one
+//! morsel loop of [`crate::morsel`] — `while worker.step()? {}`, then
+//! `worker.drain()`. Profiling, live progress and tracing are data that
+//! loop carries, not separate bodies.
 //!
 //! # Failure handling
 //!
@@ -15,21 +22,19 @@
 //! shared slot; the remaining workers observe the raised failure flag, stop
 //! claiming tasks, and join cleanly. A panicking worker is additionally
 //! isolated with `catch_unwind` and converted into
-//! [`ExecError::WorkerPanic`], so a bug in one operator cannot abort the
-//! whole process. On failure the sink's `finish` is skipped and
-//! [`Executor::run_pipeline`] returns the error.
+//! [`ExecError::WorkerPanic`](crate::error::ExecError::WorkerPanic), so a
+//! bug in one operator cannot abort the whole process. On failure the
+//! sink's `finish` is skipped and [`Executor::run_pipeline`] returns the
+//! error; every worker still publishes its partial counts and spans.
 
-use crate::batch::Batch;
 use crate::context::QueryContext;
-use crate::error::{ExecError, ExecResult};
-use crate::pipeline::{LocalState, Operator, Sink, Source};
-use crate::profile::{PipelineObs, WorkerProf};
-use crate::registry::Histogram;
-use crate::trace::{self, SpanKind, TraceSpan};
-use std::borrow::Cow;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use crate::error::ExecResult;
+use crate::morsel::{Failure, Pipeline, PipelineLabel, Worker};
+use crate::pipeline::{Operator, Sink, Source};
+use crate::profile::PipelineObs;
+use crate::trace;
+use std::sync::atomic::AtomicUsize;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A pipeline executor with a fixed worker count.
@@ -43,45 +48,6 @@ use std::time::Instant;
 pub struct Executor {
     threads: usize,
     pool: Option<Arc<crate::pool::WorkerPool>>,
-}
-
-/// First-error-wins failure slot shared by all workers of one pipeline.
-pub(crate) struct Failure {
-    raised: AtomicBool,
-    first: Mutex<Option<ExecError>>,
-}
-
-impl Failure {
-    pub(crate) fn new() -> Failure {
-        Failure {
-            raised: AtomicBool::new(false),
-            first: Mutex::new(None),
-        }
-    }
-
-    /// Whether any worker has failed; checked per morsel by the others.
-    #[inline]
-    pub(crate) fn raised(&self) -> bool {
-        self.raised.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn set(&self, err: ExecError) {
-        let mut slot = self.first.lock().unwrap_or_else(|e| e.into_inner());
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-        self.raised.store(true, Ordering::Release);
-    }
-
-    fn take(self) -> Option<ExecError> {
-        self.first.lock().unwrap_or_else(|e| e.into_inner()).take()
-    }
-
-    /// Shared-reference twin of [`Failure::take`] for the worker pool,
-    /// where the slot lives inside an `Arc`'d pipeline record.
-    pub(crate) fn take_first(&self) -> Option<ExecError> {
-        self.first.lock().unwrap_or_else(|e| e.into_inner()).take()
-    }
 }
 
 impl Executor {
@@ -115,9 +81,9 @@ impl Executor {
         self.threads
     }
 
-    /// Run one pipeline to completion: drain every source task through the
-    /// operator chain into the sink, then merge worker-local sink state and
-    /// finalize the sink.
+    /// Run one unlabeled, unobserved pipeline to completion: drain every
+    /// source task through the operator chain into the sink, then merge
+    /// worker-local sink state and finalize the sink.
     ///
     /// Returns the first error any worker hit (cancellation, timeout, budget
     /// breach, operator failure, or a caught panic). On error the sink is
@@ -129,17 +95,17 @@ impl Executor {
         ops: &[Arc<dyn Operator>],
         sink: &dyn Sink,
     ) -> ExecResult {
-        self.run_pipeline_obs(ctx, source, ops, sink, None)
+        self.run_pipeline_obs(ctx, source, ops, sink, None, PipelineLabel::UNLABELED)
     }
 
-    /// [`Executor::run_pipeline`] with optional per-operator observation.
+    /// [`Executor::run_pipeline`] under a name, with optional per-operator
+    /// observation.
     ///
-    /// With `obs == None` this is byte-for-byte the unprofiled executor (the
-    /// workers run the exact same body as before). With `Some(obs)`, each
-    /// worker accumulates into a private [`WorkerProf`] (plain integers, one
-    /// `Instant` pair per morsel / per batch) and flushes it into `obs` once
-    /// when it drains; the pipeline's wall time and worker count are recorded
-    /// on `obs` as well.
+    /// `label` is what the pipeline is called in a trace and (on the pool)
+    /// in `jsys.query_progress`. With `Some(obs)`, each worker's private
+    /// counts are added into `obs` when it drains, the workers time every
+    /// morsel and batch, and the pipeline's wall time and worker count are
+    /// recorded on `obs` as well.
     pub fn run_pipeline_obs(
         &self,
         ctx: &Arc<QueryContext>,
@@ -147,888 +113,71 @@ impl Executor {
         ops: &[Arc<dyn Operator>],
         sink: &dyn Sink,
         obs: Option<&PipelineObs>,
+        label: PipelineLabel<'_>,
     ) -> ExecResult {
-        // Twin-path dispatch, same discipline as the profiler: one relaxed
-        // load, then either the traced twin or the original body — the
-        // untraced hot path below is unchanged code. The check is
-        // per-thread ownership, not the bare enabled flag, so a trace begun
-        // by one session never captures a concurrent session's pipelines.
-        // A traced pipeline always runs on a private scoped worker team
+        // The check is per-thread ownership, not the bare enabled flag, so a
+        // trace begun by one session never captures a concurrent session's
+        // pipelines. A traced pipeline always runs on a private scoped team
         // (never the shared pool): its timeline then contains exactly this
-        // query's workers, and the tracer's per-worker track indices stay
-        // stable.
-        if trace::thread_active() {
-            return self.run_pipeline_traced(ctx, source, ops, sink, obs);
-        }
-        if let Some(pool) = &self.pool {
-            return pool.run_pipeline_obs(ctx, source, ops, sink, obs);
-        }
-        let next_task = AtomicUsize::new(0);
-        let task_count = source.task_count();
-        let failure = Failure::new();
-        let started = obs.map(|_| Instant::now());
-
-        let inline = self.threads == 1 || task_count <= 1;
-        if inline {
-            run_worker(
-                ctx, source, ops, sink, &next_task, task_count, &failure, obs,
-            );
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..self.threads {
-                    scope.spawn(|| {
-                        run_worker(
-                            ctx, source, ops, sink, &next_task, task_count, &failure, obs,
-                        )
-                    });
-                }
-            });
-        }
-
-        if let (Some(obs), Some(t0)) = (obs, started) {
-            let workers = if inline { 1 } else { self.threads as u64 };
-            obs.record_run(t0.elapsed().as_nanos() as u64, workers);
-        }
-
-        match failure.take() {
-            Some(err) => Err(err),
-            None => {
-                sink.finish();
-                Ok(())
+        // query's workers, and the per-worker track indices stay stable.
+        let traced = trace::thread_active();
+        match &self.pool {
+            Some(pool) if !traced => {
+                return pool.run_pipeline_obs(ctx, source, ops, sink, obs, label)
             }
+            _ => {}
         }
-    }
-
-    /// Traced twin of [`Executor::run_pipeline_obs`]: registers the
-    /// pipeline with the global tracer, gives every worker a stable track
-    /// index, records per-morsel spans and scheduler histograms, and closes
-    /// the pipeline span (synthesizing idle intervals) after the join.
-    /// Handles the profiled case too, so tracing and `EXPLAIN ANALYZE`
-    /// compose.
-    fn run_pipeline_traced(
-        &self,
-        ctx: &Arc<QueryContext>,
-        source: &dyn Source,
-        ops: &[Arc<dyn Operator>],
-        sink: &dyn Sink,
-        obs: Option<&PipelineObs>,
-    ) -> ExecResult {
-        let next_task = AtomicUsize::new(0);
-        let task_count = source.task_count();
-        let failure = Failure::new();
         let started = obs.map(|_| Instant::now());
-
-        let (pipe, _pipe_start) = trace::pipeline_begin();
-        let inline = self.threads == 1 || task_count <= 1;
-        if inline {
-            run_worker_traced(
-                ctx, source, ops, sink, &next_task, task_count, &failure, obs, pipe, 0,
-            );
-        } else {
-            std::thread::scope(|scope| {
-                let next_task = &next_task;
-                let failure = &failure;
-                for w in 0..self.threads {
-                    scope.spawn(move || {
-                        run_worker_traced(
-                            ctx, source, ops, sink, next_task, task_count, failure, obs, pipe,
-                            w as u32,
-                        )
-                    });
-                }
-            });
-        }
-        let workers = if inline { 1 } else { self.threads as u64 };
-        trace::pipeline_end(pipe, trace::now_ns(), workers as u32);
-
-        if let (Some(obs), Some(t0)) = (obs, started) {
-            obs.record_run(t0.elapsed().as_nanos() as u64, workers);
-        }
-
-        match failure.take() {
-            Some(err) => Err(err),
-            None => {
-                sink.finish();
-                Ok(())
-            }
-        }
-    }
-}
-
-/// Scheduler histograms recorded only on the traced path (so the untraced
-/// scheduler never touches them): morsel latency, queue depth at claim
-/// time, and source batch fill.
-struct SchedHists {
-    morsel_ns: Arc<Histogram>,
-    queue_depth: Arc<Histogram>,
-    batch_rows: Arc<Histogram>,
-}
-
-static SCHED_HISTS: OnceLock<SchedHists> = OnceLock::new();
-
-fn sched_hists() -> &'static SchedHists {
-    SCHED_HISTS.get_or_init(|| {
-        let reg = crate::registry::global();
-        SchedHists {
-            morsel_ns: reg.histogram("sched.morsel_ns"),
-            queue_depth: reg.histogram("sched.queue_depth"),
-            batch_rows: reg.histogram("sched.batch_rows"),
-        }
-    })
-}
-
-/// Traced twin of [`run_worker`]: same panic isolation and flush-on-error
-/// behavior, plus span buffering. The span buffer is flushed into the
-/// global collector exactly once, when this worker drains (the epoch
-/// flush) — errors included, so a failed query still yields a timeline.
-#[allow(clippy::too_many_arguments)]
-fn run_worker_traced(
-    ctx: &QueryContext,
-    source: &dyn Source,
-    ops: &[Arc<dyn Operator>],
-    sink: &dyn Sink,
-    next_task: &AtomicUsize,
-    task_count: usize,
-    failure: &Failure,
-    obs: Option<&PipelineObs>,
-    pipe: u32,
-    track: u32,
-) {
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        // One PMU sample per worker per pipeline, opened before the first
-        // morsel and folded in at drain; one relaxed load when counters
-        // are off (see `pmu::worker_sampler`).
-        let hw = crate::pmu::worker_sampler(ctx.counters());
-        let mut spans = trace::take_worker_buffer();
-        let mut prof = obs.map(|_| WorkerProf::new(ops.len()));
-        let result = worker_body_traced(
+        let task_count = source.task_count();
+        let (cursor, failure) = (AtomicUsize::new(0), Failure::new());
+        let pipeline = Pipeline {
             ctx,
             source,
             ops,
             sink,
-            next_task,
+            cursor: &cursor,
             task_count,
-            failure,
-            prof.as_mut(),
-            &mut spans,
-            pipe,
-            track,
-        );
-        if let (Some(p), Some(obs)) = (&prof, obs) {
-            p.flush(obs);
-        }
-        crate::pmu::finish_worker(hw, obs.map(|o| &o.hw));
-        trace::flush_worker(pipe, track, spans, trace::now_ns());
-        result
-    }));
-    match outcome {
-        Ok(Ok(())) => {}
-        Ok(Err(err)) => failure.set(err),
-        Err(payload) => failure.set(ExecError::WorkerPanic {
-            message: panic_message(payload.as_ref()),
-        }),
-    }
-}
-
-/// Traced twin of [`worker_body`] / [`worker_body_prof`]: identical control
-/// flow, plus one [`TraceSpan`] per morsel (pushed to the worker-local
-/// buffer — no locks) and histogram samples. Profiling accounting is
-/// folded in behind `prof` so the traced path serves both modes.
-#[allow(clippy::too_many_arguments)]
-fn worker_body_traced(
-    ctx: &QueryContext,
-    source: &dyn Source,
-    ops: &[Arc<dyn Operator>],
-    sink: &dyn Sink,
-    next_task: &AtomicUsize,
-    task_count: usize,
-    failure: &Failure,
-    mut prof: Option<&mut WorkerProf>,
-    spans: &mut Vec<TraceSpan>,
-    pipe: u32,
-    track: u32,
-) -> ExecResult {
-    let hists = sched_hists();
-    let mut op_locals: Vec<LocalState> = ops.iter().map(|o| o.create_local()).collect();
-    let mut sink_local = sink.create_local();
-
-    loop {
-        if failure.raised() {
-            return Ok(());
-        }
-        ctx.check()?;
-        let task = next_task.fetch_add(1, Ordering::Relaxed);
-        if task >= task_count {
-            break;
-        }
-        hists
-            .queue_depth
-            .record(task_count.saturating_sub(task + 1) as u64);
-        let mut chain_err: Option<ExecError> = None;
-        let mut rows = 0u64;
-        let t0 = trace::now_ns();
-        let polled = source.poll_task(task, &mut |batch| {
-            if chain_err.is_none() {
-                let n = batch.num_rows() as u64;
-                rows += n;
-                hists.batch_rows.record(n);
-                let fed = match prof.as_deref_mut() {
-                    Some(p) => {
-                        p.src_batches += 1;
-                        p.src_rows += n;
-                        feed_chain_prof(ops, &mut op_locals, sink, &mut sink_local, batch, 0, p)
-                    }
-                    None => feed_chain(ops, &mut op_locals, sink, &mut sink_local, batch, 0),
-                };
-                if let Err(e) = fed {
-                    chain_err = Some(e);
-                }
-            }
-        });
-        let dur = trace::now_ns().saturating_sub(t0);
-        hists.morsel_ns.record(dur);
-        spans.push(TraceSpan {
-            name: Cow::Borrowed("morsel"),
-            kind: SpanKind::Morsel,
-            track,
-            pipeline: pipe,
-            start_ns: t0,
-            dur_ns: dur,
-            arg: rows,
-            hw: None,
-        });
-        if let Some(p) = prof.as_deref_mut() {
-            p.morsels += 1;
-            p.src_busy_ns += dur;
-        }
-        if let Some(e) = chain_err {
-            return Err(e);
-        }
-        polled?;
-    }
-
-    for i in 0..ops.len() {
-        if failure.raised() {
-            return Ok(());
-        }
-        let mut pending: Vec<Batch> = Vec::new();
-        let flush_start = Instant::now();
-        ops[i].flush(&mut op_locals[i], &mut |b| pending.push(b))?;
-        if let Some(p) = prof.as_deref_mut() {
-            p.ops[i].busy_ns += flush_start.elapsed().as_nanos() as u64;
-        }
-        for b in pending {
-            if let Some(p) = prof.as_deref_mut() {
-                p.ops[i].batches += 1;
-                p.ops[i].rows_out += b.num_rows() as u64;
-                feed_chain_prof(ops, &mut op_locals, sink, &mut sink_local, b, i + 1, p)?;
-            } else {
-                feed_chain(ops, &mut op_locals, sink, &mut sink_local, b, i + 1)?;
-            }
-        }
-    }
-
-    match prof {
-        Some(p) => {
-            let finish_start = Instant::now();
-            let finished = sink.finish_local(sink_local);
-            p.sink_busy_ns += finish_start.elapsed().as_nanos() as u64;
-            finished
-        }
-        None => sink.finish_local(sink_local),
-    }
-}
-
-/// One worker: claim tasks until exhausted (or a failure is raised), then
-/// flush operators and merge local sink state. Panics anywhere inside are
-/// caught and recorded as [`ExecError::WorkerPanic`].
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    ctx: &QueryContext,
-    source: &dyn Source,
-    ops: &[Arc<dyn Operator>],
-    sink: &dyn Sink,
-    next_task: &AtomicUsize,
-    task_count: usize,
-    failure: &Failure,
-    obs: Option<&PipelineObs>,
-) {
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        // One PMU sample per worker per pipeline (wrapper level, never in
-        // the worker bodies): one relaxed load when counters are off.
-        let hw = crate::pmu::worker_sampler(ctx.counters());
-        let result = match obs {
-            None => worker_body(ctx, source, ops, sink, next_task, task_count, failure),
-            Some(obs) => {
-                let mut prof = WorkerProf::new(ops.len());
-                let result = worker_body_prof(
-                    ctx, source, ops, sink, next_task, task_count, failure, &mut prof,
-                );
-                // Flush on success *and* on error so partial counts of a failed
-                // query are still visible; only a panic loses this worker's
-                // counts (the profile is advisory, the error is not).
-                prof.flush(obs);
-                result
-            }
+            failure: &failure,
+            obs,
+            live: None,
+            trace: traced.then(|| trace::pipeline_begin(label.name)),
         };
-        crate::pmu::finish_worker(hw, obs.map(|o| &o.hw));
-        result
-    }));
-    match outcome {
-        Ok(Ok(())) => {}
-        Ok(Err(err)) => failure.set(err),
-        Err(payload) => failure.set(ExecError::WorkerPanic {
-            message: panic_message(payload.as_ref()),
-        }),
-    }
-}
 
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
-fn worker_body(
-    ctx: &QueryContext,
-    source: &dyn Source,
-    ops: &[Arc<dyn Operator>],
-    sink: &dyn Sink,
-    next_task: &AtomicUsize,
-    task_count: usize,
-    failure: &Failure,
-) -> ExecResult {
-    let mut op_locals: Vec<LocalState> = ops.iter().map(|o| o.create_local()).collect();
-    let mut sink_local = sink.create_local();
-
-    loop {
-        // Stop claiming work as soon as any sibling worker failed; per-morsel
-        // cancellation/deadline check bounds reaction latency to one morsel.
-        if failure.raised() {
-            return Ok(());
-        }
-        ctx.check()?;
-        let task = next_task.fetch_add(1, Ordering::Relaxed);
-        if task >= task_count {
-            break;
-        }
-        // Emit callbacks are infallible, so a downstream error is parked in
-        // `chain_err` and later batches of the task are dropped.
-        let mut chain_err: Option<ExecError> = None;
-        let polled = source.poll_task(task, &mut |batch| {
-            if chain_err.is_none() {
-                if let Err(e) = feed_chain(ops, &mut op_locals, sink, &mut sink_local, batch, 0) {
-                    chain_err = Some(e);
+        let workers = if task_count <= 1 { 1 } else { self.threads };
+        if workers == 1 {
+            run_worker(&pipeline, 0);
+        } else {
+            std::thread::scope(|scope| {
+                for track in 0..workers as u32 {
+                    let pipeline = &pipeline;
+                    scope.spawn(move || run_worker(pipeline, track));
                 }
-            }
-        });
-        if let Some(e) = chain_err {
-            return Err(e);
+            });
         }
-        polled?;
-    }
 
-    // End of input: flush ROF staging buffers front-to-back so that a flush
-    // from operator i still traverses operators i+1.. and the sink.
-    for i in 0..ops.len() {
-        if failure.raised() {
-            return Ok(());
+        if let Some(pipe) = pipeline.trace {
+            // Closes the pipeline span and synthesizes the idle intervals.
+            trace::pipeline_end(pipe, trace::now_ns(), workers as u32);
         }
-        let mut pending: Vec<Batch> = Vec::new();
-        ops[i].flush(&mut op_locals[i], &mut |b| pending.push(b))?;
-        for b in pending {
-            feed_chain(ops, &mut op_locals, sink, &mut sink_local, b, i + 1)?;
+        if let (Some(obs), Some(t0)) = (obs, started) {
+            obs.record_run(t0.elapsed().as_nanos() as u64, workers as u64);
         }
+        failure.conclude(sink)
     }
-
-    sink.finish_local(sink_local)
 }
 
-/// Push a batch through operators `from..` and finally into the sink.
-/// Iterative (explicit stack) because operators may emit many batches and
-/// recursion through `dyn FnMut` closures cannot borrow-check.
-pub(crate) fn feed_chain(
-    ops: &[Arc<dyn Operator>],
-    op_locals: &mut [LocalState],
-    sink: &dyn Sink,
-    sink_local: &mut LocalState,
-    batch: Batch,
-    from: usize,
-) -> ExecResult {
-    let mut stack: Vec<(usize, Batch)> = vec![(from, batch)];
-    while let Some((i, b)) = stack.pop() {
-        if i == ops.len() {
-            if b.num_rows() > 0 {
-                sink.consume(sink_local, b)?;
-            }
-            continue;
-        }
-        if b.num_rows() == 0 {
-            continue;
-        }
-        let (op, local) = (&ops[i], &mut op_locals[i]);
-        let mut produced: Vec<(usize, Batch)> = Vec::new();
-        op.process(local, b, &mut |nb| produced.push((i + 1, nb)))?;
-        stack.extend(produced);
-    }
-    Ok(())
-}
-
-/// Profiled twin of [`worker_body`]: identical control flow, plus per-morsel
-/// and per-batch accounting into the worker-private [`WorkerProf`]. Source
-/// busy time is *inclusive* of downstream work (pipeline time); operator and
-/// sink busy times are exclusive because batches produced by an operator are
-/// staged on the explicit stack and processed after its `process` returns.
-#[allow(clippy::too_many_arguments)]
-fn worker_body_prof(
-    ctx: &QueryContext,
-    source: &dyn Source,
-    ops: &[Arc<dyn Operator>],
-    sink: &dyn Sink,
-    next_task: &AtomicUsize,
-    task_count: usize,
-    failure: &Failure,
-    p: &mut WorkerProf,
-) -> ExecResult {
-    let mut op_locals: Vec<LocalState> = ops.iter().map(|o| o.create_local()).collect();
-    let mut sink_local = sink.create_local();
-
-    loop {
-        if failure.raised() {
-            return Ok(());
-        }
-        ctx.check()?;
-        let task = next_task.fetch_add(1, Ordering::Relaxed);
-        if task >= task_count {
-            break;
-        }
-        let mut chain_err: Option<ExecError> = None;
-        let morsel_start = Instant::now();
-        let polled = source.poll_task(task, &mut |batch| {
-            if chain_err.is_none() {
-                p.src_batches += 1;
-                p.src_rows += batch.num_rows() as u64;
-                if let Err(e) =
-                    feed_chain_prof(ops, &mut op_locals, sink, &mut sink_local, batch, 0, p)
-                {
-                    chain_err = Some(e);
-                }
-            }
-        });
-        p.morsels += 1;
-        p.src_busy_ns += morsel_start.elapsed().as_nanos() as u64;
-        if let Some(e) = chain_err {
-            return Err(e);
-        }
-        polled?;
-    }
-
-    for i in 0..ops.len() {
-        if failure.raised() {
-            return Ok(());
-        }
-        let mut pending: Vec<Batch> = Vec::new();
-        let flush_start = Instant::now();
-        ops[i].flush(&mut op_locals[i], &mut |b| pending.push(b))?;
-        p.ops[i].busy_ns += flush_start.elapsed().as_nanos() as u64;
-        for b in pending {
-            p.ops[i].batches += 1;
-            p.ops[i].rows_out += b.num_rows() as u64;
-            feed_chain_prof(ops, &mut op_locals, sink, &mut sink_local, b, i + 1, p)?;
-        }
-    }
-
-    let finish_start = Instant::now();
-    let finished = sink.finish_local(sink_local);
-    p.sink_busy_ns += finish_start.elapsed().as_nanos() as u64;
-    finished
-}
-
-/// Profiled twin of [`feed_chain`]: counts batches/rows in and out of every
-/// operator and the sink, and times each `process`/`consume` call.
-pub(crate) fn feed_chain_prof(
-    ops: &[Arc<dyn Operator>],
-    op_locals: &mut [LocalState],
-    sink: &dyn Sink,
-    sink_local: &mut LocalState,
-    batch: Batch,
-    from: usize,
-    p: &mut WorkerProf,
-) -> ExecResult {
-    let mut stack: Vec<(usize, Batch)> = vec![(from, batch)];
-    while let Some((i, b)) = stack.pop() {
-        if i == ops.len() {
-            if b.num_rows() > 0 {
-                p.sink_batches += 1;
-                p.sink_rows += b.num_rows() as u64;
-                let t0 = Instant::now();
-                sink.consume(sink_local, b)?;
-                p.sink_busy_ns += t0.elapsed().as_nanos() as u64;
-            }
-            continue;
-        }
-        if b.num_rows() == 0 {
-            continue;
-        }
-        p.ops[i].batches += 1;
-        p.ops[i].rows_in += b.num_rows() as u64;
-        let (op, local) = (&ops[i], &mut op_locals[i]);
-        let mut produced: Vec<(usize, Batch)> = Vec::new();
-        let mut rows_out = 0u64;
-        let t0 = Instant::now();
-        op.process(local, b, &mut |nb| {
-            rows_out += nb.num_rows() as u64;
-            produced.push((i + 1, nb));
-        })?;
-        p.ops[i].busy_ns += t0.elapsed().as_nanos() as u64;
-        p.ops[i].rows_out += rows_out;
-        stack.extend(produced);
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::batch::Batch;
-    use crate::pipeline::Emit;
-    use joinstudy_storage::column::ColumnData;
-    use parking_lot::Mutex;
-
-    /// Source emitting `tasks` tasks of one i64 batch each: task t => [t*10, t*10+1].
-    struct NumberSource {
-        tasks: usize,
-    }
-
-    impl Source for NumberSource {
-        fn task_count(&self) -> usize {
-            self.tasks
-        }
-
-        fn poll_task(&self, task: usize, out: Emit) -> ExecResult {
-            let base = task as i64 * 10;
-            out(Batch::new(vec![ColumnData::Int64(vec![base, base + 1])]));
-            Ok(())
-        }
-    }
-
-    /// Operator duplicating every batch (tests multi-emission).
-    struct DupOp;
-
-    impl Operator for DupOp {
-        fn process(&self, _local: &mut LocalState, input: Batch, out: Emit) -> ExecResult {
-            out(input.clone());
-            out(input);
-            Ok(())
-        }
-    }
-
-    /// Operator buffering everything until flush (tests flush traversal).
-    struct BufferAllOp;
-
-    impl Operator for BufferAllOp {
-        fn create_local(&self) -> LocalState {
-            Box::new(Vec::<Batch>::new())
-        }
-
-        fn process(&self, local: &mut LocalState, input: Batch, _out: Emit) -> ExecResult {
-            local.downcast_mut::<Vec<Batch>>().unwrap().push(input);
-            Ok(())
-        }
-
-        fn flush(&self, local: &mut LocalState, out: Emit) -> ExecResult {
-            for b in local.downcast_mut::<Vec<Batch>>().unwrap().drain(..) {
-                out(b);
-            }
-            Ok(())
-        }
-    }
-
-    /// Operator that fails once a batch containing `trigger` passes through.
-    struct FailOnValueOp {
-        trigger: i64,
-    }
-
-    impl Operator for FailOnValueOp {
-        fn process(&self, _local: &mut LocalState, input: Batch, out: Emit) -> ExecResult {
-            if input.column(0).as_i64().contains(&self.trigger) {
-                return Err(ExecError::operator("fail-on-value", "injected failure"));
-            }
-            out(input);
-            Ok(())
-        }
-    }
-
-    /// Operator that panics on a specific value (tests catch_unwind).
-    struct PanicOnValueOp {
-        trigger: i64,
-    }
-
-    impl Operator for PanicOnValueOp {
-        fn process(&self, _local: &mut LocalState, input: Batch, out: Emit) -> ExecResult {
-            assert!(
-                !input.column(0).as_i64().contains(&self.trigger),
-                "injected panic"
-            );
-            out(input);
-            Ok(())
-        }
-    }
-
-    /// Sink summing all i64 values, with proper local/global merge.
-    #[derive(Default)]
-    struct SumSink {
-        total: Mutex<i64>,
-        finished: Mutex<bool>,
-    }
-
-    impl Sink for SumSink {
-        fn create_local(&self) -> LocalState {
-            Box::new(0i64)
-        }
-
-        fn consume(&self, local: &mut LocalState, input: Batch) -> ExecResult {
-            let acc = local.downcast_mut::<i64>().unwrap();
-            *acc += input.column(0).as_i64().iter().sum::<i64>();
-            Ok(())
-        }
-
-        fn finish_local(&self, local: LocalState) -> ExecResult {
-            *self.total.lock() += *local.downcast::<i64>().unwrap();
-            Ok(())
-        }
-
-        fn finish(&self) {
-            *self.finished.lock() = true;
-        }
-    }
-
-    fn expected_sum(tasks: usize) -> i64 {
-        (0..tasks as i64).map(|t| t * 10 + t * 10 + 1).sum()
-    }
-
-    fn ctx() -> Arc<QueryContext> {
-        QueryContext::unbounded()
-    }
-
-    #[test]
-    fn single_threaded_pipeline() {
-        let sink = SumSink::default();
-        Executor::new(1)
-            .run_pipeline(&ctx(), &NumberSource { tasks: 5 }, &[], &sink)
-            .unwrap();
-        assert_eq!(*sink.total.lock(), expected_sum(5));
-        assert!(*sink.finished.lock());
-    }
-
-    #[test]
-    fn multi_threaded_pipeline_same_result() {
-        for threads in [2, 4, 8] {
-            let sink = SumSink::default();
-            Executor::new(threads)
-                .run_pipeline(&ctx(), &NumberSource { tasks: 40 }, &[], &sink)
-                .unwrap();
-            assert_eq!(*sink.total.lock(), expected_sum(40), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn operators_chain_and_multiply() {
-        let sink = SumSink::default();
-        let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(DupOp), Arc::new(DupOp)];
-        Executor::new(3)
-            .run_pipeline(&ctx(), &NumberSource { tasks: 10 }, &ops, &sink)
-            .unwrap();
-        assert_eq!(*sink.total.lock(), 4 * expected_sum(10));
-    }
-
-    #[test]
-    fn flush_traverses_downstream_operators() {
-        // BufferAllOp followed by DupOp: flushed batches must still pass DupOp.
-        let sink = SumSink::default();
-        let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(BufferAllOp), Arc::new(DupOp)];
-        Executor::new(2)
-            .run_pipeline(&ctx(), &NumberSource { tasks: 7 }, &ops, &sink)
-            .unwrap();
-        assert_eq!(*sink.total.lock(), 2 * expected_sum(7));
-    }
-
-    #[test]
-    fn empty_source_still_finishes() {
-        let sink = SumSink::default();
-        Executor::new(4)
-            .run_pipeline(&ctx(), &NumberSource { tasks: 0 }, &[], &sink)
-            .unwrap();
-        assert_eq!(*sink.total.lock(), 0);
-        assert!(*sink.finished.lock());
-    }
-
-    #[test]
-    fn operator_error_propagates_and_skips_finish() {
-        for threads in [1, 4] {
-            let sink = SumSink::default();
-            let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(FailOnValueOp { trigger: 200 })];
-            let err = Executor::new(threads)
-                .run_pipeline(&ctx(), &NumberSource { tasks: 40 }, &ops, &sink)
-                .unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    ExecError::Operator {
-                        op: "fail-on-value",
-                        ..
-                    }
-                ),
-                "threads={threads}: {err}"
-            );
-            assert!(!*sink.finished.lock(), "finish must be skipped on error");
-        }
-    }
-
-    #[test]
-    fn worker_panic_is_isolated() {
-        for threads in [1, 4] {
-            let sink = SumSink::default();
-            let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(PanicOnValueOp { trigger: 130 })];
-            let err = Executor::new(threads)
-                .run_pipeline(&ctx(), &NumberSource { tasks: 30 }, &ops, &sink)
-                .unwrap_err();
-            match err {
-                ExecError::WorkerPanic { message } => {
-                    assert!(message.contains("injected panic"), "got: {message}")
-                }
-                other => panic!("threads={threads}: expected WorkerPanic, got {other}"),
-            }
-        }
-    }
-
-    #[test]
-    fn pre_cancelled_context_stops_before_any_work() {
-        let ctx = ctx();
-        ctx.cancel();
-        let sink = SumSink::default();
-        let err = Executor::new(2)
-            .run_pipeline(&ctx, &NumberSource { tasks: 40 }, &[], &sink)
-            .unwrap_err();
-        assert_eq!(err, ExecError::Cancelled);
-        assert_eq!(*sink.total.lock(), 0);
-    }
-
-    #[test]
-    fn profiled_run_counts_rows_and_morsels() {
-        for threads in [1, 4] {
-            let sink = SumSink::default();
-            let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(DupOp)];
-            let obs = PipelineObs::new(ops.len());
-            Executor::new(threads)
-                .run_pipeline_obs(&ctx(), &NumberSource { tasks: 20 }, &ops, &sink, Some(&obs))
-                .unwrap();
-            assert_eq!(*sink.total.lock(), 2 * expected_sum(20));
-            assert_eq!(obs.source.morsels(), 20, "threads={threads}");
-            assert_eq!(obs.source.rows_out(), 40);
-            assert_eq!(obs.ops[0].rows_in(), 40);
-            assert_eq!(obs.ops[0].rows_out(), 80);
-            assert_eq!(obs.sink.rows_in(), 80);
-            assert!(obs.wall_ns() > 0);
-            let workers = if threads == 1 { 1 } else { threads as u64 };
-            assert_eq!(obs.workers(), workers);
-        }
-    }
-
-    #[test]
-    fn profiled_flush_attributes_rows_to_buffering_op() {
-        let sink = SumSink::default();
-        let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(BufferAllOp), Arc::new(DupOp)];
-        let obs = PipelineObs::new(ops.len());
-        Executor::new(2)
-            .run_pipeline_obs(&ctx(), &NumberSource { tasks: 7 }, &ops, &sink, Some(&obs))
-            .unwrap();
-        assert_eq!(*sink.total.lock(), 2 * expected_sum(7));
-        // BufferAllOp eats 14 rows during process, re-emits them at flush.
-        assert_eq!(obs.ops[0].rows_in(), 14);
-        assert_eq!(obs.ops[0].rows_out(), 14);
-        assert_eq!(obs.ops[1].rows_in(), 14);
-        assert_eq!(obs.ops[1].rows_out(), 28);
-        assert_eq!(obs.sink.rows_in(), 28);
-    }
-
-    #[test]
-    fn profiled_failure_still_flushes_partial_counts() {
-        let sink = SumSink::default();
-        let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(FailOnValueOp { trigger: 0 })];
-        let obs = PipelineObs::new(ops.len());
-        let err = Executor::new(1)
-            .run_pipeline_obs(&ctx(), &NumberSource { tasks: 5 }, &ops, &sink, Some(&obs))
-            .unwrap_err();
-        assert!(matches!(err, ExecError::Operator { .. }));
-        // Task 0 triggers the failure, but its source emission was counted.
-        assert!(obs.source.rows_out() >= 2);
-    }
-
-    #[test]
-    fn traced_run_matches_untraced_and_records_spans() {
-        // The tracer is process-global; keep all traced-scheduler checks in
-        // one test and serialize with the tracer's own lifecycle test.
-        let _serial = trace::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        assert!(trace::begin("sched-test"), "no other trace may be active");
-        let sink = SumSink::default();
-        let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(DupOp)];
-        let obs = PipelineObs::new(ops.len());
-        trace::label_next_pipeline("test pipeline");
-        Executor::new(4)
-            .run_pipeline_obs(&ctx(), &NumberSource { tasks: 20 }, &ops, &sink, Some(&obs))
-            .unwrap();
-        let t = trace::end().expect("trace recorded");
-
-        // Same result and same profile counts as the untraced path.
-        assert_eq!(*sink.total.lock(), 2 * expected_sum(20));
-        assert_eq!(obs.source.morsels(), 20);
-        assert_eq!(obs.ops[0].rows_in(), 40);
-        assert_eq!(obs.sink.rows_in(), 80);
-
-        // One morsel span per task, rows attributed, pipeline labeled.
-        let morsels: Vec<_> = t
-            .spans
-            .iter()
-            .filter(|s| s.kind == SpanKind::Morsel)
-            .collect();
-        assert_eq!(morsels.len(), 20);
-        assert_eq!(morsels.iter().map(|s| s.arg).sum::<u64>(), 40);
-        assert_eq!(t.pipelines.len(), 1);
-        assert_eq!(t.pipelines[0].label, "test pipeline");
-        assert_eq!(t.pipelines[0].workers, 4);
-        t.validate().expect("trace invariants");
-
-        // Errors still flush the partial timeline at drain.
-        assert!(trace::begin("sched-err"));
-        let bad: Vec<Arc<dyn Operator>> = vec![Arc::new(FailOnValueOp { trigger: 200 })];
-        let sink = SumSink::default();
-        Executor::new(4)
-            .run_pipeline(&ctx(), &NumberSource { tasks: 40 }, &bad, &sink)
-            .unwrap_err();
-        let t = trace::end().unwrap();
-        assert!(
-            t.spans.iter().any(|s| s.kind == SpanKind::Morsel),
-            "failed run still produced morsel spans"
-        );
-        t.validate().expect("trace invariants after failure");
-    }
-
-    #[test]
-    fn executor_is_reusable_after_failure() {
-        let exec = Executor::new(4);
-        let bad: Vec<Arc<dyn Operator>> = vec![Arc::new(FailOnValueOp { trigger: 0 })];
-        let sink = SumSink::default();
-        exec.run_pipeline(&ctx(), &NumberSource { tasks: 10 }, &bad, &sink)
-            .unwrap_err();
-
-        let sink = SumSink::default();
-        exec.run_pipeline(&ctx(), &NumberSource { tasks: 10 }, &[], &sink)
-            .unwrap();
-        assert_eq!(*sink.total.lock(), expected_sum(10));
+/// One scoped worker: step until nothing is left to claim (or a failure is
+/// raised), then drain. The drain also runs after this worker's own error
+/// or panic — it then skips the operator flush and sink merge and only
+/// publishes the counts, PMU sample and spans gathered so far.
+fn run_worker(p: &Pipeline<'_>, track: u32) {
+    let mut worker = None;
+    p.failure.guard(|| {
+        let w = worker.insert(Worker::new(p, track));
+        while w.step(p)? {}
+        Ok(())
+    });
+    if let Some(mut w) = worker {
+        p.failure.guard(|| w.drain(p));
     }
 }

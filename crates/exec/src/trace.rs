@@ -9,11 +9,13 @@
 //! # Design
 //!
 //! - A process-global tracer guarded by one relaxed [`enabled`] flag. The
-//!   scheduler checks the flag once per pipeline run and dispatches to a
-//!   traced twin of the worker body; with tracing off the original worker
-//!   body runs unchanged (same twin-path discipline as the profiler).
+//!   scheduler checks it once per pipeline run ([`thread_active`]) and, for
+//!   a traced run, registers the pipeline under the label its submitter
+//!   passed and gives every worker of the one morsel loop
+//!   ([`crate::morsel`]) a track; an untraced worker has no track and
+//!   reads no clock on the tracer's behalf.
 //! - **Hot path is lock-free**: each traced worker records spans into a
-//!   thread-local `Vec<TraceSpan>` (timestamp pairs only) and flushes it
+//!   reusable `Vec<TraceSpan>` (timestamp pairs only) and flushes it
 //!   into the global collector with a *single* mutex acquisition when it
 //!   drains its pipeline — the "epoch flush": span buffers only migrate at
 //!   pipeline-drain boundaries, never mid-execution.
@@ -41,8 +43,8 @@
 //! a trace is active no longer leak spans into it. The scheduler and the
 //! shared worker pool consult [`thread_active`] (or the token captured at
 //! pipeline submission) instead of the bare [`enabled`] flag, and the
-//! cold-path helpers ([`phase_scope`], [`instant`],
-//! [`label_next_pipeline`]) are inert on non-owning threads. Two traced
+//! cold-path helpers ([`phase_scope`], [`instant`]) are inert on
+//! non-owning threads. Two traced
 //! queries on different sessions therefore serialize (second [`begin`]
 //! refuses, that query runs untraced) and two *concurrent* queries — one
 //! traced, one not — cannot corrupt each other's spans.
@@ -150,7 +152,6 @@ struct Collector {
     /// `Idle` spans.
     drains: Vec<(u32, u32, u64)>,
     counters: Vec<HwSample>,
-    next_label: Option<String>,
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -212,7 +213,6 @@ pub fn begin(label: &str) -> bool {
         pipelines: Vec::new(),
         drains: Vec::new(),
         counters: Vec::new(),
-        next_label: None,
     });
     ACTIVE_TOKEN.store(token, Ordering::Relaxed);
     THREAD_TOKEN.with(|c| c.set(token));
@@ -258,41 +258,20 @@ pub fn end() -> Option<QueryTrace> {
     })
 }
 
-/// Label the next pipeline started by the executor (e.g. "RJ partition
-/// (build)"). Called by the engine just before running a breaker; without a
-/// label the pipeline is recorded as "pipeline".
-pub fn label_next_pipeline(label: impl Into<String>) {
-    let label = label.into();
-    // Always forward to the live-progress twin (`crate::progress`), which
-    // needs no active trace: pooled serving pipelines get labels too. The
-    // engine overrides the forwarded entry at adaptive-join sites to attach
-    // a cardinality estimate.
-    crate::progress::label_next_pipeline(&label, 0);
-    if !thread_active() {
-        return;
-    }
-    if let Some(col) = COLLECTOR.lock().unwrap().as_mut() {
-        col.next_label = Some(label);
-    }
-}
-
-/// Register a pipeline run; returns `(pipeline_id, start_ns)` for
-/// [`pipeline_end`]. Returns [`NO_PIPELINE`] when no trace is active (a
-/// race with [`end`]); worker flushes are then silently dropped.
-pub fn pipeline_begin() -> (u32, u64) {
+/// Register a pipeline run under `label` (e.g. "RJ partition (build)");
+/// returns the pipeline id for [`pipeline_end`], or [`NO_PIPELINE`] when no
+/// trace is active (a race with [`end`]); worker flushes are then silently
+/// dropped.
+pub fn pipeline_begin(label: &str) -> u32 {
     let start = now_ns();
     let hw = crate::pmu::control_sample();
     let mut slot = COLLECTOR.lock().unwrap();
     match slot.as_mut() {
-        None => (NO_PIPELINE, start),
+        None => NO_PIPELINE,
         Some(col) => {
             let id = col.pipelines.len() as u32;
-            let label = col
-                .next_label
-                .take()
-                .unwrap_or_else(|| "pipeline".to_string());
             col.pipelines.push(PipelineSpan {
-                label,
+                label: label.to_string(),
                 start_ns: start,
                 end_ns: start,
                 workers: 0,
@@ -303,7 +282,7 @@ pub fn pipeline_begin() -> (u32, u64) {
                     values,
                 });
             }
-            (id, start)
+            id
         }
     }
 }
@@ -685,8 +664,7 @@ mod tests {
         assert!(!begin("nested"), "second begin must refuse");
         assert!(enabled());
 
-        label_next_pipeline("RJ partition (build)");
-        let (pid, pstart) = pipeline_begin();
+        let pid = pipeline_begin("RJ partition (build)");
         assert_eq!(pid, 0);
 
         let mut buf = take_worker_buffer();
@@ -718,7 +696,6 @@ mod tests {
         assert_eq!(trace.pipelines.len(), 1);
         assert_eq!(trace.pipelines[0].label, "RJ partition (build)");
         assert!(trace.pipelines[0].end_ns >= trace.pipelines[0].start_ns);
-        let _ = pstart;
 
         let kinds: Vec<SpanKind> = trace.spans.iter().map(|s| s.kind).collect();
         assert!(kinds.contains(&SpanKind::Morsel));
@@ -801,7 +778,6 @@ mod tests {
         let g = phase_scope("never");
         drop(g);
         instant("never");
-        label_next_pipeline("never");
         // Nothing to assert beyond "does not panic / deadlock".
     }
 }

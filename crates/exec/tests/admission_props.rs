@@ -111,7 +111,11 @@ fn admission_order_is_fifo() {
             drop(grant);
         }));
     }
-    while ctrl.queued() < 3 {
+    // Wait on the hand-off counter, not on `ctrl.queued() == 3`: the last
+    // hand-off thread stores 3 only after *it* saw its waiter queued. If
+    // `hold` were dropped on the controller's depth alone, the queue could
+    // drain before that thread ever looked, and it would spin forever.
+    while queued.load(Ordering::Acquire) < 3 {
         std::thread::yield_now();
     }
     drop(hold);

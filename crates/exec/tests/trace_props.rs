@@ -101,8 +101,9 @@ proptest! {
             let sink = SumSink::default();
             let ops: Vec<Arc<dyn Operator>> =
                 (0..dup_ops).map(|_| Arc::new(DupOp) as Arc<dyn Operator>).collect();
-            trace::label_next_pipeline(format!("pipeline {i}"));
-            exec.run_pipeline(&ctx, &NumberSource { tasks }, &ops, &sink).unwrap();
+            let label = format!("pipeline {i}");
+            exec.run_pipeline_obs(&ctx, &NumberSource { tasks }, &ops, &sink, None, label.as_str().into())
+                .unwrap();
             sums.push(*sink.total.lock().unwrap());
         }
 
