@@ -35,7 +35,7 @@ use joinstudy_exec::ops::{
     AggSink, AggSpec, CollectSink, FilterOp, LateLoadOp, ProjectOp, SortKey, SortSink, TableScan,
 };
 use joinstudy_exec::pipeline::{LocalState, Sink, Source, StreamSpec};
-use joinstudy_exec::profile::{DetailValue, PipelineObs, QueryProfile};
+use joinstudy_exec::profile::{DetailValue, PipelineStats, QueryProfile};
 use joinstudy_exec::registry;
 use joinstudy_exec::trace::{self, QueryTrace};
 use joinstudy_exec::{Batch, Executor, PipelineLabel};
@@ -623,6 +623,9 @@ pub struct Engine {
     /// callers that only see result tables (TPC-H query closures, the SQL
     /// session) can retrieve it afterwards. Shared across clones like `ctx`.
     profile: Arc<Mutex<Option<QueryProfile>>>,
+    /// Counter blocks of the most recent [`Engine::execute_profiled`], one
+    /// per pipeline in run order. Shared across clones.
+    pipelines: Arc<Mutex<Vec<Arc<PipelineStats>>>>,
     /// Worker-timeline trace of the most recent traced [`Engine::execute`]
     /// (enabled via [`QueryContext::set_tracing`]). Shared across clones.
     trace_out: Arc<Mutex<Option<QueryTrace>>>,
@@ -656,6 +659,7 @@ impl Engine {
             spill: SpillConfig::default(),
             ctx,
             profile: Arc::new(Mutex::new(None)),
+            pipelines: Arc::new(Mutex::new(Vec::new())),
             trace_out: Arc::new(Mutex::new(None)),
             cost_model: None,
             pool: None,
@@ -722,13 +726,29 @@ impl Engine {
             *self.profile.lock() = Some(profile);
             return Ok(table);
         }
-        self.traced(|| {
-            self.ctx.arm();
-            let (spec, _) = self.stream(plan, None)?;
-            let sink = CollectSink::new(spec.schema.clone());
-            self.run_breaker("output", &spec, &sink, None)?;
-            Ok(sink.into_table())
-        })
+        self.traced(|| Ok(self.run_plan(plan, None)?.0))
+    }
+
+    /// The one body of [`Engine::execute`] and [`Engine::execute_profiled`]:
+    /// arm the context, compile (running every pipeline below the last
+    /// breaker), then run the output pipeline. With a trace arena the
+    /// second result is its `Output` root.
+    fn run_plan(
+        &self,
+        plan: &Plan,
+        mut prof: Option<&mut ProfCtx>,
+    ) -> ExecResult<(Table, Option<usize>)> {
+        self.ctx.arm();
+        let (spec, root) = self.stream(plan, prof.as_deref_mut())?;
+        let sink = CollectSink::new(spec.schema.clone());
+        let stats = self.run_breaker("output", &spec, &sink, prof.as_deref_mut())?;
+        let out = prof.map(|pc| {
+            let out = pc.node("Output", root.into_iter().collect());
+            pc.bind(out, &stats, Slot::Sink);
+            hw_details(pc, out, "hw_", &stats);
+            out
+        });
+        Ok((sink.into_table(), out))
     }
 
     /// Record a worker-timeline trace around `f` when the context asks for
@@ -757,50 +777,36 @@ impl Engine {
     /// failed query spent its time.
     pub fn execute_profiled(&self, plan: &Plan) -> ExecResult<(Table, QueryProfile)> {
         self.traced(|| {
-            self.ctx.arm();
-            let deg0 = metrics::degradations();
             let t0 = Instant::now();
             let mut pc = ProfCtx::new();
-            let finish =
-                |pc: &mut ProfCtx, out: usize, t0: Instant, deg0: u64, ctx: &QueryContext| {
-                    QueryProfile {
-                        root: pc.build(out),
-                        wall_ns: t0.elapsed().as_nanos() as u64,
-                        threads: self.threads,
-                        degradations: metrics::degradations().saturating_sub(deg0),
-                        peak_bytes: ctx.high_water(),
-                        spill_bytes: ctx.spill_write_bytes() + ctx.spill_read_bytes(),
-                        admission_wait_ns: ctx.admission_wait_ns(),
-                        admission_granted: ctx.admission_granted(),
-                        simd: crate::simd::active().name(),
-                    }
-                };
-            let stash_partial = |mut pc: ProfCtx, t0: Instant, deg0: u64| {
-                let roots = pc.roots();
-                let out = pc.node("Output -- partial --", roots);
-                *self.profile.lock() = Some(finish(&mut pc, out, t0, deg0, &self.ctx));
-            };
-            let (spec, root) = match self.stream(plan, Some(&mut pc)) {
-                Ok(ok) => ok,
-                Err(e) => {
-                    stash_partial(pc, t0, deg0);
-                    return Err(e);
+            let run = self.run_plan(plan, Some(&mut pc));
+            let out = match &run {
+                Ok((_, out)) => out.expect("profiled run returns its Output node"),
+                Err(_) => {
+                    let roots = pc.roots();
+                    pc.node("Output -- partial --", roots)
                 }
             };
-            let root = root.expect("profiled stream always returns a trace node");
-            let sink = CollectSink::new(spec.schema.clone());
-            let obs = match self.run_breaker("output", &spec, &sink, Some(&mut pc)) {
-                Ok(obs) => obs.expect("profiled breaker returns its observation"),
-                Err(e) => {
-                    stash_partial(pc, t0, deg0);
-                    return Err(e);
-                }
+            let ctx = &self.ctx;
+            let profile = QueryProfile {
+                root: pc.build(out),
+                wall_ns: t0.elapsed().as_nanos() as u64,
+                threads: self.threads,
+                degradations: ctx.degradations(),
+                peak_bytes: ctx.high_water(),
+                spill_bytes: ctx.spill_write_bytes() + ctx.spill_read_bytes(),
+                admission_wait_ns: ctx.admission_wait_ns(),
+                admission_granted: ctx.admission_granted(),
+                simd: crate::simd::active().name(),
             };
-            let out = pc.node("Output", vec![root]);
-            pc.bind(out, &obs, Slot::Sink);
-            hw_details(&mut pc, out, "hw_", &obs);
-            let profile = finish(&mut pc, out, t0, deg0, &self.ctx);
-            Ok((sink.into_table(), profile))
+            *self.pipelines.lock() = pc.runs;
+            match run {
+                Ok((table, _)) => Ok((table, profile)),
+                Err(e) => {
+                    *self.profile.lock() = Some(profile);
+                    Err(e)
+                }
+            }
         })
     }
 
@@ -810,6 +816,14 @@ impl Engine {
     /// of the pipelines that ran before the error.
     pub fn take_profile(&self) -> Option<QueryProfile> {
         self.profile.lock().take()
+    }
+
+    /// Take the counter blocks of the pipelines the most recent profiled
+    /// execution ran (failed ones included), in run order: per pipeline the
+    /// label, wall time, worker count and every stage's counts — the
+    /// pipeline-level reading the [`QueryProfile`] tree folds away.
+    pub fn take_pipelines(&self) -> Vec<Arc<PipelineStats>> {
+        std::mem::take(&mut *self.pipelines.lock())
     }
 
     /// Take the worker-timeline trace stashed by the most recent traced
@@ -824,33 +838,34 @@ impl Engine {
         self.execute(plan).expect("query execution failed")
     }
 
-    /// Run one pipeline under `label` into `sink`, observing it when
-    /// profiling. The observation is bound to all pending trace slots
-    /// *before* the error check so a failed pipeline still leaves the trace
-    /// arena consistent (the degradation fallback relies on this).
+    /// Run one pipeline under `label` into `sink` and return its counter
+    /// block, timed when profiling. The block is bound to all pending trace
+    /// slots *before* the error check so a failed pipeline still leaves the
+    /// trace arena consistent (the degradation fallback relies on this).
     fn run_breaker<'l>(
         &self,
         label: impl Into<PipelineLabel<'l>>,
         spec: &StreamSpec,
         sink: &dyn Sink,
         pc: Option<&mut ProfCtx>,
-    ) -> ExecResult<Option<Arc<PipelineObs>>> {
-        let obs = pc
-            .is_some()
-            .then(|| Arc::new(PipelineObs::new(spec.ops.len())));
-        let run = self.executor().run_pipeline_obs(
+    ) -> ExecResult<Arc<PipelineStats>> {
+        let source = spec.source.as_ref();
+        let tasks = source.task_count() as u64;
+        let stats = Arc::new(PipelineStats::new(
             &self.ctx,
-            spec.source.as_ref(),
-            &spec.ops,
-            sink,
-            obs.as_deref(),
             label.into(),
-        );
-        if let (Some(pc), Some(obs)) = (pc, &obs) {
-            pc.bind_pending(obs);
+            spec.ops.len(),
+            tasks,
+            pc.is_some(),
+        ));
+        let run = self
+            .executor()
+            .run_pipeline_obs(&self.ctx, source, &spec.ops, sink, &stats);
+        if let Some(pc) = pc {
+            pc.bind_pending(&stats);
         }
         run?;
-        Ok(obs)
+        Ok(stats)
     }
 
     /// Compile a plan into its topmost pipeline, running every pipeline
@@ -955,10 +970,8 @@ impl Engine {
                             .join(", ")
                     );
                     let id = pc.node(label, child.into_iter().collect());
-                    if let Some(obs) = &obs {
-                        pc.bind(id, obs, Slot::Sink);
-                        hw_details(pc, id, "hw_", obs);
-                    }
+                    pc.bind(id, &obs, Slot::Sink);
+                    hw_details(pc, id, "hw_", &obs);
                     pc.detail(id, "groups", DetailValue::Int(result.num_rows() as i64));
                     // The rescan of the materialized groups feeds the next
                     // pipeline: its source slot is this node's output.
@@ -992,10 +1005,8 @@ impl Engine {
                         limit.map(|l| format!(" limit {l}")).unwrap_or_default()
                     );
                     let id = pc.node(label, child.into_iter().collect());
-                    if let Some(obs) = &obs {
-                        pc.bind(id, obs, Slot::Sink);
-                        hw_details(pc, id, "hw_", obs);
-                    }
+                    pc.bind(id, &obs, Slot::Sink);
+                    hw_details(pc, id, "hw_", &obs);
                     pc.pend(id, Slot::Source);
                     id
                 });
@@ -1056,9 +1067,7 @@ impl Engine {
                         fmt_col_names(&probe_schema, probe_keys),
                     );
                     let id = pc.node(label, bchild.into_iter().chain(pchild).collect());
-                    if let Some(obs) = &build_obs {
-                        pc.bind(id, obs, Slot::Sink);
-                    }
+                    pc.bind(id, &build_obs, Slot::Sink);
                     pc.detail(id, "groups", DetailValue::Int(state.rows() as i64));
                     // The probe op updates aggregate cells in place; its
                     // slot (bound when the probe pipeline drains) carries
@@ -1279,10 +1288,8 @@ impl Engine {
                 fmt_col_names(&probe_spec.schema, probe_keys),
             );
             let id = pc.node(label, bchild.into_iter().chain(pchild).collect());
-            if let Some(obs) = &build_obs {
-                pc.bind(id, obs, Slot::Sink);
-                hw_details(pc, id, "hw_build_", obs);
-            }
+            pc.bind(id, &build_obs, Slot::Sink);
+            hw_details(pc, id, "hw_build_", &build_obs);
             pc.detail(id, "build_rows", DetailValue::Int(state.rows as i64));
             pc.detail(
                 id,
@@ -1415,7 +1422,7 @@ impl Engine {
             Arc::clone(&dir),
         );
         metrics::mark_phase(MemPhase::PartitionPass1);
-        let probe_obs = self.run_breaker(
+        self.run_breaker(
             "HHJ partition probe",
             &probe_spec,
             &probe_sink,
@@ -1443,11 +1450,8 @@ impl Engine {
                 fmt_col_names(&probe_spec.schema, probe_keys),
             );
             let id = pc.node(label, bchild.into_iter().chain(pchild).collect());
-            if let Some(obs) = &build_obs {
-                pc.bind(id, obs, Slot::Sink);
-                hw_details(pc, id, "hw_build_", obs);
-            }
-            let _ = &probe_obs;
+            pc.bind(id, &build_obs, Slot::Sink);
+            hw_details(pc, id, "hw_build_", &build_obs);
             pc.detail(
                 id,
                 "build_rows",
@@ -1736,32 +1740,26 @@ impl Engine {
                 fmt_col_names(&probe_spec.schema, probe_keys),
             );
             let id = pc.node(label, bchild.into_iter().chain(pchild).collect());
-            if let Some(obs) = &build_obs {
-                pc.bind(id, obs, Slot::Sink);
-                hw_details(pc, id, "hw_build_", obs);
-            }
-            if let Some(obs) = &probe_obs {
-                pc.bind(id, obs, Slot::Sink);
-                hw_details(pc, id, "hw_probe_", obs);
-            }
+            pc.bind(id, &build_obs, Slot::Sink);
+            hw_details(pc, id, "hw_build_", &build_obs);
+            pc.bind(id, &probe_obs, Slot::Sink);
+            hw_details(pc, id, "hw_probe_", &probe_obs);
             pc.detail(id, "bits1", DetailValue::Int(build_side.bits1() as i64));
             pc.detail(id, "bits2", DetailValue::Int(bits2 as i64));
             partition_details(pc, id, "build", &build_side);
             partition_details(pc, id, "probe", &probe_side);
             if let Some((idx, op, bytes)) = &bloom_op {
                 pc.detail(id, "bloom_bytes", DetailValue::Int(*bytes as i64));
-                if let Some(obs) = &probe_obs {
-                    let probed = obs.ops[*idx].rows_in();
-                    let passed = obs.ops[*idx].rows_out();
-                    pc.detail(id, "bloom_probed", DetailValue::Int(probed as i64));
-                    pc.detail(id, "bloom_passed", DetailValue::Int(passed as i64));
-                    if probed > 0 {
-                        pc.detail(
-                            id,
-                            "bloom_selectivity",
-                            DetailValue::Float(passed as f64 / probed as f64),
-                        );
-                    }
+                let probed = probe_obs.ops[*idx].rows_in();
+                let passed = probe_obs.ops[*idx].rows_out();
+                pc.detail(id, "bloom_probed", DetailValue::Int(probed as i64));
+                pc.detail(id, "bloom_passed", DetailValue::Int(passed as i64));
+                if probed > 0 {
+                    pc.detail(
+                        id,
+                        "bloom_selectivity",
+                        DetailValue::Float(passed as f64 / probed as f64),
+                    );
                 }
                 if op.was_disabled() {
                     pc.detail(id, "bloom_disabled", DetailValue::Str("adaptive".into()));
@@ -1797,7 +1795,7 @@ fn fmt_col_names(schema: &Schema, cols: &[usize]) -> String {
 /// LLC-misses-per-tuple figure when the tuple count is known. A no-op when
 /// the PMU was unavailable or counters were off for this query (the slot's
 /// snapshot is `None`), so EXPLAIN ANALYZE output is byte-identical then.
-fn hw_details(pc: &mut ProfCtx, node: usize, prefix: &str, obs: &PipelineObs) {
+fn hw_details(pc: &mut ProfCtx, node: usize, prefix: &str, obs: &PipelineStats) {
     use joinstudy_exec::pmu::CounterKind;
     let Some(hw) = obs.hw.snapshot() else { return };
     for kind in CounterKind::ALL {

@@ -2,15 +2,15 @@
 //!
 //! The pipeline compiler ([`crate::plan::Engine`]) walks the plan and runs
 //! pipeline breakers as it goes, so the mapping from *plan nodes* to
-//! *pipeline observation slots* is built incrementally:
+//! *stage slots of the pipelines' counter blocks* is built incrementally:
 //!
 //! * every compiled plan node allocates a [`TraceNode`] in a flat arena;
 //! * stages of the pipeline **currently being composed** are parked in
-//!   `pending` — when the pipeline's breaker finally runs, the breaker's
-//!   [`PipelineObs`] is bound to all pending entries at once
+//!   `pending` — when the pipeline's breaker finally runs, the run's
+//!   [`PipelineStats`] is bound to all pending entries at once
 //!   ([`ProfCtx::bind_pending`]);
 //! * breakers that run *inside* compilation (build sides, partitioning,
-//!   aggregation) bind their own observation directly.
+//!   aggregation) bind their own block directly.
 //!
 //! A node may end up bound to several slots (a join aggregates its build
 //! sink, probe operator, and result source), and [`ProfCtx::build`] sums
@@ -22,10 +22,10 @@
 //! is always empty when a join compile starts (parents pend their own ops
 //! only after recursing, and every breaker drains `pending` completely).
 
-use joinstudy_exec::profile::{DetailValue, PipelineObs, ProfileNode};
+use joinstudy_exec::profile::{DetailValue, PipelineStats, ProfileNode};
 use std::sync::Arc;
 
-/// Which observation slot of a pipeline a trace node reads.
+/// Which stage slot of a pipeline's block a trace node reads.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Slot {
     Source,
@@ -37,7 +37,7 @@ pub(crate) enum Slot {
 struct TraceNode {
     label: String,
     children: Vec<usize>,
-    bound: Vec<(Arc<PipelineObs>, Slot)>,
+    bound: Vec<(Arc<PipelineStats>, Slot)>,
     details: Vec<(String, DetailValue)>,
 }
 
@@ -48,6 +48,10 @@ pub(crate) struct ProfCtx {
     /// Stages of the pipeline currently being composed, waiting for their
     /// breaker: `(node id, slot)` pairs.
     pending: Vec<(usize, Slot)>,
+    /// The block of every pipeline run so far, in run order. Not rolled
+    /// back by [`ProfCtx::restore`]: an abandoned compile's pipelines still
+    /// spent the query's wall time.
+    pub runs: Vec<Arc<PipelineStats>>,
 }
 
 impl ProfCtx {
@@ -72,14 +76,15 @@ impl ProfCtx {
     }
 
     /// Bind one slot of a finished (or running) pipeline to a node.
-    pub fn bind(&mut self, node: usize, obs: &Arc<PipelineObs>, slot: Slot) {
-        self.nodes[node].bound.push((Arc::clone(obs), slot));
+    pub fn bind(&mut self, node: usize, stats: &Arc<PipelineStats>, slot: Slot) {
+        self.nodes[node].bound.push((Arc::clone(stats), slot));
     }
 
-    /// The breaker ran: bind every pending stage to its observation.
-    pub fn bind_pending(&mut self, obs: &Arc<PipelineObs>) {
+    /// The breaker ran: bind every pending stage to the run's block.
+    pub fn bind_pending(&mut self, stats: &Arc<PipelineStats>) {
+        self.runs.push(Arc::clone(stats));
         for (node, slot) in std::mem::take(&mut self.pending) {
-            self.bind(node, obs, slot);
+            self.bind(node, stats, slot);
         }
     }
 
@@ -121,17 +126,16 @@ impl ProfCtx {
     }
 
     /// Assemble the finished profile tree rooted at `root`, summing every
-    /// bound observation slot into its node.
+    /// bound stage slot into its node.
     pub fn build(&self, root: usize) -> ProfileNode {
         let t = &self.nodes[root];
         let mut node = ProfileNode::new(t.label.clone());
-        for (obs, slot) in &t.bound {
-            let stats = match slot {
-                Slot::Source => &obs.source,
-                Slot::Op(i) => &obs.ops[*i],
-                Slot::Sink => &obs.sink,
-            };
-            node.add_stats(stats);
+        for (stats, slot) in &t.bound {
+            node.add_stats(match slot {
+                Slot::Source => &stats.source,
+                Slot::Op(i) => &stats.ops[*i],
+                Slot::Sink => &stats.sink,
+            });
         }
         node.details = t.details.clone();
         node.children = t.children.iter().map(|&c| self.build(c)).collect();
@@ -142,6 +146,29 @@ impl ProfCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use joinstudy_exec::profile::{LocalSlot, WorkerProf};
+    use joinstudy_exec::QueryContext;
+
+    fn slot(morsels: u64, batches: u64, rows_in: u64, rows_out: u64, busy_ns: u64) -> LocalSlot {
+        LocalSlot {
+            morsels,
+            batches,
+            rows_in,
+            rows_out,
+            busy_ns,
+        }
+    }
+
+    /// A finished run's block with `ops` operator slots, holding the counts
+    /// `fill` sets on one worker record.
+    fn block(ops: usize, fill: impl FnOnce(&mut WorkerProf)) -> Arc<PipelineStats> {
+        let ctx = QueryContext::unbounded();
+        let stats = PipelineStats::new(&ctx, "test".into(), ops, 0, true);
+        let mut w = WorkerProf::new(ops);
+        fill(&mut w);
+        stats.add(&w);
+        Arc::new(stats)
+    }
 
     #[test]
     fn pending_binds_and_builds_tree() {
@@ -151,10 +178,11 @@ mod tests {
         let filter = pc.node("Filter", vec![scan]);
         pc.pend(filter, Slot::Op(0));
 
-        let obs = Arc::new(PipelineObs::new(1));
-        obs.source.add(2, 2, 0, 100, 10);
-        obs.ops[0].add(0, 2, 100, 40, 5);
-        obs.sink.add(0, 2, 40, 0, 1);
+        let obs = block(1, |w| {
+            w.source = slot(2, 2, 0, 100, 10);
+            w.ops[0] = slot(0, 2, 100, 40, 5);
+            w.sink = slot(0, 2, 40, 0, 1);
+        });
         pc.bind_pending(&obs);
         assert!(pc.save().1 == 0, "pending drained");
 
@@ -209,10 +237,8 @@ mod tests {
     fn multiple_slots_sum_into_one_node() {
         let mut pc = ProfCtx::new();
         let join = pc.node("Join", vec![]);
-        let build_obs = Arc::new(PipelineObs::new(0));
-        build_obs.sink.add(0, 1, 300, 0, 7);
-        let probe_obs = Arc::new(PipelineObs::new(1));
-        probe_obs.ops[0].add(0, 4, 900, 500, 9);
+        let build_obs = block(0, |w| w.sink = slot(0, 1, 300, 0, 7));
+        let probe_obs = block(1, |w| w.ops[0] = slot(0, 4, 900, 500, 9));
         pc.bind(join, &build_obs, Slot::Sink);
         pc.bind(join, &probe_obs, Slot::Op(0));
         let tree = pc.build(join);

@@ -4,12 +4,16 @@
 //! output equals the actual result cardinality (cross-checked against a
 //! hash-map reference), the sink sees exactly the result, and no
 //! operator's aggregate busy time exceeds what the worker pool could have
-//! spent inside the measured wall clock.
+//! spent inside the measured wall clock. The same bound is checked one
+//! level down, per pipeline, on TPC-H Q3: the first half of the wall-time
+//! decomposition invariant.
 
 use joinstudy_core::{Engine, JoinAlgo, JoinType, Plan};
 use joinstudy_exec::expr::Expr;
+use joinstudy_exec::WorkerPool;
 use joinstudy_storage::table::{Schema, TableBuilder};
 use joinstudy_storage::types::{DataType, Value};
+use joinstudy_tpch::queries::{all_queries, QueryConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -20,6 +24,57 @@ fn int_table(values: &[i64]) -> Arc<joinstudy_storage::table::Table> {
         b.push_row(&[Value::Int64(v)]);
     }
     Arc::new(b.finish())
+}
+
+/// Nothing a pipeline reports can exceed the time it had: a pipeline's
+/// source time (inclusive of everything downstream) is at most its wall
+/// time on each of its workers, and pipelines of one query run one after
+/// another, so their wall times sum to at most the query's.
+#[test]
+fn q3_pipeline_times_fit_inside_wall_time() {
+    let data = joinstudy_tpch::generate(0.01, 20260706);
+    let q3 = all_queries().into_iter().find(|q| q.id == 3).unwrap();
+    for pooled in [false, true] {
+        let mut engine = Engine::new(2);
+        if pooled {
+            engine.set_worker_pool(Some(WorkerPool::new(2)));
+        }
+        engine.ctx.set_profiling(true);
+        for algo in [JoinAlgo::Bhj, JoinAlgo::Rj, JoinAlgo::Brj, JoinAlgo::Hybrid] {
+            let case = format!("Q3 {algo:?} pooled={pooled}");
+            (q3.run)(&data, &QueryConfig::new(algo), &engine);
+            let profile = engine.take_profile().expect("profiling on");
+            let pipelines = engine.take_pipelines();
+            // At least a build per join, the aggregate, the sort, the output.
+            assert!(
+                pipelines.len() >= 5,
+                "{case}: {} pipelines",
+                pipelines.len()
+            );
+            for p in &pipelines {
+                assert!(
+                    (1..=2).contains(&p.workers()),
+                    "{case}: {} ran on {} workers",
+                    p.label,
+                    p.workers()
+                );
+                assert!(
+                    p.source.busy_ns() <= p.workers() * p.wall_ns(),
+                    "{case}: {} source busy {}ns exceeds {} workers x wall {}ns",
+                    p.label,
+                    p.source.busy_ns(),
+                    p.workers(),
+                    p.wall_ns()
+                );
+            }
+            let sum: u64 = pipelines.iter().map(|p| p.wall_ns()).sum();
+            assert!(
+                sum <= profile.wall_ns,
+                "{case}: pipeline wall times sum to {sum}ns, query took {}ns",
+                profile.wall_ns
+            );
+        }
+    }
 }
 
 proptest! {

@@ -30,9 +30,10 @@
 //!   groups (cycles, instructions, LLC/dTLB loads+misses, branch misses)
 //!   sampled per worker and per phase, replacing the paper's Intel PCM;
 //!   degrades to a no-op where the syscall is denied.
-//! * **Per-operator profiling** ([`profile`]): opt-in per-pipeline
-//!   observation slots (morsels, tuples, busy time) aggregated at worker
-//!   drain — the data behind `EXPLAIN ANALYZE`.
+//! * **Per-operator counters** ([`profile`]): one counter block per
+//!   pipeline run (morsels, tuples, and — for profiled queries — busy
+//!   time), fed by the morsel loop — the data behind `EXPLAIN ANALYZE`,
+//!   `jsys.query_progress` and ASH alike.
 //! * **Worker-timeline tracing** ([`trace`]): opt-in per-worker span
 //!   buffers (morsels, phases, synthesized idle intervals) exported as
 //!   Chrome/Perfetto `trace_event` JSON.
@@ -74,8 +75,8 @@ pub use morsel::PipelineLabel;
 pub use pipeline::{Operator, Sink, Source, StreamSpec};
 pub use pmu::{CounterGroup, CounterKind, CounterValues, HwSlot};
 pub use pool::WorkerPool;
-pub use profile::{DetailValue, OpStats, PipelineObs, ProfileNode, QueryProfile, WorkerProf};
-pub use progress::{PipelineProgress, PipelineSnapshot, ProgressRegistry, WaitState};
+pub use profile::{DetailValue, PipelineStats, ProfileNode, QueryProfile, StageStats, WorkerProf};
+pub use progress::{ProgressRegistry, WaitState};
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use sched::Executor;
 pub use trace::{QueryTrace, SpanKind, TraceSpan};

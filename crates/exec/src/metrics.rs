@@ -198,7 +198,7 @@ pub fn reset() {
 /// asserts that no pooled pipeline is in flight.
 pub fn reset_all() {
     debug_assert_eq!(
-        crate::pool::pipelines_in_flight(),
+        crate::progress::global().len(),
         0,
         "metrics::reset_all() while queries are executing on a shared \
          worker pool — it would corrupt their counters"

@@ -11,16 +11,17 @@
 //! Observation is data, not a second code path. A [`Worker`] always keeps
 //! its row/batch/morsel counts in a private [`WorkerProf`] (plain integer
 //! adds); clock reads happen only when somebody will read the time (a
-//! [`PipelineObs`], a live [`PipelineProgress`], or a trace track), and the
-//! counts are published into whichever shared blocks the [`Pipeline`]
-//! carries — per morsel when a live reader exists, otherwise once at drain.
+//! `timed` block, a live reader, or a trace track), and the counts are
+//! published into the pipeline's one [`PipelineStats`] block — per morsel
+//! when the back-end made the block readable mid-flight, otherwise once at
+//! drain.
 
 use crate::batch::Batch;
 use crate::context::QueryContext;
 use crate::error::{ExecError, ExecResult};
 use crate::pipeline::{LocalState, Operator, Sink, Source};
-use crate::profile::{PipelineObs, WorkerProf};
-use crate::progress::{PipelineProgress, WaitState};
+use crate::profile::{PipelineStats, WorkerProf};
+use crate::progress::WaitState;
 use crate::registry::Histogram;
 use crate::trace::{self, SpanKind, TraceSpan};
 use std::borrow::Cow;
@@ -30,8 +31,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// What a pipeline is called and how many source rows the planner expects
-/// (0 = no estimate). Passed at submit; shows up as the pipeline's name in
-/// traces and as label + `est_rows` in `jsys.query_progress`.
+/// (0 = no estimate). Goes into the pipeline's [`PipelineStats`]; shows up
+/// as the pipeline's name in traces and as label + `est_rows` in
+/// `jsys.query_progress`.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineLabel<'a> {
     pub name: &'a str,
@@ -118,8 +120,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Everything the workers of one pipeline run share: the borrowed parts,
-/// the claim cursor and failure slot, and whichever shared observation
-/// blocks exist for this run.
+/// the claim cursor and failure slot, and the run's counter block.
 pub(crate) struct Pipeline<'a> {
     pub ctx: &'a QueryContext,
     pub source: &'a dyn Source,
@@ -130,11 +131,12 @@ pub(crate) struct Pipeline<'a> {
     pub cursor: &'a AtomicUsize,
     pub task_count: usize,
     pub failure: &'a Failure,
-    /// Post-mortem profile slots (`EXPLAIN ANALYZE`); turns clock reads on.
-    pub obs: Option<&'a PipelineObs>,
-    /// Live progress block (pooled pipelines); also turns on the
-    /// wait-state stamps and per-morsel publication.
-    pub live: Option<&'a PipelineProgress>,
+    /// Where every worker's counts end up; `stats.timed` turns the
+    /// per-batch clock reads on.
+    pub stats: &'a PipelineStats,
+    /// The block is readable mid-flight (pooled pipelines): publish after
+    /// every morsel, not only at drain, and stamp the query's wait state.
+    pub live: bool,
     /// Tracer pipeline id (traced pipelines).
     pub trace: Option<u32>,
 }
@@ -213,19 +215,19 @@ impl Worker {
         if task >= p.task_count {
             return Ok(false);
         }
-        if let Some(live) = p.live {
+        if p.live {
             // This query is on-CPU in this pipeline's phase for the morsel.
-            p.ctx.stamp_wait(live.cpu_state);
+            p.ctx.stamp_wait(p.stats.cpu_state);
         }
         let hists = self.trace.as_ref().map(|t| t.hists);
         if let Some(h) = hists {
             h.queue_depth
                 .record(p.task_count.saturating_sub(task + 1) as u64);
         }
-        let timed = p.obs.is_some();
-        let clock = timed || p.live.is_some() || self.trace.is_some();
+        let timed = p.stats.timed;
+        let clock = timed || p.live || self.trace.is_some();
         let t0 = if clock { trace::now_ns() } else { 0 };
-        let rows_before = self.counts.src_rows;
+        let rows_before = self.counts.source.rows_out;
 
         // Emit callbacks are infallible, so a downstream error is parked in
         // `chain_err` and later batches of the task are dropped.
@@ -235,8 +237,8 @@ impl Worker {
         let polled = p.source.poll_task(task, &mut |batch| {
             if chain_err.is_none() {
                 let n = batch.num_rows() as u64;
-                counts.src_batches += 1;
-                counts.src_rows += n;
+                counts.source.batches += 1;
+                counts.source.rows_out += n;
                 if let Some(h) = hists {
                     h.batch_rows.record(n);
                 }
@@ -245,13 +247,13 @@ impl Worker {
                 }
             }
         });
-        self.counts.morsels += 1;
+        self.counts.source.morsels += 1;
 
         if clock {
             // Source busy time is *inclusive* of the downstream work done in
             // the emit callback (pipeline time).
             let dur = trace::now_ns().saturating_sub(t0);
-            self.counts.src_busy_ns += dur;
+            self.counts.source.busy_ns += dur;
             if let Some(t) = &mut self.trace {
                 t.hists.morsel_ns.record(dur);
                 t.spans.push(TraceSpan {
@@ -261,11 +263,11 @@ impl Worker {
                     pipeline: t.pipe,
                     start_ns: t0,
                     dur_ns: dur,
-                    arg: self.counts.src_rows - rows_before,
+                    arg: self.counts.source.rows_out - rows_before,
                     hw: None,
                 });
             }
-            if p.live.is_some() {
+            if p.live {
                 p.ctx.add_cpu_ns(dur);
                 // Until the next claim this query is waiting on the pool.
                 p.ctx.stamp_wait(WaitState::PoolWait);
@@ -285,12 +287,12 @@ impl Worker {
     /// on error, so a failed query still shows partial counts and a partial
     /// timeline.
     pub(crate) fn drain(&mut self, p: &Pipeline<'_>) -> ExecResult {
-        if p.live.is_some() {
+        if p.live {
             p.ctx.stamp_wait(WaitState::Finalizing);
         }
         let result = self.flush_and_merge(p);
         self.publish(p);
-        crate::pmu::finish_worker(self.hw.take(), p.obs.map(|o| &o.hw));
+        crate::pmu::finish_worker(self.hw.take(), &p.stats.hw);
         if let Some(t) = self.trace.take() {
             trace::flush_worker(t.pipe, t.track, t.spans, trace::now_ns());
         }
@@ -298,7 +300,7 @@ impl Worker {
     }
 
     fn flush_and_merge(&mut self, p: &Pipeline<'_>) -> ExecResult {
-        let timed = p.obs.is_some();
+        let timed = p.stats.timed;
         let sink_local = self.sink_local.as_mut().expect("drain runs once");
         // ROF staging buffers flush front-to-back so that a flush from
         // operator i still traverses operators i+1.. and the sink.
@@ -326,21 +328,16 @@ impl Worker {
         let t0 = timed.then(Instant::now);
         let merged = p.sink.finish_local(sink_local);
         if let Some(t0) = t0 {
-            self.counts.sink_busy_ns += t0.elapsed().as_nanos() as u64;
+            self.counts.sink.busy_ns += t0.elapsed().as_nanos() as u64;
         }
         merged
     }
 
-    /// Add the private counts to the shared blocks that exist and zero
-    /// them. Purely additive, so per-morsel and drain-time publication
-    /// give the same totals.
+    /// Add the private counts to the pipeline's block and zero them.
+    /// Purely additive, so per-morsel and drain-time publication give the
+    /// same totals.
     fn publish(&mut self, p: &Pipeline<'_>) {
-        if let Some(obs) = p.obs {
-            obs.add(&self.counts);
-        }
-        if let Some(live) = p.live {
-            live.add(&self.counts);
-        }
+        p.stats.add(&self.counts);
         self.counts.reset();
     }
 }
@@ -368,11 +365,11 @@ fn feed_chain(
         }
         let t0 = timed.then(Instant::now);
         if i == p.ops.len() {
-            counts.sink_batches += 1;
-            counts.sink_rows += n;
+            counts.sink.batches += 1;
+            counts.sink.rows_in += n;
             p.sink.consume(sink_local, b)?;
             if let Some(t0) = t0 {
-                counts.sink_busy_ns += t0.elapsed().as_nanos() as u64;
+                counts.sink.busy_ns += t0.elapsed().as_nanos() as u64;
             }
             continue;
         }
@@ -401,6 +398,7 @@ mod tests {
 
     use super::*;
     use crate::pool::WorkerPool;
+    use crate::profile::ProfileNode;
     use crate::sched::Executor;
     use crate::test_fixtures::*;
     use crate::trace::QueryTrace;
@@ -436,12 +434,38 @@ mod tests {
         }
     }
 
-    /// What one pipeline run left behind.
+    /// What one pipeline run left behind. The counts are kept in every
+    /// mode; only the busy times need `Mode::Profiled`.
     struct Outcome {
         result: ExecResult,
         sink: SumSink,
-        obs: Option<PipelineObs>,
+        stats: Arc<PipelineStats>,
         trace: Option<QueryTrace>,
+    }
+
+    fn run_source(
+        exec: &Executor,
+        mode: Mode,
+        ctx: &Arc<QueryContext>,
+        source: &dyn Source,
+        ops: &[Arc<dyn Operator>],
+    ) -> Outcome {
+        let sink = SumSink::default();
+        let (label, tasks) = ("test pipeline".into(), source.task_count() as u64);
+        let timed = mode != Mode::Plain;
+        let stats = Arc::new(PipelineStats::new(ctx, label, ops.len(), tasks, timed));
+        let traced = mode == Mode::Traced;
+        if traced {
+            assert!(trace::begin("morsel-test"), "no other trace may be active");
+        }
+        let result = exec.run_pipeline_obs(ctx, source, ops, &sink, &stats);
+        let trace = traced.then(|| trace::end().expect("trace recorded"));
+        Outcome {
+            result,
+            sink,
+            stats,
+            trace,
+        }
     }
 
     fn run(
@@ -451,35 +475,7 @@ mod tests {
         tasks: usize,
         ops: &[Arc<dyn Operator>],
     ) -> Outcome {
-        let sink = SumSink::default();
-        let obs = (mode != Mode::Plain).then(|| PipelineObs::new(ops.len()));
-        let traced = mode == Mode::Traced;
-        if traced {
-            assert!(trace::begin("morsel-test"), "no other trace may be active");
-        }
-        let result = exec.run_pipeline_obs(
-            ctx,
-            &NumberSource { tasks },
-            ops,
-            &sink,
-            obs.as_ref(),
-            "test pipeline".into(),
-        );
-        let trace = traced.then(|| trace::end().expect("trace recorded"));
-        Outcome {
-            result,
-            sink,
-            obs,
-            trace,
-        }
-    }
-
-    /// `(rows_in, rows_out)` of every stage, source first, sink last.
-    fn stage_rows(obs: &PipelineObs) -> Vec<(u64, u64)> {
-        let mut rows = vec![(obs.source.rows_in(), obs.source.rows_out())];
-        rows.extend(obs.ops.iter().map(|o| (o.rows_in(), o.rows_out())));
-        rows.push((obs.sink.rows_in(), obs.sink.rows_out()));
-        rows
+        run_source(exec, mode, ctx, &NumberSource { tasks }, ops)
     }
 
     fn morsel_spans(t: &QueryTrace) -> Vec<&TraceSpan> {
@@ -521,20 +517,21 @@ mod tests {
                 o.result.unwrap();
                 assert_eq!(o.sink.total(), 4 * expected_sum(20), "{case}");
                 assert!(o.sink.finished(), "{case}");
-                if let Some(obs) = &o.obs {
-                    assert_eq!(obs.source.morsels(), 20, "{case}");
-                    assert_eq!(
-                        stage_rows(obs),
-                        [(0, 40), (40, 80), (80, 160), (160, 0)],
-                        "{case}"
-                    );
-                    assert!(obs.wall_ns() > 0, "{case}");
-                    if scoped {
-                        assert_eq!(obs.workers(), backend.threads() as u64, "{case}");
-                    } else {
-                        assert!((1..=backend.threads() as u64).contains(&obs.workers()));
-                    }
+                assert_eq!(o.stats.source.morsels(), 20, "{case}");
+                assert_eq!(
+                    stage_rows(&o.stats),
+                    [(0, 40), (40, 80), (80, 160), (160, 0)],
+                    "{case}"
+                );
+                assert!(o.stats.wall_ns() > 0, "{case}");
+                if scoped {
+                    assert_eq!(o.stats.workers(), backend.threads() as u64, "{case}");
+                } else {
+                    assert!((1..=backend.threads() as u64).contains(&o.stats.workers()));
                 }
+                // Clock reads per batch are what `timed` buys.
+                let op_busy = o.stats.ops[0].busy_ns() + o.stats.ops[1].busy_ns();
+                assert_eq!(op_busy > 0, mode != Mode::Plain, "{case}");
                 if let Some(t) = &o.trace {
                     // One morsel span per task, rows attributed, pipeline
                     // labeled.
@@ -554,13 +551,11 @@ mod tests {
                 let o = run(&exec, mode, &ctx, 7, &ops);
                 o.result.unwrap();
                 assert_eq!(o.sink.total(), 2 * expected_sum(7), "{case}");
-                if let Some(obs) = &o.obs {
-                    assert_eq!(
-                        stage_rows(obs),
-                        [(0, 14), (14, 14), (14, 28), (28, 0)],
-                        "{case}"
-                    );
-                }
+                assert_eq!(
+                    stage_rows(&o.stats),
+                    [(0, 14), (14, 14), (14, 28), (28, 0)],
+                    "{case}"
+                );
 
                 // A zero-task pipeline still gets exactly one flush, one
                 // `finish_local` and `finish`.
@@ -572,9 +567,7 @@ mod tests {
                 assert!(o.sink.finished(), "{case}");
                 assert_eq!(buffer.flushes.load(Ordering::Relaxed), 1, "{case}");
                 assert_eq!(o.sink.finish_locals.load(Ordering::Relaxed), 1, "{case}");
-                if let Some(obs) = &o.obs {
-                    assert_eq!(obs.source.morsels(), 0, "{case}");
-                }
+                assert_eq!(o.stats.source.morsels(), 0, "{case}");
 
                 // An operator error comes back, `finish` is skipped, and
                 // the partial counts and spans are still published.
@@ -592,10 +585,8 @@ mod tests {
                     "{case}: {err}"
                 );
                 assert!(!o.sink.finished(), "{case}: finish must be skipped");
-                if let Some(obs) = &o.obs {
-                    // Task 20 failed, but its source emission was counted.
-                    assert!(obs.source.rows_out() >= 2, "{case}");
-                }
+                // Task 20 failed, but its source emission was counted.
+                assert!(o.stats.source.rows_out() >= 2, "{case}");
                 if let Some(t) = &o.trace {
                     assert!(!morsel_spans(t).is_empty(), "{case}: partial timeline");
                     t.validate().expect("trace invariants after failure");
@@ -626,9 +617,38 @@ mod tests {
                 let o = run(&exec, mode, &ctx, 10, &[]);
                 o.result.unwrap();
                 assert_eq!(o.sink.total(), expected_sum(10), "{case}");
+
+                // Pooled and profiled: the live reader and the profiler read
+                // one block. What the registry hands out mid-flight is the
+                // submitter's own `Arc`, and its final slots are what the
+                // profile tree sums (`ProfCtx::build` is `add_stats`).
+                if matches!(backend, Backend::Pooled(_)) && mode == Mode::Profiled {
+                    ctx.arm();
+                    let source = WatchingSource {
+                        inner: NumberSource { tasks: 12 },
+                        query_id: ctx.query_id(),
+                        seen: Mutex::new(Vec::new()),
+                    };
+                    let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(DupOp)];
+                    let o = run_source(&exec, mode, &ctx, &source, &ops);
+                    o.result.unwrap();
+                    let seen = source.seen.into_inner().unwrap();
+                    assert_eq!(seen.len(), 1, "{case}: one live pipeline of the query");
+                    assert!(Arc::ptr_eq(&seen[0].block, &o.stats), "{case}");
+                    assert!(seen[0].tasks_done < 12, "{case}: read mid-flight");
+                    let summed: Vec<_> = o
+                        .stats
+                        .stages()
+                        .map(|(_, st)| {
+                            let mut node = ProfileNode::new("stage");
+                            node.add_stats(st);
+                            (node.rows_in, node.rows_out, node.batches)
+                        })
+                        .collect();
+                    assert_eq!(summed, [(0, 24, 12), (24, 48, 12), (48, 0, 24)], "{case}");
+                }
             }
         }
-        assert_eq!(crate::pool::pipelines_in_flight(), 0);
     }
 
     #[test]

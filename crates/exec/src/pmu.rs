@@ -661,29 +661,27 @@ pub fn worker_sampler(query_on: bool) -> Option<WorkerSampler> {
 }
 
 /// Finish a worker sample: fold the delta into the pipeline's [`HwSlot`]
-/// (when profiling observes this pipeline) and into the current phase's
-/// `pmu.*` registry counters. Safe to call with `None` (no-op).
-pub fn finish_worker(sampler: Option<WorkerSampler>, slot: Option<&HwSlot>) {
+/// and into the current phase's `pmu.*` registry counters. Safe to call
+/// with `None` (no-op).
+pub fn finish_worker(sampler: Option<WorkerSampler>, slot: &HwSlot) {
     let Some(s) = sampler else { return };
     let now = s.group.read();
     let delta = now.delta_since(&s.start);
     if delta.is_empty() {
         return;
     }
-    if let Some(slot) = slot {
-        slot.add(&delta);
-    }
+    slot.add(&delta);
     flush_to_phase(current_phase_index(), &delta);
     handles().worker_samples.inc();
 }
 
 // ---------------------------------------------------------------------------
-// HwSlot — relaxed-atomic aggregation for PipelineObs
+// HwSlot — relaxed-atomic aggregation for PipelineStats
 // ---------------------------------------------------------------------------
 
-/// Lock-free accumulator for worker counter deltas, one per observed
-/// pipeline (lives in `profile::PipelineObs`). Same relaxed-ordering
-/// contract as `OpStats`: exact once the workers are joined.
+/// Lock-free accumulator for worker counter deltas, one per pipeline run
+/// (lives in `profile::PipelineStats`). Same relaxed-ordering contract as
+/// its `StageStats`: exact once the workers have drained.
 #[derive(Debug, Default)]
 pub struct HwSlot {
     values: [AtomicU64; NUM_COUNTERS],
@@ -801,7 +799,7 @@ mod tests {
 
         // Samplers built on an unavailable PMU collapse to None/no-op.
         let slot = HwSlot::new();
-        finish_worker(None, Some(&slot));
+        finish_worker(None, &slot);
         assert_eq!(slot.samples(), 0);
         assert!(slot.snapshot().is_none(), "zero samples ⇒ no hw details");
     }
@@ -844,7 +842,7 @@ mod tests {
         let s = worker_sampler(true);
         if let Some(s) = s {
             let slot = HwSlot::new();
-            finish_worker(Some(s), Some(&slot));
+            finish_worker(Some(s), &slot);
             assert_eq!(slot.samples(), 1);
             assert!(slot.snapshot().is_some());
         } else {

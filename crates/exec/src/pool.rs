@@ -34,10 +34,11 @@
 //! `ExecError::WorkerPanic` — a bug in one query cannot take down the pool
 //! or any other query.
 //!
-//! Every pooled pipeline also carries a live
-//! [`PipelineProgress`](crate::progress::PipelineProgress), registered at
-//! submit under the label the submitter passed; the morsel loop publishes
-//! into it after every morsel and stamps the query's wait state around it.
+//! For as long as a pipeline is active its counter block — the
+//! [`PipelineStats`] the submitter passed — is registered in
+//! [`progress::global`]; the morsel loop publishes into it after every
+//! morsel and stamps the query's wait state around it, so the block is
+//! readable mid-flight.
 //!
 //! # Borrow safety
 //!
@@ -56,25 +57,15 @@
 
 use crate::context::QueryContext;
 use crate::error::ExecResult;
-use crate::morsel::{Failure, Pipeline, PipelineLabel, Worker};
+use crate::morsel::{Failure, Pipeline, Worker};
 use crate::pipeline::{Operator, Sink, Source};
-use crate::profile::PipelineObs;
-use crate::progress::{self, PipelineProgress, WaitState};
+use crate::profile::PipelineStats;
+use crate::progress::{self, WaitState};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// Pipelines currently submitted to any [`WorkerPool`] and not yet
-/// retired. Guards test/bench-only global resets (see
-/// [`crate::metrics::reset_all`]).
-static IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
-
-/// Number of pooled pipelines currently executing, process-wide.
-pub fn pipelines_in_flight() -> usize {
-    IN_FLIGHT.load(Ordering::Acquire)
-}
 
 /// Borrowed pipeline parts, type-erased so long-lived pool workers can
 /// reach them. See the module docs for why storing raw pointers here is
@@ -84,7 +75,6 @@ struct PipelineRefs {
     source: *const dyn Source,
     ops: *const [Arc<dyn Operator>],
     sink: *const dyn Sink,
-    obs: Option<*const PipelineObs>,
 }
 
 // SAFETY: the pointees are `Sync` (`Source`/`Operator`/`Sink` require it,
@@ -116,10 +106,10 @@ struct ActivePipeline {
     participants: AtomicUsize,
     /// Set at retirement, under the state lock; the submitter waits on it.
     done: AtomicBool,
-    /// Always-on live progress counters (see [`crate::progress`]):
-    /// registered at submit, retired with the pipeline, readable
-    /// mid-flight through `jsys.query_progress`.
-    progress: Arc<PipelineProgress>,
+    /// The submitter's counter block: registered in [`progress::global`]
+    /// at submit, removed at retirement, readable mid-flight through
+    /// `jsys.query_progress`.
+    stats: Arc<PipelineStats>,
 }
 
 impl ActivePipeline {
@@ -139,8 +129,8 @@ impl ActivePipeline {
             cursor: &self.cursor,
             task_count: self.task_count,
             failure: &self.failure,
-            obs: self.refs.obs.map(|o| &*o),
-            live: Some(&self.progress),
+            stats: &self.stats,
+            live: true,
             trace: None,
         }
     }
@@ -256,18 +246,10 @@ impl WorkerPool {
         source: &dyn Source,
         ops: &[Arc<dyn Operator>],
         sink: &dyn Sink,
-        obs: Option<&PipelineObs>,
-        label: PipelineLabel<'_>,
+        stats: &Arc<PipelineStats>,
     ) -> ExecResult {
-        let started = obs.map(|_| Instant::now());
-        let live = Arc::new(PipelineProgress::new(
-            ctx,
-            label.name.to_string(),
-            label.est_rows,
-            ops.len(),
-            source.task_count() as u64,
-        ));
-        progress::global().register(Arc::clone(&live));
+        let started = Instant::now();
+        progress::global().register(Arc::clone(stats));
         // Submitted but no morsel claimed yet; each morsel re-stamps the
         // CPU flavor on entry and PoolWait on exit.
         ctx.stamp_wait(WaitState::PoolWait);
@@ -291,7 +273,6 @@ impl WorkerPool {
                         sink_ptr,
                     )
                 },
-                obs: obs.map(|o| o as *const PipelineObs),
             },
             task_count: source.task_count(),
             cursor: AtomicUsize::new(0),
@@ -301,9 +282,8 @@ impl WorkerPool {
             adopted: AtomicBool::new(false),
             participants: AtomicUsize::new(0),
             done: AtomicBool::new(false),
-            progress: live,
+            stats: Arc::clone(stats),
         });
-        IN_FLIGHT.fetch_add(1, Ordering::AcqRel);
         {
             let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
             state.active.push(Arc::clone(&pipe));
@@ -322,14 +302,10 @@ impl WorkerPool {
                 .unwrap_or_else(|e| e.into_inner());
         }
         drop(state);
-        IN_FLIGHT.fetch_sub(1, Ordering::AcqRel);
-        progress::global().retire(&pipe.progress);
+        let workers = pipe.participants.load(Ordering::Relaxed).max(1) as u64;
+        stats.record_run(started.elapsed().as_nanos() as u64, workers);
+        progress::global().retire(stats);
         ctx.stamp_wait(WaitState::Other);
-
-        if let (Some(obs), Some(t0)) = (obs, started) {
-            let workers = pipe.participants.load(Ordering::Relaxed).max(1) as u64;
-            obs.record_run(t0.elapsed().as_nanos() as u64, workers);
-        }
         pipe.failure.conclude(sink)
     }
 }
@@ -451,11 +427,12 @@ fn maybe_retire(state: &mut PoolState, inner: &PoolInner, pipe: &Arc<ActivePipel
 #[cfg(test)]
 mod tests {
     //! What only the pool does: interleaving concurrent pipelines and
-    //! publishing live progress. That a pooled pipeline computes what a
-    //! scoped one does is a row of the table in [`crate::morsel`].
+    //! making the counter block readable mid-flight. That a pooled pipeline
+    //! computes what a scoped one does is a row of the table in
+    //! [`crate::morsel`].
 
     use super::*;
-    use crate::pipeline::Emit;
+    use crate::morsel::PipelineLabel;
     use crate::sched::Executor;
     use crate::test_fixtures::*;
 
@@ -465,7 +442,7 @@ mod tests {
             let pool = WorkerPool::new(threads);
             std::thread::scope(|scope| {
                 for client in 0..8usize {
-                    let pool = Arc::clone(&pool);
+                    let exec = Executor::pooled(Arc::clone(&pool));
                     scope.spawn(move || {
                         let tasks = 5 + client * 3;
                         let ops: Vec<Arc<dyn Operator>> = if client % 2 == 0 {
@@ -474,15 +451,9 @@ mod tests {
                             vec![]
                         };
                         let sink = SumSink::default();
-                        pool.run_pipeline_obs(
-                            &QueryContext::unbounded(),
-                            &NumberSource { tasks },
-                            &ops,
-                            &sink,
-                            None,
-                            PipelineLabel::UNLABELED,
-                        )
-                        .unwrap();
+                        let ctx = QueryContext::unbounded();
+                        exec.run_pipeline(&ctx, &NumberSource { tasks }, &ops, &sink)
+                            .unwrap();
                         assert!(sink.finished());
                         assert_eq!(
                             sink.total(),
@@ -496,35 +467,12 @@ mod tests {
         }
     }
 
-    /// A [`NumberSource`] that, from inside its last task, looks its own
-    /// pipeline up in the live-progress registry.
-    struct SelfWatchingSource {
-        inner: NumberSource,
-        query_id: u64,
-        seen: Mutex<Vec<progress::PipelineSnapshot>>,
-    }
-
-    impl Source for SelfWatchingSource {
-        fn task_count(&self) -> usize {
-            self.inner.tasks
-        }
-
-        fn poll_task(&self, task: usize, out: Emit) -> ExecResult {
-            if task + 1 == self.inner.tasks {
-                let mine = progress::global()
-                    .snapshot()
-                    .into_iter()
-                    .filter(|s| s.query_id == self.query_id);
-                self.seen.lock().unwrap().extend(mine);
-            }
-            self.inner.poll_task(task, out)
-        }
-    }
-
-    fn watch(exec: &Executor, label: Option<PipelineLabel<'_>>) -> progress::PipelineSnapshot {
+    /// Run six tasks through one [`DupOp`] and return what the last task
+    /// saw of its own pipeline in the live registry.
+    fn watch(exec: &Executor, label: Option<PipelineLabel<'_>>) -> Seen {
         let ctx = QueryContext::unbounded();
         ctx.arm();
-        let source = SelfWatchingSource {
+        let source = WatchingSource {
             inner: NumberSource { tasks: 6 },
             query_id: ctx.query_id(),
             seen: Mutex::new(Vec::new()),
@@ -532,7 +480,10 @@ mod tests {
         let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(DupOp)];
         let sink = SumSink::default();
         match label {
-            Some(label) => exec.run_pipeline_obs(&ctx, &source, &ops, &sink, None, label),
+            Some(label) => {
+                let stats = Arc::new(PipelineStats::new(&ctx, label, 1, 6, false));
+                exec.run_pipeline_obs(&ctx, &source, &ops, &sink, &stats)
+            }
             None => exec.run_pipeline(&ctx, &source, &ops, &sink),
         }
         .unwrap();
@@ -551,14 +502,15 @@ mod tests {
             est_rows: 12,
         };
         let s = watch(&exec, Some(label));
-        assert_eq!((s.label.as_str(), s.est_rows), ("RJ partition (build)", 12));
-        assert_eq!((s.tasks_done, s.tasks_total), (5, 6));
-        let rows: Vec<_> = s
-            .stages
-            .iter()
-            .map(|st| (st.rows_in, st.rows_out))
-            .collect();
-        assert_eq!(rows, [(0, 10), (10, 20), (20, 0)]);
+        assert_eq!(
+            (s.block.label.as_str(), s.block.est_rows),
+            ("RJ partition (build)", 12)
+        );
+        assert_eq!((s.tasks_done, s.block.tasks_total), (5, 6));
+        assert_eq!(s.rows, [(0, 10), (10, 20), (20, 0)]);
+        // Exact once retired: the reader's block now holds the final counts.
+        assert_eq!(s.block.tasks_done(), 6);
+        assert_eq!(stage_rows(&s.block), [(0, 12), (12, 24), (24, 0)]);
     }
 
     #[test]
@@ -568,20 +520,15 @@ mod tests {
             name: "BHJ build",
             est_rows: 7,
         };
+        let ctx = QueryContext::unbounded();
+        let stats = Arc::new(PipelineStats::new(&ctx, label, 0, 3, false));
         let sink = SumSink::default();
         Executor::new(1)
-            .run_pipeline_obs(
-                &QueryContext::unbounded(),
-                &NumberSource { tasks: 3 },
-                &[],
-                &sink,
-                None,
-                label,
-            )
+            .run_pipeline_obs(&ctx, &NumberSource { tasks: 3 }, &[], &sink, &stats)
             .unwrap();
         // … must not name an unlabelled pooled pipeline this thread submits
         // next.
         let s = watch(&Executor::pooled(WorkerPool::new(2)), None);
-        assert_eq!((s.label.as_str(), s.est_rows), ("pipeline", 0));
+        assert_eq!((s.block.label.as_str(), s.block.est_rows), ("pipeline", 0));
     }
 }

@@ -1,23 +1,31 @@
-//! Per-pipeline / per-operator execution profiler.
+//! Per-pipeline / per-operator execution counters and the profile tree.
 //!
 //! The profiler is the software analogue of the paper's per-phase
 //! measurements (Figures 10/16): instead of attributing time to the global
 //! [`crate::metrics::MemPhase`] timeline, every Source / Operator / Sink of
-//! a pipeline gets its own [`OpStats`] slot, and the slots are stitched back
-//! into a [`QueryProfile`] tree that mirrors the query plan.
+//! a pipeline gets its own [`StageStats`] slot, and the slots are stitched
+//! back into a [`QueryProfile`] tree that mirrors the query plan.
 //!
-//! # Design (per-worker counts, additive publication)
+//! # One block per pipeline run, three readers
 //!
-//! * A [`PipelineObs`] holds one shared [`OpStats`] slot per pipeline stage
-//!   (source, each fused operator, sink). Slots are relaxed atomics.
+//! * Whoever submits a pipeline creates one [`PipelineStats`]: identity
+//!   (query, connection, label, planner estimate, task count) plus one
+//!   [`StageStats`] per stage (source, each fused operator, sink). The
+//!   slots are relaxed atomics.
 //! * Workers never touch the shared slots while streaming: the one morsel
-//!   loop ([`crate::morsel`]) always counts into a plain-integer
-//!   [`WorkerProf`] and adds it into the `PipelineObs` when the worker
-//!   drains (one `fetch_add` burst per worker per pipeline) — or after
-//!   every morsel on the shared pool, so the slots are readable mid-flight.
+//!   loop ([`crate::morsel`]) counts into a plain-integer [`WorkerProf`]
+//!   and adds it into the block ([`PipelineStats::add`], the only writer)
+//!   when the worker drains — or after every morsel on the shared pool,
+//!   which also registers the block in [`crate::progress::global`].
+//! * The readers all load the same atomics: EXPLAIN ANALYZE sums the slots
+//!   into [`ProfileNode`]s after the query, `jsys.query_progress` and the
+//!   ASH sampler read a registered block while its pipeline runs, and the
+//!   perf ledger folds finished profiles by operator kind. Mid-flight the
+//!   values trail the workers by at most a morsel; they are exact once the
+//!   pipeline has retired.
 //! * Timing is taken at batch granularity with monotonic [`Instant`] pairs,
-//!   and only when the pipeline carries a `PipelineObs`: with profiling off
-//!   the loop does the integer adds and reads no clock.
+//!   and only on a block built with `timed` (a profiled query): otherwise
+//!   the loop does the integer adds and reads no clock per batch.
 //!
 //! [`Instant`]: std::time::Instant
 //!
@@ -26,12 +34,24 @@
 //! hash-table chain statistics); this module only defines the generic
 //! containers, the text rendering, and the stable JSON export.
 
+use crate::context::QueryContext;
+use crate::morsel::PipelineLabel;
+use crate::progress::WaitState;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 
-/// Shared per-stage counters of one pipeline. All updates are relaxed; the
-/// slot is read only after the pipeline (or the whole query) finished.
+/// Shared counters of one pipeline stage. Relaxed atomics, written only by
+/// [`PipelineStats::add`].
+///
+/// Slot semantics:
+/// * **source** — `morsels` = tasks run, `rows_out` = rows emitted,
+///   `busy_ns` = time inside `poll_task` *inclusive* of the downstream
+///   operator work done in the emit callback (pipeline time).
+/// * **operator** — `rows_in`/`rows_out` per `process`+`flush`, `busy_ns`
+///   exclusive time inside the operator.
+/// * **sink** — `rows_in` = rows consumed, `busy_ns` time inside `consume`.
 #[derive(Debug, Default)]
-pub struct OpStats {
+pub struct StageStats {
     morsels: AtomicU64,
     batches: AtomicU64,
     rows_in: AtomicU64,
@@ -39,18 +59,13 @@ pub struct OpStats {
     busy_ns: AtomicU64,
 }
 
-impl OpStats {
-    pub fn new() -> OpStats {
-        OpStats::default()
-    }
-
-    /// Merge one worker's local counts.
-    pub fn add(&self, morsels: u64, batches: u64, rows_in: u64, rows_out: u64, busy_ns: u64) {
-        self.morsels.fetch_add(morsels, Ordering::Relaxed);
-        self.batches.fetch_add(batches, Ordering::Relaxed);
-        self.rows_in.fetch_add(rows_in, Ordering::Relaxed);
-        self.rows_out.fetch_add(rows_out, Ordering::Relaxed);
-        self.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
+impl StageStats {
+    fn add(&self, s: &LocalSlot) {
+        self.morsels.fetch_add(s.morsels, Ordering::Relaxed);
+        self.batches.fetch_add(s.batches, Ordering::Relaxed);
+        self.rows_in.fetch_add(s.rows_in, Ordering::Relaxed);
+        self.rows_out.fetch_add(s.rows_out, Ordering::Relaxed);
+        self.busy_ns.fetch_add(s.busy_ns, Ordering::Relaxed);
     }
 
     pub fn morsels(&self) -> u64 {
@@ -74,55 +89,80 @@ impl OpStats {
     }
 }
 
-/// Observation slots for one pipeline run: a source slot, one slot per
-/// fused operator (pipeline order), and a sink slot, plus the pipeline's
-/// wall-clock time and worker count.
-///
-/// Slot semantics:
-/// * **source** — `morsels` = tasks claimed, `rows_out` = rows emitted,
-///   `busy_ns` = time inside `poll_task` *inclusive* of the downstream
-///   operator work done in the emit callback (pipeline time).
-/// * **operator** — `rows_in`/`rows_out` per `process`+`flush`, `busy_ns`
-///   exclusive time inside the operator.
-/// * **sink** — `rows_in` = rows consumed, `busy_ns` time inside `consume`.
+/// Everything observed about one pipeline run: who it belongs to, what it
+/// is called, and the per-stage counters. Created by the submitter, fed by
+/// the morsel loop, read by the profiler afterwards and — on the pool —
+/// by `jsys.query_progress` and ASH while it runs.
 #[derive(Debug)]
-pub struct PipelineObs {
-    pub source: OpStats,
-    pub ops: Vec<OpStats>,
-    pub sink: OpStats,
+pub struct PipelineStats {
+    /// Process-wide query serial (see `QueryContext::query_id`).
+    pub query_id: u64,
+    /// Connection id of the owning session (0 when embedded).
+    pub conn: u64,
+    /// Pipeline label, e.g. `"BHJ probe"`; `"pipeline"` when unlabeled.
+    pub label: String,
+    /// CPU wait-state flavor derived from the label.
+    pub cpu_state: WaitState,
+    /// Planner cardinality estimate for this pipeline's source rows
+    /// (0 = no estimate). From the adaptive join's cost model.
+    pub est_rows: u64,
+    /// Total morsels the source exposes.
+    pub tasks_total: u64,
+    /// Whether the workers time every batch (a profiled query).
+    pub timed: bool,
+    pub source: StageStats,
+    /// Interior operators, front to back.
+    pub ops: Vec<StageStats>,
+    pub sink: StageStats,
     /// Aggregated hardware-counter deltas from the workers that ran this
     /// pipeline (empty unless counter sampling was on — see [`crate::pmu`]).
     pub hw: crate::pmu::HwSlot,
     wall_ns: AtomicU64,
     workers: AtomicU64,
+    /// Owning query context, for live spill readings. Weak so a lingering
+    /// reader cannot keep a session's context alive.
+    ctx: Weak<QueryContext>,
 }
 
-impl PipelineObs {
-    pub fn new(num_ops: usize) -> PipelineObs {
-        PipelineObs {
-            source: OpStats::new(),
-            ops: (0..num_ops).map(|_| OpStats::new()).collect(),
-            sink: OpStats::new(),
+impl PipelineStats {
+    pub fn new(
+        ctx: &Arc<QueryContext>,
+        label: PipelineLabel<'_>,
+        num_ops: usize,
+        tasks_total: u64,
+        timed: bool,
+    ) -> PipelineStats {
+        PipelineStats {
+            query_id: ctx.query_id(),
+            conn: ctx.conn_id(),
+            label: label.name.to_string(),
+            cpu_state: WaitState::from_pipeline_label(label.name),
+            est_rows: label.est_rows,
+            tasks_total,
+            timed,
+            source: StageStats::default(),
+            ops: (0..num_ops).map(|_| StageStats::default()).collect(),
+            sink: StageStats::default(),
             hw: crate::pmu::HwSlot::new(),
             wall_ns: AtomicU64::new(0),
             workers: AtomicU64::new(0),
+            ctx: Arc::downgrade(ctx),
         }
     }
 
-    /// Add one worker's private counts (one relaxed burst; purely
-    /// additive, so it may be called per morsel or once at drain).
-    pub(crate) fn add(&self, w: &WorkerProf) {
-        self.source
-            .add(w.morsels, w.src_batches, 0, w.src_rows, w.src_busy_ns);
-        for (slot, stats) in w.ops.iter().zip(&self.ops) {
-            stats.add(0, slot.batches, slot.rows_in, slot.rows_out, slot.busy_ns);
+    /// Add one worker's private counts since its last publication (one
+    /// relaxed burst; purely additive, so per-morsel and at-drain
+    /// publication give the same totals).
+    pub fn add(&self, w: &WorkerProf) {
+        self.source.add(&w.source);
+        for (stage, slot) in self.ops.iter().zip(&w.ops) {
+            stage.add(slot);
         }
-        self.sink
-            .add(0, w.sink_batches, w.sink_rows, 0, w.sink_busy_ns);
+        self.sink.add(&w.sink);
     }
 
-    /// Record one completed `run_pipeline` invocation on this observation.
-    pub fn record_run(&self, wall_ns: u64, workers: u64) {
+    /// Record the finished run's wall time and worker count.
+    pub(crate) fn record_run(&self, wall_ns: u64, workers: u64) {
         self.wall_ns.fetch_add(wall_ns, Ordering::Relaxed);
         self.workers.fetch_max(workers, Ordering::Relaxed);
     }
@@ -134,26 +174,59 @@ impl PipelineObs {
     pub fn workers(&self) -> u64 {
         self.workers.load(Ordering::Relaxed)
     }
+
+    /// Morsels fully run so far.
+    pub fn tasks_done(&self) -> u64 {
+        self.source.morsels()
+    }
+
+    /// Every stage front to back under its `jsys.query_progress` name:
+    /// `"source"`, `"op0"`, `"op1"`, ..., `"sink"`.
+    pub fn stages(&self) -> impl Iterator<Item = (String, &StageStats)> {
+        let ops = self.ops.iter().enumerate();
+        std::iter::once(("source".to_string(), &self.source))
+            .chain(ops.map(|(i, op)| (format!("op{i}"), op)))
+            .chain(std::iter::once(("sink".to_string(), &self.sink)))
+    }
+
+    /// Estimated-vs-actual fraction: source rows emitted so far over the
+    /// planner's estimate; falls back to the morsel cursor when the
+    /// planner had no estimate. Clamped to 1.0 — estimates can be wrong,
+    /// progress cannot exceed done.
+    pub fn fraction(&self) -> f64 {
+        if self.est_rows > 0 {
+            (self.source.rows_out() as f64 / self.est_rows as f64).min(1.0)
+        } else if self.tasks_total > 0 {
+            self.tasks_done() as f64 / self.tasks_total as f64
+        } else {
+            1.0
+        }
+    }
+
+    /// Spill bytes (write + read) of the owning query so far; 0 once the
+    /// session dropped its context.
+    pub fn spill_bytes(&self) -> u64 {
+        self.ctx
+            .upgrade()
+            .map_or(0, |c| c.spill_write_bytes() + c.spill_read_bytes())
+    }
 }
 
-/// One worker's private accumulator: plain integers, no sharing, added
-/// into the shared blocks (`PipelineObs::add`, `PipelineProgress::add`) at
-/// morsel end or drain.
-#[derive(Debug)]
+/// One worker's private accumulator: the block's stage layout in plain
+/// integers, no sharing, added into the pipeline's block
+/// ([`PipelineStats::add`]) at morsel end or drain.
+#[derive(Debug, Default)]
 pub struct WorkerProf {
-    pub morsels: u64,
-    pub src_batches: u64,
-    pub src_rows: u64,
-    pub src_busy_ns: u64,
+    pub source: LocalSlot,
     pub ops: Vec<LocalSlot>,
-    pub sink_batches: u64,
-    pub sink_rows: u64,
-    pub sink_busy_ns: u64,
+    pub sink: LocalSlot,
 }
 
-/// Per-operator slice of a [`WorkerProf`].
+/// One stage's slice of a [`WorkerProf`]; same fields and meanings as the
+/// [`StageStats`] it is added into.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct LocalSlot {
+    pub morsels: u64,
     pub batches: u64,
     pub rows_in: u64,
     pub rows_out: u64,
@@ -163,25 +236,16 @@ pub struct LocalSlot {
 impl WorkerProf {
     pub fn new(num_ops: usize) -> WorkerProf {
         WorkerProf {
-            morsels: 0,
-            src_batches: 0,
-            src_rows: 0,
-            src_busy_ns: 0,
             ops: vec![LocalSlot::default(); num_ops],
-            sink_batches: 0,
-            sink_rows: 0,
-            sink_busy_ns: 0,
+            ..WorkerProf::default()
         }
     }
 
     /// Zero every count, keeping the per-operator allocation.
     pub(crate) fn reset(&mut self) {
-        let mut ops = std::mem::take(&mut self.ops);
-        ops.fill(LocalSlot::default());
-        *self = WorkerProf {
-            ops,
-            ..WorkerProf::new(0)
-        };
+        self.source = LocalSlot::default();
+        self.ops.fill(LocalSlot::default());
+        self.sink = LocalSlot::default();
     }
 }
 
@@ -228,7 +292,7 @@ impl ProfileNode {
 
     /// Accumulate one observation slot into this node. A node may aggregate
     /// several slots (e.g. a join's build sink + probe operator).
-    pub fn add_stats(&mut self, stats: &OpStats) {
+    pub fn add_stats(&mut self, stats: &StageStats) {
         self.morsels += stats.morsels();
         self.batches += stats.batches();
         self.rows_in += stats.rows_in();
@@ -423,41 +487,90 @@ fn json_string(s: &str, out: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::progress::ProgressRegistry;
 
+    /// The one writer and both kinds of read: a worker record is added into
+    /// the block, and the same block is what a registry reader sees live.
     #[test]
-    fn worker_prof_adds_into_obs_and_resets() {
-        let obs = PipelineObs::new(2);
+    fn worker_prof_adds_into_the_block_the_registry_serves() {
+        let reg = ProgressRegistry::default();
+        let ctx = QueryContext::unbounded();
+        ctx.arm();
+        let label = PipelineLabel {
+            name: "BHJ probe",
+            est_rows: 200,
+        };
+        let stats = Arc::new(PipelineStats::new(&ctx, label, 2, 8, true));
+        reg.register(Arc::clone(&stats));
         let mut w = WorkerProf::new(2);
-        w.morsels = 3;
-        w.src_batches = 4;
-        w.src_rows = 100;
-        w.src_busy_ns = 500;
-        w.ops[0] = LocalSlot {
+        let slot = |morsels, rows_in, rows_out, busy_ns| LocalSlot {
+            morsels,
             batches: 4,
-            rows_in: 100,
-            rows_out: 60,
-            busy_ns: 200,
+            rows_in,
+            rows_out,
+            busy_ns,
         };
-        w.ops[1] = LocalSlot {
-            batches: 4,
-            rows_in: 60,
-            rows_out: 60,
-            busy_ns: 100,
-        };
-        w.sink_batches = 4;
-        w.sink_rows = 60;
-        w.sink_busy_ns = 50;
-        obs.add(&w);
+        w.source = slot(3, 0, 100, 500);
+        w.ops[0] = slot(0, 100, 60, 200);
+        w.ops[1] = slot(0, 60, 60, 100);
+        w.sink = slot(0, 60, 0, 50);
+        stats.add(&w);
         // A reset record adds nothing, and keeps its per-operator slots.
         w.reset();
         assert_eq!(w.ops.len(), 2);
-        obs.add(&w);
-        assert_eq!(obs.source.morsels(), 3);
-        assert_eq!(obs.source.rows_out(), 100);
-        assert_eq!(obs.ops[0].rows_in(), 100);
-        assert_eq!(obs.ops[0].rows_out(), 60);
-        assert_eq!(obs.ops[1].busy_ns(), 100);
-        assert_eq!(obs.sink.rows_in(), 60);
+        stats.add(&w);
+        assert_eq!(stats.source.morsels(), 3);
+        assert_eq!(stats.source.rows_out(), 100);
+        assert_eq!(stats.ops[0].rows_in(), 100);
+        assert_eq!(stats.ops[0].rows_out(), 60);
+        assert_eq!(stats.ops[1].busy_ns(), 100);
+        assert_eq!(stats.sink.rows_in(), 60);
+
+        // The live read goes through the registry to the same memory.
+        let live = reg.live();
+        assert_eq!(live.len(), 1);
+        let s = &live[0];
+        assert!(Arc::ptr_eq(s, &stats));
+        assert_eq!(s.label, "BHJ probe");
+        assert_eq!(s.cpu_state, WaitState::CpuProbe);
+        assert_eq!(s.tasks_done(), 3);
+        assert_eq!(s.tasks_total, 8);
+        let stages: Vec<_> = s
+            .stages()
+            .map(|(name, st)| (name, st.rows_in(), st.rows_out()))
+            .collect();
+        assert_eq!(
+            stages,
+            [
+                ("source".to_string(), 0, 100),
+                ("op0".to_string(), 100, 60),
+                ("op1".to_string(), 60, 60),
+                ("sink".to_string(), 60, 0),
+            ]
+        );
+        assert!((s.fraction() - 0.5).abs() < 1e-9, "100/200 est fraction");
+        assert_eq!(s.spill_bytes(), 0);
+        // What an ASH sample takes: the query's rows so far and the label
+        // of its most recently registered pipeline.
+        let mut mine = live.iter().filter(|p| p.query_id == ctx.query_id());
+        assert_eq!(mine.clone().map(|p| p.source.rows_out()).sum::<u64>(), 100);
+        assert_eq!(
+            mine.next_back().map(|p| p.label.as_str()),
+            Some("BHJ probe")
+        );
+
+        reg.retire(&stats);
+        assert!(reg.is_empty());
+    }
+
+    #[test]
+    fn fraction_falls_back_to_cursor_without_estimate() {
+        let ctx = QueryContext::unbounded();
+        let stats = PipelineStats::new(&ctx, "scan".into(), 0, 10, false);
+        let mut w = WorkerProf::new(0);
+        w.source.morsels = 4;
+        stats.add(&w);
+        assert!((stats.fraction() - 0.4).abs() < 1e-9);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::context::QueryContext;
 use crate::error::ExecResult;
 use crate::morsel::{Failure, Pipeline, PipelineLabel, Worker};
 use crate::pipeline::{Operator, Sink, Source};
-use crate::profile::PipelineObs;
+use crate::profile::PipelineStats;
 use crate::trace;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
@@ -81,7 +81,7 @@ impl Executor {
         self.threads
     }
 
-    /// Run one unlabeled, unobserved pipeline to completion: drain every
+    /// Run one unlabeled, untimed pipeline to completion: drain every
     /// source task through the operator chain into the sink, then merge
     /// worker-local sink state and finalize the sink.
     ///
@@ -95,25 +95,27 @@ impl Executor {
         ops: &[Arc<dyn Operator>],
         sink: &dyn Sink,
     ) -> ExecResult {
-        self.run_pipeline_obs(ctx, source, ops, sink, None, PipelineLabel::UNLABELED)
+        let tasks = source.task_count() as u64;
+        let stats = PipelineStats::new(ctx, PipelineLabel::UNLABELED, ops.len(), tasks, false);
+        self.run_pipeline_obs(ctx, source, ops, sink, &Arc::new(stats))
     }
 
-    /// [`Executor::run_pipeline`] under a name, with optional per-operator
-    /// observation.
+    /// [`Executor::run_pipeline`] into a counter block the caller built
+    /// (for `source`'s task count and `ops.len()` operators) and keeps.
     ///
-    /// `label` is what the pipeline is called in a trace and (on the pool)
-    /// in `jsys.query_progress`. With `Some(obs)`, each worker's private
-    /// counts are added into `obs` when it drains, the workers time every
-    /// morsel and batch, and the pipeline's wall time and worker count are
-    /// recorded on `obs` as well.
+    /// `stats.label` is what the pipeline is called in a trace and (on the
+    /// pool, which registers the block for its run) in
+    /// `jsys.query_progress`. Each worker's private counts are added into
+    /// `stats` when it drains — on the pool after every morsel — along with
+    /// the pipeline's wall time and worker count; with `stats.timed` the
+    /// workers also time every batch.
     pub fn run_pipeline_obs(
         &self,
         ctx: &Arc<QueryContext>,
         source: &dyn Source,
         ops: &[Arc<dyn Operator>],
         sink: &dyn Sink,
-        obs: Option<&PipelineObs>,
-        label: PipelineLabel<'_>,
+        stats: &Arc<PipelineStats>,
     ) -> ExecResult {
         // The check is per-thread ownership, not the bare enabled flag, so a
         // trace begun by one session never captures a concurrent session's
@@ -122,12 +124,10 @@ impl Executor {
         // query's workers, and the per-worker track indices stay stable.
         let traced = trace::thread_active();
         match &self.pool {
-            Some(pool) if !traced => {
-                return pool.run_pipeline_obs(ctx, source, ops, sink, obs, label)
-            }
+            Some(pool) if !traced => return pool.run_pipeline_obs(ctx, source, ops, sink, stats),
             _ => {}
         }
-        let started = obs.map(|_| Instant::now());
+        let started = Instant::now();
         let task_count = source.task_count();
         let (cursor, failure) = (AtomicUsize::new(0), Failure::new());
         let pipeline = Pipeline {
@@ -138,9 +138,9 @@ impl Executor {
             cursor: &cursor,
             task_count,
             failure: &failure,
-            obs,
-            live: None,
-            trace: traced.then(|| trace::pipeline_begin(label.name)),
+            stats,
+            live: false,
+            trace: traced.then(|| trace::pipeline_begin(&stats.label)),
         };
 
         let workers = if task_count <= 1 { 1 } else { self.threads };
@@ -159,9 +159,7 @@ impl Executor {
             // Closes the pipeline span and synthesizes the idle intervals.
             trace::pipeline_end(pipe, trace::now_ns(), workers as u32);
         }
-        if let (Some(obs), Some(t0)) = (obs, started) {
-            obs.record_run(t0.elapsed().as_nanos() as u64, workers as u64);
-        }
+        stats.record_run(started.elapsed().as_nanos() as u64, workers as u64);
         failure.conclude(sink)
     }
 }

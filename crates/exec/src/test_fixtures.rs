@@ -3,8 +3,10 @@
 use crate::batch::Batch;
 use crate::error::{ExecError, ExecResult};
 use crate::pipeline::{Emit, LocalState, Operator, Sink, Source};
+use crate::profile::PipelineStats;
 use joinstudy_storage::column::ColumnData;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Source emitting `tasks` tasks of one i64 batch each: task t => [t*10, t*10+1].
 pub(crate) struct NumberSource {
@@ -26,6 +28,50 @@ impl Source for NumberSource {
 /// Sum of every value a [`NumberSource`] of `tasks` tasks emits.
 pub(crate) fn expected_sum(tasks: usize) -> i64 {
     (0..tasks as i64).map(|t| t * 10 + t * 10 + 1).sum()
+}
+
+/// `(rows_in, rows_out)` of every stage, source first, sink last.
+pub(crate) fn stage_rows(stats: &PipelineStats) -> Vec<(u64, u64)> {
+    stats
+        .stages()
+        .map(|(_, st)| (st.rows_in(), st.rows_out()))
+        .collect()
+}
+
+/// What a [`WatchingSource`] saw of its own pipeline from inside it.
+pub(crate) struct Seen {
+    /// The block the live registry handed out.
+    pub block: Arc<PipelineStats>,
+    /// Its readings at that moment.
+    pub tasks_done: u64,
+    pub rows: Vec<(u64, u64)>,
+}
+
+/// A [`NumberSource`] that, from inside its last task, looks its own
+/// pipeline up in the live registry — a mid-flight reader.
+pub(crate) struct WatchingSource {
+    pub inner: NumberSource,
+    pub query_id: u64,
+    pub seen: Mutex<Vec<Seen>>,
+}
+
+impl Source for WatchingSource {
+    fn task_count(&self) -> usize {
+        self.inner.tasks
+    }
+
+    fn poll_task(&self, task: usize, out: Emit) -> ExecResult {
+        if task + 1 == self.inner.tasks {
+            let live = crate::progress::global().live();
+            let mine = live.into_iter().filter(|p| p.query_id == self.query_id);
+            self.seen.lock().unwrap().extend(mine.map(|block| Seen {
+                tasks_done: block.tasks_done(),
+                rows: stage_rows(&block),
+                block,
+            }));
+        }
+        self.inner.poll_task(task, out)
+    }
 }
 
 /// Operator duplicating every batch (tests multi-emission).

@@ -12,6 +12,7 @@ use joinstudy_exec::batch::Batch;
 use joinstudy_exec::context::QueryContext;
 use joinstudy_exec::error::ExecResult;
 use joinstudy_exec::pipeline::{Emit, LocalState, Operator, Sink, Source};
+use joinstudy_exec::profile::PipelineStats;
 use joinstudy_exec::sched::Executor;
 use joinstudy_exec::trace::{self, SpanKind};
 use joinstudy_storage::column::ColumnData;
@@ -102,7 +103,9 @@ proptest! {
             let ops: Vec<Arc<dyn Operator>> =
                 (0..dup_ops).map(|_| Arc::new(DupOp) as Arc<dyn Operator>).collect();
             let label = format!("pipeline {i}");
-            exec.run_pipeline_obs(&ctx, &NumberSource { tasks }, &ops, &sink, None, label.as_str().into())
+            let stats =
+                Arc::new(PipelineStats::new(&ctx, label.as_str().into(), dup_ops, tasks as u64, false));
+            exec.run_pipeline_obs(&ctx, &NumberSource { tasks }, &ops, &sink, &stats)
                 .unwrap();
             sums.push(*sink.total.lock().unwrap());
         }

@@ -168,6 +168,9 @@ impl SqlServer {
             threads.push(std::thread::spawn(move || {
                 while !stop.load(Ordering::Acquire) {
                     let at_ms = now_ms();
+                    // One read of the live counter blocks serves every
+                    // sample of this tick.
+                    let live = progress::global().live();
                     for q in statlog.active_detail() {
                         let (query_id, wait_state) = match &q.ctx {
                             Some(ctx) => (ctx.query_id(), ctx.wait_state().name()),
@@ -177,15 +180,14 @@ impl SqlServer {
                             None if q.state == "queued" => (0, "admission_queued"),
                             None => (0, "other"),
                         };
-                        let reg = progress::global();
-                        let (pipeline, rows) = if query_id != 0 {
-                            (
-                                reg.current_pipeline(query_id).unwrap_or_default(),
-                                reg.rows_so_far(query_id),
-                            )
-                        } else {
-                            (String::new(), 0)
-                        };
+                        // The query's most recently registered pipeline is
+                        // what it runs now; `rows` sums the source rows of
+                        // all its live pipelines. Query id 0 owns none.
+                        let mut mine = live
+                            .iter()
+                            .filter(|p| query_id != 0 && p.query_id == query_id);
+                        let rows = mine.clone().map(|p| p.source.rows_out()).sum();
+                        let pipeline = mine.next_back().map_or(String::new(), |p| p.label.clone());
                         ash.push(AshSample {
                             at_ms,
                             conn: q.conn,

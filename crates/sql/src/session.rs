@@ -22,9 +22,10 @@ use joinstudy_exec::admission::AdmissionController;
 use joinstudy_exec::context::{algo_bits, QueryContext};
 use joinstudy_exec::error::ExecError;
 use joinstudy_exec::profile::QueryProfile;
-use joinstudy_exec::registry;
 use joinstudy_exec::trace::QueryTrace;
+use joinstudy_exec::{progress, registry};
 use joinstudy_storage::table::{Field, Schema, Table, TableBuilder};
+use joinstudy_storage::types::DataType::{Bool, Float64, Int64, Str};
 use joinstudy_storage::types::{DataType, Decimal, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -582,269 +583,154 @@ impl Session {
         Ok(Some(catalog))
     }
 
-    /// Materialize one `jsys.*` virtual table from current telemetry.
+    /// Materialize one `jsys.*` virtual table from current telemetry: per
+    /// table, the snapshot its rows come from and its one column list.
     fn system_table(&self, name: &str) -> Result<Table, SqlError> {
-        match name {
-            "jsys.statements" => Ok(self.jsys_statements()),
-            "jsys.recent_queries" => Ok(self.jsys_recent_queries()),
-            "jsys.active_queries" => Ok(self.jsys_active_queries()),
-            "jsys.metrics" => Ok(self.jsys_metrics()),
-            "jsys.pool" => Ok(self.jsys_pool()),
-            "jsys.ash" => Ok(self.jsys_ash()),
-            "jsys.query_progress" => Ok(self.jsys_query_progress()),
-            "jsys.timeseries" => Ok(self.jsys_timeseries()),
-            other => Err(SqlError::Plan(format!(
-                "unknown system table {other:?} (expected jsys.statements, \
-                 jsys.recent_queries, jsys.active_queries, jsys.metrics, jsys.pool, \
-                 jsys.ash, jsys.query_progress, or jsys.timeseries)"
-            ))),
-        }
+        Ok(match name {
+            "jsys.statements" => jsys_table(
+                &self.statlog.statements_snapshot(),
+                &[
+                    ("fingerprint", Str, |s| text(&s.fingerprint)),
+                    ("calls", Int64, |s| int(s.calls)),
+                    ("errors", Int64, |s| int(s.errors)),
+                    ("total_ns", Int64, |s| int(s.total_ns)),
+                    ("min_ns", Int64, |s| int(s.min_ns)),
+                    ("max_ns", Int64, |s| int(s.max_ns)),
+                    ("p50_ns", Int64, |s| int(s.p50_ns)),
+                    ("p95_ns", Int64, |s| int(s.p95_ns)),
+                    ("p99_ns", Int64, |s| int(s.p99_ns)),
+                    ("rows_out", Int64, |s| int(s.rows_out)),
+                    ("spill_bytes", Int64, |s| int(s.spill_bytes)),
+                    ("admission_wait_ns", Int64, |s| int(s.admission_wait_ns)),
+                    ("granted_bytes", Int64, |s| int(s.granted_bytes)),
+                    ("degradations", Int64, |s| int(s.degradations)),
+                    ("algos", Str, |s| text(&s.algos)),
+                ],
+            ),
+            "jsys.recent_queries" => jsys_table(
+                &self.statlog.recent_snapshot(),
+                &[
+                    ("seq", Int64, |q| int(q.seq)),
+                    ("ts_ms", Int64, |q| int(q.ts_ms)),
+                    ("conn", Int64, |q| int(q.conn)),
+                    ("sql", Str, |q| text(&q.sql)),
+                    ("fingerprint", Str, |q| text(&q.fingerprint)),
+                    ("ok", Bool, |q| Value::Bool(q.ok)),
+                    ("latency_ns", Int64, |q| int(q.latency_ns)),
+                    ("rows_out", Int64, |q| int(q.rows_out)),
+                    ("spill_bytes", Int64, |q| int(q.spill_bytes)),
+                    ("admission_wait_ns", Int64, |q| int(q.admission_wait_ns)),
+                    ("granted_bytes", Int64, |q| int(q.granted_bytes)),
+                ],
+            ),
+            "jsys.active_queries" => jsys_table(
+                &self.statlog.active_snapshot(),
+                &[
+                    ("conn", Int64, |q| int(q.conn)),
+                    ("state", Str, |q| text(q.state)),
+                    ("sql", Str, |q| text(&q.sql)),
+                    ("elapsed_ns", Int64, |q| int(q.elapsed_ns)),
+                    ("granted_bytes", Int64, |q| int(q.granted_bytes)),
+                ],
+            ),
+            "jsys.metrics" => jsys_table(
+                &registry::global().snapshot(),
+                &[
+                    ("name", Str, |(name, _)| text(name)),
+                    ("value", Float64, |(_, value)| float(*value)),
+                ],
+            ),
+            "jsys.pool" => jsys_table(
+                &self.pool_gauges(),
+                &[
+                    ("name", Str, |(name, _)| text(name)),
+                    ("value", Int64, |(_, value)| int(*value as u64)),
+                ],
+            ),
+            "jsys.ash" => jsys_table(
+                &self.ash.as_ref().map(|a| a.snapshot()).unwrap_or_default(),
+                &[
+                    ("at_ms", Int64, |s| int(s.at_ms)),
+                    ("conn", Int64, |s| int(s.conn)),
+                    ("query_id", Int64, |s| int(s.query_id)),
+                    ("fingerprint", Str, |s| text(&s.fingerprint)),
+                    ("wait_state", Str, |s| text(s.wait_state)),
+                    ("pipeline", Str, |s| text(&s.pipeline)),
+                    ("rows", Int64, |s| int(s.rows)),
+                    ("granted_bytes", Int64, |s| int(s.granted_bytes)),
+                ],
+            ),
+            // One row per (pipeline, stage) of every in-flight pooled
+            // pipeline, read off the counter blocks the process-global
+            // registry holds — the very slots the morsel loop adds into —
+            // so it works for embedded sessions and servers alike;
+            // mid-flight the values trail the workers by at most a morsel.
+            "jsys.query_progress" => jsys_table(
+                &progress::global()
+                    .live()
+                    .iter()
+                    .flat_map(|p| p.stages().map(move |(name, stage)| (&**p, name, stage)))
+                    .collect::<Vec<_>>(),
+                &[
+                    ("query_id", Int64, |(p, _, _)| int(p.query_id)),
+                    ("conn", Int64, |(p, _, _)| int(p.conn)),
+                    ("pipeline", Str, |(p, _, _)| text(&p.label)),
+                    ("stage", Str, |(_, name, _)| text(name)),
+                    ("batches", Int64, |(_, _, st)| int(st.batches())),
+                    ("rows_in", Int64, |(_, _, st)| int(st.rows_in())),
+                    ("rows_out", Int64, |(_, _, st)| int(st.rows_out())),
+                    ("morsels_done", Int64, |(p, _, _)| int(p.tasks_done())),
+                    ("morsels_total", Int64, |(p, _, _)| int(p.tasks_total)),
+                    ("est_rows", Int64, |(p, _, _)| int(p.est_rows)),
+                    ("fraction", Float64, |(p, _, _)| float(p.fraction())),
+                    ("spill_bytes", Int64, |(p, _, _)| int(p.spill_bytes())),
+                ],
+            ),
+            "jsys.timeseries" => jsys_table(
+                &self
+                    .timeseries
+                    .as_ref()
+                    .map(|t| t.snapshot())
+                    .unwrap_or_default(),
+                &[
+                    ("at_ms", Int64, |t| int(t.at_ms)),
+                    ("queue_depth", Int64, |t| int(t.queue_depth)),
+                    ("available_bytes", Int64, |t| int(t.available_bytes)),
+                    ("admitted_bytes", Int64, |t| int(t.admitted_bytes)),
+                    ("pool_threads", Int64, |t| int(t.pool_threads)),
+                    ("active_pipelines", Int64, |t| int(t.active_pipelines)),
+                    ("active_queries", Int64, |t| int(t.active_queries)),
+                    ("spill_write_bytes", Int64, |t| int(t.spill_write_bytes)),
+                    ("spill_read_bytes", Int64, |t| int(t.spill_read_bytes)),
+                ],
+            ),
+            other => {
+                return Err(SqlError::Plan(format!(
+                    "unknown system table {other:?} (expected jsys.statements, \
+                     jsys.recent_queries, jsys.active_queries, jsys.metrics, jsys.pool, \
+                     jsys.ash, jsys.query_progress, or jsys.timeseries)"
+                )))
+            }
+        })
     }
 
-    fn jsys_statements(&self) -> Table {
-        let schema = Schema::new(vec![
-            Field::new("fingerprint", DataType::Str),
-            Field::new("calls", DataType::Int64),
-            Field::new("errors", DataType::Int64),
-            Field::new("total_ns", DataType::Int64),
-            Field::new("min_ns", DataType::Int64),
-            Field::new("max_ns", DataType::Int64),
-            Field::new("p50_ns", DataType::Int64),
-            Field::new("p95_ns", DataType::Int64),
-            Field::new("p99_ns", DataType::Int64),
-            Field::new("rows_out", DataType::Int64),
-            Field::new("spill_bytes", DataType::Int64),
-            Field::new("admission_wait_ns", DataType::Int64),
-            Field::new("granted_bytes", DataType::Int64),
-            Field::new("degradations", DataType::Int64),
-            Field::new("algos", DataType::Str),
-        ]);
-        let stats = self.statlog.statements_snapshot();
-        let mut b = TableBuilder::with_capacity(schema, stats.len());
-        for s in stats {
-            b.push_row(&[
-                Value::Str(s.fingerprint),
-                Value::Int64(s.calls as i64),
-                Value::Int64(s.errors as i64),
-                Value::Int64(s.total_ns as i64),
-                Value::Int64(s.min_ns as i64),
-                Value::Int64(s.max_ns as i64),
-                Value::Int64(s.p50_ns as i64),
-                Value::Int64(s.p95_ns as i64),
-                Value::Int64(s.p99_ns as i64),
-                Value::Int64(s.rows_out as i64),
-                Value::Int64(s.spill_bytes as i64),
-                Value::Int64(s.admission_wait_ns as i64),
-                Value::Int64(s.granted_bytes as i64),
-                Value::Int64(s.degradations as i64),
-                Value::Str(s.algos),
-            ]);
-        }
-        b.finish()
-    }
-
-    fn jsys_recent_queries(&self) -> Table {
-        let schema = Schema::new(vec![
-            Field::new("seq", DataType::Int64),
-            Field::new("ts_ms", DataType::Int64),
-            Field::new("conn", DataType::Int64),
-            Field::new("sql", DataType::Str),
-            Field::new("fingerprint", DataType::Str),
-            Field::new("ok", DataType::Bool),
-            Field::new("latency_ns", DataType::Int64),
-            Field::new("rows_out", DataType::Int64),
-            Field::new("spill_bytes", DataType::Int64),
-            Field::new("admission_wait_ns", DataType::Int64),
-            Field::new("granted_bytes", DataType::Int64),
-        ]);
-        let recent = self.statlog.recent_snapshot();
-        let mut b = TableBuilder::with_capacity(schema, recent.len());
-        for q in recent {
-            b.push_row(&[
-                Value::Int64(q.seq as i64),
-                Value::Int64(q.ts_ms as i64),
-                Value::Int64(q.conn as i64),
-                Value::Str(q.sql),
-                Value::Str(q.fingerprint),
-                Value::Bool(q.ok),
-                Value::Int64(q.latency_ns as i64),
-                Value::Int64(q.rows_out as i64),
-                Value::Int64(q.spill_bytes as i64),
-                Value::Int64(q.admission_wait_ns as i64),
-                Value::Int64(q.granted_bytes as i64),
-            ]);
-        }
-        b.finish()
-    }
-
-    fn jsys_active_queries(&self) -> Table {
-        let schema = Schema::new(vec![
-            Field::new("conn", DataType::Int64),
-            Field::new("state", DataType::Str),
-            Field::new("sql", DataType::Str),
-            Field::new("elapsed_ns", DataType::Int64),
-            Field::new("granted_bytes", DataType::Int64),
-        ]);
-        let active = self.statlog.active_snapshot();
-        let mut b = TableBuilder::with_capacity(schema, active.len());
-        for q in active {
-            b.push_row(&[
-                Value::Int64(q.conn as i64),
-                Value::Str(q.state.to_string()),
-                Value::Str(q.sql),
-                Value::Int64(q.elapsed_ns as i64),
-                Value::Int64(q.granted_bytes as i64),
-            ]);
-        }
-        b.finish()
-    }
-
-    fn jsys_metrics(&self) -> Table {
-        let schema = Schema::new(vec![
-            Field::new("name", DataType::Str),
-            Field::new("value", DataType::Float64),
-        ]);
-        let snap = registry::global().snapshot();
-        let mut b = TableBuilder::with_capacity(schema, snap.len());
-        for (name, value) in snap {
-            b.push_row(&[Value::Str(name), Value::Float64(value)]);
-        }
-        b.finish()
-    }
-
-    fn jsys_pool(&self) -> Table {
-        let schema = Schema::new(vec![
-            Field::new("name", DataType::Str),
-            Field::new("value", DataType::Int64),
-        ]);
-        let mut rows: Vec<(&str, i64)> = Vec::new();
+    /// Worker-pool and admission gauges, the rows of `jsys.pool`.
+    fn pool_gauges(&self) -> Vec<(&'static str, usize)> {
+        let mut rows = Vec::new();
         if let Some(pool) = self.engine.worker_pool() {
-            rows.push(("pool.threads", pool.threads() as i64));
-            rows.push(("pool.active_pipelines", pool.active_pipelines() as i64));
+            rows.push(("pool.threads", pool.threads()));
+            rows.push(("pool.active_pipelines", pool.active_pipelines()));
         } else {
-            rows.push((
-                "pool.active_pipelines",
-                joinstudy_exec::pool::pipelines_in_flight() as i64,
-            ));
+            rows.push(("pool.active_pipelines", progress::global().len()));
         }
         if let Some(adm) = &self.admission {
-            rows.push(("admission.total_bytes", adm.total() as i64));
-            rows.push(("admission.available_bytes", adm.available() as i64));
-            rows.push(("admission.queued", adm.queued() as i64));
-            rows.push(("admission.admitted", adm.admitted() as i64));
-            rows.push(("admission.peak_granted_bytes", adm.peak_granted() as i64));
+            rows.push(("admission.total_bytes", adm.total()));
+            rows.push(("admission.available_bytes", adm.available()));
+            rows.push(("admission.queued", adm.queued()));
+            rows.push(("admission.admitted", adm.admitted() as usize));
+            rows.push(("admission.peak_granted_bytes", adm.peak_granted()));
         }
-        let mut b = TableBuilder::with_capacity(schema, rows.len());
-        for (name, value) in rows {
-            b.push_row(&[Value::Str(name.to_string()), Value::Int64(value)]);
-        }
-        b.finish()
-    }
-
-    fn jsys_ash(&self) -> Table {
-        let schema = Schema::new(vec![
-            Field::new("at_ms", DataType::Int64),
-            Field::new("conn", DataType::Int64),
-            Field::new("query_id", DataType::Int64),
-            Field::new("fingerprint", DataType::Str),
-            Field::new("wait_state", DataType::Str),
-            Field::new("pipeline", DataType::Str),
-            Field::new("rows", DataType::Int64),
-            Field::new("granted_bytes", DataType::Int64),
-        ]);
-        let samples = self.ash.as_ref().map(|a| a.snapshot()).unwrap_or_default();
-        let mut b = TableBuilder::with_capacity(schema, samples.len());
-        for s in samples {
-            b.push_row(&[
-                Value::Int64(s.at_ms as i64),
-                Value::Int64(s.conn as i64),
-                Value::Int64(s.query_id as i64),
-                Value::Str(s.fingerprint),
-                Value::Str(s.wait_state.to_string()),
-                Value::Str(s.pipeline),
-                Value::Int64(s.rows as i64),
-                Value::Int64(s.granted_bytes as i64),
-            ]);
-        }
-        b.finish()
-    }
-
-    /// Live per-operator progress of every in-flight pipeline, one row per
-    /// (pipeline, stage). Reads the process-global progress registry, so
-    /// it works for embedded sessions and servers alike; counters are
-    /// relaxed-atomic advisory values (the executor's mid-flight ordering
-    /// contract).
-    fn jsys_query_progress(&self) -> Table {
-        let schema = Schema::new(vec![
-            Field::new("query_id", DataType::Int64),
-            Field::new("conn", DataType::Int64),
-            Field::new("pipeline", DataType::Str),
-            Field::new("stage", DataType::Str),
-            Field::new("batches", DataType::Int64),
-            Field::new("rows_in", DataType::Int64),
-            Field::new("rows_out", DataType::Int64),
-            Field::new("morsels_done", DataType::Int64),
-            Field::new("morsels_total", DataType::Int64),
-            Field::new("est_rows", DataType::Int64),
-            Field::new("fraction", DataType::Float64),
-            Field::new("spill_bytes", DataType::Int64),
-        ]);
-        let pipelines = joinstudy_exec::progress::global().snapshot();
-        let mut b = TableBuilder::new(schema);
-        for p in &pipelines {
-            let fraction = p.fraction();
-            for s in &p.stages {
-                b.push_row(&[
-                    Value::Int64(p.query_id as i64),
-                    Value::Int64(p.conn as i64),
-                    Value::Str(p.label.clone()),
-                    Value::Str(s.stage.clone()),
-                    Value::Int64(s.batches as i64),
-                    Value::Int64(s.rows_in as i64),
-                    Value::Int64(s.rows_out as i64),
-                    Value::Int64(p.tasks_done as i64),
-                    Value::Int64(p.tasks_total as i64),
-                    Value::Int64(p.est_rows as i64),
-                    Value::Float64(fraction),
-                    Value::Int64(p.spill_bytes as i64),
-                ]);
-            }
-        }
-        b.finish()
-    }
-
-    fn jsys_timeseries(&self) -> Table {
-        let schema = Schema::new(vec![
-            Field::new("at_ms", DataType::Int64),
-            Field::new("queue_depth", DataType::Int64),
-            Field::new("available_bytes", DataType::Int64),
-            Field::new("admitted_bytes", DataType::Int64),
-            Field::new("pool_threads", DataType::Int64),
-            Field::new("active_pipelines", DataType::Int64),
-            Field::new("active_queries", DataType::Int64),
-            Field::new("spill_write_bytes", DataType::Int64),
-            Field::new("spill_read_bytes", DataType::Int64),
-        ]);
-        let ticks = self
-            .timeseries
-            .as_ref()
-            .map(|t| t.snapshot())
-            .unwrap_or_default();
-        let mut b = TableBuilder::with_capacity(schema, ticks.len());
-        for t in ticks {
-            b.push_row(&[
-                Value::Int64(t.at_ms as i64),
-                Value::Int64(t.queue_depth as i64),
-                Value::Int64(t.available_bytes as i64),
-                Value::Int64(t.admitted_bytes as i64),
-                Value::Int64(t.pool_threads as i64),
-                Value::Int64(t.active_pipelines as i64),
-                Value::Int64(t.active_queries as i64),
-                Value::Int64(t.spill_write_bytes as i64),
-                Value::Int64(t.spill_read_bytes as i64),
-            ]);
-        }
-        b.finish()
+        rows
     }
 
     /// Plan a SELECT and render its operator tree (EXPLAIN). Accepts both a
@@ -880,6 +766,38 @@ impl Session {
         let (_, profile) = self.engine.execute_profiled(&plan)?;
         Ok(profile.render())
     }
+}
+
+/// One `jsys.*` column: name, type, and how to read it off a row `R` of the
+/// table's telemetry snapshot.
+type JsysColumn<R> = (&'static str, DataType, fn(&R) -> Value);
+
+/// Materialize a system table from its one column list: the schema is the
+/// names and types, each output row the readers applied in the same order.
+fn jsys_table<R>(rows: &[R], columns: &[JsysColumn<R>]) -> Table {
+    let fields = columns
+        .iter()
+        .map(|&(name, dtype, _)| Field::new(name, dtype));
+    let mut b = TableBuilder::with_capacity(Schema::new(fields.collect()), rows.len());
+    let mut values = Vec::with_capacity(columns.len());
+    for row in rows {
+        values.clear();
+        values.extend(columns.iter().map(|(_, _, read)| read(row)));
+        b.push_row(&values);
+    }
+    b.finish()
+}
+
+fn int(v: u64) -> Value {
+    Value::Int64(v as i64)
+}
+
+fn float(v: f64) -> Value {
+    Value::Float64(v)
+}
+
+fn text(s: &str) -> Value {
+    Value::Str(s.to_string())
 }
 
 /// Wrap rendered text into a one-column table (EXPLAIN result shape).

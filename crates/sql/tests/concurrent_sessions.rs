@@ -63,6 +63,11 @@ fn session_loop(rows: usize, iters: usize) {
             );
         }
 
+        assert_eq!(
+            profile.degradations, 0,
+            "iter {i}: degradations recorded by another thread were charged to this query"
+        );
+
         // A second take must drain: profiles never leak across statements.
         assert!(session.take_profile().is_none());
     }
