@@ -27,7 +27,7 @@ use joinstudy_bench::hw;
 use joinstudy_bench::workloads::{count_plan, engine, tables, ProbeKeys};
 use joinstudy_core::cost::{CostModel, JoinEstimate};
 use joinstudy_core::JoinAlgo;
-use joinstudy_exec::registry;
+use joinstudy_exec::registry::{self, json_string};
 use joinstudy_tpch::queries::{all_queries, QueryConfig};
 use joinstudy_tpch::{generate, TpchData};
 use std::fmt::Write as _;
@@ -99,10 +99,6 @@ fn measured_crossover(points: &[SweepPoint]) -> Option<f64> {
         .first()
         .filter(|p| p.bhj_ms >= p.rj_ms.min(p.brj_ms))
         .map(|p| p.ht_bytes)
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {
@@ -309,11 +305,7 @@ fn main() {
     let _ = writeln!(j, "  \"sf\": {sf},");
     let _ = writeln!(j, "  \"threads\": {threads},");
     let _ = writeln!(j, "  \"reps\": {reps},");
-    let _ = writeln!(
-        j,
-        "  \"calibration_source\": \"{}\",",
-        json_escape(&cal_source)
-    );
+    let _ = writeln!(j, "  \"calibration_source\": {},", json_string(&cal_source));
     let _ = writeln!(
         j,
         "  \"model_llc_bytes\": {},",

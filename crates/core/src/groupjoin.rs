@@ -214,15 +214,16 @@ impl GroupJoinState {
     pub fn rows(&self) -> usize {
         self.rows
     }
+}
 
-    /// Output schema: build columns followed by the aggregates.
-    pub fn output_schema(&self, build_schema: &Schema) -> Schema {
-        let mut fields = build_schema.fields.clone();
-        for a in &self.aggs {
-            fields.push(Field::new(a.name.clone(), a.output_type()));
-        }
-        Schema::new(fields)
+/// Output schema of a groupjoin: build columns followed by the aggregates.
+/// The one derivation, for the plan node and the operators alike.
+pub fn output_schema(build_schema: &Schema, aggs: &[GroupAggSpec]) -> Schema {
+    let mut fields = build_schema.fields.clone();
+    for a in aggs {
+        fields.push(Field::new(a.name.clone(), a.output_type()));
     }
+    Schema::new(fields)
 }
 
 /// In-pipeline probe: updates the matched build rows' aggregate cells.

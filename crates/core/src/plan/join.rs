@@ -1,0 +1,664 @@
+//! Compiling one join node into pipelines, under whichever algorithm.
+//!
+//! [`Engine::compile_join`] is the only place a [`JoinAlgo`] is dispatched
+//! on, and the only place a join that cannot run as compiled is recompiled
+//! as something cheaper. The three builders below it — [`Engine::bhj`],
+//! [`Engine::radix`], [`Engine::hybrid`] — each turn a [`JoinNode`] into the
+//! pipelines of one algorithm and know nothing about fallback: they return
+//! the error and the ladder decides.
+
+use super::details::{adaptive_details, chain_details, hw_details, partition_details};
+use super::engine::{Compiled, DiscardSink};
+use super::{joinlog, Engine, JoinAlgo, JoinNode};
+use crate::bhj::{BhjBuildSink, BhjProbeOp, BhjUnmatchedSource};
+use crate::cost::Decision;
+use crate::hybrid::{HybridJoinSource, PartitionSpillSink};
+use crate::join_common::JoinStats;
+use crate::qprof::{ProfCtx, Slot};
+use crate::radix::{PartitionSink, PartitionedSide, PhaseSet};
+use crate::rj::{BloomProbeOp, RadixJoinSource};
+use crate::row::RowLayout;
+use crate::spill::SpillDir;
+use joinstudy_exec::context::algo_bits;
+use joinstudy_exec::error::{ExecError, ExecResult};
+use joinstudy_exec::metrics::{self, MemPhase};
+use joinstudy_exec::pipeline::StreamSpec;
+use joinstudy_exec::{registry, trace, PipelineLabel, WaitState};
+use std::sync::Arc;
+
+/// How far past [`RadixConfig::target_partition_bytes`] the largest build
+/// partition may grow before an adaptively-chosen radix join concludes the
+/// key distribution is skewed and falls back to the BHJ.
+///
+/// [`RadixConfig::target_partition_bytes`]: crate::radix::RadixConfig::target_partition_bytes
+const REGIME_SKEW_FACTOR: usize = 8;
+
+/// The degradation ladder: what a join that cannot run as compiled is
+/// recompiled as, one rung down at a time. Each rung materializes less than
+/// the one above it — the radix joins both sides, the BHJ only the build
+/// side (the paper's central trade-off, read in reverse), the hybrid join
+/// whatever the budget allows, spilling the rest. The BRJ stands on the
+/// RJ's rung; the last rung is correct under any budget that fits its spill
+/// write buffers, so below it an error is the caller's.
+const LADDER: [JoinAlgo; 3] = [JoinAlgo::Rj, JoinAlgo::Bhj, JoinAlgo::Hybrid];
+
+impl Engine {
+    /// Compile `node` as `algo`, walking down the [`LADDER`] for as long as
+    /// the rung just tried fails in a way the next one can absorb:
+    ///
+    /// * [`ExecError::BudgetExceeded`] — the memory budget cannot hold what
+    ///   this rung materializes. Counted as a degradation on the process
+    ///   metrics and the query context.
+    /// * [`ExecError::RegimeMismatch`] — an *adaptively chosen* radix join
+    ///   measured its build side and found the plan-time estimate wrong
+    ///   ([`Engine::check_regime`]). Counted in `adaptive.fallbacks`.
+    ///
+    /// Each failed rung's trace nodes are rolled back — the next rung
+    /// re-runs the join's whole subtree and re-traces it — and the node of
+    /// the rung that succeeded records the path taken in one `degraded`
+    /// and/or one `adaptive_fallback` detail.
+    pub(super) fn compile_join(
+        &self,
+        node: &JoinNode<'_>,
+        mut algo: JoinAlgo,
+        mut prof: Option<&mut ProfCtx>,
+    ) -> ExecResult<Compiled> {
+        let mark = prof.as_deref_mut().map(|pc| pc.save());
+        let mut decision = None;
+        let mut degraded = String::new();
+        let mut fallback = None;
+        let (spec, id) = loop {
+            let attempt = match algo {
+                JoinAlgo::Adaptive => {
+                    let chosen = self.decide(node);
+                    algo = chosen.algo;
+                    decision = Some(chosen);
+                    continue;
+                }
+                JoinAlgo::Bhj => self.bhj(node, prof.as_deref_mut()),
+                JoinAlgo::Rj | JoinAlgo::Brj => {
+                    self.radix(node, algo, decision.as_ref(), prof.as_deref_mut())
+                }
+                JoinAlgo::Hybrid => self.hybrid(node, prof.as_deref_mut()),
+            };
+            let err = match attempt {
+                Ok(compiled) => break compiled,
+                Err(err) => err,
+            };
+            let rung = LADDER.iter().position(|&r| r == algo).unwrap_or(0);
+            let Some(&next) = LADDER.get(rung + 1) else {
+                return Err(err);
+            };
+            let step = format!("{} -> {}", algo.name(), next.name());
+            match &err {
+                ExecError::BudgetExceeded { .. } => {
+                    metrics::record_degradation();
+                    self.ctx.note_degradation();
+                    trace::instant(format!("degradation: {step} (memory budget)"));
+                    degraded = if degraded.is_empty() {
+                        step
+                    } else {
+                        format!("{degraded} -> {}", next.name())
+                    };
+                }
+                ExecError::RegimeMismatch { detail } => {
+                    registry::global().counter("adaptive.fallbacks").add(1);
+                    trace::instant(format!("adaptive fallback: {step} ({detail})"));
+                    fallback = Some(format!("{step}: {detail}"));
+                }
+                _ => return Err(err),
+            }
+            if let (Some(pc), Some(mark)) = (prof.as_deref_mut(), mark) {
+                pc.restore(mark);
+            }
+            algo = next;
+        };
+        if let (Some(pc), Some(id)) = (prof, id) {
+            if !degraded.is_empty() {
+                pc.detail(id, "degraded", degraded);
+            }
+            if let Some(fallback) = fallback {
+                pc.detail(id, "adaptive_fallback", fallback);
+            }
+            if let Some(decision) = &decision {
+                adaptive_details(pc, id, decision);
+            }
+        }
+        Ok((spec, id))
+    }
+
+    /// Answer the join question for one `Adaptive` join node: estimate,
+    /// decide, and record the decision (registry counters + trace instant).
+    fn decide(&self, node: &JoinNode<'_>) -> Decision {
+        let model = self.cost_model();
+        let mut decision = crate::adaptive::decide(
+            &model,
+            node.kind,
+            node.build,
+            node.probe,
+            node.build_keys,
+            node.probe_keys,
+        );
+        // The memory budget trumps the regime model: a build side that
+        // cannot fit goes straight to the out-of-core hybrid join instead
+        // of degrading its way there at runtime.
+        model.apply_budget(&mut decision, self.ctx.memory_budget());
+        let reg = registry::global();
+        reg.counter("adaptive.decisions").add(1);
+        reg.counter(match decision.algo {
+            JoinAlgo::Rj => "adaptive.choice.rj",
+            JoinAlgo::Brj => "adaptive.choice.brj",
+            JoinAlgo::Hybrid => "adaptive.choice.hybrid",
+            _ => "adaptive.choice.bhj",
+        })
+        .add(1);
+        trace::instant(format!(
+            "adaptive: {} — {}",
+            decision.algo.name(),
+            decision.reason
+        ));
+        decision
+    }
+
+    /// The buffered non-partitioned hash join: the build side is a pipeline
+    /// breaker, the probe is fused into the probe side's pipeline.
+    fn bhj(&self, node: &JoinNode<'_>, mut prof: Option<&mut ProfCtx>) -> ExecResult<Compiled> {
+        let kind = node.kind;
+        self.ctx.note_join_algo(algo_bits::BHJ);
+        // Pipeline 1: materialize the build side + parallel table build.
+        let (build_spec, bchild) = self.stream(node.build, prof.as_deref_mut())?;
+        let build_types: Vec<_> = build_spec.schema.fields.iter().map(|f| f.dtype).collect();
+        let sink = BhjBuildSink::new(&build_types, node.build_keys.to_vec())
+            .with_context(Arc::clone(&self.ctx));
+        metrics::mark_phase(MemPhase::Build);
+        let label = PipelineLabel::new("BHJ build", WaitState::CpuBuild);
+        let build_stats = self.run_breaker(label, &build_spec, &sink, prof.as_deref_mut())?;
+        let state = {
+            let _span = trace::phase_scope("BHJ build finalize (hash table)");
+            sink.into_state(self.threads)?
+        };
+        joinlog::record(joinlog::JoinSizes {
+            algo: JoinAlgo::Bhj.name(),
+            build_rows: state.rows,
+            build_bytes: state.byte_size(),
+            // The probe side is never materialized.
+            ..Default::default()
+        });
+
+        // Pipeline 2: the probe side, with the probe fused in.
+        let (probe_spec, pchild) = self.stream(node.probe, prof.as_deref_mut())?;
+        let out_schema = kind.output_schema(&build_spec.schema, &probe_spec.schema);
+        let op_idx = probe_spec.ops.len();
+        let probe_op = Arc::new(BhjProbeOp::new(
+            Arc::clone(&state),
+            node.probe_keys.to_vec(),
+            kind,
+            self.bhj_prefetch,
+        ));
+
+        let id = prof.as_deref_mut().map(|pc| {
+            let label = node.label(JoinAlgo::Bhj.name());
+            let id = pc.node(label, bchild.into_iter().chain(pchild).collect());
+            pc.bind(id, &build_stats, Slot::Sink);
+            hw_details(pc, id, "hw_build_", &build_stats);
+            pc.detail(id, "build_rows", state.rows);
+            pc.detail(id, "build_bytes", state.byte_size());
+            chain_details(pc, id, &state.chain_stats());
+            pc.pend(id, Slot::Op(op_idx));
+            id
+        });
+
+        metrics::mark_phase(MemPhase::Other);
+        let mut spec = probe_spec.push_op(probe_op, out_schema.clone());
+        // Whatever breaker this pipeline ends in, what it mostly does is
+        // probe.
+        spec.cpu = WaitState::CpuProbe;
+        if !kind.preserves_build() {
+            return Ok((spec, id));
+        }
+        // The probe pipeline only marks; the result pipeline scans the
+        // hash table (how real systems start an anti-join's output).
+        let label = PipelineLabel::new("BHJ probe (mark)", WaitState::CpuProbe);
+        self.run_breaker(label, &spec, &DiscardSink, prof.as_deref_mut())?;
+        if let (Some(pc), Some(id)) = (prof, id) {
+            pc.pend(id, Slot::Source);
+        }
+        let source = Arc::new(BhjUnmatchedSource::new(state, kind));
+        Ok((StreamSpec::new(source, out_schema), id))
+    }
+
+    /// The out-of-core dynamic hybrid hash join: both sides are
+    /// hash-partitioned by [`PartitionSpillSink`] (spilling partition by
+    /// partition under budget pressure), then [`HybridJoinSource`] joins
+    /// each partition pair, recursing on oversized spilled partitions.
+    fn hybrid(&self, node: &JoinNode<'_>, mut prof: Option<&mut ProfCtx>) -> ExecResult<Compiled> {
+        self.ctx.note_join_algo(algo_bits::HHJ);
+        let dir = SpillDir::create(self.ctx.spill_dir())?;
+        let fanout_bits = self.spill.effective_fanout_bits(self.ctx.memory_budget());
+        let partition = |keys: &[usize], phase, side| {
+            PartitionSpillSink::new(
+                keys.to_vec(),
+                fanout_bits,
+                phase,
+                side,
+                Arc::clone(&self.ctx),
+                Arc::clone(&dir),
+            )
+        };
+
+        // Pipeline 1: partition (and spill) the build side.
+        let (build_spec, bchild) = self.stream(node.build, prof.as_deref_mut())?;
+        let build_types: Vec<_> = build_spec.schema.fields.iter().map(|f| f.dtype).collect();
+        let build_sink = partition(node.build_keys, MemPhase::Build, "build");
+        metrics::mark_phase(MemPhase::Build);
+        let label = PipelineLabel::new("HHJ partition build", WaitState::CpuPartition);
+        let build_stats = self.run_breaker(label, &build_spec, &build_sink, prof.as_deref_mut())?;
+        let build_parts = build_sink.finalize()?;
+
+        // Pipeline 2: partition (and spill) the probe side.
+        let (probe_spec, pchild) = self.stream(node.probe, prof.as_deref_mut())?;
+        let probe_sink = partition(node.probe_keys, MemPhase::PartitionPass1, "probe");
+        metrics::mark_phase(MemPhase::PartitionPass1);
+        let label = PipelineLabel::new("HHJ partition probe", WaitState::CpuPartition);
+        self.run_breaker(label, &probe_spec, &probe_sink, prof.as_deref_mut())?;
+        let probe_parts = probe_sink.finalize()?;
+
+        joinlog::record(joinlog::JoinSizes {
+            algo: JoinAlgo::Hybrid.name(),
+            build_rows: build_parts.rows() as usize,
+            build_bytes: build_parts.total_bytes() as usize,
+            probe_rows: probe_parts.rows() as usize,
+            probe_bytes: probe_parts.total_bytes() as usize,
+            stats: None,
+        });
+
+        let out_schema = node
+            .kind
+            .output_schema(&build_spec.schema, &probe_spec.schema);
+        let id = prof.map(|pc| {
+            let label = node.label(JoinAlgo::Hybrid.name());
+            let id = pc.node(label, bchild.into_iter().chain(pchild).collect());
+            pc.bind(id, &build_stats, Slot::Sink);
+            hw_details(pc, id, "hw_build_", &build_stats);
+            pc.detail(id, "build_rows", build_parts.rows());
+            pc.detail(id, "probe_rows", probe_parts.rows());
+            pc.detail(id, "spill_fanout", 1i64 << fanout_bits);
+            pc.detail(
+                id,
+                "spill_partitions",
+                build_parts.spilled_partitions() + probe_parts.spilled_partitions(),
+            );
+            pc.detail(
+                id,
+                "spill_bytes",
+                build_parts.spilled_bytes() + probe_parts.spilled_bytes(),
+            );
+            pc.pend(id, Slot::Source);
+            id
+        });
+
+        metrics::mark_phase(MemPhase::Join);
+        let source = Arc::new(HybridJoinSource::new(
+            build_parts,
+            probe_parts,
+            build_types,
+            node.build_keys.to_vec(),
+            node.probe_keys.to_vec(),
+            node.kind,
+            self.bhj_prefetch,
+            self.spill,
+            fanout_bits,
+            Arc::clone(&self.ctx),
+            dir,
+        ));
+        Ok((StreamSpec::new(source, out_schema), id))
+    }
+
+    /// The radix join (`algo` = RJ) or its Bloom-filtered variant (BRJ):
+    /// both sides are full pipeline breakers (Algorithm 1), and the
+    /// partition-wise join starts the next pipeline.
+    ///
+    /// When the algorithm was picked *adaptively* (`adaptive` carries the
+    /// plan-time [`Decision`]), its row estimates ride on the partitioning
+    /// pipelines' labels, and the build side's measured histogram is held
+    /// against the estimate before the probe side is touched
+    /// ([`Engine::check_regime`]).
+    fn radix(
+        &self,
+        node: &JoinNode<'_>,
+        algo: JoinAlgo,
+        adaptive: Option<&Decision>,
+        mut prof: Option<&mut ProfCtx>,
+    ) -> ExecResult<Compiled> {
+        let kind = node.kind;
+        let tag = algo.name();
+        let with_bloom = algo == JoinAlgo::Brj;
+        self.ctx.note_join_algo(if with_bloom {
+            algo_bits::BRJ
+        } else {
+            algo_bits::RJ
+        });
+        // The Bloom reducer may only *drop* probe tuples when unmatched
+        // probe tuples leave the join anyway; for anti/mark/outer variants
+        // it must stay out of the way (the optimizer would pick RJ there).
+        let use_bloom = with_bloom && !kind.probe_tuples_survive_unmatched();
+        let partition = |schema: &joinstudy_storage::table::Schema, keys: &[usize], phases| {
+            let types: Vec<_> = schema.fields.iter().map(|f| f.dtype).collect();
+            PartitionSink::new(
+                RowLayout::new(&types, false),
+                keys.to_vec(),
+                self.radix,
+                phases,
+            )
+            .with_context(Arc::clone(&self.ctx))
+        };
+
+        // Pipeline 1: build side → radix partitions (full breaker).
+        let (build_spec, bchild) = self.stream(node.build, prof.as_deref_mut())?;
+        let build_sink = partition(&build_spec.schema, node.build_keys, PhaseSet::build());
+        metrics::mark_phase(MemPhase::Build);
+        // The cost model's cardinality estimate rides along so
+        // `jsys.query_progress` can report an est-vs-actual fraction.
+        let label = PipelineLabel {
+            name: &format!("{tag} partition (build)"),
+            cpu: WaitState::CpuPartition,
+            est_rows: adaptive.map_or(0, |d| d.estimate.build_rows as u64),
+        };
+        let build_stats = self.run_breaker(label, &build_spec, &build_sink, prof.as_deref_mut())?;
+        let (build_side, bloom) = build_sink.finalize(self.threads, None, use_bloom)?;
+        if let Some(decision) = adaptive {
+            self.check_regime(decision, &build_side)?;
+        }
+        let bits2 = build_side.bits2();
+        let build_side = Arc::new(build_side);
+
+        // Pipeline 2: probe side (+ Bloom reducer) → radix partitions.
+        let (mut probe_spec, pchild) = self.stream(node.probe, prof.as_deref_mut())?;
+        let mut bloom_op: Option<(usize, Arc<BloomProbeOp>, usize)> = None;
+        if let Some(bloom) = bloom {
+            let bloom_bytes = bloom.byte_size();
+            let schema = probe_spec.schema.clone();
+            let op = Arc::new(BloomProbeOp::new(
+                Arc::new(bloom),
+                node.probe_keys.to_vec(),
+                build_side.bits1(),
+                bits2,
+                self.adaptive_bloom,
+            ));
+            bloom_op = Some((probe_spec.ops.len(), Arc::clone(&op), bloom_bytes));
+            probe_spec = probe_spec.push_op(op, schema);
+        }
+        let probe_sink = partition(&probe_spec.schema, node.probe_keys, PhaseSet::probe());
+        metrics::mark_phase(MemPhase::PartitionPass1);
+        let bloom_suffix = if bloom_op.is_some() {
+            " + bloom probe"
+        } else {
+            ""
+        };
+        let label = PipelineLabel {
+            name: &format!("{tag} partition (probe){bloom_suffix}"),
+            cpu: WaitState::CpuPartition,
+            est_rows: adaptive.map_or(0, |d| d.estimate.probe_rows as u64),
+        };
+        let probe_stats = self.run_breaker(label, &probe_spec, &probe_sink, prof.as_deref_mut())?;
+        let (probe_side, _) = probe_sink.finalize(self.threads, Some(bits2), false)?;
+        let stats = Arc::new(JoinStats::default());
+        joinlog::record(joinlog::JoinSizes {
+            algo: tag,
+            build_rows: build_side.total_rows(),
+            build_bytes: build_side.byte_size(),
+            probe_rows: probe_side.total_rows(),
+            probe_bytes: probe_side.byte_size(),
+            stats: Some(Arc::clone(&stats)),
+        });
+
+        // Pipeline 3 starts here: the partition-wise join.
+        metrics::mark_phase(MemPhase::Join);
+        let out_schema = kind.output_schema(&build_spec.schema, &probe_spec.schema);
+        let id = prof.map(|pc| {
+            let id = pc.node(node.label(tag), bchild.into_iter().chain(pchild).collect());
+            pc.bind(id, &build_stats, Slot::Sink);
+            hw_details(pc, id, "hw_build_", &build_stats);
+            pc.bind(id, &probe_stats, Slot::Sink);
+            hw_details(pc, id, "hw_probe_", &probe_stats);
+            pc.detail(id, "bits1", build_side.bits1());
+            pc.detail(id, "bits2", bits2);
+            partition_details(pc, id, "build", &build_side);
+            partition_details(pc, id, "probe", &probe_side);
+            if let Some((idx, op, bytes)) = &bloom_op {
+                pc.detail(id, "bloom_bytes", *bytes);
+                let probed = probe_stats.ops[*idx].rows_in();
+                let passed = probe_stats.ops[*idx].rows_out();
+                pc.detail(id, "bloom_probed", probed);
+                pc.detail(id, "bloom_passed", passed);
+                if probed > 0 {
+                    pc.detail(id, "bloom_selectivity", passed as f64 / probed as f64);
+                }
+                if op.was_disabled() {
+                    pc.detail(id, "bloom_disabled", "adaptive");
+                }
+            }
+            pc.pend(id, Slot::Source);
+            id
+        });
+        let source = Arc::new(
+            RadixJoinSource::new(
+                build_side,
+                Arc::new(probe_side),
+                node.build_keys.to_vec(),
+                node.probe_keys.to_vec(),
+                kind,
+            )
+            .with_stats(stats),
+        );
+        Ok((StreamSpec::new(source, out_schema), id))
+    }
+
+    /// The adaptive escape hatch's measurement check, run right after the
+    /// build side's partitioning passes: re-ask the cost model with the
+    /// *measured* build cardinality and tuple width, and inspect the
+    /// partition histogram for skew. Returns [`ExecError::RegimeMismatch`]
+    /// when the measurement contradicts the plan-time choice — i.e. the
+    /// model would now answer "do not partition", or one partition blew
+    /// past [`REGIME_SKEW_FACTOR`]× the configured target size (a skewed
+    /// key whose partition-local table will not be cache-resident anyway).
+    fn check_regime(&self, decision: &Decision, build_side: &PartitionedSide) -> ExecResult<()> {
+        let measured_rows = build_side.total_rows();
+        let measured_width = if measured_rows > 0 {
+            build_side.byte_size() as f64 / measured_rows as f64
+        } else {
+            decision.estimate.build_width
+        };
+        let mut e = decision.estimate;
+        e.build_rows = (measured_rows as f64).max(1.0);
+        e.build_width = measured_width;
+        let re = self.cost_model().decide(&e);
+        if re.algo == JoinAlgo::Bhj {
+            return Err(ExecError::RegimeMismatch {
+                detail: format!(
+                    "measured build side {} rows × {:.0} B (estimated {:.0} × {:.0} B); {}",
+                    measured_rows,
+                    measured_width,
+                    decision.estimate.build_rows,
+                    decision.estimate.build_width,
+                    re.reason,
+                ),
+            });
+        }
+        let max_part_bytes = (0..build_side.num_partitions())
+            .map(|p| build_side.partition_row_range(p).len())
+            .max()
+            .unwrap_or(0) as f64
+            * measured_width;
+        let limit = (REGIME_SKEW_FACTOR * self.radix.target_partition_bytes) as f64;
+        if max_part_bytes > limit {
+            return Err(ExecError::RegimeMismatch {
+                detail: format!(
+                    "skew: largest build partition {:.0} B exceeds {REGIME_SKEW_FACTOR}x \
+                     the {} B target",
+                    max_part_bytes, self.radix.target_partition_bytes,
+                ),
+            });
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod profile_tests {
+    use super::super::{find, join_plan, table_kv, Plan};
+    use super::*;
+    use crate::join_common::JoinType;
+    use joinstudy_exec::profile::DetailValue;
+
+    #[test]
+    fn profiled_join_counts_match_result_all_algos() {
+        for algo in [JoinAlgo::Bhj, JoinAlgo::Rj, JoinAlgo::Brj] {
+            for threads in [1, 4] {
+                let plan = join_plan(algo);
+                let engine = Engine::new(threads);
+                let (table, profile) = engine.execute_profiled(&plan).unwrap();
+                assert_eq!(table.num_rows(), 4000, "{} t={threads}", algo.name());
+                assert_eq!(profile.threads, threads);
+                assert!(profile.wall_ns > 0);
+                let join = find(&profile.root, "Join").unwrap();
+                assert_eq!(
+                    join.rows_out,
+                    4000,
+                    "{} t={threads}: join rows_out\n{}",
+                    algo.name(),
+                    profile.render()
+                );
+                // Output node consumes exactly the join's output.
+                assert_eq!(profile.root.rows_in, 4000);
+                // Both scans report their emitted rows.
+                let scans: Vec<_> = profile
+                    .root
+                    .iter()
+                    .into_iter()
+                    .filter(|n| n.label.starts_with("Scan"))
+                    .map(|n| n.rows_out)
+                    .collect();
+                let mut sorted = scans.clone();
+                sorted.sort_unstable();
+                assert_eq!(sorted, vec![2000, 6000], "{}", algo.name());
+            }
+        }
+    }
+
+    #[test]
+    fn bhj_profile_reports_hash_table_stats() {
+        let plan = join_plan(JoinAlgo::Bhj);
+        let (_, profile) = Engine::new(2).execute_profiled(&plan).unwrap();
+        let join = find(&profile.root, "Join BHJ").unwrap();
+        let keys: Vec<&str> = join.details.iter().map(|(k, _)| k.as_str()).collect();
+        for expected in ["build_rows", "ht_buckets", "ht_load_factor", "ht_max_chain"] {
+            assert!(keys.contains(&expected), "missing {expected}: {keys:?}");
+        }
+    }
+
+    #[test]
+    fn rj_profile_reports_partition_histograms() {
+        let plan = join_plan(JoinAlgo::Rj);
+        let (_, profile) = Engine::new(2).execute_profiled(&plan).unwrap();
+        let join = find(&profile.root, "Join RJ").unwrap();
+        let detail = |k: &str| join.details.iter().find(|(key, _)| key == k);
+        assert!(detail("build_partitions").is_some());
+        assert!(detail("probe_part_sizes").is_some());
+        match detail("build_rows").map(|(_, v)| v) {
+            Some(DetailValue::Int(n)) => assert_eq!(*n, 2000),
+            other => panic!("build_rows: {other:?}"),
+        }
+        match detail("probe_skew").map(|(_, v)| v) {
+            Some(DetailValue::Float(s)) => assert!(*s >= 1.0),
+            other => panic!("probe_skew: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn brj_profile_reports_bloom_selectivity() {
+        let plan = join_plan(JoinAlgo::Brj);
+        let (_, profile) = Engine::new(2).execute_profiled(&plan).unwrap();
+        let join = find(&profile.root, "Join BRJ").unwrap();
+        let detail = |k: &str| {
+            join.details
+                .iter()
+                .find(|(key, _)| key == k)
+                .map(|(_, v)| v)
+        };
+        match detail("bloom_probed") {
+            Some(DetailValue::Int(n)) => assert_eq!(*n, 6000),
+            other => panic!("bloom_probed: {other:?}"),
+        }
+        match detail("bloom_selectivity") {
+            Some(DetailValue::Float(s)) => {
+                // 4000 of 6000 probe tuples have a build partner; the Bloom
+                // filter passes those plus some false positives.
+                assert!(*s >= 4000.0 / 6000.0 && *s <= 1.0, "selectivity {s}");
+            }
+            other => panic!("bloom_selectivity: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn degradation_rolls_back_trace_and_reports_fallback() {
+        let plan = join_plan(JoinAlgo::Rj);
+        let engine = Engine::new(2);
+        // Budget fits the BHJ build side but not both partitioned sides.
+        engine.ctx.set_memory_budget(Some(100 * 1024));
+        let (table, profile) = match engine.execute_profiled(&plan) {
+            Ok(ok) => ok,
+            Err(e) => panic!("expected degradation, got {e}"),
+        };
+        assert_eq!(table.num_rows(), 4000);
+        assert_eq!(profile.degradations, 1, "{}", profile.render());
+        let join = find(&profile.root, "Join BHJ").expect("fallback BHJ node");
+        assert!(
+            join.details
+                .iter()
+                .any(|(k, v)| k == "degraded"
+                    && matches!(v, DetailValue::Str(s) if s == "RJ -> BHJ")),
+            "{}",
+            profile.render()
+        );
+        assert!(find(&profile.root, "Join RJ").is_none(), "rolled back");
+    }
+
+    #[test]
+    fn two_rung_degradation_leaves_one_node_and_one_detail() {
+        let build: Vec<(i64, i64)> = (0..8_000).map(|i| (i, i)).collect();
+        let probe: Vec<(i64, i64)> = (0..24_000).map(|i| (i % 12_000, i)).collect();
+        let plan = Plan::scan(&table_kv(&build), &["k", "v"], None).join(
+            Plan::scan(&table_kv(&probe), &["k", "v"], None),
+            JoinAlgo::Rj,
+            JoinType::Inner,
+            &[0],
+            &[0],
+        );
+        let engine = Engine::new(2);
+        // Too small for the partitioned sides and for the BHJ's build side.
+        engine.ctx.set_memory_budget(Some(256 * 1024));
+        let (table, profile) = engine.execute_profiled(&plan).unwrap();
+        assert_eq!(table.num_rows(), 16_000);
+        assert_eq!(profile.degradations, 2, "{}", profile.render());
+        let join = find(&profile.root, "Join HHJ").expect("last-rung node");
+        assert!(
+            join.details.iter().any(|(k, v)| k == "degraded"
+                && matches!(v, DetailValue::Str(s) if s == "RJ -> BHJ -> HHJ")),
+            "{}",
+            profile.render()
+        );
+        for gone in ["Join RJ", "Join BHJ"] {
+            assert!(find(&profile.root, gone).is_none(), "{gone} rolled back");
+        }
+        for node in profile.nodes() {
+            let mut keys: Vec<&str> = node.details.iter().map(|(k, _)| k.as_str()).collect();
+            keys.sort_unstable();
+            let all = keys.len();
+            keys.dedup();
+            assert_eq!(keys.len(), all, "{}: repeated detail key", node.label);
+        }
+        // And so the JSON export has no object with a duplicate key.
+        assert_eq!(profile.to_json().matches("\"degraded\":").count(), 1);
+    }
+}

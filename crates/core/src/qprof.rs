@@ -16,9 +16,9 @@
 //! sink, probe operator, and result source), and [`ProfCtx::build`] sums
 //! them into one [`ProfileNode`] per plan node.
 //!
-//! [`ProfCtx::save`]/[`ProfCtx::restore`] give the RJ→BHJ degradation path
-//! transactional semantics: the aborted radix compile's subtree is rolled
-//! back and the BHJ fallback re-traces it. This is sound because `pending`
+//! [`ProfCtx::save`]/[`ProfCtx::restore`] give the degradation ladder
+//! (`plan::join`) transactional semantics: the failed rung's subtree is
+//! rolled back and the next rung re-traces it. This is sound because `pending`
 //! is always empty when a join compile starts (parents pend their own ops
 //! only after recursing, and every breaker drains `pending` completely).
 
@@ -55,10 +55,6 @@ pub(crate) struct ProfCtx {
 }
 
 impl ProfCtx {
-    pub fn new() -> ProfCtx {
-        ProfCtx::default()
-    }
-
     /// Allocate a trace node with the given children (already allocated).
     pub fn node(&mut self, label: impl Into<String>, children: Vec<usize>) -> usize {
         self.nodes.push(TraceNode {
@@ -89,8 +85,10 @@ impl ProfCtx {
     }
 
     /// Attach an algorithm-specific statistic to a node.
-    pub fn detail(&mut self, node: usize, key: &str, value: DetailValue) {
-        self.nodes[node].details.push((key.to_string(), value));
+    pub fn detail(&mut self, node: usize, key: &str, value: impl Into<DetailValue>) {
+        self.nodes[node]
+            .details
+            .push((key.to_string(), value.into()));
     }
 
     /// Transaction mark for [`ProfCtx::restore`].
@@ -172,7 +170,7 @@ mod tests {
 
     #[test]
     fn pending_binds_and_builds_tree() {
-        let mut pc = ProfCtx::new();
+        let mut pc = ProfCtx::default();
         let scan = pc.node("Scan", vec![]);
         pc.pend(scan, Slot::Source);
         let filter = pc.node("Filter", vec![scan]);
@@ -188,7 +186,7 @@ mod tests {
 
         let root = pc.node("Output", vec![filter]);
         pc.bind(root, &obs, Slot::Sink);
-        pc.detail(root, "note", DetailValue::Int(7));
+        pc.detail(root, "note", 7i64);
 
         let tree = pc.build(root);
         assert_eq!(tree.label, "Output");
@@ -204,7 +202,7 @@ mod tests {
 
     #[test]
     fn restore_rolls_back_nodes_and_pending() {
-        let mut pc = ProfCtx::new();
+        let mut pc = ProfCtx::default();
         let keep = pc.node("keep", vec![]);
         let mark = pc.save();
         let gone = pc.node("gone", vec![]);
@@ -220,7 +218,7 @@ mod tests {
 
     #[test]
     fn roots_finds_unreferenced_forest_tops() {
-        let mut pc = ProfCtx::new();
+        let mut pc = ProfCtx::default();
         let scan = pc.node("Scan", vec![]);
         let filter = pc.node("Filter", vec![scan]);
         let orphan = pc.node("Scan2", vec![]);
@@ -235,7 +233,7 @@ mod tests {
 
     #[test]
     fn multiple_slots_sum_into_one_node() {
-        let mut pc = ProfCtx::new();
+        let mut pc = ProfCtx::default();
         let join = pc.node("Join", vec![]);
         let build_obs = block(0, |w| w.sink = slot(0, 1, 300, 0, 7));
         let probe_obs = block(1, |w| w.ops[0] = slot(0, 4, 900, 500, 9));

@@ -30,28 +30,39 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// What a pipeline is called and how many source rows the planner expects
-/// (0 = no estimate). Goes into the pipeline's [`PipelineStats`]; shows up
-/// as the pipeline's name in traces and as label + `est_rows` in
-/// `jsys.query_progress`.
+/// What a pipeline is called, which CPU wait state its work is sampled as,
+/// and how many source rows the planner expects (0 = no estimate). Goes
+/// into the pipeline's [`PipelineStats`]; shows up as the pipeline's name in
+/// traces, as label + `est_rows` in `jsys.query_progress`, and as the
+/// `cpu_*` state of its ASH samples.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineLabel<'a> {
     pub name: &'a str,
+    /// Set by whoever compiles the pipeline — the only one who knows
+    /// whether it builds, partitions or probes. Anything else scans.
+    pub cpu: WaitState,
     pub est_rows: u64,
 }
 
-impl PipelineLabel<'static> {
+impl<'a> PipelineLabel<'a> {
     /// What a pipeline submitted through [`crate::Executor::run_pipeline`]
     /// is reported as.
-    pub const UNLABELED: PipelineLabel<'static> = PipelineLabel {
-        name: "pipeline",
-        est_rows: 0,
-    };
+    pub const UNLABELED: PipelineLabel<'static> =
+        PipelineLabel::new("pipeline", WaitState::CpuScan);
+
+    /// A label without a planner estimate.
+    pub const fn new(name: &'a str, cpu: WaitState) -> PipelineLabel<'a> {
+        PipelineLabel {
+            name,
+            cpu,
+            est_rows: 0,
+        }
+    }
 }
 
 impl<'a> From<&'a str> for PipelineLabel<'a> {
     fn from(name: &'a str) -> PipelineLabel<'a> {
-        PipelineLabel { name, est_rows: 0 }
+        PipelineLabel::new(name, WaitState::CpuScan)
     }
 }
 

@@ -260,16 +260,18 @@ impl AggSink {
 
     /// Schema of the result: group columns followed by aggregate columns.
     pub fn output_schema(&self) -> Schema {
-        let mut fields: Vec<Field> = self
-            .group_cols
+        AggSink::schema_of(&self.input_schema, &self.group_cols, &self.aggs)
+    }
+
+    /// What aggregating `input` by `group_cols` yields. The one derivation,
+    /// for plan nodes and sinks alike.
+    pub fn schema_of(input: &Schema, group_cols: &[usize], aggs: &[AggSpec]) -> Schema {
+        let mut fields: Vec<Field> = group_cols
             .iter()
-            .map(|&i| self.input_schema.fields[i].clone())
+            .map(|&i| input.fields[i].clone())
             .collect();
-        for a in &self.aggs {
-            fields.push(Field::new(
-                a.name.clone(),
-                a.output_type(&self.input_schema),
-            ));
+        for a in aggs {
+            fields.push(Field::new(a.name.clone(), a.output_type(input)));
         }
         Schema::new(fields)
     }

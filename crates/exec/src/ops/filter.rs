@@ -41,12 +41,18 @@ impl ProjectOp {
 
     /// Schema after projection, given names for the produced columns.
     pub fn output_schema(&self, input: &Schema, names: &[&str]) -> Schema {
-        assert_eq!(names.len(), self.exprs.len());
+        ProjectOp::schema_of(&self.exprs, input, names)
+    }
+
+    /// What projecting `input` through `exprs` yields under `names`. The
+    /// one derivation, for plan nodes and operators alike.
+    pub fn schema_of<N: AsRef<str>>(exprs: &[Expr], input: &Schema, names: &[N]) -> Schema {
+        assert_eq!(names.len(), exprs.len());
         Schema::new(
-            self.exprs
+            exprs
                 .iter()
                 .zip(names)
-                .map(|(e, n)| Field::new(*n, e.dtype(input)))
+                .map(|(e, n)| Field::new(n.as_ref(), e.dtype(input)))
                 .collect(),
         )
     }

@@ -39,9 +39,15 @@ impl LateLoadOp {
 
     /// Input schema + the appended late-loaded fields.
     pub fn output_schema(&self, input: &Schema) -> Schema {
+        LateLoadOp::schema_of(input, &self.table, &self.load_cols)
+    }
+
+    /// `input` plus the `load_cols` of `table`. The one derivation, for
+    /// plan nodes and operators alike.
+    pub fn schema_of(input: &Schema, table: &Table, load_cols: &[usize]) -> Schema {
         let mut fields = input.fields.clone();
-        for &c in &self.load_cols {
-            fields.push(self.table.schema().fields[c].clone());
+        for &c in load_cols {
+            fields.push(table.schema().fields[c].clone());
         }
         Schema::new(fields)
     }

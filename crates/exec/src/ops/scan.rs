@@ -67,12 +67,17 @@ impl TableScan {
 
     /// The schema of emitted batches.
     pub fn output_schema(&self) -> Schema {
-        let mut fields: Vec<Field> = self
-            .cols
+        TableScan::schema_of(&self.table, &self.cols, self.emit_tid)
+    }
+
+    /// What a scan of `cols` of `table` emits, `tid` adding the trailing
+    /// tuple-id column. The one derivation, for plan nodes and scans alike.
+    pub fn schema_of(table: &Table, cols: &[usize], tid: bool) -> Schema {
+        let mut fields: Vec<Field> = cols
             .iter()
-            .map(|&i| self.table.schema().fields[i].clone())
+            .map(|&i| table.schema().fields[i].clone())
             .collect();
-        if self.emit_tid {
+        if tid {
             fields.push(Field::new(TID_COLUMN, DataType::Int64));
         }
         Schema::new(fields)

@@ -15,6 +15,7 @@
 
 use crate::batch::Batch;
 use crate::error::ExecResult;
+use crate::progress::WaitState;
 use joinstudy_storage::table::Schema;
 use std::any::Any;
 use std::sync::Arc;
@@ -90,6 +91,10 @@ pub struct StreamSpec {
     pub source: Arc<dyn Source>,
     pub ops: Vec<Arc<dyn Operator>>,
     pub schema: Schema,
+    /// What a breaker that adds no join work of its own (aggregate, sort,
+    /// output) reports this pipeline's CPU time as: `CpuScan`, until a
+    /// compiler fuses a hash-join probe into the chain.
+    pub cpu: WaitState,
 }
 
 impl StreamSpec {
@@ -98,6 +103,7 @@ impl StreamSpec {
             source,
             ops: Vec::new(),
             schema,
+            cpu: WaitState::CpuScan,
         }
     }
 
@@ -105,10 +111,6 @@ impl StreamSpec {
     pub fn push_op(mut self, op: Arc<dyn Operator>, schema: Schema) -> StreamSpec {
         self.ops.push(op);
         self.schema = schema;
-        StreamSpec {
-            source: self.source,
-            ops: self.ops,
-            schema: self.schema,
-        }
+        self
     }
 }

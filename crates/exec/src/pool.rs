@@ -499,6 +499,7 @@ mod tests {
         let exec = Executor::pooled(WorkerPool::new(1));
         let label = PipelineLabel {
             name: "RJ partition (build)",
+            cpu: WaitState::CpuPartition,
             est_rows: 12,
         };
         let s = watch(&exec, Some(label));
@@ -518,6 +519,7 @@ mod tests {
         // A labelled run on a scoped team, where nothing reads the label …
         let label = PipelineLabel {
             name: "BHJ build",
+            cpu: WaitState::CpuBuild,
             est_rows: 7,
         };
         let ctx = QueryContext::unbounded();

@@ -37,6 +37,7 @@
 use crate::context::QueryContext;
 use crate::morsel::PipelineLabel;
 use crate::progress::WaitState;
+use crate::registry::json_string;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -101,7 +102,8 @@ pub struct PipelineStats {
     pub conn: u64,
     /// Pipeline label, e.g. `"BHJ probe"`; `"pipeline"` when unlabeled.
     pub label: String,
-    /// CPU wait-state flavor derived from the label.
+    /// CPU wait state the pool stamps while a worker runs this pipeline's
+    /// morsels ([`PipelineLabel::cpu`]).
     pub cpu_state: WaitState,
     /// Planner cardinality estimate for this pipeline's source rows
     /// (0 = no estimate). From the adaptive join's cost model.
@@ -136,7 +138,7 @@ impl PipelineStats {
             query_id: ctx.query_id(),
             conn: ctx.conn_id(),
             label: label.name.to_string(),
-            cpu_state: WaitState::from_pipeline_label(label.name),
+            cpu_state: label.cpu,
             est_rows: label.est_rows,
             tasks_total,
             timed,
@@ -257,6 +259,36 @@ pub enum DetailValue {
     Str(String),
 }
 
+/// Counts of every integer width the engine reports become `Int`.
+macro_rules! detail_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for DetailValue {
+            fn from(v: $t) -> DetailValue {
+                DetailValue::Int(v as i64)
+            }
+        }
+    )*};
+}
+detail_int!(usize, u64, u32, i64);
+
+impl From<f64> for DetailValue {
+    fn from(v: f64) -> DetailValue {
+        DetailValue::Float(v)
+    }
+}
+
+impl From<String> for DetailValue {
+    fn from(v: String) -> DetailValue {
+        DetailValue::Str(v)
+    }
+}
+
+impl From<&str> for DetailValue {
+    fn from(v: &str) -> DetailValue {
+        DetailValue::Str(v.to_string())
+    }
+}
+
 impl std::fmt::Display for DetailValue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -335,7 +367,7 @@ impl ProfileNode {
 
     fn to_json_into(&self, out: &mut String) {
         out.push_str("{\"label\":");
-        json_string(&self.label, out);
+        out.push_str(&json_string(&self.label));
         out.push_str(&format!(
             ",\"morsels\":{},\"batches\":{},\"rows_in\":{},\"rows_out\":{},\"busy_ns\":{}",
             self.morsels, self.batches, self.rows_in, self.rows_out, self.busy_ns
@@ -345,12 +377,12 @@ impl ProfileNode {
             if i > 0 {
                 out.push(',');
             }
-            json_string(k, out);
+            out.push_str(&json_string(k));
             out.push(':');
             match v {
                 DetailValue::Int(n) => out.push_str(&n.to_string()),
                 DetailValue::Float(f) => out.push_str(&json_f64(*f)),
-                DetailValue::Str(s) => json_string(s, out),
+                DetailValue::Str(s) => out.push_str(&json_string(s)),
             }
         }
         out.push_str("},\"children\":[");
@@ -372,7 +404,8 @@ pub struct QueryProfile {
     pub wall_ns: u64,
     /// Executor worker count the query ran with.
     pub threads: usize,
-    /// RJ→BHJ degradation events during this query.
+    /// Steps down the degradation ladder (RJ/BRJ → BHJ → HHJ) during this
+    /// query.
     pub degradations: u64,
     /// Peak bytes reserved against the query's memory budget.
     pub peak_bytes: usize,
@@ -468,22 +501,6 @@ fn json_f64(f: f64) -> String {
     }
 }
 
-fn json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,6 +515,7 @@ mod tests {
         ctx.arm();
         let label = PipelineLabel {
             name: "BHJ probe",
+            cpu: WaitState::CpuProbe,
             est_rows: 200,
         };
         let stats = Arc::new(PipelineStats::new(&ctx, label, 2, 8, true));

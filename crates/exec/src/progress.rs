@@ -93,23 +93,6 @@ impl WaitState {
     pub fn as_u64(self) -> u64 {
         self as u64
     }
-
-    /// Derive the CPU flavor of a pipeline from its label. Partitioning
-    /// wins over build/probe because partitioning pipelines are labeled
-    /// `"... partition (build)"` / `"... partition (probe)"` — the paper's
-    /// taxonomy counts both passes as partitioning work.
-    pub fn from_pipeline_label(label: &str) -> WaitState {
-        let l = label.to_ascii_lowercase();
-        if l.contains("partition") {
-            WaitState::CpuPartition
-        } else if l.contains("build") {
-            WaitState::CpuBuild
-        } else if l.contains("probe") {
-            WaitState::CpuProbe
-        } else {
-            WaitState::CpuScan
-        }
-    }
 }
 
 /// Process-wide registry of live pooled pipelines. One mutex, touched once
@@ -170,30 +153,5 @@ mod tests {
         }
         // Unknown stamps decode to Other rather than panicking.
         assert_eq!(WaitState::from_u64(999), WaitState::Other);
-    }
-
-    #[test]
-    fn cpu_flavor_from_labels() {
-        assert_eq!(
-            WaitState::from_pipeline_label("BHJ build"),
-            WaitState::CpuBuild
-        );
-        assert_eq!(
-            WaitState::from_pipeline_label("RJ partition (build)"),
-            WaitState::CpuPartition
-        );
-        assert_eq!(
-            WaitState::from_pipeline_label("HHJ partition probe"),
-            WaitState::CpuPartition
-        );
-        assert_eq!(
-            WaitState::from_pipeline_label("BHJ probe (mark)"),
-            WaitState::CpuProbe
-        );
-        assert_eq!(WaitState::from_pipeline_label("output"), WaitState::CpuScan);
-        assert_eq!(
-            WaitState::from_pipeline_label("aggregate"),
-            WaitState::CpuScan
-        );
     }
 }

@@ -315,7 +315,9 @@ pub(crate) fn json_f64(v: f64) -> String {
     }
 }
 
-pub(crate) fn json_string(s: &str) -> String {
+/// `s` as a quoted JSON string literal — the one escaper every hand-rolled
+/// JSON writer in the workspace uses.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -39,7 +39,7 @@
 //! they pay their cost at read time, never on the execute path.
 
 use joinstudy_exec::context::{algo_bits, QueryContext};
-use joinstudy_exec::registry::Histogram;
+use joinstudy_exec::registry::{json_string, Histogram};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
@@ -811,7 +811,7 @@ impl SlowEvent<'_> {
              \"algos\":{},\"peak_bytes\":{},\"sql\":{}}}",
             self.ts_ms,
             self.conn,
-            json_str(self.fingerprint),
+            json_string(self.fingerprint),
             self.latency_ns,
             self.threshold_ns,
             self.ok,
@@ -822,29 +822,11 @@ impl SlowEvent<'_> {
             self.spill_io_ns,
             self.granted_bytes,
             self.degradations,
-            json_str(self.algos),
+            json_string(self.algos),
             self.peak_bytes,
-            json_str(self.sql),
+            json_string(self.sql),
         )
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 // ---------------------------------------------------------------------------
