@@ -48,7 +48,7 @@ const SPILL_BUDGET: usize = 256 * 1024;
 const BYTES_TOL: f64 = 0.02;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["write-baseline", "trace"]);
     let write_baseline = args.flag("write-baseline");
     let with_trace = args.flag("trace");
     let baseline_path = PathBuf::from("results/baseline.json");

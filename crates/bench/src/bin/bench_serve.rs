@@ -138,7 +138,20 @@ fn attribute_tail(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "quick",
+        "sf",
+        "clients",
+        "queries",
+        "mode",
+        "rate",
+        "ash",
+        "no-ash",
+        "threads",
+        "pool-mb",
+        "query-mb",
+        "min-grant-mb",
+    ]);
     let quick = args.flag("quick");
     let sf = args.f64("sf", if quick { 0.01 } else { 0.05 });
     let clients = args.usize("clients", 8);

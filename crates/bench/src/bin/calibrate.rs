@@ -15,9 +15,8 @@
 //!  [--threads T] [--reps R] [--dry-run]`
 
 use joinstudy_bench::harness::{banner, fmt_bytes, measure, Args};
-use joinstudy_bench::hw;
 use joinstudy_bench::workloads::{count_plan, engine, tables, ProbeKeys};
-use joinstudy_core::cost::{Calibration, CostModel, JoinEstimate};
+use joinstudy_core::cost::{detect_llc_bytes, Calibration, CostModel, JoinEstimate};
 use joinstudy_core::{Engine, JoinAlgo, Plan};
 use joinstudy_storage::types::DataType;
 
@@ -61,11 +60,11 @@ fn two_point(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["threads", "reps", "dry-run"]);
     let threads = args.threads();
     let reps = args.reps();
     let dry_run = args.flag("dry-run");
-    let llc = hw::llc_bytes().min(64 * 1024 * 1024);
+    let llc = detect_llc_bytes().min(64 * 1024 * 1024);
 
     // Hash table at LLC/8 (every access hits) vs 6×LLC (the miss ramp is
     // saturated at the default ramp width of 4 LLCs).

@@ -21,7 +21,7 @@ use std::io::Write;
 use std::path::PathBuf;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["sf", "query", "threads", "trace"]);
     let sf = args.f64("sf", 0.01);
     let query_id = args.usize("query", 3) as u32;
     let threads = args.threads();

@@ -27,7 +27,15 @@ const TABLES: [&str; 8] = [
 ];
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "sf",
+        "port",
+        "threads",
+        "pool-mb",
+        "query-mb",
+        "min-grant-mb",
+        "no-ash",
+    ]);
     let sf = args.f64("sf", 0.05);
     let port = args.usize("port", 5433);
     let config = ServerConfig {

@@ -20,7 +20,7 @@ use joinstudy_sql::server::Client;
 use std::time::Duration;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["addr", "once", "frames", "interval-ms"]);
     let addr = args.str("addr", "127.0.0.1:4444");
     let once = args.flag("once");
     let frames = args.usize("frames", if once { 1 } else { 0 });

@@ -72,7 +72,7 @@ fn aggregate_join(build: Plan, probe: Plan) -> Plan {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["sf", "budget-mib", "threads", "seed", "verify"]);
     let sf = args.f64("sf", 1.0);
     let budget_mib = args.usize("budget-mib", 256);
     let threads = args.threads();

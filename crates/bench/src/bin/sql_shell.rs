@@ -88,7 +88,7 @@ fn write_trace(session: &Session, seq: &mut usize) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["sf", "zipf", "threads"]);
     let sf = args.f64("sf", 0.05);
     let zipf = args.f64("zipf", 0.0);
     let threads = args.threads();

@@ -23,9 +23,8 @@
 //!  [--sf 0.1] [--threads T] [--reps R] [--queries 2,3] [--check]`
 
 use joinstudy_bench::harness::{banner, fmt_bytes, measure, Args};
-use joinstudy_bench::hw;
 use joinstudy_bench::workloads::{count_plan, engine, tables, ProbeKeys};
-use joinstudy_core::cost::{CostModel, JoinEstimate};
+use joinstudy_core::cost::{detect_llc_bytes, CostModel, JoinEstimate};
 use joinstudy_core::JoinAlgo;
 use joinstudy_exec::registry::{self, json_string};
 use joinstudy_tpch::queries::{all_queries, QueryConfig};
@@ -102,7 +101,7 @@ fn measured_crossover(points: &[SweepPoint]) -> Option<f64> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["sf", "threads", "reps", "check", "queries"]);
     let sf = args.f64("sf", 0.1);
     let threads = args.threads();
     let reps = args.reps();
@@ -132,7 +131,7 @@ fn main() {
     // --- 1. Synthetic sweep across the LLC boundary -----------------------
     // Virtualized hosts report absurd LLC sizes; clamp like table4_synthesis
     // so the sweep stays tractable on one core.
-    let sweep_llc = hw::llc_bytes().min(16 * 1024 * 1024) as f64;
+    let sweep_llc = detect_llc_bytes().min(16 * 1024 * 1024) as f64;
     println!("\nSynthetic build-size sweep (probe = {SWEEP_PROBE_RATIO}x build):");
     println!(
         "{:>10} {:>12} {:>10} {:>10} {:>10}   {:<9} predicted",

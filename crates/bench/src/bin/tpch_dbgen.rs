@@ -21,7 +21,7 @@ fn dump(table: &Table, path: &std::path::Path) -> std::io::Result<usize> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["sf", "seed", "out", "zipf"]);
     let sf = args.f64("sf", 0.1);
     let seed = args.usize("seed", 42) as u64;
     let out = args.str("out", "tpch-data");

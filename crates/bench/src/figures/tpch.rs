@@ -1,0 +1,489 @@
+//! The TPC-H rows (§1, §5.3, §6): every join of a query replaced by the
+//! implementation under test, or one join flipped at a time, over one
+//! generated data set per scale factor.
+
+use super::{Params, Report};
+use crate::harness::{fmt_bytes, measure};
+use crate::report::Col;
+use crate::report::Fmt::{Bytes, Fixed, Plain, Si, Tagged};
+use crate::row;
+use crate::workloads::{bench_plan, count_plan, engine, tables, ProbeKeys};
+use joinstudy_core::plan::joinlog::{self, JoinSizes};
+use joinstudy_core::Engine;
+use joinstudy_core::JoinAlgo::{self, Bhj, Brj, Rj};
+use joinstudy_exec::metrics;
+use joinstudy_storage::types::DataType::Int64;
+use joinstudy_tpch::queries::{all_queries, query, QueryConfig, TpchQuery};
+use joinstudy_tpch::{generate, generate_skewed, TpchData};
+use std::sync::{Arc, Mutex};
+
+/// The data-set seed every row shares.
+const SEED: u64 = 20260706;
+
+/// TPC-H at `sf`, generated once per process (`repro all` reads SF 0.1 from
+/// seven rows).
+fn tpch(sf: f64) -> Arc<TpchData> {
+    static CACHE: Mutex<Vec<Arc<TpchData>>> = Mutex::new(Vec::new());
+    let mut cache = CACHE.lock().expect("a row panicked while generating TPC-H");
+    if !cache.iter().any(|d| d.sf == sf) {
+        cache.push(Arc::new(generate(sf, SEED)));
+    }
+    cache
+        .iter()
+        .find(|d| d.sf == sf)
+        .expect("just generated")
+        .clone()
+}
+
+/// All join-bearing queries, or the `--queries` subset.
+fn queries(p: &Params) -> Vec<TpchQuery> {
+    let chosen: Option<Vec<u32>> = p.given_list("queries");
+    let keep = |q: &TpchQuery| chosen.as_ref().is_none_or(|ids| ids.contains(&q.id));
+    all_queries().into_iter().filter(keep).collect()
+}
+
+/// Median-of-`reps` runtime of `q` under `cfg`, in milliseconds.
+fn run_ms(q: &TpchQuery, data: &TpchData, cfg: &QueryConfig, e: &Engine, reps: usize) -> f64 {
+    measure(reps, || (q.run)(data, cfg, e)).0.as_secs_f64() * 1e3
+}
+
+/// An all-RJ run materializes both sides of every join, so its join log
+/// holds every join's exact build/probe footprint, in post-order (the
+/// override numbering).
+fn rj_join_log(q: &TpchQuery, data: &TpchData, e: &Engine) -> Vec<JoinSizes> {
+    joinlog::set_enabled(true);
+    joinlog::take();
+    let _ = (q.run)(data, &QueryConfig::new(Rj), e);
+    joinlog::set_enabled(false);
+    let log = joinlog::take().into_iter();
+    log.filter(|j| j.algo == "RJ").collect()
+}
+
+/// §5.3.2's isolation method: all joins BHJ, then only join j flipped to
+/// BRJ; the runtime delta is that join's contribution. Returns the all-BHJ
+/// baseline and, per join, (runtime, % faster than the baseline), in ms.
+fn join_impact(q: &TpchQuery, data: &TpchData, e: &Engine, reps: usize) -> (f64, Vec<(f64, f64)>) {
+    let base = run_ms(q, data, &QueryConfig::new(Bhj), e, reps);
+    let flipped = (0..q.main_joins).map(|j| {
+        let ms = run_ms(
+            q,
+            data,
+            &QueryConfig::new(Bhj).with_override(j, Brj),
+            e,
+            reps,
+        );
+        (ms, (base - ms) / base * 100.0)
+    });
+    (base, flipped.collect())
+}
+
+/// Figure 1 — relative performance of BRJ vs BHJ for *every individual
+/// join* in TPC-H, against each join's build × probe materialized sizes.
+/// Sizes come from a separate all-RJ run whose join-log order equals the
+/// override numbering.
+pub fn fig01(r: &mut Report, p: &Params) {
+    let (sf, threads, reps) = (p.get::<f64>("sf"), p.threads(), p.reps());
+    p.banner(r, &format!("SF {sf}, {threads} threads, median of {reps}"));
+    let (data, e) = (tpch(sf), engine(threads, false));
+    let cols = [
+        Col::key("query", "query", 6, Tagged("Q")),
+        Col::key("join", "join", 5, Tagged("J")),
+        Col::key("build", "build_bytes", 12, Bytes),
+        Col::key("probe", "probe_bytes", 12, Bytes),
+        Col::val("BHJ[ms]", "bhj_ms", 10, Fixed(1, 2, "")),
+        Col::val("+BRJ[ms]", "brj_override_ms", 10, Fixed(1, 2, "")),
+        Col::val("Δ[%]", "brj_speedup_pct", 9, Fixed(1, 2, "%")),
+    ];
+    let mut t = r.table("fig01_join_matrix", &cols);
+    t.header(r);
+    for q in queries(p) {
+        // Keep only the main plan's joins: the last `main_joins` entries
+        // (auxiliary subquery plans and Q17's CTE run before the main plan).
+        let log = rj_join_log(&q, &data, &e);
+        let sizes = &log[log.len().saturating_sub(q.main_joins)..];
+        let (base, flipped) = join_impact(&q, &data, &e, reps);
+        for (j, (ms, delta)) in flipped.into_iter().enumerate() {
+            let (build, probe) = sizes
+                .get(j)
+                .map_or((0, 0), |s| (s.build_bytes, s.probe_bytes));
+            row!(t, r, q.id, j + 1, build, probe, base, ms, delta);
+        }
+    }
+    let note = "Paper shape: almost every join is faster (or unchanged) with the BHJ; execution \
+                can be up to 60% slower / 30% faster when flipping one join to BRJ; the lone BRJ \
+                win is Q22's anti join. Joins whose build side is below the LLC never profit from \
+                partitioning.";
+    r.footer(&t, note);
+}
+
+/// One text histogram: a `lo-hi<unit>  pct% ###` line per bucket.
+fn print_hist(r: &mut Report, title: &str, unit: &str, edges: &[f64], values: &[f64]) {
+    r.line(format!("\n{title}"));
+    let within = |b: &[f64]| values.iter().filter(|&&v| v >= b[0] && v < b[1]).count();
+    let total = within(&[edges[0], edges[edges.len() - 1]]).max(1);
+    for bucket in edges.windows(2) {
+        let pct = within(bucket) as f64 / total as f64 * 100.0;
+        let bar = "#".repeat((pct / 2.0).round() as usize);
+        r.line(format!(
+            "  {:>5.0}-{:<5.0}{unit} {pct:>5.1}% {bar}",
+            bucket[0], bucket[1]
+        ));
+    }
+}
+
+/// Figure 2 — tuple-size and join-partner distributions: TPC-H vs prior
+/// work (§1). The all-RJ join log yields exact per-join materialized tuple
+/// widths and (via the probe-match counters) the fraction of probe tuples
+/// with a join partner. Prior work's microbenchmarks sit at 8–16 B tuples
+/// and 100% join partners — the mismatch that motivates the whole paper.
+pub fn fig02(r: &mut Report, p: &Params) {
+    let sf: f64 = p.get("sf");
+    p.banner(
+        r,
+        &format!("SF {sf}, all joins executed as RJ to materialize both sides"),
+    );
+    let (data, e) = (tpch(sf), engine(p.threads(), false));
+    let width = |csv| Col::key("", csv, 0, Fixed(1, 1, ""));
+    let cols = [
+        Col::key("", "query", 0, Plain),
+        Col::key("", "join", 0, Plain),
+        width("probe_tuple_bytes"),
+        width("build_tuple_bytes"),
+        width("join_partners_pct"),
+    ];
+    let mut t = r.table("fig02_workload_hist", &cols);
+    let (mut widths, mut partners) = (Vec::new(), Vec::new());
+    for q in all_queries() {
+        for (j, s) in rj_join_log(&q, &data, &e).iter().enumerate() {
+            if s.probe_rows == 0 {
+                continue;
+            }
+            let probe_width = s.probe_bytes as f64 / s.probe_rows as f64;
+            let build_width = s.build_bytes as f64 / s.build_rows.max(1) as f64;
+            let matched = s
+                .stats
+                .as_ref()
+                .map_or(0.0, |st| st.match_fraction() * 100.0);
+            widths.push(probe_width);
+            partners.push(matched);
+            row!(t, r, q.id, j + 1, probe_width, build_width, matched);
+        }
+    }
+    let title = "Materialized probe tuple size across TPC-H joins (prior work: 8-16 B):";
+    print_hist(
+        r,
+        title,
+        "B",
+        &[0.0, 16.0, 32.0, 48.0, 64.0, 80.0, 96.0, 128.0],
+        &widths,
+    );
+    let title = "Probe tuples with a join partner (prior work: 100%):";
+    let deciles = [
+        0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.01,
+    ];
+    print_hist(r, title, "%", &deciles, &partners);
+    let mean_width = widths.iter().sum::<f64>() / widths.len().max(1) as f64;
+    let low = partners.iter().filter(|&&pct| pct < 25.0).count();
+    let (joins, measured) = (widths.len(), partners.len());
+    r.line(format!(
+        "\n{joins} joins measured; mean probe tuple {mean_width:.0} B; {low} of {measured} joins \
+         have < 25% join partners.\nCSV: {}",
+        t.path()
+    ));
+    r.line(
+        "Paper shape: TPC-H tuples cluster around ~32 B (far above prior work's 8-16 B) and most \
+         joins sit at low selectivity — the regime where the plain RJ materializes tuples that \
+         never reach the result.",
+    );
+}
+
+/// Figure 11 — TPC-H throughput for every join-bearing query, across scale
+/// factors, with all joins replaced by the implementation under test
+/// (§5.3), in early- and (`--lm`) late-materialization variants. Throughput
+/// = tuples counted at the pipeline sources / runtime (footnote 5).
+/// Expected shape: BHJ best overall, especially at small SF; BRJ ≥ RJ
+/// everywhere; BRJ beats BHJ only on Q22 at larger scale.
+pub fn fig11(r: &mut Report, p: &Params) {
+    let sfs: Vec<f64> = p.list("sfs");
+    let (threads, reps, with_lm) = (p.threads(), p.reps(), p.switch("lm"));
+    let lm_text = if with_lm { "yes" } else { "no (pass --lm)" };
+    let run = format!("{threads} threads, median of {reps}");
+    p.banner(r, &format!("SFs {sfs:?}, {run}, LM variants: {lm_text}"));
+    let cols = [
+        Col::key("", "sf", 0, Plain),
+        Col::key("query", "query", 5, Tagged("Q")),
+        Col::key("algo", "algo", 6, Plain),
+        Col::key("LM", "", 4, Plain),
+        Col::key("", "lm", 0, Plain),
+        Col::val("time[ms]", "runtime_ms", 12, Fixed(1, 2, "")),
+        Col::key("", "source_tuples", 0, Plain),
+        Col::val("tput[T/s]", "tps", 12, Si),
+    ];
+    let mut t = r.table("fig11_tpch", &cols);
+    let e = engine(threads, false);
+    for sf in sfs {
+        r.line(format!("\n--- SF {sf} (generating) ---"));
+        let data = tpch(sf);
+        let bytes = fmt_bytes(data.byte_size());
+        r.line(format!("data set: {bytes} in 8 tables"));
+        t.header(r);
+        let variants = [(false, "-"), (true, "LM")];
+        for q in queries(p) {
+            for algo in [Bhj, Brj, Rj] {
+                for (lm, shown) in variants.into_iter().take(1 + usize::from(with_lm)) {
+                    let mut cfg = QueryConfig::new(algo);
+                    cfg.lm = lm;
+                    // Warm-up + source-tuple count.
+                    metrics::take_source_rows();
+                    let _ = (q.run)(&data, &cfg, &e);
+                    let sources = metrics::take_source_rows();
+                    let ms = run_ms(&q, &data, &cfg, &e, reps);
+                    metrics::take_source_rows();
+                    let (lm, tps) = (lm.to_string(), sources as f64 / (ms / 1e3));
+                    row!(t, r, sf, q.id, algo.name(), shown, lm, ms, sources, tps);
+                }
+            }
+        }
+    }
+    let note =
+        "Paper shape: BHJ delivers the best overall performance (clearest below SF 30); BRJ \
+                > RJ on every query; BRJ beats BHJ only on Q22 at larger SF; LM is orthogonal to \
+                the partitioning question.";
+    r.footer(&t, note);
+}
+
+/// Figure 12 — relative impact of flipping each individual join between BHJ
+/// and BRJ, for the paper's selected multi-join queries (§5.3.2).
+pub fn fig12(r: &mut Report, p: &Params) {
+    let (sf, threads, reps) = (p.get::<f64>("sf"), p.threads(), p.reps());
+    let run = format!("SF {sf}, {threads} threads, median of {reps}");
+    p.banner(r, &format!("{run}; negative = BRJ slower"));
+    let (data, e) = (tpch(sf), engine(threads, false));
+    let ms_col = |csv| Col::val("", csv, 0, Fixed(2, 2, ""));
+    let cols = [
+        Col::key("", "query", 0, Plain),
+        Col::key("", "join", 0, Plain),
+        ms_col("bhj_ms"),
+        ms_col("brj_j_ms"),
+        ms_col("impact_pct"),
+    ];
+    let mut t = r.table("fig12_join_impact", &cols);
+    for id in [5u32, 7, 8, 9, 21, 22] {
+        let (base, flipped) = join_impact(&query(id), &data, &e, reps);
+        r.line(format!(
+            "\nQ{id} (all-BHJ baseline {} ms):",
+            r.m(format!("{base:.1}"))
+        ));
+        let (mut joins, mut deltas) = (String::new(), String::new());
+        for (j, (ms, delta)) in flipped.into_iter().enumerate() {
+            joins += &format!("{:>9}", format!("J{}", j + 1));
+            deltas += &format!("{}%", r.m(format!("{delta:>8.1}")));
+            row!(t, r, id, j + 1, base, ms, delta);
+        }
+        r.line(format!("  join:   {joins}\n  BHJ→BRJ:{deltas}"));
+    }
+    let note = "Paper shape: most joins are irrelevant for total runtime; flipping an ill-suited \
+                join to BRJ costs up to 60% (Q8's 1 MB ⋈ 20 GB join), while Q22's single anti join \
+                gains ~30% with the BRJ.";
+    r.footer(&t, note);
+}
+
+/// Figure 13 — Q21's join tree annotated with materialized build and probe
+/// sizes (§5.3.2), from one all-RJ execution (join-log post-order =
+/// bottom-up, matching the paper's numbering).
+pub fn fig13(r: &mut Report, p: &Params) {
+    let sf: f64 = p.get("sf");
+    let how = "sizes from an all-RJ run (both sides materialized)";
+    p.banner(r, &format!("SF {sf}, {how}"));
+    let log = rj_join_log(&query(21), &tpch(sf), &engine(p.threads(), false));
+    let cols = [
+        Col::key("", "join", 1, Plain),
+        Col::key("", "", -28, Plain),
+        Col::key("", "build_bytes", 12, Bytes),
+        Col::key("", "build_rows", 9, Plain),
+        Col::key("", "", -26, Plain),
+        Col::key("", "probe_bytes", 12, Bytes),
+        Col::key("", "probe_rows", 9, Plain),
+    ];
+    let layout = "  ({}) {} {} ({} rows)   ⋈   {} {} ({} rows)";
+    let mut t = r.table("fig13_q21_tree", &cols).layout(layout);
+    r.line("left-deep join tree, bottom (1) to top (5):\n");
+    let sides = [
+        ("nation (SAUDI ARABIA)", "supplier"),
+        ("nation⋈supplier", "lineitem (receipt>commit)"),
+        ("…⋈lineitem l1 (late)", "orders (status F)"),
+        ("orders-multi-supplier keys", "join 3 output"),
+        ("single-late-supplier keys", "join 4 output"),
+    ];
+    for (i, (s, (build, probe))) in log.iter().zip(sides).enumerate() {
+        let (b_bytes, b_rows, p_bytes, p_rows) =
+            (s.build_bytes, s.build_rows, s.probe_bytes, s.probe_rows);
+        row!(t, r, i + 1, build, b_bytes, b_rows, probe, p_bytes, p_rows);
+    }
+    let note = "Paper shape (SF 100): (1) 12 B ⋈ 32 MB, (2) 1 MB ⋈ 6 GB, (3) 484 MB ⋈ 870 MB, \
+                (4)/(5) comparable large sides with ~33 B build tuples — each join a different \
+                workload regime, and the all-BHJ plan is fastest overall.";
+    r.footer(&t, note);
+}
+
+/// Figure 18 — speedup of BRJ and BHJ over the plain optimized RJ, for the
+/// microbenchmark (Workload A) and for TPC-H (§6).
+pub fn fig18(r: &mut Report, p: &Params) {
+    let (sf, n, reps) = (p.get::<f64>("sf"), p.get::<usize>("build"), p.reps());
+    let (sizes, tpch_part) = (
+        format!("{n} ⋈ {}", 16 * n),
+        format!("TPC-H SF {sf} w/o Q8/Q9/Q21"),
+    );
+    p.banner(r, &format!("Workload A ({sizes}), {tpch_part}"));
+    // The TPC-H rows also show both totals; the Workload-A layout stops
+    // before those two cells.
+    let secs_col = Col::val("", "", 1, Fixed(2, 2, ""));
+    let cols = [
+        Col::key("", "benchmark", 0, Plain),
+        Col::key("", "algo", -4, Plain),
+        Col::val("", "speedup_pct", 9, Fixed(1, 1, "%")),
+        secs_col,
+        secs_col,
+    ];
+    let mut t = r.table("fig18_summary", &cols).layout("  {} {}");
+    let e = engine(p.threads(), false);
+
+    // Microbenchmark: Workload A at 100% selectivity (RJ's home turf).
+    let m = tables(n, 16 * n, Int64, 0, ProbeKeys::UniformFk, 88);
+    let tps = |algo| bench_plan(&e, &count_plan(&m, algo), m.total_tuples(), reps).0;
+    let [rj, brj, bhj] = [Rj, Brj, Bhj].map(tps);
+    r.line("\nWorkload A (speedup over RJ):");
+    for (algo, tps) in [(Brj, brj), (Bhj, bhj)] {
+        let speedup = (tps / rj - 1.0) * 100.0;
+        row!(t, r, "workload_a", algo.name(), speedup, 0.0, 0.0);
+    }
+
+    // TPC-H aggregate runtime, excluding the queries the paper's RJ cannot
+    // finish at SF 100 within the memory budget (8, 9, 21).
+    let data = tpch(sf);
+    let total_secs = |algo: JoinAlgo| -> f64 {
+        let cfg = QueryConfig::new(algo);
+        let runnable = all_queries()
+            .into_iter()
+            .filter(|q| ![8, 9, 21].contains(&q.id));
+        runnable
+            .map(|q| run_ms(&q, &data, &cfg, &e, reps) / 1e3)
+            .sum()
+    };
+    let [rj, brj, bhj] = [Rj, Brj, Bhj].map(total_secs);
+    r.line(format!("\n{tpch_part} (speedup over RJ, total runtime):"));
+    let mut t = t.layout("  {} {}  ({}s vs RJ {}s)");
+    for (algo, secs) in [(Brj, brj), (Bhj, bhj)] {
+        let speedup = (rj / secs - 1.0) * 100.0;
+        row!(t, r, "tpch", algo.name(), speedup, secs, rj);
+    }
+    let note = "Paper shape: on Workload A the plain RJ wins (BRJ/BHJ show a *negative* speedup); \
+                on TPC-H both BRJ and especially BHJ are dramatically faster than the RJ (~200%) — \
+                the paper's headline discrepancy between microbenchmarks and a real workload.";
+    r.footer(&t, note);
+}
+
+/// Table 5 — workload characteristics for join processing: prior work vs
+/// TPC-H vs the real world (§6). The TPC-H column is *measured* from this
+/// repository's own data and plans (join-log pass at the given SF); the
+/// other two restate the paper's synthesis (Vogelsgesang et al. for the
+/// real-world evidence).
+pub fn table5(r: &mut Report, p: &Params) {
+    let sf: f64 = p.get("sf");
+    p.banner(
+        r,
+        &format!("TPC-H column measured at SF {sf} from an all-RJ pass"),
+    );
+    let (data, e) = (tpch(sf), engine(p.threads(), false));
+    let (mut widths, mut partner_pcts, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut joins, mut small_builds) = (0, 0);
+    for s in all_queries().iter().flat_map(|q| rj_join_log(q, &data, &e)) {
+        joins += 1;
+        small_builds += usize::from(s.build_bytes < p.host.llc_bytes);
+        if s.probe_rows > 0 {
+            widths.push(s.probe_bytes as f64 / s.probe_rows as f64);
+            partner_pcts.extend(s.stats.as_ref().map(|st| st.match_fraction() * 100.0));
+            ratios.extend((s.build_bytes > 0).then(|| s.probe_bytes as f64 / s.build_bytes as f64));
+        }
+    }
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
+    let depths = || all_queries().into_iter().map(|q| q.main_joins);
+    let (shallow, deep) = (depths().min().unwrap_or(0), depths().max().unwrap_or(0));
+    let high_ratio = ratios.iter().filter(|&&ratio| ratio > 10.0).count();
+    let payload = format!("≈ {:.0} B mean materialized", mean(&widths));
+    let depth = format!("{shallow} - {deep} joins");
+    let partners = format!("low ({:.0}% mean join partners)", mean(&partner_pcts));
+    let ratio = format!("mostly high ({high_ratio}/{} joins > 10x)", ratios.len());
+    let build = format!("mostly small ({small_builds}/{joins} builds < LLC)");
+    let cols = [
+        Col::key("Factor", "factor", -18, Plain),
+        Col::key("Prior Work", "prior_work", -22, Plain),
+        Col::key("TPC-H (measured here)", "tpch_measured", -38, Plain),
+        Col::key("Real World [45]", "real_world", -18, Plain),
+    ];
+    let mut t = r.table("table5_workloads", &cols);
+    t.header(r);
+    row!(t, r, "Skew (Zipf)", "0 - 2", "none (uniform keys)", "yes");
+    row!(t, r, "Payload Size", "8 - 16 B", payload, "large (strings)");
+    row!(t, r, "Pipeline Depth", "1 join", depth, "various");
+    row!(t, r, "Selectivity", "100%", partners, "low selectivity");
+    row!(t, r, "Size Difference", "1 - 25", ratio, "mostly high");
+    row!(t, r, "Build Size", ">> LLC", build, "mostly small");
+    let note = "Paper's takeaway: past research evaluated a narrow corner of this space; TPC-H is \
+                broader, and real workloads (skew + strings) are even less favourable for the \
+                radix join.";
+    r.footer(&t, note);
+}
+
+/// EXTENSION (paper footnote 11) — TPC-H with JCC-H-style foreign-key skew:
+/// "JCC-H provides a more realistic drop-in replacement for TPC-H with
+/// skew. It puts even more pressure on the radix join." The data is
+/// regenerated with Zipf-distributed `o_custkey` / `l_partkey` and the joins
+/// compared on the part- and customer-driven queries. Expected: the BHJ's
+/// advantage *grows* with skew (hot keys are cache-resident for it, but
+/// unbalance the radix partitions).
+pub fn ext_skew(r: &mut Report, p: &Params) {
+    let (sf, threads, reps) = (p.get::<f64>("sf"), p.threads(), p.reps());
+    let run = format!("{threads} threads, median of {reps}");
+    p.banner(
+        r,
+        &format!("SF {sf}, Zipf z ∈ {{uniform, 1.0, 1.5}}, {run}"),
+    );
+    let e = engine(threads, false);
+    let cols = [
+        Col::key("", "zipf", 0, Plain),
+        Col::key("", "query", 0, Plain),
+        Col::key("", "algo", 0, Plain),
+        Col::val("", "runtime_ms", 0, Fixed(2, 2, "")),
+    ];
+    let mut csv = r.table("ext_skewed_tpch", &cols);
+    let ms_col = |title| Col::val(title, "", 10, Fixed(1, 1, ""));
+    let cols = [
+        Col::key("query", "", 6, Tagged("Q")),
+        ms_col("BHJ[ms]"),
+        ms_col("BRJ[ms]"),
+        ms_col("RJ[ms]"),
+        Col::val("BHJ adv. over RJ", "", 18, Fixed(2, 2, "x")),
+    ];
+    let mut shown = r.table("", &cols);
+    for (label, z) in [
+        ("uniform", None),
+        ("z=1.0", Some(1.0)),
+        ("z=1.5", Some(1.5)),
+    ] {
+        let data = z.map_or_else(|| tpch(sf), |z| Arc::new(generate_skewed(sf, SEED, z)));
+        r.line(format!("\n--- {label} ---"));
+        shown.header(r);
+        for id in [4u32, 12, 14, 19] {
+            let [bhj, brj, rj] = [Bhj, Brj, Rj].map(|algo| {
+                let ms = run_ms(&query(id), &data, &QueryConfig::new(algo), &e, reps);
+                row!(csv, r, label, id, algo.name(), ms);
+                ms
+            });
+            row!(shown, r, id, bhj, brj, rj, rj / bhj);
+        }
+    }
+    let note = "Expected: the RJ-to-BHJ runtime ratio widens as skew grows — real data is even \
+                less friendly to partitioning than spec TPC-H.";
+    r.footer(&csv, note);
+}

@@ -1,37 +1,78 @@
-//! Shared benchmark plumbing: flags, repeated timing, formatting, CSV.
+//! Shared benchmark plumbing: flags, repeated timing, formatting.
 
+use joinstudy_exec::registry::json_string;
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Minimal `--key value` / `--flag` argument parser (no external deps).
+/// Every caller names the flags it knows, so a typo (`--rep 5`) is an error
+/// instead of a silent run with the defaults.
 pub struct Args {
     values: HashMap<String, String>,
     flags: Vec<String>,
+    /// Positional words, in order (`repro`'s row names; nothing else takes any).
+    pub words: Vec<String>,
 }
 
 impl Args {
-    pub fn parse() -> Args {
-        let mut values = HashMap::new();
-        let mut flags = Vec::new();
+    /// Parse the process arguments; on a flag outside `known`, a positional
+    /// word or `--reps 0`, print the reason and exit with status 2.
+    pub fn parse(known: &[&str]) -> Args {
         let argv: Vec<String> = std::env::args().skip(1).collect();
+        let parsed = Args::parse_from(&argv, known).and_then(|args| match args.words.first() {
+            Some(word) => Err(format!("unexpected argument {word:?}")),
+            None => Ok(args),
+        });
+        parsed.unwrap_or_else(|why| {
+            eprintln!("{why}");
+            std::process::exit(2);
+        })
+    }
+
+    /// A `--key` followed by a token that is not itself a `--flag` takes it
+    /// as its value; otherwise it is a switch.
+    pub fn parse_from(argv: &[String], known: &[&str]) -> Result<Args, String> {
+        let mut args = Args {
+            values: HashMap::new(),
+            flags: Vec::new(),
+            words: Vec::new(),
+        };
         let mut i = 0;
         while i < argv.len() {
-            let a = &argv[i];
-            if let Some(key) = a.strip_prefix("--") {
-                if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                    values.insert(key.to_string(), argv[i + 1].clone());
-                    i += 2;
-                } else {
-                    flags.push(key.to_string());
-                    i += 1;
-                }
+            let Some(key) = argv[i].strip_prefix("--") else {
+                args.words.push(argv[i].clone());
+                i += 1;
+                continue;
+            };
+            if !known.contains(&key) {
+                let known: Vec<String> = known.iter().map(|k| format!("--{k}")).collect();
+                return Err(format!("unknown flag --{key} (known: {})", known.join(" ")));
+            }
+            if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
+                args.values.insert(key.to_string(), argv[i + 1].clone());
+                i += 2;
             } else {
+                args.flags.push(key.to_string());
                 i += 1;
             }
         }
-        Args { values, flags }
+        match args.values.get("reps").map(|v| v.parse::<usize>()) {
+            Some(Ok(0)) | Some(Err(_)) => Err("--reps must be a positive integer".into()),
+            _ => Ok(args),
+        }
+    }
+
+    /// The value given for `key`, if any.
+    pub fn value(&self, key: &str) -> Option<&str> {
+        self.values.get(key).map(String::as_str)
+    }
+
+    /// Every flag on the command line, with whether it came with a value.
+    pub fn given(&self) -> impl Iterator<Item = (&str, bool)> {
+        let valued = self.values.keys().map(|k| (k.as_str(), true));
+        valued.chain(self.flags.iter().map(|k| (k.as_str(), false)))
     }
 
     pub fn f64(&self, key: &str, default: f64) -> f64 {
@@ -123,39 +164,6 @@ pub fn fmt_bytes(b: usize) -> String {
     }
 }
 
-/// CSV writer targeting `results/<name>.csv` (created on demand).
-pub struct Csv {
-    file: std::fs::File,
-    path: PathBuf,
-}
-
-impl Csv {
-    pub fn create(name: &str, header: &str) -> Csv {
-        let dir = PathBuf::from("results");
-        std::fs::create_dir_all(&dir).expect("create results dir");
-        let path = dir.join(format!("{name}.csv"));
-        let mut file = std::fs::File::create(&path).expect("create csv");
-        writeln!(file, "{header}").unwrap();
-        Csv { file, path }
-    }
-
-    pub fn row(&mut self, fields: &[String]) {
-        writeln!(self.file, "{}", fields.join(",")).unwrap();
-    }
-
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
-    }
-}
-
-/// Convenience macro-ish helper: stringify heterogeneous CSV fields.
-#[macro_export]
-macro_rules! csv_row {
-    ($csv:expr, $($field:expr),+ $(,)?) => {
-        $csv.row(&[$(format!("{}", $field)),+])
-    };
-}
-
 /// JSONL sidecar for [`QueryProfile`](joinstudy_exec::profile::QueryProfile)
 /// exports, targeting `results/<name>.profiles.jsonl`. One line per profiled
 /// run: `{"tag":"...","profile":{...}}`.
@@ -178,8 +186,8 @@ impl ProfileLog {
     pub fn row(&mut self, tag: &str, profile_json: &str) {
         writeln!(
             self.file,
-            "{{\"tag\":\"{}\",\"profile\":{profile_json}}}",
-            tag.replace('\\', "\\\\").replace('"', "\\\"")
+            "{{\"tag\":{},\"profile\":{profile_json}}}",
+            json_string(tag)
         )
         .unwrap();
     }
@@ -189,17 +197,38 @@ impl ProfileLog {
     }
 }
 
+/// The standard experiment banner: title and parameters between two rules.
+pub fn banner_text(what: &str, detail: &str) -> String {
+    let rule = "================================================================";
+    format!("{rule}\n{what}\n{detail}\n{rule}")
+}
+
 /// Print a standard experiment banner.
 pub fn banner(what: &str, detail: &str) {
-    println!("================================================================");
-    println!("{what}");
-    println!("{detail}");
-    println!("================================================================");
+    println!("{}", banner_text(what, detail));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unknown_flags_and_reps_zero_are_errors_not_silent_defaults() {
+        let argv = |s: &str| -> Vec<String> { s.split_whitespace().map(String::from).collect() };
+        let known = ["reps", "threads", "quick"];
+        let err = Args::parse_from(&argv("--rep 5"), &known).err().unwrap();
+        assert!(
+            err.contains("unknown flag --rep") && err.contains("--reps"),
+            "{err}"
+        );
+        assert!(Args::parse_from(&argv("--thread 8"), &known).is_err());
+        assert!(Args::parse_from(&argv("--reps 0"), &known).is_err());
+        let args = Args::parse_from(&argv("fig14 --reps 5 --quick"), &known).unwrap();
+        assert_eq!(
+            (args.reps(), args.flag("quick"), args.words.len()),
+            (5, true, 1)
+        );
+    }
 
     #[test]
     fn fmt_si_ranges() {

@@ -1,31 +1,7 @@
 //! Host hardware detection + a memory-bandwidth probe (Table 2's columns).
 
+use joinstudy_exec::pmu;
 use std::time::Instant;
-
-/// Detected platform description.
-#[derive(Debug, Clone)]
-pub struct Hardware {
-    pub vendor: String,
-    pub model: String,
-    pub sockets: usize,
-    pub cores: usize,
-    pub threads: usize,
-    pub clock_mhz: f64,
-    pub l1d_kib: Option<usize>,
-    pub l2_kib: Option<usize>,
-    pub llc_kib: Option<usize>,
-    /// Measured copy bandwidth in GiB/s (single-threaded memcpy stream).
-    pub dram_gib_s: f64,
-    /// Whether `perf_event_open` hardware counters work from this process
-    /// (probed by actually opening a counter group, see [`joinstudy_exec::pmu`]).
-    pub pmu_available: bool,
-    /// Kernel `perf_event_paranoid` level, when readable. Levels above 2
-    /// forbid unprivileged per-thread counters on most distributions.
-    pub perf_event_paranoid: Option<i64>,
-    /// Number of NUMA nodes exposed in sysfs (1 when undetectable — the
-    /// paper's single-socket assumption).
-    pub numa_nodes: usize,
-}
 
 fn cpuinfo_field(content: &str, key: &str) -> Option<String> {
     content
@@ -96,32 +72,23 @@ fn numa_node_count() -> usize {
     n.max(1)
 }
 
-/// Detect the host.
-pub fn detect() -> Hardware {
+/// Table 2's "this host" column: (property, detected value) in the paper's
+/// row order, `?` where the host does not say.
+pub fn describe() -> Vec<(&'static str, String)> {
     let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
-    let model = cpuinfo_field(&cpuinfo, "model name").unwrap_or_else(|| "unknown".into());
-    let vendor = cpuinfo_field(&cpuinfo, "vendor_id").unwrap_or_else(|| "unknown".into());
-    let clock_mhz = cpuinfo_field(&cpuinfo, "cpu MHz")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let sockets = {
-        let ids: std::collections::HashSet<String> = cpuinfo
-            .lines()
-            .filter(|l| l.starts_with("physical id"))
-            .map(|l| l.to_string())
-            .collect();
-        ids.len().max(1)
-    };
-    let cores = cpuinfo_field(&cpuinfo, "cpu cores")
+    let field = |key: &str| cpuinfo_field(&cpuinfo, key);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let sockets: std::collections::HashSet<&str> = cpuinfo
+        .lines()
+        .filter(|l| l.starts_with("physical id"))
+        .collect();
+    let cores: usize = field("cpu cores")
         .and_then(|v| v.parse().ok())
         .unwrap_or(threads);
+    let ghz = field("cpu MHz").and_then(|v| v.parse().ok()).unwrap_or(0.0) / 1000.0;
+    let model = field("model name").unwrap_or_else(|| "unknown".into());
 
-    let mut l1d = None;
-    let mut l2 = None;
-    let mut llc = None;
+    let (mut l1d, mut l2, mut llc) = (None, None, None);
     for idx in 0..6 {
         let (level, ctype) = cache_level_and_type(idx);
         let size = read_cache_kib(idx);
@@ -132,34 +99,34 @@ pub fn detect() -> Hardware {
             _ => {}
         }
     }
-
-    Hardware {
-        vendor,
-        model,
-        sockets,
-        cores,
-        threads,
-        clock_mhz,
-        l1d_kib: l1d,
-        l2_kib: l2,
-        llc_kib: llc,
-        dram_gib_s: measure_copy_bandwidth(),
-        pmu_available: joinstudy_exec::pmu::probe(),
-        perf_event_paranoid: joinstudy_exec::pmu::paranoid_level(),
-        numa_nodes: numa_node_count(),
-    }
-}
-
-/// Best-effort LLC size in bytes (default 16 MiB when undetectable) — used
-/// by harnesses that size workloads relative to the cache, like the paper.
-pub fn llc_bytes() -> usize {
-    for idx in 0..6 {
-        let (level, _) = cache_level_and_type(idx);
-        if level == Some(3) {
-            if let Some(kib) = read_cache_kib(idx) {
-                return kib * 1024;
-            }
-        }
-    }
-    16 * 1024 * 1024
+    let known = |v: Option<String>| v.unwrap_or_else(|| "?".into());
+    let kib = |v: Option<usize>| known(v.map(|k| k.to_string()));
+    let pmu = if pmu::probe() {
+        "available"
+    } else {
+        "unavailable"
+    };
+    vec![
+        (
+            "vendor",
+            field("vendor_id").unwrap_or_else(|| "unknown".into()),
+        ),
+        ("model", model.chars().take(26).collect()),
+        ("sockets", sockets.len().max(1).to_string()),
+        ("cores (SMT)", format!("{cores} ({threads})")),
+        ("clock rate [GHz]", format!("{ghz:.1}")),
+        ("L1 data cache [KiB]", kib(l1d)),
+        ("L2 cache [KiB]", kib(l2)),
+        ("LLC cache [KiB]", kib(llc)),
+        (
+            "DRAM speed [GiB/s]",
+            format!("{:.1} (copy)", measure_copy_bandwidth()),
+        ),
+        ("NUMA nodes", numa_node_count().to_string()),
+        ("PMU counters", pmu.to_string()),
+        (
+            "perf_event_paranoid",
+            known(pmu::paranoid_level().map(|l| l.to_string())),
+        ),
+    ]
 }

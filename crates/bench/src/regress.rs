@@ -3,10 +3,9 @@
 //! `bench_check` (the `cargo run -p joinstudy-bench --bin bench_check`
 //! entrypoint) runs a small fixed workload, snapshots the engine's metrics
 //! registry, and compares the result against `results/baseline.json`. This
-//! module holds the pieces that need tests: a minimal JSON reader (the repo
-//! has no serde; every exporter hand-builds JSON strings, so the gate
-//! hand-*parses* them), the baseline schema, and the tolerance-aware
-//! comparison.
+//! module holds the pieces that need tests: the baseline schema (read
+//! through the workspace's one JSON reader, [`joinstudy_exec::registry::parse_json`])
+//! and the tolerance-aware comparison.
 //!
 //! # Baseline schema
 //!
@@ -30,195 +29,9 @@
 //! absent from the current run is always a failure: losing a counter is a
 //! regression in the observability surface itself.
 
+use joinstudy_exec::registry::{json_f64, parse_json, Json};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// A parsed JSON value — just enough of the grammar for baseline and
-/// metrics files (no unicode escapes beyond `\uXXXX`, no exponent edge
-/// cases beyond what `f64::from_str` accepts).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    /// Insertion-ordered; baselines are small so lookup is linear.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object member by key, if this is an object containing it.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a JSON document. Errors carry a byte offset and a short reason.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == ch {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", ch as char, *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
-                members.push((key, value));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            s.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number {s:?} at byte {start}"))
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {}", *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    while *pos < b.len() {
-        match b[*pos] {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {}", *pos))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            _ => {
-                // Multi-byte UTF-8 sequences pass through untouched.
-                let start = *pos;
-                while *pos < b.len() && b[*pos] != b'"' && b[*pos] != b'\\' {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
-            }
-        }
-    }
-    Err("unterminated string".into())
-}
 
 /// One gated metric in a baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -291,7 +104,7 @@ impl Baseline {
                 out.push_str(", ");
             }
             first = false;
-            let _ = write!(out, "\"{k}\": {}", fmt_num(*v));
+            let _ = write!(out, "\"{k}\": {}", json_f64(*v));
         }
         out.push_str("},\n  \"metrics\": {\n");
         let mut first = true;
@@ -301,25 +114,17 @@ impl Baseline {
             }
             first = false;
             let tol = match e.tol {
-                Some(t) => fmt_num(t),
+                Some(t) => json_f64(t),
                 None => "null".to_string(),
             };
             let _ = write!(
                 out,
                 "    \"{name}\": {{\"value\": {}, \"tol\": {tol}}}",
-                fmt_num(e.value)
+                json_f64(e.value)
             );
         }
         out.push_str("\n  }\n}\n");
         out
-    }
-}
-
-fn fmt_num(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
     }
 }
 
@@ -410,7 +215,7 @@ pub fn metrics_json(workload: &BTreeMap<String, f64>, current: &BTreeMap<String,
             out.push_str(", ");
         }
         first = false;
-        let _ = write!(out, "\"{k}\": {}", fmt_num(*v));
+        let _ = write!(out, "\"{k}\": {}", json_f64(*v));
     }
     out.push_str("},\n  \"metrics\": {\n");
     let mut first = true;
@@ -419,7 +224,7 @@ pub fn metrics_json(workload: &BTreeMap<String, f64>, current: &BTreeMap<String,
             out.push_str(",\n");
         }
         first = false;
-        let _ = write!(out, "    \"{k}\": {}", fmt_num(*v));
+        let _ = write!(out, "    \"{k}\": {}", json_f64(*v));
     }
     out.push_str("\n  }\n}\n");
     out
@@ -431,35 +236,6 @@ mod tests {
 
     fn wl(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
         pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
-    }
-
-    #[test]
-    fn parses_nested_json() {
-        let doc =
-            parse_json(r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\ny A"}, "d": null, "e": true}"#)
-                .unwrap();
-        assert_eq!(
-            doc.get("a"),
-            Some(&Json::Arr(vec![
-                Json::Num(1.0),
-                Json::Num(2.5),
-                Json::Num(-300.0)
-            ]))
-        );
-        assert_eq!(
-            doc.get("b").unwrap().get("c"),
-            Some(&Json::Str("x\ny A".into()))
-        );
-        assert_eq!(doc.get("d"), Some(&Json::Null));
-        assert_eq!(doc.get("e"), Some(&Json::Bool(true)));
-    }
-
-    #[test]
-    fn rejects_malformed_json() {
-        assert!(parse_json("{\"a\": }").is_err());
-        assert!(parse_json("[1, 2").is_err());
-        assert!(parse_json("{} extra").is_err());
-        assert!(parse_json("\"open").is_err());
     }
 
     #[test]

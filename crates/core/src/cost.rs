@@ -49,6 +49,7 @@
 //! `cost_props` property test pins this.
 
 use crate::plan::JoinAlgo;
+use joinstudy_exec::registry::{json_string, parse_json, Json};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -117,9 +118,8 @@ impl Default for Calibration {
     }
 }
 
-/// Best-effort LLC size in bytes, 16 MiB when sysfs is unreadable (the
-/// same fallback `bench::hw` uses; duplicated here because `core` cannot
-/// depend on the bench crate).
+/// Best-effort LLC size in bytes, 16 MiB when sysfs is unreadable — the
+/// workspace's one LLC probe; the bench harnesses size workloads with it.
 pub fn detect_llc_bytes() -> usize {
     for idx in 0..6 {
         let base = format!("/sys/devices/system/cpu/cpu0/cache/index{idx}");
@@ -231,7 +231,10 @@ impl Calibration {
         field("bloom_probe", self.bloom_probe);
         field("ramp_llc_multiple", self.ramp_llc_multiple);
         field("spill_ns_per_byte", self.spill_ns_per_byte);
-        s.push_str(&format!("  \"source\": \"{}\"\n}}\n", self.source));
+        s.push_str(&format!(
+            "  \"source\": {}\n}}\n",
+            json_string(&self.source)
+        ));
         s
     }
 
@@ -240,12 +243,14 @@ impl Calibration {
     /// result is sanitized. Errors only on malformed JSON.
     pub fn from_json(text: &str) -> Result<Calibration, String> {
         let mut cal = Calibration::default();
-        for (key, value) in parse_flat_object(text)? {
-            let num = || -> Result<f64, String> {
+        let Json::Obj(members) = parse_json(text)? else {
+            return Err("calibration file: expected a JSON object".into());
+        };
+        for (key, value) in members {
+            let num = || {
                 value
-                    .trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("calibration key {key:?}: not a number: {value:?}"))
+                    .as_f64()
+                    .ok_or_else(|| format!("calibration key {key:?}: not a number: {value:?}"))
             };
             match key.as_str() {
                 "llc_bytes" => cal.llc_bytes = num()?,
@@ -261,7 +266,11 @@ impl Calibration {
                 "bloom_probe" => cal.bloom_probe = num()?,
                 "ramp_llc_multiple" => cal.ramp_llc_multiple = num()?,
                 "spill_ns_per_byte" => cal.spill_ns_per_byte = num()?,
-                "source" => cal.source = value,
+                "source" => {
+                    if let Json::Str(source) = value {
+                        cal.source = source;
+                    }
+                }
                 _ => {}
             }
         }
@@ -297,75 +306,6 @@ impl Calibration {
                 .unwrap_or_default()
         })
     }
-}
-
-/// Minimal flat-JSON-object parser: `{"key": value, ...}` where values are
-/// numbers or strings. Sufficient for the calibration file; the full JSON
-/// machinery lives in `bench::regress`, which `core` cannot depend on.
-fn parse_flat_object(text: &str) -> Result<Vec<(String, String)>, String> {
-    let mut out = Vec::new();
-    let mut chars = text.chars().peekable();
-    let skip_ws = |chars: &mut std::iter::Peekable<std::str::Chars>| {
-        while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-            chars.next();
-        }
-    };
-    let parse_string =
-        |chars: &mut std::iter::Peekable<std::str::Chars>| -> Result<String, String> {
-            if chars.next() != Some('"') {
-                return Err("expected '\"'".into());
-            }
-            let mut s = String::new();
-            loop {
-                match chars.next() {
-                    Some('"') => return Ok(s),
-                    Some('\\') => match chars.next() {
-                        Some(c) => s.push(c),
-                        None => return Err("unterminated escape".into()),
-                    },
-                    Some(c) => s.push(c),
-                    None => return Err("unterminated string".into()),
-                }
-            }
-        };
-    skip_ws(&mut chars);
-    if chars.next() != Some('{') {
-        return Err("calibration file: expected a JSON object".into());
-    }
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek() {
-            Some('}') => break,
-            Some('"') => {}
-            other => return Err(format!("expected key or '}}', got {other:?}")),
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return Err(format!("key {key:?}: expected ':'"));
-        }
-        skip_ws(&mut chars);
-        let value = if chars.peek() == Some(&'"') {
-            parse_string(&mut chars)?
-        } else {
-            let mut v = String::new();
-            while matches!(chars.peek(), Some(c) if !c.is_whitespace() && *c != ',' && *c != '}') {
-                v.push(chars.next().unwrap());
-            }
-            v
-        };
-        out.push((key, value));
-        skip_ws(&mut chars);
-        if !matches!(chars.peek(), Some(',')) {
-            skip_ws(&mut chars);
-            match chars.peek() {
-                Some('}') => break,
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-        chars.next();
-    }
-    Ok(out)
 }
 
 /// What the planner believes about one join before running it.

@@ -1,8 +1,8 @@
 //! Byte-accounting instrumentation — the portable software fallback for
 //! the PCM hardware counters the paper uses for Figure 10. Since PR 4 the
 //! *measured* path exists too: [`crate::pmu`] samples real cycle/cache/TLB
-//! counters via `perf_event_open` (`fig10_bandwidth --hw`,
-//! `fig07_counters`), and [`mark_phase`] feeds it phase boundaries so both
+//! counters via `perf_event_open` (`repro fig10 --hw`, `repro fig07`),
+//! and [`mark_phase`] feeds it phase boundaries so both
 //! accountings attribute to the same [`MemPhase`] taxonomy. Byte
 //! accounting stays the default because it works everywhere — containers
 //! and locked-down hosts routinely deny `perf_event_open`.

@@ -1,24 +1,6 @@
 #!/bin/bash
-# Regenerate every figure/table of the paper at container-appropriate scale.
-set -x
-R=results/logs
-cargo run --release -q -p joinstudy-bench --bin table2_hardware > $R/table2.txt 2>&1
-cargo run --release -q -p joinstudy-bench --bin table1_workloads > $R/table1.txt 2>&1
-cargo run --release -q -p joinstudy-bench --bin fig14_selectivity -- --reps 3 > $R/fig14.txt 2>&1
-cargo run --release -q -p joinstudy-bench --bin fig15_payload -- --reps 3 > $R/fig15.txt 2>&1
-cargo run --release -q -p joinstudy-bench --bin fig16_pipeline -- --reps 2 > $R/fig16.txt 2>&1
-cargo run --release -q -p joinstudy-bench --bin fig17_skew -- --reps 2 > $R/fig17.txt 2>&1
-cargo run --release -q -p joinstudy-bench --bin fig08_scalability -- --reps 2 > $R/fig08.txt 2>&1
-cargo run --release -q -p joinstudy-bench --bin fig09_numa -- --reps 2 > $R/fig09.txt 2>&1
-cargo run --release -q -p joinstudy-bench --bin fig10_bandwidth > $R/fig10.txt 2>&1
-cargo run --release -q -p joinstudy-bench --bin table3_late_mat -- --reps 3 > $R/table3.txt 2>&1
-cargo run --release -q -p joinstudy-bench --bin fig11_tpch -- --sfs 0.05,0.1 --reps 2 > $R/fig11.txt 2>&1
-cargo run --release -q -p joinstudy-bench --bin fig02_workload_hist -- --sf 0.1 > $R/fig02.txt 2>&1
-cargo run --release -q -p joinstudy-bench --bin fig13_q21_tree -- --sf 0.1 > $R/fig13.txt 2>&1
-cargo run --release -q -p joinstudy-bench --bin fig12_join_impact -- --sf 0.1 --reps 2 > $R/fig12.txt 2>&1
-cargo run --release -q -p joinstudy-bench --bin fig18_summary -- --sf 0.1 --reps 2 > $R/fig18.txt 2>&1
-cargo run --release -q -p joinstudy-bench --bin fig01_join_matrix -- --sf 0.1 --reps 2 > $R/fig01.txt 2>&1
-cargo run --release -q -p joinstudy-bench --bin table4_synthesis -- --reps 2 > $R/table4.txt 2>&1
-cargo run --release -q -p joinstudy-bench --bin table5_workloads -- --sf 0.1 > $R/table5.txt 2>&1
-cargo run --release -q -p joinstudy-bench --bin ext_skewed_tpch -- --sf 0.1 --reps 2 > $R/ext_skew.txt 2>&1
-echo ALL_BENCHES_DONE
+# Regenerate every figure/table of the paper at container-appropriate scale:
+# one `repro all`, which creates results/logs/, writes <row>.txt there and
+# exits non-zero if any row failed.
+set -ex
+cargo run --release -q -p joinstudy-bench --bin repro -- all --reps 2 --sfs 0.05,0.1
