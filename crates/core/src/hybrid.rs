@@ -1,52 +1,61 @@
-//! Dynamic hybrid hash join (HHJ): the out-of-core join that stays correct
-//! under *any* memory budget.
+//! Dynamic hybrid hash join (HHJ): the radix join plus eviction — the
+//! out-of-core join, correct under any memory budget that holds its minimum
+//! working set ([`min_working_set`]), and naming that floor when one does not.
 //!
-//! Both inputs are hash-partitioned by their join keys (the same 64-bit
-//! hash the in-memory joins use, consumed window-by-window so recursion
-//! levels stay independent). Partitions remain memory-resident as long as
-//! the [`QueryContext`] budget allows; under pressure the *largest*
-//! resident partition is evicted to a [`crate::spill`] run — the
-//! victim-selection trade-off from "Design Trade-offs for a Robust Dynamic
-//! Hybrid Hash Join": evicting big partitions frees the most memory per
-//! eviction and keeps the most partitions resident. Once spilled, a
-//! partition stays spilled (no re-admission thrash).
+//! There is one partitioner, [`crate::radix::PartitionSink`]. This module
+//! gives it what it needs to evict and joins what it evicted:
 //!
-//! The join phase then processes each partition pair independently: build
-//! the in-memory hash table with the ordinary [`crate::bhj`] primitives and
-//! stream the probe side through it (the probe side is never materialized
-//! twice). A partition whose build side *still* exceeds the budget is
-//! recursively repartitioned on the next hash-bit window, up to
-//! [`SpillConfig::max_depth`]; a partition that stops shrinking (degenerate
-//! keys — every row identical) or exhausts the depth budget falls back to a
-//! streaming block nested-loop join that processes the build side in
-//! budget-sized chunks. All seven [`JoinType`]s are preserved through every
-//! fallback level.
+//! * **Open.** Both inputs are radix-partitioned exactly as the RJ does it.
+//!   A pre-partition stays *open* — in pages, then in the contiguous
+//!   [`PartitionedSide`] — for as long as the join's share of the budget
+//!   ([`Level`]) allows, and is joined by the ordinary [`RadixJoinSource`].
+//! * **Closed.** When a worker's lease may not grow, the victim policy
+//!   ([`largest_resident`]) names a pre-partition to *close*: its rows move
+//!   to a [`crate::spill`] run and later ones follow. Closed stays closed,
+//!   and the probe side starts from the build side's closed set.
+//! * **Reloaded.** After the resident join, each pair closed on both sides
+//!   is read back through the same evicting sink on the next hash-bit
+//!   window ([`Level::child`]) — which joins what now fits and closes what
+//!   still does not. A pair only the probe side closed has its probe run
+//!   joined, chunk by chunk, against the build rows that stayed resident. A
+//!   pair that stops shrinking (degenerate keys) or exhausts
+//!   [`SpillConfig::max_depth`] goes to a streaming block nested-loop join
+//!   that processes the build side in share-sized chunks. All seven
+//!   [`JoinType`]s are preserved through every level.
 
 use crate::bhj::{BhjBuildSink, BhjProbeOp, BhjState, BhjUnmatchedSource};
-use crate::hash::hash_columns;
 use crate::join_common::{default_column, JoinType};
-use crate::spill::{SpillDir, SpillFile, SpillReader, SpillWriter};
+use crate::radix::{
+    ClosedSet, Eviction, PartitionSink, PartitionedSide, PhaseSet, RadixConfig, FIRST_PAGE_BYTES,
+};
+use crate::rj::RadixJoinSource;
+use crate::row::RowLayout;
+use crate::spill::{SpillDir, SpillFile, SpillReader, SpillWriter, WRITE_BUF_BYTES};
+use crate::swwcb::SWWCB_BYTES;
 use joinstudy_exec::batch::Batch;
 use joinstudy_exec::context::{BudgetLease, QueryContext};
 use joinstudy_exec::error::{ExecError, ExecResult};
-use joinstudy_exec::metrics::{self, MemPhase};
-use joinstudy_exec::pipeline::{Emit, LocalState, Operator, Sink, Source};
+use joinstudy_exec::pipeline::{Emit, Operator, Sink, Source};
 use joinstudy_exec::registry;
 use joinstudy_exec::trace;
 use joinstudy_storage::column::ColumnData;
 use joinstudy_storage::types::DataType;
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Tuning knobs of the hybrid hash join.
 #[derive(Debug, Clone, Copy)]
 pub struct SpillConfig {
-    /// log2 of the partition fan-out per level. The effective fan-out is
-    /// additionally capped by the budget so open write buffers can never
-    /// consume it whole (see [`SpillConfig::effective_fanout_bits`]).
+    /// Cap on the log2 pass-1 fan-out under a memory budget, beside
+    /// [`RadixConfig::bits_pass1`]; a small budget lowers it further
+    /// ([`Level`]). Pass-1 pre-partitions are the spill unit, and every one
+    /// that is closed costs a file per side: on the yardstick's `tpch`
+    /// workload 64 of them ran 1.0–2.0 s a pass on ext4 where 16 run
+    /// 0.75–0.85 s, with nothing lost on the large joins of `micro_*`.
     pub fanout_bits: u32,
-    /// Maximum recursive-repartitioning depth; beyond it the join degrades
-    /// to the streaming nested-loop fallback.
+    /// Maximum reload depth; beyond it a closed pair degrades to the
+    /// streaming nested-loop fallback.
     pub max_depth: u32,
 }
 
@@ -59,549 +68,521 @@ impl Default for SpillConfig {
     }
 }
 
-impl SpillConfig {
-    /// Fan-out bits actually used under `budget`: at most a quarter of the
-    /// budget may go to open spill write buffers (one per partition, both
-    /// sides), with a floor of two partitions.
-    pub fn effective_fanout_bits(&self, budget: Option<usize>) -> u32 {
-        let Some(budget) = budget else {
-            return self.fanout_bits.max(1);
-        };
-        let max_buffers = (budget / 4 / crate::spill::WRITE_BUF_BYTES).max(2);
-        let cap = (usize::BITS - 1 - max_buffers.leading_zeros()).max(1);
-        self.fanout_bits.clamp(1, cap)
+/// Smallest write buffer a spill run is opened with.
+const MIN_WRITE_BUF: usize = 1024;
+
+/// The victim policy: close the largest resident pre-partition — the most
+/// memory freed per run opened, and the most partitions left resident
+/// ("Design Trade-offs for a Robust Dynamic Hybrid Hash Join"). `resident`
+/// is bytes per pre-partition, zero for closed or empty ones. A
+/// correlation-aware choice (NOCAP: keep the partitions whose keys the probe
+/// side hits most) would replace this function and nothing else.
+pub fn largest_resident(resident: &[usize]) -> Option<usize> {
+    let (victim, &bytes) = resident.iter().enumerate().max_by_key(|(_, &b)| b)?;
+    (bytes > 0).then_some(victim)
+}
+
+/// Bytes one join level needs before it holds a single row, at pass-1
+/// fan-out `fanout` on `workers` workers: per worker one write-combine slot
+/// and one first page per pre-partition, plus one run's write buffer per
+/// pre-partition (a level partitions one side at a time).
+pub fn min_working_set(fanout: usize, workers: usize) -> usize {
+    workers * fanout * (SWWCB_BYTES + FIRST_PAGE_BYTES) + fanout * MIN_WRITE_BUF
+}
+
+/// One level of a hybrid join: which hash bits its pass 1 reads, how wide,
+/// and how many bytes it may hold.
+#[derive(Debug, Clone, Copy)]
+pub struct Level {
+    /// Bytes this level's sinks, resident sides and reloads may hold
+    /// between them; `None` without a budget.
+    share: Option<usize>,
+    workers: usize,
+    /// 0 for the join's own inputs, +1 per reload.
+    depth: u32,
+    shift: u32,
+    bits1: u32,
+}
+
+/// Widest pass-1 fan-out of at most `max_bits` whose minimum working set
+/// fits half of `share` (the other half is for rows).
+fn fit_bits(share: Option<usize>, workers: usize, max_bits: u32) -> Option<u32> {
+    let Some(share) = share else {
+        return Some(max_bits);
+    };
+    (1..=max_bits)
+        .rev()
+        .find(|&bits| 2 * min_working_set(1 << bits, workers) <= share)
+}
+
+impl Level {
+    pub fn bits1(&self) -> u32 {
+        self.bits1
     }
-}
 
-/// Sum of a batch's accountable bytes (column payloads + validity masks).
-fn batch_bytes(batch: &Batch) -> usize {
-    let cols: usize = batch.columns().iter().map(|c| c.byte_size()).sum();
-    let masks: usize = (0..batch.num_columns())
-        .map(|i| batch.validity(i).as_ref().map_or(0, |m| m.len()))
-        .sum();
-    cols + masks
-}
+    pub fn fanout(&self) -> usize {
+        1 << self.bits1
+    }
 
-// ------------------------------------------------------- partition sink
-
-/// One partition's staging state inside the sink.
-struct SlotState {
-    batches: Vec<Batch>,
-    /// Accounted bytes of `batches` (held by the sink's aggregate lease).
-    bytes: usize,
-    /// Present once the partition has been evicted; it then stays spilled.
-    writer: Option<SpillWriter>,
-}
-
-struct SinkState {
-    slots: Vec<SlotState>,
-    lease: BudgetLease,
-}
-
-/// Pipeline breaker that hash-partitions its input into `1 << fanout_bits`
-/// partitions, spilling victims partition-by-partition when the memory
-/// budget runs out.
-pub struct PartitionSpillSink {
-    key_cols: Vec<usize>,
-    fanout_bits: u32,
-    phase: MemPhase,
-    side: &'static str,
-    /// Resident-bytes ceiling for this sink — a quarter of the budget, so
-    /// build-side residents, probe-side residents and open write buffers
-    /// can coexist with headroom left for the join phase's hash tables.
-    resident_cap: usize,
-    ctx: Arc<QueryContext>,
-    dir: Arc<SpillDir>,
-    global: Mutex<SinkState>,
-}
-
-struct PartitionLocal {
-    hashes: Vec<u64>,
-    sels: Vec<Vec<u32>>,
-}
-
-impl PartitionSpillSink {
-    pub fn new(
-        key_cols: Vec<usize>,
-        fanout_bits: u32,
-        phase: MemPhase,
-        side: &'static str,
-        ctx: Arc<QueryContext>,
-        dir: Arc<SpillDir>,
-    ) -> PartitionSpillSink {
-        let fanout = 1usize << fanout_bits;
-        let slots = (0..fanout)
-            .map(|_| SlotState {
-                batches: Vec::new(),
-                bytes: 0,
-                writer: None,
-            })
-            .collect();
-        let lease = BudgetLease::empty(&ctx);
-        let resident_cap = ctx
-            .memory_budget()
-            .map(|b| (b / 4).max(1))
-            .unwrap_or(usize::MAX);
-        PartitionSpillSink {
-            key_cols,
-            fanout_bits,
-            phase,
-            side,
-            resident_cap,
-            ctx,
-            dir,
-            global: Mutex::new(SinkState { slots, lease }),
+    /// The level a closed pair of this one is reloaded at: the next
+    /// hash-bit window, on the one worker that runs the reload task, under
+    /// what this level's share leaves beside the `held` bytes still resident.
+    /// Reloads of a join's own inputs run beside each other, so each gets
+    /// an equal part — no two tasks ever compete for the same headroom.
+    /// Deeper levels run one after another inside their task.
+    fn child(&self, max_bits: u32, held: usize) -> Level {
+        let share = self.share.map(|s| s.saturating_sub(held) / self.workers);
+        Level {
+            share,
+            workers: 1,
+            depth: self.depth + 1,
+            shift: self.shift + self.bits1,
+            bits1: fit_bits(share, 1, max_bits).unwrap_or(1),
         }
     }
 
-    /// Evict `victim`'s resident batches to its spill run, creating the run
-    /// on first eviction. The victim's share of the aggregate lease is
-    /// released *before* the run is created, so the write buffer's own
-    /// reservation cannot deadlock against the memory it is about to free.
-    fn evict(&self, state: &mut SinkState, victim: usize) -> ExecResult {
-        let batches = std::mem::take(&mut state.slots[victim].batches);
-        let freed = std::mem::take(&mut state.slots[victim].bytes);
-        state.lease.shrink(freed);
-        let slot = &mut state.slots[victim];
-        if slot.writer.is_none() {
-            trace::instant(format!("HHJ evict: {} p{victim} -> disk", self.side));
-            slot.writer = Some(SpillWriter::create(
-                &self.dir,
-                &format!("{}-p{victim}", self.side),
-                &self.ctx,
-            )?);
-            self.ctx.add_spill_partition();
-            registry::global().counter("spill.partitions").inc();
-        }
-        let writer = slot.writer.as_mut().expect("just created");
-        for b in &batches {
-            writer.write_batch(b)?;
-        }
-        Ok(())
+    /// The part of the share that rows may take: all but the runs' write
+    /// buffers ([`Level::write_buf`], at most a quarter between them).
+    fn rows_share(&self) -> Option<usize> {
+        self.share
+            .map(|s| s.saturating_sub(self.fanout() * self.write_buf()))
     }
 
-    /// Place one partition's sub-batch: into memory if the budget allows,
-    /// else evict the largest resident partition (possibly `p` itself) and
-    /// retry; a partition that has spilled before appends to its run.
-    fn place(&self, state: &mut SinkState, p: usize, sub: Batch) -> ExecResult {
-        if state.slots[p].writer.is_some() {
-            return state.slots[p]
-                .writer
-                .as_mut()
-                .expect("checked")
-                .write_batch(&sub);
-        }
-        let need = batch_bytes(&sub);
-        loop {
-            if state.lease.bytes().saturating_add(need) <= self.resident_cap {
-                match state.lease.grow(need) {
-                    Ok(()) => {
-                        metrics::record_write(self.phase, need as u64);
-                        let slot = &mut state.slots[p];
-                        slot.batches.push(sub);
-                        slot.bytes += need;
-                        return Ok(());
-                    }
-                    Err(ExecError::BudgetExceeded { .. }) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            // Over the cap (or the global budget refused): evict the
-            // largest resident partition — the most memory freed per spill
-            // run — and retry; with nothing left to evict, spill `p`
-            // itself. If even a write buffer does not fit the budget, the
-            // typed error propagates.
-            let victim = state
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.bytes > 0)
-                .max_by_key(|(_, s)| s.bytes)
-                .map(|(i, _)| i);
-            match victim {
-                Some(v) => {
-                    self.evict(state, v)?;
-                    if v == p {
-                        // `p` is now disk-backed; append and stop.
-                        return state.slots[p]
-                            .writer
-                            .as_mut()
-                            .expect("just evicted")
-                            .write_batch(&sub);
-                    }
-                }
-                None => {
-                    if state.slots[p].writer.is_none() {
-                        self.evict(state, p)?;
-                    }
-                    return state.slots[p]
-                        .writer
-                        .as_mut()
-                        .expect("just evicted")
-                        .write_batch(&sub);
-                }
-            }
-        }
+    /// Bytes one worker's pass-1 pages may reach while `held` bytes of the
+    /// share are resident already (the build side, when the probe side is
+    /// partitioned): half of what is free, because pass 2 copies what stayed
+    /// resident before the pages go.
+    fn worker_cap(&self, held: usize) -> usize {
+        self.rows_share()
+            .map_or(usize::MAX, |s| s.saturating_sub(held) / (2 * self.workers))
     }
 
-    /// Seal the sink: finish all spill runs and hand the partitions (and
-    /// the budget reservation backing the resident ones) to the caller.
-    pub fn finalize(&self) -> ExecResult<SideParts> {
-        let (slots, lease) = {
-            let mut g = self.global.lock().unwrap();
-            let slots = std::mem::take(&mut g.slots);
-            let lease = std::mem::replace(&mut g.lease, BudgetLease::empty(&self.ctx));
-            (slots, lease)
-        };
-        let mut parts = Vec::with_capacity(slots.len());
-        for slot in slots {
-            parts.push(Some(match slot.writer {
-                Some(w) => {
-                    debug_assert!(slot.batches.is_empty(), "spilled slot kept batches");
-                    PartData::File(w.finish()?)
-                }
-                None => PartData::Mem {
-                    rows: slot.batches.iter().map(|b| b.num_rows() as u64).sum(),
-                    batches: slot.batches,
-                    bytes: slot.bytes,
-                },
-            }));
-        }
-        // The resident bytes now belong to SideParts, released part by part.
-        let owned = lease.transfer();
-        debug_assert_eq!(
-            owned,
-            parts
-                .iter()
-                .map(|p| match p {
-                    Some(PartData::Mem { bytes, .. }) => *bytes,
-                    _ => 0,
-                })
-                .sum::<usize>()
-        );
-        Ok(SideParts {
-            parts: Mutex::new(parts),
-            ctx: Arc::clone(&self.ctx),
+    /// Row bytes a reload holds at a time of a side it streams — the probe
+    /// rows joined against a build partition that stayed resident, the
+    /// build rows of a nested-loop chunk: half of what rows may take, the
+    /// other half being their pass-2 copy or their hash table.
+    fn chunk_bytes(&self) -> usize {
+        self.rows_share().map_or(usize::MAX, |s| s / 2)
+    }
+
+    fn write_buf(&self) -> usize {
+        self.share.map_or(WRITE_BUF_BYTES, |s| {
+            (s / 4 / self.fanout()).clamp(MIN_WRITE_BUF, WRITE_BUF_BYTES)
         })
     }
+}
 
-    /// Number of partitions currently spilled to disk.
-    pub fn spilled_partitions(&self) -> usize {
-        self.global
-            .lock()
-            .unwrap()
-            .slots
-            .iter()
-            .filter(|s| s.writer.is_some())
-            .count()
+/// A closed partition's rows on one side: a finished spill run, or nothing.
+struct Run(Option<SpillFile>);
+
+impl Run {
+    fn rows(&self) -> u64 {
+        self.0.as_ref().map_or(0, SpillFile::rows)
+    }
+
+    fn bytes(&self) -> u64 {
+        self.0.as_ref().map_or(0, SpillFile::bytes)
+    }
+
+    /// Re-iterable: the nested loop streams the same run repeatedly.
+    fn stream(&self, ctx: &Arc<QueryContext>) -> ExecResult<RunStream> {
+        let reader = self.0.as_ref().map(|f| SpillReader::open(f, ctx));
+        Ok(RunStream(reader.transpose()?))
+    }
+
+    /// Eagerly reclaim a consumed run (the dir guard is the backstop).
+    fn discard(self) {
+        if let Some(file) = self.0 {
+            file.remove();
+        }
     }
 }
 
-impl Sink for PartitionSpillSink {
-    fn create_local(&self) -> LocalState {
-        Box::new(PartitionLocal {
-            hashes: Vec::new(),
-            sels: vec![Vec::new(); 1 << self.fanout_bits],
-        })
+struct RunStream(Option<SpillReader>);
+
+impl RunStream {
+    fn next(&mut self) -> ExecResult<Option<Batch>> {
+        match &mut self.0 {
+            Some(reader) => reader.read_batch(),
+            None => Ok(None),
+        }
+    }
+}
+
+/// A closed pre-partition: its probe rows are in a run, and so are its
+/// build rows — unless only the probe side closed it, after the build rows
+/// had become resident (`build` is `None`, the rows are pre-partition `p` of
+/// the level's build side).
+struct ClosedPair {
+    p: usize,
+    build: Option<Run>,
+    probe: Run,
+    /// The build run holds every build row of its level: the level's hash
+    /// bits did not split them, another level will not either.
+    stuck: bool,
+}
+
+/// Both sides of one level, partitioned: the open pre-partitions as a radix
+/// join, the closed ones as run pairs.
+pub struct Partitioned {
+    resident: RadixJoinSource,
+    /// Per pre-partition; tasks of the resident join under a closed one are
+    /// skipped.
+    closed: Vec<bool>,
+    pairs: Vec<ClosedPair>,
+    /// Build rows of the level, resident and spilled.
+    build_rows: u64,
+    /// The level its pairs are reloaded at, beside the resident sides.
+    child: Level,
+}
+
+impl Partitioned {
+    pub fn resident_build(&self) -> &Arc<PartitionedSide> {
+        self.resident.build()
     }
 
-    fn consume(&self, local: &mut LocalState, input: Batch) -> ExecResult {
-        let local = local.downcast_mut::<PartitionLocal>().expect("local type");
-        let n = input.num_rows();
-        if n == 0 {
+    pub fn resident_probe(&self) -> &Arc<PartitionedSide> {
+        self.resident.probe()
+    }
+
+    /// Pre-partitions that stayed open on both sides.
+    pub fn resident_partitions(&self) -> usize {
+        self.closed.iter().filter(|&&c| !c).count()
+    }
+
+    fn sum(&self, f: impl Fn(&ClosedPair) -> u64) -> u64 {
+        self.pairs.iter().map(f).sum()
+    }
+
+    /// Runs on disk, both sides.
+    pub fn spilled_runs(&self) -> usize {
+        let on_disk = |run: &Run| u64::from(run.0.is_some());
+        self.sum(|p| p.build.as_ref().map_or(0, on_disk) + on_disk(&p.probe)) as usize
+    }
+
+    pub fn spilled_bytes(&self) -> u64 {
+        self.sum(|p| p.build.as_ref().map_or(0, Run::bytes) + p.probe.bytes())
+    }
+
+    /// Build rows, resident and spilled.
+    pub fn build_rows(&self) -> u64 {
+        self.build_rows
+    }
+
+    /// Probe rows, resident and spilled.
+    pub fn probe_rows(&self) -> u64 {
+        self.resident_probe().total_rows() as u64 + self.sum(|p| p.probe.rows())
+    }
+
+    /// Run one resident-join task unless its pre-partition is closed.
+    fn poll_resident(&self, task: usize, out: Emit) -> ExecResult {
+        if self.closed[task >> self.resident_build().bits2()] {
             return Ok(());
         }
-        let keys: Vec<&ColumnData> = self.key_cols.iter().map(|&c| input.column(c)).collect();
-        hash_columns(&keys, n, &mut local.hashes);
-        let mask = (1u64 << self.fanout_bits) - 1;
-        for sel in &mut local.sels {
-            sel.clear();
-        }
-        for r in 0..n {
-            local.sels[(local.hashes[r] & mask) as usize].push(r as u32);
-        }
-        // Split outside the lock, place under one lock per input batch.
-        let subs: Vec<(usize, Batch)> = local
-            .sels
-            .iter()
-            .enumerate()
-            .filter(|(_, sel)| !sel.is_empty())
-            .map(|(p, sel)| (p, input.take(sel)))
-            .collect();
-        let mut state = self.global.lock().unwrap();
-        for (p, sub) in subs {
-            self.place(&mut state, p, sub)?;
-        }
-        Ok(())
+        self.resident.poll_task(task, out)
     }
 }
 
-// ------------------------------------------------------ partition store
-
-/// One finalized partition: memory-resident batches or a spill run.
-enum PartData {
-    Mem {
-        batches: Vec<Batch>,
-        bytes: usize,
-        rows: u64,
-    },
-    File(SpillFile),
+/// Everything the levels of one hybrid join share.
+pub struct HybridJoin {
+    pub ctx: Arc<QueryContext>,
+    pub dir: Arc<SpillDir>,
+    pub radix: RadixConfig,
+    pub cfg: SpillConfig,
+    pub build_types: Vec<DataType>,
+    pub probe_types: Vec<DataType>,
+    pub build_keys: Vec<usize>,
+    pub probe_keys: Vec<usize>,
+    pub kind: JoinType,
+    pub prefetch: bool,
+    /// Makes run names unique across sinks and levels.
+    pub seq: AtomicU64,
+    /// Deepest level a reload reached (EXPLAIN ANALYZE's `reload_depth`).
+    pub reload_depth: Arc<AtomicU64>,
 }
 
-/// All partitions of one join side after partitioning, taken one-by-one by
-/// the join tasks. Dropping releases the budget of untaken resident
-/// partitions (spill files are reclaimed by the [`SpillDir`] guard).
-pub struct SideParts {
-    parts: Mutex<Vec<Option<PartData>>>,
-    ctx: Arc<QueryContext>,
-}
-
-impl SideParts {
-    fn take(&self, p: usize) -> PartInput {
-        match self.parts.lock().unwrap()[p].take() {
-            Some(PartData::Mem {
-                batches,
-                bytes,
-                rows,
-            }) => PartInput::Mem(MemPart {
-                batches,
-                bytes,
-                rows,
-                ctx: Arc::clone(&self.ctx),
-            }),
-            Some(PartData::File(f)) => PartInput::File(f),
-            None => PartInput::Mem(MemPart::empty(&self.ctx)),
+impl HybridJoin {
+    /// Widest pass-1 fan-out any level of this join uses: the radix
+    /// join's own, capped where partitions can spill.
+    fn max_bits(&self) -> u32 {
+        match self.ctx.memory_budget() {
+            Some(_) => self.radix.bits_pass1.min(self.cfg.fanout_bits).max(1),
+            None => self.radix.bits_pass1,
         }
     }
 
-    /// Partition count.
-    pub fn len(&self) -> usize {
-        self.parts.lock().unwrap().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total spilled bytes across partitions (for plan-time details).
-    pub fn spilled_bytes(&self) -> u64 {
-        self.parts
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|p| match p {
-                Some(PartData::File(f)) => f.bytes(),
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Total rows across all partitions (resident + spilled).
-    pub fn rows(&self) -> u64 {
-        self.parts
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|p| match p {
-                Some(PartData::Mem { rows, .. }) => *rows,
-                Some(PartData::File(f)) => f.rows(),
-                None => 0,
-            })
-            .sum()
-    }
-
-    /// Total bytes across all partitions (resident + spilled).
-    pub fn total_bytes(&self) -> u64 {
-        self.parts
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|p| match p {
-                Some(PartData::Mem { bytes, .. }) => *bytes as u64,
-                Some(PartData::File(f)) => f.bytes(),
-                None => 0,
-            })
-            .sum()
-    }
-
-    /// Number of disk-backed partitions (for plan-time details).
-    pub fn spilled_partitions(&self) -> usize {
-        self.parts
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|p| matches!(p, Some(PartData::File(_))))
-            .count()
-    }
-}
-
-impl Drop for SideParts {
-    fn drop(&mut self) {
-        let parts = self.parts.lock().unwrap();
-        for p in parts.iter() {
-            if let Some(PartData::Mem { bytes, .. }) = p {
-                self.ctx.release(*bytes);
-            }
-        }
-    }
-}
-
-/// Memory-resident partition input with RAII budget release.
-struct MemPart {
-    batches: Vec<Batch>,
-    bytes: usize,
-    rows: u64,
-    ctx: Arc<QueryContext>,
-}
-
-impl MemPart {
-    fn empty(ctx: &Arc<QueryContext>) -> MemPart {
-        MemPart {
-            batches: Vec::new(),
-            bytes: 0,
-            rows: 0,
-            ctx: Arc::clone(ctx),
-        }
-    }
-}
-
-impl Drop for MemPart {
-    fn drop(&mut self) {
-        self.ctx.release(self.bytes);
-    }
-}
-
-/// One partition's worth of input to a join task; re-iterable any number of
-/// times (chunked fallbacks stream the same side repeatedly).
-enum PartInput {
-    Mem(MemPart),
-    File(SpillFile),
-}
-
-impl PartInput {
-    fn rows(&self) -> u64 {
-        match self {
-            PartInput::Mem(m) => m.rows,
-            PartInput::File(f) => f.rows(),
-        }
-    }
-
-    fn stream<'a>(&'a self, ctx: &Arc<QueryContext>) -> ExecResult<PartStream<'a>> {
-        Ok(match self {
-            PartInput::Mem(m) => PartStream::Mem(m.batches.iter()),
-            PartInput::File(f) => PartStream::File(SpillReader::open(f, ctx)?),
+    /// The level of the join's own inputs on `workers` workers under
+    /// `share` bytes: the fan-out *shrinks to fit* the share. `Err` carries
+    /// the smallest share that would do, when even two partitions do not.
+    pub fn top_level(&self, share: Option<usize>, workers: usize) -> Result<Level, usize> {
+        let bits1 =
+            fit_bits(share, workers, self.max_bits()).ok_or(2 * min_working_set(2, workers))?;
+        Ok(Level {
+            share,
+            workers,
+            depth: 0,
+            shift: 0,
+            bits1,
         })
     }
 
-    /// Eagerly reclaim a consumed spill run (the dir guard is the backstop).
-    fn discard(self) {
-        if let PartInput::File(f) = self {
-            f.remove();
-        }
+    /// The radix sink of one side on `level`'s hash-bit window.
+    fn plain_sink(&self, level: &Level, build_side: bool) -> PartitionSink {
+        let (types, keys, phases) = if build_side {
+            (&self.build_types, &self.build_keys, PhaseSet::build())
+        } else {
+            (&self.probe_types, &self.probe_keys, PhaseSet::probe())
+        };
+        let radix = RadixConfig {
+            bits_pass1: level.bits1,
+            ..self.radix
+        };
+        PartitionSink::new(RowLayout::new(types, false), keys.clone(), radix, phases)
+            .with_context(Arc::clone(&self.ctx))
+            .with_shift(level.shift)
     }
-}
 
-enum PartStream<'a> {
-    Mem(std::slice::Iter<'a, Batch>),
-    File(SpillReader),
-}
-
-impl PartStream<'_> {
-    fn next(&mut self) -> ExecResult<Option<Batch>> {
-        match self {
-            PartStream::Mem(it) => Ok(it.next().cloned()),
-            PartStream::File(r) => r.read_batch(),
-        }
+    /// The evicting sink of one side at `level`: the build side's, or
+    /// (`build` given) the probe side's beside that resident build side.
+    pub fn sink(
+        &self,
+        level: &Level,
+        closed: &Arc<ClosedSet>,
+        build: Option<&PartitionedSide>,
+    ) -> PartitionSink {
+        let side = if build.is_some() { "probe" } else { "build" };
+        let held = build.map_or(0, |b| b.total_rows() * b.layout().stride());
+        self.plain_sink(level, build.is_none())
+            .with_eviction(Eviction {
+                closed: Arc::clone(closed),
+                dir: Arc::clone(&self.dir),
+                tag: format!("{side}-{}", self.seq.fetch_add(1, Ordering::Relaxed)),
+                worker_cap: level.worker_cap(held),
+                write_buf: level.write_buf(),
+                victim: largest_resident,
+            })
     }
-}
 
-// ------------------------------------------------------- the join source
-
-/// Source of the hybrid join's output pipeline: one task per partition
-/// pair, each joined with the in-memory BHJ primitives, recursing or
-/// degrading to the nested-loop fallback when the budget still does not
-/// fit.
-pub struct HybridJoinSource {
-    build: SideParts,
-    probe: SideParts,
-    build_types: Vec<DataType>,
-    build_keys: Vec<usize>,
-    probe_keys: Vec<usize>,
-    kind: JoinType,
-    prefetch: bool,
-    cfg: SpillConfig,
-    fanout_bits: u32,
-    ctx: Arc<QueryContext>,
-    dir: Arc<SpillDir>,
-    /// Unique suffix for recursion-spawned spill runs.
-    seq: AtomicU64,
-    /// Under a memory budget, partition pairs are joined one at a time:
-    /// two concurrent tasks would race for the same headroom and turn a
-    /// tight-but-sufficient budget into spurious recursion or failure.
-    /// Unbudgeted runs skip the lock and keep full task parallelism.
-    serial: Mutex<()>,
-}
-
-#[allow(clippy::too_many_arguments)]
-impl HybridJoinSource {
-    pub fn new(
-        build: SideParts,
-        probe: SideParts,
-        build_types: Vec<DataType>,
-        build_keys: Vec<usize>,
-        probe_keys: Vec<usize>,
-        kind: JoinType,
-        prefetch: bool,
-        cfg: SpillConfig,
-        fanout_bits: u32,
-        ctx: Arc<QueryContext>,
-        dir: Arc<SpillDir>,
-    ) -> HybridJoinSource {
-        debug_assert_eq!(build.len(), probe.len());
-        HybridJoinSource {
+    /// The radix join of two sides partitioned alike.
+    fn radix_join(&self, build: Arc<PartitionedSide>, probe: PartitionedSide) -> RadixJoinSource {
+        RadixJoinSource::new(
             build,
-            probe,
-            build_types,
-            build_keys,
-            probe_keys,
-            kind,
-            prefetch,
-            cfg,
-            fanout_bits,
-            ctx,
-            dir,
-            seq: AtomicU64::new(0),
-            serial: Mutex::new(()),
+            Arc::new(probe),
+            self.build_keys.clone(),
+            self.probe_keys.clone(),
+            self.kind,
+        )
+    }
+
+    /// Run pass 2 of a sink whose input is complete and seal its runs: the
+    /// resident side, and one slot per pre-partition for what was closed.
+    pub fn finish(
+        sink: &PartitionSink,
+        threads: usize,
+        bits2: Option<u32>,
+    ) -> ExecResult<(PartitionedSide, Vec<Option<SpillFile>>)> {
+        let (side, _) = sink.finalize(threads, bits2, false)?;
+        Ok((side, sink.take_runs()?))
+    }
+
+    /// Pair up what two finalized sinks of one level left: the resident
+    /// sides become a radix join, the runs closed pairs. A pre-partition
+    /// only the probe side closed keeps its build rows resident and has its
+    /// probe run joined against them chunk by chunk — except under a
+    /// build-preserving join type with more probe rows than one chunk
+    /// (unmatched build rows are only known after the last probe row): there
+    /// the build rows follow the probe rows to disk.
+    pub fn pair_up(
+        &self,
+        level: &Level,
+        closed: &ClosedSet,
+        build: (PartitionedSide, Vec<Option<SpillFile>>),
+        probe: (PartitionedSide, Vec<Option<SpillFile>>),
+    ) -> ExecResult<Partitioned> {
+        let (bside, mut bruns) = build;
+        let (pside, mut pruns) = probe;
+        let bytes = |side: &PartitionedSide| side.total_rows() * side.layout().stride();
+        let child = level.child(self.max_bits(), bytes(&bside) + bytes(&pside));
+        let mut build_rows = bside.total_rows() as u64;
+        let mut is_closed = vec![false; level.fanout()];
+        let mut pairs = Vec::new();
+        for p in closed.closed() {
+            is_closed[p] = true;
+            let probe = Run(pruns[p].take());
+            let resident = bside.prepartition_rows(p);
+            let build = if resident == 0 {
+                let run = Run(bruns[p].take());
+                build_rows += run.rows();
+                Some(run)
+            } else if self.kind.preserves_build()
+                && probe.rows() as usize * pside.layout().stride() > child.chunk_bytes()
+            {
+                let name = format!("demoted-{}-p{p}", self.seq.fetch_add(1, Ordering::Relaxed));
+                let mut run =
+                    SpillWriter::create_sized(&self.dir, &name, &self.ctx, level.write_buf())?;
+                bside.spill_prepartition(p, &mut run)?;
+                Some(Run(Some(run.finish()?)))
+            } else {
+                None
+            };
+            if build.as_ref().map_or(resident as u64, Run::rows) + probe.rows() > 0 {
+                pairs.push(ClosedPair {
+                    p,
+                    build,
+                    probe,
+                    stuck: false,
+                });
+            }
+        }
+        for pair in &mut pairs {
+            pair.stuck = pair.build.as_ref().is_some_and(|b| b.rows() == build_rows);
+        }
+        Ok(Partitioned {
+            resident: self.radix_join(Arc::new(bside), pside),
+            closed: is_closed,
+            pairs,
+            build_rows,
+            child,
+        })
+    }
+
+    /// Join one closed pair of `parent`, the level that closed it, at
+    /// `level`.
+    fn reload(
+        &self,
+        parent: &Partitioned,
+        pair: ClosedPair,
+        level: Level,
+        out: Emit,
+    ) -> ExecResult {
+        self.ctx.check()?;
+        match pair.build {
+            Some(build) => self.reload_both(build, pair.probe, pair.stuck, level, out),
+            None => self.reload_probe(parent, pair.p, pair.probe, level, out),
         }
     }
 
-    /// Build the partition's hash table in memory; `Ok(None)` when the
-    /// budget does not fit (the caller recurses or degrades), `Err` for
-    /// everything else.
-    fn try_build(&self, build: &PartInput) -> ExecResult<Option<Arc<BhjState>>> {
-        let attempt = (|| {
-            let sink = BhjBuildSink::new(&self.build_types, self.build_keys.clone())
-                .with_context(Arc::clone(&self.ctx));
+    /// Join a probe run against pre-partition `p` of `parent`'s resident
+    /// build side: partition a chunk of it exactly as the resident probe
+    /// side was, run p's tasks of the radix join, drop the chunk, repeat.
+    fn reload_probe(
+        &self,
+        parent: &Partitioned,
+        p: usize,
+        probe: Run,
+        level: Level,
+        out: Emit,
+    ) -> ExecResult {
+        let build = parent.resident_build();
+        let geometry = Level {
+            shift: level.shift - build.bits1(),
+            bits1: build.bits1(),
+            ..level
+        };
+        let bits2 = build.bits2();
+        let stride = parent.resident_probe().layout().stride();
+        let mut stream = probe.stream(&self.ctx)?;
+        let mut carry = stream.next()?;
+        loop {
+            let sink = self.plain_sink(&geometry, false);
             let mut local = sink.create_local();
-            let mut stream = build.stream(&self.ctx)?;
+            let mut fed = 0;
+            // At least one batch, then as many as keep the chunk in bounds.
+            while let Some(batch) = carry.take() {
+                let bytes = batch.num_rows() * stride;
+                if fed > 0 && fed + bytes > level.chunk_bytes() {
+                    carry = Some(batch);
+                    break;
+                }
+                fed += bytes;
+                sink.consume(&mut local, batch)?;
+                carry = stream.next()?;
+            }
+            sink.finish_local(local)?;
+            let (chunk, _) = sink.finalize(1, Some(bits2), false)?;
+            let join = self.radix_join(Arc::clone(build), chunk);
+            for task in p << bits2..(p + 1) << bits2 {
+                join.poll_task(task, out)?;
+            }
+            if carry.is_none() {
+                break;
+            }
+        }
+        drop(stream);
+        probe.discard();
+        Ok(())
+    }
+
+    /// Join a pair of runs at `level`: partition both on the level's
+    /// hash-bit window through the evicting sink, join what stayed
+    /// resident, free it, then reload what was closed again one level down.
+    fn reload_both(
+        &self,
+        build: Run,
+        probe: Run,
+        stuck: bool,
+        level: Level,
+        out: Emit,
+    ) -> ExecResult {
+        let can_split = !stuck
+            && level.depth <= self.cfg.max_depth
+            && level.shift + level.bits1 + self.radix.max_bits_pass2 <= 64;
+        if !can_split {
+            return self.block_nested_loop(build, probe, &level, out);
+        }
+        let closed = ClosedSet::new(level.fanout());
+        let partition = |run: Run, beside: Option<&PartitionedSide>, bits2: Option<u32>| {
+            let sink = self.sink(&level, &closed, beside);
+            let mut local = sink.create_local();
+            let mut stream = run.stream(&self.ctx)?;
             while let Some(batch) = stream.next()? {
                 sink.consume(&mut local, batch)?;
             }
             sink.finish_local(local)?;
-            sink.into_state(1)
-        })();
-        match attempt {
-            Ok(state) => Ok(Some(state)),
-            Err(ExecError::BudgetExceeded { .. }) => Ok(None),
-            Err(e) => Err(e),
+            drop(stream);
+            run.discard();
+            HybridJoin::finish(&sink, 1, bits2)
+        };
+        let build = partition(build, None, None)?;
+        let probe = partition(probe, Some(&build.0), Some(build.0.bits2()))?;
+        let mut parts = self.pair_up(&level, &closed, build, probe)?;
+        if !parts.pairs.is_empty() {
+            trace::instant(format!(
+                "HHJ recurse: {} pairs closed again at depth {}",
+                parts.pairs.len(),
+                level.depth
+            ));
+            self.ctx.note_spill_depth(u64::from(level.depth));
+            self.reload_depth
+                .fetch_max(u64::from(level.depth), Ordering::Relaxed);
+            registry::global().counter("spill.recursions").inc();
         }
+        for task in 0..parts.resident.task_count() {
+            parts.poll_resident(task, out)?;
+        }
+        // Pairs whose build rows are resident go first; the resident sides
+        // go before anything else is read back.
+        let (on_resident, on_disk): (Vec<_>, Vec<_>) = std::mem::take(&mut parts.pairs)
+            .into_iter()
+            .partition(|pair| pair.build.is_none());
+        for pair in on_resident {
+            self.reload(&parts, pair, parts.child, out)?;
+        }
+        drop(parts);
+        let child = level.child(self.max_bits(), 0);
+        for pair in on_disk {
+            let build = pair.build.expect("partitioned on it");
+            self.ctx.check()?;
+            self.reload_both(build, pair.probe, pair.stuck, child, out)?;
+        }
+        Ok(())
     }
 
     /// Probe `state` with the partition's probe side, streaming output.
     /// Handles the build-preserving variants' unmatched scan; correct
-    /// because each partition (and in the chunked fallback, each chunk)
-    /// holds every build row exactly once.
-    fn probe_into(&self, state: &Arc<BhjState>, probe: &PartInput, out: Emit) -> ExecResult {
+    /// because each chunk of the nested loop holds every build row of it
+    /// exactly once.
+    fn probe_into(&self, state: &Arc<BhjState>, probe: &Run, out: Emit) -> ExecResult {
         let op = BhjProbeOp::new(
             Arc::clone(state),
             self.probe_keys.clone(),
@@ -623,113 +604,12 @@ impl HybridJoinSource {
         Ok(())
     }
 
-    /// Join one partition pair at `depth`. `no_progress` marks a pair whose
-    /// build side did not shrink in the previous split (degenerate keys):
-    /// further recursion cannot help, go straight to the nested loop.
-    fn join_pair(
-        &self,
-        build: PartInput,
-        probe: PartInput,
-        depth: u32,
-        no_progress: bool,
-        out: Emit,
-    ) -> ExecResult {
-        self.ctx.check()?;
-        if let Some(state) = self.try_build(&build)? {
-            self.probe_into(&state, &probe, out)?;
-            drop(state);
-            build.discard();
-            probe.discard();
-            return Ok(());
-        }
-        // Build side does not fit. Decide between another split and the
-        // streaming nested loop.
-        let next_shift = (depth + 1) * self.fanout_bits;
-        let can_split =
-            !no_progress && depth < self.cfg.max_depth && next_shift + self.fanout_bits <= 64;
-        if !can_split {
-            return self.block_nested_loop(build, probe, out);
-        }
-        trace::instant(format!(
-            "HHJ recurse: repartition at depth {} ({} build rows)",
-            depth + 1,
-            build.rows()
-        ));
-        self.ctx.note_spill_depth(u64::from(depth) + 1);
-        registry::global().counter("spill.recursions").inc();
-        let parent_build_rows = build.rows();
-        let build_keys = self.build_keys.clone();
-        let probe_keys = self.probe_keys.clone();
-        let sub_build = self.split(build, &build_keys, next_shift)?;
-        let sub_probe = self.split(probe, &probe_keys, next_shift)?;
-        for (b, p) in sub_build.into_iter().zip(sub_probe) {
-            let stuck = b.rows() == parent_build_rows;
-            self.join_pair(b, p, depth + 1, stuck, out)?;
-        }
-        Ok(())
-    }
-
-    /// Repartition one side on the hash-bit window starting at `shift`,
-    /// writing each non-empty sub-partition to its own spill run. The
-    /// parent input is discarded afterwards.
-    fn split(
-        &self,
-        input: PartInput,
-        key_cols: &[usize],
-        shift: u32,
-    ) -> ExecResult<Vec<PartInput>> {
-        let fanout = 1usize << self.fanout_bits;
-        let mask = (1u64 << self.fanout_bits) - 1;
-        let mut writers: Vec<Option<SpillWriter>> = (0..fanout).map(|_| None).collect();
-        let mut hashes = Vec::new();
-        let mut sels: Vec<Vec<u32>> = vec![Vec::new(); fanout];
-        let mut stream = input.stream(&self.ctx)?;
-        while let Some(batch) = stream.next()? {
-            let n = batch.num_rows();
-            if n == 0 {
-                continue;
-            }
-            let keys: Vec<&ColumnData> = key_cols.iter().map(|&c| batch.column(c)).collect();
-            hash_columns(&keys, n, &mut hashes);
-            for sel in &mut sels {
-                sel.clear();
-            }
-            for r in 0..n {
-                sels[((hashes[r] >> shift) & mask) as usize].push(r as u32);
-            }
-            for (s, sel) in sels.iter().enumerate() {
-                if sel.is_empty() {
-                    continue;
-                }
-                let w = match &mut writers[s] {
-                    Some(w) => w,
-                    slot @ None => {
-                        let name = format!("sub-{}-s{s}", self.seq.fetch_add(1, Ordering::Relaxed));
-                        *slot = Some(SpillWriter::create(&self.dir, &name, &self.ctx)?);
-                        slot.as_mut().expect("just created")
-                    }
-                };
-                w.write_batch(&batch.take(sel))?;
-            }
-        }
-        drop(stream);
-        input.discard();
-        writers
-            .into_iter()
-            .map(|w| {
-                Ok(match w {
-                    Some(w) => PartInput::File(w.finish()?),
-                    None => PartInput::Mem(MemPart::empty(&self.ctx)),
-                })
-            })
-            .collect()
-    }
-
     /// Streaming block nested-loop fallback: the build side is consumed in
-    /// budget-sized chunks, each probed with the full probe side. Probe-
-    /// preserving variants collect a cross-chunk match bitmap (charged
-    /// against the budget) and emit survivors in one final probe pass.
-    fn block_nested_loop(&self, build: PartInput, probe: PartInput, out: Emit) -> ExecResult {
+    /// chunks sized to `level`'s share, each probed with the full probe
+    /// side. Probe-preserving variants collect a cross-chunk match bitmap
+    /// (charged against the budget) and emit survivors in one final probe
+    /// pass.
+    fn block_nested_loop(&self, build: Run, probe: Run, level: &Level, out: Emit) -> ExecResult {
         trace::instant(format!(
             "HHJ fallback: block nested loop ({} build rows)",
             build.rows()
@@ -747,13 +627,14 @@ impl HybridJoinSource {
             matched = vec![false; probe_rows];
         }
 
+        let stride = RowLayout::new(&self.build_types, true).stride();
         let mut stream = build.stream(&self.ctx)?;
         let mut carry: Option<Batch> = None;
         let mut exhausted = false;
         while !exhausted {
             // Assemble one chunk: consume until the budget refuses (leaving
-            // the refused batch for the next chunk) or half the budget is
-            // committed (headroom for the chunk's hash table).
+            // the refused batch for the next chunk) or the chunk has its
+            // part of the share (the rest is the chunk's hash table).
             let sink = BhjBuildSink::new(&self.build_types, self.build_keys.clone())
                 .with_context(Arc::clone(&self.ctx));
             let mut local = sink.create_local();
@@ -778,10 +659,8 @@ impl HybridJoinSource {
                     }
                     Err(e) => return Err(e),
                 }
-                if let Some(budget) = self.ctx.memory_budget() {
-                    if self.ctx.used().saturating_mul(2) >= budget {
-                        break;
-                    }
+                if chunk_rows as usize * stride >= level.chunk_bytes() {
+                    break;
                 }
             }
             if chunk_rows == 0 && exhausted {
@@ -806,7 +685,7 @@ impl HybridJoinSource {
     fn probe_chunk(
         &self,
         state: &Arc<BhjState>,
-        probe: &PartInput,
+        probe: &Run,
         matched: &mut [bool],
         out: Emit,
     ) -> ExecResult {
@@ -834,7 +713,7 @@ impl HybridJoinSource {
     fn mark_chunk(
         &self,
         state: &Arc<BhjState>,
-        probe: &PartInput,
+        probe: &Run,
         matched: &mut [bool],
         mut pairs: Option<Emit>,
     ) -> ExecResult {
@@ -876,7 +755,7 @@ impl HybridJoinSource {
 
     /// Final probe pass of the nested loop: emit the probe-preserving
     /// variants' answer from the cross-chunk bitmap.
-    fn emit_from_bitmap(&self, probe: &PartInput, matched: &[bool], out: Emit) -> ExecResult {
+    fn emit_from_bitmap(&self, probe: &Run, matched: &[bool], out: Emit) -> ExecResult {
         let mut stream = probe.stream(&self.ctx)?;
         let mut offset = 0usize;
         let mut sel = Vec::new();
@@ -935,21 +814,42 @@ impl HybridJoinSource {
     }
 }
 
+/// Source of the hybrid join's output pipeline: the resident radix join's
+/// tasks (parallel, per-worker reused tables), then one reload task per
+/// closed pair — all claimed dynamically, all running concurrently.
+pub struct HybridJoinSource {
+    join: Arc<HybridJoin>,
+    parts: Partitioned,
+    /// `parts.pairs`, moved out so each reload task can take its own.
+    pairs: Vec<Mutex<Option<ClosedPair>>>,
+}
+
+impl HybridJoinSource {
+    pub fn new(join: Arc<HybridJoin>, mut parts: Partitioned) -> HybridJoinSource {
+        let pairs = std::mem::take(&mut parts.pairs);
+        HybridJoinSource {
+            join,
+            parts,
+            pairs: pairs.into_iter().map(|p| Mutex::new(Some(p))).collect(),
+        }
+    }
+}
+
 impl Source for HybridJoinSource {
     fn task_count(&self) -> usize {
-        self.build.len()
+        self.parts.resident.task_count() + self.pairs.len()
     }
 
     fn poll_task(&self, task: usize, out: Emit) -> ExecResult {
-        self.ctx.check()?;
-        let _serial = if self.ctx.memory_budget().is_some() {
-            Some(self.serial.lock().unwrap_or_else(|p| p.into_inner()))
-        } else {
-            None
-        };
-        let _scope = trace::phase_scope(format!("HHJ join p{task}"));
-        let build = self.build.take(task);
-        let probe = self.probe.take(task);
-        self.join_pair(build, probe, 0, false, out)
+        let resident_tasks = self.parts.resident.task_count();
+        if task < resident_tasks {
+            return self.parts.poll_resident(task, out);
+        }
+        let pair = self.pairs[task - resident_tasks]
+            .lock()
+            .take()
+            .expect("the executor polls each task once");
+        let _scope = trace::phase_scope(format!("HHJ reload p{}", pair.p));
+        self.join.reload(&self.parts, pair, self.parts.child, out)
     }
 }

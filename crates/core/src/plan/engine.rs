@@ -19,6 +19,7 @@ use joinstudy_exec::trace::{self, QueryTrace};
 use joinstudy_exec::{Batch, Executor, PipelineLabel, WaitState};
 use joinstudy_storage::table::{Schema, Table};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -47,8 +48,8 @@ pub struct Engine {
     pub adaptive_bloom: bool,
     /// Software prefetching in the BHJ probe (ablation switch).
     pub bhj_prefetch: bool,
-    /// Spill configuration for [`JoinAlgo::Hybrid`] join nodes (partition
-    /// fanout per recursion level, recursion depth cap).
+    /// Spill configuration for [`JoinAlgo::Hybrid`] join nodes (fan-out
+    /// cap, reload depth cap).
     pub spill: SpillConfig,
     /// Shared cancellation / deadline / memory-budget context. Cloning the
     /// engine shares the context (same session semantics).
@@ -72,6 +73,9 @@ pub struct Engine {
     /// gives every query its own scoped worker team; `Some` submits all
     /// pipelines to the pool so workers interleave morsels across queries.
     pool: Option<Arc<joinstudy_exec::pool::WorkerPool>>,
+    /// [`Plan::live_joins`] of the plan being executed: whether a hybrid
+    /// join has the memory budget to itself. Shared across clones.
+    live_joins: Arc<AtomicUsize>,
 }
 
 impl Engine {
@@ -97,7 +101,13 @@ impl Engine {
             trace_out: Arc::new(Mutex::new(None)),
             cost_model: None,
             pool: None,
+            live_joins: Arc::new(AtomicUsize::new(1)),
         }
+    }
+
+    /// Joins of the running plan that can hold memory at the same time.
+    pub(super) fn live_joins(&self) -> usize {
+        self.live_joins.load(Ordering::Relaxed)
     }
 
     /// Route every pipeline of this engine through a shared worker pool
@@ -173,6 +183,8 @@ impl Engine {
         mut prof: Option<&mut ProfCtx>,
     ) -> ExecResult<(Table, Option<usize>)> {
         self.ctx.arm();
+        self.live_joins
+            .store(plan.live_joins().max(1), Ordering::Relaxed);
         let (spec, root) = self.stream(plan, prof.as_deref_mut())?;
         // The plan node's schema and the operators' agree, on every plan
         // any debug-mode test or run executes.

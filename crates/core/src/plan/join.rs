@@ -12,10 +12,10 @@ use super::engine::{Compiled, DiscardSink};
 use super::{joinlog, Engine, JoinAlgo, JoinNode};
 use crate::bhj::{BhjBuildSink, BhjProbeOp, BhjUnmatchedSource};
 use crate::cost::Decision;
-use crate::hybrid::{HybridJoinSource, PartitionSpillSink};
+use crate::hybrid::{HybridJoin, HybridJoinSource};
 use crate::join_common::JoinStats;
 use crate::qprof::{ProfCtx, Slot};
-use crate::radix::{PartitionSink, PartitionedSide, PhaseSet};
+use crate::radix::{ClosedSet, PartitionSink, PartitionedSide, PhaseSet};
 use crate::rj::{BloomProbeOp, RadixJoinSource};
 use crate::row::RowLayout;
 use crate::spill::SpillDir;
@@ -36,10 +36,11 @@ const REGIME_SKEW_FACTOR: usize = 8;
 /// The degradation ladder: what a join that cannot run as compiled is
 /// recompiled as, one rung down at a time. Each rung materializes less than
 /// the one above it — the radix joins both sides, the BHJ only the build
-/// side (the paper's central trade-off, read in reverse), the hybrid join
-/// whatever the budget allows, spilling the rest. The BRJ stands on the
-/// RJ's rung; the last rung is correct under any budget that fits its spill
-/// write buffers, so below it an error is the caller's.
+/// side (the paper's central trade-off, read in reverse), the hybrid join —
+/// the radix join again, this time allowed to evict — whatever its share of
+/// the budget allows, spilling the rest. The BRJ stands on the RJ's rung;
+/// the last rung is correct under any budget that holds its minimum working
+/// set, so below it an error (naming that floor) is the caller's.
 const LADDER: [JoinAlgo; 3] = [JoinAlgo::Rj, JoinAlgo::Bhj, JoinAlgo::Hybrid];
 
 impl Engine {
@@ -227,90 +228,113 @@ impl Engine {
         Ok((StreamSpec::new(source, out_schema), id))
     }
 
-    /// The out-of-core dynamic hybrid hash join: both sides are
-    /// hash-partitioned by [`PartitionSpillSink`] (spilling partition by
-    /// partition under budget pressure), then [`HybridJoinSource`] joins
-    /// each partition pair, recursing on oversized spilled partitions.
+    /// The out-of-core dynamic hybrid hash join — the radix join with
+    /// eviction: both sides go through the radix [`PartitionSink`] of
+    /// [`HybridJoin::sink`], which closes pre-partitions to spill runs when
+    /// this join's share of the budget runs out, then [`HybridJoinSource`]
+    /// joins the resident pairs as the RJ does and reloads the closed ones.
+    /// Without a budget nothing is ever closed and this *is* the RJ.
+    ///
+    /// [`PartitionSink`]: crate::radix::PartitionSink
     fn hybrid(&self, node: &JoinNode<'_>, mut prof: Option<&mut ProfCtx>) -> ExecResult<Compiled> {
         self.ctx.note_join_algo(algo_bits::HHJ);
-        let dir = SpillDir::create(self.ctx.spill_dir())?;
-        let fanout_bits = self.spill.effective_fanout_bits(self.ctx.memory_budget());
-        let partition = |keys: &[usize], phase, side| {
-            PartitionSpillSink::new(
-                keys.to_vec(),
-                fanout_bits,
-                phase,
-                side,
-                Arc::clone(&self.ctx),
-                Arc::clone(&dir),
-            )
+        // This join's share of the budget: all that is free when it is the
+        // plan's only join, else half. Joins hold memory pairwise — a join
+        // phase streams into its parent's sink, while joins further up hold
+        // at most a resident build side, which `used` already counts — so
+        // the other half is the neighbour's.
+        let budget = self.ctx.memory_budget();
+        let ways = self.live_joins().min(2);
+        let free = budget.map(|b| b.saturating_sub(self.ctx.used()));
+        let types = |schema: &joinstudy_storage::table::Schema| -> Vec<_> {
+            schema.fields.iter().map(|f| f.dtype).collect()
         };
 
-        // Pipeline 1: partition (and spill) the build side.
+        // The join's level — fan-out and memory split — is fixed before any
+        // child runs, so a budget below the floor fails before work is spent.
+        let (build_schema, probe_schema) = (node.build.schema(), node.probe.schema());
+        let out_schema = node.kind.output_schema(&build_schema, &probe_schema);
+        let join = Arc::new(HybridJoin {
+            ctx: Arc::clone(&self.ctx),
+            dir: SpillDir::create(self.ctx.spill_dir())?,
+            radix: self.radix,
+            cfg: self.spill,
+            build_types: types(&build_schema),
+            probe_types: types(&probe_schema),
+            build_keys: node.build_keys.to_vec(),
+            probe_keys: node.probe_keys.to_vec(),
+            kind: node.kind,
+            prefetch: self.bhj_prefetch,
+            seq: Default::default(),
+            reload_depth: Default::default(),
+        });
+        let level = join
+            .top_level(free.map(|f| f / ways), self.threads)
+            .map_err(|floor| ExecError::BudgetExceeded {
+                requested: floor * ways,
+                in_use: self.ctx.used(),
+                budget: budget.unwrap_or(usize::MAX),
+                phase: "hybrid join floor",
+            })?;
+
+        // Pipeline 1: partition (and evict from) the build side.
         let (build_spec, bchild) = self.stream(node.build, prof.as_deref_mut())?;
-        let build_types: Vec<_> = build_spec.schema.fields.iter().map(|f| f.dtype).collect();
-        let build_sink = partition(node.build_keys, MemPhase::Build, "build");
+        let closed = ClosedSet::new(level.fanout());
+        let build_sink = join.sink(&level, &closed, None);
         metrics::mark_phase(MemPhase::Build);
         let label = PipelineLabel::new("HHJ partition build", WaitState::CpuPartition);
         let build_stats = self.run_breaker(label, &build_spec, &build_sink, prof.as_deref_mut())?;
-        let build_parts = build_sink.finalize()?;
+        // The build side's own joins are done: what they held goes now.
+        drop(build_spec);
+        let build = HybridJoin::finish(&build_sink, self.threads, None)?;
 
-        // Pipeline 2: partition (and spill) the probe side.
+        // Pipeline 2: the probe side, starting from the build side's closed
+        // set.
         let (probe_spec, pchild) = self.stream(node.probe, prof.as_deref_mut())?;
-        let probe_sink = partition(node.probe_keys, MemPhase::PartitionPass1, "probe");
+        let probe_sink = join.sink(&level, &closed, Some(&build.0));
         metrics::mark_phase(MemPhase::PartitionPass1);
         let label = PipelineLabel::new("HHJ partition probe", WaitState::CpuPartition);
-        self.run_breaker(label, &probe_spec, &probe_sink, prof.as_deref_mut())?;
-        let probe_parts = probe_sink.finalize()?;
+        let probe_stats = self.run_breaker(label, &probe_spec, &probe_sink, prof.as_deref_mut())?;
+        drop(probe_spec);
+        let probe = HybridJoin::finish(&probe_sink, self.threads, Some(build.0.bits2()))?;
+        let evictions = build_sink.evictions() + probe_sink.evictions();
+        let parts = join.pair_up(&level, &closed, build, probe)?;
 
+        let (build, probe) = (parts.resident_build(), parts.resident_probe());
         joinlog::record(joinlog::JoinSizes {
             algo: JoinAlgo::Hybrid.name(),
-            build_rows: build_parts.rows() as usize,
-            build_bytes: build_parts.total_bytes() as usize,
-            probe_rows: probe_parts.rows() as usize,
-            probe_bytes: probe_parts.total_bytes() as usize,
+            build_rows: parts.build_rows() as usize,
+            build_bytes: parts.build_rows() as usize * build.layout().stride(),
+            probe_rows: parts.probe_rows() as usize,
+            probe_bytes: parts.probe_rows() as usize * probe.layout().stride(),
             stats: None,
         });
 
-        let out_schema = node
-            .kind
-            .output_schema(&build_spec.schema, &probe_spec.schema);
         let id = prof.map(|pc| {
             let label = node.label(JoinAlgo::Hybrid.name());
             let id = pc.node(label, bchild.into_iter().chain(pchild).collect());
             pc.bind(id, &build_stats, Slot::Sink);
             hw_details(pc, id, "hw_build_", &build_stats);
-            pc.detail(id, "build_rows", build_parts.rows());
-            pc.detail(id, "probe_rows", probe_parts.rows());
-            pc.detail(id, "spill_fanout", 1i64 << fanout_bits);
-            pc.detail(
-                id,
-                "spill_partitions",
-                build_parts.spilled_partitions() + probe_parts.spilled_partitions(),
-            );
-            pc.detail(
-                id,
-                "spill_bytes",
-                build_parts.spilled_bytes() + probe_parts.spilled_bytes(),
-            );
+            pc.bind(id, &probe_stats, Slot::Sink);
+            hw_details(pc, id, "hw_probe_", &probe_stats);
+            pc.detail(id, "build_rows", parts.build_rows());
+            pc.detail(id, "probe_rows", parts.probe_rows());
+            pc.detail(id, "bits1", level.bits1());
+            pc.detail(id, "bits2", build.bits2());
+            pc.detail(id, "spill_fanout", level.fanout());
+            pc.detail(id, "resident_partitions", parts.resident_partitions());
+            pc.detail(id, "evictions", evictions);
+            pc.detail(id, "spill_partitions", parts.spilled_runs());
+            pc.detail(id, "spill_bytes", parts.spilled_bytes());
+            pc.live_detail(id, "reload_depth", &join.reload_depth);
+            partition_details(pc, id, "resident_build", build);
+            partition_details(pc, id, "resident_probe", probe);
             pc.pend(id, Slot::Source);
             id
         });
 
         metrics::mark_phase(MemPhase::Join);
-        let source = Arc::new(HybridJoinSource::new(
-            build_parts,
-            probe_parts,
-            build_types,
-            node.build_keys.to_vec(),
-            node.probe_keys.to_vec(),
-            node.kind,
-            self.bhj_prefetch,
-            self.spill,
-            fanout_bits,
-            Arc::clone(&self.ctx),
-            dir,
-        ));
+        let source = Arc::new(HybridJoinSource::new(join, parts));
         Ok((StreamSpec::new(source, out_schema), id))
     }
 

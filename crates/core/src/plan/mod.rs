@@ -55,11 +55,13 @@ pub enum JoinAlgo {
     /// partitioned join falls back to the BHJ at runtime when the first
     /// radix pass contradicts the estimate.
     Adaptive,
-    /// Out-of-core dynamic hybrid hash join ([`crate::hybrid`]): partitions
-    /// both sides, keeps as many build partitions memory-resident as the
-    /// budget allows, spills the rest ([`crate::spill`]), and recursively
-    /// repartitions oversized spilled partitions. Correct under any memory
-    /// budget; the fallback of last resort for [`JoinAlgo::Adaptive`].
+    /// Out-of-core dynamic hybrid hash join ([`crate::hybrid`]): the radix
+    /// join with eviction — keeps as many pass-1 partitions memory-resident
+    /// as its share of the budget allows, spills the rest
+    /// ([`crate::spill`]), and reloads spilled pairs on the next hash-bit
+    /// window. Without a budget it is the RJ; under one it is correct down
+    /// to its minimum working set, and the fallback of last resort for
+    /// [`JoinAlgo::Adaptive`].
     Hybrid,
 }
 
@@ -426,6 +428,17 @@ impl Plan {
     pub fn count_joins(&self) -> usize {
         let below: usize = self.inputs().into_iter().map(Plan::count_joins).sum();
         below + usize::from(matches!(self, Plan::Join { .. }))
+    }
+
+    /// The most joins of this plan that hold memory at the same time: a
+    /// join is live from its build side's first row to its own last output
+    /// row, so it overlaps the joins below it on either side, and they each
+    /// other only through it. That is the longest chain of joins down the
+    /// tree; breakers in between end a chain's memory but not its count,
+    /// which keeps this an upper bound.
+    pub fn live_joins(&self) -> usize {
+        let below = self.inputs().into_iter().map(Plan::live_joins).max();
+        below.unwrap_or(0) + usize::from(matches!(self, Plan::Join { .. }))
     }
 
     /// Override the algorithm of join number `idx` (post-order numbering,

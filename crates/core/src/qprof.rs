@@ -23,6 +23,7 @@
 //! only after recursing, and every breaker drains `pending` completely).
 
 use joinstudy_exec::profile::{DetailValue, PipelineStats, ProfileNode};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Which stage slot of a pipeline's block a trace node reads.
@@ -39,6 +40,8 @@ struct TraceNode {
     children: Vec<usize>,
     bound: Vec<(Arc<PipelineStats>, Slot)>,
     details: Vec<(String, DetailValue)>,
+    /// Details whose value is only final once the node's pipelines ran.
+    live: Vec<(String, Arc<AtomicU64>)>,
 }
 
 /// Trace arena built while the engine compiles and runs pipelines.
@@ -62,6 +65,7 @@ impl ProfCtx {
             children,
             bound: Vec::new(),
             details: Vec::new(),
+            live: Vec::new(),
         });
         self.nodes.len() - 1
     }
@@ -89,6 +93,14 @@ impl ProfCtx {
         self.nodes[node]
             .details
             .push((key.to_string(), value.into()));
+    }
+
+    /// Attach a statistic that is still being counted: read when the
+    /// profile tree is built, after every pipeline has run.
+    pub fn live_detail(&mut self, node: usize, key: &str, value: &Arc<AtomicU64>) {
+        self.nodes[node]
+            .live
+            .push((key.to_string(), Arc::clone(value)));
     }
 
     /// Transaction mark for [`ProfCtx::restore`].
@@ -136,6 +148,10 @@ impl ProfCtx {
             });
         }
         node.details = t.details.clone();
+        for (key, value) in &t.live {
+            let value = value.load(Ordering::Relaxed) as i64;
+            node.details.push((key.clone(), value.into()));
+        }
         node.children = t.children.iter().map(|&c| self.build(c)).collect();
         node
     }

@@ -29,19 +29,27 @@
 //! runs as its own parallel phase over pre-partitions (instead of inline in
 //! each pass-1 worker), because `bits2` is chosen adaptively from the now-
 //! known cardinality. The byte volume touched is identical.
+//!
+//! The same sink is the hybrid join's partitioner ([`crate::hybrid`]): given
+//! an [`Eviction`], a worker whose lease may not grow *closes* a victim
+//! pre-partition instead of failing — its pages stream to a spill run, later
+//! tuples for it follow, and histogram and pass 2 see the resident
+//! pre-partitions only. Without one, nothing below differs from the above.
 
 use crate::bloom::BlockedBloom;
 use crate::hash::hash_columns;
 use crate::row::{read_u64, RowLayout, StrHeap};
+use crate::spill::{SpillDir, SpillFile, SpillWriter};
 use crate::swwcb::{nt_copy, nt_fence, SwwcbSet};
-use joinstudy_exec::batch::Batch;
+use joinstudy_exec::batch::{Batch, BATCH_ROWS};
 use joinstudy_exec::context::{BudgetLease, QueryContext};
 use joinstudy_exec::error::{ExecError, ExecResult};
 use joinstudy_exec::metrics::{self, MemPhase};
 use joinstudy_exec::pipeline::{LocalState, Sink};
-use joinstudy_exec::trace;
+use joinstudy_exec::{registry, trace};
+use joinstudy_storage::column::ColumnData;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Tuning knobs of the radix machinery. The ablation benches flip the
@@ -133,7 +141,7 @@ impl Page {
 }
 
 /// Growth schedule: "whenever a page is full, a larger page is prepended".
-const FIRST_PAGE_BYTES: usize = 4 * 1024;
+pub(crate) const FIRST_PAGE_BYTES: usize = 4 * 1024;
 const MAX_PAGE_BYTES: usize = 256 * 1024;
 
 /// A linked list of pages holding materialized rows of one pre-partition.
@@ -154,6 +162,16 @@ impl PageList {
 
     pub fn rows(&self) -> usize {
         self.total_bytes / self.stride
+    }
+
+    /// Bytes of the rows held (the figure a lease is charged).
+    pub fn bytes(&self) -> usize {
+        self.total_bytes
+    }
+
+    /// Take the pages out, leaving an empty list of the same stride.
+    fn take(&mut self) -> PageList {
+        std::mem::replace(self, PageList::new(self.stride))
     }
 
     fn next_page_capacity(&self, at_least: usize) -> usize {
@@ -227,18 +245,140 @@ impl PageList {
 }
 
 // ---------------------------------------------------------------------------
+// Eviction: closed pre-partitions live in spill runs
+// ---------------------------------------------------------------------------
+
+/// Which pre-partitions of one join level are *closed*: evicted to spill
+/// runs, every later tuple of theirs following. A partition is only ever
+/// closed, never reopened. The level's build and probe sink share one set,
+/// so the probe side starts from the build side's closed partitions.
+pub struct ClosedSet {
+    flags: Vec<AtomicBool>,
+}
+
+impl ClosedSet {
+    pub fn new(partitions: usize) -> Arc<ClosedSet> {
+        Arc::new(ClosedSet {
+            flags: (0..partitions).map(|_| AtomicBool::new(false)).collect(),
+        })
+    }
+
+    /// `Relaxed` throughout: a flag publishes no data — whoever acts on it
+    /// reaches the partition's run through that run's own mutex.
+    pub fn is_closed(&self, p: usize) -> bool {
+        self.flags[p].load(Ordering::Relaxed)
+    }
+
+    /// Close `p`; false if it already was.
+    fn close(&self, p: usize) -> bool {
+        !self.flags[p].swap(true, Ordering::Relaxed)
+    }
+
+    /// The closed pre-partitions, ascending.
+    pub fn closed(&self) -> Vec<usize> {
+        (0..self.flags.len())
+            .filter(|&p| self.is_closed(p))
+            .collect()
+    }
+}
+
+/// What makes a [`PartitionSink`] the hybrid join's evicting sink.
+pub struct Eviction {
+    pub closed: Arc<ClosedSet>,
+    pub dir: Arc<SpillDir>,
+    /// Prefix of this sink's run names, unique within `dir`.
+    pub tag: String,
+    /// Bytes one worker's lease may reach before it has to give some up
+    /// (`usize::MAX`: only a refusal by the query's budget makes it).
+    pub worker_cap: usize,
+    /// Write-buffer bytes of each run.
+    pub write_buf: usize,
+    /// The victim policy: resident bytes per pre-partition in, the one to
+    /// close out (`None` when nothing is resident).
+    pub victim: fn(&[usize]) -> Option<usize>,
+}
+
+/// An [`Eviction`] at work: one lazily created run per pre-partition, each
+/// behind its own lock — there is no sink-wide one.
+struct Evictor {
+    cfg: Eviction,
+    runs: Vec<Mutex<Option<SpillWriter>>>,
+    /// Partitions this sink closed itself (the rest it inherited).
+    evictions: AtomicUsize,
+}
+
+impl Evictor {
+    /// Close `p` as a victim of memory pressure.
+    fn close(&self, p: usize) {
+        if self.cfg.closed.close(p) {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            trace::instant(format!("HHJ evict: {} p{p} -> disk", self.cfg.tag));
+        }
+    }
+}
+
+/// Decode materialized rows back into batches (a spill frame is an encoded
+/// [`Batch`]; the stored hash is dropped and recomputed on reload).
+fn spill_rows<'a>(
+    layout: &RowLayout,
+    heaps: &[StrHeap],
+    chunks: impl Iterator<Item = &'a [u8]>,
+    run: &mut SpillWriter,
+) -> ExecResult {
+    let stride = layout.stride();
+    let mut offsets: Vec<usize> = Vec::new();
+    for chunk in chunks {
+        for rows in chunk.chunks(BATCH_ROWS * stride) {
+            offsets.clear();
+            offsets.extend((0..rows.len() / stride).map(|i| i * stride));
+            let columns = (0..layout.num_columns())
+                .map(|c| {
+                    let mut col = ColumnData::with_capacity(layout.types()[c], offsets.len());
+                    layout.decode_column_into(rows, &offsets, c, heaps, &mut col);
+                    col
+                })
+                .collect();
+            run.write_batch(&Batch::new(columns))?;
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
 // Pass 1: the pipeline sink
 // ---------------------------------------------------------------------------
 
 struct Pass1Local {
     swwcb: Option<SwwcbSet>,
     lists: Vec<PageList>,
-    heap: StrHeap,
+    /// String heaps by heap id. Only this worker's own (`heap_id`) and,
+    /// once it has seen a closed partition, its staging heap have content.
+    heaps: Vec<StrHeap>,
     heap_id: usize,
+    /// The heap each pre-partition's rows encode their strings into: the
+    /// worker's own while the partition is open, the staging heap after.
+    heap_of: Vec<u8>,
+    /// Heap for strings of rows on their way to a run; emptied whenever
+    /// those rows are written, so closed partitions' strings never pile up.
+    stage_heap: Option<usize>,
+    /// Pre-partitions this worker has drained and treats as closed.
+    closed: Vec<bool>,
     hashes: Vec<u64>,
     /// Budget charged for this worker's pages + SWWCBs. Dropping the local
     /// (e.g. when a sibling worker fails) releases the reservation.
     lease: BudgetLease,
+}
+
+impl Pass1Local {
+    /// Row bytes in this worker's pages per pre-partition, counting only the
+    /// partitions it treats as closed (`closed`) or only the open ones.
+    fn held(&self, closed: bool) -> Vec<usize> {
+        self.lists
+            .iter()
+            .zip(&self.closed)
+            .map(|(list, &c)| if c == closed { list.bytes() } else { 0 })
+            .collect()
+    }
 }
 
 struct Pass1Global {
@@ -258,10 +398,14 @@ pub struct PartitionSink {
     layout: RowLayout,
     key_cols: Vec<usize>,
     cfg: RadixConfig,
+    /// First hash bit pass 1 reads. 0 for a join's own inputs; a reloaded
+    /// spill partition is split on the bits after its parent's pass 1.
+    shift: u32,
     phases: PhaseSet,
     ctx: Arc<QueryContext>,
     next_heap_id: AtomicUsize,
     global: Mutex<Pass1Global>,
+    evict: Option<Evictor>,
 }
 
 impl PartitionSink {
@@ -280,6 +424,7 @@ impl PartitionSink {
             layout,
             key_cols,
             cfg,
+            shift: 0,
             phases,
             next_heap_id: AtomicUsize::new(0),
             global: Mutex::new(Pass1Global {
@@ -288,6 +433,7 @@ impl PartitionSink {
                 lease: BudgetLease::empty(&ctx),
             }),
             ctx,
+            evict: None,
         }
     }
 
@@ -299,12 +445,227 @@ impl PartitionSink {
         self
     }
 
+    /// Evict instead of failing when memory runs out.
+    pub fn with_eviction(mut self, cfg: Eviction) -> PartitionSink {
+        self.evict = Some(Evictor {
+            runs: (0..self.fanout1()).map(|_| Mutex::new(None)).collect(),
+            evictions: AtomicUsize::new(0),
+            cfg,
+        });
+        self
+    }
+
+    /// Partition on the hash bits from `shift` up.
+    pub fn with_shift(mut self, shift: u32) -> PartitionSink {
+        self.shift = shift;
+        self
+    }
+
     pub fn layout(&self) -> &RowLayout {
         &self.layout
     }
 
     fn fanout1(&self) -> usize {
         1 << self.cfg.bits_pass1
+    }
+
+    /// Runs this sink has opened so far.
+    pub fn spilled_partitions(&self) -> usize {
+        self.evict.as_ref().map_or(0, |ev| {
+            ev.runs.iter().filter(|r| r.lock().is_some()).count()
+        })
+    }
+
+    /// Pre-partitions this sink closed under memory pressure.
+    pub fn evictions(&self) -> usize {
+        self.evict
+            .as_ref()
+            .map_or(0, |ev| ev.evictions.load(Ordering::Relaxed))
+    }
+
+    /// Seal the runs and hand them over, one slot per pre-partition. Call
+    /// after [`PartitionSink::finalize`], which may still evict.
+    pub fn take_runs(&self) -> ExecResult<Vec<Option<SpillFile>>> {
+        let Some(ev) = &self.evict else {
+            return Ok(Vec::new());
+        };
+        ev.runs
+            .iter()
+            .map(|run| run.lock().take().map(SpillWriter::finish).transpose())
+            .collect()
+    }
+
+    /// Reserve lease bytes for up to `rows` more rows and say how many were
+    /// granted. Without eviction that is all of them or the budget's error.
+    /// With it, a refusal (by the budget, or by the worker's own cap) is
+    /// answered by [`PartitionSink::relieve`]; only when this worker holds
+    /// nothing it could give up is the request halved, and only a refusal
+    /// of a single row is an error.
+    fn admit(&self, local: &mut Pass1Local, mut rows: usize) -> ExecResult<usize> {
+        let stride = self.layout.stride();
+        // The first charge also pays for the write-combine buffers.
+        let fixed = if local.lease.bytes() == 0 {
+            local.swwcb.as_ref().map_or(0, SwwcbSet::byte_size)
+        } else {
+            0
+        };
+        let Some(ev) = &self.evict else {
+            local.lease.grow(rows * stride + fixed)?;
+            return Ok(rows);
+        };
+        loop {
+            self.observe_closures(ev, local)?;
+            let charge = rows * stride + fixed;
+            let refusal = if local.lease.bytes().saturating_add(charge) > ev.cfg.worker_cap {
+                ExecError::BudgetExceeded {
+                    requested: charge,
+                    in_use: local.lease.bytes(),
+                    budget: ev.cfg.worker_cap,
+                    phase: metrics::current_phase().name(),
+                }
+            } else {
+                match local.lease.grow(charge) {
+                    Ok(()) => return Ok(rows),
+                    Err(e @ ExecError::BudgetExceeded { .. }) => e,
+                    Err(e) => return Err(e),
+                }
+            };
+            if !self.relieve(ev, local)? {
+                if rows == 1 {
+                    return Err(refusal);
+                }
+                rows /= 2;
+            }
+        }
+    }
+
+    /// Catch up with pre-partitions closed since this worker last looked —
+    /// by a sibling, or by the build side before this sink began: what it
+    /// holds of them goes to their runs, and their rows encode strings into
+    /// the staging heap from here on. (One relaxed load per pre-partition
+    /// and batch; a plain sink never gets here.)
+    fn observe_closures(&self, ev: &Evictor, local: &mut Pass1Local) -> ExecResult {
+        for p in 0..self.fanout1() {
+            if local.closed[p] || !ev.cfg.closed.is_closed(p) {
+                continue;
+            }
+            self.drain(ev, local, p)?;
+            local.closed[p] = true;
+            let next_heap_id = &self.next_heap_id;
+            let stage = *local
+                .stage_heap
+                .get_or_insert_with(|| next_heap_id.fetch_add(1, Ordering::Relaxed));
+            if local.heaps.len() <= stage {
+                local.heaps.resize_with(stage + 1, StrHeap::new);
+            }
+            local.heap_of[p] = u8::try_from(stage).expect("heap ids fit a StrRef's 8 bits");
+        }
+        Ok(())
+    }
+
+    /// Append the rows of `list`, pages of pre-partition `p`, to p's run,
+    /// which is created on first use.
+    fn write(&self, ev: &Evictor, p: usize, heaps: &[StrHeap], list: &PageList) -> ExecResult {
+        if list.bytes() == 0 {
+            return Ok(());
+        }
+        let mut run = ev.runs[p].lock();
+        if run.is_none() {
+            let name = format!("{}-p{p}", ev.cfg.tag);
+            let writer =
+                SpillWriter::create_sized(&ev.cfg.dir, &name, &self.ctx, ev.cfg.write_buf)?;
+            *run = Some(writer);
+            self.ctx.add_spill_partition();
+            registry::global().counter("spill.partitions").inc();
+        }
+        let run = run.as_mut().expect("just created");
+        spill_rows(&self.layout, heaps, list.chunks(), run)
+    }
+
+    /// Move this worker's rows of pre-partition `p` — write-combine buffer
+    /// remainder and pages — to p's run.
+    fn drain(&self, ev: &Evictor, local: &mut Pass1Local, p: usize) -> ExecResult {
+        if let Some(set) = &mut local.swwcb {
+            local.lists[p].append(set.filled(p), false);
+            set.clear(p);
+        }
+        let list = local.lists[p].take();
+        // The pages are on their way out: their bytes go back first, so a
+        // run's write buffer can be reserved out of what its rows free.
+        local.lease.shrink(list.bytes());
+        self.write(ev, p, &local.heaps, &list)
+    }
+
+    /// Write out everything this worker has staged for closed partitions;
+    /// nothing refers to the staging heap afterwards, so it starts over.
+    fn drain_closed(&self, ev: &Evictor, local: &mut Pass1Local) -> ExecResult {
+        for p in 0..self.fanout1() {
+            if local.closed[p] {
+                self.drain(ev, local, p)?;
+            }
+        }
+        if let Some(stage) = local.stage_heap {
+            local.heaps[stage].clear();
+        }
+        Ok(())
+    }
+
+    /// Give up lease bytes: write out what is staged for closed partitions,
+    /// and when that was little (under an eighth of the worker's cap, so the
+    /// next refusal would follow at once) close the policy's victim too.
+    /// False when this worker holds nothing it could give up.
+    fn relieve(&self, ev: &Evictor, local: &mut Pass1Local) -> ExecResult<bool> {
+        let staged: usize = local.held(true).iter().sum();
+        if staged > 0 {
+            self.drain_closed(ev, local)?;
+            if staged >= ev.cfg.worker_cap / 8 {
+                return Ok(true);
+            }
+        }
+        match (ev.cfg.victim)(&local.held(false)) {
+            Some(victim) => {
+                ev.close(victim);
+                self.observe_closures(ev, local)?;
+                Ok(true)
+            }
+            None => Ok(staged > 0),
+        }
+    }
+
+    /// Encode rows `range` of `input` into their pre-partitions.
+    fn scatter(
+        &self,
+        local: &mut Pass1Local,
+        input: &Batch,
+        hashes: &[u64],
+        range: std::ops::Range<usize>,
+    ) {
+        let mask1 = (self.fanout1() - 1) as u64;
+        let nt = self.cfg.use_nt_stores;
+        let width = self.layout.width();
+        for r in range {
+            let h = hashes[r];
+            let p = ((h >> self.shift) & mask1) as usize;
+            let heap_id = local.heap_of[p] as usize;
+            let slot = match &mut local.swwcb {
+                Some(set) => {
+                    if set.is_full(p) {
+                        local.lists[p].append(set.filled(p), nt);
+                        set.clear(p);
+                    }
+                    set.next_slot(p)
+                }
+                None => local.lists[p].alloc_row(),
+            };
+            self.layout.encode_row(
+                &mut slot[..width],
+                h,
+                input,
+                r,
+                &mut local.heaps[heap_id],
+                heap_id,
+            );
+        }
     }
 }
 
@@ -316,8 +677,14 @@ impl Sink for PartitionSink {
         Box::new(Pass1Local {
             swwcb: use_swwcb.then(|| SwwcbSet::new(self.fanout1(), stride)),
             lists: (0..self.fanout1()).map(|_| PageList::new(stride)).collect(),
-            heap: StrHeap::new(),
+            heaps: (0..=heap_id).map(|_| StrHeap::new()).collect(),
             heap_id,
+            heap_of: vec![
+                u8::try_from(heap_id).expect("heap ids fit a StrRef's 8 bits");
+                self.fanout1()
+            ],
+            stage_heap: None,
+            closed: vec![false; self.fanout1()],
             hashes: Vec::new(),
             lease: BudgetLease::empty(&self.ctx),
         })
@@ -325,53 +692,25 @@ impl Sink for PartitionSink {
 
     fn consume(&self, local: &mut LocalState, input: Batch) -> ExecResult {
         let local = local.downcast_mut::<Pass1Local>().unwrap();
-        let n = input.num_rows();
-        // Charge the rows this batch materializes (plus, on the first batch,
-        // this worker's write-combine buffers) before writing anything.
-        let mut charge = n * self.layout.stride();
-        if local.lease.bytes() == 0 {
-            charge += local.swwcb.as_ref().map_or(0, SwwcbSet::byte_size);
+        if self.evict.is_some() {
+            // A worker that only stages never reaches a spill write's check.
+            self.ctx.check()?;
         }
-        local.lease.grow(charge)?;
+        let n = input.num_rows();
         let key_cols: Vec<_> = self.key_cols.iter().map(|&c| input.column(c)).collect();
         let mut hashes = std::mem::take(&mut local.hashes);
         hash_columns(&key_cols, n, &mut hashes);
         drop(key_cols);
 
-        let mask1 = (self.fanout1() - 1) as u64;
-        let nt = self.cfg.use_nt_stores;
-        let width = self.layout.width();
-        for r in 0..n {
-            let h = hashes[r];
-            let p = (h & mask1) as usize;
-            match &mut local.swwcb {
-                Some(set) => {
-                    if set.is_full(p) {
-                        local.lists[p].append(set.filled(p), nt);
-                        set.clear(p);
-                    }
-                    let slot = set.next_slot(p);
-                    self.layout.encode_row(
-                        &mut slot[..width],
-                        h,
-                        &input,
-                        r,
-                        &mut local.heap,
-                        local.heap_id,
-                    );
-                }
-                None => {
-                    let slot = local.lists[p].alloc_row();
-                    self.layout.encode_row(
-                        &mut slot[..width],
-                        h,
-                        &input,
-                        r,
-                        &mut local.heap,
-                        local.heap_id,
-                    );
-                }
-            }
+        // Charge the rows a stretch of the batch materializes (plus, the
+        // first time, this worker's write-combine buffers) before writing
+        // them; without eviction the stretch is always the whole batch.
+        let mut start = 0;
+        let mut ask = n;
+        while start < n {
+            ask = self.admit(local, ask.min(n - start))?;
+            self.scatter(local, &input, &hashes, start..start + ask);
+            start += ask;
         }
         local.hashes = hashes;
         metrics::record_write(self.phases.pass1, (n * self.layout.stride()) as u64);
@@ -387,9 +726,16 @@ impl Sink for PartitionSink {
             }
         }
         nt_fence();
+        if let Some(ev) = &self.evict {
+            self.observe_closures(ev, &mut local)?;
+            self.drain_closed(ev, &mut local)?;
+        }
         let mut global = self.global.lock();
         global.worker_lists.push(local.lists);
-        global.heaps.push((local.heap_id, local.heap));
+        global.heaps.push((
+            local.heap_id,
+            std::mem::take(&mut local.heaps[local.heap_id]),
+        ));
         global.lease.absorb(local.lease);
         Ok(())
     }
@@ -458,6 +804,21 @@ impl PartitionedSide {
         self.partition_row_range(p).len() * self.layout.stride()
     }
 
+    /// Rows of pass-1 pre-partition `p` (its `2^bits2` final partitions).
+    pub fn prepartition_rows(&self, p: usize) -> usize {
+        self.bounds[(p + 1) << self.bits2] - self.bounds[p << self.bits2]
+    }
+
+    /// Append the rows of pre-partition `p` to `run`: a resident build
+    /// partition whose probe partner was evicted follows it to disk.
+    pub fn spill_prepartition(&self, p: usize, run: &mut SpillWriter) -> ExecResult {
+        let stride = self.layout.stride();
+        let rows =
+            self.bounds[p << self.bits2] * stride..self.bounds[(p + 1) << self.bits2] * stride;
+        let bytes = &self.data_bytes()[rows];
+        spill_rows(&self.layout, &self.heaps, std::iter::once(bytes), run)
+    }
+
     /// Total materialized bytes (rows + out-of-line strings).
     pub fn byte_size(&self) -> usize {
         self.total_rows * self.layout.stride()
@@ -504,11 +865,11 @@ impl PartitionSink {
         build_bloom: bool,
     ) -> ExecResult<(PartitionedSide, Option<BlockedBloom>)> {
         let mut global = self.global.lock();
-        let worker_lists = std::mem::take(&mut global.worker_lists);
+        let mut worker_lists = std::mem::take(&mut global.worker_lists);
         let mut heap_pairs = std::mem::take(&mut global.heaps);
         // Pass-1 pages are freed when `worker_lists` drops at the end of this
         // function (or on early return) — the lease must die with them.
-        let _pass1_lease = std::mem::replace(&mut global.lease, BudgetLease::empty(&self.ctx));
+        let mut pass1_lease = std::mem::replace(&mut global.lease, BudgetLease::empty(&self.ctx));
         drop(global);
 
         // Dense heap vector indexed by heap id.
@@ -532,11 +893,43 @@ impl PartitionSink {
                 pre_counts[p] += list.rows();
             }
         }
+
+        // The contiguous pass-2 output buffer is the second copy of every
+        // row: reserve it up front, so a budget breach surfaces before the
+        // allocation instead of as an OOM kill. An evicting sink first
+        // writes out what workers that finished early still held of closed
+        // partitions, then answers a breach by closing one more victim.
+        if let Some(ev) = &self.evict {
+            for p in ev.cfg.closed.closed() {
+                self.evict_resident(ev, p, &mut worker_lists, &heaps, &mut pass1_lease)?;
+                pre_counts[p] = 0;
+            }
+        }
+        let mut out_lease = loop {
+            let total_bytes = pre_counts.iter().sum::<usize>() * stride;
+            match (BudgetLease::reserve(&self.ctx, total_bytes), &self.evict) {
+                (Ok(lease), _) => break lease,
+                (Err(e @ ExecError::BudgetExceeded { .. }), Some(ev)) => {
+                    let resident: Vec<usize> = pre_counts.iter().map(|&n| n * stride).collect();
+                    let victim = (ev.cfg.victim)(&resident).ok_or(e)?;
+                    ev.close(victim);
+                    self.evict_resident(ev, victim, &mut worker_lists, &heaps, &mut pass1_lease)?;
+                    pre_counts[victim] = 0;
+                }
+                (Err(e), _) => return Err(e),
+            }
+        };
         let total_rows: usize = pre_counts.iter().sum();
 
         // Choose the pass-2 fanout so build partitions hit the cache target.
+        // Closed pre-partitions hold no rows: the resident bytes spread over
+        // the open ones only.
+        let open = match &self.evict {
+            Some(ev) => (fanout1 - ev.cfg.closed.closed().len()).max(1),
+            None => fanout1,
+        };
         let bits2 = bits2_override.unwrap_or_else(|| {
-            let total_bytes = total_rows * stride;
+            let total_bytes = total_rows * stride * fanout1 / open;
             let ideal_parts = total_bytes.div_ceil(self.cfg.target_partition_bytes).max(1);
             let total_bits =
                 (ideal_parts.next_power_of_two().trailing_zeros()).max(self.cfg.bits_pass1);
@@ -546,11 +939,12 @@ impl PartitionSink {
         let nparts = fanout1 * fanout2;
         let mask2 = (fanout2 - 1) as u64;
         let bits1 = self.cfg.bits_pass1;
-
-        // The contiguous pass-2 output buffer is the second copy of every
-        // row: reserve it up front, so a budget breach surfaces before the
-        // allocation instead of as an OOM kill.
-        let mut out_lease = BudgetLease::reserve(&self.ctx, total_rows * stride)?;
+        // Pass 2 reads the hash bits right after pass 1's.
+        let pass2_shift = self.shift + bits1;
+        debug_assert!(
+            self.shift == 0 || !build_bloom,
+            "the Bloom reducer assumes shift 0"
+        );
 
         // Which side this sink partitioned, for trace span labels (the
         // build PhaseSet folds every phase into `Build`).
@@ -584,7 +978,14 @@ impl PartitionSink {
             for lists in &worker_lists {
                 for chunk in lists[p].chunks() {
                     bytes += chunk.len();
-                    crate::simd::hist_chunk(chunk, stride, hash_off, bits1, mask2, &mut counts);
+                    crate::simd::hist_chunk(
+                        chunk,
+                        stride,
+                        hash_off,
+                        pass2_shift,
+                        mask2,
+                        &mut counts,
+                    );
                 }
             }
             metrics::record_read(self.phases.hist, bytes as u64);
@@ -656,7 +1057,7 @@ impl PartitionSink {
                         bytes += chunk.len();
                         for row in chunk.chunks_exact(stride) {
                             let h = read_u64(row, hash_off);
-                            let s = ((h >> bits1) & mask2) as usize;
+                            let s = ((h >> pass2_shift) & mask2) as usize;
                             if let Some(b) = &bloom {
                                 b.insert(p * fanout2 + s, h);
                             }
@@ -728,6 +1129,26 @@ impl PartitionSink {
             _lease: out_lease,
         };
         Ok((side, bloom))
+    }
+}
+
+impl PartitionSink {
+    /// Write what the finished workers still hold of pre-partition `p` to
+    /// its run (finalize runs alone, after every worker has finished).
+    fn evict_resident(
+        &self,
+        ev: &Evictor,
+        p: usize,
+        worker_lists: &mut [Vec<PageList>],
+        heaps: &[StrHeap],
+        lease: &mut BudgetLease,
+    ) -> ExecResult {
+        for lists in worker_lists {
+            let list = lists[p].take();
+            lease.shrink(list.bytes());
+            self.write(ev, p, heaps, &list)?;
+        }
+        Ok(())
     }
 }
 

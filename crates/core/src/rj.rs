@@ -66,6 +66,16 @@ impl RadixJoinSource {
         }
     }
 
+    /// The partitioned build side this source joins against.
+    pub fn build(&self) -> &Arc<PartitionedSide> {
+        &self.build
+    }
+
+    /// The partitioned probe side.
+    pub fn probe(&self) -> &Arc<PartitionedSide> {
+        &self.probe
+    }
+
     /// Attach shared match-statistics counters (Figure 2 harness).
     pub fn with_stats(mut self, stats: Arc<JoinStats>) -> RadixJoinSource {
         self.stats = Some(stats);

@@ -55,6 +55,12 @@ impl StrHeap {
     pub fn byte_len(&self) -> usize {
         self.bytes.len()
     }
+
+    /// Forget every string. Only sound once no row referring to this heap
+    /// is left (the radix sink's staging heap, after its rows were spilled).
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+    }
 }
 
 /// Resolve a packed reference against the heap set it was created in.

@@ -15,13 +15,15 @@
 //! A spill file is a sequence of frames. Each frame is:
 //!
 //! ```text
-//! [magic u32 = "JSP1"] [payload_len u32] [rows u32] [reserved u32]
-//! [checksum u64 = FNV-1a(payload)] [payload: one encoded Batch]
+//! [magic u32 = "JSP2"] [payload_len u32] [rows u32] [reserved u32]
+//! [checksum u64] [payload: one encoded Batch]
 //! ```
 //!
-//! The payload encodes the batch column-by-column (type tag, optional
-//! validity mask, then the values; strings as per-value `u32` length +
-//! UTF-8 bytes), all little-endian. Readers verify the magic, length, and
+//! The checksum is FNV-1a taken eight payload bytes per step (a byte-wise
+//! tail), which is what `"JSP2"` changed over `"JSP1"`. The payload encodes
+//! the batch column-by-column (type tag, optional validity mask, then the
+//! values — fixed-width columns as one block, strings as per-value `u32`
+//! length + UTF-8 bytes), all little-endian. Readers verify the magic, length, and
 //! checksum of every frame and surface [`ExecError::SpillIo`] on any
 //! mismatch or short read — corruption never panics and never produces
 //! wrong rows.
@@ -49,11 +51,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Frame magic: `"JSP1"` little-endian.
-pub const FRAME_MAGIC: u32 = 0x3150_534a;
+/// Frame magic: `"JSP2"` little-endian.
+pub const FRAME_MAGIC: u32 = 0x3250_534a;
 /// Fixed frame-header size in bytes.
 pub const FRAME_HEADER_BYTES: usize = 24;
-/// Write-buffer size charged against the memory budget per open writer.
+/// Write-buffer size charged against the memory budget per open writer
+/// ([`SpillWriter::create`]; [`SpillWriter::create_sized`] takes less when
+/// the budget is tight).
 pub const WRITE_BUF_BYTES: usize = 32 * 1024;
 
 // ---------------------------------------------------------------- faults
@@ -308,33 +312,59 @@ fn dtype_from_tag(tag: u8) -> Option<DataType> {
     })
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over the payload, one little-endian `u64` word per step and the
+/// last `len % 8` bytes one by one.
+fn checksum(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(PRIME);
+    }
+    for &b in words.remainder() {
+        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
     }
     h
 }
 
+// Fixed-width columns go to and from a frame as they lie in memory.
+const _: () = assert!(
+    cfg!(target_endian = "little"),
+    "the spill codec assumes a little-endian target"
+);
+
+/// The in-memory bytes of a fixed-width column, which on a little-endian
+/// target already are its frame encoding.
+fn le_bytes<T: Copy>(v: &[T]) -> &[u8] {
+    // SAFETY: only called with `bool`, `i32`, `i64` and `f64` elements,
+    // none of which has padding or a byte that is invalid to read as `u8`;
+    // the length covers exactly the slice's own allocation.
+    unsafe { std::slice::from_raw_parts(v.as_ptr().cast::<u8>(), std::mem::size_of_val(v)) }
+}
+
+/// Rebuild a fixed-width column from its frame bytes with one copy.
+fn from_le_bytes<T: Copy + Default>(raw: &[u8]) -> Vec<T> {
+    let n = raw.len() / std::mem::size_of::<T>();
+    let mut v = vec![T::default(); n];
+    // SAFETY: only called with `i32`, `i64` and `f64`, for which every
+    // byte pattern is a value; `v` owns `n * size_of::<T>()` bytes and the
+    // caller's cursor bounds-checked `raw` to at least that length.
+    unsafe {
+        std::ptr::copy_nonoverlapping(
+            raw.as_ptr(),
+            v.as_mut_ptr().cast::<u8>(),
+            n * std::mem::size_of::<T>(),
+        );
+    }
+    v
+}
+
 fn encode_column(col: &ColumnData, buf: &mut Vec<u8>) {
     match col {
-        ColumnData::Bool(v) => buf.extend(v.iter().map(|&b| b as u8)),
-        ColumnData::Int32(v) | ColumnData::Date(v) => {
-            for x in v {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        ColumnData::Int64(v) | ColumnData::Decimal(v) => {
-            for x in v {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        ColumnData::Float64(v) => {
-            for x in v {
-                buf.extend_from_slice(&x.to_bits().to_le_bytes());
-            }
-        }
+        ColumnData::Bool(v) => buf.extend_from_slice(le_bytes(v)),
+        ColumnData::Int32(v) | ColumnData::Date(v) => buf.extend_from_slice(le_bytes(v)),
+        ColumnData::Int64(v) | ColumnData::Decimal(v) => buf.extend_from_slice(le_bytes(v)),
+        ColumnData::Float64(v) => buf.extend_from_slice(le_bytes(v)),
         ColumnData::Str(s) => {
             for i in 0..s.len() {
                 let v = s.get(i);
@@ -354,7 +384,7 @@ fn encode_batch(batch: &Batch, buf: &mut Vec<u8>) {
         match batch.validity(c) {
             Some(mask) => {
                 buf.push(1);
-                buf.extend(mask.iter().map(|&b| b as u8));
+                buf.extend_from_slice(le_bytes(mask));
             }
             None => buf.push(0),
         }
@@ -401,38 +431,11 @@ impl<'a> Cursor<'a> {
 fn decode_column(cur: &mut Cursor<'_>, dtype: DataType, rows: usize) -> ExecResult<ColumnData> {
     Ok(match dtype {
         DataType::Bool => ColumnData::Bool(cur.bytes(rows)?.iter().map(|&b| b != 0).collect()),
-        DataType::Int32 | DataType::Date => {
-            let raw = cur.bytes(rows * 4)?;
-            let v = raw
-                .chunks_exact(4)
-                .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            if dtype == DataType::Int32 {
-                ColumnData::Int32(v)
-            } else {
-                ColumnData::Date(v)
-            }
-        }
-        DataType::Int64 | DataType::Decimal => {
-            let raw = cur.bytes(rows * 8)?;
-            let v = raw
-                .chunks_exact(8)
-                .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            if dtype == DataType::Int64 {
-                ColumnData::Int64(v)
-            } else {
-                ColumnData::Decimal(v)
-            }
-        }
-        DataType::Float64 => {
-            let raw = cur.bytes(rows * 8)?;
-            ColumnData::Float64(
-                raw.chunks_exact(8)
-                    .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
-                    .collect(),
-            )
-        }
+        DataType::Int32 => ColumnData::Int32(from_le_bytes(cur.bytes(rows * 4)?)),
+        DataType::Date => ColumnData::Date(from_le_bytes(cur.bytes(rows * 4)?)),
+        DataType::Int64 => ColumnData::Int64(from_le_bytes(cur.bytes(rows * 8)?)),
+        DataType::Decimal => ColumnData::Decimal(from_le_bytes(cur.bytes(rows * 8)?)),
+        DataType::Float64 => ColumnData::Float64(from_le_bytes(cur.bytes(rows * 8)?)),
         DataType::Str => {
             let mut s = StrColumn::with_capacity(rows, 0);
             for _ in 0..rows {
@@ -485,6 +488,9 @@ pub struct SpillWriter {
     path: PathBuf,
     ctx: Arc<QueryContext>,
     buf: Vec<u8>,
+    /// Buffered bytes at which [`SpillWriter::write_batch`] flushes; also
+    /// what `_lease` holds.
+    buf_bytes: usize,
     _lease: BudgetLease,
     rows: u64,
     bytes: u64,
@@ -496,7 +502,18 @@ impl SpillWriter {
     /// so running out of memory *while spilling* is itself a clean, typed
     /// failure.
     pub fn create(dir: &SpillDir, name: &str, ctx: &Arc<QueryContext>) -> ExecResult<SpillWriter> {
-        let lease = BudgetLease::reserve(ctx, WRITE_BUF_BYTES)?;
+        SpillWriter::create_sized(dir, name, ctx, WRITE_BUF_BYTES)
+    }
+
+    /// [`SpillWriter::create`] with a write buffer of `buf_bytes`: a join
+    /// whose share of the budget is small opens its runs with less.
+    pub fn create_sized(
+        dir: &SpillDir,
+        name: &str,
+        ctx: &Arc<QueryContext>,
+        buf_bytes: usize,
+    ) -> ExecResult<SpillWriter> {
+        let lease = BudgetLease::reserve(ctx, buf_bytes)?;
         fault::check(FaultOp::Create)?;
         let path = dir.file_path(name);
         let file = File::create(&path)
@@ -505,7 +522,8 @@ impl SpillWriter {
             file,
             path,
             ctx: Arc::clone(ctx),
-            buf: Vec::with_capacity(WRITE_BUF_BYTES),
+            buf: Vec::with_capacity(buf_bytes),
+            buf_bytes,
             _lease: lease,
             rows: 0,
             bytes: 0,
@@ -521,7 +539,7 @@ impl SpillWriter {
         encode_batch(batch, &mut self.buf);
         let payload = &self.buf[header_at + FRAME_HEADER_BYTES..];
         let payload_len = payload.len() as u32;
-        let checksum = fnv1a(payload);
+        let checksum = checksum(payload);
         let h = &mut self.buf[header_at..header_at + FRAME_HEADER_BYTES];
         h[0..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
         h[4..8].copy_from_slice(&payload_len.to_le_bytes());
@@ -529,7 +547,7 @@ impl SpillWriter {
         h[12..16].copy_from_slice(&0u32.to_le_bytes());
         h[16..24].copy_from_slice(&checksum.to_le_bytes());
         self.rows += batch.num_rows() as u64;
-        if self.buf.len() >= WRITE_BUF_BYTES {
+        if self.buf.len() >= self.buf_bytes {
             self.flush()?;
         }
         Ok(())
@@ -595,6 +613,8 @@ pub struct SpillReader {
     file: File,
     path: PathBuf,
     ctx: Arc<QueryContext>,
+    /// The current frame's payload; one allocation serves the whole run.
+    payload: Vec<u8>,
 }
 
 impl SpillReader {
@@ -606,6 +626,7 @@ impl SpillReader {
             file: f,
             path: file.path.clone(),
             ctx: Arc::clone(ctx),
+            payload: Vec::new(),
         })
     }
 
@@ -670,8 +691,9 @@ impl SpillReader {
         }
         let payload_len = u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
         let rows = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize;
-        let checksum = u64::from_le_bytes(header[16..24].try_into().unwrap());
-        let mut payload = vec![0u8; payload_len];
+        let stored = u64::from_le_bytes(header[16..24].try_into().unwrap());
+        let mut payload = std::mem::take(&mut self.payload);
+        payload.resize(payload_len, 0);
         if !self.read_full_timed(&mut payload)? {
             return Err(ExecError::spill(
                 "read",
@@ -681,7 +703,7 @@ impl SpillReader {
                 ),
             ));
         }
-        if fnv1a(&payload) != checksum {
+        if checksum(&payload) != stored {
             return Err(ExecError::spill(
                 "read",
                 format!(
@@ -691,6 +713,7 @@ impl SpillReader {
             ));
         }
         let batch = decode_batch(&payload, rows)?;
+        self.payload = payload;
         if batch.num_rows() != rows {
             return Err(ExecError::spill(
                 "read",

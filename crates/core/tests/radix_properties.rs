@@ -5,8 +5,12 @@
 
 use joinstudy_core::bloom::BlockedBloom;
 use joinstudy_core::hash::hash_u64;
-use joinstudy_core::radix::{partition_of, PartitionSink, PhaseSet, RadixConfig};
+use joinstudy_core::hybrid::largest_resident;
+use joinstudy_core::radix::{
+    partition_of, ClosedSet, Eviction, PartitionSink, PartitionedSide, PhaseSet, RadixConfig,
+};
 use joinstudy_core::row::{RowLayout, StrHeap};
+use joinstudy_core::spill::SpillDir;
 use joinstudy_exec::batch::BatchBuilder;
 use joinstudy_exec::pipeline::Sink;
 use joinstudy_storage::column::ColumnData;
@@ -14,13 +18,13 @@ use joinstudy_storage::types::{DataType, Value};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-fn partition(
-    values: &[i64],
-    cfg: RadixConfig,
-    bits2: u32,
-) -> joinstudy_core::radix::PartitionedSide {
+fn partition(values: &[i64], cfg: RadixConfig, bits2: u32) -> PartitionedSide {
     let layout = RowLayout::new(&[DataType::Int64], false);
     let sink = PartitionSink::new(layout, vec![0], cfg, PhaseSet::build());
+    feed_and_finalize(&sink, values, Some(bits2))
+}
+
+fn feed_and_finalize(sink: &PartitionSink, values: &[i64], bits2: Option<u32>) -> PartitionedSide {
     let mut local = sink.create_local();
     for chunk in values.chunks(1024) {
         let mut bb = BatchBuilder::new(vec![DataType::Int64]);
@@ -29,11 +33,55 @@ fn partition(
         sink.consume(&mut local, bb.flush().unwrap()).unwrap();
     }
     sink.finish_local(local).unwrap();
-    sink.finalize(1, Some(bits2), false).unwrap().0
+    sink.finalize(1, bits2, false).unwrap().0
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// No budget ⇒ RJ: the hybrid join's evicting sink, when nothing ever
+    /// refuses its lease, lays out byte for byte what the plain sink does,
+    /// picks the same pass-2 fan-out, and touches no file.
+    #[test]
+    fn evicting_sink_without_a_budget_is_the_plain_sink(
+        values in prop::collection::vec(any::<i64>(), 0..6000),
+        bits1 in 1u32..7,
+        target_kib in 1usize..64,
+    ) {
+        let cfg = RadixConfig {
+            bits_pass1: bits1,
+            target_partition_bytes: target_kib * 1024,
+            ..RadixConfig::default()
+        };
+        let layout = || RowLayout::new(&[DataType::Int64], false);
+        let plain = PartitionSink::new(layout(), vec![0], cfg, PhaseSet::build());
+        let plain = feed_and_finalize(&plain, &values, None);
+
+        let base = std::env::temp_dir().join(format!("joinstudy-norj-{}", std::process::id()));
+        let dir = SpillDir::create(Some(base.clone())).unwrap();
+        let evicting = PartitionSink::new(layout(), vec![0], cfg, PhaseSet::build())
+            .with_eviction(Eviction {
+                closed: ClosedSet::new(1 << bits1),
+                dir: std::sync::Arc::clone(&dir),
+                tag: "build".into(),
+                worker_cap: usize::MAX,
+                write_buf: 4096,
+                victim: largest_resident,
+            });
+        let side = feed_and_finalize(&evicting, &values, None);
+
+        prop_assert_eq!(side.bits2(), plain.bits2());
+        prop_assert_eq!(side.num_partitions(), plain.num_partitions());
+        for p in 0..side.num_partitions() {
+            prop_assert_eq!(side.partition_row_range(p), plain.partition_row_range(p));
+        }
+        prop_assert_eq!(side.data_bytes(), plain.data_bytes());
+        prop_assert_eq!(evicting.spilled_partitions(), 0);
+        prop_assert!(evicting.take_runs().unwrap().iter().all(Option::is_none));
+        prop_assert_eq!(std::fs::read_dir(dir.path()).unwrap().count(), 0);
+        drop(dir);
+        std::fs::remove_dir_all(&base).ok();
+    }
 
     #[test]
     fn partitioning_is_hash_consistent_permutation(

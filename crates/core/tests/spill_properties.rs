@@ -7,14 +7,16 @@
 //! serializes on [`TEST_LOCK`] — a fault armed by one test must never leak
 //! into another's I/O.
 
-use joinstudy_core::hybrid::{PartitionSpillSink, SpillConfig};
+use joinstudy_core::hybrid::{largest_resident, min_working_set, SpillConfig};
+use joinstudy_core::radix::{ClosedSet, Eviction, PartitionSink, PhaseSet, RadixConfig};
+use joinstudy_core::row::RowLayout;
 use joinstudy_core::spill::{fault, SpillDir};
 use joinstudy_core::{Engine, JoinAlgo, JoinType, Plan};
 use joinstudy_exec::batch::BatchBuilder;
 use joinstudy_exec::error::ExecError;
-use joinstudy_exec::metrics::MemPhase;
 use joinstudy_exec::pipeline::Sink;
 use joinstudy_storage::column::ColumnData;
+use joinstudy_storage::gen::{Rng, Zipf};
 use joinstudy_storage::table::{Schema, Table, TableBuilder};
 use joinstudy_storage::types::{DataType, Value};
 use proptest::prelude::*;
@@ -199,6 +201,123 @@ proptest! {
     }
 }
 
+/// `(k, v, s)` rows with a string payload: `rows` keys drawn from `domain`
+/// values with Zipf exponent `z`, the most frequent key being 1 or, with
+/// `reversed`, `domain` (two sides skewed towards different keys keep the
+/// join's output small).
+fn zipf_table(rows: usize, domain: u64, z: f64, reversed: bool) -> Arc<Table> {
+    let schema = Schema::of(&[
+        ("k", DataType::Int64),
+        ("v", DataType::Int64),
+        ("s", DataType::Str),
+    ]);
+    let mut rng = Rng::new(rows as u64);
+    let zipf = Zipf::new(domain, z);
+    let mut b = TableBuilder::with_capacity(schema, rows);
+    for i in 0..rows {
+        let rank = zipf.sample(&mut rng);
+        let k = if reversed { domain + 1 - rank } else { rank } as i64;
+        b.push_row(&[
+            Value::Int64(k),
+            Value::Int64(i as i64),
+            Value::Str(format!("payload-{k}-{i}")),
+        ]);
+    }
+    Arc::new(b.finish())
+}
+
+/// The robustness grid of "Design Trade-offs for a Robust Dynamic Hybrid
+/// Hash Join": every join type × memory budget (none, half the build side,
+/// a sixteenth of it, the join's stated floor) × key skew × thread count,
+/// over rows that carry a string, against the BHJ as multisets — with the
+/// budget back at zero and the spill directory empty after every run.
+#[test]
+fn grid_of_kinds_budgets_skews_and_threads_matches_bhj() {
+    let _guard = test_lock();
+    fault::set_for_test(None);
+    let base = std::env::temp_dir().join(format!("joinstudy-grid-{}", std::process::id()));
+    std::fs::create_dir_all(&base).unwrap();
+    let (build_rows, probe_rows) = (1_500, 3_000);
+    // Materialized build rows: hash + three 8 B slots, padded to 32 B.
+    let build_bytes = build_rows * 32;
+    for z in [0.0, 1.0, 2.0] {
+        let bt = zipf_table(build_rows, 1_000, z, false);
+        let pt = zipf_table(probe_rows, 1_000, z, true);
+        let plan = |algo, kind| {
+            Plan::scan(&bt, &["k", "v", "s"], None).join(
+                Plan::scan(&pt, &["k", "v", "s"], None),
+                algo,
+                kind,
+                &[0],
+                &[0],
+            )
+        };
+        for kind in ALL_KINDS {
+            let expected = rows_sorted(&Engine::new(2).run(&plan(JoinAlgo::Bhj, kind)));
+            for threads in [1, 2] {
+                let floor = 2 * min_working_set(2, threads);
+                for budget in [
+                    None,
+                    Some(build_bytes / 2),
+                    Some(build_bytes / 16),
+                    Some(floor),
+                ] {
+                    // A budget under the floor is the floor test's subject.
+                    let budget = budget.map(|b| b.max(floor));
+                    let engine = Engine::new(threads);
+                    engine.ctx.set_spill_dir(Some(base.clone()));
+                    engine.ctx.set_memory_budget(budget);
+                    let case = format!("{kind:?} z={z} threads={threads} budget={budget:?}");
+                    let got = engine
+                        .execute(&plan(JoinAlgo::Hybrid, kind))
+                        .unwrap_or_else(|e| panic!("{case}: {e}"));
+                    assert_eq!(rows_sorted(&got), expected, "{case}: diverged from the BHJ");
+                    assert_eq!(engine.ctx.used(), 0, "{case}: leaked budget reservations");
+                    assert_eq!(
+                        std::fs::read_dir(&base).unwrap().count(),
+                        0,
+                        "{case}: spill files left behind"
+                    );
+                    if budget.is_none() {
+                        assert_eq!(engine.ctx.spill_write_bytes(), 0, "{case}: spilled");
+                    }
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// A budget under the join's minimum working set fails before any work is
+/// done, and the error names the floor.
+#[test]
+fn budget_below_the_floor_names_the_floor() {
+    let _guard = test_lock();
+    let bt = kv_table(&[(1, 1)]);
+    let pt = kv_table(&[(1, 2)]);
+    let floor = 2 * min_working_set(2, 2);
+    let engine = Engine::new(2);
+    engine.ctx.set_memory_budget(Some(floor - 1));
+    match engine.execute(&join_plan(&bt, &pt, JoinAlgo::Hybrid, JoinType::Inner)) {
+        Err(ExecError::BudgetExceeded {
+            requested, budget, ..
+        }) => {
+            assert_eq!(requested, floor, "the error must name the floor");
+            assert_eq!(budget, floor - 1);
+        }
+        other => panic!(
+            "expected the floor breach, got {:?}",
+            other.map(|t| t.num_rows())
+        ),
+    }
+    assert_eq!(engine.ctx.used(), 0);
+    engine.ctx.set_memory_budget(Some(floor));
+    let t = engine
+        .execute(&join_plan(&bt, &pt, JoinAlgo::Hybrid, JoinType::Inner))
+        .expect("the floor itself is enough");
+    assert_eq!(t.num_rows(), 1);
+}
+
 #[test]
 fn fault_matrix_yields_typed_errors_and_zero_orphans() {
     let _guard = test_lock();
@@ -253,16 +372,23 @@ fn cancellation_mid_spill_cleans_dir_and_budget() {
     let dir = SpillDir::create(Some(base.clone())).unwrap();
     let spill_path = dir.path().to_path_buf();
 
-    let sink = PartitionSpillSink::new(
-        vec![0],
-        1,
-        MemPhase::Build,
-        "build",
-        Arc::clone(&ctx),
-        Arc::clone(&dir),
-    );
+    let radix = RadixConfig {
+        bits_pass1: 1,
+        ..RadixConfig::default()
+    };
+    let layout = RowLayout::new(&[DataType::Int64, DataType::Int64], false);
+    let sink = PartitionSink::new(layout, vec![0], radix, PhaseSet::build())
+        .with_context(Arc::clone(&ctx))
+        .with_eviction(Eviction {
+            closed: ClosedSet::new(2),
+            dir: Arc::clone(&dir),
+            tag: "build".into(),
+            worker_cap: 64 * 1024,
+            write_buf: 4 * 1024,
+            victim: largest_resident,
+        });
     let mut local = sink.create_local();
-    let feed = |sink: &PartitionSpillSink, local: &mut joinstudy_exec::pipeline::LocalState| {
+    let feed = |sink: &PartitionSink, local: &mut joinstudy_exec::pipeline::LocalState| {
         let mut bb = BatchBuilder::new(vec![DataType::Int64, DataType::Int64]);
         for i in 0..4_096i64 {
             bb.push_row(&[Value::Int64(i % 512), Value::Int64(i)]);

@@ -156,3 +156,32 @@ fn selected_queries_satisfy_semantic_invariants() {
         "Q2 not sorted by balance"
     );
 }
+
+/// The budget floor: the join-heaviest queries (Q9's five-join chain with
+/// wide string-carrying tuples, Q21's semi/anti joins, Q18) with every join
+/// forced to the hybrid join return the BHJ's rows down to 256 KiB — where
+/// Q9 used to die with `BudgetExceeded` in "partition pass 1" at 1 MiB.
+#[test]
+fn hybrid_joins_complete_under_tiny_budgets() {
+    let data = generate(0.05, 20260706);
+    let reference = Engine::new(2);
+    for id in [9u32, 21, 18] {
+        let q = joinstudy_tpch::query(id);
+        let expected = canonical(&(q.run)(
+            &data,
+            &QueryConfig::new(JoinAlgo::Bhj),
+            &reference,
+        ));
+        for budget in [4 << 20, 1 << 20, 256 << 10] {
+            let engine = Engine::new(2);
+            engine.ctx.set_memory_budget(Some(budget));
+            let got = canonical(&(q.run)(
+                &data,
+                &QueryConfig::new(JoinAlgo::Hybrid),
+                &engine,
+            ));
+            assert_eq!(got, expected, "Q{id} under {budget} B differs from the BHJ");
+            assert_eq!(engine.ctx.used(), 0, "Q{id} under {budget} B leaked budget");
+        }
+    }
+}
