@@ -3,10 +3,25 @@
 //! The paper's baseline-in-system (§4.3, §5.1.1): a global chaining hash
 //! table with tagged pointers, built in parallel from materialized rows,
 //! probed *inside* the probe pipeline without materializing probe tuples.
-//! Relaxed operator fusion shows up as the batch-at-a-time probe: the whole
-//! batch is hashed first, all bucket heads are software-prefetched, and only
-//! then are the chains walked — hiding the random-access latency that
-//! otherwise dominates when the hash table exceeds the caches.
+//! It is "buffered" so that relaxed operator fusion can stage a whole batch
+//! and overlap its cache misses; [`BhjProbeOp`] does that in four stages:
+//!
+//! 1. hash the batch's keys;
+//! 2. prefetch every bucket head;
+//! 3. load each head, drop the rows its tag filter rejects, prefetch the
+//!    chain's first row and put `(probe row, build row)` on a work list;
+//! 4. walk the list in *rounds* — compare hash and keys, report the match,
+//!    read `next`, prefetch it and keep the entry for the next round — so the
+//!    k-th row of every live chain is in flight at once.
+//!
+//! Prefetching the heads alone would hide one miss of two or three: at load
+//! factor 1 a hit dereferences two rows, and each is a dependent DRAM miss
+//! when the chains are walked one probe row at a time. On the 4 Mi ⋈ 6 Mi
+//! `micro_fk` pass (2 workers, times summed over both) such a walk takes
+//! 750 ms beside 8 ms of hashing, 60 ms of head prefetch and 40 ms of emit;
+//! in rounds it takes 300–360 ms. The table link is staged the same way
+//! ([`BhjBuildSink::into_state`]: read hash → prefetch bucket → CAS insert,
+//! a batch at a time; 80–90 → 60–70 ms wall there).
 //!
 //! Build-preserving variants (e.g. Q22's anti join) mark matched build rows
 //! through an atomic flag in the row header; a follow-up pipeline
@@ -27,7 +42,8 @@ use joinstudy_exec::pipeline::{Emit, LocalState, Operator, Sink, Source};
 use joinstudy_storage::column::ColumnData;
 use joinstudy_storage::types::DataType;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::mem::take;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// The materialized build side: arenas + chaining table. Kept alive behind
@@ -52,9 +68,10 @@ impl BhjState {
     }
 
     /// Bucket-occupancy summary of the chaining table (EXPLAIN ANALYZE).
-    /// Safe here because the state owns the arenas every chained row lives
-    /// in, and the build phase finished when the state was constructed.
     pub fn chain_stats(&self) -> crate::ht_chain::ChainStats {
+        // SAFETY: `self.arenas` owns every row `into_state` linked into
+        // `self.table` and lives as long as `self`; linking finished before
+        // the state was constructed, so no insert runs concurrently.
         unsafe { self.table.chain_stats() }
     }
 }
@@ -84,6 +101,17 @@ pub struct BhjBuildSink {
     global: Mutex<BuildGlobal>,
 }
 
+/// Build sides below this many rows are linked by the caller alone. A scoped
+/// team of two costs 50–100 µs to launch on the reference host
+/// (`exec.sched.pipeline_launch_us` 66–99 µs) and an insert into a
+/// cache-resident table 9–13 ns, so a launch is worth 5–10 K inserts and two
+/// workers, each saving the other half the rows, cannot win below 10–20 K
+/// rows. That is a floor: the team's threads also start with cold caches, and
+/// `into_state(2)` timed against `into_state(1)` on two arenas (best of 12–40)
+/// loses at 4, 16 and 64 Ki rows (80 / 304 / 941 µs against 38 / 195 / 864)
+/// and first wins at 128 Ki (1.76 against 1.90 ms).
+const INLINE_LINK_ROWS: usize = 128 * 1024;
+
 impl BhjBuildSink {
     /// `types`: the build input schema's column types; `key_cols`: join-key
     /// columns within that schema.
@@ -110,23 +138,22 @@ impl BhjBuildSink {
     }
 
     /// Build the chaining hash table over all materialized rows and freeze
-    /// the state. `threads` workers CAS-insert in parallel (one arena each;
-    /// arenas are per-build-worker so counts are balanced). Fails if the
+    /// the state. Rows are linked a batch at a time — read the stored hashes
+    /// and prefetch their buckets, then CAS-insert — so the bucket misses of
+    /// a batch overlap. At [`INLINE_LINK_ROWS`] rows and above, `threads`
+    /// workers link in parallel (one arena each; arenas are per build worker,
+    /// so counts are balanced); below it the caller links alone. Fails if the
     /// bucket array would exceed the memory budget.
     pub fn into_state(&self, threads: usize) -> ExecResult<Arc<BhjState>> {
         let mut global = self.global.lock();
-        let arenas = std::mem::take(&mut global.arenas);
-        let mut heap_pairs = std::mem::take(&mut global.heaps);
+        let arenas = take(&mut global.arenas);
+        let heap_pairs = take(&mut global.heaps);
         let mut lease = std::mem::replace(&mut global.lease, BudgetLease::empty(&self.ctx));
         drop(global);
 
-        let max_id = heap_pairs
-            .iter()
-            .map(|(id, _)| *id)
-            .max()
-            .map_or(0, |m| m + 1);
-        let mut heaps: Vec<StrHeap> = (0..max_id).map(|_| StrHeap::new()).collect();
-        for (id, heap) in heap_pairs.drain(..) {
+        let slots = heap_pairs.iter().map(|(id, _)| id + 1).max().unwrap_or(0);
+        let mut heaps: Vec<StrHeap> = (0..slots).map(|_| StrHeap::new()).collect();
+        for (id, heap) in heap_pairs {
             heaps[id] = heap;
         }
 
@@ -135,31 +162,35 @@ impl BhjBuildSink {
         lease.grow(table.num_buckets() * 8)?;
         let hash_off = self.layout.hash_offset();
 
-        let next = AtomicUsize::new(0);
-        let insert_arena = |arena: &RowArena| {
-            for ptr in arena.row_ptrs() {
-                unsafe {
-                    let h = std::ptr::read(ptr.add(hash_off).cast::<u64>());
-                    table.insert(ptr as *mut u8, h);
+        let link_arena = |arena: &RowArena| {
+            let mut hashes = [0u64; BATCH_ROWS];
+            for chunk in arena.row_ptrs().chunks(BATCH_ROWS) {
+                for (h, &ptr) in hashes.iter_mut().zip(chunk) {
+                    // SAFETY: `ptr` is a row of `arena`, which outlives this
+                    // closure; `consume` stored the row's hash at `hash_off`.
+                    *h = unsafe { std::ptr::read(ptr.add(hash_off).cast::<u64>()) };
+                    prefetch_read(table.bucket_ptr(*h));
+                }
+                for (&h, &ptr) in hashes.iter().zip(chunk) {
+                    // SAFETY: as above; each row is linked exactly once (an
+                    // arena is linked by one worker), nobody reads the table
+                    // before the linking is over, and the arenas move into
+                    // the `BhjState` that owns the table.
+                    unsafe { table.insert(ptr as *mut u8, h) };
                 }
             }
         };
-        if threads <= 1 || arenas.len() <= 1 {
-            for a in &arenas {
-                insert_arena(a);
-            }
+        let workers = threads.min(arenas.len());
+        if workers <= 1 || rows < INLINE_LINK_ROWS {
+            arenas.iter().for_each(link_arena);
         } else {
+            let next = AtomicUsize::new(0);
             std::thread::scope(|scope| {
-                for _ in 0..threads.min(arenas.len()) {
-                    let next = &next;
-                    let arenas = &arenas;
-                    let insert_arena = &insert_arena;
-                    scope.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= arenas.len() {
-                            break;
+                for _ in 0..workers {
+                    scope.spawn(|| {
+                        while let Some(arena) = arenas.get(next.fetch_add(1, Relaxed)) {
+                            link_arena(arena);
                         }
-                        insert_arena(&arenas[i]);
                     });
                 }
             });
@@ -182,7 +213,7 @@ impl Sink for BhjBuildSink {
         Box::new(BuildLocal {
             arena: RowArena::new(self.layout.stride()),
             heap: StrHeap::new(),
-            heap_id: self.next_heap_id.fetch_add(1, Ordering::Relaxed),
+            heap_id: self.next_heap_id.fetch_add(1, Relaxed),
             hashes: Vec::new(),
             lease: BudgetLease::empty(&self.ctx),
         })
@@ -193,15 +224,12 @@ impl Sink for BhjBuildSink {
         let n = input.num_rows();
         local.lease.grow(n * self.layout.stride())?;
         let key_cols: Vec<_> = self.key_cols.iter().map(|&c| input.column(c)).collect();
-        let mut hashes = std::mem::take(&mut local.hashes);
-        hash_columns(&key_cols, n, &mut hashes);
-        drop(key_cols);
-        for r in 0..n {
+        hash_columns(&key_cols, n, &mut local.hashes);
+        for (r, &hash) in local.hashes.iter().enumerate() {
             let row = local.arena.alloc_row();
             self.layout
-                .encode_row(row, hashes[r], &input, r, &mut local.heap, local.heap_id);
+                .encode_row(row, hash, &input, r, &mut local.heap, local.heap_id);
         }
-        local.hashes = hashes;
         metrics::record_write(MemPhase::Build, (n * self.layout.stride()) as u64);
         Ok(())
     }
@@ -216,16 +244,67 @@ impl Sink for BhjBuildSink {
     }
 }
 
-/// The in-pipeline probe operator.
+/// How hard one [`BhjProbeOp`] had to work, summed over its workers when
+/// each flushes (EXPLAIN ANALYZE). `visits ÷ rows` is the number of
+/// build rows a probe row dereferences — what the cost model's BHJ term
+/// charges a cache miss for.
+#[derive(Default)]
+pub struct ProbeCounters {
+    /// Probe rows hashed.
+    pub rows: Arc<AtomicU64>,
+    /// Probe rows the bucket head's tag filter turned away unwalked.
+    pub tag_rejects: Arc<AtomicU64>,
+    /// Build rows dereferenced.
+    pub visits: Arc<AtomicU64>,
+}
+
+/// The in-pipeline probe operator: the four stages of the module doc, one
+/// batch at a time, for all seven join types.
+///
+/// Matched pairs of one batch come out in *round* order (every chain's first
+/// row, then every chain's second, …), not in probe-row order; the semi,
+/// anti, mark and outer variants read a per-row bitmap afterwards and keep
+/// the input's order.
 pub struct BhjProbeOp {
     state: Arc<BhjState>,
     probe_keys: Vec<usize>,
     join_type: JoinType,
     prefetch: bool,
+    /// Complete once every worker has flushed.
+    pub counters: ProbeCounters,
 }
 
-struct ProbeLocal {
+/// The walker's scratch and counters.
+#[derive(Default)]
+struct Walk {
     hashes: Vec<u64>,
+    /// The chains still being walked: (probe row, build row to visit next).
+    cur: Vec<(u32, *const u8)>,
+    rows: u64,
+    tag_rejects: u64,
+    visits: u64,
+}
+
+/// Per-worker scratch, reused from batch to batch.
+#[derive(Default)]
+struct ProbeLocal {
+    walk: Walk,
+    /// Matched pairs: build row `ptrs[i]` joins probe row `sel[i]`.
+    ptrs: Vec<*const u8>,
+    sel: Vec<u32>,
+    /// Which probe rows found a partner (semi / anti / mark / outer).
+    matched: Vec<bool>,
+}
+
+// SAFETY: the raw pointers are scratch that `process` refills from the
+// operator's `BhjState` on every call and never dereferences across calls;
+// the state is `Sync` and its arenas outlive every local of its operator.
+unsafe impl Send for ProbeLocal {}
+
+/// The rows of `matched` equal to `want`, as a selection vector.
+fn select(matched: &[bool], want: bool, sel: &mut Vec<u32>) {
+    sel.clear();
+    sel.extend((0..matched.len() as u32).filter(|&r| matched[r as usize] == want));
 }
 
 impl BhjProbeOp {
@@ -240,6 +319,78 @@ impl BhjProbeOp {
             probe_keys,
             join_type,
             prefetch,
+            counters: ProbeCounters::default(),
+        }
+    }
+
+    /// The one chain walk: stages 1–4 over `input`, calling
+    /// `on_match(probe row, build row)` for every key-equal pair. A `false`
+    /// from it retires the probe row's chain (semi, anti and mark need only
+    /// the first partner). `prefetch = false` runs the same stages and
+    /// issues no prefetch instruction.
+    fn walk(&self, w: &mut Walk, input: &Batch, mut on_match: impl FnMut(u32, *const u8) -> bool) {
+        let n = input.num_rows();
+        let state = &*self.state;
+        let prefetch = |line: *const u8| {
+            if self.prefetch {
+                prefetch_read(line);
+            }
+        };
+        let key_cols: Vec<_> = self.probe_keys.iter().map(|&c| input.column(c)).collect();
+        hash_columns(&key_cols, n, &mut w.hashes);
+        for &h in &w.hashes {
+            prefetch(state.table.bucket_ptr(h).cast());
+        }
+        w.cur.clear();
+        for (r, &h) in w.hashes.iter().enumerate() {
+            let head = state.table.head(h);
+            if ChainTable::tag_may_contain(head, h) {
+                let row = ChainTable::first_row(head);
+                prefetch(row);
+                w.cur.push((r as u32, row));
+            }
+        }
+        w.rows += n as u64;
+        w.tag_rejects += (n - w.cur.len()) as u64;
+
+        let layout = &state.layout;
+        while !w.cur.is_empty() {
+            w.visits += w.cur.len() as u64;
+            let mut live = 0;
+            for i in 0..w.cur.len() {
+                let (r, row) = w.cur[i];
+                // SAFETY: `row` came out of `state.table` — a bucket head
+                // whose tag is set (so non-null) or a linked row's `next` —
+                // and every linked row lives in `state.arenas`, which the
+                // `Arc<BhjState>` this operator holds keeps alive. After
+                // `into_state` nobody writes a row but for `mark_matched`'s
+                // atomic flag in the header word: `bytes` spans that word,
+                // `keys_match_batch` reads the key columns only, and
+                // `next_row` loads it atomically.
+                let next = unsafe {
+                    let bytes = std::slice::from_raw_parts(row, layout.width());
+                    if layout.read_hash(bytes) == w.hashes[r as usize]
+                        && layout.keys_match_batch(
+                            bytes,
+                            &state.key_cols,
+                            &state.heaps,
+                            input,
+                            &self.probe_keys,
+                            r as usize,
+                        )
+                        && !on_match(r, row)
+                    {
+                        continue;
+                    }
+                    ChainTable::next_row(row)
+                };
+                if !next.is_null() {
+                    prefetch(next);
+                    w.cur[live] = (r, next);
+                    live += 1;
+                }
+            }
+            w.cur.truncate(live);
         }
     }
 
@@ -253,179 +404,106 @@ impl BhjProbeOp {
             let mut columns = Vec::with_capacity(layout.num_columns() + input.num_columns());
             for c in 0..layout.num_columns() {
                 let mut col = ColumnData::with_capacity(layout.types()[c], end - start);
+                // SAFETY: `walk` reported every pointer in `ptrs` as a live
+                // row of `self.state`, whose heaps these are.
                 unsafe {
                     layout.decode_ptrs_into(&ptrs[start..end], c, &self.state.heaps, &mut col);
                 }
                 columns.push(col);
             }
-            let probe_part = input.take(&sel[start..end]);
-            columns.extend(probe_part.into_columns());
+            columns.extend(input.take(&sel[start..end]).into_columns());
             out(Batch::new(columns));
             start = end;
         }
+    }
+
+    /// NULL-padded build columns beside the probe rows `unmatched`.
+    fn emit_padded(&self, input: &Batch, unmatched: &[u32], out: Emit) {
+        let k = unmatched.len();
+        let mut columns = Vec::new();
+        let mut validity = Vec::new();
+        for &t in self.state.layout.types() {
+            columns.push(default_column(t, k));
+            validity.push(Some(vec![false; k]));
+        }
+        let probe_part = input.take(unmatched);
+        for (i, col) in probe_part.into_columns().into_iter().enumerate() {
+            validity.push(
+                input
+                    .validity(i)
+                    .as_ref()
+                    .map(|m| unmatched.iter().map(|&r| m[r as usize]).collect()),
+            );
+            columns.push(col);
+        }
+        out(Batch::with_validity(columns, validity));
     }
 }
 
 impl Operator for BhjProbeOp {
     fn create_local(&self) -> LocalState {
-        Box::new(ProbeLocal { hashes: Vec::new() })
+        Box::<ProbeLocal>::default()
     }
 
     fn process(&self, local: &mut LocalState, input: Batch, out: Emit) -> ExecResult {
-        let local = local.downcast_mut::<ProbeLocal>().unwrap();
-        let n = input.num_rows();
-        let key_cols: Vec<_> = self.probe_keys.iter().map(|&c| input.column(c)).collect();
-        let mut hashes = std::mem::take(&mut local.hashes);
-        hash_columns(&key_cols, n, &mut hashes);
-        drop(key_cols);
-
-        // ROF stage 2: prefetch every bucket head for this batch before any
-        // chain is walked.
-        if self.prefetch {
-            for &h in &hashes[..n] {
-                prefetch_read(self.state.table.bucket_ptr(h));
-            }
-        }
-
-        let layout = &self.state.layout;
-        let hash_off = layout.hash_offset();
-        let heaps = &self.state.heaps;
-
+        let l = local.downcast_mut::<ProbeLocal>().expect("own local");
+        l.ptrs.clear();
+        l.sel.clear();
+        l.matched.clear();
+        l.matched.resize(input.num_rows(), false);
         match self.join_type {
             JoinType::Inner | JoinType::ProbeOuter => {
-                let mut ptrs: Vec<*const u8> = Vec::new();
-                let mut sel: Vec<u32> = Vec::new();
-                let mut unmatched: Vec<u32> = Vec::new();
-                for r in 0..n {
-                    let h = hashes[r];
-                    let head = self.state.table.head(h);
-                    let mut any = false;
-                    if ChainTable::tag_may_contain(head, h) {
-                        let mut row = ChainTable::first_row(head);
-                        while !row.is_null() {
-                            unsafe {
-                                let rs = std::slice::from_raw_parts(row, layout.width());
-                                if std::ptr::read(row.add(hash_off).cast::<u64>()) == h
-                                    && layout.keys_match_batch(
-                                        rs,
-                                        &self.state.key_cols,
-                                        heaps,
-                                        &input,
-                                        &self.probe_keys,
-                                        r,
-                                    )
-                                {
-                                    ptrs.push(row);
-                                    sel.push(r as u32);
-                                    any = true;
-                                }
-                                row = ChainTable::next_row(row);
-                            }
-                        }
+                self.walk(&mut l.walk, &input, |r, row| {
+                    l.ptrs.push(row);
+                    l.sel.push(r);
+                    l.matched[r as usize] = true;
+                    true
+                });
+                self.emit_pairs(&input, &l.ptrs, &l.sel, out);
+                if self.join_type == JoinType::ProbeOuter {
+                    select(&l.matched, false, &mut l.sel);
+                    if !l.sel.is_empty() {
+                        self.emit_padded(&input, &l.sel, out);
                     }
-                    if !any && self.join_type == JoinType::ProbeOuter {
-                        unmatched.push(r as u32);
-                    }
-                }
-                self.emit_pairs(&input, &ptrs, &sel, out);
-                if !unmatched.is_empty() {
-                    // NULL-padded build columns + surviving probe columns.
-                    let k = unmatched.len();
-                    let mut columns = Vec::new();
-                    let mut validity = Vec::new();
-                    for &t in layout.types() {
-                        columns.push(default_column(t, k));
-                        validity.push(Some(vec![false; k]));
-                    }
-                    let probe_part = input.take(&unmatched);
-                    for (i, col) in probe_part.into_columns().into_iter().enumerate() {
-                        validity.push(
-                            input
-                                .validity(i)
-                                .as_ref()
-                                .map(|m| unmatched.iter().map(|&r| m[r as usize]).collect()),
-                        );
-                        columns.push(col);
-                    }
-                    out(Batch::with_validity(columns, validity));
                 }
             }
             JoinType::ProbeSemi | JoinType::ProbeAnti | JoinType::ProbeMark => {
-                let want_match = self.join_type != JoinType::ProbeAnti;
-                let mut sel: Vec<u32> = Vec::new();
-                let mut marks: Vec<bool> = Vec::new();
-                for r in 0..n {
-                    let h = hashes[r];
-                    let head = self.state.table.head(h);
-                    let mut any = false;
-                    if ChainTable::tag_may_contain(head, h) {
-                        let mut row = ChainTable::first_row(head);
-                        while !row.is_null() {
-                            unsafe {
-                                let rs = std::slice::from_raw_parts(row, layout.width());
-                                if std::ptr::read(row.add(hash_off).cast::<u64>()) == h
-                                    && layout.keys_match_batch(
-                                        rs,
-                                        &self.state.key_cols,
-                                        heaps,
-                                        &input,
-                                        &self.probe_keys,
-                                        r,
-                                    )
-                                {
-                                    any = true;
-                                    break;
-                                }
-                                row = ChainTable::next_row(row);
-                            }
-                        }
-                    }
-                    if self.join_type == JoinType::ProbeMark {
-                        marks.push(any);
-                    } else if any == want_match {
-                        sel.push(r as u32);
-                    }
-                }
+                self.walk(&mut l.walk, &input, |r, _| {
+                    l.matched[r as usize] = true;
+                    false
+                });
                 if self.join_type == JoinType::ProbeMark {
                     let mut batch = input;
-                    batch.push_column(ColumnData::Bool(marks));
+                    batch.push_column(ColumnData::Bool(l.matched.clone()));
                     out(batch);
-                } else if !sel.is_empty() {
-                    out(input.take(&sel));
+                } else {
+                    let want = self.join_type == JoinType::ProbeSemi;
+                    select(&l.matched, want, &mut l.sel);
+                    if !l.sel.is_empty() {
+                        out(input.take(&l.sel));
+                    }
                 }
             }
+            // Mark matched build rows; emit nothing here — the result
+            // pipeline starts from BhjUnmatchedSource.
             JoinType::BuildSemi | JoinType::BuildAnti => {
-                // Mark matched build rows; emit nothing here — the result
-                // pipeline starts from BhjUnmatchedSource.
-                for r in 0..n {
-                    let h = hashes[r];
-                    let head = self.state.table.head(h);
-                    if !ChainTable::tag_may_contain(head, h) {
-                        continue;
-                    }
-                    let mut row = ChainTable::first_row(head);
-                    while !row.is_null() {
-                        unsafe {
-                            let rs = std::slice::from_raw_parts(row, layout.width());
-                            if std::ptr::read(row.add(hash_off).cast::<u64>()) == h
-                                && layout.keys_match_batch(
-                                    rs,
-                                    &self.state.key_cols,
-                                    heaps,
-                                    &input,
-                                    &self.probe_keys,
-                                    r,
-                                )
-                            {
-                                ChainTable::mark_matched(row);
-                            }
-                            row = ChainTable::next_row(row);
-                        }
-                    }
-                }
+                self.walk(&mut l.walk, &input, |_, row| {
+                    // SAFETY: `walk` reports live rows of `self.state` only.
+                    unsafe { ChainTable::mark_matched(row) };
+                    true
+                })
             }
         }
-        local.hashes = hashes;
+        Ok(())
+    }
+
+    /// Publish this worker's probe-effort counts.
+    fn flush(&self, local: &mut LocalState, _out: Emit) -> ExecResult {
+        let w = &mut local.downcast_mut::<ProbeLocal>().expect("own local").walk;
+        let c = &self.counters;
+        c.rows.fetch_add(take(&mut w.rows), Relaxed);
+        c.tag_rejects.fetch_add(take(&mut w.tag_rejects), Relaxed);
+        c.visits.fetch_add(take(&mut w.visits), Relaxed);
         Ok(())
     }
 }
@@ -467,6 +545,8 @@ impl Source for BhjUnmatchedSource {
                 return;
             }
             for c in 0..layout.num_columns() {
+                // SAFETY: `selected` holds rows of `arena`, which
+                // `self.state` owns together with the heaps.
                 unsafe {
                     layout.decode_ptrs_into(selected, c, &self.state.heaps, bb.column_mut(c));
                 }
@@ -478,6 +558,8 @@ impl Source for BhjUnmatchedSource {
             }
         };
         for ptr in arena.row_ptrs() {
+            // SAFETY: `ptr` is a row of `arena`, alive with `self.state`;
+            // the marking pipeline finished before this source was polled.
             let matched = unsafe { ChainTable::is_matched(ptr) };
             if matched == self.emit_matched {
                 selected.push(ptr);
@@ -497,19 +579,27 @@ mod tests {
     use joinstudy_storage::types::Value;
 
     fn build_state(keys: &[i64], payloads: &[i64], threads: usize) -> Arc<BhjState> {
+        build_state_in(keys, payloads, 1, threads)
+    }
+
+    /// The rows dealt round-robin to `arenas` build workers.
+    fn build_state_in(
+        keys: &[i64],
+        payloads: &[i64],
+        arenas: usize,
+        threads: usize,
+    ) -> Arc<BhjState> {
         let sink = BhjBuildSink::new(&[DataType::Int64, DataType::Int64], vec![0]);
-        let mut local = sink.create_local();
-        let mut bb = BatchBuilder::new(vec![DataType::Int64, DataType::Int64]);
-        for (&k, &p) in keys.iter().zip(payloads) {
-            bb.push_row(&[Value::Int64(k), Value::Int64(p)]);
-            if bb.is_full() {
-                sink.consume(&mut local, bb.flush().unwrap()).unwrap();
-            }
+        for a in 0..arenas {
+            let mut local = sink.create_local();
+            let mine = |col: &[i64]| col.iter().copied().skip(a).step_by(arenas).collect();
+            let batch = Batch::new(vec![
+                ColumnData::Int64(mine(keys)),
+                ColumnData::Int64(mine(payloads)),
+            ]);
+            sink.consume(&mut local, batch).unwrap();
+            sink.finish_local(local).unwrap();
         }
-        if let Some(b) = bb.flush() {
-            sink.consume(&mut local, b).unwrap();
-        }
-        sink.finish_local(local).unwrap();
         sink.into_state(threads).unwrap()
     }
 
@@ -615,34 +705,22 @@ mod tests {
 
     #[test]
     fn parallel_build_equals_serial() {
-        let keys: Vec<i64> = (0..10_000).map(|i| i % 1000).collect();
-        let pays: Vec<i64> = (0..10_000).collect();
-        // Build with several worker arenas.
-        let sink = BhjBuildSink::new(&[DataType::Int64, DataType::Int64], vec![0]);
-        std::thread::scope(|scope| {
-            for chunk in keys.chunks(2500).zip(pays.chunks(2500)) {
-                let sink = &sink;
-                scope.spawn(move || {
-                    let mut local = sink.create_local();
-                    let mut bb = BatchBuilder::new(vec![DataType::Int64, DataType::Int64]);
-                    for (&k, &p) in chunk.0.iter().zip(chunk.1) {
-                        bb.push_row(&[Value::Int64(k), Value::Int64(p)]);
-                        if bb.is_full() {
-                            sink.consume(&mut local, bb.flush().unwrap()).unwrap();
-                        }
-                    }
-                    if let Some(b) = bb.flush() {
-                        sink.consume(&mut local, b).unwrap();
-                    }
-                    sink.finish_local(local).unwrap();
-                });
+        // Below INLINE_LINK_ROWS `into_state(4)` links on the caller, at and
+        // above it on a team of four: either way the table is the serial one.
+        for rows in [10_000, INLINE_LINK_ROWS + 1_000] {
+            let keys: Vec<i64> = (0..rows as i64).map(|i| i % 1000).collect();
+            let serial = build_state_in(&keys, &keys, 4, 1);
+            let parallel = build_state_in(&keys, &keys, 4, 4);
+            assert_eq!(serial.rows, rows);
+            assert_eq!(serial.chain_stats(), parallel.chain_stats(), "{rows} rows");
+            for kind in [JoinType::Inner, JoinType::ProbeAnti] {
+                let expected = probe(serial.clone(), kind, &[7, 1000, 999]);
+                let partners = keys.iter().filter(|&&k| k == 7 || k == 999).count();
+                let want = if kind == JoinType::Inner { partners } else { 1 };
+                assert_eq!(expected.len(), want);
+                assert_eq!(probe(parallel.clone(), kind, &[7, 1000, 999]), expected);
             }
-        });
-        let state = sink.into_state(4).unwrap();
-        assert_eq!(state.rows, 10_000);
-        // Key 7 appears 10 times (i % 1000 == 7 for 10 values of i).
-        let rows = probe(state, JoinType::Inner, &[7]);
-        assert_eq!(rows.len(), 10);
+        }
     }
 
     #[test]

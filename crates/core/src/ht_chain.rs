@@ -27,6 +27,12 @@ pub const MATCH_FLAG: u64 = 1 << 63;
 /// A paged allocator handing out fixed-stride row slots with stable
 /// addresses. One arena per build worker; arenas are kept alive by the join
 /// state for as long as any pointer into them exists.
+///
+/// `Send` and `Sync` by its fields. The contract its raw row pointers carry:
+/// `&mut self` methods run in the single-owner build phase only; afterwards
+/// many probe workers reach rows through `*const u8`, read columns and
+/// hashes nobody writes any more, and touch the header word through
+/// [`ChainTable`]'s atomics alone.
 pub struct RowArena {
     pages: Vec<Vec<u64>>,
     stride: usize,
@@ -80,6 +86,10 @@ impl RowArena {
         let off = self.last_used * self.stride;
         self.last_used += 1;
         self.rows += 1;
+        // SAFETY: the page holds `rows_per_page * stride` bytes and
+        // `last_used < rows_per_page` was checked above, so the slot lies
+        // inside it; the `&mut self` borrow the slice inherits keeps any
+        // other slot from being handed out while it lives.
         unsafe {
             std::slice::from_raw_parts_mut(page.as_mut_ptr().cast::<u8>().add(off), self.stride)
         }
@@ -97,17 +107,14 @@ impl RowArena {
             };
             let base = page.as_ptr().cast::<u8>();
             for r in 0..in_page {
+                // SAFETY: `r < in_page <= rows_per_page`, so the offset stays
+                // inside the page's `rows_per_page * stride` bytes.
                 out.push(unsafe { base.add(r * self.stride) });
             }
         }
         out
     }
 }
-
-// Row pointers are shared read-only across probe workers; the arena itself
-// is only mutated during the single-owner build phase.
-unsafe impl Send for RowArena {}
-unsafe impl Sync for RowArena {}
 
 /// The shared bucket array.
 pub struct ChainTable {
@@ -159,6 +166,8 @@ impl ChainTable {
         loop {
             // Store the previous head as this row's next pointer.
             let next = old & PTR_MASK;
+            // SAFETY: the caller owns `row` exclusively until the CAS below
+            // publishes it, and its first 8 bytes are the (8-aligned) header.
             std::ptr::write(row.cast::<u64>(), next);
             let new = (row as u64) | (old & TAG_MASK) | tag;
             match bucket.compare_exchange_weak(old, new, Ordering::Release, Ordering::Relaxed) {
@@ -192,7 +201,12 @@ impl ChainTable {
     /// `row` must point to a live row inserted into this table.
     #[inline]
     pub unsafe fn next_row(row: *const u8) -> *const u8 {
-        (std::ptr::read(row.cast::<u64>()) & PTR_MASK) as *const u8
+        // SAFETY: the caller vouches for a live, linked row, whose 8-aligned
+        // header `insert` wrote before publishing it. The load is atomic
+        // because `mark_matched` may set bit 63 of the same word from
+        // another worker meanwhile; the pointer bits kept here never change.
+        let header = &*(row.cast::<AtomicU64>());
+        (header.load(Ordering::Relaxed) & PTR_MASK) as *const u8
     }
 
     /// Atomically mark `row` as matched (build-preserved join variants).
@@ -201,6 +215,8 @@ impl ChainTable {
     /// `row` must point to a live row inserted into this table.
     #[inline]
     pub unsafe fn mark_matched(row: *const u8) {
+        // SAFETY: the caller vouches for a live, linked row; after linking,
+        // its 8-aligned header is only ever accessed atomically.
         let header = &*(row.cast::<AtomicU64>());
         // Cheap check first: the flag is set at most once per row in the
         // common case, so skip the RMW when already set.
@@ -215,7 +231,9 @@ impl ChainTable {
     /// `row` must point to a live row inserted into this table.
     #[inline]
     pub unsafe fn is_matched(row: *const u8) -> bool {
-        std::ptr::read(row.cast::<u64>()) & MATCH_FLAG != 0
+        // SAFETY: as in `mark_matched`, which may run concurrently.
+        let header = &*(row.cast::<AtomicU64>());
+        header.load(Ordering::Relaxed) & MATCH_FLAG != 0
     }
 
     /// Walk every bucket chain and summarize occupancy (profiler support).
@@ -240,6 +258,8 @@ impl ChainTable {
             let mut len = 0usize;
             while !row.is_null() {
                 len += 1;
+                // SAFETY: `row` is a bucket head or a linked row's `next`,
+                // and the caller keeps every linked row alive.
                 row = ChainTable::next_row(row);
             }
             stats.total_rows += len;
@@ -308,6 +328,8 @@ mod tests {
         }
         let mut row = ChainTable::first_row(head);
         while !row.is_null() {
+            // SAFETY: `row` was linked by the test from a `make_rows` arena
+            // that is still alive: 24 bytes of [next][hash][key].
             unsafe {
                 let rh = std::ptr::read(row.add(8).cast::<u64>());
                 if rh == hash {
@@ -333,6 +355,7 @@ mod tests {
         assert_eq!(arena.byte_size(), 20_000 * 24);
         // Every recorded pointer still reads back its value.
         for (i, &p) in ptrs.iter().enumerate() {
+            // SAFETY: `p` is a 24-byte slot of `arena`, whose pages never move.
             let v = unsafe { std::ptr::read(p.add(16).cast::<u64>()) };
             assert_eq!(v, i as u64);
         }
@@ -346,6 +369,7 @@ mod tests {
         let rows = make_rows(&mut arena, &[1, 2, 3, 2, 2]);
         let table = ChainTable::new(rows.len());
         for &(ptr, h) in &rows {
+            // SAFETY: a `make_rows` slot of the live `arena`, linked once.
             unsafe { table.insert(ptr, h) };
         }
         assert_eq!(chain_keys(&table, hash_u64(1)), vec![1]);
@@ -360,6 +384,7 @@ mod tests {
         let rows = make_rows(&mut arena, &(0..64).collect::<Vec<u64>>());
         let table = ChainTable::new(4096);
         for &(ptr, h) in &rows {
+            // SAFETY: a `make_rows` slot of the live `arena`, linked once.
             unsafe { table.insert(ptr, h) };
         }
         // With 4096 buckets and 64 keys, most buckets are empty: their tag
@@ -396,6 +421,8 @@ mod tests {
                         let row = arena.alloc_row();
                         write_u64(row, 8, h);
                         write_u64(row, 16, k);
+                        // SAFETY: a fresh slot of this thread's own arena,
+                        // which outlives the table.
                         unsafe { table.insert(row.as_mut_ptr(), h) };
                     }
                 });
@@ -412,8 +439,10 @@ mod tests {
         let rows = make_rows(&mut arena, &[1, 2, 3, 2, 2]);
         let table = ChainTable::new(rows.len());
         for &(ptr, h) in &rows {
+            // SAFETY: a `make_rows` slot of the live `arena`, linked once.
             unsafe { table.insert(ptr, h) };
         }
+        // SAFETY: `arena` is alive and nobody inserts any more.
         let stats = unsafe { table.chain_stats() };
         assert_eq!(stats.total_rows, 5);
         assert!(stats.occupied >= 1 && stats.occupied <= 3);
@@ -428,8 +457,10 @@ mod tests {
         let rows = make_rows(&mut arena, &[10, 20]);
         let table = ChainTable::new(2);
         for &(ptr, h) in &rows {
+            // SAFETY: a `make_rows` slot of the live `arena`, linked once.
             unsafe { table.insert(ptr, h) };
         }
+        // SAFETY: both rows are linked slots of the live `arena`.
         unsafe {
             assert!(!ChainTable::is_matched(rows[0].0));
             ChainTable::mark_matched(rows[0].0);

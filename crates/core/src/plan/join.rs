@@ -205,6 +205,9 @@ impl Engine {
             pc.detail(id, "build_rows", state.rows);
             pc.detail(id, "build_bytes", state.byte_size());
             chain_details(pc, id, &state.chain_stats());
+            pc.live_detail(id, "probe_rows", &probe_op.counters.rows);
+            pc.live_detail(id, "probe_tag_rejects", &probe_op.counters.tag_rejects);
+            pc.live_detail(id, "probe_chain_visits", &probe_op.counters.visits);
             pc.pend(id, Slot::Op(op_idx));
             id
         });
@@ -579,6 +582,16 @@ mod profile_tests {
         for expected in ["build_rows", "ht_buckets", "ht_load_factor", "ht_max_chain"] {
             assert!(keys.contains(&expected), "missing {expected}: {keys:?}");
         }
+        // What the probe cost, published by both workers' flushes: 6000 probe
+        // rows, 4000 of which have exactly one partner to dereference.
+        let count = |k: &str| match join.details.iter().find(|(key, _)| key == k) {
+            Some((_, DetailValue::Int(n))) => *n,
+            other => panic!("{k}: {other:?}"),
+        };
+        assert_eq!(count("probe_rows"), 6000);
+        assert!(count("probe_chain_visits") >= 4000);
+        assert!(count("probe_tag_rejects") + count("probe_chain_visits") >= 6000);
+        assert!((1..=2000).contains(&count("probe_tag_rejects")));
     }
 
     #[test]

@@ -60,15 +60,17 @@ pub fn nt_fence() {
 }
 
 /// Prefetch the cache line containing `ptr` into all cache levels. Used by
-/// the non-partitioned join's batched probe (relaxed operator fusion).
+/// the non-partitioned join's staged probe and table link (relaxed operator
+/// fusion). A no-op off x86-64 and under Miri.
 #[inline]
 pub fn prefetch_read<T>(ptr: *const T) {
-    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint; it faults on no address, mapped or not.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
     unsafe {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         _mm_prefetch(ptr.cast::<i8>(), _MM_HINT_T0);
     }
-    #[cfg(not(target_arch = "x86_64"))]
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
     let _ = ptr;
 }
 

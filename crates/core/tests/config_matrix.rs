@@ -144,18 +144,43 @@ fn near_limit_strings_flow_through_joins() {
 
 #[test]
 fn bhj_without_prefetch_is_equivalent() {
-    let build: Vec<(i64, i64)> = (0..4000).map(|i| (i, i)).collect();
-    let probe: Vec<(i64, i64)> = (0..16_000).map(|i| (i % 8000, i)).collect();
+    // Duplicates on both sides, a quarter of the build keys never probed
+    // and half of the probe keys without a partner, so that every join
+    // type has rows to keep and rows to drop.
+    let build: Vec<(i64, i64)> = (0..4000).map(|i| (i % 2000, i)).collect();
+    let probe: Vec<(i64, i64)> = (0..16_000).map(|i| (500 + i % 3000, i)).collect();
     let bt = kv_table(&build);
     let pt = kv_table(&probe);
-    let mut with = Engine::new(2);
-    with.bhj_prefetch = true;
-    let mut without = Engine::new(2);
-    without.bhj_prefetch = false;
-    assert_eq!(
-        count_join(&with, &bt, &pt, JoinAlgo::Bhj),
-        count_join(&without, &bt, &pt, JoinAlgo::Bhj),
-    );
+    for kind in [
+        JoinType::Inner,
+        JoinType::ProbeOuter,
+        JoinType::ProbeSemi,
+        JoinType::ProbeAnti,
+        JoinType::ProbeMark,
+        JoinType::BuildSemi,
+        JoinType::BuildAnti,
+    ] {
+        let plan = Plan::scan(&bt, &["k", "v"], None).join(
+            Plan::scan(&pt, &["k", "v"], None),
+            JoinAlgo::Bhj,
+            kind,
+            &[0],
+            &[0],
+        );
+        let rows = |prefetch: bool| {
+            let mut engine = Engine::new(2);
+            engine.bhj_prefetch = prefetch;
+            let table = engine.run(&plan);
+            let mut rows: Vec<String> = (0..table.num_rows())
+                .map(|r| format!("{:?}", table.row(r)))
+                .collect();
+            rows.sort_unstable();
+            rows
+        };
+        let with = rows(true);
+        assert!(!with.is_empty(), "{kind:?}");
+        assert_eq!(with, rows(false), "{kind:?}");
+    }
 }
 
 #[test]
