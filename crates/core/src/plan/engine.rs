@@ -383,11 +383,14 @@ impl Engine {
                 let sink = AggSink::new(spec.schema.clone(), group_cols.clone(), aggs.clone());
                 let label = PipelineLabel::new("aggregate", spec.cpu);
                 let stats = self.run_breaker(label, &spec, &sink, prof.as_deref_mut())?;
+                let table_bytes = sink.table_bytes();
                 let result = sink.into_table();
                 let groups = result.num_rows();
                 let (spec, node) = rescan(plan, child, &stats, result, prof.as_deref_mut());
                 if let (Some(pc), Some(id)) = (prof, node) {
                     pc.detail(id, "groups", groups);
+                    pc.detail(id, "merge_us", sink.merge_us());
+                    pc.detail(id, "table_bytes", table_bytes);
                 }
                 Ok((spec, node))
             }
@@ -662,6 +665,12 @@ mod tests {
             .details
             .iter()
             .any(|(k, v)| k == "groups" && matches!(v, DetailValue::Int(3))));
+        let detail = |key: &str| agg.details.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        assert!(matches!(detail("merge_us"), Some(DetailValue::Int(us)) if *us >= 0));
+        assert!(
+            matches!(detail("table_bytes"), Some(DetailValue::Int(b)) if *b > 0),
+            "the merged group table holds three groups"
+        );
         let sort = find(&profile.root, "Sort").unwrap();
         assert_eq!(sort.rows_in, 3);
         assert_eq!(sort.rows_out, 2, "limit 2 rescan");

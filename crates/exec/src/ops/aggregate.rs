@@ -1,25 +1,61 @@
-//! Hash aggregation (GROUP BY) with thread-local pre-aggregation.
+//! Hash aggregation (GROUP BY) with thread-local pre-aggregation — the
+//! morsel-driven strategy of the paper's host system, in five parts:
 //!
-//! Each worker aggregates into a private table; at pipeline end the locals
-//! are merged into the global table under a lock — the standard
-//! morsel-driven aggregation strategy of the paper's host system. A fast
-//! path handles global (ungrouped) aggregates such as the microbenchmarks'
-//! `SELECT count(*)` / `SELECT sum(p1)` without touching a hash table.
+//! (a) *One group table per worker.* A [`GroupTable`] maps an encoded key to
+//! a dense group id by linear probing: `slots` holds id + 1 (0 = empty) at
+//! load ≤ ½ in a power-of-two capacity that doubles by rehashing the stored
+//! per-group hashes. Keys are stored once, back to back, in a byte arena.
+//! Every key column encodes as a validity tag byte (0 = NULL, nothing
+//! follows; 1 = valid, the value follows: fixed width little-endian,
+//! strings length-prefixed) whether or not the batch carries a mask, so a
+//! NULL key is a group of its own, never `0`'s or `""`'s. The hash is one
+//! multiply-xorshift per 8-byte word of that encoding (`exec` cannot call
+//! `core::hash`).
+//!
+//! (b) *Batch at a time.* `consume` first resolves the batch's group ids
+//! into a reused per-worker vector — every key encoded, then every key
+//! hashed, then every key probed, so the probes' cache misses overlap; an
+//! ungrouped aggregate skips all that and puts every row in group 0. Then
+//! it folds each aggregate column-wise into column-major states: one vector
+//! of (value, inputs folded) per aggregate, indexed by group id, with one
+//! typed loop per (state type, input type). Only MIN/MAX over Str and Bool
+//! build a [`Value`] per row.
+//!
+//! (c) *`COUNT(DISTINCT x)`* is a second [`GroupTable`] keyed on (aggregate
+//! index, group id, x): each pair it accepts adds 1 to its group's count,
+//! tallied once in `into_table` from the pairs it holds.
+//!
+//! (d) *Merge.* The first `finish_local` adopts its worker's table by move.
+//! Each later one inserts the local groups with their stored hashes (no
+//! rehash, no re-encoding), moves their states into new groups or folds them
+//! into existing ones, and re-inserts the distinct pairs through the
+//! local→global id map: counts come only from accepted pairs, never from
+//! local counts.
+//!
+//! (e) *Output.* `into_table` decodes the key arena column by column and
+//! finalizes each aggregate's states in one pass.
+//!
+//! NULL inputs (outer-join padding) are skipped by every aggregate except
+//! `COUNT(*)`. A group without a valid input reads NULL for MIN, MAX and
+//! AVG, 0 for `COUNT(DISTINCT)` and — as it always has — 0 for SUM. Output
+//! group order is unspecified, and `Float64` sums depend on merge order.
 
-use crate::batch::Batch;
+use crate::batch::{Batch, Validity};
 use crate::error::ExecResult;
 use crate::pipeline::{LocalState, Sink};
-use joinstudy_storage::column::ColumnData;
-use joinstudy_storage::table::{Field, Schema, Table, TableBuilder};
+use joinstudy_storage::column::{ColumnData, ColumnData as C};
+use joinstudy_storage::table::{Field, Schema, Table};
 use joinstudy_storage::types::{DataType, Decimal, Value};
 use parking_lot::Mutex;
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::time::Instant;
 
 /// Aggregate functions supported by the TPC-H plans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
-    /// `SUM(col)` — result type follows the input (Int64/Decimal/Float64).
+    /// `SUM(col)` — result type follows the input (Int64/Decimal/Float64;
+    /// Int32 sums to Int64).
     Sum,
     /// `MIN(col)`.
     Min,
@@ -27,7 +63,7 @@ pub enum AggFunc {
     Max,
     /// `COUNT(*)` — `input` is ignored.
     CountStar,
-    /// `COUNT(DISTINCT col)` over an integer-like column.
+    /// `COUNT(DISTINCT col)`.
     CountDistinct,
     /// `AVG(col)` over a Decimal column.
     Avg,
@@ -52,133 +88,12 @@ impl AggSpec {
         }
     }
 
-    fn output_type(&self, input_schema: &Schema) -> DataType {
+    fn output_type(&self, input: &Schema) -> DataType {
         match self.func {
             AggFunc::CountStar | AggFunc::CountDistinct => DataType::Int64,
             AggFunc::Avg => DataType::Decimal,
-            AggFunc::Sum | AggFunc::Min | AggFunc::Max => input_schema.dtype(self.input),
-        }
-    }
-}
-
-/// Per-group, per-aggregate running state.
-#[derive(Debug, Clone)]
-enum AggState {
-    SumI64(i64),
-    SumDec(i64),
-    SumF64(f64),
-    Count(i64),
-    Distinct(HashSet<i64>),
-    Min(Option<Value>),
-    Max(Option<Value>),
-    AvgDec { sum: i64, count: i64 },
-}
-
-impl AggState {
-    fn new(func: AggFunc, dtype: DataType) -> AggState {
-        match func {
-            AggFunc::Sum => match dtype {
-                DataType::Int64 | DataType::Int32 => AggState::SumI64(0),
-                DataType::Decimal => AggState::SumDec(0),
-                DataType::Float64 => AggState::SumF64(0.0),
-                other => panic!("SUM over {other:?}"),
-            },
-            AggFunc::CountStar => AggState::Count(0),
-            AggFunc::CountDistinct => AggState::Distinct(HashSet::new()),
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
-            AggFunc::Avg => AggState::AvgDec { sum: 0, count: 0 },
-        }
-    }
-
-    fn update(&mut self, col: Option<&ColumnData>, row: usize) {
-        match self {
-            // Integer sums wrap on overflow (64-bit modular arithmetic),
-            // which is what release-mode engines effectively do.
-            AggState::SumI64(acc) => match col.unwrap() {
-                ColumnData::Int64(v) => *acc = acc.wrapping_add(v[row]),
-                ColumnData::Int32(v) => *acc = acc.wrapping_add(i64::from(v[row])),
-                other => panic!("SUM i64 over {:?}", other.data_type()),
-            },
-            AggState::SumDec(acc) => *acc = acc.wrapping_add(col.unwrap().as_i64()[row]),
-            AggState::SumF64(acc) => *acc += col.unwrap().as_f64()[row],
-            AggState::Count(acc) => *acc += 1,
-            AggState::Distinct(set) => {
-                set.insert(col.unwrap().value(row).as_i64());
-            }
-            AggState::Min(cur) => {
-                let v = col.unwrap().value(row);
-                if cur
-                    .as_ref()
-                    .is_none_or(|c| value_cmp(&v, c) == Ordering::Less)
-                {
-                    *cur = Some(v);
-                }
-            }
-            AggState::Max(cur) => {
-                let v = col.unwrap().value(row);
-                if cur
-                    .as_ref()
-                    .is_none_or(|c| value_cmp(&v, c) == Ordering::Greater)
-                {
-                    *cur = Some(v);
-                }
-            }
-            AggState::AvgDec { sum, count } => {
-                *sum += col.unwrap().as_i64()[row];
-                *count += 1;
-            }
-        }
-    }
-
-    fn merge(&mut self, other: AggState) {
-        match (self, other) {
-            (AggState::SumI64(a), AggState::SumI64(b)) => *a = a.wrapping_add(b),
-            (AggState::SumDec(a), AggState::SumDec(b)) => *a = a.wrapping_add(b),
-            (AggState::SumF64(a), AggState::SumF64(b)) => *a += b,
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::Distinct(a), AggState::Distinct(b)) => a.extend(b),
-            (AggState::Min(a), AggState::Min(b)) => {
-                if let Some(bv) = b {
-                    if a.as_ref()
-                        .is_none_or(|av| value_cmp(&bv, av) == Ordering::Less)
-                    {
-                        *a = Some(bv);
-                    }
-                }
-            }
-            (AggState::Max(a), AggState::Max(b)) => {
-                if let Some(bv) = b {
-                    if a.as_ref()
-                        .is_none_or(|av| value_cmp(&bv, av) == Ordering::Greater)
-                    {
-                        *a = Some(bv);
-                    }
-                }
-            }
-            (AggState::AvgDec { sum: s1, count: c1 }, AggState::AvgDec { sum: s2, count: c2 }) => {
-                *s1 += s2;
-                *c1 += c2;
-            }
-            _ => panic!("merging incompatible aggregate states"),
-        }
-    }
-
-    fn finalize(self) -> Value {
-        match self {
-            AggState::SumI64(v) => Value::Int64(v),
-            AggState::SumDec(v) => Value::Decimal(Decimal(v)),
-            AggState::SumF64(v) => Value::Float64(v),
-            AggState::Count(v) => Value::Int64(v),
-            AggState::Distinct(set) => Value::Int64(set.len() as i64),
-            AggState::Min(v) | AggState::Max(v) => v.unwrap_or(Value::Null),
-            AggState::AvgDec { sum, count } => {
-                if count == 0 {
-                    Value::Null
-                } else {
-                    Value::Decimal(Decimal(sum).div(Decimal::from_int(count)))
-                }
-            }
+            AggFunc::Sum if input.dtype(self.input) == DataType::Int32 => DataType::Int64,
+            _ => input.dtype(self.input),
         }
     }
 }
@@ -201,42 +116,353 @@ pub fn value_cmp(a: &Value, b: &Value) -> Ordering {
     }
 }
 
-/// A hash-aggregation table: encoded group key → group slot.
-struct AggTable {
-    map: HashMap<Vec<u8>, usize>,
-    keys: Vec<Vec<Value>>,
-    states: Vec<Vec<AggState>>,
+/// Hash of an encoded key: one multiply-xorshift per little-endian 8-byte
+/// word, seeded with the length. A ragged tail is read as the key's last
+/// 8 bytes (overlapping the word before), a key shorter than a word as one
+/// zero-extended word. Each step is a bijection of `h ^ word`, and the
+/// xorshift folds the product's high half into the low bits that index
+/// the slots.
+fn hash_key(key: &[u8]) -> u64 {
+    let mix = |h: u64, w: u64| {
+        let h = (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^ (h >> 32)
+    };
+    let len = key.len();
+    let word = |i: usize| match len {
+        0..8 => key.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)),
+        _ => u64::from_le_bytes(le(&key[(8 * i).min(len - 8)..])),
+    };
+    (0..len.div_ceil(8)).map(word).fold(len as u64, mix)
 }
 
-impl AggTable {
-    fn new() -> AggTable {
-        AggTable {
-            map: HashMap::new(),
-            keys: Vec::new(),
-            states: Vec::new(),
+/// The first `N` bytes of `b` as an array.
+fn le<const N: usize>(b: &[u8]) -> [u8; N] {
+    b[..N].try_into().expect("a slice of exactly N bytes")
+}
+
+/// Heap bytes a vector holds.
+fn heap<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// `None` when every row is valid.
+fn mask(valid: Vec<bool>) -> Validity {
+    (!valid.iter().all(|&v| v)).then_some(valid)
+}
+
+/// Encoded key → dense id, by open addressing with linear probing.
+#[derive(Default)]
+struct GroupTable {
+    /// Id + 1 per slot, 0 = empty; power-of-two length, load ≤ ½.
+    slots: Vec<u32>,
+    /// Hash per id: compared before the key, reused when the slots double
+    /// and by merges.
+    hashes: Vec<u64>,
+    /// Keys back to back; id `i`'s ends at `key_end[i]`.
+    key_bytes: Vec<u8>,
+    key_end: Vec<usize>,
+}
+
+impl GroupTable {
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    fn key_start(&self, id: usize) -> usize {
+        id.checked_sub(1).map_or(0, |prev| self.key_end[prev])
+    }
+
+    fn key(&self, id: usize) -> &[u8] {
+        &self.key_bytes[self.key_start(id)..self.key_end[id]]
+    }
+
+    fn bytes(&self) -> usize {
+        heap(&self.slots) + heap(&self.hashes) + heap(&self.key_bytes) + heap(&self.key_end)
+    }
+
+    /// The first slot from `hash`'s home that is empty or holds an id `hit`
+    /// accepts: the one probe sequence of the table.
+    fn slot(&self, hash: u64, hit: impl Fn(usize) -> bool) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        while self.slots[i] != 0 && !hit(self.slots[i] as usize - 1) {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The id of `key` (whose hash is `hash`), inserting it if absent. New
+    /// ids are dense and ascending.
+    fn find_or_insert(&mut self, hash: u64, key: &[u8]) -> usize {
+        if 2 * (self.len() + 1) > self.slots.len() {
+            // Double the slots, placing every id by its stored hash.
+            self.slots = vec![0; (2 * self.slots.len()).max(16)];
+            for id in 0..self.len() {
+                let i = self.slot(self.hashes[id], |_| false);
+                self.slots[i] = id as u32 + 1;
+            }
+        }
+        let i = self.slot(hash, |id| self.hashes[id] == hash && self.key(id) == key);
+        if self.slots[i] != 0 {
+            return self.slots[i] as usize - 1;
+        }
+        let id = self.len();
+        self.slots[i] = u32::try_from(id + 1).expect("fewer than 2^32 groups");
+        self.hashes.push(hash);
+        self.key_bytes.extend_from_slice(key);
+        self.key_end.push(self.key_bytes.len());
+        id
+    }
+
+    /// Find or insert a batch of keys (key `i` ends at `ends[i]`, the next
+    /// starts there) in order, passing each one's id to `f`, and empty the
+    /// batch. Every key is hashed before any is probed, so the probes' cache
+    /// misses overlap.
+    fn resolve(&mut self, keys: &mut Vec<u8>, ends: &mut Vec<usize>, mut f: impl FnMut(usize)) {
+        let key = |i: usize| &keys[i.checked_sub(1).map_or(0, |p| ends[p])..ends[i]];
+        let hashes: Vec<u64> = (0..ends.len()).map(|i| hash_key(key(i))).collect();
+        for (i, hash) in hashes.into_iter().enumerate() {
+            f(self.find_or_insert(hash, key(i)));
+        }
+        keys.clear();
+        ends.clear();
+    }
+
+    /// Decode the next key column: each key's cursor in `cur` (one per id)
+    /// points at that column's validity tag and moves past the cell.
+    fn decode_column(&self, dtype: DataType, cur: &mut [usize]) -> (ColumnData, Validity) {
+        let mut col = C::with_capacity(dtype, cur.len());
+        let mut valid = Vec::with_capacity(cur.len());
+        for p in cur.iter_mut() {
+            let (tag, b) = (self.key_bytes[*p], &self.key_bytes[*p + 1..]);
+            let str_len = || u32::from_le_bytes(le(b)) as usize;
+            match (tag, &mut col) {
+                (0, col) => col.push_default(),
+                (_, C::Bool(v)) => v.push(b[0] != 0),
+                (_, C::Int32(v) | C::Date(v)) => v.push(i32::from_le_bytes(le(b))),
+                (_, C::Int64(v) | C::Decimal(v)) => v.push(i64::from_le_bytes(le(b))),
+                (_, C::Float64(v)) => v.push(f64::from_le_bytes(le(b))),
+                (_, C::Str(v)) => v.push(std::str::from_utf8(&b[4..4 + str_len()]).expect("UTF-8")),
+            }
+            valid.push(tag == 1);
+            *p += 1 + match (tag, dtype) {
+                (0, _) => 0,
+                (_, DataType::Str) => 4 + str_len(),
+                (_, fixed) => fixed.slot_width(),
+            };
+        }
+        (col, mask(valid))
+    }
+}
+
+/// Append `col[row]` to `buf`: fixed width little-endian, strings as a u32
+/// length and their bytes.
+fn encode_value(buf: &mut Vec<u8>, col: &ColumnData, row: usize) {
+    match col {
+        C::Bool(v) => buf.push(v[row] as u8),
+        C::Int32(v) | C::Date(v) => buf.extend_from_slice(&v[row].to_le_bytes()),
+        C::Int64(v) | C::Decimal(v) => buf.extend_from_slice(&v[row].to_le_bytes()),
+        C::Float64(v) => buf.extend_from_slice(&v[row].to_le_bytes()),
+        C::Str(v) => {
+            let s = v.get(row);
+            buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            buf.extend_from_slice(s.as_bytes());
         }
     }
 }
 
-/// Encode the group-key cells of `row` into `buf` (type-tagged, unambiguous).
-fn encode_key(buf: &mut Vec<u8>, batch: &Batch, group_cols: &[usize], row: usize) {
-    buf.clear();
-    for &c in group_cols {
-        match batch.column(c) {
-            ColumnData::Bool(v) => buf.push(v[row] as u8),
-            ColumnData::Int32(v) | ColumnData::Date(v) => {
-                buf.extend_from_slice(&v[row].to_le_bytes())
-            }
-            ColumnData::Int64(v) | ColumnData::Decimal(v) => {
-                buf.extend_from_slice(&v[row].to_le_bytes())
-            }
-            ColumnData::Float64(v) => buf.extend_from_slice(&v[row].to_bits().to_le_bytes()),
-            ColumnData::Str(v) => {
-                let s = v.get(row);
-                buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                buf.extend_from_slice(s.as_bytes());
+/// The (aggregate, group) a `COUNT(DISTINCT)` pair key names: two u32s
+/// ahead of the value.
+fn pair_of(key: &[u8]) -> (usize, usize) {
+    let word = |at: usize| u32::from_le_bytes(le(&key[at..])) as usize;
+    (word(0), word(4))
+}
+
+/// A running aggregate value: integer-like sums, counts and extrema wrap in
+/// `i64`, Float64 ones are `f64`, and MIN/MAX over Str and Bool keep a
+/// [`Value`]. `Default` is the value of a group that folded nothing (NULL
+/// for a `Value`).
+trait State: Default {
+    fn order(&self, other: &Self) -> Ordering;
+    /// Append to the output column.
+    fn push(self, col: &mut ColumnData);
+    fn add(&mut self, _: Self) {
+        unreachable!("SUM and AVG fold numeric states only")
+    }
+}
+
+impl State for i64 {
+    fn order(&self, other: &i64) -> Ordering {
+        self.cmp(other)
+    }
+    fn push(self, col: &mut ColumnData) {
+        match col {
+            // MIN/MAX over 32-bit inputs: every state is one of the inputs.
+            ColumnData::Int32(v) | ColumnData::Date(v) => v.push(self as i32),
+            ColumnData::Int64(v) | ColumnData::Decimal(v) => v.push(self),
+            other => unreachable!("integer state for a {:?} column", other.data_type()),
+        }
+    }
+    fn add(&mut self, x: i64) {
+        *self = self.wrapping_add(x);
+    }
+}
+
+impl State for f64 {
+    fn order(&self, other: &f64) -> Ordering {
+        self.total_cmp(other)
+    }
+    fn push(self, col: &mut ColumnData) {
+        col.push_value(&Value::Float64(self));
+    }
+    fn add(&mut self, x: f64) {
+        *self += x;
+    }
+}
+
+impl State for Value {
+    fn order(&self, other: &Value) -> Ordering {
+        value_cmp(self, other)
+    }
+    fn push(self, col: &mut ColumnData) {
+        match self {
+            Value::Null => col.push_default(),
+            v => col.push_value(&v),
+        }
+    }
+}
+
+/// One aggregate's states, indexed by group id: (value, inputs folded).
+type States<T> = Vec<(T, i64)>;
+
+/// Fold `x`, standing for `n` inputs, into one group's state.
+fn fold<T: State>(s: &mut (T, i64), x: T, n: i64, func: AggFunc) {
+    match func {
+        AggFunc::Min if s.1 == 0 || x.order(&s.0).is_lt() => s.0 = x,
+        AggFunc::Max if s.1 == 0 || x.order(&s.0).is_gt() => s.0 = x,
+        AggFunc::Min | AggFunc::Max => {}
+        _ => s.0.add(x),
+    }
+    s.1 += n;
+}
+
+/// Fold every row of the batch whose groups are `ids` into its group's
+/// state; `x` reads a row, `None` when it is NULL. One loop per state type
+/// and input column type.
+fn fold_in<T: State>(s: &mut States<T>, f: AggFunc, ids: &[usize], x: impl Fn(usize) -> Option<T>) {
+    for (row, &g) in ids.iter().enumerate() {
+        if let Some(x) = x(row) {
+            fold(&mut s[g], x, 1, f);
+        }
+    }
+}
+
+/// Fold a worker's states in along the local→global id `map`; `dst`
+/// already has a (default) state for every group the merge added, so a new
+/// group's state moves in unchanged.
+fn merge_states<T: State>(dst: &mut States<T>, src: States<T>, map: &[usize], func: AggFunc) {
+    for ((x, n), &g) in src.into_iter().zip(map) {
+        if n > 0 {
+            fold(&mut dst[g], x, n, func);
+        }
+    }
+}
+
+/// One aggregate's states, of the type it folds.
+enum Acc {
+    Int(States<i64>),
+    Float(States<f64>),
+    Val(States<Value>),
+}
+
+/// Evaluate `$e` with `$s` bound to the states of whichever type `$acc` has.
+macro_rules! each_acc {
+    ($acc:expr, $s:ident => $e:expr) => {
+        match $acc {
+            Acc::Int($s) => $e,
+            Acc::Float($s) => $e,
+            Acc::Val($s) => $e,
+        }
+    };
+}
+
+/// A worker's (or the merged) aggregation state.
+#[derive(Default)]
+struct AggTable {
+    groups: GroupTable,
+    /// One per aggregate, each as long as `groups` between batches.
+    accs: Vec<Acc>,
+    /// The accepted (aggregate, group, value) keys of `COUNT(DISTINCT)`.
+    pairs: GroupTable,
+    /// Scratch of the owning worker: the batch's group ids and keys.
+    gids: Vec<usize>,
+    keys: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl AggTable {
+    fn bytes(&self) -> usize {
+        let accs: usize = self.accs.iter().map(|a| each_acc!(a, s => heap(s))).sum();
+        self.groups.bytes() + self.pairs.bytes() + accs
+    }
+
+    /// Fold the batch whose rows belong to the groups `self.gids` into every
+    /// aggregate, one column at a time.
+    fn update(&mut self, aggs: &[AggSpec], input: &Batch) {
+        let g = &self.gids;
+        for (a, (acc, spec)) in self.accs.iter_mut().zip(aggs).enumerate() {
+            each_acc!(acc, s => s.resize_with(self.groups.len(), Default::default));
+            let (f, col) = (spec.func, input.column(spec.input));
+            let valid = input.validity(spec.input).as_deref();
+            let ok = |row: usize| valid.is_none_or(|m| m[row]);
+            match (acc, col) {
+                // Every row counts, NULL inputs included.
+                (Acc::Int(s), _) if f == AggFunc::CountStar => fold_in(s, f, g, |_| Some(1)),
+                (Acc::Int(_), _) if f == AggFunc::CountDistinct => {
+                    for (row, &id) in g.iter().enumerate().filter(|&(row, _)| ok(row)) {
+                        self.keys.extend_from_slice(&(a as u32).to_le_bytes());
+                        self.keys.extend_from_slice(&(id as u32).to_le_bytes());
+                        encode_value(&mut self.keys, col, row);
+                        self.ends.push(self.keys.len());
+                    }
+                }
+                (Acc::Int(s), C::Int64(v) | C::Decimal(v)) => {
+                    fold_in(s, f, g, |r| ok(r).then(|| v[r]))
+                }
+                (Acc::Int(s), C::Int32(v) | C::Date(v)) => {
+                    fold_in(s, f, g, |r| ok(r).then(|| v[r].into()))
+                }
+                (Acc::Float(s), C::Float64(v)) => fold_in(s, f, g, |r| ok(r).then(|| v[r])),
+                (Acc::Val(s), col) => fold_in(s, f, g, |r| ok(r).then(|| col.value(r))),
+                (_, col) => panic!("{f:?} over a {:?} column", col.data_type()),
             }
         }
+        self.pairs.resolve(&mut self.keys, &mut self.ends, |_| {});
+    }
+
+    /// Merge another worker's table into this one, moving its states.
+    fn merge(&mut self, other: AggTable, aggs: &[AggSpec]) {
+        let mut map = Vec::with_capacity(other.groups.len());
+        for (l, &hash) in other.groups.hashes.iter().enumerate() {
+            map.push(self.groups.find_or_insert(hash, other.groups.key(l)));
+        }
+        for ((acc, local), spec) in self.accs.iter_mut().zip(other.accs).zip(aggs) {
+            each_acc!(&mut *acc, s => s.resize_with(self.groups.len(), Default::default));
+            match (acc, local) {
+                (Acc::Int(a), Acc::Int(b)) => merge_states(a, b, &map, spec.func),
+                (Acc::Float(a), Acc::Float(b)) => merge_states(a, b, &map, spec.func),
+                (Acc::Val(a), Acc::Val(b)) => merge_states(a, b, &map, spec.func),
+                _ => unreachable!("every table of one AggSink has the same state types"),
+            }
+        }
+        for p in 0..other.pairs.len() {
+            let (agg, g) = pair_of(other.pairs.key(p));
+            self.keys.extend_from_slice(&(agg as u32).to_le_bytes());
+            self.keys.extend_from_slice(&(map[g] as u32).to_le_bytes());
+            self.keys.extend_from_slice(&other.pairs.key(p)[8..]);
+            self.ends.push(self.keys.len());
+        }
+        self.pairs.resolve(&mut self.keys, &mut self.ends, |_| {});
     }
 }
 
@@ -245,7 +471,9 @@ pub struct AggSink {
     input_schema: Schema,
     group_cols: Vec<usize>,
     aggs: Vec<AggSpec>,
-    global: Mutex<AggTable>,
+    global: Mutex<Option<AggTable>>,
+    /// Time inside the serialized `finish_local` merges.
+    merge_ns: AtomicU64,
 }
 
 impl AggSink {
@@ -254,7 +482,8 @@ impl AggSink {
             input_schema,
             group_cols,
             aggs,
-            global: Mutex::new(AggTable::new()),
+            global: Mutex::new(None),
+            merge_ns: AtomicU64::new(0),
         }
     }
 
@@ -266,135 +495,121 @@ impl AggSink {
     /// What aggregating `input` by `group_cols` yields. The one derivation,
     /// for plan nodes and sinks alike.
     pub fn schema_of(input: &Schema, group_cols: &[usize], aggs: &[AggSpec]) -> Schema {
-        let mut fields: Vec<Field> = group_cols
-            .iter()
-            .map(|&i| input.fields[i].clone())
-            .collect();
-        for a in aggs {
-            fields.push(Field::new(a.name.clone(), a.output_type(input)));
-        }
-        Schema::new(fields)
+        let field = |a: &AggSpec| Field::new(a.name.clone(), a.output_type(input));
+        let keys = group_cols.iter().map(|&i| input.fields[i].clone());
+        Schema::new(keys.chain(aggs.iter().map(field)).collect())
     }
 
-    fn new_states(&self) -> Vec<AggState> {
-        self.aggs
-            .iter()
-            .map(|a| {
-                let dtype = match a.func {
-                    AggFunc::CountStar => DataType::Int64,
-                    _ => self.input_schema.dtype(a.input),
-                };
-                AggState::new(a.func, dtype)
-            })
-            .collect()
+    /// Microseconds spent inside the serialized `finish_local` merges.
+    pub fn merge_us(&self) -> u64 {
+        self.merge_ns.load(Relaxed) / 1_000
+    }
+
+    /// Heap bytes of the merged table (groups, distinct pairs and states);
+    /// 0 once `into_table` has taken it.
+    pub fn table_bytes(&self) -> usize {
+        self.global.lock().as_ref().map_or(0, AggTable::bytes)
+    }
+
+    /// An empty table, with each aggregate's states of the type it folds.
+    fn new_table(&self) -> AggTable {
+        let mut t = AggTable::default();
+        for a in &self.aggs {
+            t.accs.push(match a.output_type(&self.input_schema) {
+                DataType::Float64 => Acc::Float(Vec::new()),
+                t if t.is_integer_like() => Acc::Int(Vec::new()),
+                _ => Acc::Val(Vec::new()),
+            });
+        }
+        t
     }
 
     /// Extract the final result (consumes the accumulated state).
     pub fn into_table(&self) -> Table {
         let schema = self.output_schema();
-        let mut table = std::mem::replace(&mut *self.global.lock(), AggTable::new());
+        let taken = self.global.lock().take();
+        let mut table = taken.unwrap_or_else(|| self.new_table());
         // SQL: a global aggregate over zero rows still yields one row.
-        if table.keys.is_empty() && self.group_cols.is_empty() {
-            table.keys.push(Vec::new());
-            table.states.push(self.new_states());
+        if self.group_cols.is_empty() {
+            table.groups.find_or_insert(hash_key(&[]), &[]);
         }
-        let mut builder = TableBuilder::with_capacity(schema, table.keys.len());
-        for (key, states) in table.keys.into_iter().zip(table.states) {
-            let mut row = key;
-            for s in states {
-                row.push(s.finalize());
+        let groups = table.groups.len();
+        let mut cur: Vec<usize> = (0..groups).map(|g| table.groups.key_start(g)).collect();
+        let (keys, aggs) = schema.fields.split_at(self.group_cols.len());
+        let decode = |f: &Field| table.groups.decode_column(f.dtype, &mut cur);
+        let mut out: Vec<(ColumnData, Validity)> = keys.iter().map(decode).collect();
+        for acc in &mut table.accs {
+            each_acc!(acc, s => s.resize_with(groups, Default::default));
+        }
+        // Every accepted (aggregate, group, value) adds 1 to its count.
+        for p in 0..table.pairs.len() {
+            let (agg, g) = pair_of(table.pairs.key(p));
+            if let Acc::Int(s) = &mut table.accs[agg] {
+                s[g].0 += 1;
             }
-            builder.push_row(&row);
         }
-        builder.finish()
+        for ((mut acc, spec), field) in table.accs.into_iter().zip(&self.aggs).zip(aggs) {
+            if let (Acc::Int(s), AggFunc::Avg) = (&mut acc, spec.func) {
+                for (x, n) in s.iter_mut().filter(|(_, n)| *n > 0) {
+                    *x = Decimal(*x).div(Decimal::from_int(*n)).0;
+                }
+            }
+            // MIN, MAX and AVG of a group that folded no input are NULL.
+            let nullable = matches!(spec.func, AggFunc::Min | AggFunc::Max | AggFunc::Avg);
+            out.push(each_acc!(acc, s => {
+                let valid = s.iter().map(|&(_, n)| !nullable || n > 0).collect();
+                let mut col = ColumnData::with_capacity(field.dtype, s.len());
+                s.into_iter().for_each(|(x, _)| x.push(&mut col));
+                (col, mask(valid))
+            }));
+        }
+        let (columns, validity) = out.into_iter().unzip();
+        Table::with_validity(schema, columns, validity)
     }
 }
 
 impl Sink for AggSink {
     fn create_local(&self) -> LocalState {
-        Box::new(AggTable::new())
+        Box::new(self.new_table())
     }
 
     fn consume(&self, local: &mut LocalState, input: Batch) -> ExecResult {
-        let table = local.downcast_mut::<AggTable>().unwrap();
-        let n = input.num_rows();
-
-        if self.group_cols.is_empty() {
-            // Global aggregate fast path: one group, no key encoding.
-            if table.keys.is_empty() {
-                table.keys.push(Vec::new());
-                table.states.push(self.new_states());
-            }
-            let states = &mut table.states[0];
-            for row in 0..n {
-                for (state, spec) in states.iter_mut().zip(&self.aggs) {
-                    let col = (spec.func != AggFunc::CountStar).then(|| input.column(spec.input));
-                    state.update(col, row);
-                }
-            }
+        let t = local.downcast_mut::<AggTable>().expect("an AggTable");
+        if input.is_empty() {
             return Ok(());
         }
-
-        let mut keybuf = Vec::new();
-        for row in 0..n {
-            encode_key(&mut keybuf, &input, &self.group_cols, row);
-            let slot = match table.map.get(&keybuf) {
-                Some(&s) => s,
-                None => {
-                    let s = table.keys.len();
-                    table.map.insert(keybuf.clone(), s);
-                    table.keys.push(
-                        self.group_cols
-                            .iter()
-                            .map(|&c| input.value(c, row))
-                            .collect(),
-                    );
-                    table.states.push(self.new_states());
-                    s
+        t.gids.clear();
+        if self.group_cols.is_empty() {
+            let g = t.groups.find_or_insert(hash_key(&[]), &[]);
+            t.gids.resize(input.num_rows(), g);
+        } else {
+            for row in 0..input.num_rows() {
+                for &c in &self.group_cols {
+                    let valid = input.is_valid(c, row);
+                    t.keys.push(valid as u8);
+                    if valid {
+                        encode_value(&mut t.keys, input.column(c), row);
+                    }
                 }
-            };
-            for (state, spec) in table.states[slot].iter_mut().zip(&self.aggs) {
-                let col = (spec.func != AggFunc::CountStar).then(|| input.column(spec.input));
-                state.update(col, row);
+                t.ends.push(t.keys.len());
             }
+            let gids = &mut t.gids;
+            t.groups.resolve(&mut t.keys, &mut t.ends, |g| gids.push(g));
         }
+        t.update(&self.aggs, &input);
         Ok(())
     }
 
     fn finish_local(&self, local: LocalState) -> ExecResult {
-        let local = *local.downcast::<AggTable>().unwrap();
+        let local = *local.downcast::<AggTable>().expect("an AggTable");
         let mut global = self.global.lock();
-        if self.group_cols.is_empty() {
-            if let Some(states) = local.states.into_iter().next() {
-                if global.states.is_empty() {
-                    global.keys.push(Vec::new());
-                    global.states.push(states);
-                } else {
-                    for (g, l) in global.states[0].iter_mut().zip(states) {
-                        g.merge(l);
-                    }
-                }
-            }
-            return Ok(());
+        let start = Instant::now();
+        match &mut *global {
+            Some(table) => table.merge(local, &self.aggs),
+            None => *global = Some(local),
         }
-        for (key_bytes, &local_slot) in &local.map {
-            match global.map.get(key_bytes) {
-                Some(&gslot) => {
-                    for (g, l) in global.states[gslot]
-                        .iter_mut()
-                        .zip(local.states[local_slot].clone())
-                    {
-                        g.merge(l);
-                    }
-                }
-                None => {
-                    let gslot = global.keys.len();
-                    global.map.insert(key_bytes.clone(), gslot);
-                    global.keys.push(local.keys[local_slot].clone());
-                    global.states.push(local.states[local_slot].clone());
-                }
-            }
-        }
+        let ns = start.elapsed().as_nanos() as u64;
+        self.merge_ns.fetch_add(ns, Relaxed);
         Ok(())
     }
 }
@@ -570,6 +785,70 @@ mod tests {
         assert_eq!(t.num_rows(), 3);
         let cnt_total: i64 = t.column_by_name("cnt").as_i64().iter().sum();
         assert_eq!(cnt_total, 4);
+    }
+
+    /// Outer-join padding: a NULL key is its own group, whatever value sits
+    /// under the mask, and NULL inputs are skipped by all but `COUNT(*)`.
+    #[test]
+    fn null_keys_group_apart_and_null_inputs_are_skipped() {
+        let sink = AggSink::new(
+            Schema::of(&[("k", DataType::Int64), ("v", DataType::Decimal)]),
+            vec![0],
+            vec![
+                AggSpec::new(AggFunc::CountStar, 0, "n"),
+                AggSpec::new(AggFunc::Sum, 1, "sum"),
+                AggSpec::new(AggFunc::Min, 1, "lo"),
+                AggSpec::new(AggFunc::Max, 1, "hi"),
+                AggSpec::new(AggFunc::Avg, 1, "avg"),
+                AggSpec::new(AggFunc::CountDistinct, 1, "dv"),
+            ],
+        );
+        let batch = Batch::with_validity(
+            vec![
+                ColumnData::Int64(vec![0, 7, 0, 8, 5]),
+                ColumnData::Decimal(vec![100, 200, 300, 400, 500]),
+            ],
+            vec![
+                Some(vec![true, false, true, false, true]),
+                Some(vec![true, true, false, true, false]),
+            ],
+        );
+        let t = run(&sink, vec![batch]);
+        let mut rows: Vec<Vec<Value>> = (0..t.num_rows()).map(|r| t.row(r)).collect();
+        rows.sort_by(|a, b| value_cmp(&a[0], &b[0]));
+        let dec = |v: i64| Value::Decimal(Decimal(v));
+        assert_eq!(
+            rows,
+            vec![
+                vec![
+                    Value::Int64(0),
+                    Value::Int64(2),
+                    dec(100),
+                    dec(100),
+                    dec(100),
+                    dec(100),
+                    Value::Int64(1)
+                ],
+                vec![
+                    Value::Int64(5),
+                    Value::Int64(1),
+                    dec(0),
+                    Value::Null,
+                    Value::Null,
+                    Value::Null,
+                    Value::Int64(0)
+                ],
+                vec![
+                    Value::Null,
+                    Value::Int64(2),
+                    dec(600),
+                    dec(200),
+                    dec(400),
+                    dec(300),
+                    Value::Int64(2)
+                ],
+            ]
+        );
     }
 
     #[test]

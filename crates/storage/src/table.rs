@@ -118,6 +118,21 @@ impl Table {
         }
     }
 
+    /// [`Table::new`] plus per-column validity (`None` = all rows valid).
+    pub fn with_validity(
+        schema: Schema,
+        columns: Vec<ColumnData>,
+        validity: Vec<Option<Vec<bool>>>,
+    ) -> Table {
+        let mut t = Table::new(schema, columns);
+        assert_eq!(validity.len(), t.columns.len(), "validity count mismatch");
+        for mask in validity.iter().flatten() {
+            assert_eq!(mask.len(), t.rows, "validity length mismatch");
+        }
+        t.validity = validity;
+        t
+    }
+
     /// An empty table with the given schema.
     pub fn empty(schema: Schema) -> Table {
         let columns: Vec<ColumnData> = schema
@@ -270,9 +285,7 @@ impl TableBuilder {
     }
 
     pub fn finish(self) -> Table {
-        let mut t = Table::new(self.schema, self.columns);
-        t.validity = self.validity;
-        t
+        Table::with_validity(self.schema, self.columns, self.validity)
     }
 }
 

@@ -241,7 +241,7 @@ impl fmt::Display for Decimal {
 /// A single dynamically-typed value. Used at the *edges* of the system
 /// (constants in expressions, final result rows, test assertions) — never on
 /// the per-tuple hot path.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum Value {
     Bool(bool),
     Int32(i32),
@@ -251,6 +251,7 @@ pub enum Value {
     Decimal(Decimal),
     Str(String),
     /// SQL NULL (produced by outer joins and empty aggregates).
+    #[default]
     Null,
 }
 
