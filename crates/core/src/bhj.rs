@@ -28,6 +28,10 @@
 //! ([`BhjUnmatchedSource`]) then scans the build rows and emits the
 //! (un)matched ones — exactly how a real system starts the anti-join's
 //! result pipeline from the hash table.
+//!
+//! The walk itself is [`BhjWalker`], which [`BhjProbeOp`] dispatches over
+//! the join types; the groupjoin ([`crate::groupjoin`]) runs it bare, with
+//! its own action on a match, over a table built by the same sink.
 
 use crate::hash::hash_columns;
 use crate::ht_chain::{ChainTable, RowArena};
@@ -244,7 +248,7 @@ impl Sink for BhjBuildSink {
     }
 }
 
-/// How hard one [`BhjProbeOp`] had to work, summed over its workers when
+/// How hard one [`BhjWalker`] had to work, summed over its workers when
 /// each flushes (EXPLAIN ANALYZE). `visits ÷ rows` is the number of
 /// build rows a probe row dereferences — what the cost model's BHJ term
 /// charges a cache miss for.
@@ -258,6 +262,16 @@ pub struct ProbeCounters {
     pub visits: Arc<AtomicU64>,
 }
 
+/// The walker half of a BHJ probe: the table it walks, the probe's key
+/// columns, the prefetch switch and what the walks cost.
+pub struct BhjWalker {
+    pub(crate) state: Arc<BhjState>,
+    probe_keys: Vec<usize>,
+    prefetch: bool,
+    /// Complete once every worker has flushed.
+    pub counters: ProbeCounters,
+}
+
 /// The in-pipeline probe operator: the four stages of the module doc, one
 /// batch at a time, for all seven join types.
 ///
@@ -266,17 +280,13 @@ pub struct ProbeCounters {
 /// anti, mark and outer variants read a per-row bitmap afterwards and keep
 /// the input's order.
 pub struct BhjProbeOp {
-    state: Arc<BhjState>,
-    probe_keys: Vec<usize>,
+    pub walker: BhjWalker,
     join_type: JoinType,
-    prefetch: bool,
-    /// Complete once every worker has flushed.
-    pub counters: ProbeCounters,
 }
 
 /// The walker's scratch and counters.
 #[derive(Default)]
-struct Walk {
+pub(crate) struct Walk {
     hashes: Vec<u64>,
     /// The chains still being walked: (probe row, build row to visit next).
     cur: Vec<(u32, *const u8)>,
@@ -285,10 +295,10 @@ struct Walk {
     visits: u64,
 }
 
-/// Per-worker scratch, reused from batch to batch.
+/// Per-worker scratch of a [`BhjWalker`]'s operator, reused batch to batch.
 #[derive(Default)]
-struct ProbeLocal {
-    walk: Walk,
+pub(crate) struct ProbeLocal {
+    pub(crate) walk: Walk,
     /// Matched pairs: build row `ptrs[i]` joins probe row `sel[i]`.
     ptrs: Vec<*const u8>,
     sel: Vec<u32>,
@@ -307,17 +317,11 @@ fn select(matched: &[bool], want: bool, sel: &mut Vec<u32>) {
     sel.extend((0..matched.len() as u32).filter(|&r| matched[r as usize] == want));
 }
 
-impl BhjProbeOp {
-    pub fn new(
-        state: Arc<BhjState>,
-        probe_keys: Vec<usize>,
-        join_type: JoinType,
-        prefetch: bool,
-    ) -> BhjProbeOp {
-        BhjProbeOp {
+impl BhjWalker {
+    pub fn new(state: Arc<BhjState>, probe_keys: Vec<usize>, prefetch: bool) -> BhjWalker {
+        BhjWalker {
             state,
             probe_keys,
-            join_type,
             prefetch,
             counters: ProbeCounters::default(),
         }
@@ -328,7 +332,12 @@ impl BhjProbeOp {
     /// from it retires the probe row's chain (semi, anti and mark need only
     /// the first partner). `prefetch = false` runs the same stages and
     /// issues no prefetch instruction.
-    fn walk(&self, w: &mut Walk, input: &Batch, mut on_match: impl FnMut(u32, *const u8) -> bool) {
+    pub(crate) fn walk(
+        &self,
+        w: &mut Walk,
+        input: &Batch,
+        mut on_match: impl FnMut(u32, *const u8) -> bool,
+    ) {
         let n = input.num_rows();
         let state = &*self.state;
         let prefetch = |line: *const u8| {
@@ -362,11 +371,14 @@ impl BhjProbeOp {
                 // SAFETY: `row` came out of `state.table` — a bucket head
                 // whose tag is set (so non-null) or a linked row's `next` —
                 // and every linked row lives in `state.arenas`, which the
-                // `Arc<BhjState>` this operator holds keeps alive. After
+                // `Arc<BhjState>` this walker holds keeps alive. After
                 // `into_state` nobody writes a row but for `mark_matched`'s
-                // atomic flag in the header word: `bytes` spans that word,
-                // `keys_match_batch` reads the key columns only, and
-                // `next_row` loads it atomically.
+                // atomic flag in the header word and the groupjoin's
+                // `fetch_add`s into its aggregate cells — both atomics only,
+                // while walkers hold a view of the row. `bytes` spans that
+                // word and those cells, but `read_hash` reads the hash,
+                // `keys_match_batch` the key columns only, and `next_row`
+                // loads the header atomically.
                 let next = unsafe {
                     let bytes = std::slice::from_raw_parts(row, layout.width());
                     if layout.read_hash(bytes) == w.hashes[r as usize]
@@ -394,10 +406,33 @@ impl BhjProbeOp {
         }
     }
 
+    /// Publish one worker's walk counts: its operator's `flush`.
+    pub(crate) fn publish(&self, local: &mut LocalState) -> ExecResult {
+        let w = &mut local.downcast_mut::<ProbeLocal>().expect("own local").walk;
+        let c = &self.counters;
+        c.rows.fetch_add(take(&mut w.rows), Relaxed);
+        c.tag_rejects.fetch_add(take(&mut w.tag_rejects), Relaxed);
+        c.visits.fetch_add(take(&mut w.visits), Relaxed);
+        Ok(())
+    }
+}
+
+impl BhjProbeOp {
+    pub fn new(
+        state: Arc<BhjState>,
+        probe_keys: Vec<usize>,
+        join_type: JoinType,
+        prefetch: bool,
+    ) -> BhjProbeOp {
+        let walker = BhjWalker::new(state, probe_keys, prefetch);
+        BhjProbeOp { walker, join_type }
+    }
+
     /// Emit matched pairs as (build ++ probe) batches.
     fn emit_pairs(&self, input: &Batch, ptrs: &[*const u8], sel: &[u32], out: Emit) {
         debug_assert_eq!(ptrs.len(), sel.len());
-        let layout = &self.state.layout;
+        let state = &*self.walker.state;
+        let layout = &state.layout;
         let mut start = 0;
         while start < ptrs.len() {
             let end = (start + BATCH_ROWS).min(ptrs.len());
@@ -405,9 +440,9 @@ impl BhjProbeOp {
             for c in 0..layout.num_columns() {
                 let mut col = ColumnData::with_capacity(layout.types()[c], end - start);
                 // SAFETY: `walk` reported every pointer in `ptrs` as a live
-                // row of `self.state`, whose heaps these are.
+                // row of `state`, whose heaps these are.
                 unsafe {
-                    layout.decode_ptrs_into(&ptrs[start..end], c, &self.state.heaps, &mut col);
+                    layout.decode_ptrs_into(&ptrs[start..end], c, &state.heaps, &mut col);
                 }
                 columns.push(col);
             }
@@ -422,7 +457,7 @@ impl BhjProbeOp {
         let k = unmatched.len();
         let mut columns = Vec::new();
         let mut validity = Vec::new();
-        for &t in self.state.layout.types() {
+        for &t in self.walker.state.layout.types() {
             columns.push(default_column(t, k));
             validity.push(Some(vec![false; k]));
         }
@@ -453,7 +488,7 @@ impl Operator for BhjProbeOp {
         l.matched.resize(input.num_rows(), false);
         match self.join_type {
             JoinType::Inner | JoinType::ProbeOuter => {
-                self.walk(&mut l.walk, &input, |r, row| {
+                self.walker.walk(&mut l.walk, &input, |r, row| {
                     l.ptrs.push(row);
                     l.sel.push(r);
                     l.matched[r as usize] = true;
@@ -468,7 +503,7 @@ impl Operator for BhjProbeOp {
                 }
             }
             JoinType::ProbeSemi | JoinType::ProbeAnti | JoinType::ProbeMark => {
-                self.walk(&mut l.walk, &input, |r, _| {
+                self.walker.walk(&mut l.walk, &input, |r, _| {
                     l.matched[r as usize] = true;
                     false
                 });
@@ -487,8 +522,8 @@ impl Operator for BhjProbeOp {
             // Mark matched build rows; emit nothing here — the result
             // pipeline starts from BhjUnmatchedSource.
             JoinType::BuildSemi | JoinType::BuildAnti => {
-                self.walk(&mut l.walk, &input, |_, row| {
-                    // SAFETY: `walk` reports live rows of `self.state` only.
+                self.walker.walk(&mut l.walk, &input, |_, row| {
+                    // SAFETY: `walk` reports live rows of its state only.
                     unsafe { ChainTable::mark_matched(row) };
                     true
                 })
@@ -499,34 +534,33 @@ impl Operator for BhjProbeOp {
 
     /// Publish this worker's probe-effort counts.
     fn flush(&self, local: &mut LocalState, _out: Emit) -> ExecResult {
-        let w = &mut local.downcast_mut::<ProbeLocal>().expect("own local").walk;
-        let c = &self.counters;
-        c.rows.fetch_add(take(&mut w.rows), Relaxed);
-        c.tag_rejects.fetch_add(take(&mut w.tag_rejects), Relaxed);
-        c.visits.fetch_add(take(&mut w.visits), Relaxed);
-        Ok(())
+        self.walker.publish(local)
     }
 }
 
 /// Result pipeline source for build-preserving variants: scans every build
-/// row, emitting those whose matched flag agrees with the variant.
+/// row, emitting those whose matched flag agrees with the variant — or,
+/// for the groupjoin, every row.
 pub struct BhjUnmatchedSource {
     state: Arc<BhjState>,
-    /// `true` = BuildSemi (emit matched), `false` = BuildAnti.
-    emit_matched: bool,
+    /// The matched flag of the rows to emit: `Some(true)` = BuildSemi,
+    /// `Some(false)` = BuildAnti, `None` = every row.
+    emit: Option<bool>,
 }
 
 impl BhjUnmatchedSource {
     pub fn new(state: Arc<BhjState>, join_type: JoinType) -> BhjUnmatchedSource {
-        let emit_matched = match join_type {
+        let emit = Some(match join_type {
             JoinType::BuildSemi => true,
             JoinType::BuildAnti => false,
             other => panic!("BhjUnmatchedSource on non-build-preserving {other:?}"),
-        };
-        BhjUnmatchedSource {
-            state,
-            emit_matched,
-        }
+        });
+        BhjUnmatchedSource { state, emit }
+    }
+
+    /// Every build row, whatever its flag (the groupjoin's output).
+    pub fn every_row(state: Arc<BhjState>) -> BhjUnmatchedSource {
+        BhjUnmatchedSource { state, emit: None }
     }
 }
 
@@ -546,7 +580,8 @@ impl Source for BhjUnmatchedSource {
             }
             for c in 0..layout.num_columns() {
                 // SAFETY: `selected` holds rows of `arena`, which
-                // `self.state` owns together with the heaps.
+                // `self.state` owns together with the heaps; nothing writes
+                // them any more (see below).
                 unsafe {
                     layout.decode_ptrs_into(selected, c, &self.state.heaps, bb.column_mut(c));
                 }
@@ -559,9 +594,11 @@ impl Source for BhjUnmatchedSource {
         };
         for ptr in arena.row_ptrs() {
             // SAFETY: `ptr` is a row of `arena`, alive with `self.state`;
-            // the marking pipeline finished before this source was polled.
+            // the probe pipeline — which marks flags or, in a groupjoin,
+            // adds into cells — finished before this source was polled, so
+            // no row is written any more.
             let matched = unsafe { ChainTable::is_matched(ptr) };
-            if matched == self.emit_matched {
+            if self.emit.is_none_or(|want| matched == want) {
                 selected.push(ptr);
                 if selected.len() >= BATCH_ROWS {
                     flush(&mut bb, &mut selected, &mut *out);

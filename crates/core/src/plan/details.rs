@@ -2,6 +2,7 @@
 //! to a plan node: hardware counters, radix partition histograms, chaining
 //! hash-table shape, and the adaptive selector's decision.
 
+use crate::bhj::BhjWalker;
 use crate::cost::Decision;
 use crate::ht_chain::ChainStats;
 use crate::qprof::ProfCtx;
@@ -74,6 +75,19 @@ pub(super) fn chain_details(pc: &mut ProfCtx, node: usize, chain: &ChainStats) {
     pc.detail(node, "ht_load_factor", chain.load_factor());
     pc.detail(node, "ht_max_chain", chain.max_chain);
     pc.detail(node, "ht_avg_chain", chain.avg_chain());
+}
+
+/// Attach what a chain walk over a BHJ-built table — the BHJ's or the
+/// groupjoin's — saw: the build side, the table's shape, and the probe's
+/// effort, which the probe pipeline's workers publish as they flush.
+pub(super) fn walk_details(pc: &mut ProfCtx, node: usize, walker: &BhjWalker) {
+    let (state, probe) = (&walker.state, &walker.counters);
+    pc.detail(node, "build_rows", state.rows);
+    pc.detail(node, "build_bytes", state.byte_size());
+    chain_details(pc, node, &state.chain_stats());
+    pc.live_detail(node, "probe_rows", &probe.rows);
+    pc.live_detail(node, "probe_tag_rejects", &probe.tag_rejects);
+    pc.live_detail(node, "probe_chain_visits", &probe.visits);
 }
 
 /// Attach the adaptive selector's decision and its "why" to the trace node

@@ -2,9 +2,10 @@
 //! place a pipeline is submitted ([`Engine::run_breaker`]), and the
 //! compilation of every plan node that is not a swappable join.
 
-use super::details::hw_details;
+use super::details::{hw_details, walk_details};
 use super::Plan;
-use crate::groupjoin::{self, GroupJoinBuildSink, GroupJoinProbeOp, GroupJoinSource};
+use crate::bhj::{BhjUnmatchedSource, BhjWalker};
+use crate::groupjoin::GroupJoinProbeOp;
 use crate::hybrid::SpillConfig;
 use crate::qprof::{ProfCtx, Slot};
 use crate::radix::RadixConfig;
@@ -408,46 +409,43 @@ impl Engine {
                 probe_keys,
                 aggs,
             } => {
-                // Pipeline 1: materialize + index the build side.
-                let (build_spec, bchild) = self.stream(build, prof.as_deref_mut())?;
-                let build_types: Vec<_> =
-                    build_spec.schema.fields.iter().map(|f| f.dtype).collect();
-                let sink = GroupJoinBuildSink::new(&build_types, build_keys.clone());
-                let label = PipelineLabel::new("groupjoin build", WaitState::CpuBuild);
-                let build_stats =
-                    self.run_breaker(label, &build_spec, &sink, prof.as_deref_mut())?;
-                let state = sink.into_state(aggs.clone());
-                let out_schema = groupjoin::output_schema(&build_spec.schema, aggs);
+                // Pipeline 1: the build side, one zero cell per aggregate
+                // appended to its rows, into a BHJ table. Not charged.
+                let (state, out_schema, build_stats, bchild) = self.build_table(
+                    build,
+                    build_keys,
+                    aggs,
+                    "groupjoin build",
+                    false,
+                    prof.as_deref_mut(),
+                )?;
 
-                // Pipeline 2: probe updates the aggregate cells, emits nothing.
+                // Pipeline 2: the probe adds into the cells, emits nothing.
                 let (probe_spec, pchild) = self.stream(probe, prof.as_deref_mut())?;
                 let op_idx = probe_spec.ops.len();
-                let op = Arc::new(GroupJoinProbeOp::new(
-                    Arc::clone(&state),
-                    probe_keys.clone(),
-                ));
-                let spec = probe_spec.push_op(op, out_schema.clone());
+                let walker =
+                    BhjWalker::new(Arc::clone(&state), probe_keys.clone(), self.bhj_prefetch);
+                let op = Arc::new(GroupJoinProbeOp::new(walker, aggs));
                 let node = prof.as_deref_mut().map(|pc| {
                     let id = pc.node(plan.label(), bchild.into_iter().chain(pchild).collect());
                     pc.bind(id, &build_stats, Slot::Sink);
-                    pc.detail(id, "groups", state.rows());
-                    // The probe op updates aggregate cells in place; its
-                    // slot (bound when the probe pipeline drains) carries
-                    // the probe-side tuple counts.
+                    pc.detail(id, "groups", state.rows);
+                    walk_details(pc, id, &op.walker);
+                    // The probe op's slot (bound when the probe pipeline
+                    // drains) carries the probe-side tuple counts.
                     pc.pend(id, Slot::Op(op_idx));
                     id
                 });
+                let spec = probe_spec.push_op(op, out_schema.clone());
                 let label = PipelineLabel::new("groupjoin probe", WaitState::CpuProbe);
                 self.run_breaker(label, &spec, &DiscardSink, prof.as_deref_mut())?;
 
-                // Pipeline 3: one row per group.
+                // Pipeline 3: every build row, i.e. one row per group.
                 if let (Some(pc), Some(id)) = (prof, node) {
                     pc.pend(id, Slot::Source);
                 }
-                Ok((
-                    StreamSpec::new(Arc::new(GroupJoinSource::new(state)), out_schema),
-                    node,
-                ))
+                let source = BhjUnmatchedSource::every_row(state);
+                Ok((StreamSpec::new(Arc::new(source), out_schema), node))
             }
             Plan::Join { .. } => {
                 let (algo, join) = plan.as_join().expect("matched a join");
@@ -674,6 +672,41 @@ mod tests {
         let sort = find(&profile.root, "Sort").unwrap();
         assert_eq!(sort.rows_in, 3);
         assert_eq!(sort.rows_out, 2, "limit 2 rescan");
+    }
+
+    /// The groupjoin's node shows the BHJ-built table it probes: build size,
+    /// chain shape and probe effort beside its group count, and it reads
+    /// the build and probe rows in and one row per group out.
+    #[test]
+    fn groupjoin_profile_reports_its_hash_table() {
+        let build: Vec<(i64, i64)> = (0..2000).map(|i| (i, i)).collect();
+        let probe: Vec<(i64, i64)> = (0..6000).map(|i| (i % 3000, i)).collect();
+        let plan = Plan::scan(&table_kv(&build), &["k", "v"], None).group_join(
+            Plan::scan(&table_kv(&probe), &["k", "v"], None),
+            &[0],
+            &[0],
+            vec![crate::groupjoin::GroupAggSpec::count("n")],
+        );
+        let (table, profile) = Engine::new(2).execute_profiled(&plan).unwrap();
+        assert_eq!(table.num_rows(), 2000);
+        let gj = find(&profile.root, "GroupJoin").unwrap();
+        assert_eq!(gj.rows_in, 2000 + 6000, "{}", profile.render());
+        assert_eq!(gj.rows_out, 2000, "{}", profile.render());
+        let count = |k: &str| match gj.details.iter().find(|(key, _)| key == k) {
+            Some((_, DetailValue::Int(n))) => *n,
+            other => panic!("{k}: {other:?}"),
+        };
+        assert_eq!(count("groups"), 2000);
+        assert_eq!(count("build_rows"), 2000);
+        // Header, hash, k, v and the count cell: 40 B, padded to 64.
+        assert_eq!(count("build_bytes"), 2000 * 64);
+        assert_eq!(count("ht_buckets"), 2048);
+        assert!(count("ht_max_chain") >= 1);
+        assert!(gj.details.iter().any(|(k, _)| k == "ht_load_factor"));
+        // 6000 probe rows, 4000 of which have exactly one partner.
+        assert_eq!(count("probe_rows"), 6000);
+        assert!(count("probe_chain_visits") >= 4000);
+        assert!(count("probe_tag_rejects") + count("probe_chain_visits") >= 6000);
     }
 
     /// The ASH CPU state of every pipeline is what the compiler stamped on

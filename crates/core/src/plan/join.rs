@@ -5,13 +5,15 @@
 //! as something cheaper. The three builders below it — [`Engine::bhj`],
 //! [`Engine::radix`], [`Engine::hybrid`] — each turn a [`JoinNode`] into the
 //! pipelines of one algorithm and know nothing about fallback: they return
-//! the error and the ladder decides.
+//! the error and the ladder decides. The BHJ's build half,
+//! [`Engine::build_table`], is also the groupjoin's.
 
-use super::details::{adaptive_details, chain_details, hw_details, partition_details};
+use super::details::{adaptive_details, hw_details, partition_details, walk_details};
 use super::engine::{Compiled, DiscardSink};
-use super::{joinlog, Engine, JoinAlgo, JoinNode};
-use crate::bhj::{BhjBuildSink, BhjProbeOp, BhjUnmatchedSource};
+use super::{joinlog, Engine, JoinAlgo, JoinNode, Plan};
+use crate::bhj::{BhjBuildSink, BhjProbeOp, BhjState, BhjUnmatchedSource};
 use crate::cost::Decision;
+use crate::groupjoin::{self, GroupAggSpec};
 use crate::hybrid::{HybridJoin, HybridJoinSource};
 use crate::join_common::JoinStats;
 use crate::qprof::{ProfCtx, Slot};
@@ -23,7 +25,9 @@ use joinstudy_exec::context::algo_bits;
 use joinstudy_exec::error::{ExecError, ExecResult};
 use joinstudy_exec::metrics::{self, MemPhase};
 use joinstudy_exec::pipeline::StreamSpec;
+use joinstudy_exec::profile::PipelineStats;
 use joinstudy_exec::{registry, trace, PipelineLabel, WaitState};
+use joinstudy_storage::table::Schema;
 use std::sync::Arc;
 
 /// How far past [`RadixConfig::target_partition_bytes`] the largest build
@@ -42,6 +46,10 @@ const REGIME_SKEW_FACTOR: usize = 8;
 /// the last rung is correct under any budget that holds its minimum working
 /// set, so below it an error (naming that floor) is the caller's.
 const LADDER: [JoinAlgo; 3] = [JoinAlgo::Rj, JoinAlgo::Bhj, JoinAlgo::Hybrid];
+
+/// What [`Engine::build_table`] leaves behind: the table, the build schema
+/// its rows have, the build pipeline's counters and the build side's node.
+pub(super) type BuiltTable = (Arc<BhjState>, Schema, Arc<PipelineStats>, Option<usize>);
 
 impl Engine {
     /// Compile `node` as `algo`, walking down the [`LADDER`] for as long as
@@ -161,23 +169,53 @@ impl Engine {
         decision
     }
 
+    /// The hash-table build the BHJ and the groupjoin share: `build`'s
+    /// pipeline, widened by one zero cell per aggregate of `aggs` (none for
+    /// the BHJ), runs as `name` into a [`BhjBuildSink`] on `keys`, then the
+    /// chaining table is linked over its rows. Only the BHJ's build is
+    /// `charged`: its sink leases from the query context and its pipeline
+    /// runs in the `Build` memory phase.
+    pub(super) fn build_table(
+        &self,
+        build: &Plan,
+        keys: &[usize],
+        aggs: &[GroupAggSpec],
+        name: &str,
+        charged: bool,
+        mut prof: Option<&mut ProfCtx>,
+    ) -> ExecResult<BuiltTable> {
+        let (mut spec, child) = self.stream(build, prof.as_deref_mut())?;
+        if !aggs.is_empty() {
+            let widened = groupjoin::output_schema(&spec.schema, aggs);
+            let cells = groupjoin::cells_op(spec.schema.len(), aggs);
+            spec = spec.push_op(Arc::new(cells), widened);
+        }
+        let types: Vec<_> = spec.schema.fields.iter().map(|f| f.dtype).collect();
+        let mut sink = BhjBuildSink::new(&types, keys.to_vec());
+        if charged {
+            sink = sink.with_context(Arc::clone(&self.ctx));
+            metrics::mark_phase(MemPhase::Build);
+        }
+        let label = PipelineLabel::new(name, WaitState::CpuBuild);
+        let stats = self.run_breaker(label, &spec, &sink, prof)?;
+        let _span = trace::phase_scope(format!("{name} finalize (hash table)"));
+        Ok((sink.into_state(self.threads)?, spec.schema, stats, child))
+    }
+
     /// The buffered non-partitioned hash join: the build side is a pipeline
     /// breaker, the probe is fused into the probe side's pipeline.
     fn bhj(&self, node: &JoinNode<'_>, mut prof: Option<&mut ProfCtx>) -> ExecResult<Compiled> {
         let kind = node.kind;
         self.ctx.note_join_algo(algo_bits::BHJ);
         // Pipeline 1: materialize the build side + parallel table build.
-        let (build_spec, bchild) = self.stream(node.build, prof.as_deref_mut())?;
-        let build_types: Vec<_> = build_spec.schema.fields.iter().map(|f| f.dtype).collect();
-        let sink = BhjBuildSink::new(&build_types, node.build_keys.to_vec())
-            .with_context(Arc::clone(&self.ctx));
-        metrics::mark_phase(MemPhase::Build);
-        let label = PipelineLabel::new("BHJ build", WaitState::CpuBuild);
-        let build_stats = self.run_breaker(label, &build_spec, &sink, prof.as_deref_mut())?;
-        let state = {
-            let _span = trace::phase_scope("BHJ build finalize (hash table)");
-            sink.into_state(self.threads)?
-        };
+        let (state, build_schema, build_stats, bchild) = self.build_table(
+            node.build,
+            node.build_keys,
+            &[],
+            "BHJ build",
+            true,
+            prof.as_deref_mut(),
+        )?;
         joinlog::record(joinlog::JoinSizes {
             algo: JoinAlgo::Bhj.name(),
             build_rows: state.rows,
@@ -188,7 +226,7 @@ impl Engine {
 
         // Pipeline 2: the probe side, with the probe fused in.
         let (probe_spec, pchild) = self.stream(node.probe, prof.as_deref_mut())?;
-        let out_schema = kind.output_schema(&build_spec.schema, &probe_spec.schema);
+        let out_schema = kind.output_schema(&build_schema, &probe_spec.schema);
         let op_idx = probe_spec.ops.len();
         let probe_op = Arc::new(BhjProbeOp::new(
             Arc::clone(&state),
@@ -202,12 +240,7 @@ impl Engine {
             let id = pc.node(label, bchild.into_iter().chain(pchild).collect());
             pc.bind(id, &build_stats, Slot::Sink);
             hw_details(pc, id, "hw_build_", &build_stats);
-            pc.detail(id, "build_rows", state.rows);
-            pc.detail(id, "build_bytes", state.byte_size());
-            chain_details(pc, id, &state.chain_stats());
-            pc.live_detail(id, "probe_rows", &probe_op.counters.rows);
-            pc.live_detail(id, "probe_tag_rejects", &probe_op.counters.tag_rejects);
-            pc.live_detail(id, "probe_chain_visits", &probe_op.counters.visits);
+            walk_details(pc, id, &probe_op.walker);
             pc.pend(id, Slot::Op(op_idx));
             id
         });
@@ -249,9 +282,7 @@ impl Engine {
         let budget = self.ctx.memory_budget();
         let ways = self.live_joins().min(2);
         let free = budget.map(|b| b.saturating_sub(self.ctx.used()));
-        let types = |schema: &joinstudy_storage::table::Schema| -> Vec<_> {
-            schema.fields.iter().map(|f| f.dtype).collect()
-        };
+        let types = |schema: &Schema| -> Vec<_> { schema.fields.iter().map(|f| f.dtype).collect() };
 
         // The join's level — fan-out and memory split — is fixed before any
         // child runs, so a budget below the floor fails before work is spent.
@@ -369,7 +400,7 @@ impl Engine {
         // probe tuples leave the join anyway; for anti/mark/outer variants
         // it must stay out of the way (the optimizer would pick RJ there).
         let use_bloom = with_bloom && !kind.probe_tuples_survive_unmatched();
-        let partition = |schema: &joinstudy_storage::table::Schema, keys: &[usize], phases| {
+        let partition = |schema: &Schema, keys: &[usize], phases| {
             let types: Vec<_> = schema.fields.iter().map(|f| f.dtype).collect();
             PartitionSink::new(
                 RowLayout::new(&types, false),

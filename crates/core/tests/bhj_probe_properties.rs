@@ -7,8 +7,13 @@
 //! batches of 0, 1, 1 023, 1 024 and 3 000 rows × Int64, mixed Int32/Int64
 //! and Str keys. Pairs are compared as multisets (they come out in round
 //! order); semi, anti and mark must keep the input's order.
+//!
+//! The groupjoin, which walks the same chains with another action on a
+//! match, is one more row of the grid: every build row once, with its
+//! partners' count, Int64 sum and Decimal sum.
 
-use joinstudy_core::bhj::{BhjBuildSink, BhjProbeOp, BhjState, BhjUnmatchedSource};
+use joinstudy_core::bhj::{BhjBuildSink, BhjProbeOp, BhjState, BhjUnmatchedSource, BhjWalker};
+use joinstudy_core::groupjoin::{cells_op, GroupAggFunc, GroupAggSpec, GroupJoinProbeOp};
 use joinstudy_core::ht_chain::ChainTable;
 use joinstudy_core::JoinType;
 use joinstudy_exec::batch::Batch;
@@ -80,10 +85,25 @@ fn side_batch(keys: Keys, rows: &[(i64, i64)], build: bool) -> Batch {
     Batch::new(columns)
 }
 
-/// Materialize `rows` as a build side of two arenas. `tiny` relinks every
-/// row into the 16 buckets `ChainTable::new` floors at.
-fn build_state(keys: Keys, rows: &[(i64, i64)], tiny: bool) -> Arc<BhjState> {
-    let input = side_batch(keys, rows, true);
+/// Materialize `rows` as a build side of two arenas, widened by one
+/// groupjoin cell per aggregate of `aggs`. `tiny` relinks every row into
+/// the 16 buckets `ChainTable::new` floors at.
+fn build_state(
+    keys: Keys,
+    rows: &[(i64, i64)],
+    tiny: bool,
+    aggs: &[GroupAggSpec],
+) -> Arc<BhjState> {
+    let mut input = side_batch(keys, rows, true);
+    if !aggs.is_empty() {
+        let cells = cells_op(input.num_columns(), aggs);
+        let mut widened = Vec::new();
+        let mut local = cells.create_local();
+        cells
+            .process(&mut local, input, &mut |b| widened.push(b))
+            .unwrap();
+        input = widened.pop().expect("a projection emits every batch");
+    }
     let types: Vec<DataType> = (0..input.num_columns())
         .map(|c| input.column(c).data_type())
         .collect();
@@ -133,6 +153,7 @@ fn encode(batch: &Batch, r: usize) -> Vec<i64> {
             Value::Bool(b) => i64::from(b),
             Value::Int32(v) => i64::from(v),
             Value::Int64(v) => v,
+            Value::Decimal(d) => d.0,
             Value::Str(s) => s.rsplit('-').next().unwrap().parse().unwrap(),
             other => panic!("unexpected {other:?}"),
         })
@@ -213,11 +234,11 @@ fn run(
     op.process(&mut local, input, &mut |b| out.push(b)).unwrap();
     op.flush(&mut local, &mut |b| out.push(b)).unwrap();
     let count = |c: &Arc<AtomicU64>| c.load(Ordering::Relaxed);
-    assert_eq!(count(&op.counters.rows), probe.len() as u64);
-    assert!(count(&op.counters.tag_rejects) <= probe.len() as u64);
+    assert_eq!(count(&op.walker.counters.rows), probe.len() as u64);
+    assert!(count(&op.walker.counters.tag_rejects) <= probe.len() as u64);
     if state.rows == 0 {
-        assert_eq!(count(&op.counters.tag_rejects), probe.len() as u64);
-        assert_eq!(count(&op.counters.visits), 0);
+        assert_eq!(count(&op.walker.counters.tag_rejects), probe.len() as u64);
+        assert_eq!(count(&op.walker.counters.visits), 0);
     }
 
     let mut build_out = Vec::new();
@@ -263,13 +284,13 @@ fn check(keys: Keys, build: &[(i64, i64)], tiny: bool, probe: &[(i64, i64)]) {
         seen
     };
 
-    let shared = build_state(keys, build, tiny);
+    let shared = build_state(keys, build, tiny, &[]);
     for kind in KINDS {
         for prefetch in [true, false] {
             // The build-preserving kinds leave marks in the state.
             let fresh;
             let state = if kind.preserves_build() {
-                fresh = build_state(keys, build, tiny);
+                fresh = build_state(keys, build, tiny, &[]);
                 &fresh
             } else {
                 &shared
@@ -324,6 +345,60 @@ fn check(keys: Keys, build: &[(i64, i64)], tiny: bool, probe: &[(i64, i64)]) {
                     assert_rows(&sorted(rows_of(&build_out)), &sorted(expected), &ctx);
                 }
             }
+        }
+    }
+
+    // The groupjoin: per build row its partners' count and the sums of
+    // their (unmasked) Int64 ids and of a Decimal column.
+    let dec = |r: usize| 3 * r as i64 - 1_000;
+    let mut cells = vec![[0i64; 3]; build.len()];
+    for (r, bs) in partners.iter().enumerate() {
+        for &b in bs {
+            cells[b][0] += 1;
+            cells[b][1] += r as i64;
+            cells[b][2] += dec(r);
+        }
+    }
+    let expected: Vec<_> = (0..build.len())
+        .map(|b| [encode(&build_batch, b), cells[b].to_vec()].concat())
+        .collect();
+    let mut columns = probe_batch.into_columns();
+    columns.push(ColumnData::Decimal((0..probe.len()).map(dec).collect()));
+    let input = Batch::new(columns);
+    let aggs = [
+        GroupAggSpec::count("n"),
+        GroupAggSpec::sum(GroupAggFunc::SumInt64, id_col, "ids"),
+        GroupAggSpec::sum(GroupAggFunc::SumDecimal, id_col + 1, "decs"),
+    ];
+    for prefetch in [true, false] {
+        let state = build_state(keys, build, tiny, &aggs);
+        let walker = BhjWalker::new(Arc::clone(&state), (0..id_col).collect(), prefetch);
+        let op = GroupJoinProbeOp::new(walker, &aggs);
+        let mut local = op.create_local();
+        let mut out = Vec::new();
+        op.process(&mut local, input.clone(), &mut |b| out.push(b))
+            .unwrap();
+        op.flush(&mut local, &mut |b| out.push(b)).unwrap();
+        let ctx = format!(
+            "{keys:?} groupjoin prefetch={prefetch} tiny={tiny} build={} probe={}",
+            build.len(),
+            probe.len()
+        );
+        assert!(out.is_empty(), "{ctx}: the groupjoin probe emits nothing");
+        let counters = &op.walker.counters;
+        assert_eq!(counters.rows.load(Ordering::Relaxed), probe.len() as u64);
+        let source = BhjUnmatchedSource::every_row(state);
+        for task in 0..source.task_count() {
+            source.poll_task(task, &mut |b| out.push(b)).unwrap();
+        }
+        assert_rows(&sorted(rows_of(&out)), &sorted(expected.clone()), &ctx);
+        let cell_types = [DataType::Int64, DataType::Int64, DataType::Decimal];
+        for b in &out {
+            let width = b.num_columns();
+            let types: Vec<_> = (width - 3..width)
+                .map(|c| b.column(c).data_type())
+                .collect();
+            assert_eq!(types, cell_types, "{ctx}");
         }
     }
 }

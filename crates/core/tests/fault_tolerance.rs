@@ -139,3 +139,23 @@ fn budget_high_water_tracks_peak_reservation() {
     );
     assert_eq!(engine.ctx.used(), 0);
 }
+
+/// The groupjoin's build is not charged against the budget (it has no
+/// cheaper rung to fall back to): Q13 at SF 0.05 — 7 500 customers, 32 B
+/// rows and an 8 192-bucket table, more than 256 KiB if it were charged —
+/// returns the unbudgeted rows under 256 KiB.
+#[test]
+fn groupjoin_build_is_not_charged() {
+    let data = joinstudy_tpch::generate(0.05, 20260706);
+    let q13 = joinstudy_tpch::query(13);
+    let cfg = joinstudy_tpch::queries::QueryConfig::new(JoinAlgo::Bhj);
+    let expected = (q13.run)(&data, &cfg, &Engine::new(2));
+    let engine = Engine::new(2);
+    engine.ctx.set_memory_budget(Some(256 << 10));
+    let got = (q13.run)(&data, &cfg, &engine);
+    assert_eq!(got.num_rows(), expected.num_rows());
+    for r in 0..got.num_rows() {
+        assert_eq!(got.row(r), expected.row(r), "row {r}");
+    }
+    assert_eq!(engine.ctx.used(), 0);
+}

@@ -3,8 +3,10 @@
 //! with a *groupjoin* (footnote 6) rather than a swappable hash join — so
 //! we implement exactly that: customer ⟕ᵍ orders with a per-customer match
 //! count (empty groups = customers without orders), then the distribution
-//! aggregate on top. The groupjoin has one fixed implementation; the
-//! `QueryConfig` algorithm selection deliberately has no effect here.
+//! aggregate on top. The groupjoin has one fixed implementation — the BHJ's
+//! build sink and staged chain walk, with a count cell in every customer
+//! row — so the `QueryConfig` algorithm selection deliberately has no
+//! effect here, and the customer table is not charged to a memory budget.
 
 use super::*;
 use joinstudy_core::groupjoin::GroupAggSpec;
