@@ -1,6 +1,11 @@
-//! Dynamic hybrid hash join (HHJ): the radix join plus eviction — the
-//! out-of-core join, correct under any memory budget that holds its minimum
-//! working set ([`min_working_set`]), and naming that floor when one does not.
+//! The partitioned joins' pipeline pair: [`HybridJoin`] partitions both
+//! inputs of a radix join (RJ), a Bloom-filtered radix join (BRJ) or a
+//! dynamic hybrid hash join (HHJ), and [`HybridJoinSource`] joins them. The
+//! HHJ is the RJ compiled with an eviction, and only the HHJ — the last rung
+//! of the degradation ladder — evicts: it is the out-of-core join, correct
+//! under any memory budget that holds its minimum working set
+//! ([`min_working_set`]), and naming that floor when one does not. The RJ's
+//! and BRJ's sinks lease what they hold and fail when the budget refuses.
 //!
 //! There is one partitioner, [`crate::radix::PartitionSink`]. This module
 //! gives it what it needs to evict and joins what it evicted:
@@ -19,12 +24,13 @@
 //!   still does not. A pair only the probe side closed has its probe run
 //!   joined, chunk by chunk, against the build rows that stayed resident. A
 //!   pair that stops shrinking (degenerate keys) or exhausts
-//!   [`SpillConfig::max_depth`] goes to a streaming block nested-loop join
+//!   [`MAX_RELOAD_DEPTH`] goes to a streaming block nested-loop join
 //!   that processes the build side in share-sized chunks. All seven
 //!   [`JoinType`]s are preserved through every level.
 
 use crate::bhj::{BhjBuildSink, BhjProbeOp, BhjState, BhjUnmatchedSource};
-use crate::join_common::{default_column, JoinType};
+use crate::bloom::BlockedBloom;
+use crate::join_common::{default_column, JoinStats, JoinType};
 use crate::radix::{
     ClosedSet, Eviction, PartitionSink, PartitionedSide, PhaseSet, RadixConfig, FIRST_PAGE_BYTES,
 };
@@ -44,29 +50,17 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Tuning knobs of the hybrid hash join.
-#[derive(Debug, Clone, Copy)]
-pub struct SpillConfig {
-    /// Cap on the log2 pass-1 fan-out under a memory budget, beside
-    /// [`RadixConfig::bits_pass1`]; a small budget lowers it further
-    /// ([`Level`]). Pass-1 pre-partitions are the spill unit, and every one
-    /// that is closed costs a file per side: on the yardstick's `tpch`
-    /// workload 64 of them ran 1.0–2.0 s a pass on ext4 where 16 run
-    /// 0.75–0.85 s, with nothing lost on the large joins of `micro_*`.
-    pub fanout_bits: u32,
-    /// Maximum reload depth; beyond it a closed pair degrades to the
-    /// streaming nested-loop fallback.
-    pub max_depth: u32,
-}
+/// Cap on the log2 pass-1 fan-out of a join that may evict under a memory
+/// budget, beside [`RadixConfig::bits_pass1`]; a small budget lowers it
+/// further ([`Level`]). Pass-1 pre-partitions are the spill unit, and every
+/// one that is closed costs a file per side: on the yardstick's `tpch`
+/// workload 64 of them ran 1.0–2.0 s a pass on ext4 where 16 run
+/// 0.75–0.85 s, with nothing lost on the large joins of `micro_*`.
+const SPILL_FANOUT_BITS: u32 = 4;
 
-impl Default for SpillConfig {
-    fn default() -> SpillConfig {
-        SpillConfig {
-            fanout_bits: 4,
-            max_depth: 4,
-        }
-    }
-}
+/// Deepest reload level; beyond it a closed pair degrades to the streaming
+/// nested-loop fallback.
+const MAX_RELOAD_DEPTH: u32 = 4;
 
 /// Smallest write buffer a spill run is opened with.
 const MIN_WRITE_BUF: usize = 1024;
@@ -105,12 +99,13 @@ pub struct Level {
 }
 
 /// Widest pass-1 fan-out of at most `max_bits` whose minimum working set
-/// fits half of `share` (the other half is for rows).
+/// fits half of `share` (the other half is for rows). A level with a share
+/// may spill, so its fan-out is also capped at [`SPILL_FANOUT_BITS`].
 fn fit_bits(share: Option<usize>, workers: usize, max_bits: u32) -> Option<u32> {
     let Some(share) = share else {
         return Some(max_bits);
     };
-    (1..=max_bits)
+    (1..=max_bits.clamp(1, SPILL_FANOUT_BITS))
         .rev()
         .find(|&bits| 2 * min_working_set(1 << bits, workers) <= share)
 }
@@ -222,6 +217,10 @@ struct ClosedPair {
     stuck: bool,
 }
 
+/// What a finished sink leaves: its resident side, and one slot per
+/// pre-partition for the run of what was closed.
+pub type Finished = (PartitionedSide, Vec<Option<SpillFile>>);
+
 /// Both sides of one level, partitioned: the open pre-partitions as a radix
 /// join, the closed ones as run pairs.
 pub struct Partitioned {
@@ -274,6 +273,12 @@ impl Partitioned {
         self.resident_probe().total_rows() as u64 + self.sum(|p| p.probe.rows())
     }
 
+    /// Count the resident join's probe matches into `stats`.
+    pub fn with_stats(mut self, stats: Arc<JoinStats>) -> Partitioned {
+        self.resident = self.resident.with_stats(stats);
+        self
+    }
+
     /// Run one resident-join task unless its pre-partition is closed.
     fn poll_resident(&self, task: usize, out: Emit) -> ExecResult {
         if self.closed[task >> self.resident_build().bits2()] {
@@ -283,12 +288,13 @@ impl Partitioned {
     }
 }
 
-/// Everything the levels of one hybrid join share.
+/// Everything the levels of one partitioned join share.
 pub struct HybridJoin {
     pub ctx: Arc<QueryContext>,
-    pub dir: Arc<SpillDir>,
+    /// Where the runs of closed partitions go; `None` unless this join
+    /// evicts ([`HybridJoin::open_spill_dir`]).
+    pub dir: Option<Arc<SpillDir>>,
     pub radix: RadixConfig,
-    pub cfg: SpillConfig,
     pub build_types: Vec<DataType>,
     pub probe_types: Vec<DataType>,
     pub build_keys: Vec<usize>,
@@ -302,21 +308,20 @@ pub struct HybridJoin {
 }
 
 impl HybridJoin {
-    /// Widest pass-1 fan-out any level of this join uses: the radix
-    /// join's own, capped where partitions can spill.
-    fn max_bits(&self) -> u32 {
-        match self.ctx.memory_budget() {
-            Some(_) => self.radix.bits_pass1.min(self.cfg.fanout_bits).max(1),
-            None => self.radix.bits_pass1,
-        }
+    /// Let this join evict: the partitions its sinks close go to runs in a
+    /// fresh spill directory. Only the ladder's last rung, the HHJ, does.
+    pub fn open_spill_dir(&mut self) -> ExecResult {
+        self.dir = Some(SpillDir::create(self.ctx.spill_dir())?);
+        Ok(())
     }
 
     /// The level of the join's own inputs on `workers` workers under
-    /// `share` bytes: the fan-out *shrinks to fit* the share. `Err` carries
-    /// the smallest share that would do, when even two partitions do not.
+    /// `share` bytes (`None` for a join that does not evict): the fan-out
+    /// *shrinks to fit* the share. `Err` carries the smallest share that
+    /// would do, when even two partitions do not.
     pub fn top_level(&self, share: Option<usize>, workers: usize) -> Result<Level, usize> {
-        let bits1 =
-            fit_bits(share, workers, self.max_bits()).ok_or(2 * min_working_set(2, workers))?;
+        let bits1 = fit_bits(share, workers, self.radix.bits_pass1)
+            .ok_or(2 * min_working_set(2, workers))?;
         Ok(Level {
             share,
             workers,
@@ -342,25 +347,29 @@ impl HybridJoin {
             .with_shift(level.shift)
     }
 
-    /// The evicting sink of one side at `level`: the build side's, or
-    /// (`build` given) the probe side's beside that resident build side.
+    /// The sink of one side at `level`: the build side's, or (`build`
+    /// given) the probe side's beside that resident build side. It evicts
+    /// when this join does.
     pub fn sink(
         &self,
         level: &Level,
         closed: &Arc<ClosedSet>,
         build: Option<&PartitionedSide>,
     ) -> PartitionSink {
+        let sink = self.plain_sink(level, build.is_none());
+        let Some(dir) = &self.dir else {
+            return sink;
+        };
         let side = if build.is_some() { "probe" } else { "build" };
         let held = build.map_or(0, |b| b.total_rows() * b.layout().stride());
-        self.plain_sink(level, build.is_none())
-            .with_eviction(Eviction {
-                closed: Arc::clone(closed),
-                dir: Arc::clone(&self.dir),
-                tag: format!("{side}-{}", self.seq.fetch_add(1, Ordering::Relaxed)),
-                worker_cap: level.worker_cap(held),
-                write_buf: level.write_buf(),
-                victim: largest_resident,
-            })
+        sink.with_eviction(Eviction {
+            closed: Arc::clone(closed),
+            dir: Arc::clone(dir),
+            tag: format!("{side}-{}", self.seq.fetch_add(1, Ordering::Relaxed)),
+            worker_cap: level.worker_cap(held),
+            write_buf: level.write_buf(),
+            victim: largest_resident,
+        })
     }
 
     /// The radix join of two sides partitioned alike.
@@ -374,15 +383,16 @@ impl HybridJoin {
         )
     }
 
-    /// Run pass 2 of a sink whose input is complete and seal its runs: the
-    /// resident side, and one slot per pre-partition for what was closed.
+    /// Run pass 2 of a sink whose input is complete, building the Bloom
+    /// filter in it when asked to (the BRJ's build side), and seal its runs.
     pub fn finish(
         sink: &PartitionSink,
         threads: usize,
         bits2: Option<u32>,
-    ) -> ExecResult<(PartitionedSide, Vec<Option<SpillFile>>)> {
-        let (side, _) = sink.finalize(threads, bits2, false)?;
-        Ok((side, sink.take_runs()?))
+        bloom: bool,
+    ) -> ExecResult<(Finished, Option<BlockedBloom>)> {
+        let (side, filter) = sink.finalize(threads, bits2, bloom)?;
+        Ok(((side, sink.take_runs()?), filter))
     }
 
     /// Pair up what two finalized sinks of one level left: the resident
@@ -396,13 +406,13 @@ impl HybridJoin {
         &self,
         level: &Level,
         closed: &ClosedSet,
-        build: (PartitionedSide, Vec<Option<SpillFile>>),
-        probe: (PartitionedSide, Vec<Option<SpillFile>>),
+        build: Finished,
+        probe: Finished,
     ) -> ExecResult<Partitioned> {
         let (bside, mut bruns) = build;
         let (pside, mut pruns) = probe;
         let bytes = |side: &PartitionedSide| side.total_rows() * side.layout().stride();
-        let child = level.child(self.max_bits(), bytes(&bside) + bytes(&pside));
+        let child = level.child(self.radix.bits_pass1, bytes(&bside) + bytes(&pside));
         let mut build_rows = bside.total_rows() as u64;
         let mut is_closed = vec![false; level.fanout()];
         let mut pairs = Vec::new();
@@ -417,9 +427,12 @@ impl HybridJoin {
             } else if self.kind.preserves_build()
                 && probe.rows() as usize * pside.layout().stride() > child.chunk_bytes()
             {
+                let dir = self
+                    .dir
+                    .as_ref()
+                    .expect("only an evicting join closes partitions");
                 let name = format!("demoted-{}-p{p}", self.seq.fetch_add(1, Ordering::Relaxed));
-                let mut run =
-                    SpillWriter::create_sized(&self.dir, &name, &self.ctx, level.write_buf())?;
+                let mut run = SpillWriter::create_sized(dir, &name, &self.ctx, level.write_buf())?;
                 bside.spill_prepartition(p, &mut run)?;
                 Some(Run(Some(run.finish()?)))
             } else {
@@ -525,7 +538,7 @@ impl HybridJoin {
         out: Emit,
     ) -> ExecResult {
         let can_split = !stuck
-            && level.depth <= self.cfg.max_depth
+            && level.depth <= MAX_RELOAD_DEPTH
             && level.shift + level.bits1 + self.radix.max_bits_pass2 <= 64;
         if !can_split {
             return self.block_nested_loop(build, probe, &level, out);
@@ -541,7 +554,7 @@ impl HybridJoin {
             sink.finish_local(local)?;
             drop(stream);
             run.discard();
-            HybridJoin::finish(&sink, 1, bits2)
+            Ok(HybridJoin::finish(&sink, 1, bits2, false)?.0)
         };
         let build = partition(build, None, None)?;
         let probe = partition(probe, Some(&build.0), Some(build.0.bits2()))?;
@@ -569,7 +582,7 @@ impl HybridJoin {
             self.reload(&parts, pair, parts.child, out)?;
         }
         drop(parts);
-        let child = level.child(self.max_bits(), 0);
+        let child = level.child(self.radix.bits_pass1, 0);
         for pair in on_disk {
             let build = pair.build.expect("partitioned on it");
             self.ctx.check()?;
@@ -814,9 +827,9 @@ impl HybridJoin {
     }
 }
 
-/// Source of the hybrid join's output pipeline: the resident radix join's
-/// tasks (parallel, per-worker reused tables), then one reload task per
-/// closed pair — all claimed dynamically, all running concurrently.
+/// Source of a partitioned join's output pipeline: the resident radix
+/// join's tasks (parallel, per-worker reused tables), then one reload task
+/// per closed pair — all claimed dynamically, all running concurrently.
 pub struct HybridJoinSource {
     join: Arc<HybridJoin>,
     parts: Partitioned,

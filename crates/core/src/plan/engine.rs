@@ -6,7 +6,6 @@ use super::details::{hw_details, walk_details};
 use super::Plan;
 use crate::bhj::{BhjUnmatchedSource, BhjWalker};
 use crate::groupjoin::GroupJoinProbeOp;
-use crate::hybrid::SpillConfig;
 use crate::qprof::{ProfCtx, Slot};
 use crate::radix::RadixConfig;
 use joinstudy_exec::context::QueryContext;
@@ -49,9 +48,6 @@ pub struct Engine {
     pub adaptive_bloom: bool,
     /// Software prefetching in the BHJ probe (ablation switch).
     pub bhj_prefetch: bool,
-    /// Spill configuration for [`JoinAlgo::Hybrid`] join nodes (fan-out
-    /// cap, reload depth cap).
-    pub spill: SpillConfig,
     /// Shared cancellation / deadline / memory-budget context. Cloning the
     /// engine shares the context (same session semantics).
     pub ctx: Arc<QueryContext>,
@@ -95,7 +91,6 @@ impl Engine {
             radix: RadixConfig::default(),
             adaptive_bloom: false,
             bhj_prefetch: true,
-            spill: SpillConfig::default(),
             ctx,
             profile: Arc::new(Mutex::new(None)),
             pipelines: Arc::new(Mutex::new(Vec::new())),

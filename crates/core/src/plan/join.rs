@@ -2,10 +2,11 @@
 //!
 //! [`Engine::compile_join`] is the only place a [`JoinAlgo`] is dispatched
 //! on, and the only place a join that cannot run as compiled is recompiled
-//! as something cheaper. The three builders below it — [`Engine::bhj`],
-//! [`Engine::radix`], [`Engine::hybrid`] — each turn a [`JoinNode`] into the
-//! pipelines of one algorithm and know nothing about fallback: they return
-//! the error and the ladder decides. The BHJ's build half,
+//! as something cheaper. The two builders below it — [`Engine::bhj`] for
+//! the non-partitioned join, [`Engine::radix`] for the partitioned ones (the
+//! RJ, the BRJ, and the HHJ, which is the RJ compiled with an eviction) —
+//! turn a [`JoinNode`] into pipelines and know nothing about fallback: they
+//! return the error and the ladder decides. The BHJ's build half,
 //! [`Engine::build_table`], is also the groupjoin's.
 
 use super::details::{adaptive_details, hw_details, partition_details, walk_details};
@@ -17,10 +18,8 @@ use crate::groupjoin::{self, GroupAggSpec};
 use crate::hybrid::{HybridJoin, HybridJoinSource};
 use crate::join_common::JoinStats;
 use crate::qprof::{ProfCtx, Slot};
-use crate::radix::{ClosedSet, PartitionSink, PartitionedSide, PhaseSet};
-use crate::rj::{BloomProbeOp, RadixJoinSource};
-use crate::row::RowLayout;
-use crate::spill::SpillDir;
+use crate::radix::{ClosedSet, PartitionedSide};
+use crate::rj::BloomProbeOp;
 use joinstudy_exec::context::algo_bits;
 use joinstudy_exec::error::{ExecError, ExecResult};
 use joinstudy_exec::metrics::{self, MemPhase};
@@ -85,10 +84,9 @@ impl Engine {
                     continue;
                 }
                 JoinAlgo::Bhj => self.bhj(node, prof.as_deref_mut()),
-                JoinAlgo::Rj | JoinAlgo::Brj => {
+                JoinAlgo::Rj | JoinAlgo::Brj | JoinAlgo::Hybrid => {
                     self.radix(node, algo, decision.as_ref(), prof.as_deref_mut())
                 }
-                JoinAlgo::Hybrid => self.hybrid(node, prof.as_deref_mut()),
             };
             let err = match attempt {
                 Ok(compiled) => break compiled,
@@ -264,123 +262,25 @@ impl Engine {
         Ok((StreamSpec::new(source, out_schema), id))
     }
 
-    /// The out-of-core dynamic hybrid hash join — the radix join with
-    /// eviction: both sides go through the radix [`PartitionSink`] of
-    /// [`HybridJoin::sink`], which closes pre-partitions to spill runs when
-    /// this join's share of the budget runs out, then [`HybridJoinSource`]
-    /// joins the resident pairs as the RJ does and reloads the closed ones.
-    /// Without a budget nothing is ever closed and this *is* the RJ.
+    /// The partitioned joins, one rung each: the radix join (`algo` = RJ),
+    /// its Bloom-filtered variant (BRJ), and the out-of-core dynamic hybrid
+    /// hash join (HHJ), which is the RJ compiled with an eviction. Both
+    /// sides are full pipeline breakers (Algorithm 1) into the sinks of one
+    /// [`HybridJoin`], and its [`HybridJoinSource`] — the partition-wise
+    /// join, then whatever the HHJ closed, reloaded — starts the next
+    /// pipeline. The rung decides three things:
     ///
-    /// [`PartitionSink`]: crate::radix::PartitionSink
-    fn hybrid(&self, node: &JoinNode<'_>, mut prof: Option<&mut ProfCtx>) -> ExecResult<Compiled> {
-        self.ctx.note_join_algo(algo_bits::HHJ);
-        // This join's share of the budget: all that is free when it is the
-        // plan's only join, else half. Joins hold memory pairwise — a join
-        // phase streams into its parent's sink, while joins further up hold
-        // at most a resident build side, which `used` already counts — so
-        // the other half is the neighbour's.
-        let budget = self.ctx.memory_budget();
-        let ways = self.live_joins().min(2);
-        let free = budget.map(|b| b.saturating_sub(self.ctx.used()));
-        let types = |schema: &Schema| -> Vec<_> { schema.fields.iter().map(|f| f.dtype).collect() };
-
-        // The join's level — fan-out and memory split — is fixed before any
-        // child runs, so a budget below the floor fails before work is spent.
-        let (build_schema, probe_schema) = (node.build.schema(), node.probe.schema());
-        let out_schema = node.kind.output_schema(&build_schema, &probe_schema);
-        let join = Arc::new(HybridJoin {
-            ctx: Arc::clone(&self.ctx),
-            dir: SpillDir::create(self.ctx.spill_dir())?,
-            radix: self.radix,
-            cfg: self.spill,
-            build_types: types(&build_schema),
-            probe_types: types(&probe_schema),
-            build_keys: node.build_keys.to_vec(),
-            probe_keys: node.probe_keys.to_vec(),
-            kind: node.kind,
-            prefetch: self.bhj_prefetch,
-            seq: Default::default(),
-            reload_depth: Default::default(),
-        });
-        let level = join
-            .top_level(free.map(|f| f / ways), self.threads)
-            .map_err(|floor| ExecError::BudgetExceeded {
-                requested: floor * ways,
-                in_use: self.ctx.used(),
-                budget: budget.unwrap_or(usize::MAX),
-                phase: "hybrid join floor",
-            })?;
-
-        // Pipeline 1: partition (and evict from) the build side.
-        let (build_spec, bchild) = self.stream(node.build, prof.as_deref_mut())?;
-        let closed = ClosedSet::new(level.fanout());
-        let build_sink = join.sink(&level, &closed, None);
-        metrics::mark_phase(MemPhase::Build);
-        let label = PipelineLabel::new("HHJ partition build", WaitState::CpuPartition);
-        let build_stats = self.run_breaker(label, &build_spec, &build_sink, prof.as_deref_mut())?;
-        // The build side's own joins are done: what they held goes now.
-        drop(build_spec);
-        let build = HybridJoin::finish(&build_sink, self.threads, None)?;
-
-        // Pipeline 2: the probe side, starting from the build side's closed
-        // set.
-        let (probe_spec, pchild) = self.stream(node.probe, prof.as_deref_mut())?;
-        let probe_sink = join.sink(&level, &closed, Some(&build.0));
-        metrics::mark_phase(MemPhase::PartitionPass1);
-        let label = PipelineLabel::new("HHJ partition probe", WaitState::CpuPartition);
-        let probe_stats = self.run_breaker(label, &probe_spec, &probe_sink, prof.as_deref_mut())?;
-        drop(probe_spec);
-        let probe = HybridJoin::finish(&probe_sink, self.threads, Some(build.0.bits2()))?;
-        let evictions = build_sink.evictions() + probe_sink.evictions();
-        let parts = join.pair_up(&level, &closed, build, probe)?;
-
-        let (build, probe) = (parts.resident_build(), parts.resident_probe());
-        joinlog::record(joinlog::JoinSizes {
-            algo: JoinAlgo::Hybrid.name(),
-            build_rows: parts.build_rows() as usize,
-            build_bytes: parts.build_rows() as usize * build.layout().stride(),
-            probe_rows: parts.probe_rows() as usize,
-            probe_bytes: parts.probe_rows() as usize * probe.layout().stride(),
-            stats: None,
-        });
-
-        let id = prof.map(|pc| {
-            let label = node.label(JoinAlgo::Hybrid.name());
-            let id = pc.node(label, bchild.into_iter().chain(pchild).collect());
-            pc.bind(id, &build_stats, Slot::Sink);
-            hw_details(pc, id, "hw_build_", &build_stats);
-            pc.bind(id, &probe_stats, Slot::Sink);
-            hw_details(pc, id, "hw_probe_", &probe_stats);
-            pc.detail(id, "build_rows", parts.build_rows());
-            pc.detail(id, "probe_rows", parts.probe_rows());
-            pc.detail(id, "bits1", level.bits1());
-            pc.detail(id, "bits2", build.bits2());
-            pc.detail(id, "spill_fanout", level.fanout());
-            pc.detail(id, "resident_partitions", parts.resident_partitions());
-            pc.detail(id, "evictions", evictions);
-            pc.detail(id, "spill_partitions", parts.spilled_runs());
-            pc.detail(id, "spill_bytes", parts.spilled_bytes());
-            pc.live_detail(id, "reload_depth", &join.reload_depth);
-            partition_details(pc, id, "resident_build", build);
-            partition_details(pc, id, "resident_probe", probe);
-            pc.pend(id, Slot::Source);
-            id
-        });
-
-        metrics::mark_phase(MemPhase::Join);
-        let source = Arc::new(HybridJoinSource::new(join, parts));
-        Ok((StreamSpec::new(source, out_schema), id))
-    }
-
-    /// The radix join (`algo` = RJ) or its Bloom-filtered variant (BRJ):
-    /// both sides are full pipeline breakers (Algorithm 1), and the
-    /// partition-wise join starts the next pipeline.
-    ///
-    /// When the algorithm was picked *adaptively* (`adaptive` carries the
-    /// plan-time [`Decision`]), its row estimates ride on the partitioning
-    /// pipelines' labels, and the build side's measured histogram is held
-    /// against the estimate before the probe side is touched
-    /// ([`Engine::check_regime`]).
+    /// * The HHJ's sinks evict: when its share of the budget runs out they
+    ///   close pre-partitions to spill runs, at a pass-1 fan-out fitted to
+    ///   that share and capped. The RJ's and BRJ's lease what they hold at
+    ///   the full fan-out, and fail when the budget refuses.
+    /// * The BRJ's build side builds the Bloom filter its probe pipeline
+    ///   drops tuples with.
+    /// * An RJ/BRJ picked *adaptively* (`adaptive` carries the plan-time
+    ///   [`Decision`]) has its row estimates ride on the partitioning
+    ///   pipelines' labels, and the build side's measured histogram held
+    ///   against the estimate before the probe side is touched
+    ///   ([`Engine::check_regime`]).
     fn radix(
         &self,
         node: &JoinNode<'_>,
@@ -390,30 +290,62 @@ impl Engine {
     ) -> ExecResult<Compiled> {
         let kind = node.kind;
         let tag = algo.name();
-        let with_bloom = algo == JoinAlgo::Brj;
-        self.ctx.note_join_algo(if with_bloom {
-            algo_bits::BRJ
-        } else {
-            algo_bits::RJ
+        let evicting = algo == JoinAlgo::Hybrid;
+        let adaptive = adaptive.filter(|_| !evicting);
+        self.ctx.note_join_algo(match algo {
+            JoinAlgo::Brj => algo_bits::BRJ,
+            JoinAlgo::Hybrid => algo_bits::HHJ,
+            _ => algo_bits::RJ,
         });
         // The Bloom reducer may only *drop* probe tuples when unmatched
         // probe tuples leave the join anyway; for anti/mark/outer variants
         // it must stay out of the way (the optimizer would pick RJ there).
-        let use_bloom = with_bloom && !kind.probe_tuples_survive_unmatched();
-        let partition = |schema: &Schema, keys: &[usize], phases| {
-            let types: Vec<_> = schema.fields.iter().map(|f| f.dtype).collect();
-            PartitionSink::new(
-                RowLayout::new(&types, false),
-                keys.to_vec(),
-                self.radix,
-                phases,
-            )
-            .with_context(Arc::clone(&self.ctx))
+        let use_bloom = algo == JoinAlgo::Brj && !kind.probe_tuples_survive_unmatched();
+        // The HHJ's share of the budget: all that is free when it is the
+        // plan's only join, else half. Joins hold memory pairwise — a join
+        // phase streams into its parent's sink, while joins further up hold
+        // at most a resident build side, which `used` already counts — so
+        // the other half is the neighbour's.
+        let budget = self.ctx.memory_budget();
+        let ways = self.live_joins().min(2);
+        let share = budget
+            .filter(|_| evicting)
+            .map(|b| b.saturating_sub(self.ctx.used()) / ways);
+        let types = |schema: &Schema| -> Vec<_> { schema.fields.iter().map(|f| f.dtype).collect() };
+
+        // The join's level — fan-out and memory split — is fixed before any
+        // child runs, so a budget below the floor fails before work is spent.
+        let (build_schema, probe_schema) = (node.build.schema(), node.probe.schema());
+        let out_schema = kind.output_schema(&build_schema, &probe_schema);
+        let mut join = HybridJoin {
+            ctx: Arc::clone(&self.ctx),
+            dir: None,
+            radix: self.radix,
+            build_types: types(&build_schema),
+            probe_types: types(&probe_schema),
+            build_keys: node.build_keys.to_vec(),
+            probe_keys: node.probe_keys.to_vec(),
+            kind,
+            prefetch: self.bhj_prefetch,
+            seq: Default::default(),
+            reload_depth: Default::default(),
         };
+        if evicting {
+            join.open_spill_dir()?;
+        }
+        let level =
+            join.top_level(share, self.threads)
+                .map_err(|floor| ExecError::BudgetExceeded {
+                    requested: floor * ways,
+                    in_use: self.ctx.used(),
+                    budget: budget.unwrap_or(usize::MAX),
+                    phase: "hybrid join floor",
+                })?;
+        let closed = ClosedSet::new(level.fanout());
 
         // Pipeline 1: build side → radix partitions (full breaker).
         let (build_spec, bchild) = self.stream(node.build, prof.as_deref_mut())?;
-        let build_sink = partition(&build_spec.schema, node.build_keys, PhaseSet::build());
+        let build_sink = join.sink(&level, &closed, None);
         metrics::mark_phase(MemPhase::Build);
         // The cost model's cardinality estimate rides along so
         // `jsys.query_progress` can report an est-vs-actual fraction.
@@ -423,14 +355,16 @@ impl Engine {
             est_rows: adaptive.map_or(0, |d| d.estimate.build_rows as u64),
         };
         let build_stats = self.run_breaker(label, &build_spec, &build_sink, prof.as_deref_mut())?;
-        let (build_side, bloom) = build_sink.finalize(self.threads, None, use_bloom)?;
+        // The build side's own joins are done: what they held goes now.
+        drop(build_spec);
+        let (build, bloom) = HybridJoin::finish(&build_sink, self.threads, None, use_bloom)?;
         if let Some(decision) = adaptive {
-            self.check_regime(decision, &build_side)?;
+            self.check_regime(decision, &build.0)?;
         }
-        let bits2 = build_side.bits2();
-        let build_side = Arc::new(build_side);
+        let bits2 = build.0.bits2();
 
-        // Pipeline 2: probe side (+ Bloom reducer) → radix partitions.
+        // Pipeline 2: probe side (+ Bloom reducer) → radix partitions,
+        // starting from the build side's closed set.
         let (mut probe_spec, pchild) = self.stream(node.probe, prof.as_deref_mut())?;
         let mut bloom_op: Option<(usize, Arc<BloomProbeOp>, usize)> = None;
         if let Some(bloom) = bloom {
@@ -439,14 +373,14 @@ impl Engine {
             let op = Arc::new(BloomProbeOp::new(
                 Arc::new(bloom),
                 node.probe_keys.to_vec(),
-                build_side.bits1(),
+                build.0.bits1(),
                 bits2,
                 self.adaptive_bloom,
             ));
             bloom_op = Some((probe_spec.ops.len(), Arc::clone(&op), bloom_bytes));
             probe_spec = probe_spec.push_op(op, schema);
         }
-        let probe_sink = partition(&probe_spec.schema, node.probe_keys, PhaseSet::probe());
+        let probe_sink = join.sink(&level, &closed, Some(&build.0));
         metrics::mark_phase(MemPhase::PartitionPass1);
         let bloom_suffix = if bloom_op.is_some() {
             " + bloom probe"
@@ -459,30 +393,61 @@ impl Engine {
             est_rows: adaptive.map_or(0, |d| d.estimate.probe_rows as u64),
         };
         let probe_stats = self.run_breaker(label, &probe_spec, &probe_sink, prof.as_deref_mut())?;
-        let (probe_side, _) = probe_sink.finalize(self.threads, Some(bits2), false)?;
+        drop(probe_spec);
+        let (probe, _) = HybridJoin::finish(&probe_sink, self.threads, Some(bits2), false)?;
+        let evictions = build_sink.evictions() + probe_sink.evictions();
         let stats = Arc::new(JoinStats::default());
+        let parts = join
+            .pair_up(&level, &closed, build, probe)?
+            .with_stats(Arc::clone(&stats));
+
+        let (build, probe) = (parts.resident_build(), parts.resident_probe());
+        // The RJ's sides count with their strings, the HHJ's rows — resident
+        // and spilled — at their stride. Match statistics cover the resident
+        // pairs only: all of the RJ's.
+        let bytes = |rows: u64, side: &PartitionedSide| {
+            if evicting {
+                rows as usize * side.layout().stride()
+            } else {
+                side.byte_size()
+            }
+        };
         joinlog::record(joinlog::JoinSizes {
             algo: tag,
-            build_rows: build_side.total_rows(),
-            build_bytes: build_side.byte_size(),
-            probe_rows: probe_side.total_rows(),
-            probe_bytes: probe_side.byte_size(),
-            stats: Some(Arc::clone(&stats)),
+            build_rows: parts.build_rows() as usize,
+            build_bytes: bytes(parts.build_rows(), build),
+            probe_rows: parts.probe_rows() as usize,
+            probe_bytes: bytes(parts.probe_rows(), probe),
+            stats: (!evicting).then_some(stats),
         });
 
         // Pipeline 3 starts here: the partition-wise join.
         metrics::mark_phase(MemPhase::Join);
-        let out_schema = kind.output_schema(&build_spec.schema, &probe_spec.schema);
         let id = prof.map(|pc| {
             let id = pc.node(node.label(tag), bchild.into_iter().chain(pchild).collect());
             pc.bind(id, &build_stats, Slot::Sink);
             hw_details(pc, id, "hw_build_", &build_stats);
             pc.bind(id, &probe_stats, Slot::Sink);
             hw_details(pc, id, "hw_probe_", &probe_stats);
-            pc.detail(id, "bits1", build_side.bits1());
+            if evicting {
+                pc.detail(id, "build_rows", parts.build_rows());
+                pc.detail(id, "probe_rows", parts.probe_rows());
+            }
+            pc.detail(id, "bits1", level.bits1());
             pc.detail(id, "bits2", bits2);
-            partition_details(pc, id, "build", &build_side);
-            partition_details(pc, id, "probe", &probe_side);
+            let sides = if evicting {
+                pc.detail(id, "spill_fanout", level.fanout());
+                pc.detail(id, "resident_partitions", parts.resident_partitions());
+                pc.detail(id, "evictions", evictions);
+                pc.detail(id, "spill_partitions", parts.spilled_runs());
+                pc.detail(id, "spill_bytes", parts.spilled_bytes());
+                pc.live_detail(id, "reload_depth", &join.reload_depth);
+                ["resident_build", "resident_probe"]
+            } else {
+                ["build", "probe"]
+            };
+            partition_details(pc, id, sides[0], build);
+            partition_details(pc, id, sides[1], probe);
             if let Some((idx, op, bytes)) = &bloom_op {
                 pc.detail(id, "bloom_bytes", *bytes);
                 let probed = probe_stats.ops[*idx].rows_in();
@@ -499,16 +464,7 @@ impl Engine {
             pc.pend(id, Slot::Source);
             id
         });
-        let source = Arc::new(
-            RadixJoinSource::new(
-                build_side,
-                Arc::new(probe_side),
-                node.build_keys.to_vec(),
-                node.probe_keys.to_vec(),
-                kind,
-            )
-            .with_stats(stats),
-        );
+        let source = Arc::new(HybridJoinSource::new(Arc::new(join), parts));
         Ok((StreamSpec::new(source, out_schema), id))
     }
 

@@ -55,13 +55,14 @@ pub enum JoinAlgo {
     /// partitioned join falls back to the BHJ at runtime when the first
     /// radix pass contradicts the estimate.
     Adaptive,
-    /// Out-of-core dynamic hybrid hash join ([`crate::hybrid`]): the radix
-    /// join with eviction — keeps as many pass-1 partitions memory-resident
-    /// as its share of the budget allows, spills the rest
+    /// Out-of-core dynamic hybrid hash join ([`crate::hybrid`]): the RJ
+    /// compiled with an eviction — keeps as many pass-1 partitions
+    /// memory-resident as its share of the budget allows, spills the rest
     /// ([`crate::spill`]), and reloads spilled pairs on the next hash-bit
     /// window. Without a budget it is the RJ; under one it is correct down
-    /// to its minimum working set, and the fallback of last resort for
-    /// [`JoinAlgo::Adaptive`].
+    /// to its minimum working set. It is the last rung of the degradation
+    /// ladder — the only one that evicts — and so the fallback of last
+    /// resort for every other algorithm.
     Hybrid,
 }
 

@@ -136,6 +136,10 @@ impl Page {
     }
 
     fn bytes(&self) -> &[u8] {
+        // SAFETY: `len <= capacity()`, the byte size of `words`: `len` only
+        // grows in `PageList::append`/`alloc_row`, by at most the room
+        // `current_page` guaranteed. The words are initialized (zeroed at
+        // allocation), and `u8` has no alignment to meet.
         unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<u8>(), self.len) }
     }
 }
@@ -211,6 +215,9 @@ impl PageList {
         }
         let page = self.current_page(bytes.len());
         let off = page.len;
+        // SAFETY: `current_page` returned a page with at least
+        // `bytes.len()` bytes free past `off`, so the slice lies inside
+        // `words`, which the `&mut` page borrow keeps from any other alias.
         let dst = unsafe {
             std::slice::from_raw_parts_mut(
                 page.words.as_mut_ptr().cast::<u8>().add(off),
@@ -233,6 +240,9 @@ impl PageList {
         let page = self.current_page(stride);
         let off = page.len;
         page.len += stride;
+        // SAFETY: `current_page` returned a page with at least `stride`
+        // bytes free past `off`; the slice borrows `self` mutably, so it is
+        // the only view of those bytes while it lives.
         unsafe {
             std::slice::from_raw_parts_mut(page.words.as_mut_ptr().cast::<u8>().add(off), stride)
         }
@@ -791,6 +801,10 @@ impl PartitionedSide {
 
     /// All row bytes (stride-spaced).
     pub fn data_bytes(&self) -> &[u8] {
+        // SAFETY: `finalize`, the only constructor, allocates `data` as
+        // `(total_rows * stride).div_ceil(8)` zeroed words — at least
+        // `total_rows * stride` bytes — and nothing resizes it after; the
+        // fields are private to this module.
         unsafe {
             std::slice::from_raw_parts(
                 self.data.as_ptr().cast::<u8>(),
@@ -832,15 +846,23 @@ struct SharedBuf {
     len: usize,
 }
 
+// SAFETY: `ptr` and `len` are written once, at construction, and only read
+// after; the bytes behind `ptr` are reached only through `slice_mut`, whose
+// callers write disjoint ranges, so sharing the handle across the scoped
+// pass-2 workers races on nothing.
 unsafe impl Sync for SharedBuf {}
+// SAFETY: the buffer `ptr` points into is owned by `finalize`'s frame,
+// which outlives every scoped worker the handle reaches; sending the
+// pointer and length moves no ownership.
 unsafe impl Send for SharedBuf {}
 
 impl SharedBuf {
     /// # Safety
-    /// Caller guarantees disjoint ranges across concurrent calls — each
-    /// pass-2 task owns a private byte range, so handing out `&mut` from
-    /// `&self` is sound here (the usual reason `mut_from_ref` is denied
-    /// does not apply).
+    /// Caller guarantees `off + len <= self.len`, that the buffer outlives
+    /// the returned slice, and disjoint ranges across concurrent calls —
+    /// each pass-2 task owns a private byte range, so handing out `&mut`
+    /// from `&self` is sound here (the usual reason `mut_from_ref` is
+    /// denied does not apply).
     #[allow(clippy::mut_from_ref)]
     unsafe fn slice_mut(&self, off: usize, len: usize) -> &mut [u8] {
         debug_assert!(off + len <= self.len);
@@ -1048,7 +1070,12 @@ impl PartitionSink {
                     phase_err.lock().get_or_insert(e);
                     break;
                 }
-                // Row cursors per sub-partition, in absolute rows.
+                // Row cursors per sub-partition, in absolute rows. Cursor `s`
+                // only moves over the rows this task scatters to `s`, which
+                // the histogram counted exactly: it stays within final
+                // partition `p * fanout2 + s`'s bounds, a range no other
+                // task writes (each claims its own `p`) and that lies
+                // inside `shared`, whose length is the sum of all bounds.
                 let mut cursors: Vec<usize> =
                     (0..fanout2).map(|s| bounds[p * fanout2 + s]).collect();
                 let mut bytes = 0usize;
@@ -1066,6 +1093,9 @@ impl PartitionSink {
                                     if set.is_full(s) {
                                         let buf = set.filled(s);
                                         let rows = buf.len() / stride;
+                                        // SAFETY: the buffered rows are
+                                        // this task's next `rows` rows of
+                                        // `s` (the cursor bound above).
                                         let dst = unsafe {
                                             shared.slice_mut(cursors[s] * stride, buf.len())
                                         };
@@ -1080,6 +1110,8 @@ impl PartitionSink {
                                     set.next_slot(s).copy_from_slice(row);
                                 }
                                 None => {
+                                    // SAFETY: one row of this task's `s`
+                                    // (the cursor bound above).
                                     let dst =
                                         unsafe { shared.slice_mut(cursors[s] * stride, stride) };
                                     dst.copy_from_slice(row);
@@ -1092,6 +1124,8 @@ impl PartitionSink {
                 if let Some(set) = &mut set {
                     for s in set.non_empty() {
                         let buf = set.filled(s);
+                        // SAFETY: the last rows of this task's `s` (the
+                        // cursor bound above).
                         let dst = unsafe { shared.slice_mut(cursors[s] * stride, buf.len()) };
                         if nt {
                             nt_copy(dst, buf);

@@ -1,14 +1,24 @@
 //! Fault-tolerance integration tests: cancellation, timeouts, and the
 //! memory-budget degradation path (RJ → BHJ) through the full engine.
+//!
+//! The spill fault shim is process-global: a test that arms it and one
+//! whose joins may reach the spilling rung serialize on [`fault_lock`].
 
+use joinstudy_core::spill::fault;
 use joinstudy_core::{Engine, JoinAlgo, JoinType, Plan};
 use joinstudy_exec::error::ExecError;
 use joinstudy_exec::metrics;
 use joinstudy_exec::ops::{AggFunc, AggSpec};
+use joinstudy_exec::profile::{DetailValue, ProfileNode};
 use joinstudy_storage::table::{Schema, Table, TableBuilder};
 use joinstudy_storage::types::{DataType, Value};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
+
+fn fault_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn table_kv(rows: usize, key_mod: usize) -> Arc<Table> {
     let schema = Schema::of(&[("k", DataType::Int64), ("v", DataType::Int64)]);
@@ -75,6 +85,7 @@ fn deadline_surfaces_as_timeout() {
 
 #[test]
 fn radix_join_degrades_to_bhj_under_memory_budget() {
+    let _guard = fault_lock();
     // The paper's trade-off, exercised as a fallback: the radix join
     // materializes BOTH sides, the BHJ only the build side. A budget that
     // holds the build side but not the partitioned probe side must degrade
@@ -159,3 +170,98 @@ fn groupjoin_build_is_not_charged() {
     }
     assert_eq!(engine.ctx.used(), 0);
 }
+
+/// Only the ladder's last rung evicts. An RJ and a BRJ whose budget holds
+/// them open no spill directory — with `create:eio` armed, opening one
+/// would fail the query — and partition at their unbudgeted fan-out; the
+/// HHJ's node carries every spill detail, with a budget and without one.
+#[test]
+fn only_the_hybrid_rung_evicts() {
+    let _guard = fault_lock();
+    let build = table_kv(5_000, 5_000);
+    let probe = table_kv(20_000, 5_000);
+    let base = std::env::temp_dir().join(format!("joinstudy-rungs-{}", std::process::id()));
+    std::fs::create_dir_all(&base).unwrap();
+    let join_node = |algo: JoinAlgo, budget: Option<usize>| -> ProfileNode {
+        let engine = Engine::new(2);
+        engine.ctx.set_spill_dir(Some(base.clone()));
+        engine.ctx.set_memory_budget(budget);
+        let plan = count_join_plan(&build, &probe, algo);
+        let (t, profile) = engine
+            .execute_profiled(&plan)
+            .unwrap_or_else(|e| panic!("{} under {budget:?}: {e}", algo.name()));
+        assert_eq!(t.column_by_name("cnt").as_i64()[0], 20_000);
+        assert_eq!(profile.degradations, 0, "{}", profile.render());
+        assert_eq!(engine.ctx.used(), 0);
+        let label = format!("Join {} ", algo.name());
+        let node = profile
+            .root
+            .iter()
+            .into_iter()
+            .find(|n| n.label.starts_with(&label));
+        node.expect("the join's node").clone()
+    };
+    let detail = |node: &ProfileNode, key: &str| -> Option<DetailValue> {
+        let found = node.details.iter().find(|(k, _)| k == key);
+        found.map(|(_, v)| v.clone())
+    };
+
+    let unbudgeted = join_node(JoinAlgo::Rj, None);
+    fault::set_for_test(fault::FaultSpec::parse("create:eio"));
+    for algo in [JoinAlgo::Rj, JoinAlgo::Brj] {
+        let node = join_node(algo, Some(64 << 20));
+        for key in ["bits1", "bits2"] {
+            let (got, want) = (detail(&node, key), detail(&unbudgeted, key));
+            assert!(got.is_some(), "{}: no {key}", algo.name());
+            assert_eq!(got, want, "{}: {key}", algo.name());
+        }
+        assert_eq!(std::fs::read_dir(&base).unwrap().count(), 0);
+    }
+    fault::set_for_test(None);
+
+    // 1 MiB spills about half of the pre-partitions and keeps some resident
+    // on both sides, at the capped 16-way fan-out; without a budget the
+    // HHJ keeps the RJ's 64.
+    for (budget, fanout) in [(None, 64), (Some(1 << 20), 16)] {
+        let node = join_node(JoinAlgo::Hybrid, budget);
+        let mut keys: Vec<&str> = node.details.iter().map(|(k, _)| k.as_str()).collect();
+        keys.retain(|k| !k.starts_with("hw_"));
+        assert_eq!(keys, HHJ_DETAILS, "under {budget:?}");
+        assert_eq!(
+            detail(&node, "spill_fanout"),
+            Some(DetailValue::Int(fanout))
+        );
+        let spilled = detail(&node, "spill_partitions") != Some(DetailValue::Int(0));
+        assert_eq!(spilled, budget.is_some(), "under {budget:?}");
+    }
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// The HHJ node's EXPLAIN ANALYZE details in order, hardware counters
+/// aside.
+const HHJ_DETAILS: [&str; 24] = [
+    "build_rows",
+    "probe_rows",
+    "bits1",
+    "bits2",
+    "spill_fanout",
+    "resident_partitions",
+    "evictions",
+    "spill_partitions",
+    "spill_bytes",
+    "resident_build_partitions",
+    "resident_build_rows",
+    "resident_build_bytes",
+    "resident_build_max_part",
+    "resident_build_avg_part",
+    "resident_build_skew",
+    "resident_build_part_sizes",
+    "resident_probe_partitions",
+    "resident_probe_rows",
+    "resident_probe_bytes",
+    "resident_probe_max_part",
+    "resident_probe_avg_part",
+    "resident_probe_skew",
+    "resident_probe_part_sizes",
+    "reload_depth",
+];

@@ -7,7 +7,7 @@
 //! serializes on [`TEST_LOCK`] — a fault armed by one test must never leak
 //! into another's I/O.
 
-use joinstudy_core::hybrid::{largest_resident, min_working_set, SpillConfig};
+use joinstudy_core::hybrid::{largest_resident, min_working_set};
 use joinstudy_core::radix::{ClosedSet, Eviction, PartitionSink, PhaseSet, RadixConfig};
 use joinstudy_core::row::RowLayout;
 use joinstudy_core::spill::{fault, SpillDir};
@@ -81,16 +81,9 @@ fn rows_sorted(t: &Table) -> Vec<String> {
 /// Run `kind` with the unbounded BHJ and with the budgeted hybrid join and
 /// require identical result multisets; returns the hybrid engine for
 /// post-hoc counter assertions.
-fn check_equivalence(
-    bt: &Arc<Table>,
-    pt: &Arc<Table>,
-    kind: JoinType,
-    budget: usize,
-    cfg: SpillConfig,
-) -> Engine {
+fn check_equivalence(bt: &Arc<Table>, pt: &Arc<Table>, kind: JoinType, budget: usize) -> Engine {
     let expected = rows_sorted(&Engine::new(2).run(&join_plan(bt, pt, JoinAlgo::Bhj, kind)));
-    let mut engine = Engine::new(2);
-    engine.spill = cfg;
+    let engine = Engine::new(2);
     engine.ctx.set_memory_budget(Some(budget));
     let got = engine
         .execute(&join_plan(bt, pt, JoinAlgo::Hybrid, kind))
@@ -112,7 +105,7 @@ fn all_join_kinds_match_bhj_under_tiny_budget() {
     let bt = kv_table(&build);
     let pt = kv_table(&probe);
     for kind in ALL_KINDS {
-        let engine = check_equivalence(&bt, &pt, kind, 256 * 1024, SpillConfig::default());
+        let engine = check_equivalence(&bt, &pt, kind, 256 * 1024);
         assert!(
             engine.ctx.spill_write_bytes() > 0,
             "{kind:?}: a 256 KiB budget over ~500 KiB of input must spill"
@@ -123,18 +116,16 @@ fn all_join_kinds_match_bhj_under_tiny_budget() {
 #[test]
 fn recursion_depth_two_is_reached_and_correct() {
     let _guard = test_lock();
-    // fanout 2 with a build side ~16x the budget: level 0 halves it, level
-    // 1 halves it again — still over budget, so depth ≥ 2 is forced before
-    // partitions fit (or the nested loop finishes the stragglers).
+    // A build side over ten times the budget: on two workers 128 KiB fits
+    // only a 4-way level 0, and each reload of a closed pair gets a part of
+    // what the resident sides leave — still too little, so its pairs close
+    // again and depth ≥ 2 is forced before partitions fit (or the nested
+    // loop finishes the stragglers).
     let build: Vec<(i64, i64)> = (0..60_000).map(|i| (i % 50_000, i)).collect();
     let probe: Vec<(i64, i64)> = (0..60_000).map(|i| (i % 50_000, i)).collect();
     let bt = kv_table(&build);
     let pt = kv_table(&probe);
-    let cfg = SpillConfig {
-        fanout_bits: 1,
-        max_depth: 6,
-    };
-    let engine = check_equivalence(&bt, &pt, JoinType::Inner, 128 * 1024, cfg);
+    let engine = check_equivalence(&bt, &pt, JoinType::Inner, 128 * 1024);
     assert!(
         engine.ctx.spill_max_depth() >= 2,
         "expected recursive repartitioning depth >= 2, got {}",
@@ -153,7 +144,7 @@ fn degenerate_keys_fall_back_to_nested_loop() {
     let bt = kv_table(&build);
     let pt = kv_table(&probe);
     for kind in [JoinType::Inner, JoinType::ProbeOuter, JoinType::BuildAnti] {
-        check_equivalence(&bt, &pt, kind, 96 * 1024, SpillConfig::default());
+        check_equivalence(&bt, &pt, kind, 96 * 1024);
     }
 }
 
@@ -172,7 +163,7 @@ fn zipf_skewed_keys_match_bhj() {
     let bt = kv_table(&build);
     let pt = kv_table(&probe);
     for kind in [JoinType::Inner, JoinType::ProbeSemi, JoinType::ProbeMark] {
-        check_equivalence(&bt, &pt, kind, 192 * 1024, SpillConfig::default());
+        check_equivalence(&bt, &pt, kind, 192 * 1024);
     }
 }
 
@@ -181,23 +172,22 @@ proptest! {
 
     /// The headline property: for random inputs, random budgets and every
     /// join variant, the budgeted hybrid join is indistinguishable from the
-    /// unbounded in-memory BHJ.
+    /// unbounded in-memory BHJ. On two workers the budgets span levels from
+    /// 2-way (under ≈ 76 KiB) to the capped 16-way (from ≈ 304 KiB).
     #[test]
     fn hybrid_equals_bhj_for_random_budgets(
         build_rows in 1usize..6_000,
         probe_rows in 1usize..12_000,
         key_mod in 1i64..3_000,
-        budget_kib in 96usize..768,
+        budget_kib in 40usize..768,
         kind_idx in 0usize..7,
-        fanout_bits in 1u32..5,
     ) {
         let _guard = test_lock();
         let build: Vec<(i64, i64)> = (0..build_rows as i64).map(|i| (i % key_mod, i)).collect();
         let probe: Vec<(i64, i64)> = (0..probe_rows as i64).map(|i| (i % (key_mod * 2), i)).collect();
         let bt = kv_table(&build);
         let pt = kv_table(&probe);
-        let cfg = SpillConfig { fanout_bits, max_depth: 4 };
-        check_equivalence(&bt, &pt, ALL_KINDS[kind_idx], budget_kib * 1024, cfg);
+        check_equivalence(&bt, &pt, ALL_KINDS[kind_idx], budget_kib * 1024);
     }
 }
 

@@ -65,7 +65,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How often the per-connection watchdog polls the socket for EOF, and
 /// how often it re-cancels a query whose client is gone.
@@ -452,6 +452,7 @@ impl SqlServer {
     /// Admission + execution of one statement, encoded for the wire.
     fn run_statement(&self, session: &mut Session, conn: u64, stmt: &str) -> String {
         let ctx = session.context();
+        let started = Instant::now();
         // Show up in `jsys.active_queries` while waiting for memory; the
         // session flips the state to `running` once it starts executing.
         // Attaching the context here lets the ASH sampler see the
@@ -461,8 +462,9 @@ impl SqlServer {
         let grant = match self.admission.admit(self.config.query_bytes, &ctx) {
             Ok(grant) => grant,
             Err(e) => {
-                self.statlog.active_end(conn);
-                return encode_error(&SqlError::from(e));
+                let err = SqlError::from(e);
+                session.reject(stmt, started, &err);
+                return encode_error(&err);
             }
         };
         session.set_memory_budget(Some(grant.bytes()));

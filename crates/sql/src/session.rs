@@ -479,6 +479,14 @@ impl Session {
         }
     }
 
+    /// Record a statement turned away before it ran — cancelled or timed
+    /// out while it queued for admission — as a failed call, closed out
+    /// like every statement [`Session::execute`] runs. `started` is when
+    /// it began to queue.
+    pub fn reject(&self, sql: &str, started: Instant, err: &SqlError) {
+        self.finish_statement(sql, started, false, &Err(err.clone()));
+    }
+
     /// Close out one statement: drop it from the active registry, fold it
     /// into the statement statistics, and emit a slow-query line when it
     /// crossed the threshold. Engine-context readings (spill, admission,

@@ -69,6 +69,7 @@ fn disconnect_and_fault_leak_nothing() {
         server.register("build_t", Arc::clone(&build));
         server.register("probe_t", Arc::clone(&probe));
         let admission = server.admission();
+        let statlog = server.statlog();
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let handle = Arc::new(server).spawn(listener).expect("spawn server");
         let addr = handle.addr();
@@ -105,23 +106,24 @@ fn disconnect_and_fault_leak_nothing() {
         let mut client = Client::connect(addr).expect("connect");
         client.query("SET join_algo = hybrid").unwrap();
         client.query(&set_spill).unwrap();
-        // Snapshot *after* the SETs: they go through admission too, so an
-        // earlier snapshot lets this wait pass before the heavy statement
-        // is even admitted — and scenario B would then race against the
-        // still-running abandoned query.
-        let admitted_before = admission.admitted();
+        // Snapshot *after* the SETs: they are recorded too, so an earlier
+        // snapshot lets this wait pass before the heavy statement is done —
+        // and scenario B would then race against the still-running
+        // abandoned query.
+        let recorded_before = statlog.total_recorded();
         client
             .fire_and_disconnect(HEAVY)
             .expect("fire and disconnect");
 
+        // The watchdog's cancel may land before the statement is admitted
+        // (it is then turned away in the queue) or while it runs; either
+        // way it is recorded once it is over.
         wait_until(
-            "the abandoned query to be admitted",
+            "the abandoned statement to be recorded",
             Duration::from_secs(30),
-            || admission.admitted() > admitted_before,
+            || statlog.total_recorded() > recorded_before,
         );
-        // Admitted and the pool is whole again: the abandoned statement's
-        // grant was held for its entire execution, so this pair of
-        // conditions means it has genuinely finished, not merely queued.
+        // An admitted statement is recorded just before its grant returns.
         wait_until(
             "the abandoned grant to return",
             Duration::from_secs(30),

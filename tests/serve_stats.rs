@@ -3,13 +3,19 @@
 //! statement exactly once (call counts sum to N×M — the conservation
 //! invariant from the statement-statistics design), a `METRICS` scrape
 //! must parse as valid Prometheus text exposition, and the active-query
-//! registry must drain to empty.
+//! registry must drain to empty. A statement turned away while it queues
+//! for admission is accounted for too.
 
+use joinstudy::exec::context::QueryContext;
 use joinstudy::sql::server::Client;
 use joinstudy::sql::stats::validate_exposition;
 use joinstudy::sql::{ServerConfig, SqlServer};
+use joinstudy::storage::column::ColumnData;
+use joinstudy::storage::table::{Schema, TableBuilder};
+use joinstudy::storage::types::DataType;
 use std::net::TcpListener;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const TABLES: [&str; 4] = ["nation", "supplier", "customer", "orders"];
 
@@ -131,6 +137,61 @@ fn statement_stats_conserve_counts_across_clients() {
         "scrape should carry the statement-log gauge: {body}"
     );
 
+    observer.query(".quit").ok();
+    handle.stop();
+}
+
+/// A statement cancelled while it queues for admission — its client gone
+/// before any memory was free — is still a call, and an error, in
+/// `jsys.statements`, like every statement that ran and failed.
+#[test]
+fn statement_cancelled_in_the_admission_queue_counts_as_an_error() {
+    let schema = Schema::of(&[("qk", DataType::Int64)]);
+    let mut table = TableBuilder::with_capacity(schema, 3);
+    *table.column_mut(0) = ColumnData::Int64(vec![1, 2, 3]);
+    let mut server = SqlServer::new(ServerConfig {
+        threads: 2,
+        pool_bytes: 1 << 20,
+        query_bytes: 1 << 20,
+        min_grant_bytes: 1 << 20,
+        ..ServerConfig::default()
+    });
+    server.register("queued_t", Arc::new(table.finish()));
+    let admission = server.admission();
+    let statlog = server.statlog();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let handle = Arc::new(server).spawn(listener).expect("spawn server");
+
+    // Hold the whole pool, so the statement below can only queue.
+    let held = admission
+        .admit(1 << 20, &QueryContext::unbounded())
+        .expect("an idle pool admits");
+    let before = statlog.total_recorded();
+    Client::connect(handle.addr())
+        .expect("connect")
+        .fire_and_disconnect("SELECT count(*) FROM queued_t")
+        .expect("fire and disconnect");
+    let t0 = Instant::now();
+    while statlog.total_recorded() == before {
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "the statement turned away in the queue was never recorded"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(admission.admitted(), 1, "only the pool's holder got memory");
+    drop(held);
+
+    let mut observer = Client::connect(handle.addr()).expect("connect observer");
+    let resp = observer
+        .query("SELECT fingerprint, calls, errors FROM jsys.statements")
+        .expect("jsys.statements");
+    let rows = parse_rows(&resp);
+    let queued = rows
+        .iter()
+        .find(|r| r[0].contains("queued_t"))
+        .unwrap_or_else(|| panic!("no row for the cancelled statement: {rows:?}"));
+    assert_eq!((queued[1].as_str(), queued[2].as_str()), ("1", "1"));
     observer.query(".quit").ok();
     handle.stop();
 }
