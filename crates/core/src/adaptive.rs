@@ -58,7 +58,10 @@ const SEMI_SELECTIVITY: f64 = 0.5;
 /// Groups-per-input fraction assumed for hash aggregation.
 const AGG_GROUP_FRACTION: f64 = 0.1;
 
-/// Estimated output cardinality of a plan subtree.
+/// Estimated output cardinality of a plan subtree. A join's residual is
+/// ignored, as if every key-equal pair passed it. A residual only removes
+/// pairs, so for inner, outer and semi joins this estimates an upper bound
+/// of what the join emits (for anti joins, a lower one).
 pub fn estimate_rows(plan: &Plan) -> f64 {
     match plan {
         Plan::Scan { table, filter, .. } => {

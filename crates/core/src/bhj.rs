@@ -32,10 +32,15 @@
 //! The walk itself is [`BhjWalker`], which [`BhjProbeOp`] dispatches over
 //! the join types; the groupjoin ([`crate::groupjoin`]) runs it bare, with
 //! its own action on a match, over a table built by the same sink.
+//!
+//! A join with a [`Residual`] (Q21's `l2.l_suppkey <> l1.l_suppkey`) walks
+//! every chain to its end, collects all key-equal candidates, and filters
+//! them in one place, [`BhjProbeOp`]'s `keep_passing`, before the
+//! per-join-type tail sees them.
 
 use crate::hash::hash_columns;
 use crate::ht_chain::{ChainTable, RowArena};
-use crate::join_common::{default_column, JoinType};
+use crate::join_common::{default_column, JoinType, Residual};
 use crate::row::{RowLayout, StrHeap};
 use crate::swwcb::prefetch_read;
 use joinstudy_exec::batch::{Batch, BatchBuilder, BATCH_ROWS};
@@ -282,6 +287,9 @@ pub struct BhjWalker {
 pub struct BhjProbeOp {
     pub walker: BhjWalker,
     join_type: JoinType,
+    /// Tested on every key-equal candidate pair; without one, semi, anti
+    /// and mark retire a chain on its first key match.
+    residual: Option<Arc<Residual>>,
 }
 
 /// The walker's scratch and counters.
@@ -304,6 +312,10 @@ pub(crate) struct ProbeLocal {
     sel: Vec<u32>,
     /// Which probe rows found a partner (semi / anti / mark / outer).
     matched: Vec<bool>,
+    /// The pairs of one decoded batch that passed the residual.
+    pass: Vec<u32>,
+    /// Candidate pairs the residual tested and passed since the last flush.
+    residual_counts: (u64, u64),
 }
 
 // SAFETY: the raw pointers are scratch that `process` refills from the
@@ -330,8 +342,9 @@ impl BhjWalker {
     /// The one chain walk: stages 1–4 over `input`, calling
     /// `on_match(probe row, build row)` for every key-equal pair. A `false`
     /// from it retires the probe row's chain (semi, anti and mark need only
-    /// the first partner). `prefetch = false` runs the same stages and
-    /// issues no prefetch instruction.
+    /// the first partner — unless a residual is still to decide which
+    /// partners count). `prefetch = false` runs the same stages and issues
+    /// no prefetch instruction.
     pub(crate) fn walk(
         &self,
         w: &mut Walk,
@@ -423,33 +436,78 @@ impl BhjProbeOp {
         probe_keys: Vec<usize>,
         join_type: JoinType,
         prefetch: bool,
+        residual: Option<Arc<Residual>>,
     ) -> BhjProbeOp {
         let walker = BhjWalker::new(state, probe_keys, prefetch);
-        BhjProbeOp { walker, join_type }
+        BhjProbeOp {
+            walker,
+            join_type,
+            residual,
+        }
+    }
+
+    /// The pairs `(ptrs[i], sel[i])` as one (build ++ probe) batch.
+    fn pair_batch(&self, input: &Batch, ptrs: &[*const u8], sel: &[u32]) -> Batch {
+        debug_assert_eq!(ptrs.len(), sel.len());
+        let state = &*self.walker.state;
+        let layout = &state.layout;
+        let mut columns = Vec::with_capacity(layout.num_columns() + input.num_columns());
+        for c in 0..layout.num_columns() {
+            let mut col = ColumnData::with_capacity(layout.types()[c], ptrs.len());
+            // SAFETY: `walk` reported every pointer in `ptrs` as a live row
+            // of `state`, whose heaps these are.
+            unsafe {
+                layout.decode_ptrs_into(ptrs, c, &state.heaps, &mut col);
+            }
+            columns.push(col);
+        }
+        columns.extend(input.take(sel).into_columns());
+        Batch::new(columns)
     }
 
     /// Emit matched pairs as (build ++ probe) batches.
     fn emit_pairs(&self, input: &Batch, ptrs: &[*const u8], sel: &[u32], out: Emit) {
-        debug_assert_eq!(ptrs.len(), sel.len());
-        let state = &*self.walker.state;
-        let layout = &state.layout;
-        let mut start = 0;
-        while start < ptrs.len() {
-            let end = (start + BATCH_ROWS).min(ptrs.len());
-            let mut columns = Vec::with_capacity(layout.num_columns() + input.num_columns());
-            for c in 0..layout.num_columns() {
-                let mut col = ColumnData::with_capacity(layout.types()[c], end - start);
-                // SAFETY: `walk` reported every pointer in `ptrs` as a live
-                // row of `state`, whose heaps these are.
-                unsafe {
-                    layout.decode_ptrs_into(&ptrs[start..end], c, &state.heaps, &mut col);
-                }
-                columns.push(col);
-            }
-            columns.extend(input.take(&sel[start..end]).into_columns());
-            out(Batch::new(columns));
-            start = end;
+        for (ptrs, sel) in ptrs.chunks(BATCH_ROWS).zip(sel.chunks(BATCH_ROWS)) {
+            out(self.pair_batch(input, ptrs, sel));
         }
+    }
+
+    /// The residual, between "candidates found" and the join type's tail:
+    /// decode the candidates `(l.ptrs[i], l.sel[i])` into pair batches of at
+    /// most [`BATCH_ROWS`], evaluate the predicate on each, and keep in
+    /// `l.ptrs` / `l.sel` only the pairs that pass. With `out` (Inner,
+    /// ProbeOuter) each batch's survivors are emitted here, so a pair is
+    /// decoded once.
+    fn keep_passing(
+        &self,
+        residual: &Residual,
+        input: &Batch,
+        l: &mut ProbeLocal,
+        mut out: Option<Emit>,
+    ) {
+        let candidates = l.ptrs.len();
+        let mut kept = 0;
+        for start in (0..candidates).step_by(BATCH_ROWS) {
+            let end = (start + BATCH_ROWS).min(candidates);
+            let pairs = self.pair_batch(input, &l.ptrs[start..end], &l.sel[start..end]);
+            select(&residual.pred.eval_bool(&pairs), true, &mut l.pass);
+            for &i in &l.pass {
+                l.ptrs[kept] = l.ptrs[start + i as usize];
+                l.sel[kept] = l.sel[start + i as usize];
+                kept += 1;
+            }
+            if let Some(out) = out.as_deref_mut() {
+                if l.pass.len() == pairs.num_rows() {
+                    out(pairs);
+                } else if !l.pass.is_empty() {
+                    out(pairs.take(&l.pass));
+                }
+            }
+        }
+        l.ptrs.truncate(kept);
+        l.sel.truncate(kept);
+        l.residual_counts.0 += candidates as u64;
+        l.residual_counts.1 += kept as u64;
     }
 
     /// NULL-padded build columns beside the probe rows `unmatched`.
@@ -486,54 +544,85 @@ impl Operator for BhjProbeOp {
         l.sel.clear();
         l.matched.clear();
         l.matched.resize(input.num_rows(), false);
-        match self.join_type {
-            JoinType::Inner | JoinType::ProbeOuter => {
+        let kind = self.join_type;
+        // Candidates found, pairs emitted (Inner, ProbeOuter), `matched`
+        // and the build rows' flags set.
+        match &self.residual {
+            None => match kind {
+                JoinType::Inner | JoinType::ProbeOuter => {
+                    self.walker.walk(&mut l.walk, &input, |r, row| {
+                        l.ptrs.push(row);
+                        l.sel.push(r);
+                        l.matched[r as usize] = true;
+                        true
+                    });
+                    self.emit_pairs(&input, &l.ptrs, &l.sel, out);
+                }
+                JoinType::ProbeSemi | JoinType::ProbeAnti | JoinType::ProbeMark => {
+                    self.walker.walk(&mut l.walk, &input, |r, _| {
+                        l.matched[r as usize] = true;
+                        false
+                    })
+                }
+                JoinType::BuildSemi | JoinType::BuildAnti => {
+                    self.walker.walk(&mut l.walk, &input, |_, row| {
+                        // SAFETY: `walk` reports live rows of its state only.
+                        unsafe { ChainTable::mark_matched(row) };
+                        true
+                    })
+                }
+            },
+            Some(residual) => {
                 self.walker.walk(&mut l.walk, &input, |r, row| {
                     l.ptrs.push(row);
                     l.sel.push(r);
-                    l.matched[r as usize] = true;
                     true
                 });
-                self.emit_pairs(&input, &l.ptrs, &l.sel, out);
-                if self.join_type == JoinType::ProbeOuter {
-                    select(&l.matched, false, &mut l.sel);
-                    if !l.sel.is_empty() {
-                        self.emit_padded(&input, &l.sel, out);
+                let emits = matches!(kind, JoinType::Inner | JoinType::ProbeOuter);
+                self.keep_passing(residual, &input, l, emits.then_some(&mut *out));
+                for &r in &l.sel {
+                    l.matched[r as usize] = true;
+                }
+                if kind.preserves_build() {
+                    for &row in &l.ptrs {
+                        // SAFETY: `walk` reports live rows of its state only.
+                        unsafe { ChainTable::mark_matched(row) };
                     }
                 }
             }
-            JoinType::ProbeSemi | JoinType::ProbeAnti | JoinType::ProbeMark => {
-                self.walker.walk(&mut l.walk, &input, |r, _| {
-                    l.matched[r as usize] = true;
-                    false
-                });
-                if self.join_type == JoinType::ProbeMark {
-                    let mut batch = input;
-                    batch.push_column(ColumnData::Bool(l.matched.clone()));
-                    out(batch);
-                } else {
-                    let want = self.join_type == JoinType::ProbeSemi;
-                    select(&l.matched, want, &mut l.sel);
-                    if !l.sel.is_empty() {
-                        out(input.take(&l.sel));
-                    }
+        }
+        match kind {
+            // Build-preserving kinds emit nothing here: the result pipeline
+            // starts from BhjUnmatchedSource.
+            JoinType::Inner | JoinType::BuildSemi | JoinType::BuildAnti => {}
+            JoinType::ProbeOuter => {
+                select(&l.matched, false, &mut l.sel);
+                if !l.sel.is_empty() {
+                    self.emit_padded(&input, &l.sel, out);
                 }
             }
-            // Mark matched build rows; emit nothing here — the result
-            // pipeline starts from BhjUnmatchedSource.
-            JoinType::BuildSemi | JoinType::BuildAnti => {
-                self.walker.walk(&mut l.walk, &input, |_, row| {
-                    // SAFETY: `walk` reports live rows of its state only.
-                    unsafe { ChainTable::mark_matched(row) };
-                    true
-                })
+            JoinType::ProbeMark => {
+                let mut batch = input;
+                batch.push_column(ColumnData::Bool(l.matched.clone()));
+                out(batch);
+            }
+            JoinType::ProbeSemi | JoinType::ProbeAnti => {
+                select(&l.matched, kind == JoinType::ProbeSemi, &mut l.sel);
+                if !l.sel.is_empty() {
+                    out(input.take(&l.sel));
+                }
             }
         }
         Ok(())
     }
 
-    /// Publish this worker's probe-effort counts.
+    /// Publish this worker's probe-effort and residual counts.
     fn flush(&self, local: &mut LocalState, _out: Emit) -> ExecResult {
+        if let Some(residual) = &self.residual {
+            let l = local.downcast_mut::<ProbeLocal>().expect("own local");
+            let (candidates, passed) = take(&mut l.residual_counts);
+            residual.count(candidates, passed);
+        }
         self.walker.publish(local)
     }
 }
@@ -641,7 +730,7 @@ mod tests {
     }
 
     fn probe(state: Arc<BhjState>, join_type: JoinType, probe_keys: &[i64]) -> Vec<Vec<Value>> {
-        let op = BhjProbeOp::new(state, vec![0], join_type, true);
+        let op = BhjProbeOp::new(state, vec![0], join_type, true, None);
         let mut local = op.create_local();
         let input = Batch::new(vec![ColumnData::Int64(probe_keys.to_vec())]);
         let mut outs = Vec::new();

@@ -27,10 +27,14 @@
 //!   [`MAX_RELOAD_DEPTH`] goes to a streaming block nested-loop join
 //!   that processes the build side in share-sized chunks. All seven
 //!   [`JoinType`]s are preserved through every level.
+//!
+//! A join's [`Residual`] rides along and is tested where each level joins:
+//! in the [`RadixJoinSource`] of the resident and reloaded partitions, and
+//! in the [`BhjProbeOp`]s of the nested loop. This module never evaluates it.
 
 use crate::bhj::{BhjBuildSink, BhjProbeOp, BhjState, BhjUnmatchedSource};
 use crate::bloom::BlockedBloom;
-use crate::join_common::{default_column, JoinStats, JoinType};
+use crate::join_common::{default_column, JoinStats, JoinType, Residual};
 use crate::radix::{
     ClosedSet, Eviction, PartitionSink, PartitionedSide, PhaseSet, RadixConfig, FIRST_PAGE_BYTES,
 };
@@ -300,6 +304,8 @@ pub struct HybridJoin {
     pub build_keys: Vec<usize>,
     pub probe_keys: Vec<usize>,
     pub kind: JoinType,
+    /// Tested on the key-equal candidates of every level's join.
+    pub residual: Option<Arc<Residual>>,
     pub prefetch: bool,
     /// Makes run names unique across sinks and levels.
     pub seq: AtomicU64,
@@ -380,6 +386,7 @@ impl HybridJoin {
             self.build_keys.clone(),
             self.probe_keys.clone(),
             self.kind,
+            self.residual.clone(),
         )
     }
 
@@ -591,17 +598,19 @@ impl HybridJoin {
         Ok(())
     }
 
+    /// A probe of `state` as `kind`, testing the join's residual.
+    fn probe_op(&self, state: &Arc<BhjState>, kind: JoinType) -> BhjProbeOp {
+        let keys = self.probe_keys.clone();
+        let residual = self.residual.clone();
+        BhjProbeOp::new(Arc::clone(state), keys, kind, self.prefetch, residual)
+    }
+
     /// Probe `state` with the partition's probe side, streaming output.
     /// Handles the build-preserving variants' unmatched scan; correct
     /// because each chunk of the nested loop holds every build row of it
     /// exactly once.
     fn probe_into(&self, state: &Arc<BhjState>, probe: &Run, out: Emit) -> ExecResult {
-        let op = BhjProbeOp::new(
-            Arc::clone(state),
-            self.probe_keys.clone(),
-            self.kind,
-            self.prefetch,
-        );
+        let op = self.probe_op(state, self.kind);
         let mut local = op.create_local();
         let mut stream = probe.stream(&self.ctx)?;
         while let Some(batch) = stream.next()? {
@@ -730,18 +739,8 @@ impl HybridJoin {
         matched: &mut [bool],
         mut pairs: Option<Emit>,
     ) -> ExecResult {
-        let mark_op = BhjProbeOp::new(
-            Arc::clone(state),
-            self.probe_keys.clone(),
-            JoinType::ProbeMark,
-            self.prefetch,
-        );
-        let inner_op = BhjProbeOp::new(
-            Arc::clone(state),
-            self.probe_keys.clone(),
-            JoinType::Inner,
-            self.prefetch,
-        );
+        let mark_op = self.probe_op(state, JoinType::ProbeMark);
+        let inner_op = self.probe_op(state, JoinType::Inner);
         let mut mark_local = mark_op.create_local();
         let mut inner_local = inner_op.create_local();
         let mut stream = probe.stream(&self.ctx)?;
@@ -763,7 +762,9 @@ impl HybridJoin {
             })?;
             offset += n;
         }
-        Ok(())
+        // The mark probe tested every candidate once; the inner probe of
+        // the same batches keeps its residual counts to itself.
+        mark_op.flush(&mut mark_local, &mut |_| {})
     }
 
     /// Final probe pass of the nested loop: emit the probe-preserving

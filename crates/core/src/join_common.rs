@@ -6,9 +6,12 @@
 //! TPC-H Q22's `NOT EXISTS` becomes an anti join that preserves the build
 //! side (customer is built, the large orders relation probes, §5.3.2).
 
+use joinstudy_exec::expr::Expr;
 use joinstudy_storage::column::{ColumnData, StrColumn};
 use joinstudy_storage::table::{Field, Schema};
 use joinstudy_storage::types::DataType;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 /// Equi-join variants, named by the preserved side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,6 +93,36 @@ impl JoinStats {
         self.probe_matched
             .load(std::sync::atomic::Ordering::Relaxed) as f64
             / total as f64
+    }
+}
+
+/// A join's residual predicate: a condition beyond key equality, written
+/// over the `build ++ probe` columns whatever the join type, that a
+/// key-equal candidate pair must pass before it counts — before it is
+/// emitted, marks its build row or makes its probe row matched. Every
+/// algorithm tests it in one place, on candidate pairs decoded a batch at a
+/// time, and adds what it saw to the two counters (EXPLAIN ANALYZE).
+pub struct Residual {
+    pub pred: Expr,
+    /// Key-equal candidate pairs tested.
+    pub candidates: Arc<AtomicU64>,
+    /// Candidate pairs that passed.
+    pub passed: Arc<AtomicU64>,
+}
+
+impl Residual {
+    pub fn new(pred: Expr) -> Arc<Residual> {
+        Arc::new(Residual {
+            pred,
+            candidates: Arc::default(),
+            passed: Arc::default(),
+        })
+    }
+
+    /// Publish one worker's (or one task's) counts.
+    pub fn count(&self, candidates: u64, passed: u64) {
+        self.candidates.fetch_add(candidates, Relaxed);
+        self.passed.fetch_add(passed, Relaxed);
     }
 }
 

@@ -1,14 +1,17 @@
 //! Rendering of the algorithm-specific statistics EXPLAIN ANALYZE attaches
 //! to a plan node: hardware counters, radix partition histograms, chaining
-//! hash-table shape, and the adaptive selector's decision.
+//! hash-table shape, a residual's pass counts, and the adaptive selector's
+//! decision.
 
 use crate::bhj::BhjWalker;
 use crate::cost::Decision;
 use crate::ht_chain::ChainStats;
+use crate::join_common::Residual;
 use crate::qprof::ProfCtx;
 use crate::radix::PartitionedSide;
 use joinstudy_exec::pmu::CounterKind;
 use joinstudy_exec::profile::PipelineStats;
+use std::sync::Arc;
 
 /// Attach the hardware counter deltas sampled by a pipeline's workers to a
 /// trace node, one detail per counter kind (`<prefix><kind>`), plus an
@@ -88,6 +91,16 @@ pub(super) fn walk_details(pc: &mut ProfCtx, node: usize, walker: &BhjWalker) {
     pc.live_detail(node, "probe_rows", &probe.rows);
     pc.live_detail(node, "probe_tag_rejects", &probe.tag_rejects);
     pc.live_detail(node, "probe_chain_visits", &probe.visits);
+}
+
+/// Attach what a join's residual saw, if it has one: the key-equal
+/// candidate pairs it tested and those that passed, published as the
+/// probing workers flush (BHJ) or the join tasks finish (RJ, BRJ, HHJ).
+pub(super) fn residual_details(pc: &mut ProfCtx, node: usize, residual: Option<&Arc<Residual>>) {
+    if let Some(residual) = residual {
+        pc.live_detail(node, "residual_candidates", &residual.candidates);
+        pc.live_detail(node, "residual_passed", &residual.passed);
+    }
 }
 
 /// Attach the adaptive selector's decision and its "why" to the trace node

@@ -9,14 +9,16 @@
 //! return the error and the ladder decides. The BHJ's build half,
 //! [`Engine::build_table`], is also the groupjoin's.
 
-use super::details::{adaptive_details, hw_details, partition_details, walk_details};
+use super::details::{
+    adaptive_details, hw_details, partition_details, residual_details, walk_details,
+};
 use super::engine::{Compiled, DiscardSink};
 use super::{joinlog, Engine, JoinAlgo, JoinNode, Plan};
 use crate::bhj::{BhjBuildSink, BhjProbeOp, BhjState, BhjUnmatchedSource};
 use crate::cost::Decision;
 use crate::groupjoin::{self, GroupAggSpec};
 use crate::hybrid::{HybridJoin, HybridJoinSource};
-use crate::join_common::JoinStats;
+use crate::join_common::{JoinStats, Residual};
 use crate::qprof::{ProfCtx, Slot};
 use crate::radix::{ClosedSet, PartitionedSide};
 use crate::rj::BloomProbeOp;
@@ -226,11 +228,13 @@ impl Engine {
         let (probe_spec, pchild) = self.stream(node.probe, prof.as_deref_mut())?;
         let out_schema = kind.output_schema(&build_schema, &probe_spec.schema);
         let op_idx = probe_spec.ops.len();
+        let residual = node.residual.cloned().map(Residual::new);
         let probe_op = Arc::new(BhjProbeOp::new(
             Arc::clone(&state),
             node.probe_keys.to_vec(),
             kind,
             self.bhj_prefetch,
+            residual.clone(),
         ));
 
         let id = prof.as_deref_mut().map(|pc| {
@@ -239,6 +243,7 @@ impl Engine {
             pc.bind(id, &build_stats, Slot::Sink);
             hw_details(pc, id, "hw_build_", &build_stats);
             walk_details(pc, id, &probe_op.walker);
+            residual_details(pc, id, residual.as_ref());
             pc.pend(id, Slot::Op(op_idx));
             id
         });
@@ -326,6 +331,7 @@ impl Engine {
             build_keys: node.build_keys.to_vec(),
             probe_keys: node.probe_keys.to_vec(),
             kind,
+            residual: node.residual.cloned().map(Residual::new),
             prefetch: self.bhj_prefetch,
             seq: Default::default(),
             reload_depth: Default::default(),
@@ -448,6 +454,7 @@ impl Engine {
             };
             partition_details(pc, id, sides[0], build);
             partition_details(pc, id, sides[1], probe);
+            residual_details(pc, id, join.residual.as_ref());
             if let Some((idx, op, bytes)) = &bloom_op {
                 pc.detail(id, "bloom_bytes", *bytes);
                 let probed = probe_stats.ops[*idx].rows_in();

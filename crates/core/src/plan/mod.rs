@@ -110,6 +110,15 @@ pub enum Plan {
     },
     /// Hash join; output schema is `build ++ probe` for inner/outer
     /// variants (see [`JoinType::output_schema`]).
+    ///
+    /// `residual` is a predicate beyond key equality. Whatever the join
+    /// type, its column `i` is column `i` of `build ++ probe` — the build
+    /// side's schema, then the probe side's — so `Expr::col(b)` is build
+    /// column `b` and `Expr::col(build.schema().len() + p)` probe column
+    /// `p`. A key-equal pair counts only if it passes: an inner join emits
+    /// only such pairs, semi/anti/mark joins ask whether one exists, and an
+    /// outer join pads a probe row only when none does (SQL's `ON k = k'
+    /// AND residual`).
     Join {
         algo: JoinAlgo,
         kind: JoinType,
@@ -117,6 +126,7 @@ pub enum Plan {
         probe: Box<Plan>,
         build_keys: Vec<usize>,
         probe_keys: Vec<usize>,
+        residual: Option<Expr>,
     },
     /// Fused join + group-by (Moerkotte & Neumann): one output row per
     /// build tuple with aggregates over its probe matches, empty groups
@@ -218,7 +228,18 @@ impl Plan {
             probe: Box::new(probe),
             build_keys: build_keys.to_vec(),
             probe_keys: probe_keys.to_vec(),
+            residual: None,
         }
+    }
+
+    /// Give this join node a residual predicate over its `build ++ probe`
+    /// columns (see [`Plan::Join`]). Panics on any other node.
+    pub fn with_residual(mut self, pred: Expr) -> Plan {
+        match &mut self {
+            Plan::Join { residual, .. } => *residual = Some(pred),
+            _ => panic!("a residual belongs to a join node"),
+        }
+        self
     }
 
     pub fn group_join(
@@ -338,6 +359,7 @@ impl Plan {
                 probe,
                 build_keys,
                 probe_keys,
+                residual,
             } => Some((
                 *algo,
                 JoinNode {
@@ -346,6 +368,7 @@ impl Plan {
                     probe,
                     build_keys,
                     probe_keys,
+                    residual: residual.as_ref(),
                 },
             )),
             _ => None,
@@ -512,18 +535,26 @@ pub(crate) struct JoinNode<'a> {
     pub probe: &'a Plan,
     pub build_keys: &'a [usize],
     pub probe_keys: &'a [usize],
+    pub residual: Option<&'a Expr>,
 }
 
 impl JoinNode<'_> {
     /// The join's label under `tag`: the planned algorithm (and join
     /// number) in EXPLAIN, the algorithm that actually ran in EXPLAIN
-    /// ANALYZE.
+    /// ANALYZE. A residual adds the `build ++ probe` columns it reads.
     pub fn label(&self, tag: &str) -> String {
-        format!(
+        let mut label = format!(
             "Join {tag} {:?} {}",
             self.kind,
             fmt_join_keys(self.build, self.build_keys, self.probe, self.probe_keys),
-        )
+        );
+        if let Some(residual) = self.residual {
+            let (build, probe) = (self.build.schema(), self.probe.schema());
+            let fields: Vec<_> = build.fields.iter().chain(&probe.fields).collect();
+            let names = residual.columns().into_iter().map(|c| &fields[c].name);
+            label.push_str(&format!(" residual [{}]", fmt_names(names)));
+        }
+        label
     }
 }
 
@@ -627,6 +658,7 @@ pub(crate) fn find<'a>(
 mod tests {
     use super::*;
     use joinstudy_exec::ops::{AggFunc, TableScan};
+    use joinstudy_exec::profile::DetailValue;
 
     #[test]
     fn join_algo_override_by_index() {
@@ -711,7 +743,8 @@ mod tests {
             &[0],
             vec![GroupAggSpec::count("cnt")],
         );
-        // [k, v, cnt] ++ [k, @tid], then v re-fetched by tid.
+        // [k, v, cnt] ++ [k, @tid], then v re-fetched by tid; the residual
+        // `v <> @tid - 40` passes every pair.
         per_key
             .join(
                 Plan::scan_tid(&t, &["k"], None),
@@ -720,6 +753,7 @@ mod tests {
                 &[0],
                 &[0],
             )
+            .with_residual(Expr::col(1).ne(Expr::col(4).sub(Expr::i64(40))))
             .late_load(&t, 4, &["v"])
             .filter(Expr::col(5).ge(Expr::i64(5)))
             .map(vec![Expr::col(0), Expr::col(2)], &["k", "cnt"])
@@ -737,7 +771,7 @@ Sort [total desc, k] limit 3
     Project [k, cnt]
       Filter
         LateLoad [v]
-          Join #1 BRJ Inner on build[k] = probe[k]
+          Join #1 BRJ Inner on build[k] = probe[k] residual [v, @tid]
             GroupJoin on build[k] = probe[k] aggs[cnt]
               Scan [k, v] filtered (40 rows)
               Stream [gen] (~40 rows)
@@ -764,6 +798,14 @@ Sort [total desc, k] limit 3
                 .map(|line| line.trim_start().replacen("Join #1 ", "Join ", 1))
                 .collect();
             assert_eq!(executed, explained, "{}", algo.name());
+            // Every key-equal pair was tested by the residual, and passed.
+            let join = find(&profile.root, "Join ").expect("the join's node");
+            let count = |key: &str| match join.details.iter().find(|(k, _)| k == key) {
+                Some((_, DetailValue::Int(n))) => *n,
+                other => panic!("{}: {key}: {other:?}", algo.name()),
+            };
+            assert_eq!(count("residual_candidates"), join.rows_out as i64);
+            assert_eq!(count("residual_passed"), join.rows_out as i64);
         }
     }
 }

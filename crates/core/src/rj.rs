@@ -11,6 +11,11 @@
 //! The hash table allocation is reused across all partitions a worker
 //! processes (§4.6), via a thread-local.
 //!
+//! A join with a [`Residual`] collects a partition's key-equal candidates
+//! for every join type and filters them in one place,
+//! [`RadixJoinSource`]'s `keep_passing`, before the per-join-type tail
+//! sees them.
+//!
 //! [`BloomProbeOp`] is the §4.7 semi-join reducer of the BRJ: it sits in the
 //! probe pipeline *before* the partitioning sink and drops probe tuples
 //! whose key cannot be in the build side, saving both partitioning passes
@@ -20,7 +25,7 @@
 use crate::bloom::BlockedBloom;
 use crate::hash::hash_columns;
 use crate::ht_rh::RobinHoodTable;
-use crate::join_common::{default_column, JoinStats, JoinType};
+use crate::join_common::{default_column, JoinStats, JoinType, Residual};
 use crate::radix::PartitionedSide;
 use joinstudy_exec::batch::{Batch, BATCH_ROWS};
 use joinstudy_exec::error::ExecResult;
@@ -42,6 +47,8 @@ pub struct RadixJoinSource {
     build_keys: Vec<usize>,
     probe_keys: Vec<usize>,
     join_type: JoinType,
+    /// Tested on every key-equal candidate pair.
+    residual: Option<Arc<Residual>>,
     stats: Option<Arc<JoinStats>>,
 }
 
@@ -52,6 +59,7 @@ impl RadixJoinSource {
         build_keys: Vec<usize>,
         probe_keys: Vec<usize>,
         join_type: JoinType,
+        residual: Option<Arc<Residual>>,
     ) -> RadixJoinSource {
         assert_eq!(build.bits1(), probe.bits1(), "partitioning fanout mismatch");
         assert_eq!(build.bits2(), probe.bits2(), "partitioning fanout mismatch");
@@ -62,6 +70,7 @@ impl RadixJoinSource {
             build_keys,
             probe_keys,
             join_type,
+            residual,
             stats: None,
         }
     }
@@ -82,42 +91,68 @@ impl RadixJoinSource {
         self
     }
 
+    /// The (build, probe) row pairs at the given byte offsets as one
+    /// (build ++ probe) batch.
+    fn pair_batch(&self, build_offs: &[usize], probe_offs: &[usize]) -> Batch {
+        debug_assert_eq!(build_offs.len(), probe_offs.len());
+        let mut columns = Vec::new();
+        for (side, offs) in [(&self.build, build_offs), (&self.probe, probe_offs)] {
+            let layout = side.layout();
+            for c in 0..layout.num_columns() {
+                let mut col = ColumnData::with_capacity(layout.types()[c], offs.len());
+                layout.decode_column_into(side.data_bytes(), offs, c, side.heaps(), &mut col);
+                columns.push(col);
+            }
+        }
+        Batch::new(columns)
+    }
+
     /// Decode and emit output batches for matched (build, probe) row pairs.
     fn emit_pairs(&self, build_offs: &[usize], probe_offs: &[usize], out: Emit) {
-        debug_assert_eq!(build_offs.len(), probe_offs.len());
-        let bl = self.build.layout();
-        let pl = self.probe.layout();
-        let bdata = self.build.data_bytes();
-        let pdata = self.probe.data_bytes();
-        let mut start = 0;
-        while start < build_offs.len() {
-            let end = (start + BATCH_ROWS).min(build_offs.len());
-            let mut columns = Vec::with_capacity(bl.num_columns() + pl.num_columns());
-            for c in 0..bl.num_columns() {
-                let mut col = ColumnData::with_capacity(bl.types()[c], end - start);
-                bl.decode_column_into(
-                    bdata,
-                    &build_offs[start..end],
-                    c,
-                    self.build.heaps(),
-                    &mut col,
-                );
-                columns.push(col);
-            }
-            for c in 0..pl.num_columns() {
-                let mut col = ColumnData::with_capacity(pl.types()[c], end - start);
-                pl.decode_column_into(
-                    pdata,
-                    &probe_offs[start..end],
-                    c,
-                    self.probe.heaps(),
-                    &mut col,
-                );
-                columns.push(col);
-            }
-            out(Batch::new(columns));
-            start = end;
+        let chunks = build_offs.chunks(BATCH_ROWS);
+        for (b, p) in chunks.zip(probe_offs.chunks(BATCH_ROWS)) {
+            out(self.pair_batch(b, p));
         }
+    }
+
+    /// The residual, between "candidates found" and the join type's tail:
+    /// decode the candidate pairs `(build_offs[i], probe_offs[i])` into
+    /// pair batches of at most [`BATCH_ROWS`], evaluate the predicate on
+    /// each, and keep in both lists only the pairs that pass. With `out`
+    /// (Inner, ProbeOuter) each batch's survivors are emitted here, so a
+    /// pair is decoded once.
+    fn keep_passing(
+        &self,
+        residual: &Residual,
+        build_offs: &mut Vec<usize>,
+        probe_offs: &mut Vec<usize>,
+        mut out: Option<Emit>,
+    ) {
+        let candidates = build_offs.len();
+        let mut kept = 0;
+        let mut pass: Vec<u32> = Vec::new();
+        for start in (0..candidates).step_by(BATCH_ROWS) {
+            let end = (start + BATCH_ROWS).min(candidates);
+            let pairs = self.pair_batch(&build_offs[start..end], &probe_offs[start..end]);
+            let bits = residual.pred.eval_bool(&pairs);
+            pass.clear();
+            pass.extend((0..bits.len() as u32).filter(|&i| bits[i as usize]));
+            for &i in &pass {
+                build_offs[kept] = build_offs[start + i as usize];
+                probe_offs[kept] = probe_offs[start + i as usize];
+                kept += 1;
+            }
+            if let Some(out) = out.as_deref_mut() {
+                if pass.len() == pairs.num_rows() {
+                    out(pairs);
+                } else if !pass.is_empty() {
+                    out(pairs.take(&pass));
+                }
+            }
+        }
+        build_offs.truncate(kept);
+        probe_offs.truncate(kept);
+        residual.count(candidates as u64, kept as u64);
     }
 
     /// Emit probe-side-only batches (semi/anti/mark and outer padding).
@@ -261,38 +296,25 @@ impl Source for RadixJoinSource {
             let mut stat_total = 0u64;
             let mut stat_matched = 0u64;
 
-            for r in prange {
-                let poff = r * pstride;
-                let prow = &pdata[poff..poff + pstride];
-                let h = pl.read_hash(prow);
-                let mut any = false;
-                table.for_each_match(h, |local_id| {
-                    let boff = build_offs[local_id as usize];
-                    let brow = &bdata[boff..boff + bstride];
-                    if bl.read_hash(brow) == h
-                        && bl.keys_equal(
-                            brow,
-                            &self.build_keys,
-                            self.build.heaps(),
-                            pl,
-                            prow,
-                            &self.probe_keys,
-                            self.probe.heaps(),
-                        )
-                    {
-                        any = true;
-                        match self.join_type {
-                            JoinType::Inner | JoinType::ProbeOuter => {
-                                pair_b.push(boff);
-                                pair_p.push(poff);
-                            }
-                            JoinType::BuildSemi | JoinType::BuildAnti => {
-                                matched_build[local_id as usize] = true;
-                            }
-                            _ => {}
-                        }
-                    }
-                });
+            // Whether build row `local_id` is a key-equal partner of the
+            // probe row `prow`, whose hash is `h`.
+            let partner = |local_id: u32, h: u64, prow: &[u8]| {
+                let boff = build_offs[local_id as usize];
+                let brow = &bdata[boff..boff + bstride];
+                bl.read_hash(brow) == h
+                    && bl.keys_equal(
+                        brow,
+                        &self.build_keys,
+                        self.build.heaps(),
+                        pl,
+                        prow,
+                        &self.probe_keys,
+                        self.probe.heaps(),
+                    )
+            };
+            // What a probe row leaves behind once it is known whether any
+            // partner counts.
+            let mut settle = |poff: usize, any: bool| {
                 stat_total += 1;
                 stat_matched += u64::from(any);
                 match self.join_type {
@@ -304,6 +326,70 @@ impl Source for RadixJoinSource {
                     }
                     JoinType::ProbeOuter if !any => outer_unmatched.push(poff),
                     _ => {}
+                }
+            };
+
+            match &self.residual {
+                None => {
+                    for r in prange {
+                        let poff = r * pstride;
+                        let prow = &pdata[poff..poff + pstride];
+                        let h = pl.read_hash(prow);
+                        let mut any = false;
+                        table.for_each_match(h, |local_id| {
+                            if partner(local_id, h, prow) {
+                                any = true;
+                                match self.join_type {
+                                    JoinType::Inner | JoinType::ProbeOuter => {
+                                        pair_b.push(build_offs[local_id as usize]);
+                                        pair_p.push(poff);
+                                    }
+                                    JoinType::BuildSemi | JoinType::BuildAnti => {
+                                        matched_build[local_id as usize] = true;
+                                    }
+                                    _ => {}
+                                }
+                            }
+                        });
+                        settle(poff, any);
+                    }
+                }
+                // Every candidate of the partition first, for every join
+                // type; the residual keeps the pairs that count.
+                Some(residual) => {
+                    for r in prange.clone() {
+                        let poff = r * pstride;
+                        let prow = &pdata[poff..poff + pstride];
+                        let h = pl.read_hash(prow);
+                        table.for_each_match(h, |local_id| {
+                            if partner(local_id, h, prow) {
+                                pair_b.push(build_offs[local_id as usize]);
+                                pair_p.push(poff);
+                            }
+                        });
+                    }
+                    let emits = matches!(self.join_type, JoinType::Inner | JoinType::ProbeOuter);
+                    self.keep_passing(
+                        residual,
+                        &mut pair_b,
+                        &mut pair_p,
+                        emits.then_some(&mut *out),
+                    );
+                    let mut hit = vec![false; prange.len()];
+                    for &poff in &pair_p {
+                        hit[poff / pstride - prange.start] = true;
+                    }
+                    if self.join_type.preserves_build() {
+                        for &boff in &pair_b {
+                            matched_build[boff / bstride - brange.start] = true;
+                        }
+                    }
+                    for (r, any) in prange.zip(hit) {
+                        settle(r * pstride, any);
+                    }
+                    // `keep_passing` emitted the Inner / ProbeOuter pairs.
+                    pair_b.clear();
+                    pair_p.clear();
                 }
             }
 
@@ -475,7 +561,7 @@ mod tests {
     ) -> Vec<Vec<Value>> {
         let (bside, _, bits2) = partition_pairs(build, Some(2), false);
         let (pside, _, _) = partition_pairs(probe, Some(bits2), false);
-        let src = RadixJoinSource::new(bside, pside, vec![0], vec![0], join_type);
+        let src = RadixJoinSource::new(bside, pside, vec![0], vec![0], join_type, None);
         let mut rows = Vec::new();
         for t in 0..src.task_count() {
             src.poll_task(t, &mut |b| {

@@ -69,7 +69,10 @@ pub fn resolve_str(heaps: &[StrHeap], r: StrRef) -> &str {
     let off = ((r >> 16) & ((1 << 40) - 1)) as usize;
     let len = (r & 0xFFFF) as usize;
     let bytes = &heaps[heap_id].bytes[off..off + len];
-    // Only whole UTF-8 strings are ever pushed.
+    // SAFETY: `StrHeap::push` is the only writer of `bytes`, and it appends
+    // whole `&str`s; a reference it returned spans exactly one of them, so
+    // `bytes` is valid UTF-8 (the slice above is bounds-checked, and a
+    // reference into a cleared heap panics there rather than misreading).
     unsafe { std::str::from_utf8_unchecked(bytes) }
 }
 

@@ -5,8 +5,9 @@
 //! buckets under 1 000 rows: 60-row chains of rows that share a bucket but
 //! not a hash, walked over many rounds) and with no rows at all × probe
 //! batches of 0, 1, 1 023, 1 024 and 3 000 rows × Int64, mixed Int32/Int64
-//! and Str keys. Pairs are compared as multisets (they come out in round
-//! order); semi, anti and mark must keep the input's order.
+//! and Str keys × no residual and a residual that passes only some of a
+//! row's key partners. Pairs are compared as multisets (they come out in
+//! round order); semi, anti and mark must keep the input's order.
 //!
 //! The groupjoin, which walks the same chains with another action on a
 //! match, is one more row of the grid: every build row once, with its
@@ -15,8 +16,10 @@
 use joinstudy_core::bhj::{BhjBuildSink, BhjProbeOp, BhjState, BhjUnmatchedSource, BhjWalker};
 use joinstudy_core::groupjoin::{cells_op, GroupAggFunc, GroupAggSpec, GroupJoinProbeOp};
 use joinstudy_core::ht_chain::ChainTable;
+use joinstudy_core::join_common::Residual;
 use joinstudy_core::JoinType;
 use joinstudy_exec::batch::Batch;
+use joinstudy_exec::expr::Expr;
 use joinstudy_exec::pipeline::{Operator, Sink, Source};
 use joinstudy_storage::column::{ColumnData, StrColumn};
 use joinstudy_storage::types::{DataType, Value};
@@ -217,6 +220,7 @@ fn run(
     kind: JoinType,
     prefetch: bool,
     probe: &[(i64, i64)],
+    residual: Option<&Arc<Residual>>,
 ) -> (Vec<Batch>, Vec<Batch>) {
     let plain = side_batch(keys, probe, false);
     let mut validity = vec![None; plain.num_columns()];
@@ -228,6 +232,7 @@ fn run(
         (0..keys.arity()).collect(),
         kind,
         prefetch,
+        residual.cloned(),
     );
     let mut local = op.create_local();
     let mut out = Vec::new();
@@ -252,12 +257,46 @@ fn run(
 }
 
 /// Check one (build side, probe batch) against the nested loop, for every
-/// join type and both prefetch settings.
+/// join type and both prefetch settings, without a residual and with
+/// `build.id < probe.id` — which passes only some of a probe row's
+/// key-equal partners, so no chain may retire on its first key match. The
+/// residual reads the stored probe ids: pair batches are all-valid.
 fn check(keys: Keys, build: &[(i64, i64)], tiny: bool, probe: &[(i64, i64)]) {
     let partners: Vec<Vec<usize>> = probe
         .iter()
         .map(|p| (0..build.len()).filter(|&b| build[b] == *p).collect())
         .collect();
+    check_kinds(keys, build, tiny, probe, &partners, None);
+    let id_col = keys.arity();
+    let residual = Residual::new(Expr::col(id_col).lt(Expr::col(2 * id_col + 1)));
+    let below: Vec<Vec<usize>> = partners
+        .iter()
+        .enumerate()
+        .map(|(r, bs)| bs.iter().copied().filter(|&b| b < r).collect())
+        .collect();
+    let candidates = partners.iter().map(Vec::len).sum::<usize>() as u64;
+    check_kinds(
+        keys,
+        build,
+        tiny,
+        probe,
+        &below,
+        Some((&residual, candidates)),
+    );
+    check_groupjoin(keys, build, tiny, probe, &partners);
+}
+
+/// The grid of [`check`] for one residual: `partners` are the build rows
+/// of each probe row that count, and with a residual come the key-equal
+/// candidates it must have tested on every run.
+fn check_kinds(
+    keys: Keys,
+    build: &[(i64, i64)],
+    tiny: bool,
+    probe: &[(i64, i64)],
+    partners: &[Vec<usize>],
+    residual: Option<(&Arc<Residual>, u64)>,
+) {
     let build_batch = side_batch(keys, build, true);
     let probe_batch = side_batch(keys, probe, false);
     let id_col = keys.arity();
@@ -295,13 +334,24 @@ fn check(keys: Keys, build: &[(i64, i64)], tiny: bool, probe: &[(i64, i64)]) {
             } else {
                 &shared
             };
-            let (out, build_out) = run(state, keys, kind, prefetch, probe);
+            let before = residual.map(|(res, _)| counts(res));
+            let (out, build_out) = run(state, keys, kind, prefetch, probe, residual.map(|r| r.0));
             let got = rows_of(&out);
             let ctx = format!(
-                "{keys:?} {kind:?} prefetch={prefetch} tiny={tiny} build={} probe={}",
+                "{keys:?} {kind:?} prefetch={prefetch} tiny={tiny} residual={} build={} probe={}",
+                residual.is_some(),
                 build.len(),
                 probe.len()
             );
+            if let (Some((res, candidates)), Some((c0, p0))) = (residual, before) {
+                let passed = partners.iter().map(Vec::len).sum::<usize>() as u64;
+                let (c1, p1) = counts(res);
+                assert_eq!(
+                    (c1 - c0, p1 - p0),
+                    (candidates, passed),
+                    "{ctx}: residual counts"
+                );
+            }
             match kind {
                 JoinType::Inner => assert_rows(&sorted(got), &sorted(pairs().collect()), &ctx),
                 JoinType::ProbeOuter => {
@@ -347,9 +397,26 @@ fn check(keys: Keys, build: &[(i64, i64)], tiny: bool, probe: &[(i64, i64)]) {
             }
         }
     }
+}
 
-    // The groupjoin: per build row its partners' count and the sums of
-    // their (unmasked) Int64 ids and of a Decimal column.
+/// (candidates, passed) a residual has counted so far.
+fn counts(residual: &Residual) -> (u64, u64) {
+    let load = |c: &Arc<AtomicU64>| c.load(Ordering::Relaxed);
+    (load(&residual.candidates), load(&residual.passed))
+}
+
+/// The groupjoin: per build row its partners' count and the sums of their
+/// (unmasked) Int64 ids and of a Decimal column.
+fn check_groupjoin(
+    keys: Keys,
+    build: &[(i64, i64)],
+    tiny: bool,
+    probe: &[(i64, i64)],
+    partners: &[Vec<usize>],
+) {
+    let build_batch = side_batch(keys, build, true);
+    let probe_batch = side_batch(keys, probe, false);
+    let id_col = keys.arity();
     let dec = |r: usize| 3 * r as i64 - 1_000;
     let mut cells = vec![[0i64; 3]; build.len()];
     for (r, bs) in partners.iter().enumerate() {

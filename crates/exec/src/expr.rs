@@ -214,6 +214,34 @@ impl Expr {
         }
     }
 
+    /// The input columns this expression reads, ascending, each once.
+    pub fn columns(&self) -> Vec<usize> {
+        fn walk(e: &Expr, out: &mut Vec<usize>) {
+            match e {
+                Expr::Col(i) | Expr::IsNull(i) => out.push(*i),
+                Expr::Const(_) => {}
+                Expr::And(es) | Expr::Or(es) => es.iter().for_each(|e| walk(e, out)),
+                Expr::Cmp(_, l, r) | Expr::Arith(_, l, r) => {
+                    walk(l, out);
+                    walk(r, out);
+                }
+                Expr::CaseWhen(c, t, f) => [c, t, f].into_iter().for_each(|e| walk(e, out)),
+                Expr::Not(e)
+                | Expr::Between(e, ..)
+                | Expr::InList(e, _)
+                | Expr::Like(e, _)
+                | Expr::Substr(e, ..)
+                | Expr::ExtractYear(e)
+                | Expr::ToDecimal(e) => walk(e, out),
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
     /// Evaluate over a batch into a fresh column of `batch.num_rows()` rows.
     pub fn eval(&self, batch: &Batch) -> ColumnData {
         let n = batch.num_rows();
@@ -574,6 +602,16 @@ mod tests {
         let b = batch();
         assert_eq!(Expr::col(0).eval(&b).as_i64(), &[1, 2, 3, 4]);
         assert_eq!(Expr::i64(7).eval(&b).as_i64(), &[7, 7, 7, 7]);
+    }
+
+    #[test]
+    fn columns_read_are_sorted_and_distinct() {
+        let e = Expr::and(vec![
+            Expr::col(5).ne(Expr::col(1)),
+            Expr::case_when(Expr::is_null(3), Expr::col(1), Expr::i64(0)).lt(Expr::col(0)),
+        ]);
+        assert_eq!(e.columns(), vec![0, 1, 3, 5]);
+        assert!(Expr::i64(1).columns().is_empty());
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! implements that groupjoin and is skipped by harnesses that compare
 //! swappable joins (`main_joins == 0`). Each query module
 //! exposes `run(data, cfg, engine) -> Table`; queries with uncorrelated
-//! scalar subqueries (11, 15, 17, 18, 20, 21, 22) execute those as separate
+//! scalar subqueries (11, 15, 17, 18, 20, 22) execute those as separate
 //! plans first — exactly how a real engine evaluates them — and feed the
-//! resulting constants/tables into the main plan.
+//! resulting constants/tables into the main plan. Q21's correlated
+//! `EXISTS` / `NOT EXISTS` are joins of its one plan, with a residual.
 //!
 //! [`QueryConfig`] selects the join implementation for *all* joins (the
 //! §5.3.1 methodology), applies per-join overrides on the main plan (the

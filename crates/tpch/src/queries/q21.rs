@@ -2,34 +2,18 @@
 //! The paper's deep-dive query (Figure 13): a left-deep five-join tree
 //! whose joins span the full spectrum of build/probe characteristics.
 //!
-//! The correlated EXISTS / NOT EXISTS pair is decomposed into per-order
-//! supplier counts: another supplier exists on the order iff the order has
-//! ≥ 2 distinct suppliers; no *other* supplier was late iff the late
-//! lineitems of the order involve exactly 1 distinct supplier (l1's own).
+//! One plan. Joins 1–3 find the Saudi suppliers' late lineitems `l1` on
+//! finalized orders. The correlated `EXISTS (l2: same order, other
+//! supplier)` and `NOT EXISTS (l3: same order, other supplier, late)` are
+//! joins 4 and 5: a build-side semi and a build-side anti join of that
+//! small result against lineitem on `l_orderkey`, each with the residual
+//! `build.l_suppkey <> probe.l_suppkey`. They build on the l1 side, as
+//! Q4's semi join builds on orders, and preserve it row for row.
 
 use super::*;
 use joinstudy_exec::ops::{AggFunc, AggSpec, SortKey};
-use std::sync::Arc;
 
 pub fn run(data: &TpchData, cfg: &QueryConfig, engine: &Engine) -> Table {
-    // Per-order distinct supplier counts (all lineitems / late lineitems).
-    let all_counts = Plan::scan(&data.lineitem, &["l_orderkey", "l_suppkey"], None).aggregate(
-        &[0],
-        vec![AggSpec::new(AggFunc::CountDistinct, 1, "n_supp")],
-    );
-    let all_counts = Arc::new(engine.run(&all_counts));
-
-    let late_counts = scan_where(
-        &data.lineitem,
-        &["l_orderkey", "l_suppkey", "l_receiptdate", "l_commitdate"],
-        |s| cx(s, "l_receiptdate").gt(cx(s, "l_commitdate")),
-    )
-    .aggregate(
-        &[0],
-        vec![AggSpec::new(AggFunc::CountDistinct, 1, "n_late")],
-    );
-    let late_counts = Arc::new(engine.run(&late_counts));
-
     // Join 1: nation(SAUDI ARABIA) ⋈ supplier — a 12 B build side.
     let nation = scan_where(&data.nation, &["n_nationkey", "n_name"], |s| {
         cx(s, "n_name").eq(Expr::str("SAUDI ARABIA"))
@@ -48,10 +32,11 @@ pub fn run(data: &TpchData, cfg: &QueryConfig, engine: &Engine) -> Table {
     );
 
     // Join 2: the supplier's own late lineitems (1 MB ⋈ 6 GB in Fig 13).
+    let late = |s: &Schema| cx(s, "l_receiptdate").gt(cx(s, "l_commitdate"));
     let l1 = scan_where(
         &data.lineitem,
         &["l_orderkey", "l_suppkey", "l_receiptdate", "l_commitdate"],
-        |s| cx(s, "l_receiptdate").gt(cx(s, "l_commitdate")),
+        late,
     );
     let t = join_on(ns, l1, JoinType::Inner, &["s_suppkey"], &["l_suppkey"]);
 
@@ -61,19 +46,25 @@ pub fn run(data: &TpchData, cfg: &QueryConfig, engine: &Engine) -> Table {
     });
     let t = join_on(t, orders, JoinType::Inner, &["l_orderkey"], &["o_orderkey"]);
 
-    // Join 4: EXISTS other-supplier ⟺ order has ≥ 2 distinct suppliers.
-    let multi = scan_where(&all_counts, &["l_orderkey", "n_supp"], |s| {
-        cx(s, "n_supp").ge(Expr::i64(2))
-    });
-    let multi = map_where(multi, |s| vec![(cx(s, "l_orderkey"), "mo_orderkey")]);
-    let t = join_on(multi, t, JoinType::Inner, &["mo_orderkey"], &["o_orderkey"]);
-
-    // Join 5: NOT EXISTS other late supplier ⟺ exactly 1 late supplier.
-    let solo = scan_where(&late_counts, &["l_orderkey", "n_late"], |s| {
-        cx(s, "n_late").eq(Expr::i64(1))
-    });
-    let solo = map_where(solo, |s| vec![(cx(s, "l_orderkey"), "so_orderkey")]);
-    let t = join_on(solo, t, JoinType::Inner, &["so_orderkey"], &["o_orderkey"]);
+    // Joins 4 and 5 keep the l1 rows for which a lineitem of the same order
+    // from another supplier exists (l2) and none that is also late does
+    // (l3): `build.l_suppkey <> probe.l_suppkey` over `t ++ lineitem`.
+    let other_supplier = |t: &Plan| {
+        let ts = t.schema();
+        Expr::col(ts.index_of("l_suppkey")).ne(Expr::col(ts.len() + 1))
+    };
+    let l2 = Plan::scan(&data.lineitem, &["l_orderkey", "l_suppkey"], None);
+    let residual = other_supplier(&t);
+    let t = join_on(t, l2, JoinType::BuildSemi, &["l_orderkey"], &["l_orderkey"])
+        .with_residual(residual);
+    let l3 = scan_where(
+        &data.lineitem,
+        &["l_orderkey", "l_suppkey", "l_receiptdate", "l_commitdate"],
+        late,
+    );
+    let residual = other_supplier(&t);
+    let t = join_on(t, l3, JoinType::BuildAnti, &["l_orderkey"], &["l_orderkey"])
+        .with_residual(residual);
 
     let ts = t.schema();
     let mut plan = t

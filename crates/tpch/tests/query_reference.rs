@@ -59,6 +59,84 @@ fn q4_matches_reference() {
 }
 
 #[test]
+fn q21_matches_reference() {
+    let d = data();
+    // Reference: TPC-H Q21 as written — for each late lineitem l1 of a
+    // SAUDI ARABIA supplier on an 'F' order, EXISTS l2 (same order, other
+    // supplier) and NOT EXISTS l3 (same order, other supplier, late) —
+    // evaluated per l1 over the order's lineitems.
+    let n = &d.nation;
+    let saudi = (0..n.num_rows())
+        .find(|&i| n.column_by_name("n_name").as_str().get(i) == "SAUDI ARABIA")
+        .map(|i| n.column_by_name("n_nationkey").as_i64()[i])
+        .unwrap();
+    let s = &d.supplier;
+    let s_name = s.column_by_name("s_name").as_str();
+    let s_nation = s.column_by_name("s_nationkey").as_i64();
+    let names: HashMap<i64, &str> = s
+        .column_by_name("s_suppkey")
+        .as_i64()
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| s_nation[i] == saudi)
+        .map(|(i, &k)| (k, s_name.get(i)))
+        .collect();
+    let o = &d.orders;
+    let status = o.column_by_name("o_orderstatus").as_str();
+    let finalized: std::collections::HashSet<i64> = o
+        .column_by_name("o_orderkey")
+        .as_i64()
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| status.get(i) == "F")
+        .map(|(_, &k)| k)
+        .collect();
+    let l = &d.lineitem;
+    let ok = l.column_by_name("l_orderkey").as_i64();
+    let sk = l.column_by_name("l_suppkey").as_i64();
+    let commit = l.column_by_name("l_commitdate").as_i32();
+    let receipt = l.column_by_name("l_receiptdate").as_i32();
+    let late = |i: usize| receipt[i] > commit[i];
+    let mut by_order: HashMap<i64, Vec<usize>> = HashMap::new();
+    for i in 0..l.num_rows() {
+        by_order.entry(ok[i]).or_default().push(i);
+    }
+    let mut numwait: HashMap<&str, i64> = HashMap::new();
+    for l1 in 0..l.num_rows() {
+        let Some(&name) = names.get(&sk[l1]) else {
+            continue;
+        };
+        if !late(l1) || !finalized.contains(&ok[l1]) {
+            continue;
+        }
+        let order = &by_order[&ok[l1]];
+        let exists = order.iter().any(|&l2| sk[l2] != sk[l1]);
+        let not_exists = !order.iter().any(|&l3| sk[l3] != sk[l1] && late(l3));
+        if exists && not_exists {
+            *numwait.entry(name).or_default() += 1;
+        }
+    }
+    let mut want: Vec<(&str, i64)> = numwait.into_iter().collect();
+    want.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+    want.truncate(100);
+    assert!(!want.is_empty(), "the reference finds no waiting supplier");
+
+    for algo in [
+        JoinAlgo::Bhj,
+        JoinAlgo::Rj,
+        JoinAlgo::Brj,
+        JoinAlgo::Adaptive,
+        JoinAlgo::Hybrid,
+    ] {
+        let t = (joinstudy_tpch::query(21).run)(d, &QueryConfig::new(algo), &Engine::new(2));
+        let got: Vec<(&str, i64)> = (0..t.num_rows())
+            .map(|r| (t.column(0).as_str().get(r), t.column(1).as_i64()[r]))
+            .collect();
+        assert_eq!(got, want, "{}", algo.name());
+    }
+}
+
+#[test]
 fn q12_matches_reference() {
     let d = data();
     let lo = Date::from_ymd(1994, 1, 1).0;
