@@ -97,10 +97,7 @@ pub fn fig01(r: &mut Report, p: &Params) {
     let mut t = r.table("fig01_join_matrix", &cols);
     t.header(r);
     for q in queries(p) {
-        // Keep only the main plan's joins: the last `main_joins` entries
-        // (auxiliary subquery plans and Q17's CTE run before the main plan).
-        let log = rj_join_log(&q, &data, &e);
-        let sizes = &log[log.len().saturating_sub(q.main_joins)..];
+        let sizes = rj_join_log(&q, &data, &e);
         let (base, flipped) = join_impact(&q, &data, &e, reps);
         for (j, (ms, delta)) in flipped.into_iter().enumerate() {
             let (build, probe) = sizes

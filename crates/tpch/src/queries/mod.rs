@@ -5,16 +5,17 @@
 //! system and is excluded from its join comparison (footnote 6) — our Q13
 //! implements that groupjoin and is skipped by harnesses that compare
 //! swappable joins (`main_joins == 0`). Each query module
-//! exposes `run(data, cfg, engine) -> Table`; queries with uncorrelated
-//! scalar subqueries (11, 15, 17, 18, 20, 22) execute those as separate
-//! plans first — exactly how a real engine evaluates them — and feed the
-//! resulting constants/tables into the main plan. Q21's correlated
-//! `EXISTS` / `NOT EXISTS` are joins of its one plan, with a residual.
+//! exposes `run(data, cfg, engine) -> Table`, which builds one plan and
+//! runs it once. Subqueries are parts of that plan: a grouped one is a
+//! join's build child (Q18, Q20), an uncorrelated scalar one a one-row
+//! build side on a constant key with the comparison as the join's
+//! residual ([`scalar_join`]: Q11, Q15, Q22), Q17's correlated average a
+//! groupjoin, and Q21's `EXISTS` / `NOT EXISTS` semi and anti joins.
 //!
 //! [`QueryConfig`] selects the join implementation for *all* joins (the
-//! §5.3.1 methodology), applies per-join overrides on the main plan (the
-//! §5.3.2 permutation study), and toggles late materialization for the
-//! queries where the paper found it meaningful (Q8, Q14, Q20).
+//! §5.3.1 methodology), applies per-join overrides (the §5.3.2 permutation
+//! study), and toggles late materialization for the queries where the
+//! paper found it meaningful (Q8, Q14, Q20).
 
 pub mod q02;
 pub mod q03;
@@ -49,8 +50,8 @@ pub struct QueryConfig {
     pub algo: JoinAlgo,
     /// Late materialization (honored by the queries where it matters).
     pub lm: bool,
-    /// Per-join overrides on the main plan, post-order numbered
-    /// (the Figure 12 permutation study).
+    /// Per-join overrides, post-order numbered (the Figure 12
+    /// permutation study).
     pub overrides: Vec<(usize, JoinAlgo)>,
 }
 
@@ -73,17 +74,12 @@ impl QueryConfig {
         self
     }
 
-    /// Apply algorithm selection + overrides to a query's main plan.
+    /// Apply algorithm selection + overrides to a query's plan.
     pub fn apply(&self, plan: &mut Plan) {
         plan.set_all_join_algos(self.algo);
         for &(idx, algo) in &self.overrides {
             plan.override_join_algo(idx, algo);
         }
-    }
-
-    /// Apply only the global algorithm (auxiliary subquery plans).
-    pub fn apply_aux(&self, plan: &mut Plan) {
-        plan.set_all_join_algos(self.algo);
     }
 }
 
@@ -136,6 +132,32 @@ pub(crate) fn join_on(
     build.join(probe, JoinAlgo::Bhj, kind, &bk, &pk)
 }
 
+/// The rows of `probe` that pass `pred` against the one row of the
+/// uncorrelated scalar subquery `scalar`. Both sides get the constant key
+/// `Expr::i64(0)`; `scalar` is the build side of a probe-side semi join,
+/// `pred` its residual, built against the `scalar ++ probe` schema; the
+/// key is projected away again, so the result has `probe`'s schema.
+pub(crate) fn scalar_join(scalar: Plan, probe: Plan, pred: impl FnOnce(&Schema) -> Expr) -> Plan {
+    let keyed = |plan: Plan| {
+        let s = plan.schema();
+        let names: Vec<&str> = s.fields.iter().map(|f| f.name.as_str()).collect();
+        let exprs = (0..s.len()).map(Expr::col).chain([Expr::i64(0)]).collect();
+        plan.map(exprs, &[&names[..], &["@key"]].concat())
+    };
+    let width = probe.schema().len();
+    let (scalar, probe) = (keyed(scalar), keyed(probe));
+    let (bs, ps) = (scalar.schema(), probe.schema());
+    let residual = pred(&Schema::new(
+        [bs.fields.clone(), ps.fields.clone()].concat(),
+    ));
+    let names: Vec<&str> = ps.fields[..width].iter().map(|f| f.name.as_str()).collect();
+    let kind = JoinType::ProbeSemi;
+    scalar
+        .join(probe, JoinAlgo::Bhj, kind, &[bs.len() - 1], &[width])
+        .with_residual(residual)
+        .map((0..width).map(Expr::col).collect(), &names)
+}
+
 /// Late-materialization helper: re-fetch deferred lineitem columns by the
 /// `@tid` carried from a `scan_tid` of lineitem (the §4.2 late-load
 /// operator). No-op concerns are the caller's: only use after a
@@ -157,114 +179,41 @@ pub(crate) fn revenue_expr(schema: &Schema) -> Expr {
 /// One registered query.
 pub struct TpchQuery {
     pub id: u32,
-    /// Number of joins in the main plan (Fig 12 permutation bound).
+    /// Number of swappable joins in the query's one plan: what
+    /// `Plan::count_joins` counts, the length of an all-RJ join log, and
+    /// the bound of the Fig 12 override numbering.
     pub main_joins: usize,
     pub run: fn(&TpchData, &QueryConfig, &Engine) -> Table,
 }
 
 /// All join-bearing queries in the paper's evaluation set.
 pub fn all_queries() -> Vec<TpchQuery> {
+    let q = |id, main_joins, run| TpchQuery {
+        id,
+        main_joins,
+        run,
+    };
     vec![
-        TpchQuery {
-            id: 2,
-            main_joins: 8,
-            run: q02::run,
-        },
-        TpchQuery {
-            id: 3,
-            main_joins: 2,
-            run: q03::run,
-        },
-        TpchQuery {
-            id: 4,
-            main_joins: 1,
-            run: q04::run,
-        },
-        TpchQuery {
-            id: 5,
-            main_joins: 5,
-            run: q05::run,
-        },
-        TpchQuery {
-            id: 7,
-            main_joins: 5,
-            run: q07::run,
-        },
-        TpchQuery {
-            id: 8,
-            main_joins: 7,
-            run: q08::run,
-        },
-        TpchQuery {
-            id: 9,
-            main_joins: 5,
-            run: q09::run,
-        },
-        TpchQuery {
-            id: 10,
-            main_joins: 3,
-            run: q10::run,
-        },
-        TpchQuery {
-            id: 11,
-            main_joins: 2,
-            run: q11::run,
-        },
-        TpchQuery {
-            id: 12,
-            main_joins: 1,
-            run: q12::run,
-        },
-        TpchQuery {
-            id: 13,
-            main_joins: 0,
-            run: q13::run,
-        },
-        TpchQuery {
-            id: 14,
-            main_joins: 1,
-            run: q14::run,
-        },
-        TpchQuery {
-            id: 15,
-            main_joins: 1,
-            run: q15::run,
-        },
-        TpchQuery {
-            id: 16,
-            main_joins: 2,
-            run: q16::run,
-        },
-        TpchQuery {
-            id: 17,
-            main_joins: 1,
-            run: q17::run,
-        },
-        TpchQuery {
-            id: 18,
-            main_joins: 3,
-            run: q18::run,
-        },
-        TpchQuery {
-            id: 19,
-            main_joins: 1,
-            run: q19::run,
-        },
-        TpchQuery {
-            id: 20,
-            main_joins: 4,
-            run: q20::run,
-        },
-        TpchQuery {
-            id: 21,
-            main_joins: 5,
-            run: q21::run,
-        },
-        TpchQuery {
-            id: 22,
-            main_joins: 1,
-            run: q22::run,
-        },
+        q(2, 8, q02::run),
+        q(3, 2, q03::run),
+        q(4, 1, q04::run),
+        q(5, 5, q05::run),
+        q(7, 5, q07::run),
+        q(8, 7, q08::run),
+        q(9, 5, q09::run),
+        q(10, 3, q10::run),
+        q(11, 5, q11::run),
+        q(12, 1, q12::run),
+        q(13, 0, q13::run),
+        q(14, 1, q14::run),
+        q(15, 2, q15::run),
+        q(16, 2, q16::run),
+        q(17, 1, q17::run),
+        q(18, 3, q18::run),
+        q(19, 1, q19::run),
+        q(20, 4, q20::run),
+        q(21, 5, q21::run),
+        q(22, 2, q22::run),
     ]
 }
 

@@ -1,6 +1,11 @@
 //! TPC-H Q11 — important stock identification (GERMANY). The largest
 //! build side is ~480 KB, fitting L2 entirely: the paper's example of a
 //! query where partitioning is redundant by construction (§5.3.1).
+//!
+//! One plan of 2 + 2 + 1 joins: the German stock value per part, and the
+//! scalar subquery's total over the same join chain as a one-row build
+//! side ([`scalar_join`]) whose residual keeps the parts above the spec's
+//! `total × 0.0001 / SF`.
 
 use super::*;
 use joinstudy_exec::ops::{AggFunc, AggSpec, SortKey};
@@ -43,17 +48,17 @@ fn germany_chain(data: &TpchData) -> Plan {
 }
 
 pub fn run(data: &TpchData, cfg: &QueryConfig, engine: &Engine) -> Table {
-    // Scalar subquery: total German stock value (its own join chain).
-    let mut sub = germany_chain(data).aggregate(&[], vec![AggSpec::new(AggFunc::Sum, 1, "total")]);
-    cfg.apply_aux(&mut sub);
-    let total = engine.run(&sub).column_by_name("total").as_i64()[0];
-    let fraction = 0.0001 / data.sf;
-    let threshold = Decimal((total as f64 * fraction) as i64);
-
-    let mut plan =
-        germany_chain(data).aggregate(&[0], vec![AggSpec::new(AggFunc::Sum, 1, "value")]);
-    plan = filter_where(plan, |s| cx(s, "value").gt(Expr::dec(threshold)))
-        .sort(vec![SortKey::desc(1)], None);
+    let total = germany_chain(data).aggregate(&[], vec![AggSpec::new(AggFunc::Sum, 1, "total")]);
+    let value = germany_chain(data).aggregate(&[0], vec![AggSpec::new(AggFunc::Sum, 1, "value")]);
+    // `value > total × 0.0001 / SF` as `value × K > total`, K = SF / 0.0001,
+    // in exact decimal arithmetic. That is exact whenever K is an integer,
+    // i.e. SF is a multiple of 0.0001 (every SF we run); otherwise K is
+    // rounded to one.
+    let k = Decimal::from_int((data.sf / 0.0001).round() as i64);
+    let mut plan = scalar_join(total, value, |s| {
+        cx(s, "value").mul(Expr::dec(k)).gt(cx(s, "total"))
+    })
+    .sort(vec![SortKey::desc(1)], None);
     cfg.apply(&mut plan);
     engine.run(&plan)
 }

@@ -1,18 +1,24 @@
-//! TPC-H Q15 — top supplier. The revenue view and its maximum are
-//! evaluated as separate plans (uncorrelated subqueries); the single join
-//! matches suppliers against the best-revenue rows.
+//! TPC-H Q15 — top supplier. One plan: the revenue view is computed twice
+//! from one `fn`, once as the probe side and once under `MAX` as a one-row
+//! build side ([`scalar_join`]) keeping the rows with `total_revenue = m`;
+//! the join with supplier follows.
+//!
+//! The view is recomputed, not shared: a shared-subplan node would turn
+//! the plan tree into a DAG that every walk over it (override numbering,
+//! EXPLAIN, the profile, the trace) would have to learn. The second
+//! lineitem scan and aggregate cost that: under the BHJ at SF 0.05 on a
+//! 2-vCPU VM (2 threads, medians of 31 runs), Q15 takes 4.4–6.0 ms
+//! against 2.3–2.9 ms when the view was run once into a table.
 
 use super::*;
 use joinstudy_exec::ops::{AggFunc, AggSpec, SortKey};
-use joinstudy_storage::types::{Date, Decimal};
-use std::sync::Arc;
+use joinstudy_storage::types::Date;
 
-pub fn run(data: &TpchData, cfg: &QueryConfig, engine: &Engine) -> Table {
+/// The `revenue` view: supplier → total revenue in 1996's first quarter.
+fn revenue(data: &TpchData) -> Plan {
     let lo = Date::from_ymd(1996, 1, 1);
     let hi = lo.add_months(3);
-
-    // revenue view: supplier → total revenue in the quarter.
-    let rev_plan = map_where(
+    map_where(
         scan_where(
             &data.lineitem,
             &["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
@@ -30,15 +36,13 @@ pub fn run(data: &TpchData, cfg: &QueryConfig, engine: &Engine) -> Table {
             ]
         },
     )
-    .aggregate(&[0], vec![AggSpec::new(AggFunc::Sum, 1, "total_revenue")]);
-    let revenue = Arc::new(engine.run(&rev_plan));
+    .aggregate(&[0], vec![AggSpec::new(AggFunc::Sum, 1, "total_revenue")])
+}
 
-    let max_plan = Plan::scan(&revenue, &["total_revenue"], None)
-        .aggregate(&[], vec![AggSpec::new(AggFunc::Max, 0, "m")]);
-    let max_rev = Decimal(engine.run(&max_plan).column_by_name("m").as_i64()[0]);
-
-    let best = scan_where(&revenue, &["supplier_no", "total_revenue"], |s| {
-        cx(s, "total_revenue").eq(Expr::dec(max_rev))
+pub fn run(data: &TpchData, cfg: &QueryConfig, engine: &Engine) -> Table {
+    let max = revenue(data).aggregate(&[], vec![AggSpec::new(AggFunc::Max, 1, "m")]);
+    let best = scalar_join(max, revenue(data), |s| {
+        cx(s, "total_revenue").eq(cx(s, "m"))
     });
     let supplier = Plan::scan(
         &data.supplier,

@@ -1,20 +1,20 @@
 //! TPC-H Q18 — large-volume customers (sum(l_quantity) > 300). The
-//! having-clause subquery is pre-aggregated into a tiny key set that then
-//! drives three joins; grouping dominates (§5.3.1).
+//! `IN (… HAVING …)` subquery is an aggregate of lineitem per order, and
+//! the tiny key set it leaves is the build side of the first of three
+//! joins in the one plan; grouping dominates (§5.3.1).
 
 use super::*;
 use joinstudy_exec::ops::{AggFunc, AggSpec, SortKey};
 use joinstudy_storage::types::Decimal;
-use std::sync::Arc;
 
 pub fn run(data: &TpchData, cfg: &QueryConfig, engine: &Engine) -> Table {
     // Orders whose total quantity exceeds 300.
-    let big_plan = filter_where(
+    let big = filter_where(
         Plan::scan(&data.lineitem, &["l_orderkey", "l_quantity"], None)
             .aggregate(&[0], vec![AggSpec::new(AggFunc::Sum, 1, "sum_qty")]),
         |s| cx(s, "sum_qty").gt(Expr::dec(Decimal::from_int(300))),
-    );
-    let big = Arc::new(engine.run(&big_plan));
+    )
+    .map(vec![Expr::col(0)], &["l_orderkey"]);
 
     let orders = Plan::scan(
         &data.orders,
@@ -22,7 +22,7 @@ pub fn run(data: &TpchData, cfg: &QueryConfig, engine: &Engine) -> Table {
         None,
     );
     let t = join_on(
-        Plan::scan(&big, &["l_orderkey"], None),
+        big,
         orders,
         JoinType::Inner,
         &["l_orderkey"],

@@ -2,6 +2,9 @@
 //! The paper's LM showcase: the result's two text columns (s_name,
 //! s_address) are only needed in the output, so late materialization cuts
 //! the probe side by two thirds (§5.3.1).
+//!
+//! One plan: the uncorrelated half-sum of shipped quantity per (part,
+//! supplier) is the build side of the join with the forest% partsupp rows.
 
 use super::*;
 use joinstudy_exec::ops::scan::TID_COLUMN;
@@ -13,7 +16,7 @@ pub fn run(data: &TpchData, cfg: &QueryConfig, engine: &Engine) -> Table {
     let lo = Date::from_ymd(1994, 1, 1);
     let hi = lo.add_years(1);
 
-    // Uncorrelated aggregate: half the shipped quantity per (part, supplier).
+    // Half the shipped quantity per (part, supplier).
     let qty_plan = scan_where(
         &data.lineitem,
         &["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"],
@@ -25,7 +28,7 @@ pub fn run(data: &TpchData, cfg: &QueryConfig, engine: &Engine) -> Table {
         },
     )
     .aggregate(&[0, 1], vec![AggSpec::new(AggFunc::Sum, 2, "sum_qty")]);
-    let half_plan = map_where(qty_plan, |s| {
+    let half = map_where(qty_plan, |s| {
         vec![
             (cx(s, "l_partkey"), "q_partkey"),
             (cx(s, "l_suppkey"), "q_suppkey"),
@@ -35,7 +38,6 @@ pub fn run(data: &TpchData, cfg: &QueryConfig, engine: &Engine) -> Table {
             ),
         ]
     });
-    let half = Arc::new(engine.run(&half_plan));
 
     // partsupp rows whose part is a forest% part (semi preserving partsupp).
     let forest = scan_where(&data.part, &["p_partkey", "p_name"], |s| {
@@ -56,7 +58,7 @@ pub fn run(data: &TpchData, cfg: &QueryConfig, engine: &Engine) -> Table {
 
     // availqty > half of shipped quantity.
     let mut t = join_on(
-        Plan::scan(&half, &["q_partkey", "q_suppkey", "half_qty"], None),
+        half,
         ps,
         JoinType::Inner,
         &["q_partkey", "q_suppkey"],

@@ -86,7 +86,7 @@ fn join_overrides_do_not_change_results() {
     // results must be invariant.
     let data = data();
     let engine = Engine::new(2);
-    for id in [5u32, 21, 22] {
+    for id in [5u32, 11, 15, 17, 21, 22] {
         let q = joinstudy_tpch::query(id);
         let reference = canonical(&(q.run)(data, &QueryConfig::new(JoinAlgo::Bhj), &engine));
         for j in 0..q.main_joins {

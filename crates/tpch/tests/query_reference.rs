@@ -24,6 +24,41 @@ fn run(id: u32) -> Table {
     (joinstudy_tpch::query(id).run)(data(), &QueryConfig::new(JoinAlgo::Brj), &engine)
 }
 
+/// Query `id` under every join algorithm: its rows, each read by `row`,
+/// must be `want`'s as a multiset.
+fn check_every_algo<T: Ord + std::fmt::Debug>(
+    d: &TpchData,
+    id: u32,
+    mut want: Vec<T>,
+    row: impl Fn(&Table, usize) -> T,
+) {
+    want.sort();
+    for algo in [
+        JoinAlgo::Bhj,
+        JoinAlgo::Rj,
+        JoinAlgo::Brj,
+        JoinAlgo::Adaptive,
+        JoinAlgo::Hybrid,
+    ] {
+        let t = (joinstudy_tpch::query(id).run)(d, &QueryConfig::new(algo), &Engine::new(2));
+        let mut got: Vec<T> = (0..t.num_rows()).map(|r| row(&t, r)).collect();
+        got.sort();
+        assert_eq!(got, want, "Q{id} under {}", algo.name());
+    }
+}
+
+/// The supplier rows of nation `name`.
+fn suppliers_of(d: &TpchData, name: &str) -> Vec<usize> {
+    let n = &d.nation;
+    let names = n.column_by_name("n_name").as_str();
+    let i = (0..n.num_rows()).find(|&i| names.get(i) == name).unwrap();
+    let nation = n.column_by_name("n_nationkey").as_i64()[i];
+    let s_nation = d.supplier.column_by_name("s_nationkey").as_i64();
+    (0..d.supplier.num_rows())
+        .filter(|&i| s_nation[i] == nation)
+        .collect()
+}
+
 #[test]
 fn q4_matches_reference() {
     let d = data();
@@ -245,12 +280,8 @@ fn q22_matches_reference() {
             cnt += 1;
         }
     }
-    let avg = sum * 100 / cnt * 100 / 10_000; // Decimal::div semantics: (sum*100)/cnt_scaled
-                                              // Recompute exactly as Decimal::div would: (sum * 100) / (cnt * 100).
-    let avg = {
-        let _ = avg;
-        (i128::from(sum) * 100 / i128::from(cnt * 100)) as i64
-    };
+    // As Decimal::div computes it: (sum * 100) / (cnt * 100).
+    let avg = (i128::from(sum) * 100 / i128::from(cnt * 100)) as i64;
 
     let has_order: std::collections::HashSet<i64> = d
         .orders
@@ -539,4 +570,203 @@ fn q16_matches_reference() {
             "{key:?}"
         );
     }
+}
+
+#[test]
+fn q11_matches_reference() {
+    let d = data();
+    let s_key = d.supplier.column_by_name("s_suppkey").as_i64();
+    let german: std::collections::HashSet<i64> = suppliers_of(d, "GERMANY")
+        .into_iter()
+        .map(|i| s_key[i])
+        .collect();
+    let ps = &d.partsupp;
+    let pk = ps.column_by_name("ps_partkey").as_i64();
+    let sk = ps.column_by_name("ps_suppkey").as_i64();
+    let avail = ps.column_by_name("ps_availqty").as_i32();
+    let cost = ps.column_by_name("ps_supplycost").as_i64();
+    let mut value: HashMap<i64, i64> = HashMap::new();
+    for i in 0..ps.num_rows() {
+        if german.contains(&sk[i]) {
+            *value.entry(pk[i]).or_default() += cost[i] * i64::from(avail[i]);
+        }
+    }
+    // The spec's threshold, total × 0.0001 / SF, truncated to cents.
+    let total: i64 = value.values().sum();
+    let threshold = (total as f64 * (0.0001 / d.sf)) as i64;
+    let want: Vec<_> = value.into_iter().filter(|&(_, v)| v > threshold).collect();
+    assert!(!want.is_empty(), "the reference finds no important stock");
+    check_every_algo(d, 11, want, |t, r| {
+        (t.column(0).as_i64()[r], t.column(1).as_i64()[r])
+    });
+}
+
+#[test]
+fn q15_matches_reference() {
+    let d = data();
+    let lo = Date::from_ymd(1996, 1, 1).0;
+    let hi = Date::from_ymd(1996, 4, 1).0;
+    let l = &d.lineitem;
+    let sk = l.column_by_name("l_suppkey").as_i64();
+    let ship = l.column_by_name("l_shipdate").as_i32();
+    let price = l.column_by_name("l_extendedprice").as_i64();
+    let disc = l.column_by_name("l_discount").as_i64();
+    let mut revenue_of: HashMap<i64, i64> = HashMap::new();
+    for i in 0..l.num_rows() {
+        if ship[i] >= lo && ship[i] < hi {
+            let rev = (i128::from(price[i]) * i128::from(100 - disc[i]) / 100) as i64;
+            *revenue_of.entry(sk[i]).or_default() += rev;
+        }
+    }
+    let best = *revenue_of.values().max().expect("revenue in the quarter");
+    let s = &d.supplier;
+    let key = s.column_by_name("s_suppkey").as_i64();
+    let text = |name, i| s.column_by_name(name).as_str().get(i).to_owned();
+    let want: Vec<_> = (0..s.num_rows())
+        .filter(|&i| revenue_of.get(&key[i]) == Some(&best))
+        .map(|i| {
+            let (name, address) = (text("s_name", i), text("s_address", i));
+            (key[i], name, address, text("s_phone", i), best)
+        })
+        .collect();
+    check_every_algo(d, 15, want, |t, r| {
+        let text = |c: usize| t.column(c).as_str().get(r).to_owned();
+        let key = t.column(0).as_i64()[r];
+        (key, text(1), text(2), text(3), t.column(4).as_i64()[r])
+    });
+}
+
+#[test]
+fn q17_matches_reference() {
+    let d = data();
+    let p = &d.part;
+    let brand = p.column_by_name("p_brand").as_str();
+    let container = p.column_by_name("p_container").as_str();
+    let parts: std::collections::HashSet<i64> = (0..p.num_rows())
+        .filter(|&i| brand.get(i) == "Brand#23" && container.get(i) == "MED BOX")
+        .map(|i| p.column_by_name("p_partkey").as_i64()[i])
+        .collect();
+    let l = &d.lineitem;
+    let pk = l.column_by_name("l_partkey").as_i64();
+    let qty = l.column_by_name("l_quantity").as_i64();
+    let price = l.column_by_name("l_extendedprice").as_i64();
+    let mut quantities: HashMap<i64, (i64, i64)> = HashMap::new();
+    for i in 0..l.num_rows() {
+        if parts.contains(&pk[i]) {
+            let e = quantities.entry(pk[i]).or_default();
+            e.0 += qty[i];
+            e.1 += 1;
+        }
+    }
+    // 0.2 × AVG(l_quantity) per part: AVG by Decimal::div, × 0.20 by
+    // Decimal::mul, both truncating.
+    let limit: HashMap<i64, i64> = quantities
+        .iter()
+        .map(|(&k, &(sum, n))| (k, sum * 100 / (n * 100) * 20 / 100))
+        .collect();
+    let small = |i: usize| limit.get(&pk[i]).is_some_and(|&lim| qty[i] < lim);
+    let total: i64 = (0..l.num_rows())
+        .filter(|&i| small(i))
+        .map(|i| price[i])
+        .sum();
+    assert!(total > 0, "the reference finds no small-quantity lineitem");
+    check_every_algo(d, 17, vec![total * 100 / 700], |t, r| {
+        t.column(0).as_i64()[r]
+    });
+}
+
+#[test]
+fn q18_matches_reference() {
+    // Few orders pass SUM(l_quantity) > 300: none at SF 0.01, two here.
+    let d = &generate(0.05, 42);
+    let l = &d.lineitem;
+    let ok = l.column_by_name("l_orderkey").as_i64();
+    let qty = l.column_by_name("l_quantity").as_i64();
+    let mut sum_qty: HashMap<i64, i64> = HashMap::new();
+    for i in 0..l.num_rows() {
+        *sum_qty.entry(ok[i]).or_default() += qty[i];
+    }
+    let c = &d.customer;
+    let c_name = c.column_by_name("c_name").as_str();
+    let names: HashMap<i64, &str> = (0..c.num_rows())
+        .map(|i| (c.column_by_name("c_custkey").as_i64()[i], c_name.get(i)))
+        .collect();
+    let o = &d.orders;
+    let o_key = o.column_by_name("o_orderkey").as_i64();
+    let o_cust = o.column_by_name("o_custkey").as_i64();
+    let o_date = o.column_by_name("o_orderdate").as_i32();
+    let o_price = o.column_by_name("o_totalprice").as_i64();
+    let mut want: Vec<_> = (0..o.num_rows())
+        .filter(|&i| sum_qty[&o_key[i]] > 300 * 100)
+        .map(|i| {
+            let (key, cust) = (o_key[i], o_cust[i]);
+            let name = names[&cust].to_owned();
+            (name, cust, key, o_date[i], o_price[i], sum_qty[&key])
+        })
+        .collect();
+    // ORDER BY o_totalprice DESC, o_orderdate LIMIT 100.
+    want.sort_by(|a, b| b.4.cmp(&a.4).then(a.3.cmp(&b.3)));
+    want.truncate(100);
+    assert!(!want.is_empty(), "the reference finds no large order");
+    check_every_algo(d, 18, want, |t, r| {
+        let int = |c: usize| t.column(c).as_i64()[r];
+        let name = t.column(0).as_str().get(r).to_owned();
+        (
+            name,
+            int(1),
+            int(2),
+            t.column(3).as_i32()[r],
+            int(4),
+            int(5),
+        )
+    });
+}
+
+#[test]
+fn q20_matches_reference() {
+    let d = data();
+    let p = &d.part;
+    let p_name = p.column_by_name("p_name").as_str();
+    let forest: std::collections::HashSet<i64> = (0..p.num_rows())
+        .filter(|&i| p_name.get(i).starts_with("forest"))
+        .map(|i| p.column_by_name("p_partkey").as_i64()[i])
+        .collect();
+    let lo = Date::from_ymd(1994, 1, 1).0;
+    let hi = Date::from_ymd(1995, 1, 1).0;
+    let l = &d.lineitem;
+    let (pk, sk) = (l.column_by_name("l_partkey"), l.column_by_name("l_suppkey"));
+    let ship = l.column_by_name("l_shipdate").as_i32();
+    let qty = l.column_by_name("l_quantity").as_i64();
+    let mut shipped: HashMap<(i64, i64), i64> = HashMap::new();
+    for i in 0..l.num_rows() {
+        if ship[i] >= lo && ship[i] < hi {
+            *shipped.entry((pk.as_i64()[i], sk.as_i64()[i])).or_default() += qty[i];
+        }
+    }
+    let ps = &d.partsupp;
+    let ps_pk = ps.column_by_name("ps_partkey").as_i64();
+    let ps_sk = ps.column_by_name("ps_suppkey").as_i64();
+    let avail = ps.column_by_name("ps_availqty").as_i32();
+    // ps_availqty > 0.5 × SUM(l_quantity), the half by Decimal::mul.
+    let promoted: std::collections::HashSet<i64> = (0..ps.num_rows())
+        .filter(|&i| forest.contains(&ps_pk[i]))
+        .filter(|&i| {
+            let sum = shipped.get(&(ps_pk[i], ps_sk[i]));
+            sum.is_some_and(|&sum| i64::from(avail[i]) * 100 > sum * 50 / 100)
+        })
+        .map(|i| ps_sk[i])
+        .collect();
+    let s = &d.supplier;
+    let key = s.column_by_name("s_suppkey").as_i64();
+    let text = |name, i| s.column_by_name(name).as_str().get(i).to_owned();
+    let want: Vec<_> = suppliers_of(d, "CANADA")
+        .into_iter()
+        .filter(|&i| promoted.contains(&key[i]))
+        .map(|i| (text("s_name", i), text("s_address", i)))
+        .collect();
+    assert!(!want.is_empty(), "the reference finds no promoted supplier");
+    check_every_algo(d, 20, want, |t, r| {
+        let text = |c: usize| t.column(c).as_str().get(r).to_owned();
+        (text(0), text(1))
+    });
 }
