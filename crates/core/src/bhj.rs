@@ -147,12 +147,8 @@ impl BhjBuildSink {
     }
 
     /// Build the chaining hash table over all materialized rows and freeze
-    /// the state. Rows are linked a batch at a time — read the stored hashes
-    /// and prefetch their buckets, then CAS-insert — so the bucket misses of
-    /// a batch overlap. At [`INLINE_LINK_ROWS`] rows and above, `threads`
-    /// workers link in parallel (one arena each; arenas are per build worker,
-    /// so counts are balanced); below it the caller links alone. Fails if the
-    /// bucket array would exceed the memory budget.
+    /// the state ([`BhjState::link`]). Fails if the bucket array would
+    /// exceed the memory budget.
     pub fn into_state(&self, threads: usize) -> ExecResult<Arc<BhjState>> {
         let mut global = self.global.lock();
         let arenas = take(&mut global.arenas);
@@ -165,11 +161,37 @@ impl BhjBuildSink {
         for (id, heap) in heap_pairs {
             heaps[id] = heap;
         }
-
         let rows: usize = arenas.iter().map(RowArena::rows).sum();
-        let table = ChainTable::new(rows);
-        lease.grow(table.num_buckets() * 8)?;
-        let hash_off = self.layout.hash_offset();
+        lease.grow(ChainTable::buckets_for(rows) * 8)?;
+        let (layout, keys) = (self.layout.clone(), self.key_cols.clone());
+        Ok(BhjState::link(
+            layout, keys, arenas, heaps, lease, 0, threads,
+        ))
+    }
+}
+
+impl BhjState {
+    /// Link the rows of `arenas` (rows of `layout`, strings in `heaps`)
+    /// into a chaining table indexed by the hash bits from `shift` up, and
+    /// freeze them as one state holding `lease`, which must already cover
+    /// the rows and the bucket array. Rows are linked a batch at a time —
+    /// read the stored hashes and prefetch their buckets, then CAS-insert —
+    /// so the bucket misses of a batch overlap. At [`INLINE_LINK_ROWS`] rows
+    /// and above, `threads` workers link in parallel (one arena each; arenas
+    /// are per build worker, so counts are balanced); below it the caller
+    /// links alone.
+    pub(crate) fn link(
+        layout: RowLayout,
+        key_cols: Vec<usize>,
+        arenas: Vec<RowArena>,
+        heaps: Vec<StrHeap>,
+        lease: BudgetLease,
+        shift: u32,
+        threads: usize,
+    ) -> Arc<BhjState> {
+        let rows: usize = arenas.iter().map(RowArena::rows).sum();
+        let table = ChainTable::with_shift(rows, shift);
+        let hash_off = layout.hash_offset();
 
         let link_arena = |arena: &RowArena| {
             let mut hashes = [0u64; BATCH_ROWS];
@@ -205,15 +227,15 @@ impl BhjBuildSink {
             });
         }
 
-        Ok(Arc::new(BhjState {
-            layout: self.layout.clone(),
-            key_cols: self.key_cols.clone(),
+        Arc::new(BhjState {
+            layout,
+            key_cols,
             arenas,
             heaps,
             table,
             rows,
             _lease: lease,
-        }))
+        })
     }
 }
 

@@ -450,7 +450,10 @@ impl CostModel {
 
     /// The hybrid join's I/O regime term (ns): the fraction of both sides
     /// that cannot stay memory-resident under `budget` is written to a
-    /// spill run once and read back once.
+    /// spill run once and read back once. The fraction is the build side's
+    /// alone, and so is the join's: its probe side streams, and only the
+    /// probe rows of closed build partitions are written
+    /// ([`crate::hybrid`]).
     pub fn hybrid_io_cost(&self, e: &JoinEstimate, budget: f64) -> f64 {
         let build_bytes = e.build_rows * e.build_width.max(8.0);
         let probe_bytes = e.probe_rows * e.probe_width.max(8.0);

@@ -34,11 +34,10 @@ pub const MATCH_FLAG: u64 = 1 << 63;
 /// hashes nobody writes any more, and touch the header word through
 /// [`ChainTable`]'s atomics alone.
 pub struct RowArena {
-    pages: Vec<Vec<u64>>,
+    /// Each page with the rows allocated in it.
+    pages: Vec<(Vec<u64>, usize)>,
     stride: usize,
     rows_per_page: usize,
-    /// Rows allocated in the last page.
-    last_used: usize,
     rows: usize,
 }
 
@@ -57,9 +56,26 @@ impl RowArena {
             pages: Vec::new(),
             stride,
             rows_per_page,
-            last_used: 0,
             rows: 0,
         }
+    }
+
+    /// An arena over rows already written: each page with its row count,
+    /// rows of `stride` bytes from the page's start (the hybrid join's
+    /// pass-1 pages, linked where they lie).
+    pub fn from_pages(
+        stride: usize,
+        pages: impl IntoIterator<Item = (Vec<u64>, usize)>,
+    ) -> RowArena {
+        let mut arena = RowArena::new(stride);
+        for (words, rows) in pages {
+            assert!(rows * stride <= words.len() * 8, "a page holds its rows");
+            arena.rows += rows;
+            arena.pages.push((words, rows));
+        }
+        // Nothing is allocated after the adopted pages.
+        arena.rows_per_page = 0;
+        arena
     }
 
     pub fn rows(&self) -> usize {
@@ -77,17 +93,24 @@ impl RowArena {
 
     /// Allocate the next row slot and return it for initialization.
     pub fn alloc_row(&mut self) -> &mut [u8] {
-        if self.pages.is_empty() || self.last_used == self.rows_per_page {
-            self.pages
-                .push(vec![0u64; self.rows_per_page * self.stride / 8]);
-            self.last_used = 0;
+        assert!(
+            self.rows_per_page > 0,
+            "an arena over adopted pages is full"
+        );
+        if self
+            .pages
+            .last()
+            .is_none_or(|&(_, n)| n == self.rows_per_page)
+        {
+            let words = vec![0u64; self.rows_per_page * self.stride / 8];
+            self.pages.push((words, 0));
         }
-        let page = self.pages.last_mut().unwrap();
-        let off = self.last_used * self.stride;
-        self.last_used += 1;
+        let (page, used) = self.pages.last_mut().unwrap();
+        let off = *used * self.stride;
+        *used += 1;
         self.rows += 1;
-        // SAFETY: the page holds `rows_per_page * stride` bytes and
-        // `last_used < rows_per_page` was checked above, so the slot lies
+        // SAFETY: the page holds `rows_per_page * stride` bytes and it had
+        // fewer than `rows_per_page` rows (checked above), so the slot lies
         // inside it; the `&mut self` borrow the slice inherits keeps any
         // other slot from being handed out while it lives.
         unsafe {
@@ -99,16 +122,11 @@ impl RowArena {
     /// the arena's lifetime (pages never move or shrink).
     pub fn row_ptrs(&self) -> Vec<*const u8> {
         let mut out = Vec::with_capacity(self.rows);
-        for (pi, page) in self.pages.iter().enumerate() {
-            let in_page = if pi + 1 == self.pages.len() {
-                self.last_used
-            } else {
-                self.rows_per_page
-            };
+        for (page, rows) in &self.pages {
             let base = page.as_ptr().cast::<u8>();
-            for r in 0..in_page {
-                // SAFETY: `r < in_page <= rows_per_page`, so the offset stays
-                // inside the page's `rows_per_page * stride` bytes.
+            for r in 0..*rows {
+                // SAFETY: a page's `rows` rows lie inside it (`alloc_row`
+                // fills at most `rows_per_page`, `from_pages` asserts it).
                 out.push(unsafe { base.add(r * self.stride) });
             }
         }
@@ -120,30 +138,45 @@ impl RowArena {
 pub struct ChainTable {
     buckets: Vec<AtomicU64>,
     mask: u64,
+    /// Hash bits below this one are not read: the hybrid join's rows of one
+    /// table share them (they chose the rows' partition).
+    shift: u32,
 }
 
 impl ChainTable {
     /// Allocate for `count` rows: one bucket per row, rounded up to a power
     /// of two (chained, so load factor 1 is fine).
     pub fn new(count: usize) -> ChainTable {
-        let n = count.max(16).next_power_of_two();
+        ChainTable::with_shift(count, 0)
+    }
+
+    /// [`ChainTable::new`], indexing buckets by the hash bits from `shift`
+    /// up.
+    pub fn with_shift(count: usize, shift: u32) -> ChainTable {
+        let n = ChainTable::buckets_for(count);
         let mut buckets = Vec::with_capacity(n);
         buckets.resize_with(n, || AtomicU64::new(0));
         ChainTable {
             buckets,
             mask: (n - 1) as u64,
+            shift,
         }
+    }
+
+    /// Buckets a table for `count` rows has.
+    pub fn buckets_for(count: usize) -> usize {
+        count.max(16).next_power_of_two()
     }
 
     pub fn num_buckets(&self) -> usize {
         self.buckets.len()
     }
 
-    /// Bucket index from the hash's low bits (the BHJ never partitions, so
-    /// no bit range is reserved).
+    /// Bucket index from the hash's low bits from `shift` up (0 for the
+    /// BHJ, which never partitions).
     #[inline]
     fn bucket(&self, hash: u64) -> &AtomicU64 {
-        &self.buckets[(hash & self.mask) as usize]
+        &self.buckets[((hash >> self.shift) & self.mask) as usize]
     }
 
     /// Address of the bucket word (for software prefetching).

@@ -1,46 +1,58 @@
-//! The partitioned joins' pipeline pair: [`HybridJoin`] partitions both
-//! inputs of a radix join (RJ), a Bloom-filtered radix join (BRJ) or a
-//! dynamic hybrid hash join (HHJ), and [`HybridJoinSource`] joins them. The
-//! HHJ is the RJ compiled with an eviction, and only the HHJ — the last rung
-//! of the degradation ladder — evicts: it is the out-of-core join, correct
-//! under any memory budget that holds its minimum working set
+//! What the levels of a partitioned join share ([`HybridJoin`]), and the
+//! out-of-core join built from it. The radix join (RJ) and its
+//! Bloom-filtered variant (BRJ) partition both inputs and join them with a
+//! [`RadixJoinSource`]. The dynamic hybrid hash join (HHJ) is the BHJ
+//! compiled with an eviction, and only the HHJ — the last rung of the
+//! degradation ladder — evicts: it is the out-of-core join, correct under
+//! any memory budget that holds its minimum working set
 //! ([`min_working_set`]), and naming that floor when one does not. The RJ's
 //! and BRJ's sinks lease what they hold and fail when the budget refuses.
 //!
-//! There is one partitioner, [`crate::radix::PartitionSink`]. This module
-//! gives it what it needs to evict and joins what it evicted:
+//! There is one partitioner, [`crate::radix::PartitionSink`], and one probe,
+//! [`BhjProbeOp`]. An HHJ level partitions its build side only:
 //!
-//! * **Open.** Both inputs are radix-partitioned exactly as the RJ does it.
-//!   A pre-partition stays *open* — in pages, then in the contiguous
-//!   [`PartitionedSide`] — for as long as the join's share of the budget
-//!   ([`Level`]) allows, and is joined by the ordinary [`RadixJoinSource`].
-//! * **Closed.** When a worker's lease may not grow, the victim policy
-//!   ([`largest_resident`]) names a pre-partition to *close*: its rows move
-//!   to a [`crate::spill`] run and later ones follow. Closed stays closed,
-//!   and the probe side starts from the build side's closed set.
-//! * **Reloaded.** After the resident join, each pair closed on both sides
-//!   is read back through the same evicting sink on the next hash-bit
-//!   window ([`Level::child`]) — which joins what now fits and closes what
-//!   still does not. A pair only the probe side closed has its probe run
-//!   joined, chunk by chunk, against the build rows that stayed resident. A
-//!   pair that stops shrinking (degenerate keys) or exhausts
-//!   [`MAX_RELOAD_DEPTH`] goes to a streaming block nested-loop join
-//!   that processes the build side in share-sized chunks. All seven
-//!   [`JoinType`]s are preserved through every level.
+//! * **Open.** A build pre-partition stays *open* for as long as the join's
+//!   share of the budget ([`Level`]) allows. When the build side is done,
+//!   the open pre-partitions' rows are linked into one BHJ table
+//!   ([`PartitionSink::finalize_table`]) and the probe side streams through
+//!   a [`RouteOp`]: a probe row of an open pre-partition probes that table
+//!   in flight, as the BHJ's probe rows do.
+//! * **Closed.** When a build worker's lease may not grow, the victim policy
+//!   ([`largest_resident`]) names a pre-partition to *close*: its build rows
+//!   move to a [`crate::spill`] run and later ones follow. Closed stays
+//!   closed; the probe rows of a closed pre-partition go to a run of their
+//!   own. Only closed partitions are written.
+//! * **Reloaded.** Once the probe side has streamed, the level's table goes
+//!   (unless a build-preserving join type still scans it), and each closed
+//!   pair is joined one level down, on the next hash-bit window
+//!   ([`Level::child`]), the same way: its build run goes through the
+//!   evicting sink, what fits becomes a table, and the probe run streams
+//!   through a [`RouteOp`] over it, which sends the rows of what closed
+//!   again one level further down. A pair that stops
+//!   shrinking (degenerate keys) or exhausts [`MAX_RELOAD_DEPTH`] goes to a
+//!   streaming block nested-loop join that processes the build side in
+//!   share-sized chunks. All seven [`JoinType`]s are preserved through every
+//!   level.
+//!
+//! [`HybridJoinSource`] runs the reloads, one task per closed pair. For a
+//! build-preserving join type it also scans the resident table, and it
+//! starts the join's output pipeline; for the others the resident rows were
+//! joined in flight, and it continues the probe pipeline.
 //!
 //! A join's [`Residual`] rides along and is tested where each level joins:
-//! in the [`RadixJoinSource`] of the resident and reloaded partitions, and
-//! in the [`BhjProbeOp`]s of the nested loop. This module never evaluates it.
+//! in the [`RadixJoinSource`] of the RJ and BRJ, and in the [`BhjProbeOp`]s
+//! of the HHJ's levels and nested loop. This module never evaluates it.
 
 use crate::bhj::{BhjBuildSink, BhjProbeOp, BhjState, BhjUnmatchedSource};
 use crate::bloom::BlockedBloom;
-use crate::join_common::{default_column, JoinStats, JoinType, Residual};
+use crate::join_common::{default_column, JoinType, Residual};
 use crate::radix::{
-    ClosedSet, Eviction, PartitionSink, PartitionedSide, PhaseSet, RadixConfig, FIRST_PAGE_BYTES,
+    ClosedSet, Eviction, PartitionSink, PartitionedSide, PhaseSet, RadixConfig, RouteOp,
+    FIRST_PAGE_BYTES,
 };
 use crate::rj::RadixJoinSource;
 use crate::row::RowLayout;
-use crate::spill::{SpillDir, SpillFile, SpillReader, SpillWriter, WRITE_BUF_BYTES};
+use crate::spill::{SpillDir, SpillFile, SpillReader, WRITE_BUF_BYTES};
 use crate::swwcb::SWWCB_BYTES;
 use joinstudy_exec::batch::Batch;
 use joinstudy_exec::context::{BudgetLease, QueryContext};
@@ -57,9 +69,10 @@ use std::sync::Arc;
 /// Cap on the log2 pass-1 fan-out of a join that may evict under a memory
 /// budget, beside [`RadixConfig::bits_pass1`]; a small budget lowers it
 /// further ([`Level`]). Pass-1 pre-partitions are the spill unit, and every
-/// one that is closed costs a file per side: on the yardstick's `tpch`
-/// workload 64 of them ran 1.0–2.0 s a pass on ext4 where 16 run
-/// 0.75–0.85 s, with nothing lost on the large joins of `micro_*`.
+/// one that is closed costs a run file per side. On ext4 (a 2-vCPU host,
+/// yardstick seeds 42 and 43) a cap of 6 bits instead of 4 made every
+/// hybrid pass slower: `tpch` 0.30–0.34 s against 0.23 s, `spill_stream`
+/// 0.99–1.16 s against 0.79–0.82 s, `micro_fk` 0.34–0.37 s against 0.28 s.
 const SPILL_FANOUT_BITS: u32 = 4;
 
 /// Deepest reload level; beyond it a closed pair degrades to the streaming
@@ -81,9 +94,12 @@ pub fn largest_resident(resident: &[usize]) -> Option<usize> {
 }
 
 /// Bytes one join level needs before it holds a single row, at pass-1
-/// fan-out `fanout` on `workers` workers: per worker one write-combine slot
-/// and one first page per pre-partition, plus one run's write buffer per
-/// pre-partition (a level partitions one side at a time).
+/// fan-out `fanout` on `workers` workers. A level partitions its build side
+/// only: per worker one write-combine slot and one first page per
+/// pre-partition, plus one run's write buffer per pre-partition. Its probe
+/// side holds no pages, only one run's write buffer per closed
+/// pre-partition, which the build side's sealed runs have given back: the
+/// build side sets the floor.
 pub fn min_working_set(fanout: usize, workers: usize) -> usize {
     workers * fanout * (SWWCB_BYTES + FIRST_PAGE_BYTES) + fanout * MIN_WRITE_BUF
 }
@@ -92,8 +108,8 @@ pub fn min_working_set(fanout: usize, workers: usize) -> usize {
 /// and how many bytes it may hold.
 #[derive(Debug, Clone, Copy)]
 pub struct Level {
-    /// Bytes this level's sinks, resident sides and reloads may hold
-    /// between them; `None` without a budget.
+    /// Bytes this level's sink, table, runs and reloads may hold between
+    /// them; `None` without a budget.
     share: Option<usize>,
     workers: usize,
     /// 0 for the join's own inputs, +1 per reload.
@@ -125,7 +141,8 @@ impl Level {
 
     /// The level a closed pair of this one is reloaded at: the next
     /// hash-bit window, on the one worker that runs the reload task, under
-    /// what this level's share leaves beside the `held` bytes still resident.
+    /// what this level's share leaves beside the `held` bytes still resident
+    /// (a table whose build rows are scanned beside the reloads).
     /// Reloads of a join's own inputs run beside each other, so each gets
     /// an equal part — no two tasks ever compete for the same headroom.
     /// Deeper levels run one after another inside their task.
@@ -147,19 +164,20 @@ impl Level {
             .map(|s| s.saturating_sub(self.fanout() * self.write_buf()))
     }
 
-    /// Bytes one worker's pass-1 pages may reach while `held` bytes of the
-    /// share are resident already (the build side, when the probe side is
-    /// partitioned): half of what is free, because pass 2 copies what stayed
-    /// resident before the pages go.
-    fn worker_cap(&self, held: usize) -> usize {
-        self.rows_share()
-            .map_or(usize::MAX, |s| s.saturating_sub(held) / (2 * self.workers))
+    /// Bytes one worker's pass-1 pages may reach: its part of the rows that
+    /// fit when each costs its row (`stride`) and up to two buckets of the
+    /// table it becomes.
+    fn worker_cap(&self, stride: usize) -> usize {
+        self.table_cap() / (stride + 16) * stride / self.workers
     }
 
-    /// Row bytes a reload holds at a time of a side it streams — the probe
-    /// rows joined against a build partition that stayed resident, the
-    /// build rows of a nested-loop chunk: half of what rows may take, the
-    /// other half being their pass-2 copy or their hash table.
+    /// Bytes the level's table, rows and buckets, may hold.
+    fn table_cap(&self) -> usize {
+        self.rows_share().unwrap_or(usize::MAX)
+    }
+
+    /// Build-row bytes of one chunk of the nested loop: half of what rows
+    /// may take, the other half being the chunk's hash table.
     fn chunk_bytes(&self) -> usize {
         self.rows_share().map_or(usize::MAX, |s| s / 2)
     }
@@ -177,10 +195,6 @@ struct Run(Option<SpillFile>);
 impl Run {
     fn rows(&self) -> u64 {
         self.0.as_ref().map_or(0, SpillFile::rows)
-    }
-
-    fn bytes(&self) -> u64 {
-        self.0.as_ref().map_or(0, SpillFile::bytes)
     }
 
     /// Re-iterable: the nested loop streams the same run repeatedly.
@@ -208,87 +222,51 @@ impl RunStream {
     }
 }
 
-/// A closed pre-partition: its probe rows are in a run, and so are its
-/// build rows — unless only the probe side closed it, after the build rows
-/// had become resident (`build` is `None`, the rows are pre-partition `p` of
-/// the level's build side).
+/// A closed pre-partition of one level: its build rows and its probe rows.
 struct ClosedPair {
-    p: usize,
-    build: Option<Run>,
+    build: Run,
     probe: Run,
     /// The build run holds every build row of its level: the level's hash
     /// bits did not split them, another level will not either.
     stuck: bool,
 }
 
-/// What a finished sink leaves: its resident side, and one slot per
-/// pre-partition for the run of what was closed.
-pub type Finished = (PartitionedSide, Vec<Option<SpillFile>>);
-
-/// Both sides of one level, partitioned: the open pre-partitions as a radix
-/// join, the closed ones as run pairs.
-pub struct Partitioned {
-    resident: RadixJoinSource,
-    /// Per pre-partition; tasks of the resident join under a closed one are
-    /// skipped.
-    closed: Vec<bool>,
-    pairs: Vec<ClosedPair>,
-    /// Build rows of the level, resident and spilled.
-    build_rows: u64,
-    /// The level its pairs are reloaded at, beside the resident sides.
-    child: Level,
+/// What an HHJ level's build side left: the open pre-partitions' rows as
+/// one BHJ table, the closed ones' rows in runs.
+pub struct LevelTable {
+    pub state: Arc<BhjState>,
+    /// Per pre-partition: a closed one's build run.
+    runs: Vec<Option<SpillFile>>,
+    /// The closed pre-partitions, ascending.
+    closed: Vec<usize>,
+    evictions: usize,
 }
 
-impl Partitioned {
-    pub fn resident_build(&self) -> &Arc<PartitionedSide> {
-        self.resident.build()
+impl LevelTable {
+    /// Pre-partitions the build side closed.
+    pub fn closed_partitions(&self) -> usize {
+        self.closed.len()
     }
 
-    pub fn resident_probe(&self) -> &Arc<PartitionedSide> {
-        self.resident.probe()
+    /// Pre-partitions the build side closed under memory pressure.
+    pub fn evictions(&self) -> usize {
+        self.evictions
     }
 
-    /// Pre-partitions that stayed open on both sides.
-    pub fn resident_partitions(&self) -> usize {
-        self.closed.iter().filter(|&&c| !c).count()
-    }
-
-    fn sum(&self, f: impl Fn(&ClosedPair) -> u64) -> u64 {
-        self.pairs.iter().map(f).sum()
-    }
-
-    /// Runs on disk, both sides.
-    pub fn spilled_runs(&self) -> usize {
-        let on_disk = |run: &Run| u64::from(run.0.is_some());
-        self.sum(|p| p.build.as_ref().map_or(0, on_disk) + on_disk(&p.probe)) as usize
-    }
-
-    pub fn spilled_bytes(&self) -> u64 {
-        self.sum(|p| p.build.as_ref().map_or(0, Run::bytes) + p.probe.bytes())
+    fn runs(&self) -> impl Iterator<Item = &SpillFile> {
+        self.runs.iter().flatten()
     }
 
     /// Build rows, resident and spilled.
     pub fn build_rows(&self) -> u64 {
-        self.build_rows
+        self.state.rows as u64 + self.runs().map(SpillFile::rows).sum::<u64>()
     }
 
-    /// Probe rows, resident and spilled.
-    pub fn probe_rows(&self) -> u64 {
-        self.resident_probe().total_rows() as u64 + self.sum(|p| p.probe.rows())
-    }
-
-    /// Count the resident join's probe matches into `stats`.
-    pub fn with_stats(mut self, stats: Arc<JoinStats>) -> Partitioned {
-        self.resident = self.resident.with_stats(stats);
-        self
-    }
-
-    /// Run one resident-join task unless its pre-partition is closed.
-    fn poll_resident(&self, task: usize, out: Emit) -> ExecResult {
-        if self.closed[task >> self.resident_build().bits2()] {
-            return Ok(());
-        }
-        self.resident.poll_task(task, out)
+    /// Bytes the table holds of the level's share while the level's
+    /// reloads run: its rows and buckets.
+    fn held(&self) -> usize {
+        let state = &self.state;
+        state.rows * state.layout.stride() + state.table.num_buckets() * 8
     }
 }
 
@@ -311,11 +289,17 @@ pub struct HybridJoin {
     pub seq: AtomicU64,
     /// Deepest level a reload reached (EXPLAIN ANALYZE's `reload_depth`).
     pub reload_depth: Arc<AtomicU64>,
+    /// Runs of the join's own inputs on disk, both sides, and their bytes
+    /// (`spill_partitions`, `spill_bytes`): the probe runs are known only
+    /// once the probe side has streamed.
+    pub spill_runs: Arc<AtomicU64>,
+    pub spill_bytes: Arc<AtomicU64>,
 }
 
 impl HybridJoin {
-    /// Let this join evict: the partitions its sinks close go to runs in a
-    /// fresh spill directory. Only the ladder's last rung, the HHJ, does.
+    /// Let this join evict: the partitions its build sinks close go to runs
+    /// in a fresh spill directory. Only the ladder's last rung, the HHJ,
+    /// does.
     pub fn open_spill_dir(&mut self) -> ExecResult {
         self.dir = Some(SpillDir::create(self.ctx.spill_dir())?);
         Ok(())
@@ -337,8 +321,10 @@ impl HybridJoin {
         })
     }
 
-    /// The radix sink of one side on `level`'s hash-bit window.
-    fn plain_sink(&self, level: &Level, build_side: bool) -> PartitionSink {
+    /// The radix sink of one side on `level`'s hash-bit window; its rows
+    /// carry the BHJ's chain `header` when they are to be linked into a
+    /// table.
+    fn plain_sink(&self, level: &Level, build_side: bool, header: bool) -> PartitionSink {
         let (types, keys, phases) = if build_side {
             (&self.build_types, &self.build_keys, PhaseSet::build())
         } else {
@@ -348,40 +334,51 @@ impl HybridJoin {
             bits_pass1: level.bits1,
             ..self.radix
         };
-        PartitionSink::new(RowLayout::new(types, false), keys.clone(), radix, phases)
+        PartitionSink::new(RowLayout::new(types, header), keys.clone(), radix, phases)
             .with_context(Arc::clone(&self.ctx))
             .with_shift(level.shift)
     }
 
-    /// The sink of one side at `level`: the build side's, or (`build`
-    /// given) the probe side's beside that resident build side. It evicts
-    /// when this join does.
-    pub fn sink(
-        &self,
-        level: &Level,
-        closed: &Arc<ClosedSet>,
-        build: Option<&PartitionedSide>,
-    ) -> PartitionSink {
-        let sink = self.plain_sink(level, build.is_none());
+    /// The build side's sink at `level`. It evicts when this join does,
+    /// closing pre-partitions in `closed`, and its rows are then those of
+    /// the level's table ([`PartitionSink::finalize_table`]).
+    pub fn build_sink(&self, level: &Level, closed: &Arc<ClosedSet>) -> PartitionSink {
         let Some(dir) = &self.dir else {
-            return sink;
+            return self.plain_sink(level, true, false);
         };
-        let side = if build.is_some() { "probe" } else { "build" };
-        let held = build.map_or(0, |b| b.total_rows() * b.layout().stride());
+        let sink = self.plain_sink(level, true, true);
+        let stride = sink.layout().stride();
         sink.with_eviction(Eviction {
             closed: Arc::clone(closed),
             dir: Arc::clone(dir),
-            tag: format!("{side}-{}", self.seq.fetch_add(1, Ordering::Relaxed)),
-            worker_cap: level.worker_cap(held),
+            tag: format!("build-{}", self.seq.fetch_add(1, Ordering::Relaxed)),
+            worker_cap: level.worker_cap(stride),
             write_buf: level.write_buf(),
             victim: largest_resident,
         })
     }
 
-    /// The radix join of two sides partitioned alike.
-    fn radix_join(&self, build: Arc<PartitionedSide>, probe: PartitionedSide) -> RadixJoinSource {
+    /// The probe side's sink at `level` of a join that partitions it (the RJ
+    /// and BRJ).
+    pub fn probe_sink(&self, level: &Level) -> PartitionSink {
+        self.plain_sink(level, false, false)
+    }
+
+    /// Run pass 2 of a sink whose input is complete, building the Bloom
+    /// filter in it when asked to (the BRJ's build side).
+    pub fn finish(
+        sink: &PartitionSink,
+        threads: usize,
+        bits2: Option<u32>,
+        bloom: bool,
+    ) -> ExecResult<(PartitionedSide, Option<BlockedBloom>)> {
+        sink.finalize(threads, bits2, bloom)
+    }
+
+    /// The radix join of two sides partitioned alike (the RJ and BRJ).
+    pub fn radix_join(&self, build: PartitionedSide, probe: PartitionedSide) -> RadixJoinSource {
         RadixJoinSource::new(
-            build,
+            Arc::new(build),
             Arc::new(probe),
             self.build_keys.clone(),
             self.probe_keys.clone(),
@@ -390,186 +387,99 @@ impl HybridJoin {
         )
     }
 
-    /// Run pass 2 of a sink whose input is complete, building the Bloom
-    /// filter in it when asked to (the BRJ's build side), and seal its runs.
-    pub fn finish(
-        sink: &PartitionSink,
-        threads: usize,
-        bits2: Option<u32>,
-        bloom: bool,
-    ) -> ExecResult<(Finished, Option<BlockedBloom>)> {
-        let (side, filter) = sink.finalize(threads, bits2, bloom)?;
-        Ok(((side, sink.take_runs()?), filter))
-    }
-
-    /// Pair up what two finalized sinks of one level left: the resident
-    /// sides become a radix join, the runs closed pairs. A pre-partition
-    /// only the probe side closed keeps its build rows resident and has its
-    /// probe run joined against them chunk by chunk — except under a
-    /// build-preserving join type with more probe rows than one chunk
-    /// (unmatched build rows are only known after the last probe row): there
-    /// the build rows follow the probe rows to disk.
-    pub fn pair_up(
+    /// Finish `level`'s evicting build sink, whose input is complete: the
+    /// open pre-partitions become its table, the closed ones (in `closed`)
+    /// keep their runs.
+    pub fn table(
         &self,
         level: &Level,
+        sink: &PartitionSink,
         closed: &ClosedSet,
-        build: Finished,
-        probe: Finished,
-    ) -> ExecResult<Partitioned> {
-        let (bside, mut bruns) = build;
-        let (pside, mut pruns) = probe;
-        let bytes = |side: &PartitionedSide| side.total_rows() * side.layout().stride();
-        let child = level.child(self.radix.bits_pass1, bytes(&bside) + bytes(&pside));
-        let mut build_rows = bside.total_rows() as u64;
-        let mut is_closed = vec![false; level.fanout()];
-        let mut pairs = Vec::new();
-        for p in closed.closed() {
-            is_closed[p] = true;
-            let probe = Run(pruns[p].take());
-            let resident = bside.prepartition_rows(p);
-            let build = if resident == 0 {
-                let run = Run(bruns[p].take());
-                build_rows += run.rows();
-                Some(run)
-            } else if self.kind.preserves_build()
-                && probe.rows() as usize * pside.layout().stride() > child.chunk_bytes()
-            {
-                let dir = self
-                    .dir
-                    .as_ref()
-                    .expect("only an evicting join closes partitions");
-                let name = format!("demoted-{}-p{p}", self.seq.fetch_add(1, Ordering::Relaxed));
-                let mut run = SpillWriter::create_sized(dir, &name, &self.ctx, level.write_buf())?;
-                bside.spill_prepartition(p, &mut run)?;
-                Some(Run(Some(run.finish()?)))
-            } else {
-                None
-            };
-            if build.as_ref().map_or(resident as u64, Run::rows) + probe.rows() > 0 {
-                pairs.push(ClosedPair {
-                    p,
-                    build,
-                    probe,
-                    stuck: false,
-                });
-            }
-        }
-        for pair in &mut pairs {
-            pair.stuck = pair.build.as_ref().is_some_and(|b| b.rows() == build_rows);
-        }
-        Ok(Partitioned {
-            resident: self.radix_join(Arc::new(bside), pside),
-            closed: is_closed,
-            pairs,
-            build_rows,
-            child,
+        threads: usize,
+    ) -> ExecResult<LevelTable> {
+        let state = sink.finalize_table(level.table_cap(), threads)?;
+        Ok(LevelTable {
+            state,
+            runs: sink.take_runs()?,
+            closed: closed.closed(),
+            evictions: sink.evictions(),
         })
     }
 
-    /// Join one closed pair of `parent`, the level that closed it, at
-    /// `level`.
-    fn reload(
-        &self,
-        parent: &Partitioned,
-        pair: ClosedPair,
-        level: Level,
-        out: Emit,
-    ) -> ExecResult {
+    /// The probe side of the level `sink` partitioned the build side of: a
+    /// route to the runs of its closed pre-partitions in front of the probe
+    /// of its `table`.
+    pub fn route(&self, table: &LevelTable, sink: &PartitionSink) -> RouteOp {
+        let probe = self.probe_op(&table.state, self.kind);
+        let tag = format!("probe-{}", self.seq.fetch_add(1, Ordering::Relaxed));
+        RouteOp::new(probe, self.probe_keys.clone(), sink, tag)
+    }
+
+    /// Closed pre-partition `p`'s pair, once its level's probe side is done,
+    /// or `None` when it cannot produce a row: no probe rows (unless
+    /// unmatched build rows are the answer), or no build rows (unless
+    /// unmatched probe rows are).
+    fn pair(&self, build: Run, probe: Run, level_build_rows: u64) -> Option<ClosedPair> {
+        let idle = (probe.rows() == 0 && self.kind != JoinType::BuildAnti)
+            || (build.rows() == 0 && !self.kind.probe_tuples_survive_unmatched());
+        if idle {
+            build.discard();
+            probe.discard();
+            return None;
+        }
+        let stuck = build.rows() == level_build_rows;
+        Some(ClosedPair {
+            build,
+            probe,
+            stuck,
+        })
+    }
+
+    /// Join a closed pair at `level`, one hash-bit window below the level
+    /// that closed it, as the join's own inputs were joined: the build run
+    /// through the evicting sink, the probe run through a [`RouteOp`] over
+    /// the table of what fit. Then the table goes, and what closed again is
+    /// reloaded one level further down.
+    fn reload(&self, pair: ClosedPair, level: Level, out: Emit) -> ExecResult {
         self.ctx.check()?;
-        match pair.build {
-            Some(build) => self.reload_both(build, pair.probe, pair.stuck, level, out),
-            None => self.reload_probe(parent, pair.p, pair.probe, level, out),
-        }
-    }
-
-    /// Join a probe run against pre-partition `p` of `parent`'s resident
-    /// build side: partition a chunk of it exactly as the resident probe
-    /// side was, run p's tasks of the radix join, drop the chunk, repeat.
-    fn reload_probe(
-        &self,
-        parent: &Partitioned,
-        p: usize,
-        probe: Run,
-        level: Level,
-        out: Emit,
-    ) -> ExecResult {
-        let build = parent.resident_build();
-        let geometry = Level {
-            shift: level.shift - build.bits1(),
-            bits1: build.bits1(),
-            ..level
-        };
-        let bits2 = build.bits2();
-        let stride = parent.resident_probe().layout().stride();
-        let mut stream = probe.stream(&self.ctx)?;
-        let mut carry = stream.next()?;
-        loop {
-            let sink = self.plain_sink(&geometry, false);
-            let mut local = sink.create_local();
-            let mut fed = 0;
-            // At least one batch, then as many as keep the chunk in bounds.
-            while let Some(batch) = carry.take() {
-                let bytes = batch.num_rows() * stride;
-                if fed > 0 && fed + bytes > level.chunk_bytes() {
-                    carry = Some(batch);
-                    break;
-                }
-                fed += bytes;
-                sink.consume(&mut local, batch)?;
-                carry = stream.next()?;
-            }
-            sink.finish_local(local)?;
-            let (chunk, _) = sink.finalize(1, Some(bits2), false)?;
-            let join = self.radix_join(Arc::clone(build), chunk);
-            for task in p << bits2..(p + 1) << bits2 {
-                join.poll_task(task, out)?;
-            }
-            if carry.is_none() {
-                break;
-            }
-        }
-        drop(stream);
-        probe.discard();
-        Ok(())
-    }
-
-    /// Join a pair of runs at `level`: partition both on the level's
-    /// hash-bit window through the evicting sink, join what stayed
-    /// resident, free it, then reload what was closed again one level down.
-    fn reload_both(
-        &self,
-        build: Run,
-        probe: Run,
-        stuck: bool,
-        level: Level,
-        out: Emit,
-    ) -> ExecResult {
-        let can_split = !stuck
+        let can_split = !pair.stuck
             && level.depth <= MAX_RELOAD_DEPTH
             && level.shift + level.bits1 + self.radix.max_bits_pass2 <= 64;
         if !can_split {
-            return self.block_nested_loop(build, probe, &level, out);
+            return self.block_nested_loop(pair.build, pair.probe, &level, out);
         }
         let closed = ClosedSet::new(level.fanout());
-        let partition = |run: Run, beside: Option<&PartitionedSide>, bits2: Option<u32>| {
-            let sink = self.sink(&level, &closed, beside);
-            let mut local = sink.create_local();
-            let mut stream = run.stream(&self.ctx)?;
-            while let Some(batch) = stream.next()? {
-                sink.consume(&mut local, batch)?;
+        let sink = self.build_sink(&level, &closed);
+        let mut local = sink.create_local();
+        let mut stream = pair.build.stream(&self.ctx)?;
+        while let Some(batch) = stream.next()? {
+            sink.consume(&mut local, batch)?;
+        }
+        sink.finish_local(local)?;
+        drop(stream);
+        pair.build.discard();
+        let mut table = self.table(&level, &sink, &closed, 1)?;
+
+        let route = self.route(&table, &sink);
+        let mut local = route.create_local();
+        let mut stream = pair.probe.stream(&self.ctx)?;
+        while let Some(batch) = stream.next()? {
+            route.process(&mut local, batch, out)?;
+        }
+        route.flush(&mut local, out)?;
+        drop(stream);
+        pair.probe.discard();
+        if self.kind.preserves_build() {
+            let rows = BhjUnmatchedSource::new(Arc::clone(&table.state), self.kind);
+            for t in 0..rows.task_count() {
+                rows.poll_task(t, out)?;
             }
-            sink.finish_local(local)?;
-            drop(stream);
-            run.discard();
-            Ok(HybridJoin::finish(&sink, 1, bits2, false)?.0)
-        };
-        let build = partition(build, None, None)?;
-        let probe = partition(probe, Some(&build.0), Some(build.0.bits2()))?;
-        let mut parts = self.pair_up(&level, &closed, build, probe)?;
-        if !parts.pairs.is_empty() {
+        }
+
+        if !table.closed.is_empty() {
             trace::instant(format!(
-                "HHJ recurse: {} pairs closed again at depth {}",
-                parts.pairs.len(),
+                "HHJ recurse: {} partitions closed again at depth {}",
+                table.closed.len(),
                 level.depth
             ));
             self.ctx.note_spill_depth(u64::from(level.depth));
@@ -577,23 +487,19 @@ impl HybridJoin {
                 .fetch_max(u64::from(level.depth), Ordering::Relaxed);
             registry::global().counter("spill.recursions").inc();
         }
-        for task in 0..parts.resident.task_count() {
-            parts.poll_resident(task, out)?;
+        let build_rows = table.build_rows();
+        let mut pairs = Vec::new();
+        for &p in &table.closed {
+            let (build, probe) = (Run(table.runs[p].take()), Run(route.take_run(p)?));
+            pairs.extend(self.pair(build, probe, build_rows));
         }
-        // Pairs whose build rows are resident go first; the resident sides
-        // go before anything else is read back.
-        let (on_resident, on_disk): (Vec<_>, Vec<_>) = std::mem::take(&mut parts.pairs)
-            .into_iter()
-            .partition(|pair| pair.build.is_none());
-        for pair in on_resident {
-            self.reload(&parts, pair, parts.child, out)?;
-        }
-        drop(parts);
+        // The level's table goes before anything is read back.
+        drop(route);
+        drop(table);
         let child = level.child(self.radix.bits_pass1, 0);
-        for pair in on_disk {
-            let build = pair.build.expect("partitioned on it");
+        for pair in pairs {
             self.ctx.check()?;
-            self.reload_both(build, pair.probe, pair.stuck, child, out)?;
+            self.reload(pair, child, out)?;
         }
         Ok(())
     }
@@ -828,42 +734,85 @@ impl HybridJoin {
     }
 }
 
-/// Source of a partitioned join's output pipeline: the resident radix
-/// join's tasks (parallel, per-worker reused tables), then one reload task
-/// per closed pair — all claimed dynamically, all running concurrently.
+/// The HHJ's source after its top level's probe side: one reload task per
+/// closed pair, claimed dynamically and run concurrently, and — for a
+/// build-preserving join type — the resident table's build-row scan first.
 pub struct HybridJoinSource {
     join: Arc<HybridJoin>,
-    parts: Partitioned,
-    /// `parts.pairs`, moved out so each reload task can take its own.
-    pairs: Vec<Mutex<Option<ClosedPair>>>,
+    resident: Option<BhjUnmatchedSource>,
+    /// Holds the top level's probe runs until their reload tasks take them,
+    /// and its table until the first reload releases it.
+    route: Arc<RouteOp>,
+    /// Per closed pre-partition: it and its build run, until its reload
+    /// task takes them.
+    builds: Vec<Mutex<Option<(usize, Run)>>>,
+    build_rows: u64,
+    child: Level,
 }
 
 impl HybridJoinSource {
-    pub fn new(join: Arc<HybridJoin>, mut parts: Partitioned) -> HybridJoinSource {
-        let pairs = std::mem::take(&mut parts.pairs);
+    /// The source of `level`, the join's own inputs, whose build side left
+    /// `table` and whose probe side streams (or streamed) through `route`.
+    pub fn new(
+        join: Arc<HybridJoin>,
+        level: &Level,
+        mut table: LevelTable,
+        route: Arc<RouteOp>,
+    ) -> HybridJoinSource {
+        let runs = table.runs().count() as u64;
+        let bytes = table.runs().map(SpillFile::bytes).sum();
+        join.spill_runs.fetch_add(runs, Ordering::Relaxed);
+        join.spill_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let kind = join.kind;
+        let resident = kind
+            .preserves_build()
+            .then(|| BhjUnmatchedSource::new(Arc::clone(&table.state), kind));
+        // The first reload releases the table, unless its build rows are
+        // still to be scanned beside the reloads.
+        let held = if resident.is_some() { table.held() } else { 0 };
+        let builds = table
+            .closed
+            .iter()
+            .map(|&p| Mutex::new(Some((p, Run(table.runs[p].take())))))
+            .collect();
         HybridJoinSource {
+            child: level.child(join.radix.bits_pass1, held),
+            build_rows: table.build_rows(),
             join,
-            parts,
-            pairs: pairs.into_iter().map(|p| Mutex::new(Some(p))).collect(),
+            resident,
+            route,
+            builds,
         }
     }
 }
 
 impl Source for HybridJoinSource {
     fn task_count(&self) -> usize {
-        self.parts.resident.task_count() + self.pairs.len()
+        self.resident.as_ref().map_or(0, Source::task_count) + self.builds.len()
     }
 
     fn poll_task(&self, task: usize, out: Emit) -> ExecResult {
-        let resident_tasks = self.parts.resident.task_count();
-        if task < resident_tasks {
-            return self.parts.poll_resident(task, out);
+        let resident_tasks = self.resident.as_ref().map_or(0, Source::task_count);
+        if let Some(resident) = self.resident.as_ref().filter(|_| task < resident_tasks) {
+            return resident.poll_task(task, out);
         }
-        let pair = self.pairs[task - resident_tasks]
+        let (p, build) = self.builds[task - resident_tasks]
             .lock()
             .take()
             .expect("the executor polls each task once");
-        let _scope = trace::phase_scope(format!("HHJ reload p{}", pair.p));
-        self.join.reload(&self.parts, pair, self.parts.child, out)
+        // The probe side has streamed: the level's table goes before
+        // anything is read back.
+        self.route.release();
+        let probe = self.route.take_run(p)?;
+        if let Some(run) = &probe {
+            let join = &self.join;
+            join.spill_runs.fetch_add(1, Ordering::Relaxed);
+            join.spill_bytes.fetch_add(run.bytes(), Ordering::Relaxed);
+        }
+        let Some(pair) = self.join.pair(build, Run(probe), self.build_rows) else {
+            return Ok(());
+        };
+        let _scope = trace::phase_scope(format!("HHJ reload p{p}"));
+        self.join.reload(pair, self.child, out)
     }
 }

@@ -13,7 +13,7 @@ use joinstudy_exec::error::ExecResult;
 use joinstudy_exec::ops::{
     AggSink, CollectSink, FilterOp, LateLoadOp, ProjectOp, SortSink, TableScan,
 };
-use joinstudy_exec::pipeline::{LocalState, Operator, Sink, StreamSpec};
+use joinstudy_exec::pipeline::{LocalState, Operator, Sink, Source, StreamSpec};
 use joinstudy_exec::profile::{PipelineStats, QueryProfile};
 use joinstudy_exec::trace::{self, QueryTrace};
 use joinstudy_exec::{Batch, Executor, PipelineLabel, WaitState};
@@ -285,9 +285,11 @@ impl Engine {
     }
 
     /// Run one pipeline under `label` into `sink` and return its counter
-    /// block, timed when profiling. The block is bound to all pending trace
-    /// slots *before* the error check so a failed pipeline still leaves the
-    /// trace arena consistent (the degradation fallback relies on this).
+    /// block, timed when profiling. The spec's continuations follow, in
+    /// order, into the same sink, each as a run of its own. The blocks are
+    /// bound to all pending trace slots *before* the error check so a failed
+    /// pipeline still leaves the trace arena consistent (the degradation
+    /// fallback relies on this).
     pub(super) fn run_breaker(
         &self,
         label: PipelineLabel<'_>,
@@ -295,22 +297,43 @@ impl Engine {
         sink: &dyn Sink,
         pc: Option<&mut ProfCtx>,
     ) -> ExecResult<Arc<PipelineStats>> {
-        let source = spec.source.as_ref();
-        let tasks = source.task_count() as u64;
-        let stats = Arc::new(PipelineStats::new(
-            &self.ctx,
-            label,
-            spec.ops.len(),
-            tasks,
-            pc.is_some(),
-        ));
-        let run = self
-            .executor()
-            .run_pipeline_obs(&self.ctx, source, &spec.ops, sink, &stats);
-        if let Some(pc) = pc {
-            pc.bind_pending(&stats);
+        let timed = pc.is_some();
+        let run = |label, source: &dyn Source, ops: &[Arc<dyn Operator>]| {
+            let tasks = source.task_count() as u64;
+            let stats = Arc::new(PipelineStats::new(
+                &self.ctx,
+                label,
+                ops.len(),
+                tasks,
+                timed,
+            ));
+            let run = self
+                .executor()
+                .run_pipeline_obs(&self.ctx, source, ops, sink, &stats);
+            (stats, run)
+        };
+        let (stats, mut result) = run(label, spec.source.as_ref(), &spec.ops);
+        let mut continued = Vec::new();
+        let name = match spec.continuations.is_empty() {
+            true => String::new(),
+            false => format!("{} (continued)", label.name),
+        };
+        for c in &spec.continuations {
+            if result.is_err() {
+                break;
+            }
+            let label = PipelineLabel {
+                name: &name,
+                ..label
+            };
+            let (block, run) = run(label, c.source.as_ref(), &spec.ops[c.entry..]);
+            continued.push((block, c.entry));
+            result = run;
         }
-        run?;
+        if let Some(pc) = pc {
+            pc.bind_pending(&stats, continued);
+        }
+        result?;
         Ok(stats)
     }
 

@@ -3,11 +3,12 @@
 //! [`Engine::compile_join`] is the only place a [`JoinAlgo`] is dispatched
 //! on, and the only place a join that cannot run as compiled is recompiled
 //! as something cheaper. The two builders below it — [`Engine::bhj`] for
-//! the non-partitioned join, [`Engine::radix`] for the partitioned ones (the
-//! RJ, the BRJ, and the HHJ, which is the RJ compiled with an eviction) —
-//! turn a [`JoinNode`] into pipelines and know nothing about fallback: they
-//! return the error and the ladder decides. The BHJ's build half,
-//! [`Engine::build_table`], is also the groupjoin's.
+//! the non-partitioned join, [`Engine::radix`] for the joins that
+//! radix-partition their build side (the RJ, the BRJ, and the HHJ, which is
+//! the BHJ compiled with an eviction) — turn a [`JoinNode`] into pipelines
+//! and know nothing about fallback: they return the error and the ladder
+//! decides. The BHJ's build half, [`Engine::build_table`], is also the
+//! groupjoin's.
 
 use super::details::{
     adaptive_details, hw_details, partition_details, residual_details, walk_details,
@@ -25,7 +26,7 @@ use crate::rj::BloomProbeOp;
 use joinstudy_exec::context::algo_bits;
 use joinstudy_exec::error::{ExecError, ExecResult};
 use joinstudy_exec::metrics::{self, MemPhase};
-use joinstudy_exec::pipeline::StreamSpec;
+use joinstudy_exec::pipeline::{Source, StreamSpec};
 use joinstudy_exec::profile::PipelineStats;
 use joinstudy_exec::{registry, trace, PipelineLabel, WaitState};
 use joinstudy_storage::table::Schema;
@@ -42,10 +43,11 @@ const REGIME_SKEW_FACTOR: usize = 8;
 /// recompiled as, one rung down at a time. Each rung materializes less than
 /// the one above it — the radix joins both sides, the BHJ only the build
 /// side (the paper's central trade-off, read in reverse), the hybrid join —
-/// the radix join again, this time allowed to evict — whatever its share of
-/// the budget allows, spilling the rest. The BRJ stands on the RJ's rung;
-/// the last rung is correct under any budget that holds its minimum working
-/// set, so below it an error (naming that floor) is the caller's.
+/// the BHJ again, this time allowed to evict — only what its share of the
+/// budget holds of the build side, spilling the rest and the probe rows
+/// that belong to it. The BRJ stands on the RJ's rung; the last rung is
+/// correct under any budget that holds its minimum working set, so below it
+/// an error (naming that floor) is the caller's.
 const LADDER: [JoinAlgo; 3] = [JoinAlgo::Rj, JoinAlgo::Bhj, JoinAlgo::Hybrid];
 
 /// What [`Engine::build_table`] leaves behind: the table, the build schema
@@ -267,25 +269,32 @@ impl Engine {
         Ok((StreamSpec::new(source, out_schema), id))
     }
 
-    /// The partitioned joins, one rung each: the radix join (`algo` = RJ),
-    /// its Bloom-filtered variant (BRJ), and the out-of-core dynamic hybrid
-    /// hash join (HHJ), which is the RJ compiled with an eviction. Both
-    /// sides are full pipeline breakers (Algorithm 1) into the sinks of one
-    /// [`HybridJoin`], and its [`HybridJoinSource`] — the partition-wise
-    /// join, then whatever the HHJ closed, reloaded — starts the next
-    /// pipeline. The rung decides three things:
+    /// The joins whose build side is radix-partitioned, one rung each: the
+    /// radix join (`algo` = RJ), its Bloom-filtered variant (BRJ), and the
+    /// out-of-core dynamic hybrid hash join (HHJ), which is the BHJ
+    /// compiled with an eviction. The build side is a full pipeline breaker
+    /// (Algorithm 1) into the sink of one [`HybridJoin`]. Then:
     ///
-    /// * The HHJ's sinks evict: when its share of the budget runs out they
-    ///   close pre-partitions to spill runs, at a pass-1 fan-out fitted to
-    ///   that share and capped. The RJ's and BRJ's lease what they hold at
-    ///   the full fan-out, and fail when the budget refuses.
-    /// * The BRJ's build side builds the Bloom filter its probe pipeline
-    ///   drops tuples with.
-    /// * An RJ/BRJ picked *adaptively* (`adaptive` carries the plan-time
-    ///   [`Decision`]) has its row estimates ride on the partitioning
-    ///   pipelines' labels, and the build side's measured histogram held
-    ///   against the estimate before the probe side is touched
-    ///   ([`Engine::check_regime`]).
+    /// * The RJ and BRJ partition their probe side the same way and start
+    ///   the next pipeline with the partition-wise join. Their sinks lease
+    ///   what they hold at the full fan-out and fail when the budget
+    ///   refuses. The BRJ's build side builds the Bloom filter its probe
+    ///   pipeline drops tuples with. One picked *adaptively* (`adaptive`
+    ///   carries the plan-time [`Decision`]) has its row estimates ride on
+    ///   the partitioning pipelines' labels, and the build side's measured
+    ///   histogram held against the estimate before the probe side is
+    ///   touched ([`Engine::check_regime`]).
+    /// * The HHJ's build sink evicts: when its share of the budget runs out
+    ///   it closes pre-partitions to spill runs, at a pass-1 fan-out fitted
+    ///   to that share and capped. What stayed open becomes one BHJ table,
+    ///   and the probe side is not a breaker: a [`RouteOp`] fused into its
+    ///   pipeline writes the rows of closed pre-partitions to runs and
+    ///   probes the table with the rest, as [`Engine::bhj`] does. The
+    ///   closed pairs are reloaded by a [`HybridJoinSource`], which
+    ///   continues that pipeline — or, for a build-preserving join type,
+    ///   starts the next one after the resident table's build rows.
+    ///
+    /// [`RouteOp`]: crate::radix::RouteOp
     fn radix(
         &self,
         node: &JoinNode<'_>,
@@ -335,6 +344,8 @@ impl Engine {
             prefetch: self.bhj_prefetch,
             seq: Default::default(),
             reload_depth: Default::default(),
+            spill_runs: Default::default(),
+            spill_bytes: Default::default(),
         };
         if evicting {
             join.open_spill_dir()?;
@@ -351,7 +362,7 @@ impl Engine {
 
         // Pipeline 1: build side → radix partitions (full breaker).
         let (build_spec, bchild) = self.stream(node.build, prof.as_deref_mut())?;
-        let build_sink = join.sink(&level, &closed, None);
+        let build_sink = join.build_sink(&level, &closed);
         metrics::mark_phase(MemPhase::Build);
         // The cost model's cardinality estimate rides along so
         // `jsys.query_progress` can report an est-vs-actual fraction.
@@ -363,14 +374,72 @@ impl Engine {
         let build_stats = self.run_breaker(label, &build_spec, &build_sink, prof.as_deref_mut())?;
         // The build side's own joins are done: what they held goes now.
         drop(build_spec);
+
+        if evicting {
+            let table = join.table(&level, &build_sink, &closed, self.threads)?;
+            let build_rows = table.build_rows();
+            joinlog::record(joinlog::JoinSizes {
+                algo: tag,
+                build_rows: build_rows as usize,
+                build_bytes: build_rows as usize * build_sink.layout().stride(),
+                // The probe side is never materialized.
+                ..Default::default()
+            });
+            // Pipeline 2: the probe side, routed and probed in flight.
+            let (probe_spec, pchild) = self.stream(node.probe, prof.as_deref_mut())?;
+            let op_idx = probe_spec.ops.len();
+            let route = Arc::new(join.route(&table, &build_sink));
+            let join = Arc::new(join);
+            let id = prof.as_deref_mut().map(|pc| {
+                let id = pc.node(node.label(tag), bchild.into_iter().chain(pchild).collect());
+                pc.bind(id, &build_stats, Slot::Sink);
+                hw_details(pc, id, "hw_build_", &build_stats);
+                pc.detail(id, "bits1", level.bits1());
+                pc.detail(id, "spill_fanout", level.fanout());
+                pc.detail(
+                    id,
+                    "resident_partitions",
+                    level.fanout() - table.closed_partitions(),
+                );
+                pc.detail(id, "evictions", table.evictions());
+                route.with_probe(|probe| walk_details(pc, id, &probe.walker));
+                pc.live_detail(id, "spill_partitions", &join.spill_runs);
+                pc.live_detail(id, "spill_bytes", &join.spill_bytes);
+                pc.live_detail(id, "reload_depth", &join.reload_depth);
+                residual_details(pc, id, join.residual.as_ref());
+                pc.pend(id, Slot::Op(op_idx));
+                id
+            });
+            metrics::mark_phase(MemPhase::Join);
+            let mut spec = probe_spec.push_op(Arc::clone(&route) as _, out_schema.clone());
+            spec.cpu = WaitState::CpuProbe;
+            let reloads = HybridJoinSource::new(join, &level, table, route);
+            if !kind.preserves_build() {
+                // What was closed joins after the probe side, in the same
+                // pipeline.
+                if reloads.task_count() > 0 {
+                    if let (Some(pc), Some(id)) = (prof, id) {
+                        pc.pend(id, Slot::Continued(spec.continuations.len()));
+                    }
+                    spec = spec.continue_with(Arc::new(reloads));
+                }
+                return Ok((spec, id));
+            }
+            let label = PipelineLabel::new("HHJ probe (mark)", WaitState::CpuProbe);
+            self.run_breaker(label, &spec, &DiscardSink, prof.as_deref_mut())?;
+            if let (Some(pc), Some(id)) = (prof, id) {
+                pc.pend(id, Slot::Source);
+            }
+            return Ok((StreamSpec::new(Arc::new(reloads), out_schema), id));
+        }
+
         let (build, bloom) = HybridJoin::finish(&build_sink, self.threads, None, use_bloom)?;
         if let Some(decision) = adaptive {
-            self.check_regime(decision, &build.0)?;
+            self.check_regime(decision, &build)?;
         }
-        let bits2 = build.0.bits2();
+        let bits2 = build.bits2();
 
-        // Pipeline 2: probe side (+ Bloom reducer) → radix partitions,
-        // starting from the build side's closed set.
+        // Pipeline 2: probe side (+ Bloom reducer) → radix partitions.
         let (mut probe_spec, pchild) = self.stream(node.probe, prof.as_deref_mut())?;
         let mut bloom_op: Option<(usize, Arc<BloomProbeOp>, usize)> = None;
         if let Some(bloom) = bloom {
@@ -379,14 +448,14 @@ impl Engine {
             let op = Arc::new(BloomProbeOp::new(
                 Arc::new(bloom),
                 node.probe_keys.to_vec(),
-                build.0.bits1(),
+                build.bits1(),
                 bits2,
                 self.adaptive_bloom,
             ));
             bloom_op = Some((probe_spec.ops.len(), Arc::clone(&op), bloom_bytes));
             probe_spec = probe_spec.push_op(op, schema);
         }
-        let probe_sink = join.sink(&level, &closed, Some(&build.0));
+        let probe_sink = join.probe_sink(&level);
         metrics::mark_phase(MemPhase::PartitionPass1);
         let bloom_suffix = if bloom_op.is_some() {
             " + bloom probe"
@@ -401,30 +470,16 @@ impl Engine {
         let probe_stats = self.run_breaker(label, &probe_spec, &probe_sink, prof.as_deref_mut())?;
         drop(probe_spec);
         let (probe, _) = HybridJoin::finish(&probe_sink, self.threads, Some(bits2), false)?;
-        let evictions = build_sink.evictions() + probe_sink.evictions();
         let stats = Arc::new(JoinStats::default());
-        let parts = join
-            .pair_up(&level, &closed, build, probe)?
-            .with_stats(Arc::clone(&stats));
-
-        let (build, probe) = (parts.resident_build(), parts.resident_probe());
-        // The RJ's sides count with their strings, the HHJ's rows — resident
-        // and spilled — at their stride. Match statistics cover the resident
-        // pairs only: all of the RJ's.
-        let bytes = |rows: u64, side: &PartitionedSide| {
-            if evicting {
-                rows as usize * side.layout().stride()
-            } else {
-                side.byte_size()
-            }
-        };
+        let source = join.radix_join(build, probe).with_stats(Arc::clone(&stats));
+        let (build, probe) = (source.build(), source.probe());
         joinlog::record(joinlog::JoinSizes {
             algo: tag,
-            build_rows: parts.build_rows() as usize,
-            build_bytes: bytes(parts.build_rows(), build),
-            probe_rows: parts.probe_rows() as usize,
-            probe_bytes: bytes(parts.probe_rows(), probe),
-            stats: (!evicting).then_some(stats),
+            build_rows: build.total_rows(),
+            build_bytes: build.byte_size(),
+            probe_rows: probe.total_rows(),
+            probe_bytes: probe.byte_size(),
+            stats: Some(stats),
         });
 
         // Pipeline 3 starts here: the partition-wise join.
@@ -435,25 +490,10 @@ impl Engine {
             hw_details(pc, id, "hw_build_", &build_stats);
             pc.bind(id, &probe_stats, Slot::Sink);
             hw_details(pc, id, "hw_probe_", &probe_stats);
-            if evicting {
-                pc.detail(id, "build_rows", parts.build_rows());
-                pc.detail(id, "probe_rows", parts.probe_rows());
-            }
             pc.detail(id, "bits1", level.bits1());
             pc.detail(id, "bits2", bits2);
-            let sides = if evicting {
-                pc.detail(id, "spill_fanout", level.fanout());
-                pc.detail(id, "resident_partitions", parts.resident_partitions());
-                pc.detail(id, "evictions", evictions);
-                pc.detail(id, "spill_partitions", parts.spilled_runs());
-                pc.detail(id, "spill_bytes", parts.spilled_bytes());
-                pc.live_detail(id, "reload_depth", &join.reload_depth);
-                ["resident_build", "resident_probe"]
-            } else {
-                ["build", "probe"]
-            };
-            partition_details(pc, id, sides[0], build);
-            partition_details(pc, id, sides[1], probe);
+            partition_details(pc, id, "build", build);
+            partition_details(pc, id, "probe", probe);
             residual_details(pc, id, join.residual.as_ref());
             if let Some((idx, op, bytes)) = &bloom_op {
                 pc.detail(id, "bloom_bytes", *bytes);
@@ -471,8 +511,7 @@ impl Engine {
             pc.pend(id, Slot::Source);
             id
         });
-        let source = Arc::new(HybridJoinSource::new(Arc::new(join), parts));
-        Ok((StreamSpec::new(source, out_schema), id))
+        Ok((StreamSpec::new(Arc::new(source), out_schema), id))
     }
 
     /// The adaptive escape hatch's measurement check, run right after the

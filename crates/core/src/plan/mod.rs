@@ -579,7 +579,8 @@ fn fmt_join_keys(build: &Plan, build_keys: &[usize], probe: &Plan, probe_keys: &
 /// Per-join size accounting for the Figure-1 scatter plot (build × probe
 /// side bytes of every executed join). Enabled explicitly by the harness;
 /// sizes are exact for RJ/BRJ (both sides materialized) and build-only for
-/// the BHJ (its probe side is never materialized — the point of the paper).
+/// the BHJ and the HHJ (their probe sides are never materialized — the
+/// point of the paper).
 pub mod joinlog {
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -591,7 +592,7 @@ pub mod joinlog {
         pub build_rows: usize,
         pub build_bytes: usize,
         pub probe_rows: usize,
-        /// 0 for BHJ (probe side not materialized).
+        /// 0 for BHJ and HHJ (probe side not materialized).
         pub probe_bytes: usize,
         /// Probe-match statistics, filled lazily while the consuming
         /// pipeline runs (RJ/BRJ only).

@@ -16,6 +16,13 @@
 //! sink, probe operator, and result source), and [`ProfCtx::build`] sums
 //! them into one [`ProfileNode`] per plan node.
 //!
+//! A pipeline whose [`StreamSpec`](joinstudy_exec::StreamSpec) has
+//! continuations runs as several blocks, the main one and one per
+//! continuation (whose operator slots start at its entry). A stage bound to
+//! the main block is bound to the continuations' too where they ran it, and
+//! the node that added a continuation reads its source through
+//! [`Slot::Continued`].
+//!
 //! [`ProfCtx::save`]/[`ProfCtx::restore`] give the degradation ladder
 //! (`plan::join`) transactional semantics: the failed rung's subtree is
 //! rolled back and the next rung re-traces it. This is sound because `pending`
@@ -32,6 +39,8 @@ pub(crate) enum Slot {
     Source,
     Op(usize),
     Sink,
+    /// The source of the pipeline's `n`-th continuation.
+    Continued(usize),
 }
 
 /// One plan node under construction.
@@ -55,7 +64,13 @@ pub(crate) struct ProfCtx {
     /// back by [`ProfCtx::restore`]: an abandoned compile's pipelines still
     /// spent the query's wall time.
     pub runs: Vec<Arc<PipelineStats>>,
+    /// Main blocks with continuations: each continuation's block and entry.
+    continued: Vec<(Arc<PipelineStats>, Continued)>,
 }
+
+/// The blocks of a pipeline's continuations that ran, each with the index
+/// of the operator it entered at.
+pub(crate) type Continued = Vec<(Arc<PipelineStats>, usize)>;
 
 impl ProfCtx {
     /// Allocate a trace node with the given children (already allocated).
@@ -75,16 +90,44 @@ impl ProfCtx {
         self.pending.push((node, slot));
     }
 
-    /// Bind one slot of a finished (or running) pipeline to a node.
+    /// Bind one slot of a finished (or running) pipeline to a node — and
+    /// of its continuations, where they ran the same stage.
     pub fn bind(&mut self, node: usize, stats: &Arc<PipelineStats>, slot: Slot) {
-        self.nodes[node].bound.push((Arc::clone(stats), slot));
+        let continued = self.continued.iter().filter(|(m, _)| Arc::ptr_eq(m, stats));
+        let mut bound = Vec::new();
+        for (c, entry) in continued.flat_map(|(_, c)| c) {
+            match slot {
+                Slot::Op(i) if i >= *entry => bound.push((Arc::clone(c), Slot::Op(i - entry))),
+                Slot::Sink => bound.push((Arc::clone(c), Slot::Sink)),
+                _ => {}
+            }
+        }
+        let node = &mut self.nodes[node];
+        node.bound.push((Arc::clone(stats), slot));
+        node.bound.extend(bound);
     }
 
-    /// The breaker ran: bind every pending stage to the run's block.
-    pub fn bind_pending(&mut self, stats: &Arc<PipelineStats>) {
+    /// The breaker ran: bind every pending stage to the run's block, and
+    /// to the blocks of its `continued` runs.
+    pub fn bind_pending(&mut self, stats: &Arc<PipelineStats>, continued: Continued) {
         self.runs.push(Arc::clone(stats));
+        self.runs
+            .extend(continued.iter().map(|(c, _)| Arc::clone(c)));
+        let sources: Vec<_> = continued.iter().map(|(c, _)| Arc::clone(c)).collect();
+        if !continued.is_empty() {
+            self.continued.push((Arc::clone(stats), continued));
+        }
         for (node, slot) in std::mem::take(&mut self.pending) {
-            self.bind(node, stats, slot);
+            match slot {
+                // A continuation that never ran (its pipeline failed first)
+                // leaves nothing to read.
+                Slot::Continued(n) => {
+                    if let Some(c) = sources.get(n) {
+                        self.nodes[node].bound.push((Arc::clone(c), Slot::Source));
+                    }
+                }
+                slot => self.bind(node, stats, slot),
+            }
         }
     }
 
@@ -142,7 +185,7 @@ impl ProfCtx {
         let mut node = ProfileNode::new(t.label.clone());
         for (stats, slot) in &t.bound {
             node.add_stats(match slot {
-                Slot::Source => &stats.source,
+                Slot::Source | Slot::Continued(_) => &stats.source,
                 Slot::Op(i) => &stats.ops[*i],
                 Slot::Sink => &stats.sink,
             });
@@ -197,7 +240,7 @@ mod tests {
             w.ops[0] = slot(0, 2, 100, 40, 5);
             w.sink = slot(0, 2, 40, 0, 1);
         });
-        pc.bind_pending(&obs);
+        pc.bind_pending(&obs, Vec::new());
         assert!(pc.save().1 == 0, "pending drained");
 
         let root = pc.node("Output", vec![filter]);

@@ -30,14 +30,20 @@
 //! each pass-1 worker), because `bits2` is chosen adaptively from the now-
 //! known cardinality. The byte volume touched is identical.
 //!
-//! The same sink is the hybrid join's partitioner ([`crate::hybrid`]): given
-//! an [`Eviction`], a worker whose lease may not grow *closes* a victim
-//! pre-partition instead of failing — its pages stream to a spill run, later
-//! tuples for it follow, and histogram and pass 2 see the resident
-//! pre-partitions only. Without one, nothing below differs from the above.
+//! The same sink is the hybrid join's build-side partitioner
+//! ([`crate::hybrid`]): given an [`Eviction`], a worker whose lease may not
+//! grow *closes* a victim pre-partition instead of failing — its pages
+//! stream to a spill run and later tuples for it follow. Pass 2 is then
+//! replaced by [`PartitionSink::finalize_table`], which links the resident
+//! pre-partitions' rows into one BHJ table, and the probe side streams
+//! through [`RouteOp`]: rows of closed pre-partitions go to runs, the rest
+//! probe the table in flight. Without an eviction, nothing below differs
+//! from the above.
 
+use crate::bhj::{BhjProbeOp, BhjState};
 use crate::bloom::BlockedBloom;
 use crate::hash::hash_columns;
+use crate::ht_chain::{ChainTable, RowArena};
 use crate::row::{read_u64, RowLayout, StrHeap};
 use crate::spill::{SpillDir, SpillFile, SpillWriter};
 use crate::swwcb::{nt_copy, nt_fence, SwwcbSet};
@@ -45,12 +51,13 @@ use joinstudy_exec::batch::{Batch, BATCH_ROWS};
 use joinstudy_exec::context::{BudgetLease, QueryContext};
 use joinstudy_exec::error::{ExecError, ExecResult};
 use joinstudy_exec::metrics::{self, MemPhase};
-use joinstudy_exec::pipeline::{LocalState, Sink};
+use joinstudy_exec::pipeline::{Emit, LocalState, Operator, Sink};
 use joinstudy_exec::{registry, trace};
 use joinstudy_storage::column::ColumnData;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::sync::RwLock;
 
 /// Tuning knobs of the radix machinery. The ablation benches flip the
 /// boolean switches; everything else follows the paper's setup.
@@ -173,6 +180,14 @@ impl PageList {
         self.total_bytes
     }
 
+    /// The pages' buffers, each with the rows it holds.
+    fn into_pages(self) -> impl Iterator<Item = (Vec<u64>, usize)> {
+        let stride = self.stride;
+        self.pages
+            .into_iter()
+            .map(move |p| (p.words, p.len / stride))
+    }
+
     /// Take the pages out, leaving an empty list of the same stride.
     fn take(&mut self) -> PageList {
         std::mem::replace(self, PageList::new(self.stride))
@@ -260,8 +275,8 @@ impl PageList {
 
 /// Which pre-partitions of one join level are *closed*: evicted to spill
 /// runs, every later tuple of theirs following. A partition is only ever
-/// closed, never reopened. The level's build and probe sink share one set,
-/// so the probe side starts from the build side's closed partitions.
+/// closed, never reopened. Only a level's build side closes partitions; its
+/// probe side ([`RouteOp`]) reads the set once the build side is done.
 pub struct ClosedSet {
     flags: Vec<AtomicBool>,
 }
@@ -313,7 +328,7 @@ pub struct Eviction {
 struct Evictor {
     cfg: Eviction,
     runs: Vec<Mutex<Option<SpillWriter>>>,
-    /// Partitions this sink closed itself (the rest it inherited).
+    /// Partitions this sink closed.
     evictions: AtomicUsize,
 }
 
@@ -425,10 +440,6 @@ impl PartitionSink {
         cfg: RadixConfig,
         phases: PhaseSet,
     ) -> PartitionSink {
-        assert!(
-            !layout.has_header(),
-            "partitioned rows carry no chain header"
-        );
         let ctx = QueryContext::unbounded();
         PartitionSink {
             layout,
@@ -549,10 +560,9 @@ impl PartitionSink {
         }
     }
 
-    /// Catch up with pre-partitions closed since this worker last looked —
-    /// by a sibling, or by the build side before this sink began: what it
-    /// holds of them goes to their runs, and their rows encode strings into
-    /// the staging heap from here on. (One relaxed load per pre-partition
+    /// Catch up with pre-partitions a sibling closed since this worker last
+    /// looked: what it holds of them goes to their runs, and their rows
+    /// encode strings into the staging heap from here on. (One relaxed load per pre-partition
     /// and batch; a plain sink never gets here.)
     fn observe_closures(&self, ev: &Evictor, local: &mut Pass1Local) -> ExecResult {
         for p in 0..self.fanout1() {
@@ -818,21 +828,6 @@ impl PartitionedSide {
         self.partition_row_range(p).len() * self.layout.stride()
     }
 
-    /// Rows of pass-1 pre-partition `p` (its `2^bits2` final partitions).
-    pub fn prepartition_rows(&self, p: usize) -> usize {
-        self.bounds[(p + 1) << self.bits2] - self.bounds[p << self.bits2]
-    }
-
-    /// Append the rows of pre-partition `p` to `run`: a resident build
-    /// partition whose probe partner was evicted follows it to disk.
-    pub fn spill_prepartition(&self, p: usize, run: &mut SpillWriter) -> ExecResult {
-        let stride = self.layout.stride();
-        let rows =
-            self.bounds[p << self.bits2] * stride..self.bounds[(p + 1) << self.bits2] * stride;
-        let bytes = &self.data_bytes()[rows];
-        spill_rows(&self.layout, &self.heaps, std::iter::once(bytes), run)
-    }
-
     /// Total materialized bytes (rows + out-of-line strings).
     pub fn byte_size(&self) -> usize {
         self.total_rows * self.layout.stride()
@@ -886,61 +881,17 @@ impl PartitionSink {
         bits2_override: Option<u32>,
         build_bloom: bool,
     ) -> ExecResult<(PartitionedSide, Option<BlockedBloom>)> {
-        let mut global = self.global.lock();
-        let mut worker_lists = std::mem::take(&mut global.worker_lists);
-        let mut heap_pairs = std::mem::take(&mut global.heaps);
-        // Pass-1 pages are freed when `worker_lists` drops at the end of this
-        // function (or on early return) — the lease must die with them.
-        let mut pass1_lease = std::mem::replace(&mut global.lease, BudgetLease::empty(&self.ctx));
-        drop(global);
-
-        // Dense heap vector indexed by heap id.
-        let max_id = heap_pairs
-            .iter()
-            .map(|(id, _)| *id)
-            .max()
-            .map_or(0, |m| m + 1);
-        let mut heaps: Vec<StrHeap> = (0..max_id).map(|_| StrHeap::new()).collect();
-        for (id, heap) in heap_pairs.drain(..) {
-            heaps[id] = heap;
-        }
-
-        let fanout1 = self.fanout1();
-        let stride = self.layout.stride();
-
-        // Exchange (a): total and per-pre-partition cardinalities.
-        let mut pre_counts = vec![0usize; fanout1];
-        for lists in &worker_lists {
-            for (p, list) in lists.iter().enumerate() {
-                pre_counts[p] += list.rows();
-            }
-        }
-
         // The contiguous pass-2 output buffer is the second copy of every
-        // row: reserve it up front, so a budget breach surfaces before the
-        // allocation instead of as an OOM kill. An evicting sink first
-        // writes out what workers that finished early still held of closed
-        // partitions, then answers a breach by closing one more victim.
-        if let Some(ev) = &self.evict {
-            for p in ev.cfg.closed.closed() {
-                self.evict_resident(ev, p, &mut worker_lists, &heaps, &mut pass1_lease)?;
-                pre_counts[p] = 0;
-            }
-        }
-        let mut out_lease = loop {
-            let total_bytes = pre_counts.iter().sum::<usize>() * stride;
-            match (BudgetLease::reserve(&self.ctx, total_bytes), &self.evict) {
-                (Ok(lease), _) => break lease,
-                (Err(e @ ExecError::BudgetExceeded { .. }), Some(ev)) => {
-                    let resident: Vec<usize> = pre_counts.iter().map(|&n| n * stride).collect();
-                    let victim = (ev.cfg.victim)(&resident).ok_or(e)?;
-                    ev.close(victim);
-                    self.evict_resident(ev, victim, &mut worker_lists, &heaps, &mut pass1_lease)?;
-                    pre_counts[victim] = 0;
-                }
-                (Err(e), _) => return Err(e),
-            }
-        };
+        // row.
+        let stride = self.layout.stride();
+        let Settled {
+            worker_lists,
+            heaps,
+            pre_counts,
+            pass1_lease: _pass1_lease,
+            lease: mut out_lease,
+        } = self.settle(usize::MAX, |rows| rows * stride)?;
+        let fanout1 = self.fanout1();
         let total_rows: usize = pre_counts.iter().sum();
 
         // Choose the pass-2 fanout so build partitions hit the cache target.
@@ -1166,7 +1117,124 @@ impl PartitionSink {
     }
 }
 
+/// What pass 1 left once the resident copy of it is reserved
+/// ([`PartitionSink::settle`]).
+struct Settled {
+    worker_lists: Vec<Vec<PageList>>,
+    /// Dense, indexed by heap id.
+    heaps: Vec<StrHeap>,
+    /// Rows per pre-partition that stay; 0 for closed ones.
+    pre_counts: Vec<usize>,
+    /// Charged for the pages, which die with `worker_lists`.
+    pass1_lease: BudgetLease,
+    /// Charged for the resident copy.
+    lease: BudgetLease,
+}
+
 impl PartitionSink {
+    /// Take what pass 1 left and reserve `copy_bytes(rows)` for the copy
+    /// the resident rows are about to get, up front, so a budget breach
+    /// surfaces before the allocation instead of as an OOM kill. An
+    /// evicting sink first writes out what workers that finished early
+    /// still held of closed partitions, then answers a breach — of the
+    /// budget, or of `cap` by the resident rows and their copy together —
+    /// by closing one more victim. (Pass 1 caps each worker's rows, but a
+    /// pipeline with continuations brings new workers, so the sink checks
+    /// the sum here.)
+    fn settle(&self, cap: usize, copy_bytes: impl Fn(usize) -> usize) -> ExecResult<Settled> {
+        let mut global = self.global.lock();
+        let mut worker_lists = std::mem::take(&mut global.worker_lists);
+        let heap_pairs = std::mem::take(&mut global.heaps);
+        let mut pass1_lease = std::mem::replace(&mut global.lease, BudgetLease::empty(&self.ctx));
+        drop(global);
+
+        let slots = heap_pairs.iter().map(|(id, _)| id + 1).max().unwrap_or(0);
+        let mut heaps: Vec<StrHeap> = (0..slots).map(|_| StrHeap::new()).collect();
+        for (id, heap) in heap_pairs {
+            heaps[id] = heap;
+        }
+
+        let mut pre_counts = vec![0usize; self.fanout1()];
+        for lists in &worker_lists {
+            for (p, list) in lists.iter().enumerate() {
+                pre_counts[p] += list.rows();
+            }
+        }
+        if let Some(ev) = &self.evict {
+            for p in ev.cfg.closed.closed() {
+                self.evict_resident(ev, p, &mut worker_lists, &heaps, &mut pass1_lease)?;
+                pre_counts[p] = 0;
+            }
+        }
+        let stride = self.layout.stride();
+        let lease = loop {
+            let rows: usize = pre_counts.iter().sum();
+            let bytes = copy_bytes(rows);
+            let reserved = match rows * stride + bytes {
+                held if held > cap => Err(ExecError::BudgetExceeded {
+                    requested: held,
+                    in_use: 0,
+                    budget: cap,
+                    phase: metrics::current_phase().name(),
+                }),
+                _ => BudgetLease::reserve(&self.ctx, bytes),
+            };
+            match (reserved, &self.evict) {
+                (Ok(lease), _) => break lease,
+                (Err(e @ ExecError::BudgetExceeded { .. }), Some(ev)) => {
+                    let resident: Vec<usize> = pre_counts.iter().map(|&n| n * stride).collect();
+                    let victim = (ev.cfg.victim)(&resident).ok_or(e)?;
+                    ev.close(victim);
+                    self.evict_resident(ev, victim, &mut worker_lists, &heaps, &mut pass1_lease)?;
+                    pre_counts[victim] = 0;
+                }
+                (Err(e), _) => return Err(e),
+            }
+        };
+        Ok(Settled {
+            worker_lists,
+            heaps,
+            pre_counts,
+            pass1_lease,
+            lease,
+        })
+    }
+
+    /// Finish the sink as a hybrid join level's resident table instead of
+    /// running pass 2: the rows of the pre-partitions still open are linked
+    /// where pass 1 wrote them — its pages become the row arenas of one BHJ
+    /// table (one per pass-1 worker), which is why this sink's rows carry
+    /// the BHJ's chain header — into one [`ChainTable`] indexed by the hash
+    /// bits after this sink's. The bucket array is leased where pass 2's
+    /// contiguous buffer would be, and a refusal — or a table of more than
+    /// `cap` bytes, rows and buckets — closes one more victim
+    /// ([`PartitionSink::settle`]). Call [`PartitionSink::take_runs`] after.
+    pub fn finalize_table(&self, cap: usize, threads: usize) -> ExecResult<Arc<BhjState>> {
+        assert!(self.layout.has_header(), "table rows carry a chain header");
+        let Settled {
+            worker_lists,
+            heaps,
+            pass1_lease,
+            mut lease,
+            ..
+        } = self.settle(cap, |rows| ChainTable::buckets_for(rows) * 8)?;
+        self.ctx.check()?;
+        let stride = self.layout.stride();
+        let arenas = worker_lists
+            .into_iter()
+            .map(|lists| {
+                RowArena::from_pages(stride, lists.into_iter().flat_map(PageList::into_pages))
+            })
+            .collect();
+        lease.absorb(pass1_lease);
+        let keys = self.key_cols.clone();
+        let shift = self.shift + self.cfg.bits_pass1;
+        let layout = self.layout.clone();
+        Ok(BhjState::link(
+            layout, keys, arenas, heaps, lease, shift, threads,
+        ))
+    }
+
     /// Write what the finished workers still hold of pre-partition `p` to
     /// its run (finalize runs alone, after every worker has finished).
     fn evict_resident(
@@ -1183,6 +1251,154 @@ impl PartitionSink {
             self.write(ev, p, heaps, &list)?;
         }
         Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The probe side of an evicting level
+// ---------------------------------------------------------------------------
+
+/// The probe side of a hybrid join level ([`crate::hybrid`]), fused into
+/// its probe pipeline: a row whose pre-partition the level's build side
+/// closed is appended to that partition's run, every other row goes on to
+/// `probe`, the BHJ probe of the level's resident table
+/// ([`PartitionSink::finalize_table`]). So the probe side is neither
+/// partitioned nor materialized, and it never closes a partition: the
+/// closed set was frozen when the build side finished. Each run holds one
+/// write buffer, opened on the partition's first row.
+pub struct RouteOp {
+    /// `None` once [`RouteOp::release`]d.
+    probe: RwLock<Option<BhjProbeOp>>,
+    keys: Vec<usize>,
+    shift: u32,
+    /// Per pre-partition.
+    closed: Vec<bool>,
+    runs: Vec<Mutex<Option<SpillWriter>>>,
+    dir: Arc<SpillDir>,
+    ctx: Arc<QueryContext>,
+    tag: String,
+    write_buf: usize,
+}
+
+struct RouteLocal {
+    probe: LocalState,
+    hashes: Vec<u64>,
+    /// Rows of the batch at hand that go on to the probe.
+    open: Vec<u32>,
+    /// Per pre-partition, rows of the batch at hand that go to its run.
+    closed: Vec<Vec<u32>>,
+}
+
+impl RouteOp {
+    /// The probe side of the level `build`, an evicting sink that has been
+    /// finalized: its hash-bit window, closed set, spill directory and
+    /// write-buffer size. `keys` are the probe side's key columns, `tag`
+    /// prefixes the runs' names.
+    pub fn new(probe: BhjProbeOp, keys: Vec<usize>, build: &PartitionSink, tag: String) -> RouteOp {
+        let ev = build.evict.as_ref().expect("a hybrid join level evicts");
+        let fanout = build.fanout1();
+        RouteOp {
+            probe: RwLock::new(Some(probe)),
+            keys,
+            shift: build.shift,
+            closed: (0..fanout).map(|p| ev.cfg.closed.is_closed(p)).collect(),
+            runs: (0..fanout).map(|_| Mutex::new(None)).collect(),
+            dir: Arc::clone(&ev.cfg.dir),
+            ctx: Arc::clone(&build.ctx),
+            tag,
+            write_buf: ev.cfg.write_buf,
+        }
+    }
+
+    /// Run `f` on the probe of the resident table.
+    pub fn with_probe<R>(&self, f: impl FnOnce(&BhjProbeOp) -> R) -> R {
+        let probe = self.probe.read().expect("no probe panics holding the lock");
+        f(probe
+            .as_ref()
+            .expect("the table is released after the probe side"))
+    }
+
+    /// Let the resident table go: the probe side has streamed, and no row
+    /// will pass this operator again. What the table's lease holds returns
+    /// to the budget once nothing else shares the table.
+    pub fn release(&self) {
+        let probe = self
+            .probe
+            .write()
+            .expect("no probe panics holding the lock")
+            .take();
+        drop(probe);
+    }
+
+    /// Seal pre-partition `p`'s run and hand it over; `None` if no row went
+    /// there. Call once every pipeline through this operator has finished.
+    pub fn take_run(&self, p: usize) -> ExecResult<Option<SpillFile>> {
+        self.runs[p]
+            .lock()
+            .take()
+            .map(SpillWriter::finish)
+            .transpose()
+    }
+
+    /// Append `rows` of pre-partition `p` to its run, opening it first.
+    fn write(&self, p: usize, rows: &Batch) -> ExecResult {
+        let mut run = self.runs[p].lock();
+        if run.is_none() {
+            let name = format!("{}-p{p}", self.tag);
+            let writer = SpillWriter::create_sized(&self.dir, &name, &self.ctx, self.write_buf)?;
+            *run = Some(writer);
+            self.ctx.add_spill_partition();
+            registry::global().counter("spill.partitions").inc();
+        }
+        run.as_mut().expect("just opened").write_batch(rows)
+    }
+}
+
+impl Operator for RouteOp {
+    fn create_local(&self) -> LocalState {
+        Box::new(RouteLocal {
+            probe: self.with_probe(BhjProbeOp::create_local),
+            hashes: Vec::new(),
+            open: Vec::new(),
+            closed: vec![Vec::new(); self.closed.len()],
+        })
+    }
+
+    fn process(&self, local: &mut LocalState, input: Batch, out: Emit) -> ExecResult {
+        let l = local.downcast_mut::<RouteLocal>().expect("own local");
+        if !self.closed.contains(&true) {
+            return self.with_probe(|probe| probe.process(&mut l.probe, input, out));
+        }
+        let n = input.num_rows();
+        let key_cols: Vec<_> = self.keys.iter().map(|&c| input.column(c)).collect();
+        hash_columns(&key_cols, n, &mut l.hashes);
+        let mask = (self.closed.len() - 1) as u64;
+        l.open.clear();
+        for (r, &h) in l.hashes.iter().enumerate() {
+            let p = ((h >> self.shift) & mask) as usize;
+            if self.closed[p] {
+                l.closed[p].push(r as u32);
+            } else {
+                l.open.push(r as u32);
+            }
+        }
+        for (p, rows) in l.closed.iter_mut().enumerate() {
+            if !rows.is_empty() {
+                self.write(p, &input.take(rows))?;
+                rows.clear();
+            }
+        }
+        let input = match l.open.len() {
+            0 => return Ok(()),
+            all if all == n => input,
+            _ => input.take(&l.open),
+        };
+        self.with_probe(|probe| probe.process(&mut l.probe, input, out))
+    }
+
+    fn flush(&self, local: &mut LocalState, out: Emit) -> ExecResult {
+        let l = local.downcast_mut::<RouteLocal>().expect("own local");
+        self.with_probe(|probe| probe.flush(&mut l.probe, out))
     }
 }
 

@@ -284,11 +284,12 @@ pub fn hist_chunk_avx2(
 /// AVX2 is unavailable (callers dispatch before reaching here; the fallback
 /// only matters for direct test calls on non-AVX2 hosts).
 pub fn nt_copy_avx2(dst: &mut [u8], src: &[u8]) {
-    debug_assert_eq!(dst.len(), src.len());
-    debug_assert_eq!(dst.len() % 8, 0);
-    debug_assert_eq!(dst.as_ptr() as usize % 8, 0, "unaligned NT destination");
+    assert_eq!(dst.len(), src.len(), "NT copy of unequal lengths");
+    assert_eq!(dst.len() % 8, 0, "NT copy of a partial word");
+    assert_eq!(dst.as_ptr() as usize % 8, 0, "unaligned NT destination");
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     if avx2_available() {
+        // SAFETY: AVX2 is present, and the contract was asserted above.
         unsafe { avx2::nt_copy(dst, src) };
         return;
     }

@@ -17,8 +17,8 @@
 ///
 /// Requirements: equal lengths, a multiple of 8, and `dst` 8-byte aligned
 /// (guaranteed by page buffers being `u64`-backed and row strides being
-/// multiples of 8). Callers must execute [`nt_fence`] before the written
-/// data is handed to another thread.
+/// multiples of 8); a call that breaks one panics. Callers must execute
+/// [`nt_fence`] before the written data is handed to another thread.
 ///
 /// Dispatches through [`crate::simd`]: on AVX2 hosts the body uses 256-bit
 /// `_mm256_stream_si256` stores (with 8-byte head/tail alignment handling);
@@ -26,14 +26,16 @@
 /// `JOINSTUDY_NO_SIMD=1` reproduces the pre-SIMD binary exactly.
 #[inline]
 pub fn nt_copy(dst: &mut [u8], src: &[u8]) {
-    debug_assert_eq!(dst.len(), src.len());
-    debug_assert_eq!(dst.len() % 8, 0);
-    debug_assert_eq!(dst.as_ptr() as usize % 8, 0, "unaligned NT destination");
+    assert_eq!(dst.len(), src.len(), "NT copy of unequal lengths");
+    assert_eq!(dst.len() % 8, 0, "NT copy of a partial word");
+    assert_eq!(dst.as_ptr() as usize % 8, 0, "unaligned NT destination");
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     if crate::simd::active() == crate::simd::SimdPath::Avx2 {
         crate::simd::nt_copy_avx2(dst, src);
         return;
     }
+    // SAFETY: `dst` and `src` are `n` whole words long (asserted above), so
+    // every word read and stored lies inside them; `dst` is word-aligned.
     #[cfg(target_arch = "x86_64")]
     unsafe {
         use std::arch::x86_64::_mm_stream_si64;
@@ -53,6 +55,7 @@ pub fn nt_copy(dst: &mut [u8], src: &[u8]) {
 /// partitioning-phase end (like the original radix-join code), not per flush.
 #[inline]
 pub fn nt_fence() {
+    // SAFETY: `sfence` only orders stores; it touches no memory.
     #[cfg(target_arch = "x86_64")]
     unsafe {
         std::arch::x86_64::_mm_sfence();
@@ -124,11 +127,12 @@ impl SwwcbSet {
     /// The filled prefix of partition `p`'s buffer.
     #[inline]
     pub fn filled(&self, p: usize) -> &[u8] {
+        let fill = self.fill[p] as usize;
         let base = p * self.buf_bytes;
-        let bytes = unsafe {
-            std::slice::from_raw_parts(self.data.as_ptr().cast::<u8>().add(base), self.buf_bytes)
-        };
-        &bytes[..self.fill[p] as usize]
+        // SAFETY: `fill[p]` was indexed above, so `p` is a partition and its
+        // `buf_bytes` from `base` lie inside `data`; a fill never exceeds them
+        // (`next_slot` asserts it).
+        unsafe { std::slice::from_raw_parts(self.data.as_ptr().cast::<u8>().add(base), fill) }
     }
 
     /// Mark partition `p`'s buffer as drained.
@@ -138,12 +142,15 @@ impl SwwcbSet {
     }
 
     /// Reserve the next row slot in partition `p`'s buffer. The caller must
-    /// have drained a full buffer first (checked in debug builds).
+    /// have drained a full buffer first; a full one panics.
     #[inline]
     pub fn next_slot(&mut self, p: usize) -> &mut [u8] {
-        debug_assert!(!self.is_full(p));
+        assert!(!self.is_full(p), "SWWCB of partition {p} is full");
         let at = p * self.buf_bytes + self.fill[p] as usize;
         self.fill[p] += self.stride as u32;
+        // SAFETY: `p` is a partition (`is_full` indexed `fill[p]`) and its
+        // buffer had room for one more row (asserted above), so the slot lies
+        // inside that buffer, and `&mut self` keeps it unaliased.
         unsafe {
             std::slice::from_raw_parts_mut(self.data.as_mut_ptr().cast::<u8>().add(at), self.stride)
         }
@@ -210,6 +217,50 @@ mod tests {
     #[should_panic(expected = "not SWWCB-eligible")]
     fn rejects_oversized_stride() {
         SwwcbSet::new(4, 128);
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal lengths")]
+    fn nt_copy_rejects_a_short_source() {
+        // Lengths are checked before alignment.
+        nt_copy(&mut [0u8; 64], &[0u8; 32]);
+    }
+
+    #[test]
+    #[should_panic(expected = "partial word")]
+    fn nt_copy_rejects_a_partial_word() {
+        nt_copy(&mut [0u8; 12], &[0u8; 12]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unaligned NT destination")]
+    fn nt_copy_rejects_an_unaligned_destination() {
+        let mut buf = [0u8; 24];
+        let skew = usize::from(buf.as_ptr() as usize % 8 == 0);
+        nt_copy(&mut buf[skew..skew + 16], &[0u8; 16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn filled_rejects_a_partition_past_the_set() {
+        let set = SwwcbSet::new(4, 16);
+        set.filled(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "is full")]
+    fn next_slot_rejects_a_full_buffer() {
+        // The last partition's buffer ends where `data` does.
+        let mut set = SwwcbSet::new(2, 64);
+        for _ in 0..=SWWCB_BYTES / 64 {
+            set.next_slot(1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn next_slot_rejects_a_partition_past_the_set() {
+        SwwcbSet::new(2, 64).next_slot(2);
     }
 
     #[test]

@@ -219,10 +219,10 @@ fn only_the_hybrid_rung_evicts() {
     }
     fault::set_for_test(None);
 
-    // 1 MiB spills about half of the pre-partitions and keeps some resident
-    // on both sides, at the capped 16-way fan-out; without a budget the
+    // 384 KiB closes some of the build side's pre-partitions and keeps the
+    // rest resident, at the capped 16-way fan-out; without a budget the
     // HHJ keeps the RJ's 64.
-    for (budget, fanout) in [(None, 64), (Some(1 << 20), 16)] {
+    for (budget, fanout) in [(None, 64), (Some(384 << 10), 16)] {
         let node = join_node(JoinAlgo::Hybrid, budget);
         let mut keys: Vec<&str> = node.details.iter().map(|(k, _)| k.as_str()).collect();
         keys.retain(|k| !k.starts_with("hw_"));
@@ -239,29 +239,21 @@ fn only_the_hybrid_rung_evicts() {
 
 /// The HHJ node's EXPLAIN ANALYZE details in order, hardware counters
 /// aside.
-const HHJ_DETAILS: [&str; 24] = [
-    "build_rows",
-    "probe_rows",
+const HHJ_DETAILS: [&str; 16] = [
     "bits1",
-    "bits2",
     "spill_fanout",
     "resident_partitions",
     "evictions",
+    "build_rows",
+    "build_bytes",
+    "ht_buckets",
+    "ht_load_factor",
+    "ht_max_chain",
+    "ht_avg_chain",
+    "probe_rows",
+    "probe_tag_rejects",
+    "probe_chain_visits",
     "spill_partitions",
     "spill_bytes",
-    "resident_build_partitions",
-    "resident_build_rows",
-    "resident_build_bytes",
-    "resident_build_max_part",
-    "resident_build_avg_part",
-    "resident_build_skew",
-    "resident_build_part_sizes",
-    "resident_probe_partitions",
-    "resident_probe_rows",
-    "resident_probe_bytes",
-    "resident_probe_max_part",
-    "resident_probe_avg_part",
-    "resident_probe_skew",
-    "resident_probe_part_sizes",
     "reload_depth",
 ];

@@ -7,19 +7,24 @@
 //! serializes on [`TEST_LOCK`] — a fault armed by one test must never leak
 //! into another's I/O.
 
-use joinstudy_core::hybrid::{largest_resident, min_working_set};
+use joinstudy_core::hash::hash_columns;
+use joinstudy_core::hybrid::{largest_resident, min_working_set, HybridJoin};
 use joinstudy_core::radix::{ClosedSet, Eviction, PartitionSink, PhaseSet, RadixConfig};
 use joinstudy_core::row::RowLayout;
 use joinstudy_core::spill::{fault, SpillDir};
 use joinstudy_core::{Engine, JoinAlgo, JoinType, Plan};
-use joinstudy_exec::batch::BatchBuilder;
+use joinstudy_exec::batch::{Batch, BatchBuilder};
+use joinstudy_exec::context::QueryContext;
 use joinstudy_exec::error::ExecError;
-use joinstudy_exec::pipeline::Sink;
+use joinstudy_exec::ops::{AggFunc, AggSpec};
+use joinstudy_exec::pipeline::{Operator, Sink};
+use joinstudy_exec::profile::DetailValue;
 use joinstudy_storage::column::ColumnData;
 use joinstudy_storage::gen::{Rng, Zipf};
 use joinstudy_storage::table::{Schema, Table, TableBuilder};
 use joinstudy_storage::types::{DataType, Value};
 use proptest::prelude::*;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, OnceLock};
 
 fn test_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -164,6 +169,264 @@ fn zipf_skewed_keys_match_bhj() {
     let pt = kv_table(&probe);
     for kind in [JoinType::Inner, JoinType::ProbeSemi, JoinType::ProbeMark] {
         check_equivalence(&bt, &pt, kind, 192 * 1024);
+    }
+}
+
+/// A build side that fits under a budget the probe side does not: the HHJ
+/// partitions only its build side, so it keeps every partition resident,
+/// writes nothing, and streams the probe side through the table as the BHJ
+/// does — for every join type.
+#[test]
+fn a_build_side_that_fits_spills_nothing_however_large_the_probe_side() {
+    let _guard = test_lock();
+    fault::set_for_test(None);
+    // 2 000 build rows are ~64 KiB; 60 000 probe rows are ~960 KiB.
+    let build: Vec<(i64, i64)> = (0..2_000).map(|i| (i, i)).collect();
+    let probe: Vec<(i64, i64)> = (0..60_000).map(|i| (i % 8_000, i)).collect();
+    let (bt, pt) = (kv_table(&build), kv_table(&probe));
+    let budget = 512 * 1024;
+    for kind in ALL_KINDS {
+        let expected = rows_sorted(&Engine::new(2).run(&join_plan(&bt, &pt, JoinAlgo::Bhj, kind)));
+        let engine = Engine::new(2);
+        engine.ctx.set_memory_budget(Some(budget));
+        let (got, profile) = engine
+            .execute_profiled(&join_plan(&bt, &pt, JoinAlgo::Hybrid, kind))
+            .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        assert_eq!(
+            rows_sorted(&got),
+            expected,
+            "{kind:?}: diverged from the BHJ"
+        );
+        assert_eq!(engine.ctx.used(), 0, "{kind:?}: leaked budget reservations");
+        assert_eq!(engine.ctx.spill_write_bytes(), 0, "{kind:?}: spilled");
+        let node = profile
+            .root
+            .iter()
+            .into_iter()
+            .find(|n| n.label.starts_with("Join HHJ"));
+        let node = node.unwrap_or_else(|| panic!("{kind:?}: no HHJ node"));
+        let detail = |key: &str| {
+            node.details
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.clone())
+        };
+        for key in ["spill_bytes", "evictions"] {
+            assert_eq!(detail(key), Some(DetailValue::Int(0)), "{kind:?}: {key}");
+        }
+        assert_eq!(
+            detail("probe_rows"),
+            Some(DetailValue::Int(probe.len() as i64)),
+            "{kind:?}: every probe row probes the resident table"
+        );
+    }
+}
+
+/// An evicting inner join of `(k, v)` rows on `k`, driven level by level.
+fn kv_hybrid_join(ctx: &Arc<QueryContext>) -> HybridJoin {
+    let types = vec![DataType::Int64, DataType::Int64];
+    let mut join = HybridJoin {
+        ctx: Arc::clone(ctx),
+        dir: None,
+        radix: RadixConfig::default(),
+        build_types: types.clone(),
+        probe_types: types,
+        build_keys: vec![0],
+        probe_keys: vec![0],
+        kind: JoinType::Inner,
+        residual: None,
+        prefetch: true,
+        seq: Default::default(),
+        reload_depth: Default::default(),
+        spill_runs: Default::default(),
+        spill_bytes: Default::default(),
+    };
+    join.open_spill_dir().unwrap();
+    join
+}
+
+/// `(i % keys, i)` rows for `i` in `rows`, as batches.
+fn kv_batches(rows: std::ops::Range<i64>, keys: i64) -> Vec<Batch> {
+    let mut bb = BatchBuilder::new(vec![DataType::Int64, DataType::Int64]);
+    let mut out = Vec::new();
+    for i in rows {
+        bb.push_row(&[Value::Int64(i % keys), Value::Int64(i)]);
+        if bb.is_full() {
+            out.extend(bb.flush());
+        }
+    }
+    out.extend(bb.flush());
+    out
+}
+
+/// Under a partial fit the probe side writes exactly the rows of the
+/// pre-partitions its build side closed, and probes the table with the
+/// rest: the rows of open partitions never reach a run.
+#[test]
+fn only_probe_rows_of_closed_partitions_are_written() {
+    let _guard = test_lock();
+    fault::set_for_test(None);
+    let budget = 256 * 1024;
+    let ctx = QueryContext::unbounded();
+    ctx.set_memory_budget(Some(budget));
+    let join = kv_hybrid_join(&ctx);
+    let level = join.top_level(Some(budget), 1).unwrap();
+    let closed = ClosedSet::new(level.fanout());
+
+    // ~640 KiB of build rows under a 256 KiB budget.
+    let sink = join.build_sink(&level, &closed);
+    let mut local = sink.create_local();
+    for batch in kv_batches(0..20_000, 20_000) {
+        sink.consume(&mut local, batch).unwrap();
+    }
+    sink.finish_local(local).unwrap();
+    let table = join.table(&level, &sink, &closed, 1).unwrap();
+    let shut = table.closed_partitions();
+    assert!(
+        shut > 0 && shut < level.fanout(),
+        "a partial fit closes {shut} of {}",
+        level.fanout()
+    );
+
+    let route = join.route(&table, &sink);
+    let mut local = route.create_local();
+    let (mut closed_rows, mut open_rows, mut emitted) = (0u64, 0u64, 0u64);
+    let mut hashes = Vec::new();
+    for batch in kv_batches(0..40_000, 40_000) {
+        hash_columns(&[batch.column(0)], batch.num_rows(), &mut hashes);
+        for &h in &hashes {
+            match closed.is_closed((h & (level.fanout() as u64 - 1)) as usize) {
+                true => closed_rows += 1,
+                false => open_rows += 1,
+            }
+        }
+        route
+            .process(&mut local, batch, &mut |b| emitted += b.num_rows() as u64)
+            .unwrap();
+    }
+    route
+        .flush(&mut local, &mut |b| emitted += b.num_rows() as u64)
+        .unwrap();
+    let mut written = 0;
+    for p in 0..level.fanout() {
+        let run = route.take_run(p).unwrap();
+        assert_eq!(run.is_some(), closed.is_closed(p), "p{p}: a run iff closed");
+        if let Some(run) = run {
+            written += run.rows();
+            run.remove();
+        }
+    }
+    assert!(closed_rows > 0 && open_rows > 0);
+    assert_eq!(written, closed_rows, "probe rows written to runs");
+    let probed = route.with_probe(|probe| probe.walker.counters.rows.load(Ordering::Relaxed));
+    assert_eq!(probed, open_rows, "probe rows probed in flight");
+    // Keys 0..20 000 of the probe side match once each; those of open
+    // partitions have matched already.
+    assert!(
+        emitted > 0 && emitted < 20_000,
+        "{emitted} rows joined in flight"
+    );
+    drop((route, table, sink));
+    assert_eq!(ctx.used(), 0, "leaked budget reservations");
+}
+
+/// A level's table keeps to the level's share however many workers filled
+/// its build sink. A pipeline with continuations runs the sink's workers
+/// once per source, each under a cap of its own, and the budget may have
+/// room beyond the share (a neighbour's half): the table must still leave
+/// the level's reloads their part.
+#[test]
+fn a_level_table_keeps_to_its_share_across_runs() {
+    let _guard = test_lock();
+    fault::set_for_test(None);
+    let share = 256 * 1024;
+    let ctx = QueryContext::unbounded();
+    ctx.set_memory_budget(Some(4 * share));
+    let join = kv_hybrid_join(&ctx);
+    let level = join.top_level(Some(share), 1).unwrap();
+    let closed = ClosedSet::new(level.fanout());
+    let sink = join.build_sink(&level, &closed);
+    // Three runs of one worker each, ~640 KiB of rows apiece.
+    for run in 0..3 {
+        let mut local = sink.create_local();
+        for batch in kv_batches(run * 20_000..(run + 1) * 20_000, 60_000) {
+            sink.consume(&mut local, batch).unwrap();
+        }
+        sink.finish_local(local).unwrap();
+    }
+    let table = join.table(&level, &sink, &closed, 1).unwrap();
+    let state = &table.state;
+    let held = state.rows * state.layout.stride() + state.table.num_buckets() * 8;
+    assert!(table.closed_partitions() > 0);
+    assert!(
+        held <= share,
+        "the table holds {held} B of a {share} B share"
+    );
+    drop((table, sink));
+    assert_eq!(ctx.used(), 0, "leaked budget reservations");
+}
+
+/// The HHJ's closed partitions join after its probe pipeline has drained,
+/// as a continuation of that pipeline: a parent aggregate, a parent BHJ's
+/// probe fused above the HHJ and a parent HHJ's build sink must see their
+/// output too.
+#[test]
+fn closed_partitions_reach_the_parent_operators() {
+    let _guard = test_lock();
+    fault::set_for_test(None);
+    let build: Vec<(i64, i64)> = (0..20_000).map(|i| (i % 10_000, i)).collect();
+    let probe: Vec<(i64, i64)> = (0..30_000).map(|i| (i % 20_000, i)).collect();
+    let parent: Vec<(i64, i64)> = (0..20_000).step_by(7).map(|i| (i, -i)).collect();
+    let (bt, pt, qt) = (kv_table(&build), kv_table(&probe), kv_table(&parent));
+    for kind in ALL_KINDS {
+        // A column of the join's output that is never NULL: the probe key
+        // of a probe outer join, else the first key.
+        let key = if kind == JoinType::ProbeOuter { 2 } else { 0 };
+        let aggregated = |algo| {
+            join_plan(&bt, &pt, algo, kind)
+                .aggregate(&[key], vec![AggSpec::new(AggFunc::CountStar, 0, "n")])
+        };
+        let probed = |algo| {
+            Plan::scan(&qt, &["k", "v"], None).join(
+                join_plan(&bt, &pt, algo, kind),
+                JoinAlgo::Bhj,
+                JoinType::Inner,
+                &[0],
+                &[key],
+            )
+        };
+        // The continuation feeds a parent join's build sink too.
+        let built = |algo| {
+            join_plan(&bt, &pt, algo, kind).join(
+                Plan::scan(&qt, &["k", "v"], None),
+                algo,
+                JoinType::Inner,
+                &[key],
+                &[0],
+            )
+        };
+        for (shape, plan) in [
+            ("aggregate", &aggregated as &dyn Fn(_) -> Plan),
+            ("BHJ probe", &probed),
+            ("HHJ build", &built),
+        ] {
+            let expected = rows_sorted(&Engine::new(2).run(&plan(JoinAlgo::Bhj)));
+            let engine = Engine::new(2);
+            engine.ctx.set_memory_budget(Some(512 * 1024));
+            let got = engine
+                .execute(&plan(JoinAlgo::Hybrid))
+                .unwrap_or_else(|e| panic!("{kind:?} under a parent {shape}: {e}"));
+            assert!(
+                engine.ctx.spill_write_bytes() > 0,
+                "{kind:?} under a parent {shape}: nothing closed"
+            );
+            assert_eq!(
+                rows_sorted(&got),
+                expected,
+                "{kind:?} under a parent {shape}"
+            );
+            assert_eq!(engine.ctx.used(), 0, "{kind:?}: leaked budget reservations");
+        }
     }
 }
 

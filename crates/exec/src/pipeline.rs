@@ -95,6 +95,18 @@ pub struct StreamSpec {
     /// output) reports this pipeline's CPU time as: `CpuScan`, until a
     /// compiler fuses a hash-join probe into the chain.
     pub cpu: WaitState,
+    /// Output of fused operators that only exists once `source` is drained
+    /// (a hybrid join's reloaded partitions), in the order it must run.
+    pub continuations: Vec<Continuation>,
+}
+
+/// A second source of one pipeline: after the main source is drained, its
+/// batches enter the operator chain at `entry`, so every operator pushed
+/// after that index — and the sink — sees them too.
+#[derive(Clone)]
+pub struct Continuation {
+    pub source: Arc<dyn Source>,
+    pub entry: usize,
 }
 
 impl StreamSpec {
@@ -104,6 +116,7 @@ impl StreamSpec {
             ops: Vec::new(),
             schema,
             cpu: WaitState::CpuScan,
+            continuations: Vec::new(),
         }
     }
 
@@ -111,6 +124,14 @@ impl StreamSpec {
     pub fn push_op(mut self, op: Arc<dyn Operator>, schema: Schema) -> StreamSpec {
         self.ops.push(op);
         self.schema = schema;
+        self
+    }
+
+    /// Let `source` continue the chain behind its last operator, after the
+    /// main source and every earlier continuation.
+    pub fn continue_with(mut self, source: Arc<dyn Source>) -> StreamSpec {
+        let entry = self.ops.len();
+        self.continuations.push(Continuation { source, entry });
         self
     }
 }
