@@ -49,7 +49,8 @@ impl Figure {
 }
 
 /// The 19 paper rows, Figure 7's counter profile and the design-choice
-/// ablations, in the paper's order of appearance.
+/// ablations, in the paper's order of appearance, then the scan-and-filter
+/// reading.
 pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig01",
@@ -197,6 +198,12 @@ pub const FIGURES: &[Figure] = &[
         title: "Ablations: SWWCB, NT stores, BHJ prefetch, adaptive Bloom (Workload A')",
         flags: &[BUILD, PROBE, THREADS, REPS],
         run: micro::ablations,
+    },
+    Figure {
+        name: "scan_filter",
+        title: "Scan and filter: Q19's lineitem scan, filtered, unfiltered and by hand",
+        flags: &[Flag("sf", "0.05"), Flag("reps", "11")],
+        run: tpch::scan_filter,
     },
 ];
 

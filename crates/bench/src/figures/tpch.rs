@@ -12,7 +12,10 @@ use joinstudy_core::plan::joinlog::{self, JoinSizes};
 use joinstudy_core::Engine;
 use joinstudy_core::JoinAlgo::{self, Bhj, Brj, Rj};
 use joinstudy_exec::metrics;
+use joinstudy_exec::ops::scan::TableScan;
+use joinstudy_exec::Source;
 use joinstudy_storage::types::DataType::Int64;
+use joinstudy_tpch::queries::q19::{lineitem_filter, LINEITEM_COLUMNS};
 use joinstudy_tpch::queries::{all_queries, query, QueryConfig, TpchQuery};
 use joinstudy_tpch::{generate, generate_skewed, TpchData};
 use std::sync::{Arc, Mutex};
@@ -485,4 +488,70 @@ pub fn ext_skew(r: &mut Report, p: &Params) {
     let note = "Expected: the RJ-to-BHJ runtime ratio widens as skew grows — real data is even \
                 less friendly to partitioning than spec TPC-H.";
     r.footer(&csv, note);
+}
+
+/// Q19's lineitem scan three ways, in ns per lineitem row on one thread:
+/// with its pushed-down predicate, without it, and as a hand loop that tests
+/// the same predicate over the table's own columns and sums the survivors'
+/// quantities. The gap between the first and the last is what interpreting
+/// the predicate and materializing the survivors cost over compiled code.
+pub fn scan_filter(r: &mut Report, p: &Params) {
+    let (sf, reps) = (p.get::<f64>("sf"), p.reps());
+    p.banner(r, &format!("SF {sf}, lineitem, 1 thread, median of {reps}"));
+    let data = tpch(sf);
+    let li = &data.lineitem;
+    let rows = li.num_rows().max(1) as f64;
+    let unfiltered = TableScan::by_names(li.clone(), &LINEITEM_COLUMNS, None);
+    let pred = lineitem_filter(&unfiltered.output_schema());
+    let filtered = TableScan::by_names(li.clone(), &LINEITEM_COLUMNS, Some(pred));
+    let scan = |s: &TableScan| {
+        let mut emitted = 0;
+        for task in 0..s.task_count() {
+            s.poll_task(task, &mut |b| emitted += b.num_rows())
+                .expect("a table scan does not fail");
+        }
+        emitted
+    };
+    let column = |name: &str| li.column_by_name(name);
+    let (mode, instruct) = (
+        column("l_shipmode").as_str(),
+        column("l_shipinstruct").as_str(),
+    );
+    let quantity = column("l_quantity").as_i64();
+    let mut hand_loop = || {
+        let (mut hits, mut sum) = (0, 0i64);
+        for (i, &q) in quantity.iter().enumerate() {
+            let m = mode.get(i);
+            if (m == "AIR" || m == "REG AIR") && instruct.get(i) == "DELIVER IN PERSON" {
+                hits += 1;
+                sum = sum.wrapping_add(q);
+            }
+        }
+        std::hint::black_box(sum);
+        hits
+    };
+    let time = |f: &mut dyn FnMut() -> usize| {
+        let (d, out) = measure(reps, f);
+        (d.as_secs_f64() * 1e9 / rows, out)
+    };
+    let (hand_ns, hand_rows) = time(&mut hand_loop);
+    let cols = [
+        Col::key("scan", "scan", -12, Plain),
+        Col::key("rows out", "rows_out", 10, Plain),
+        Col::val("ns/row", "ns_per_row", 8, Fixed(1, 2, "")),
+        Col::val("x hand", "x_hand_loop", 8, Fixed(2, 3, "")),
+    ];
+    let mut t = r.table("scan_filter", &cols);
+    t.header(r);
+    for (name, (ns, out)) in [
+        ("filtered", time(&mut || scan(&filtered))),
+        ("unfiltered", time(&mut || scan(&unfiltered))),
+        ("hand loop", (hand_ns, hand_rows)),
+    ] {
+        row!(t, r, name, out, ns, ns / hand_ns);
+    }
+    let note = "The filtered scan evaluates the predicate over the table's columns in place and \
+                copies only the survivors; the hand loop is the compiled-code floor (Umbra \
+                compiles the predicate into the scan loop).";
+    r.footer(&t, note);
 }

@@ -37,7 +37,7 @@ const TINY: &[(&str, &str)] = &[
     ("depth", "2"),
 ];
 
-const NAMES: [&str; 21] = [
+const NAMES: [&str; 22] = [
     "fig01",
     "fig02",
     "table1",
@@ -59,6 +59,7 @@ const NAMES: [&str; 21] = [
     "table5",
     "ext_skew",
     "ablations",
+    "scan_filter",
 ];
 
 fn golden_path(name: &str) -> PathBuf {
@@ -132,7 +133,7 @@ fn every_row_matches_its_golden() {
 }
 
 #[test]
-fn list_names_exactly_the_21_rows() {
+fn list_names_exactly_the_22_rows() {
     let table: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
     assert_eq!(table, NAMES);
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))

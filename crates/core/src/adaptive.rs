@@ -6,7 +6,7 @@
 //!
 //! * **Cardinalities** walk the plan bottom-up from exact base-table row
 //!   counts. Scan filters are not guessed — the predicate is evaluated on a
-//!   sampled prefix of the table (one `eval_bool` over ≤ 4096 rows, memoized
+//!   sampled prefix of the table (one `select` over a view of ≤ 4096 rows, memoized
 //!   per (table, predicate) so nested joins and repeated executions pay it
 //!   once), which is exact for the pushed-down TPC-H predicates. Derived
 //!   nodes use documented coarse heuristics (FK joins emit ≈ probe rows,
@@ -28,8 +28,7 @@
 use crate::cost::{CostModel, Decision, JoinEstimate};
 use crate::join_common::JoinType;
 use crate::plan::{JoinAlgo, Plan};
-use joinstudy_exec::expr::Expr;
-use joinstudy_exec::Batch;
+use joinstudy_exec::expr::{Expr, Rows};
 use joinstudy_storage::column::ColumnData;
 use joinstudy_storage::table::{Schema, Table};
 use joinstudy_storage::types::DataType;
@@ -142,12 +141,7 @@ fn scan_filter_selectivity(table: &Arc<Table>, scan: &Plan, pred: &Expr) -> f64 
         return cached;
     }
     let n = rows.min(FILTER_SAMPLE);
-    let columns: Vec<ColumnData> = cols
-        .iter()
-        .map(|&c| joinstudy_exec::batch::slice_column(table.column(c), 0, n))
-        .collect();
-    let batch = Batch::new(columns);
-    let hits = pred.eval_bool(&batch).iter().filter(|&&b| b).count();
+    let hits = pred.select(&Rows::of_table(table, cols, 0, n)).len();
     // Clamp away from 0 so downstream estimates never collapse entirely on
     // a sample that happened to miss (the prefix is not a random sample).
     let sel = (hits as f64 / n as f64).clamp(1.0 / n as f64, 1.0);

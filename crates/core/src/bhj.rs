@@ -334,8 +334,6 @@ pub(crate) struct ProbeLocal {
     sel: Vec<u32>,
     /// Which probe rows found a partner (semi / anti / mark / outer).
     matched: Vec<bool>,
-    /// The pairs of one decoded batch that passed the residual.
-    pass: Vec<u32>,
     /// Candidate pairs the residual tested and passed since the last flush.
     residual_counts: (u64, u64),
 }
@@ -512,17 +510,17 @@ impl BhjProbeOp {
         for start in (0..candidates).step_by(BATCH_ROWS) {
             let end = (start + BATCH_ROWS).min(candidates);
             let pairs = self.pair_batch(input, &l.ptrs[start..end], &l.sel[start..end]);
-            select(&residual.pred.eval_bool(&pairs), true, &mut l.pass);
-            for &i in &l.pass {
+            let pass = residual.pred.eval_sel(&pairs);
+            for &i in &pass {
                 l.ptrs[kept] = l.ptrs[start + i as usize];
                 l.sel[kept] = l.sel[start + i as usize];
                 kept += 1;
             }
             if let Some(out) = out.as_deref_mut() {
-                if l.pass.len() == pairs.num_rows() {
+                if pass.len() == pairs.num_rows() {
                     out(pairs);
-                } else if !l.pass.is_empty() {
-                    out(pairs.take(&l.pass));
+                } else if !pass.is_empty() {
+                    out(pairs.take(&pass));
                 }
             }
         }

@@ -130,13 +130,10 @@ impl RadixJoinSource {
     ) {
         let candidates = build_offs.len();
         let mut kept = 0;
-        let mut pass: Vec<u32> = Vec::new();
         for start in (0..candidates).step_by(BATCH_ROWS) {
             let end = (start + BATCH_ROWS).min(candidates);
             let pairs = self.pair_batch(&build_offs[start..end], &probe_offs[start..end]);
-            let bits = residual.pred.eval_bool(&pairs);
-            pass.clear();
-            pass.extend((0..bits.len() as u32).filter(|&i| bits[i as usize]));
+            let pass = residual.pred.eval_sel(&pairs);
             for &i in &pass {
                 build_offs[kept] = build_offs[start + i as usize];
                 probe_offs[kept] = probe_offs[start + i as usize];

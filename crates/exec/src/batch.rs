@@ -6,6 +6,7 @@
 //! paper: small enough to live in L1/L2, large enough to amortize per-batch
 //! dispatch and to give the prefetcher a full vector of hash-table probes.
 
+use crate::expr::Rows;
 use joinstudy_storage::column::{ColumnData, StrColumn};
 use joinstudy_storage::types::{DataType, Value};
 
@@ -98,6 +99,12 @@ impl Batch {
             None => true,
             Some(mask) => mask[row],
         }
+    }
+
+    /// A borrowed view of all rows, for expression evaluation.
+    pub fn rows(&self) -> Rows<'_> {
+        let validity = self.validity.iter().map(|v| v.as_deref()).collect();
+        Rows::new(self.columns.iter().collect(), validity, 0, self.rows)
     }
 
     /// Consume into columns, dropping validity (caller must know it's all-valid).

@@ -6,16 +6,25 @@
 //! decimal/integer arithmetic, `BETWEEN`, `IN`, SQL `LIKE`, `substring`,
 //! `EXTRACT(YEAR ...)` and a numeric `CASE WHEN`.
 //!
-//! Expressions are evaluated batch-at-a-time into a fresh [`ColumnData`];
-//! predicates additionally have a fast path producing a selection vector.
+//! Everything evaluates over a [`Rows`] view of borrowed columns: a batch's
+//! own, or a table's over a morsel's range, in place. A predicate narrows a
+//! selection vector ([`Expr::select`]): each kernel keeps the candidates
+//! that pass, so each conjunct of an `AND` tests only the rows the earlier
+//! ones kept, and each disjunct of an `OR` only the rows the earlier ones
+//! rejected. Columns are read where they lie and constants stay scalars.
+//! Value expressions compute a fresh [`ColumnData`] of the view's rows; a
+//! Bool-typed one's value is its selection as bits.
+//!
 //! Intermediate results are assumed non-NULL (TPC-H base data is NOT NULL
 //! and our plans route outer-join padding around expressions), which matches
-//! how the paper's plans are structured.
+//! how the paper's plans are structured: comparisons read a NULL slot's
+//! stored value, and only `IS NULL` reads validity.
 
-use crate::batch::Batch;
+use crate::batch::{slice_column, Batch};
 use joinstudy_storage::column::{ColumnData, StrColumn};
-use joinstudy_storage::table::Schema;
+use joinstudy_storage::table::{Schema, Table};
 use joinstudy_storage::types::{DataType, Date, Decimal, Value};
+use std::borrow::Cow;
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,9 +56,11 @@ pub enum Expr {
     Const(Value),
     /// Binary comparison → Bool.
     Cmp(CmpOp, Box<Expr>, Box<Expr>),
-    /// Conjunction (short-circuits per vector) → Bool.
+    /// Conjunction → Bool. Each conjunct tests only the rows the earlier
+    /// ones kept.
     And(Vec<Expr>),
-    /// Disjunction → Bool.
+    /// Disjunction → Bool. Each disjunct tests only the rows the earlier
+    /// ones rejected.
     Or(Vec<Expr>),
     /// Negation → Bool.
     Not(Box<Expr>),
@@ -244,102 +255,7 @@ impl Expr {
 
     /// Evaluate over a batch into a fresh column of `batch.num_rows()` rows.
     pub fn eval(&self, batch: &Batch) -> ColumnData {
-        let n = batch.num_rows();
-        match self {
-            Expr::Col(i) => batch.column(*i).clone(),
-            Expr::Const(v) => broadcast(v, n),
-            Expr::Cmp(op, l, r) => ColumnData::Bool(eval_cmp(*op, &l.eval(batch), &r.eval(batch))),
-            Expr::And(conds) => {
-                let mut acc = vec![true; n];
-                for c in conds {
-                    let v = c.eval_bool(batch);
-                    for (a, b) in acc.iter_mut().zip(&v) {
-                        *a &= *b;
-                    }
-                }
-                ColumnData::Bool(acc)
-            }
-            Expr::Or(conds) => {
-                let mut acc = vec![false; n];
-                for c in conds {
-                    let v = c.eval_bool(batch);
-                    for (a, b) in acc.iter_mut().zip(&v) {
-                        *a |= *b;
-                    }
-                }
-                ColumnData::Bool(acc)
-            }
-            Expr::Not(e) => {
-                let mut v = e.eval_bool(batch);
-                for b in &mut v {
-                    *b = !*b;
-                }
-                ColumnData::Bool(v)
-            }
-            Expr::Arith(op, l, r) => eval_arith(*op, &l.eval(batch), &r.eval(batch)),
-            Expr::Between(e, lo, hi) => {
-                let v = e.eval(batch);
-                let ge = eval_cmp(CmpOp::Ge, &v, &broadcast(lo, n));
-                let le = eval_cmp(CmpOp::Le, &v, &broadcast(hi, n));
-                ColumnData::Bool(ge.iter().zip(&le).map(|(a, b)| *a && *b).collect())
-            }
-            Expr::InList(e, values) => {
-                let v = e.eval(batch);
-                let mut acc = vec![false; n];
-                for val in values {
-                    let eq = eval_cmp(CmpOp::Eq, &v, &broadcast(val, n));
-                    for (a, b) in acc.iter_mut().zip(&eq) {
-                        *a |= *b;
-                    }
-                }
-                ColumnData::Bool(acc)
-            }
-            Expr::Like(e, pattern) => {
-                let v = e.eval(batch);
-                let col = v.as_str();
-                let matcher = LikeMatcher::new(pattern);
-                ColumnData::Bool((0..n).map(|i| matcher.matches(col.get(i))).collect())
-            }
-            Expr::Substr(e, start, len) => {
-                let v = e.eval(batch);
-                let col = v.as_str();
-                let mut out = StrColumn::new();
-                for i in 0..n {
-                    let s = col.get(i);
-                    let from = (*start - 1).min(s.len());
-                    let to = (from + *len).min(s.len());
-                    out.push(&s[from..to]);
-                }
-                ColumnData::Str(out)
-            }
-            Expr::ExtractYear(e) => {
-                let v = e.eval(batch);
-                match v {
-                    ColumnData::Date(days) => {
-                        ColumnData::Int32(days.iter().map(|&d| Date(d).year()).collect())
-                    }
-                    other => panic!("EXTRACT(YEAR) on {:?}", other.data_type()),
-                }
-            }
-            Expr::IsNull(col) => ColumnData::Bool(match batch.validity(*col) {
-                None => vec![false; n],
-                Some(mask) => mask.iter().map(|&v| !v).collect(),
-            }),
-            Expr::ToDecimal(e) => match e.eval(batch) {
-                ColumnData::Int32(v) => {
-                    ColumnData::Decimal(v.iter().map(|&x| i64::from(x) * 100).collect())
-                }
-                ColumnData::Int64(v) => ColumnData::Decimal(v.iter().map(|&x| x * 100).collect()),
-                ColumnData::Decimal(v) => ColumnData::Decimal(v),
-                other => panic!("ToDecimal on {:?}", other.data_type()),
-            },
-            Expr::CaseWhen(cond, then_e, else_e) => {
-                let c = cond.eval_bool(batch);
-                let t = then_e.eval(batch);
-                let f = else_e.eval(batch);
-                select_columns(&c, &t, &f)
-            }
-        }
+        self.eval_rows(&batch.rows())
     }
 
     /// Evaluate a predicate into a boolean vector.
@@ -352,227 +268,434 @@ impl Expr {
 
     /// Evaluate a predicate into a selection vector of passing row indices.
     pub fn eval_sel(&self, batch: &Batch) -> Vec<u32> {
-        self.eval_bool(batch)
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &b)| b.then_some(i as u32))
-            .collect()
+        self.select(&batch.rows())
     }
-}
 
-/// Materialize a constant as an `n`-row column.
-fn broadcast(v: &Value, n: usize) -> ColumnData {
-    match v {
-        Value::Bool(x) => ColumnData::Bool(vec![*x; n]),
-        Value::Int32(x) => ColumnData::Int32(vec![*x; n]),
-        Value::Int64(x) => ColumnData::Int64(vec![*x; n]),
-        Value::Float64(x) => ColumnData::Float64(vec![*x; n]),
-        Value::Date(x) => ColumnData::Date(vec![x.0; n]),
-        Value::Decimal(x) => ColumnData::Decimal(vec![x.0; n]),
-        Value::Str(x) => {
-            let mut c = StrColumn::new();
-            for _ in 0..n {
-                c.push(x);
+    /// The rows of the view this predicate holds for: positions from the
+    /// view's first row, ascending.
+    pub fn select(&self, rows: &Rows) -> Vec<u32> {
+        let mut sel = (0..rows.len as u32).collect();
+        self.narrow(rows, &mut sel);
+        sel
+    }
+
+    /// Keep those of the candidates `sel` (ascending rows of the view) this
+    /// predicate holds for.
+    fn narrow(&self, rows: &Rows, sel: &mut Vec<u32>) {
+        let n = rows.len;
+        match self {
+            Expr::And(conds) => {
+                for c in conds {
+                    if sel.is_empty() {
+                        break;
+                    }
+                    c.narrow(rows, sel);
+                }
             }
-            ColumnData::Str(c)
+            Expr::Or(conds) => {
+                // The candidates no disjunct has accepted yet.
+                let mut open = sel.clone();
+                for c in conds {
+                    if open.is_empty() {
+                        break;
+                    }
+                    let mut pass = open.clone();
+                    c.narrow(rows, &mut pass);
+                    remove(&mut open, &pass);
+                }
+                remove(sel, &open);
+            }
+            Expr::Not(e) => {
+                let mut pass = sel.clone();
+                e.narrow(rows, &mut pass);
+                remove(sel, &pass);
+            }
+            Expr::Cmp(op, l, r) => cmp(*op, sel, &rows.operand(l), &rows.operand(r), n),
+            Expr::Between(e, lo, hi) => {
+                let v = rows.operand(e);
+                cmp(CmpOp::Ge, sel, &v, &Operand::Value(lo), n);
+                cmp(CmpOp::Le, sel, &v, &Operand::Value(hi), n);
+            }
+            Expr::InList(e, list) => in_list(sel, &rows.operand(e), list, n),
+            Expr::Like(e, pattern) => {
+                let (like, s) = (LikeMatcher::new(pattern), rows.operand(e));
+                let s = s.strs();
+                retain(sel, |i| like.matches(s(i)));
+            }
+            Expr::IsNull(c) => match rows.validity[*c] {
+                None => sel.clear(),
+                Some(mask) => retain(sel, |i| !mask[rows.start + i]),
+            },
+            // A Bool column or constant.
+            e => retain(sel, rows.operand(e).bools(n)),
         }
-        Value::Null => panic!("cannot broadcast NULL"),
+    }
+
+    /// Evaluate over a view into a fresh column of its rows.
+    fn eval_rows(&self, rows: &Rows) -> ColumnData {
+        let n = rows.len;
+        match self {
+            Expr::Col(i) => slice_column(rows.columns[*i], rows.start, rows.start + n),
+            // Only a constant projected as a column of its own gets here;
+            // every operator takes constants as scalars.
+            Expr::Const(v) => {
+                let mut c = ColumnData::with_capacity(v.data_type().expect("NULL constant"), n);
+                (0..n).for_each(|_| c.push_value(v));
+                c
+            }
+            Expr::Arith(op, l, r) => arith(*op, &rows.operand(l), &rows.operand(r), n),
+            Expr::Substr(e, start, len) => {
+                let (c, o) = rows.values(e);
+                let mut out = StrColumn::new();
+                for s in (o..o + n).map(|i| c.as_str().get(i)) {
+                    let from = (*start - 1).min(s.len());
+                    out.push(&s[from..(from + *len).min(s.len())]);
+                }
+                ColumnData::Str(out)
+            }
+            Expr::ExtractYear(e) => {
+                let (c, o) = rows.values(e);
+                let days = &c.as_i32()[o..o + n];
+                ColumnData::Int32(days.iter().map(|&d| Date(d).year()).collect())
+            }
+            Expr::ToDecimal(e) => {
+                let (c, o) = rows.values(e);
+                ColumnData::Decimal(match &*c {
+                    ColumnData::Int32(v) => {
+                        v[o..o + n].iter().map(|&x| i64::from(x) * 100).collect()
+                    }
+                    ColumnData::Int64(v) => v[o..o + n].iter().map(|&x| x * 100).collect(),
+                    ColumnData::Decimal(v) => v[o..o + n].to_vec(),
+                    other => panic!("ToDecimal on {:?}", other.data_type()),
+                })
+            }
+            Expr::CaseWhen(cond, then_e, else_e) => {
+                let sel = cond.select(rows);
+                case(&sel, &rows.operand(then_e), &rows.operand(else_e), n)
+            }
+            // Every other expression is a predicate: its selection as bits.
+            _ => {
+                let mut bits = vec![false; n];
+                for i in self.select(rows) {
+                    bits[i as usize] = true;
+                }
+                ColumnData::Bool(bits)
+            }
+        }
     }
 }
 
-fn cmp_vec<T: PartialOrd>(op: CmpOp, l: &[T], r: &[T]) -> Vec<bool> {
-    let f: fn(&T, &T) -> bool = match op {
-        CmpOp::Eq => |a, b| a == b,
-        CmpOp::Ne => |a, b| a != b,
-        CmpOp::Lt => |a, b| a < b,
-        CmpOp::Le => |a, b| a <= b,
-        CmpOp::Gt => |a, b| a > b,
-        CmpOp::Ge => |a, b| a >= b,
-    };
-    l.iter().zip(r).map(|(a, b)| f(a, b)).collect()
+/// A borrowed view of rows `start..start + len` of some columns and their
+/// validity masks (each indexed like its column, from row 0): a batch's own
+/// columns ([`Batch::rows`]) or a table's over one morsel's range.
+/// Expressions address its columns by position; making one copies nothing.
+#[derive(Debug, Clone)]
+pub struct Rows<'a> {
+    columns: Vec<&'a ColumnData>,
+    validity: Vec<Option<&'a [bool]>>,
+    start: usize,
+    len: usize,
 }
 
-fn eval_cmp(op: CmpOp, l: &ColumnData, r: &ColumnData) -> Vec<bool> {
+impl<'a> Rows<'a> {
+    /// Rows `start..start + len` of `columns`, with one mask slot each.
+    pub fn new(
+        columns: Vec<&'a ColumnData>,
+        validity: Vec<Option<&'a [bool]>>,
+        start: usize,
+        len: usize,
+    ) -> Rows<'a> {
+        assert!(
+            columns.iter().all(|c| start + len <= c.len()),
+            "view past the end"
+        );
+        Rows {
+            columns,
+            validity,
+            start,
+            len,
+        }
+    }
+
+    /// Rows `start..start + len` of `table`'s columns `cols`, in place.
+    pub fn of_table(table: &'a Table, cols: &[usize], start: usize, len: usize) -> Rows<'a> {
+        let columns = cols.iter().map(|&c| table.column(c)).collect();
+        Rows::new(
+            columns,
+            cols.iter().map(|&c| table.validity(c)).collect(),
+            start,
+            len,
+        )
+    }
+
+    /// `e` over the view's rows, as a column and the position of the view's
+    /// first row in it: a referenced column is borrowed where it lies,
+    /// anything else computed.
+    fn values(&self, e: &Expr) -> (Cow<'a, ColumnData>, usize) {
+        match e {
+            Expr::Col(i) => (Cow::Borrowed(self.columns[*i]), self.start),
+            e => (Cow::Owned(e.eval_rows(self)), 0),
+        }
+    }
+
+    /// `e` as one side of a kernel: a constant stays a scalar.
+    fn operand<'s>(&'s self, e: &'s Expr) -> Operand<'s> {
+        match e {
+            Expr::Const(v) => Operand::Value(v),
+            e => {
+                let (c, o) = self.values(e);
+                Operand::Rows(c, o)
+            }
+        }
+    }
+}
+
+/// One side of a kernel: a column's rows from an offset (borrowed in place,
+/// or computed), or one constant for every row.
+enum Operand<'a> {
+    Rows(Cow<'a, ColumnData>, usize),
+    Value(&'a Value),
+}
+
+impl Operand<'_> {
+    fn dtype(&self) -> DataType {
+        match self {
+            Operand::Rows(c, _) => c.data_type(),
+            Operand::Value(v) => v.data_type().expect("NULL constant has no type"),
+        }
+    }
+
+    /// Row `i` of the view's `n`, as one type.
+    fn src<'s, T: Copy + 's>(
+        &'s self,
+        n: usize,
+        rows: fn(&ColumnData) -> &[T],
+        one: fn(&Value) -> T,
+    ) -> impl Fn(usize) -> T + 's {
+        let (rows, one) = match self {
+            Operand::Rows(c, o) => (&rows(c)[*o..o + n], None),
+            Operand::Value(v) => (&[][..], Some(one(v))),
+        };
+        move |i| one.unwrap_or_else(|| rows[i])
+    }
+
+    fn i32s(&self, n: usize) -> impl Fn(usize) -> i32 + '_ {
+        self.src(n, ColumnData::as_i32, int32)
+    }
+
+    fn i64s(&self, n: usize) -> impl Fn(usize) -> i64 + '_ {
+        self.src(n, ColumnData::as_i64, Value::as_i64)
+    }
+
+    fn f64s(&self, n: usize) -> impl Fn(usize) -> f64 + '_ {
+        self.src(n, ColumnData::as_f64, Value::as_f64)
+    }
+
+    fn bools(&self, n: usize) -> impl Fn(usize) -> bool + '_ {
+        self.src(n, ColumnData::as_bool, |v| v.as_i64() != 0)
+    }
+
+    fn strs<'s>(&'s self) -> impl Fn(usize) -> &'s str + 's {
+        let (rows, o, one) = match self {
+            Operand::Rows(c, o) => (Some(c.as_str()), *o, ""),
+            Operand::Value(v) => (None, 0, v.as_str()),
+        };
+        move |i| rows.map_or(one, |c| c.get(o + i))
+    }
+}
+
+fn int32(v: &Value) -> i32 {
+    i32::try_from(v.as_i64()).expect("an Int32/Date constant fits in i32")
+}
+
+/// Keep the candidates `i` of `sel` for which `keep(i)` holds, in order.
+/// Branch-free: every candidate is written, and the cursor advances past
+/// the ones kept.
+#[inline]
+fn retain(sel: &mut Vec<u32>, keep: impl Fn(usize) -> bool) {
+    let mut kept = 0;
+    for j in 0..sel.len() {
+        let i = sel[j];
+        sel[kept] = i;
+        kept += usize::from(keep(i as usize));
+    }
+    sel.truncate(kept);
+}
+
+/// Remove from the ascending `sel` the rows of `drop`, an ascending subset.
+fn remove(sel: &mut Vec<u32>, drop: &[u32]) {
+    let mut drop = drop.iter().peekable();
+    sel.retain(|i| drop.next_if_eq(&i).is_none());
+}
+
+/// Keep the candidates where `l(i) op r(i)`, one loop per operator.
+#[inline]
+fn retain_cmp<T: PartialOrd>(
+    op: CmpOp,
+    sel: &mut Vec<u32>,
+    l: impl Fn(usize) -> T,
+    r: impl Fn(usize) -> T,
+) {
+    match op {
+        CmpOp::Eq => retain(sel, |i| l(i) == r(i)),
+        CmpOp::Ne => retain(sel, |i| l(i) != r(i)),
+        CmpOp::Lt => retain(sel, |i| l(i) < r(i)),
+        CmpOp::Le => retain(sel, |i| l(i) <= r(i)),
+        CmpOp::Gt => retain(sel, |i| l(i) > r(i)),
+        CmpOp::Ge => retain(sel, |i| l(i) >= r(i)),
+    }
+}
+
+/// The comparison kernel, a column or a constant on either side. Int32 and
+/// Date compare among themselves, as do Int64 and Decimal.
+fn cmp(op: CmpOp, sel: &mut Vec<u32>, l: &Operand, r: &Operand, n: usize) {
+    match l.dtype() {
+        DataType::Int32 | DataType::Date => retain_cmp(op, sel, l.i32s(n), r.i32s(n)),
+        DataType::Int64 | DataType::Decimal => retain_cmp(op, sel, l.i64s(n), r.i64s(n)),
+        DataType::Float64 => retain_cmp(op, sel, l.f64s(n), r.f64s(n)),
+        DataType::Bool => retain_cmp(op, sel, l.bools(n), r.bools(n)),
+        DataType::Str => retain_cmp(op, sel, l.strs(), r.strs()),
+    }
+}
+
+/// The `IN` kernel: each candidate's value is looked up in the list
+/// directly, strings as `&str`.
+fn in_list(sel: &mut Vec<u32>, v: &Operand, list: &[Value], n: usize) {
+    fn keep<'a, T: PartialEq>(
+        sel: &mut Vec<u32>,
+        at: impl Fn(usize) -> T,
+        list: &'a [Value],
+        one: impl Fn(&'a Value) -> T,
+    ) {
+        let list: Vec<T> = list.iter().map(one).collect();
+        retain(sel, |i| list.contains(&at(i)));
+    }
+    match v.dtype() {
+        DataType::Int32 | DataType::Date => keep(sel, v.i32s(n), list, int32),
+        DataType::Int64 | DataType::Decimal => keep(sel, v.i64s(n), list, Value::as_i64),
+        DataType::Float64 => keep(sel, v.f64s(n), list, Value::as_f64),
+        DataType::Bool => keep(sel, v.bools(n), list, |x| x.as_i64() != 0),
+        DataType::Str => keep(sel, v.strs(), list, Value::as_str),
+    }
+}
+
+fn arith(op: ArithOp, l: &Operand, r: &Operand, n: usize) -> ColumnData {
+    fn zip<T>(
+        n: usize,
+        a: impl Fn(usize) -> T,
+        b: impl Fn(usize) -> T,
+        f: impl Fn(T, T) -> T,
+    ) -> Vec<T> {
+        (0..n).map(|i| f(a(i), b(i))).collect()
+    }
+    use ArithOp::{Add, Div, Mul, Sub};
     use ColumnData as C;
-    match (l, r) {
-        (C::Int32(a), C::Int32(b))
-        | (C::Date(a), C::Date(b))
-        | (C::Int32(a), C::Date(b))
-        | (C::Date(a), C::Int32(b)) => cmp_vec(op, a, b),
-        (C::Int64(a), C::Int64(b))
-        | (C::Decimal(a), C::Decimal(b))
-        | (C::Int64(a), C::Decimal(b))
-        | (C::Decimal(a), C::Int64(b)) => cmp_vec(op, a, b),
-        (C::Float64(a), C::Float64(b)) => cmp_vec(op, a, b),
-        (C::Bool(a), C::Bool(b)) => cmp_vec(op, a, b),
-        (C::Str(a), C::Str(b)) => {
-            let f: fn(&str, &str) -> bool = match op {
-                CmpOp::Eq => |x, y| x == y,
-                CmpOp::Ne => |x, y| x != y,
-                CmpOp::Lt => |x, y| x < y,
-                CmpOp::Le => |x, y| x <= y,
-                CmpOp::Gt => |x, y| x > y,
-                CmpOp::Ge => |x, y| x >= y,
-            };
-            (0..a.len()).map(|i| f(a.get(i), b.get(i))).collect()
-        }
-        (a, b) => panic!(
-            "comparing incompatible columns {:?} vs {:?}",
-            a.data_type(),
-            b.data_type()
-        ),
+    match (l.dtype(), r.dtype()) {
+        (DataType::Int64, DataType::Int64) => C::Int64(match op {
+            Add => zip(n, l.i64s(n), r.i64s(n), i64::wrapping_add),
+            Sub => zip(n, l.i64s(n), r.i64s(n), i64::wrapping_sub),
+            Mul => zip(n, l.i64s(n), r.i64s(n), i64::wrapping_mul),
+            Div => zip(n, l.i64s(n), r.i64s(n), |x, y| x / y),
+        }),
+        (DataType::Int32, DataType::Int32) => C::Int32(match op {
+            Add => zip(n, l.i32s(n), r.i32s(n), i32::wrapping_add),
+            Sub => zip(n, l.i32s(n), r.i32s(n), i32::wrapping_sub),
+            Mul => zip(n, l.i32s(n), r.i32s(n), i32::wrapping_mul),
+            Div => zip(n, l.i32s(n), r.i32s(n), |x, y| x / y),
+        }),
+        (DataType::Float64, DataType::Float64) => C::Float64(match op {
+            Add => zip(n, l.f64s(n), r.f64s(n), |x, y| x + y),
+            Sub => zip(n, l.f64s(n), r.f64s(n), |x, y| x - y),
+            Mul => zip(n, l.f64s(n), r.f64s(n), |x, y| x * y),
+            Div => zip(n, l.f64s(n), r.f64s(n), |x, y| x / y),
+        }),
+        (DataType::Decimal, DataType::Decimal) => C::Decimal(match op {
+            Add => zip(n, l.i64s(n), r.i64s(n), |x, y| x + y),
+            Sub => zip(n, l.i64s(n), r.i64s(n), |x, y| x - y),
+            Mul => zip(n, l.i64s(n), r.i64s(n), |x, y| Decimal(x).mul(Decimal(y)).0),
+            Div => zip(n, l.i64s(n), r.i64s(n), |x, y| Decimal(x).div(Decimal(y)).0),
+        }),
+        (a, b) => panic!("arithmetic on incompatible columns {a:?} vs {b:?}"),
     }
 }
 
-fn eval_arith(op: ArithOp, l: &ColumnData, r: &ColumnData) -> ColumnData {
+/// `CASE WHEN`: the else branch's rows, overwritten at the rows `sel`
+/// selects by the then branch's.
+fn case(sel: &[u32], t: &Operand, f: &Operand, n: usize) -> ColumnData {
+    fn pick<T>(sel: &[u32], t: impl Fn(usize) -> T, f: impl Fn(usize) -> T, n: usize) -> Vec<T> {
+        let mut out: Vec<T> = (0..n).map(f).collect();
+        sel.iter().for_each(|&i| out[i as usize] = t(i as usize));
+        out
+    }
     use ColumnData as C;
-    match (l, r) {
-        (C::Int64(a), C::Int64(b)) => {
-            let f: fn(i64, i64) -> i64 = match op {
-                ArithOp::Add => |x, y| x.wrapping_add(y),
-                ArithOp::Sub => |x, y| x.wrapping_sub(y),
-                ArithOp::Mul => |x, y| x.wrapping_mul(y),
-                ArithOp::Div => |x, y| x / y,
-            };
-            C::Int64(a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect())
-        }
-        (C::Int32(a), C::Int32(b)) => {
-            let f: fn(i32, i32) -> i32 = match op {
-                ArithOp::Add => |x, y| x.wrapping_add(y),
-                ArithOp::Sub => |x, y| x.wrapping_sub(y),
-                ArithOp::Mul => |x, y| x.wrapping_mul(y),
-                ArithOp::Div => |x, y| x / y,
-            };
-            C::Int32(a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect())
-        }
-        (C::Float64(a), C::Float64(b)) => {
-            let f: fn(f64, f64) -> f64 = match op {
-                ArithOp::Add => |x, y| x + y,
-                ArithOp::Sub => |x, y| x - y,
-                ArithOp::Mul => |x, y| x * y,
-                ArithOp::Div => |x, y| x / y,
-            };
-            C::Float64(a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect())
-        }
-        (C::Decimal(a), C::Decimal(b)) => {
-            let f: fn(i64, i64) -> i64 = match op {
-                ArithOp::Add => |x, y| x + y,
-                ArithOp::Sub => |x, y| x - y,
-                ArithOp::Mul => |x, y| Decimal(x).mul(Decimal(y)).0,
-                ArithOp::Div => |x, y| Decimal(x).div(Decimal(y)).0,
-            };
-            C::Decimal(a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect())
-        }
-        (a, b) => panic!(
-            "arithmetic on incompatible columns {:?} vs {:?}",
-            a.data_type(),
-            b.data_type()
-        ),
+    match (t.dtype(), f.dtype()) {
+        (DataType::Int64, DataType::Int64) => C::Int64(pick(sel, t.i64s(n), f.i64s(n), n)),
+        (DataType::Decimal, DataType::Decimal) => C::Decimal(pick(sel, t.i64s(n), f.i64s(n), n)),
+        (DataType::Int32, DataType::Int32) => C::Int32(pick(sel, t.i32s(n), f.i32s(n), n)),
+        (DataType::Float64, DataType::Float64) => C::Float64(pick(sel, t.f64s(n), f.f64s(n), n)),
+        (a, b) => panic!("CASE branches have incompatible types {a:?} vs {b:?}"),
     }
 }
 
-/// Per-row select between two equally-typed columns.
-fn select_columns(cond: &[bool], t: &ColumnData, f: &ColumnData) -> ColumnData {
-    use ColumnData as C;
-    match (t, f) {
-        (C::Int64(a), C::Int64(b)) => C::Int64(
-            cond.iter()
-                .enumerate()
-                .map(|(i, &c)| if c { a[i] } else { b[i] })
-                .collect(),
-        ),
-        (C::Int32(a), C::Int32(b)) => C::Int32(
-            cond.iter()
-                .enumerate()
-                .map(|(i, &c)| if c { a[i] } else { b[i] })
-                .collect(),
-        ),
-        (C::Decimal(a), C::Decimal(b)) => C::Decimal(
-            cond.iter()
-                .enumerate()
-                .map(|(i, &c)| if c { a[i] } else { b[i] })
-                .collect(),
-        ),
-        (C::Float64(a), C::Float64(b)) => C::Float64(
-            cond.iter()
-                .enumerate()
-                .map(|(i, &c)| if c { a[i] } else { b[i] })
-                .collect(),
-        ),
-        (a, b) => panic!(
-            "CASE branches have incompatible types {:?} vs {:?}",
-            a.data_type(),
-            b.data_type()
-        ),
-    }
-}
-
-/// Compiled SQL LIKE pattern (`%` = any run, `_` = any single byte).
+/// Compiled SQL LIKE pattern: `%` matches any run of characters, `_` any
+/// one character.
+///
+/// The pattern splits on `%` into segments of fixed width in characters.
+/// The first must match at the start of the string and the last at its
+/// end; each one between is found leftmost-first in what lies between
+/// (the earliest match leaves the most room for the rest, so nothing
+/// backtracks), by `str::find` when it has no `_`.
 pub struct LikeMatcher {
-    tokens: Vec<LikeToken>,
-}
-
-#[derive(Debug, PartialEq)]
-enum LikeToken {
-    /// Literal byte sequence.
-    Lit(Vec<u8>),
-    /// `_`
-    AnyOne,
-    /// `%`
-    AnyRun,
+    segments: Vec<String>,
 }
 
 impl LikeMatcher {
     pub fn new(pattern: &str) -> LikeMatcher {
-        let mut tokens = Vec::new();
-        let mut lit = Vec::new();
-        for &b in pattern.as_bytes() {
-            match b {
-                b'%' | b'_' => {
-                    if !lit.is_empty() {
-                        tokens.push(LikeToken::Lit(std::mem::take(&mut lit)));
-                    }
-                    if b == b'%' {
-                        // Collapse consecutive %%.
-                        if tokens.last() != Some(&LikeToken::AnyRun) {
-                            tokens.push(LikeToken::AnyRun);
-                        }
-                    } else {
-                        tokens.push(LikeToken::AnyOne);
-                    }
-                }
-                _ => lit.push(b),
-            }
+        LikeMatcher {
+            segments: pattern.split('%').map(str::to_string).collect(),
         }
-        if !lit.is_empty() {
-            tokens.push(LikeToken::Lit(lit));
-        }
-        LikeMatcher { tokens }
     }
 
     pub fn matches(&self, s: &str) -> bool {
-        match_tokens(&self.tokens, s.as_bytes())
+        let [first, middle @ .., last] = &self.segments[..] else {
+            return prefix(&self.segments[0], s) == Some(s.len());
+        };
+        let (Some(from), Some(to)) = (prefix(first, s), suffix(last, s)) else {
+            return false;
+        };
+        // Each middle segment matches leftmost, after the one before it.
+        let mut rest = s.get(from..to);
+        for segment in middle {
+            rest = rest.and_then(|rest| Some(&rest[find(segment, rest)?..]));
+        }
+        rest.is_some()
     }
 }
 
-fn match_tokens(tokens: &[LikeToken], s: &[u8]) -> bool {
-    match tokens.first() {
-        None => s.is_empty(),
-        Some(LikeToken::Lit(lit)) => {
-            s.len() >= lit.len()
-                && &s[..lit.len()] == lit.as_slice()
-                && match_tokens(&tokens[1..], &s[lit.len()..])
-        }
-        Some(LikeToken::AnyOne) => !s.is_empty() && match_tokens(&tokens[1..], &s[1..]),
-        Some(LikeToken::AnyRun) => {
-            // Try all suffixes; recursion depth is bounded by the number of
-            // `%` tokens, which is tiny in practice.
-            if tokens.len() == 1 {
-                return true;
-            }
-            (0..=s.len()).any(|skip| match_tokens(&tokens[1..], &s[skip..]))
-        }
+/// The end, in bytes, of `segment`'s leftmost match in `s`.
+fn find(segment: &str, s: &str) -> Option<usize> {
+    if !segment.contains('_') {
+        return s.find(segment).map(|at| at + segment.len());
     }
+    s.char_indices()
+        .find_map(|(at, _)| Some(at + prefix(segment, &s[at..])?))
+}
+
+/// How many bytes of `s`'s first characters `segment` matches, `_`
+/// matching any one character; `None` if it does not match them.
+fn fits(segment: impl Iterator<Item = char>, mut s: impl Iterator<Item = char>) -> Option<usize> {
+    let one = |p: char| s.next().filter(|&c| p == '_' || p == c).map(char::len_utf8);
+    segment.map(one).sum()
+}
+
+/// If `s` starts with `segment`, the byte length of the match.
+fn prefix(segment: &str, s: &str) -> Option<usize> {
+    fits(segment.chars(), s.chars())
+}
+
+/// If `s` ends with `segment`, the byte offset where the match starts.
+fn suffix(segment: &str, s: &str) -> Option<usize> {
+    fits(segment.chars().rev(), s.chars().rev()).map(|len| s.len() - len)
 }
 
 #[cfg(test)]
@@ -717,6 +840,36 @@ mod tests {
         let m = LikeMatcher::new("%%");
         assert!(m.matches(""));
         assert!(m.matches("anything"));
+    }
+
+    #[test]
+    fn like_underscore_is_one_character() {
+        assert!(LikeMatcher::new("caf_").matches("café"));
+        assert!(LikeMatcher::new("_").matches("é"));
+        assert!(!LikeMatcher::new("__").matches("é"));
+        assert!(LikeMatcher::new("%_é%").matches("aéé"));
+        assert!(LikeMatcher::new("é%_").matches("éé"));
+        assert!(!LikeMatcher::new("é%_").matches("é"));
+        assert!(LikeMatcher::new("%a_c%").matches("xxabxa€cx"));
+        // Prefix and suffix must not overlap.
+        assert!(!LikeMatcher::new("ab%ba").matches("aba"));
+    }
+
+    #[test]
+    fn select_reads_a_view_in_place() {
+        let b = batch();
+        let cols: Vec<&ColumnData> = b.columns().iter().collect();
+        let view = Rows::new(cols, vec![None; 4], 1, 3);
+        // Rows 1..4: ids 2, 3, 4.
+        assert_eq!(Expr::col(0).ge(Expr::i64(3)).select(&view), vec![1, 2]);
+        let e = Expr::or(vec![
+            Expr::col(2).like("%green%"),
+            Expr::col(0).eq(Expr::i64(4)),
+        ]);
+        assert_eq!(e.select(&view), vec![1, 2]);
+        assert_eq!(e.not().select(&view), vec![0]);
+        assert_eq!(Expr::i64(2).lt(Expr::col(0)).select(&view), vec![1, 2]);
+        assert!(Expr::i64(2).gt(Expr::i64(3)).select(&view).is_empty());
     }
 
     #[test]

@@ -6,7 +6,8 @@ use crate::expr::Expr;
 use crate::pipeline::{Emit, LocalState, Operator};
 use joinstudy_storage::table::{Field, Schema};
 
-/// In-pipeline filter: evaluates a predicate, compacts survivors.
+/// In-pipeline filter: selects the rows a predicate holds for over the
+/// batch's own columns, then compacts the survivors.
 pub struct FilterOp {
     pred: Expr,
 }
@@ -19,7 +20,7 @@ impl FilterOp {
 
 impl Operator for FilterOp {
     fn process(&self, _local: &mut LocalState, input: Batch, out: Emit) -> ExecResult {
-        let sel = self.pred.eval_sel(&input);
+        let sel = self.pred.select(&input.rows());
         if sel.len() == input.num_rows() {
             out(input);
         } else if !sel.is_empty() {

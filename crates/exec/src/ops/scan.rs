@@ -1,14 +1,21 @@
 //! Morsel-wise base-table scan with projection and predicate pushdown.
 //!
 //! Mirrors the paper's "early materialization" table scan (§4.2): only the
-//! required columns are read, scan-level predicates are applied immediately
-//! (vectorized), and the surviving tuples are stitched into batches for the
-//! pipeline. Optionally emits a tuple-id column, which is the hook late
-//! materialization (§4.2) uses to re-fetch columns after selective joins.
+//! required columns are read, scan-level predicates are applied before any
+//! tuple is materialized, and the surviving tuples are stitched into batches
+//! for the pipeline. Optionally emits a tuple-id column, which is the hook
+//! late materialization (§4.2) uses to re-fetch columns after selective
+//! joins.
+//!
+//! A pushed-down predicate selects over a [`Rows`] view of the table's own
+//! columns before anything is copied; only the survivors are then gathered,
+//! once. Unfiltered and all-pass batches are sliced. The read accounting
+//! counts the projected rows before the filter, as the paper's scan reads
+//! them.
 
-use crate::batch::{slice_column, Batch};
+use crate::batch::{slice_column, take_column, Batch};
 use crate::error::ExecResult;
-use crate::expr::Expr;
+use crate::expr::{Expr, Rows};
 use crate::metrics::{self, MemPhase};
 use crate::pipeline::{Emit, Source};
 use crate::BATCH_ROWS;
@@ -25,7 +32,7 @@ pub struct TableScan {
     table: Arc<Table>,
     /// Projected column indices (in output order).
     cols: Vec<usize>,
-    /// Pushed-down predicate over the *projected* columns.
+    /// Pushed-down predicate over the *projected* columns (not `@tid`).
     filter: Option<Expr>,
     /// Emit a trailing `@tid` Int64 column with the base-table row id.
     emit_tid: bool,
@@ -84,6 +91,35 @@ impl TableScan {
     }
 }
 
+impl TableScan {
+    /// Rows `start..end` of the projected columns (and `@tid`), copied out
+    /// of the table: all of them, sliced, or those at positions `sel`,
+    /// gathered.
+    fn copy(&self, start: usize, end: usize, sel: Option<&[u32]>) -> Batch {
+        let base = u32::try_from(start).expect("row ids fit in u32");
+        let tids: Option<Vec<u32>> = sel.map(|sel| sel.iter().map(|&i| base + i).collect());
+        let (mut columns, mut validity) = (Vec::new(), Vec::new());
+        for &c in &self.cols {
+            let (col, mask) = (self.table.column(c), self.table.validity(c));
+            if let Some(tids) = &tids {
+                columns.push(take_column(col, tids));
+                validity.push(mask.map(|m| tids.iter().map(|&t| m[t as usize]).collect()));
+            } else {
+                columns.push(slice_column(col, start, end));
+                validity.push(mask.map(|m| m[start..end].to_vec()));
+            }
+        }
+        if self.emit_tid {
+            let all = || (start as i64..end as i64).collect();
+            columns.push(ColumnData::Int64(
+                tids.map_or_else(all, |t| t.iter().map(|&t| t.into()).collect()),
+            ));
+            validity.push(None);
+        }
+        Batch::with_validity(columns, validity)
+    }
+}
+
 impl Source for TableScan {
     fn task_count(&self) -> usize {
         self.morsels.len()
@@ -92,43 +128,23 @@ impl Source for TableScan {
     fn poll_task(&self, task: usize, out: Emit) -> ExecResult {
         let morsel = self.morsels[task];
         metrics::add_source_rows(morsel.len() as u64);
-        let mut start = morsel.start;
-        while start < morsel.end {
+        for start in (morsel.start..morsel.end).step_by(BATCH_ROWS) {
             let end = (start + BATCH_ROWS).min(morsel.end);
-            let mut columns: Vec<ColumnData> = self
-                .cols
-                .iter()
-                .map(|&c| slice_column(self.table.column(c), start, end))
-                .collect();
-            let mut validity: Vec<Option<Vec<bool>>> = self
-                .cols
-                .iter()
-                .map(|&c| self.table.validity(c).map(|m| m[start..end].to_vec()))
-                .collect();
-            if self.emit_tid {
-                columns.push(ColumnData::Int64((start as i64..end as i64).collect()));
-                validity.push(None);
-            }
-            let batch = Batch::with_validity(columns, validity);
             if metrics::enabled() {
-                let bytes: usize = batch.columns().iter().map(ColumnData::byte_size).sum();
+                // What the unfiltered batch holds: the rows the scan reads.
+                let tid = if self.emit_tid { (end - start) * 8 } else { 0 };
+                let cols = self.cols.iter().map(|&c| self.table.column(c));
+                let bytes = cols.map(|c| c.slice_byte_size(start, end)).sum::<usize>() + tid;
                 metrics::record_read(self.phase, bytes as u64);
             }
-            let batch = match &self.filter {
-                None => batch,
-                Some(pred) => {
-                    let sel = pred.eval_sel(&batch);
-                    if sel.len() == batch.num_rows() {
-                        batch
-                    } else {
-                        batch.take(&sel)
-                    }
-                }
+            let view = || Rows::of_table(&self.table, &self.cols, start, end - start);
+            let batch = match self.filter.as_ref().map(|pred| pred.select(&view())) {
+                Some(sel) if sel.len() < end - start => self.copy(start, end, Some(&sel)),
+                _ => self.copy(start, end, None),
             };
             if batch.num_rows() > 0 {
                 out(batch);
             }
-            start = end;
         }
         Ok(())
     }

@@ -181,12 +181,18 @@ impl ColumnData {
 
     /// Heap footprint in bytes (size accounting for Figures 1/13).
     pub fn byte_size(&self) -> usize {
+        self.slice_byte_size(0, self.len())
+    }
+
+    /// What [`ColumnData::byte_size`] reports for a copy of rows
+    /// `start..end`, without making one.
+    pub fn slice_byte_size(&self, start: usize, end: usize) -> usize {
+        let n = end - start;
         match self {
-            ColumnData::Bool(v) => v.len(),
-            ColumnData::Int32(v) | ColumnData::Date(v) => v.len() * 4,
-            ColumnData::Int64(v) | ColumnData::Decimal(v) => v.len() * 8,
-            ColumnData::Float64(v) => v.len() * 8,
-            ColumnData::Str(v) => v.arena_bytes() + (v.len() + 1) * 8,
+            ColumnData::Bool(_) => n,
+            ColumnData::Int32(_) | ColumnData::Date(_) => n * 4,
+            ColumnData::Int64(_) | ColumnData::Decimal(_) | ColumnData::Float64(_) => n * 8,
+            ColumnData::Str(v) => (v.offsets[end] - v.offsets[start]) as usize + (n + 1) * 8,
         }
     }
 
@@ -246,6 +252,20 @@ mod tests {
         assert_eq!(c.value_len(1), 0);
         assert_eq!(c.arena_bytes(), 10);
         assert_eq!(c.iter().collect::<Vec<_>>(), vec!["hello", "", "world"]);
+    }
+
+    #[test]
+    fn slice_byte_size_is_the_copys_byte_size() {
+        let mut s = StrColumn::new();
+        for w in ["a", "", "ccc", "dd"] {
+            s.push(w);
+        }
+        let s = ColumnData::Str(s);
+        assert_eq!(s.slice_byte_size(1, 3), 3 + 3 * 8);
+        assert_eq!(s.slice_byte_size(2, 2), 8);
+        let d = ColumnData::Decimal(vec![1, 2, 3]);
+        assert_eq!(d.slice_byte_size(0, 2), 16);
+        assert_eq!(ColumnData::Bool(vec![]).slice_byte_size(0, 0), 0);
     }
 
     #[test]

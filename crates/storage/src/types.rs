@@ -282,6 +282,13 @@ impl Value {
         }
     }
 
+    pub fn as_f64(&self) -> f64 {
+        match self {
+            Value::Float64(v) => *v,
+            other => panic!("as_f64 on non-float value {other:?}"),
+        }
+    }
+
     pub fn as_str(&self) -> &str {
         match self {
             Value::Str(s) => s,

@@ -61,30 +61,32 @@ fn full_bracket(s: &Schema, b: &Bracket) -> Expr {
     ])
 }
 
+/// The lineitem columns Q19 scans.
+pub const LINEITEM_COLUMNS: [&str; 6] = [
+    "l_partkey",
+    "l_quantity",
+    "l_extendedprice",
+    "l_discount",
+    "l_shipinstruct",
+    "l_shipmode",
+];
+
+/// The predicate Q19 pushes into its lineitem scan, over
+/// [`LINEITEM_COLUMNS`].
+pub fn lineitem_filter(s: &Schema) -> Expr {
+    Expr::and(vec![
+        cx(s, "l_shipmode").in_list(vec![Value::Str("AIR".into()), Value::Str("REG AIR".into())]),
+        cx(s, "l_shipinstruct").eq(Expr::str("DELIVER IN PERSON")),
+    ])
+}
+
 pub fn run(data: &TpchData, cfg: &QueryConfig, engine: &Engine) -> Table {
     let part = scan_where(
         &data.part,
         &["p_partkey", "p_brand", "p_size", "p_container"],
         |s| Expr::or(BRACKETS.iter().map(|b| part_bracket(s, b)).collect()),
     );
-    let lineitem = scan_where(
-        &data.lineitem,
-        &[
-            "l_partkey",
-            "l_quantity",
-            "l_extendedprice",
-            "l_discount",
-            "l_shipinstruct",
-            "l_shipmode",
-        ],
-        |s| {
-            Expr::and(vec![
-                cx(s, "l_shipmode")
-                    .in_list(vec![Value::Str("AIR".into()), Value::Str("REG AIR".into())]),
-                cx(s, "l_shipinstruct").eq(Expr::str("DELIVER IN PERSON")),
-            ])
-        },
-    );
+    let lineitem = scan_where(&data.lineitem, &LINEITEM_COLUMNS, lineitem_filter);
     let t = join_on(
         part,
         lineitem,
