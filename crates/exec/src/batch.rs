@@ -7,7 +7,7 @@
 //! dispatch and to give the prefetcher a full vector of hash-table probes.
 
 use crate::expr::Rows;
-use joinstudy_storage::column::{ColumnData, StrColumn};
+use joinstudy_storage::column::ColumnData;
 use joinstudy_storage::types::{DataType, Value};
 
 /// Maximum rows per batch. Menon et al. and the paper use vectors sized so a
@@ -112,6 +112,11 @@ impl Batch {
         self.columns
     }
 
+    /// Consume into columns and their validity masks.
+    pub fn into_parts(self) -> (Vec<ColumnData>, Vec<Validity>) {
+        (self.columns, self.validity)
+    }
+
     /// Dynamically-typed cell accessor honoring validity (tests/result edges).
     pub fn value(&self, col: usize, row: usize) -> Value {
         if self.is_valid(col, row) {
@@ -170,13 +175,7 @@ pub fn take_column(col: &ColumnData, sel: &[u32]) -> ColumnData {
         ColumnData::Float64(v) => ColumnData::Float64(sel.iter().map(|&i| v[i as usize]).collect()),
         ColumnData::Date(v) => ColumnData::Date(sel.iter().map(|&i| v[i as usize]).collect()),
         ColumnData::Decimal(v) => ColumnData::Decimal(sel.iter().map(|&i| v[i as usize]).collect()),
-        ColumnData::Str(v) => {
-            let mut out = StrColumn::new();
-            for &i in sel {
-                out.push(v.get(i as usize));
-            }
-            ColumnData::Str(out)
-        }
+        ColumnData::Str(v) => ColumnData::Str(v.take(sel)),
     }
 }
 
@@ -189,13 +188,7 @@ pub fn slice_column(col: &ColumnData, start: usize, end: usize) -> ColumnData {
         ColumnData::Float64(v) => ColumnData::Float64(v[start..end].to_vec()),
         ColumnData::Date(v) => ColumnData::Date(v[start..end].to_vec()),
         ColumnData::Decimal(v) => ColumnData::Decimal(v[start..end].to_vec()),
-        ColumnData::Str(v) => {
-            let mut out = StrColumn::new();
-            for i in start..end {
-                out.push(v.get(i));
-            }
-            ColumnData::Str(out)
-        }
+        ColumnData::Str(v) => ColumnData::Str(v.slice(start, end)),
     }
 }
 
@@ -310,6 +303,7 @@ fn push_default(col: &mut ColumnData) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use joinstudy_storage::column::StrColumn;
     use joinstudy_storage::types::Decimal;
 
     fn int_batch(values: &[i64]) -> Batch {

@@ -25,6 +25,7 @@ use joinstudy_storage::column::{ColumnData, StrColumn};
 use joinstudy_storage::table::{Schema, Table};
 use joinstudy_storage::types::{DataType, Date, Decimal, Value};
 use std::borrow::Cow;
+use std::slice;
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -346,10 +347,12 @@ impl Expr {
             Expr::Arith(op, l, r) => arith(*op, &rows.operand(l), &rows.operand(r), n),
             Expr::Substr(e, start, len) => {
                 let (c, o) = rows.values(e);
+                // Positions count characters, not bytes.
+                let at = |s: &str, k: usize| s.char_indices().nth(k).map_or(s.len(), |(b, _)| b);
                 let mut out = StrColumn::new();
                 for s in (o..o + n).map(|i| c.as_str().get(i)) {
-                    let from = (*start - 1).min(s.len());
-                    out.push(&s[from..(from + *len).min(s.len())]);
+                    let s = &s[at(s, *start - 1)..];
+                    out.push(&s[..at(s, *len)]);
                 }
                 ColumnData::Str(out)
             }
@@ -554,12 +557,30 @@ fn cmp(op: CmpOp, sel: &mut Vec<u32>, l: &Operand, r: &Operand, n: usize) {
         DataType::Int64 | DataType::Decimal => retain_cmp(op, sel, l.i64s(n), r.i64s(n)),
         DataType::Float64 => retain_cmp(op, sel, l.f64s(n), r.f64s(n)),
         DataType::Bool => retain_cmp(op, sel, l.bools(n), r.bools(n)),
-        DataType::Str => retain_cmp(op, sel, l.strs(), r.strs()),
+        DataType::Str => match (op, l, r) {
+            (CmpOp::Eq | CmpOp::Ne, Operand::Rows(c, o), Operand::Value(v))
+            | (CmpOp::Eq | CmpOp::Ne, Operand::Value(v), Operand::Rows(c, o)) => {
+                str_in(sel, c.as_str(), *o, slice::from_ref(*v), op == CmpOp::Eq)
+            }
+            _ => retain_cmp(op, sel, l.strs(), r.strs()),
+        },
     }
 }
 
+/// String `=`/`<>` against a constant and string `IN`: keep the candidates
+/// whose value is (`found`) or is not one of `needles`, compared where it
+/// lies, length before bytes.
+fn str_in(sel: &mut Vec<u32>, col: &StrColumn, o: usize, needles: &[Value], found: bool) {
+    let needles: Vec<&[u8]> = needles.iter().map(|n| n.as_str().as_bytes()).collect();
+    let same = |a: &[u8], b: &[u8]| a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y);
+    retain(sel, |i| {
+        let v = col.bytes_of(o + i);
+        needles.iter().any(|n| same(n, v)) == found
+    });
+}
+
 /// The `IN` kernel: each candidate's value is looked up in the list
-/// directly, strings as `&str`.
+/// directly, a string column's in place.
 fn in_list(sel: &mut Vec<u32>, v: &Operand, list: &[Value], n: usize) {
     fn keep<'a, T: PartialEq>(
         sel: &mut Vec<u32>,
@@ -575,7 +596,10 @@ fn in_list(sel: &mut Vec<u32>, v: &Operand, list: &[Value], n: usize) {
         DataType::Int64 | DataType::Decimal => keep(sel, v.i64s(n), list, Value::as_i64),
         DataType::Float64 => keep(sel, v.f64s(n), list, Value::as_f64),
         DataType::Bool => keep(sel, v.bools(n), list, |x| x.as_i64() != 0),
-        DataType::Str => keep(sel, v.strs(), list, Value::as_str),
+        DataType::Str => match v {
+            Operand::Rows(c, o) => str_in(sel, c.as_str(), *o, list, true),
+            Operand::Value(_) => keep(sel, v.strs(), list, Value::as_str),
+        },
     }
 }
 
@@ -644,7 +668,7 @@ fn case(sel: &[u32], t: &Operand, f: &Operand, n: usize) -> ColumnData {
 /// The first must match at the start of the string and the last at its
 /// end; each one between is found leftmost-first in what lies between
 /// (the earliest match leaves the most room for the rest, so nothing
-/// backtracks), by `str::find` when it has no `_`.
+/// backtracks), by `str::contains` and then `str::find` when it has no `_`.
 pub struct LikeMatcher {
     segments: Vec<String>,
 }
@@ -675,7 +699,10 @@ impl LikeMatcher {
 /// The end, in bytes, of `segment`'s leftmost match in `s`.
 fn find(segment: &str, s: &str) -> Option<usize> {
     if !segment.contains('_') {
-        return s.find(segment).map(|at| at + segment.len());
+        // `str::contains` tests short needles with vector compares before it
+        // builds a searcher, as `find` does on every call; most rows fail it.
+        let at = s.contains(segment).then(|| s.find(segment)).flatten();
+        return at.map(|at| at + segment.len());
     }
     s.char_indices()
         .find_map(|(at, _)| Some(at + prefix(segment, &s[at..])?))
@@ -880,6 +907,22 @@ mod tests {
         let s = out.as_str();
         assert_eq!(s.get(0), "for");
         assert_eq!(s.get(3), "blu");
+    }
+
+    #[test]
+    fn substring_counts_characters() {
+        let mut words = StrColumn::new();
+        for w in ["café", "é", "abc"] {
+            words.push(w);
+        }
+        let b = Batch::new(vec![ColumnData::Str(words)]);
+        let sub = |start, len| Expr::col(0).substr(start, len).eval(&b);
+        let got = sub(4, 1);
+        assert_eq!(got.as_str().iter().collect::<Vec<_>>(), ["é", "", ""]);
+        let got = sub(1, 2);
+        assert_eq!(got.as_str().iter().collect::<Vec<_>>(), ["ca", "é", "ab"]);
+        let got = sub(2, 9);
+        assert_eq!(got.as_str().iter().collect::<Vec<_>>(), ["afé", "", "bc"]);
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! tuples survive the joins, expensive at high selectivity (the trade-off
 //! measured in Figure 15 and Table 3).
 
-use crate::batch::Batch;
+use crate::batch::{take_column, Batch};
 use crate::error::ExecResult;
 use crate::metrics::{self, MemPhase};
 use crate::pipeline::{Emit, LocalState, Operator};
-use joinstudy_storage::column::{ColumnData, StrColumn};
 use joinstudy_storage::table::{Schema, Table};
 use std::sync::Arc;
 
@@ -54,49 +53,28 @@ impl LateLoadOp {
 }
 
 impl Operator for LateLoadOp {
-    fn process(&self, _local: &mut LocalState, input: Batch, out: Emit) -> ExecResult {
-        let tids = input.column(self.tid_col).as_i64();
-        let mut batch = input.clone();
+    fn process(&self, _local: &mut LocalState, mut input: Batch, out: Emit) -> ExecResult {
+        let tids: Vec<u32> = (input.column(self.tid_col).as_i64().iter())
+            .map(|&t| u32::try_from(t).expect("row ids fit in u32"))
+            .collect();
         let mut gathered_bytes = 0usize;
         for &c in &self.load_cols {
-            let col = gather(self.table.column(c), tids);
+            let col = take_column(self.table.column(c), &tids);
             gathered_bytes += col.byte_size();
-            batch.push_column(col);
+            input.push_column(col);
         }
         if metrics::enabled() {
             metrics::record_read(MemPhase::Other, gathered_bytes as u64);
         }
-        out(batch);
+        out(input);
         Ok(())
-    }
-}
-
-/// Random-access gather by 64-bit row ids.
-fn gather(col: &ColumnData, tids: &[i64]) -> ColumnData {
-    match col {
-        ColumnData::Bool(v) => ColumnData::Bool(tids.iter().map(|&t| v[t as usize]).collect()),
-        ColumnData::Int32(v) => ColumnData::Int32(tids.iter().map(|&t| v[t as usize]).collect()),
-        ColumnData::Int64(v) => ColumnData::Int64(tids.iter().map(|&t| v[t as usize]).collect()),
-        ColumnData::Float64(v) => {
-            ColumnData::Float64(tids.iter().map(|&t| v[t as usize]).collect())
-        }
-        ColumnData::Date(v) => ColumnData::Date(tids.iter().map(|&t| v[t as usize]).collect()),
-        ColumnData::Decimal(v) => {
-            ColumnData::Decimal(tids.iter().map(|&t| v[t as usize]).collect())
-        }
-        ColumnData::Str(v) => {
-            let mut out = StrColumn::new();
-            for &t in tids {
-                out.push(v.get(t as usize));
-            }
-            ColumnData::Str(out)
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use joinstudy_storage::column::ColumnData;
     use joinstudy_storage::table::TableBuilder;
     use joinstudy_storage::types::{DataType, Value};
 

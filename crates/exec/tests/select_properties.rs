@@ -4,12 +4,12 @@
 //! filtered `TableScan` must emit what the unfiltered scan followed by the
 //! same selection emits; LIKE must agree with a character-level reference.
 
-use joinstudy_exec::batch::Batch;
+use joinstudy_exec::batch::{slice_column, take_column, Batch};
 use joinstudy_exec::expr::{CmpOp, Expr, LikeMatcher, Rows};
 use joinstudy_exec::metrics::{self, MemPhase};
 use joinstudy_exec::ops::scan::TableScan;
 use joinstudy_exec::Source;
-use joinstudy_storage::column::ColumnData;
+use joinstudy_storage::column::{ColumnData, StrColumn};
 use joinstudy_storage::table::{Schema, Table};
 use joinstudy_storage::types::{DataType, Date, Decimal, Value};
 use proptest::prelude::*;
@@ -267,6 +267,85 @@ proptest! {
         let chars: Vec<char> = s.chars().collect();
         let got = LikeMatcher::new(&pattern).matches(&s);
         prop_assert_eq!(got, naive_like(&p, &chars), "s={:?} pattern={:?}", s, pattern);
+    }
+}
+
+/// Strings for the copy and equality properties: the empty one, prefixes
+/// of one another and multi-byte ones.
+const WORDS: [&str; 7] = ["", "MAI", "MAIL", "MAILS", "SHIP", "é", "éé"];
+
+fn words(g: &mut Gen, n: usize) -> Vec<&'static str> {
+    (0..n).map(|_| WORDS[g.below(WORDS.len())]).collect()
+}
+
+/// The per-value reference: each string pushed on its own.
+fn pushed<'a>(values: impl IntoIterator<Item = &'a str>) -> StrColumn {
+    let mut out = StrColumn::new();
+    values.into_iter().for_each(|v| out.push(v));
+    out
+}
+
+/// A string column's values and arena size.
+fn strs(c: &StrColumn) -> (Vec<String>, usize) {
+    (c.iter().map(str::to_owned).collect(), c.arena_bytes())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `StrColumn::slice` and `StrColumn::take`, directly and through
+    /// `slice_column` / `take_column`, copy what per-value pushes copy, and
+    /// `slice_byte_size` reports the slice's `byte_size`.
+    #[test]
+    fn bulk_string_copies_match_per_value_pushes(seed: u64) {
+        let mut g = Gen(seed);
+        let n = g.below(40);
+        let values = words(&mut g, n);
+        let col = pushed(values.iter().copied());
+        let data = ColumnData::Str(col.clone());
+        let start = g.below(n + 1);
+        let end = start + g.below(n - start + 1);
+        let want = pushed(values[start..end].iter().copied());
+        prop_assert_eq!(strs(&col.slice(start, end)), strs(&want));
+        let sliced = slice_column(&data, start, end);
+        prop_assert_eq!(strs(sliced.as_str()), strs(&want));
+        prop_assert_eq!(data.slice_byte_size(start, end), sliced.byte_size());
+        // Repeated indices and, now and then, an empty selection.
+        let picks = if n == 0 { 0 } else { g.below(2 * n) };
+        let sel: Vec<u32> = (0..picks).map(|_| g.below(n) as u32).collect();
+        let want = pushed(sel.iter().map(|&i| values[i as usize]));
+        prop_assert_eq!(strs(&col.take(&sel)), strs(&want));
+        prop_assert_eq!(strs(take_column(&data, &sel).as_str()), strs(&want));
+    }
+
+    /// String `=` and `<>` against a constant on either side, and `IN`,
+    /// compared in place over a view at a non-zero offset (and over the
+    /// same rows as a batch of their own), select what the oracle does.
+    #[test]
+    fn string_equality_in_place_matches_the_oracle(seed: u64) {
+        let mut g = Gen(seed);
+        let (offset, len) = (1 + g.below(20), g.below(60));
+        let batch = Batch::new(vec![ColumnData::Str(pushed(words(&mut g, offset + len)))]);
+        let view = Rows::new(vec![batch.column(0)], vec![None], offset, len);
+        let own = batch.take(&(offset as u32..(offset + len) as u32).collect::<Vec<_>>());
+        let word = |g: &mut Gen| Value::Str(WORDS[g.below(WORDS.len())].into());
+        let (a, b) = (Expr::Const(word(&mut g)), Expr::Const(word(&mut g)));
+        let list = (0..g.below(4)).map(|_| word(&mut g)).collect();
+        let col = Expr::col(0);
+        for pred in [
+            col.clone().eq(a.clone()),
+            a.clone().eq(col.clone()),
+            col.clone().ne(b.clone()),
+            b.ne(col.clone()),
+            col.in_list(list),
+        ] {
+            let want: Vec<u32> = (0..len)
+                .filter(|&i| oracle(&pred, &batch, offset + i))
+                .map(|i| i as u32)
+                .collect();
+            prop_assert_eq!(&pred.select(&view), &want, "{:?}", pred);
+            prop_assert_eq!(&pred.eval_sel(&own), &want, "{:?}", pred);
+        }
     }
 }
 

@@ -47,15 +47,43 @@ impl StrColumn {
     }
 
     pub fn get(&self, i: usize) -> &str {
-        let start = self.offsets[i] as usize;
-        let end = self.offsets[i + 1] as usize;
         // Arena only ever receives whole UTF-8 strings at recorded offsets.
-        unsafe { std::str::from_utf8_unchecked(&self.bytes[start..end]) }
+        unsafe { std::str::from_utf8_unchecked(self.bytes_of(i)) }
     }
 
     /// Byte length of value `i` without materializing it.
     pub fn value_len(&self, i: usize) -> usize {
         (self.offsets[i + 1] - self.offsets[i]) as usize
+    }
+
+    /// Value `i`'s bytes, for kernels that compare in place.
+    #[inline]
+    pub fn bytes_of(&self, i: usize) -> &[u8] {
+        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Values `start..end` as a column of their own: their bytes copied
+    /// as one range, their offsets rebased to it.
+    pub fn slice(&self, start: usize, end: usize) -> StrColumn {
+        let base = self.offsets[start];
+        let offsets = self.offsets[start..=end]
+            .iter()
+            .map(|&o| o - base)
+            .collect();
+        let bytes = self.bytes[base as usize..self.offsets[end] as usize].to_vec();
+        StrColumn { offsets, bytes }
+    }
+
+    /// Values `sel`, in order, as a column of their own: one allocation
+    /// sized from the offsets, then each value's bytes appended.
+    pub fn take(&self, sel: &[u32]) -> StrColumn {
+        let total = sel.iter().map(|&i| self.value_len(i as usize)).sum();
+        let mut out = StrColumn::with_capacity(sel.len(), total);
+        for &i in sel {
+            out.bytes.extend_from_slice(self.bytes_of(i as usize));
+            out.offsets.push(out.bytes.len() as u64);
+        }
+        out
     }
 
     /// Total arena bytes (for size accounting in the harness).

@@ -278,3 +278,26 @@ fn mark_join_null_free_semantics() {
         assert_eq!(got, vec!["2|10|true", "2|12|true", "3|11|false"]);
     }
 }
+
+/// A map over a probe-outer join keeps its NULL padding under every
+/// algorithm: a bare column moves with its mask (also when it is referenced
+/// twice), and a computed value is NULL wherever a column it reads is.
+#[test]
+fn map_over_a_probe_outer_join_keeps_nulls() {
+    let build = vec![(1, 5)];
+    let probe = vec![(1, 10), (2, 20)];
+    for algo in ALL_ALGOS {
+        // Over `[b.k, b.v, p.k, p.v]`: p.k, b.v, b.v + p.v, p.v * 2, b.v.
+        let exprs = vec![
+            Expr::col(2),
+            Expr::col(1),
+            Expr::col(1).add(Expr::col(3)),
+            Expr::col(3).mul(Expr::i64(2)),
+            Expr::col(1),
+        ];
+        let names = ["pk", "bv", "sum", "pv2", "bv_again"];
+        let plan = join_plan(&build, &probe, algo, JoinType::ProbeOuter, Residual::None);
+        let got = rows_of(&Engine::new(1).run(&plan.map(exprs, &names)));
+        assert_eq!(got, vec!["1|5|15|20|5", "2|NULL|NULL|40|NULL"], "{algo:?}");
+    }
+}
