@@ -1,7 +1,7 @@
 //! `repro` — regenerate the paper's figures and tables.
 //!
 //! ```text
-//! repro list                         the 22 rows, their titles and flags
+//! repro list                         the 24 rows, their titles and flags
 //! repro fig14 --build 65536          one row, text to stdout
 //! repro fig14 fig15 --reps 5         several rows; a flag goes to every row that declares it
 //! repro all [--reps 2 --sf 0.1 ...]  every row, text to results/logs/<row>.txt

@@ -35,7 +35,7 @@ fn series<const N: usize>(e: &Engine, m: &Micro, reps: usize, plans: [Plan; N]) 
 }
 
 /// Tuples/s of `count(*)` over `m` under each algorithm.
-fn count_series<const N: usize>(p: &Params, m: &Micro, algos: [JoinAlgo; N]) -> [f64; N] {
+pub fn count_series<const N: usize>(p: &Params, m: &Micro, algos: [JoinAlgo; N]) -> [f64; N] {
     let e = engine(p.threads(), false);
     series(&e, m, p.reps(), algos.map(|a| count_plan(m, a)))
 }

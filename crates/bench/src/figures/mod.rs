@@ -8,6 +8,7 @@
 //! sweep and `table4` re-reads at fewer points, [`tpch`] the query × config
 //! loops over one cached data set per scale factor.
 
+mod adaptive;
 mod micro;
 mod tpch;
 
@@ -50,7 +51,7 @@ impl Figure {
 
 /// The 19 paper rows, Figure 7's counter profile and the design-choice
 /// ablations, in the paper's order of appearance, then the scan-and-filter
-/// reading.
+/// reading, Table 4 asked at plan time and the cost model's fit to the host.
 pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig01",
@@ -205,6 +206,19 @@ pub const FIGURES: &[Figure] = &[
         flags: &[Flag("sf", "0.05"), Flag("reps", "11")],
         run: tpch::scan_filter,
     },
+    Figure {
+        name: "adaptive",
+        title:
+            "Table 4 at plan time: predicted regime boundary vs measured crossover, TPC-H regret",
+        flags: &[SF, QUERIES, THREADS, REPS],
+        run: adaptive::adaptive,
+    },
+    Figure {
+        name: "calibrate",
+        title: "Cost-model calibration: the per-tuple constants fitted on this host",
+        flags: &[THREADS, REPS],
+        run: adaptive::calibrate,
+    },
 ];
 
 /// What the rows need to know about the machine, gathered once so a test
@@ -311,9 +325,10 @@ impl<'a> Params<'a> {
 }
 
 /// Resolve `repro`'s command line: the chosen rows (`all` = every row, in
-/// order) and the parsed flags. A flag no chosen row declares, a switch given
-/// a value (or the reverse), an unknown row and `--reps 0` are errors whose
-/// text ends with the chosen rows' usage.
+/// order) and the parsed flags. An unknown flag, `--reps 0`, `--threads 0`
+/// and an unknown row are errors; so are a flag no chosen row declares and a
+/// switch given a value (or the reverse), whose text ends with the chosen
+/// rows' usage.
 pub fn select(argv: &[String]) -> Result<(Vec<&'static Figure>, Args), String> {
     let mut every: Vec<&str> = FIGURES.iter().flat_map(|f| f.flags).map(|f| f.0).collect();
     every.sort_unstable();
@@ -385,6 +400,7 @@ mod tests {
     #[test]
     fn reps_zero_switch_values_and_unknown_rows_are_rejected_at_parse_time() {
         assert!(select(&argv("fig14 --reps 0")).is_err());
+        assert!(select(&argv("table5 --threads 0 --sf 0.01")).is_err());
         assert!(select(&argv("fig14 --reps two")).is_err());
         assert!(select(&argv("fig14 --reps")).is_err());
         assert!(

@@ -26,7 +26,7 @@ const SEED: u64 = 20260706;
 
 /// TPC-H at `sf`, generated once per process (`repro all` reads SF 0.1 from
 /// seven rows).
-fn tpch(sf: f64) -> Arc<TpchData> {
+pub fn tpch(sf: f64) -> Arc<TpchData> {
     static CACHE: Mutex<Vec<Arc<TpchData>>> = Mutex::new(Vec::new());
     let mut cache = CACHE.lock().expect("a row panicked while generating TPC-H");
     if !cache.iter().any(|d| d.sf == sf) {
@@ -40,14 +40,14 @@ fn tpch(sf: f64) -> Arc<TpchData> {
 }
 
 /// All join-bearing queries, or the `--queries` subset.
-fn queries(p: &Params) -> Vec<TpchQuery> {
+pub fn queries(p: &Params) -> Vec<TpchQuery> {
     let chosen: Option<Vec<u32>> = p.given_list("queries");
     let keep = |q: &TpchQuery| chosen.as_ref().is_none_or(|ids| ids.contains(&q.id));
     all_queries().into_iter().filter(keep).collect()
 }
 
 /// Median-of-`reps` runtime of `q` under `cfg`, in milliseconds.
-fn run_ms(q: &TpchQuery, data: &TpchData, cfg: &QueryConfig, e: &Engine, reps: usize) -> f64 {
+pub fn run_ms(q: &TpchQuery, data: &TpchData, cfg: &QueryConfig, e: &Engine, reps: usize) -> f64 {
     measure(reps, || (q.run)(data, cfg, e)).0.as_secs_f64() * 1e3
 }
 

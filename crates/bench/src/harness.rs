@@ -18,7 +18,8 @@ pub struct Args {
 
 impl Args {
     /// Parse the process arguments; on a flag outside `known`, a positional
-    /// word or `--reps 0`, print the reason and exit with status 2.
+    /// word, `--reps 0` or `--threads 0`, print the reason and exit with
+    /// status 2.
     pub fn parse(known: &[&str]) -> Args {
         let argv: Vec<String> = std::env::args().skip(1).collect();
         let parsed = Args::parse_from(&argv, known).and_then(|args| match args.words.first() {
@@ -58,10 +59,12 @@ impl Args {
                 i += 1;
             }
         }
-        match args.values.get("reps").map(|v| v.parse::<usize>()) {
-            Some(Ok(0)) | Some(Err(_)) => Err("--reps must be a positive integer".into()),
-            _ => Ok(args),
+        for key in ["reps", "threads"] {
+            if let Some(Ok(0) | Err(_)) = args.values.get(key).map(|v| v.parse::<usize>()) {
+                return Err(format!("--{key} must be a positive integer"));
+            }
         }
+        Ok(args)
     }
 
     /// The value given for `key`, if any.
@@ -108,10 +111,6 @@ impl Args {
                 .map(|n| n.get())
                 .unwrap_or(1),
         )
-    }
-
-    pub fn reps(&self) -> usize {
-        self.usize("reps", 3)
     }
 }
 
@@ -223,9 +222,17 @@ mod tests {
         );
         assert!(Args::parse_from(&argv("--thread 8"), &known).is_err());
         assert!(Args::parse_from(&argv("--reps 0"), &known).is_err());
+        let err = Args::parse_from(&argv("--threads 0"), &known)
+            .err()
+            .unwrap();
+        assert!(
+            err.contains("--threads must be a positive integer"),
+            "{err}"
+        );
+        assert!(Args::parse_from(&argv("--threads two"), &known).is_err());
         let args = Args::parse_from(&argv("fig14 --reps 5 --quick"), &known).unwrap();
         assert_eq!(
-            (args.reps(), args.flag("quick"), args.words.len()),
+            (args.usize("reps", 3), args.flag("quick"), args.words.len()),
             (5, true, 1)
         );
     }

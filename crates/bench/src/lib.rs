@@ -4,8 +4,7 @@
 //! run by the one `repro` binary (`cargo run -p joinstudy-bench --release
 //! --bin repro -- list`, `-- fig14 --build 65536`, `-- all`); the other
 //! binaries in `src/bin/` are tools (SQL shell and server, regression gate,
-//! calibration, streaming smoke test). This library holds the shared
-//! machinery:
+//! streaming smoke test). This library holds the shared machinery:
 //!
 //! * [`figures`] — the sweep table: one row function per figure over the
 //!   shared Workload-A point functions and TPC-H query loops, each declaring
@@ -20,8 +19,8 @@
 //! * [`workloads`] — SQL-level microbenchmark relations modeled on
 //!   Balkesen et al.'s Workloads A/B with the paper's selectivity, payload,
 //!   skew and pipeline-depth variations (§5.4),
-//! * [`regress`] — the `bench_check` regression gate: baseline schema and
-//!   tolerance-aware comparison against `results/baseline.json`,
+//! * [`regress`] — the `bench_check` regression gate: one run format for
+//!   the current run and `results/baseline.json`, compared exactly,
 //! * [`top`] — the live-server dashboard (`joinstudy_top`, shell `.top`):
 //!   jsys query helpers and frame rendering.
 //!

@@ -37,7 +37,7 @@ const TINY: &[(&str, &str)] = &[
     ("depth", "2"),
 ];
 
-const NAMES: [&str; 22] = [
+const NAMES: [&str; 24] = [
     "fig01",
     "fig02",
     "table1",
@@ -60,6 +60,8 @@ const NAMES: [&str; 22] = [
     "ext_skew",
     "ablations",
     "scan_filter",
+    "adaptive",
+    "calibrate",
 ];
 
 fn golden_path(name: &str) -> PathBuf {
@@ -133,7 +135,7 @@ fn every_row_matches_its_golden() {
 }
 
 #[test]
-fn list_names_exactly_the_22_rows() {
+fn list_names_exactly_the_24_rows() {
     let table: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
     assert_eq!(table, NAMES);
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))

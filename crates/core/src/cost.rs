@@ -9,9 +9,10 @@
 //!
 //! * [`Calibration`] holds per-tuple costs (nanoseconds) for every
 //!   primitive the three joins are made of, plus the LLC size. Defaults are
-//!   documented below; the `calibrate` bench bin measures the host once and
-//!   writes `results/calibration.json`, which [`Calibration::global`] picks
-//!   up automatically.
+//!   documented below; the bench crate's `repro calibrate` row measures the
+//!   host and writes `results/calibration_fit.json`, which
+//!   [`Calibration::global`] picks up when `JOINSTUDY_CALIBRATION` names it
+//!   or once it is copied to `results/calibration.json`.
 //! * [`CostModel::decide`] evaluates the three contenders on a
 //!   [`JoinEstimate`] and returns a [`Decision`] carrying the chosen
 //!   algorithm, all three modeled costs, and a human-readable "why" that
@@ -212,7 +213,7 @@ impl Calibration {
     }
 
     /// Serialize as a flat JSON object (the `results/calibration.json`
-    /// format the `calibrate` bin writes).
+    /// format; `repro calibrate` writes it to `results/calibration_fit.json`).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         let mut field = |name: &str, v: f64| {
