@@ -48,6 +48,7 @@ use joinstudy_exec::context::{BudgetLease, QueryContext};
 use joinstudy_exec::error::ExecResult;
 use joinstudy_exec::metrics::{self, MemPhase};
 use joinstudy_exec::pipeline::{Emit, LocalState, Operator, Sink, Source};
+use joinstudy_exec::{Executor, PipelineLabel, WaitState};
 use joinstudy_storage::column::ColumnData;
 use joinstudy_storage::types::DataType;
 use parking_lot::Mutex;
@@ -78,9 +79,9 @@ impl BhjState {
 
     /// Bucket-occupancy summary of the chaining table (EXPLAIN ANALYZE).
     pub fn chain_stats(&self) -> crate::ht_chain::ChainStats {
-        // SAFETY: `self.arenas` owns every row `into_state` linked into
-        // `self.table` and lives as long as `self`; linking finished before
-        // the state was constructed, so no insert runs concurrently.
+        // SAFETY: `self.arenas` owns every row `link` put into `self.table`
+        // and lives as long as `self`; linking finished before `link`
+        // handed the state out, so no insert runs concurrently.
         unsafe { self.table.chain_stats() }
     }
 }
@@ -110,15 +111,15 @@ pub struct BhjBuildSink {
     global: Mutex<BuildGlobal>,
 }
 
-/// Build sides below this many rows are linked by the caller alone. A scoped
-/// team of two costs 50–100 µs to launch on the reference host
-/// (`exec.sched.pipeline_launch_us` 66–99 µs) and an insert into a
-/// cache-resident table 9–13 ns, so a launch is worth 5–10 K inserts and two
-/// workers, each saving the other half the rows, cannot win below 10–20 K
-/// rows. That is a floor: the team's threads also start with cold caches, and
-/// `into_state(2)` timed against `into_state(1)` on two arenas (best of 12–40)
-/// loses at 4, 16 and 64 Ki rows (80 / 304 / 941 µs against 38 / 195 / 864)
-/// and first wins at 128 Ki (1.76 against 1.90 ms).
+/// Build sides below this many rows are linked by the caller alone. A
+/// pipeline on a scoped team of two costs 50–100 µs to launch on the
+/// reference host (`exec.sched.pipeline_launch_us` 66–99 µs) and an insert
+/// into a cache-resident table 9–13 ns, so a launch is worth 5–10 K inserts
+/// and two workers, each saving the other half the rows, cannot win below
+/// 10–20 K rows. That is a floor: the team's threads also start with cold
+/// caches, and a link on two workers timed against one on two arenas (best
+/// of 12–40) loses at 4, 16 and 64 Ki rows (80 / 304 / 941 µs against 38 /
+/// 195 / 864) and first wins at 128 Ki (1.76 against 1.90 ms).
 const INLINE_LINK_ROWS: usize = 128 * 1024;
 
 impl BhjBuildSink {
@@ -146,10 +147,10 @@ impl BhjBuildSink {
         self
     }
 
-    /// Build the chaining hash table over all materialized rows and freeze
-    /// the state ([`BhjState::link`]). Fails if the bucket array would
-    /// exceed the memory budget.
-    pub fn into_state(&self, threads: usize) -> ExecResult<Arc<BhjState>> {
+    /// Build the chaining hash table over all materialized rows on `exec`
+    /// and freeze the state ([`BhjState::link`]). Fails if the bucket array
+    /// would exceed the memory budget.
+    pub fn into_state(&self, exec: &Executor) -> ExecResult<Arc<BhjState>> {
         let mut global = self.global.lock();
         let arenas = take(&mut global.arenas);
         let heap_pairs = take(&mut global.heaps);
@@ -164,35 +165,50 @@ impl BhjBuildSink {
         let rows: usize = arenas.iter().map(RowArena::rows).sum();
         lease.grow(ChainTable::buckets_for(rows) * 8)?;
         let (layout, keys) = (self.layout.clone(), self.key_cols.clone());
-        Ok(BhjState::link(
-            layout, keys, arenas, heaps, lease, 0, threads,
-        ))
+        let state = BhjState::new(layout, keys, arenas, heaps, lease, 0);
+        state.link(exec, &self.ctx, WaitState::CpuBuild)
     }
 }
 
 impl BhjState {
-    /// Link the rows of `arenas` (rows of `layout`, strings in `heaps`)
-    /// into a chaining table indexed by the hash bits from `shift` up, and
-    /// freeze them as one state holding `lease`, which must already cover
-    /// the rows and the bucket array. Rows are linked a batch at a time —
-    /// read the stored hashes and prefetch their buckets, then CAS-insert —
-    /// so the bucket misses of a batch overlap. At [`INLINE_LINK_ROWS`] rows
-    /// and above, `threads` workers link in parallel (one arena each; arenas
-    /// are per build worker, so counts are balanced); below it the caller
-    /// links alone.
-    pub(crate) fn link(
+    /// The rows of `arenas` (rows of `layout`, strings in `heaps`) and an
+    /// empty chaining table for them, indexed by the hash bits from `shift`
+    /// up, holding `lease`, which must already cover the rows and the
+    /// bucket array. Nothing may probe it before [`BhjState::link`].
+    pub(crate) fn new(
         layout: RowLayout,
         key_cols: Vec<usize>,
         arenas: Vec<RowArena>,
         heaps: Vec<StrHeap>,
         lease: BudgetLease,
         shift: u32,
-        threads: usize,
-    ) -> Arc<BhjState> {
+    ) -> BhjState {
         let rows: usize = arenas.iter().map(RowArena::rows).sum();
-        let table = ChainTable::with_shift(rows, shift);
-        let hash_off = layout.hash_offset();
+        BhjState {
+            table: ChainTable::with_shift(rows, shift),
+            layout,
+            key_cols,
+            arenas,
+            heaps,
+            rows,
+            _lease: lease,
+        }
+    }
 
+    /// Link every row into the table and share the state. Rows are linked a
+    /// batch at a time — read the stored hashes and prefetch their buckets,
+    /// then CAS-insert — so the bucket misses of a batch overlap. At
+    /// [`INLINE_LINK_ROWS`] rows and above, and with more than one worker
+    /// and arena, the arenas are the tasks of one pipeline on `exec` under
+    /// `ctx`, its work sampled as `cpu` (arenas are per build worker, so
+    /// they are balanced); below it the caller links alone.
+    pub(crate) fn link(
+        self,
+        exec: &Executor,
+        ctx: &Arc<QueryContext>,
+        cpu: WaitState,
+    ) -> ExecResult<Arc<BhjState>> {
+        let hash_off = self.layout.hash_offset();
         let link_arena = |arena: &RowArena| {
             let mut hashes = [0u64; BATCH_ROWS];
             for chunk in arena.row_ptrs().chunks(BATCH_ROWS) {
@@ -200,42 +216,27 @@ impl BhjState {
                     // SAFETY: `ptr` is a row of `arena`, which outlives this
                     // closure; `consume` stored the row's hash at `hash_off`.
                     *h = unsafe { std::ptr::read(ptr.add(hash_off).cast::<u64>()) };
-                    prefetch_read(table.bucket_ptr(*h));
+                    prefetch_read(self.table.bucket_ptr(*h));
                 }
                 for (&h, &ptr) in hashes.iter().zip(chunk) {
-                    // SAFETY: as above; each row is linked exactly once (an
-                    // arena is linked by one worker), nobody reads the table
-                    // before the linking is over, and the arenas move into
-                    // the `BhjState` that owns the table.
-                    unsafe { table.insert(ptr as *mut u8, h) };
+                    // SAFETY: as above; each row is linked exactly once (the
+                    // morsel loop hands each arena to one task), nobody
+                    // reads the table before `link` returns it, and the
+                    // arenas live in the state that owns the table.
+                    unsafe { self.table.insert(ptr as *mut u8, h) };
                 }
             }
         };
-        let workers = threads.min(arenas.len());
-        if workers <= 1 || rows < INLINE_LINK_ROWS {
-            arenas.iter().for_each(link_arena);
+        if exec.threads() <= 1 || self.arenas.len() <= 1 || self.rows < INLINE_LINK_ROWS {
+            self.arenas.iter().for_each(link_arena);
         } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        while let Some(arena) = arenas.get(next.fetch_add(1, Relaxed)) {
-                            link_arena(arena);
-                        }
-                    });
-                }
-            });
+            let label = PipelineLabel::new("hash table link", cpu);
+            exec.run_tasks(ctx, label, self.arenas.len(), |a| {
+                link_arena(&self.arenas[a]);
+                Ok(())
+            })?;
         }
-
-        Arc::new(BhjState {
-            layout,
-            key_cols,
-            arenas,
-            heaps,
-            table,
-            rows,
-            _lease: lease,
-        })
+        Ok(Arc::new(self))
     }
 }
 
@@ -725,7 +726,7 @@ mod tests {
     use joinstudy_storage::types::Value;
 
     fn build_state(keys: &[i64], payloads: &[i64], threads: usize) -> Arc<BhjState> {
-        build_state_in(keys, payloads, 1, threads)
+        build_state_in(keys, payloads, 1, &Executor::new(threads))
     }
 
     /// The rows dealt round-robin to `arenas` build workers.
@@ -733,7 +734,7 @@ mod tests {
         keys: &[i64],
         payloads: &[i64],
         arenas: usize,
-        threads: usize,
+        exec: &Executor,
     ) -> Arc<BhjState> {
         let sink = BhjBuildSink::new(&[DataType::Int64, DataType::Int64], vec![0]);
         for a in 0..arenas {
@@ -746,7 +747,7 @@ mod tests {
             sink.consume(&mut local, batch).unwrap();
             sink.finish_local(local).unwrap();
         }
-        sink.into_state(threads).unwrap()
+        sink.into_state(exec).unwrap()
     }
 
     fn probe(state: Arc<BhjState>, join_type: JoinType, probe_keys: &[i64]) -> Vec<Vec<Value>> {
@@ -851,20 +852,27 @@ mod tests {
 
     #[test]
     fn parallel_build_equals_serial() {
-        // Below INLINE_LINK_ROWS `into_state(4)` links on the caller, at and
-        // above it on a team of four: either way the table is the serial one.
+        // Below INLINE_LINK_ROWS a parallel executor links on the caller,
+        // at and above it as a pipeline of four tasks on a scoped team of
+        // four or a pool of two: either way the table is the serial one.
+        let parallel = [
+            Executor::new(4),
+            Executor::pooled(joinstudy_exec::WorkerPool::new(2)),
+        ];
         for rows in [10_000, INLINE_LINK_ROWS + 1_000] {
             let keys: Vec<i64> = (0..rows as i64).map(|i| i % 1000).collect();
-            let serial = build_state_in(&keys, &keys, 4, 1);
-            let parallel = build_state_in(&keys, &keys, 4, 4);
+            let serial = build_state_in(&keys, &keys, 4, &Executor::new(1));
             assert_eq!(serial.rows, rows);
-            assert_eq!(serial.chain_stats(), parallel.chain_stats(), "{rows} rows");
-            for kind in [JoinType::Inner, JoinType::ProbeAnti] {
-                let expected = probe(serial.clone(), kind, &[7, 1000, 999]);
-                let partners = keys.iter().filter(|&&k| k == 7 || k == 999).count();
-                let want = if kind == JoinType::Inner { partners } else { 1 };
-                assert_eq!(expected.len(), want);
-                assert_eq!(probe(parallel.clone(), kind, &[7, 1000, 999]), expected);
+            for exec in &parallel {
+                let parallel = build_state_in(&keys, &keys, 4, exec);
+                assert_eq!(serial.chain_stats(), parallel.chain_stats(), "{rows} rows");
+                for kind in [JoinType::Inner, JoinType::ProbeAnti] {
+                    let expected = probe(serial.clone(), kind, &[7, 1000, 999]);
+                    let partners = keys.iter().filter(|&&k| k == 7 || k == 999).count();
+                    let want = if kind == JoinType::Inner { partners } else { 1 };
+                    assert_eq!(expected.len(), want);
+                    assert_eq!(probe(parallel.clone(), kind, &[7, 1000, 999]), expected);
+                }
             }
         }
     }

@@ -140,7 +140,7 @@ mod tests {
         pad.process(&mut pad.create_local(), kv(build), &mut consume)
             .unwrap();
         sink.finish_local(local).unwrap();
-        let state = sink.into_state(1).unwrap();
+        let state = sink.into_state(&joinstudy_exec::Executor::new(1)).unwrap();
         let op = GroupJoinProbeOp::new(BhjWalker::new(state.clone(), vec![0], true), &aggs);
         let mut plocal = op.create_local();
         let mut no_output = |_: Batch| panic!("groupjoin probe must not emit");

@@ -58,8 +58,7 @@ use joinstudy_exec::batch::Batch;
 use joinstudy_exec::context::{BudgetLease, QueryContext};
 use joinstudy_exec::error::{ExecError, ExecResult};
 use joinstudy_exec::pipeline::{Emit, Operator, Sink, Source};
-use joinstudy_exec::registry;
-use joinstudy_exec::trace;
+use joinstudy_exec::{registry, trace, Executor};
 use joinstudy_storage::column::ColumnData;
 use joinstudy_storage::types::DataType;
 use parking_lot::Mutex;
@@ -364,15 +363,15 @@ impl HybridJoin {
         self.plain_sink(level, false, false)
     }
 
-    /// Run pass 2 of a sink whose input is complete, building the Bloom
-    /// filter in it when asked to (the BRJ's build side).
+    /// Run pass 2 of a sink whose input is complete on `exec`, building the
+    /// Bloom filter in it when asked to (the BRJ's build side).
     pub fn finish(
         sink: &PartitionSink,
-        threads: usize,
+        exec: &Executor,
         bits2: Option<u32>,
         bloom: bool,
     ) -> ExecResult<(PartitionedSide, Option<BlockedBloom>)> {
-        sink.finalize(threads, bits2, bloom)
+        sink.finalize_on(exec, bits2, bloom)
     }
 
     /// The radix join of two sides partitioned alike (the RJ and BRJ).
@@ -388,16 +387,16 @@ impl HybridJoin {
     }
 
     /// Finish `level`'s evicting build sink, whose input is complete: the
-    /// open pre-partitions become its table, the closed ones (in `closed`)
-    /// keep their runs.
+    /// open pre-partitions become its table, linked on `exec`, the closed
+    /// ones (in `closed`) keep their runs.
     pub fn table(
         &self,
         level: &Level,
         sink: &PartitionSink,
         closed: &ClosedSet,
-        threads: usize,
+        exec: &Executor,
     ) -> ExecResult<LevelTable> {
-        let state = sink.finalize_table(level.table_cap(), threads)?;
+        let state = sink.finalize_table(level.table_cap(), exec)?;
         Ok(LevelTable {
             state,
             runs: sink.take_runs()?,
@@ -458,7 +457,8 @@ impl HybridJoin {
         sink.finish_local(local)?;
         drop(stream);
         pair.build.discard();
-        let mut table = self.table(&level, &sink, &closed, 1)?;
+        // This runs inside a task: the table is linked on this worker.
+        let mut table = self.table(&level, &sink, &closed, &Executor::new(1))?;
 
         let route = self.route(&table, &sink);
         let mut local = route.create_local();
@@ -595,7 +595,7 @@ impl HybridJoin {
                 break;
             }
             sink.finish_local(local)?;
-            let state = sink.into_state(1)?;
+            let state = sink.into_state(&Executor::new(1))?;
             self.probe_chunk(&state, &probe, &mut matched, out)?;
         }
         drop(stream);

@@ -13,10 +13,10 @@ use joinstudy_exec::error::ExecResult;
 use joinstudy_exec::ops::{
     AggSink, CollectSink, FilterOp, LateLoadOp, ProjectOp, SortSink, TableScan,
 };
-use joinstudy_exec::pipeline::{LocalState, Operator, Sink, Source, StreamSpec};
+use joinstudy_exec::pipeline::{DiscardSink, Operator, Sink, Source, StreamSpec};
 use joinstudy_exec::profile::{PipelineStats, QueryProfile};
 use joinstudy_exec::trace::{self, QueryTrace};
-use joinstudy_exec::{Batch, Executor, PipelineLabel, WaitState};
+use joinstudy_exec::{Executor, PipelineLabel, WaitState};
 use joinstudy_storage::table::{Schema, Table};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,16 +27,6 @@ use std::time::Instant;
 /// operators or a breaker, and — when profiling — the trace node of the
 /// subtree's root (its pipeline stages left pending for that breaker).
 pub(super) type Compiled = (StreamSpec, Option<usize>);
-
-/// A sink that drops everything (used for the probe pipeline of
-/// build-preserving BHJ variants, whose output pipeline starts elsewhere).
-pub(super) struct DiscardSink;
-
-impl Sink for DiscardSink {
-    fn consume(&self, _local: &mut LocalState, _input: Batch) -> ExecResult {
-        Ok(())
-    }
-}
 
 /// The query engine: executes plans with a fixed thread count and join
 /// configuration.
@@ -148,7 +138,9 @@ impl Engine {
         self
     }
 
-    fn executor(&self) -> Executor {
+    /// The executor this engine's pipelines run on: the shared pool when
+    /// one is set, else a private scoped team of `threads` workers.
+    pub fn executor(&self) -> Executor {
         match &self.pool {
             Some(pool) => Executor::pooled(Arc::clone(pool)),
             None => Executor::new(self.threads),

@@ -13,7 +13,7 @@
 use super::details::{
     adaptive_details, hw_details, partition_details, residual_details, walk_details,
 };
-use super::engine::{Compiled, DiscardSink};
+use super::engine::Compiled;
 use super::{joinlog, Engine, JoinAlgo, JoinNode, Plan};
 use crate::bhj::{BhjBuildSink, BhjProbeOp, BhjState, BhjUnmatchedSource};
 use crate::cost::Decision;
@@ -26,7 +26,7 @@ use crate::rj::BloomProbeOp;
 use joinstudy_exec::context::algo_bits;
 use joinstudy_exec::error::{ExecError, ExecResult};
 use joinstudy_exec::metrics::{self, MemPhase};
-use joinstudy_exec::pipeline::{Source, StreamSpec};
+use joinstudy_exec::pipeline::{DiscardSink, Source, StreamSpec};
 use joinstudy_exec::profile::PipelineStats;
 use joinstudy_exec::{registry, trace, PipelineLabel, WaitState};
 use joinstudy_storage::table::Schema;
@@ -201,7 +201,8 @@ impl Engine {
         let label = PipelineLabel::new(name, WaitState::CpuBuild);
         let stats = self.run_breaker(label, &spec, &sink, prof)?;
         let _span = trace::phase_scope(format!("{name} finalize (hash table)"));
-        Ok((sink.into_state(self.threads)?, spec.schema, stats, child))
+        let state = sink.into_state(&self.executor())?;
+        Ok((state, spec.schema, stats, child))
     }
 
     /// The buffered non-partitioned hash join: the build side is a pipeline
@@ -376,7 +377,7 @@ impl Engine {
         drop(build_spec);
 
         if evicting {
-            let table = join.table(&level, &build_sink, &closed, self.threads)?;
+            let table = join.table(&level, &build_sink, &closed, &self.executor())?;
             let build_rows = table.build_rows();
             joinlog::record(joinlog::JoinSizes {
                 algo: tag,
@@ -433,7 +434,7 @@ impl Engine {
             return Ok((StreamSpec::new(Arc::new(reloads), out_schema), id));
         }
 
-        let (build, bloom) = HybridJoin::finish(&build_sink, self.threads, None, use_bloom)?;
+        let (build, bloom) = HybridJoin::finish(&build_sink, &self.executor(), None, use_bloom)?;
         if let Some(decision) = adaptive {
             self.check_regime(decision, &build)?;
         }
@@ -469,7 +470,7 @@ impl Engine {
         };
         let probe_stats = self.run_breaker(label, &probe_spec, &probe_sink, prof.as_deref_mut())?;
         drop(probe_spec);
-        let (probe, _) = HybridJoin::finish(&probe_sink, self.threads, Some(bits2), false)?;
+        let (probe, _) = HybridJoin::finish(&probe_sink, &self.executor(), Some(bits2), false)?;
         let stats = Arc::new(JoinStats::default());
         let source = join.radix_join(build, probe).with_stats(Arc::clone(&stats));
         let (build, probe) = (source.build(), source.probe());

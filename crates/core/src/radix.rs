@@ -52,7 +52,7 @@ use joinstudy_exec::context::{BudgetLease, QueryContext};
 use joinstudy_exec::error::{ExecError, ExecResult};
 use joinstudy_exec::metrics::{self, MemPhase};
 use joinstudy_exec::pipeline::{Emit, LocalState, Operator, Sink};
-use joinstudy_exec::{registry, trace};
+use joinstudy_exec::{registry, trace, Executor, PipelineLabel, WaitState};
 use joinstudy_storage::column::ColumnData;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -843,13 +843,9 @@ struct SharedBuf {
 
 // SAFETY: `ptr` and `len` are written once, at construction, and only read
 // after; the bytes behind `ptr` are reached only through `slice_mut`, whose
-// callers write disjoint ranges, so sharing the handle across the scoped
-// pass-2 workers races on nothing.
+// callers write disjoint ranges, so sharing the handle across the scatter
+// pipeline's workers, scoped or pooled, races on nothing.
 unsafe impl Sync for SharedBuf {}
-// SAFETY: the buffer `ptr` points into is owned by `finalize`'s frame,
-// which outlives every scoped worker the handle reaches; sending the
-// pointer and length moves no ownership.
-unsafe impl Send for SharedBuf {}
 
 impl SharedBuf {
     /// # Safety
@@ -866,18 +862,30 @@ impl SharedBuf {
 }
 
 impl PartitionSink {
-    /// Run histogram, exchange and pass 2, producing the final partitioned
-    /// side. `bits2_override` forces the pass-2 fanout (the probe side must
-    /// reuse the build side's value); `bloom` requests construction of the
-    /// Bloom-filter reducer during the scatter (build side of the BRJ).
-    ///
-    /// Fails if the query was cancelled / timed out (checked between
-    /// pre-partition tasks) or if the contiguous output buffer would exceed
-    /// the memory budget. On failure every reservation this sink made is
-    /// released before returning.
+    /// [`PartitionSink::finalize_on`] on a scoped team of `threads` workers.
     pub fn finalize(
         &self,
         threads: usize,
+        bits2_override: Option<u32>,
+        build_bloom: bool,
+    ) -> ExecResult<(PartitionedSide, Option<BlockedBloom>)> {
+        self.finalize_on(&Executor::new(threads), bits2_override, build_bloom)
+    }
+
+    /// Run histogram, exchange and pass 2, producing the final partitioned
+    /// side. The histogram scan and the scatter are one pipeline each on
+    /// `exec`, whose task `p` is pre-partition `p`. `bits2_override` forces
+    /// the pass-2 fanout (the probe side must reuse the build side's
+    /// value); `bloom` requests construction of the Bloom-filter reducer
+    /// during the scatter (build side of the BRJ).
+    ///
+    /// Fails if the query was cancelled / timed out (checked before each
+    /// pre-partition task) or if the contiguous output buffer would exceed
+    /// the memory budget. On failure every reservation this sink made is
+    /// released before returning.
+    pub fn finalize_on(
+        &self,
+        exec: &Executor,
         bits2_override: Option<u32>,
         build_bloom: bool,
     ) -> ExecResult<(PartitionedSide, Option<BlockedBloom>)> {
@@ -919,7 +927,7 @@ impl PartitionSink {
             "the Bloom reducer assumes shift 0"
         );
 
-        // Which side this sink partitioned, for trace span labels (the
+        // Which side this sink partitioned, for the pipeline labels (the
         // build PhaseSet folds every phase into `Build`).
         let side_label = if self.phases.hist == MemPhase::Build {
             "build"
@@ -929,23 +937,12 @@ impl PartitionSink {
 
         // Histogram scan: per pre-partition, count rows per sub-partition.
         metrics::mark_phase(self.phases.hist);
-        let hist_span = trace::phase_scope(format!("radix histogram scan ({side_label})"));
         let histograms: Vec<Mutex<Vec<usize>>> =
             (0..fanout1).map(|_| Mutex::new(Vec::new())).collect();
-        let task = AtomicUsize::new(0);
         let hash_off = self.layout.hash_offset();
-        // First cancellation/timeout error observed by any histogram or
-        // scatter task; remaining tasks bail out as soon as it is set.
-        let phase_err: Mutex<Option<ExecError>> = Mutex::new(None);
-        let run_hist = || loop {
-            let p = task.fetch_add(1, Ordering::Relaxed);
-            if p >= fanout1 {
-                break;
-            }
-            if let Err(e) = self.ctx.check() {
-                phase_err.lock().get_or_insert(e);
-                break;
-            }
+        let label = format!("radix histogram scan ({side_label})");
+        let label = PipelineLabel::new(&label, WaitState::CpuPartition);
+        exec.run_tasks(&self.ctx, label, fanout1, |p| {
             let mut counts = vec![0usize; fanout2];
             let mut bytes = 0usize;
             for lists in &worker_lists {
@@ -968,12 +965,8 @@ impl PartitionSink {
                 bytes / stride,
             );
             *histograms[p].lock() = counts;
-        };
-        run_parallel(threads, fanout1, run_hist);
-        drop(hist_span);
-        if let Some(e) = phase_err.lock().take() {
-            return Err(e);
-        }
+            Ok(())
+        })?;
 
         // Exchange (b): absolute row offsets per final partition.
         let mut bounds = vec![0usize; nparts + 1];
@@ -992,11 +985,6 @@ impl PartitionSink {
 
         // Pass 2: scatter every pre-partition into its contiguous region.
         metrics::mark_phase(self.phases.pass2);
-        let pass2_span = trace::phase_scope(if build_bloom {
-            format!("radix partition pass 2 + bloom build ({side_label})")
-        } else {
-            format!("radix partition pass 2 ({side_label})")
-        });
         let mut data = vec![0u64; (total_rows * stride).div_ceil(8)];
         let shared = SharedBuf {
             ptr: data.as_mut_ptr().cast::<u8>(),
@@ -1009,99 +997,91 @@ impl PartitionSink {
         let use_swwcb = self.cfg.use_swwcb && self.layout.swwcb_eligible();
         let nt = self.cfg.use_nt_stores;
 
-        let task2 = AtomicUsize::new(0);
-        let run_scatter = || {
-            let mut set = use_swwcb.then(|| SwwcbSet::new(fanout2, stride));
-            loop {
-                let p = task2.fetch_add(1, Ordering::Relaxed);
-                if p >= fanout1 {
-                    break;
-                }
-                if let Err(e) = self.ctx.check() {
-                    phase_err.lock().get_or_insert(e);
-                    break;
-                }
-                // Row cursors per sub-partition, in absolute rows. Cursor `s`
-                // only moves over the rows this task scatters to `s`, which
-                // the histogram counted exactly: it stays within final
-                // partition `p * fanout2 + s`'s bounds, a range no other
-                // task writes (each claims its own `p`) and that lies
-                // inside `shared`, whose length is the sum of all bounds.
-                let mut cursors: Vec<usize> =
-                    (0..fanout2).map(|s| bounds[p * fanout2 + s]).collect();
-                let mut bytes = 0usize;
-                for lists in &worker_lists {
-                    for chunk in lists[p].chunks() {
-                        bytes += chunk.len();
-                        for row in chunk.chunks_exact(stride) {
-                            let h = read_u64(row, hash_off);
-                            let s = ((h >> pass2_shift) & mask2) as usize;
-                            if let Some(b) = &bloom {
-                                b.insert(p * fanout2 + s, h);
-                            }
-                            match &mut set {
-                                Some(set) => {
-                                    if set.is_full(s) {
-                                        let buf = set.filled(s);
-                                        let rows = buf.len() / stride;
-                                        // SAFETY: the buffered rows are
-                                        // this task's next `rows` rows of
-                                        // `s` (the cursor bound above).
-                                        let dst = unsafe {
-                                            shared.slice_mut(cursors[s] * stride, buf.len())
-                                        };
-                                        if nt {
-                                            nt_copy(dst, buf);
-                                        } else {
-                                            dst.copy_from_slice(buf);
-                                        }
-                                        cursors[s] += rows;
-                                        set.clear(s);
-                                    }
-                                    set.next_slot(s).copy_from_slice(row);
-                                }
-                                None => {
-                                    // SAFETY: one row of this task's `s`
-                                    // (the cursor bound above).
-                                    let dst =
-                                        unsafe { shared.slice_mut(cursors[s] * stride, stride) };
-                                    dst.copy_from_slice(row);
-                                    cursors[s] += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                if let Some(set) = &mut set {
-                    for s in set.non_empty() {
-                        let buf = set.filled(s);
-                        // SAFETY: the last rows of this task's `s` (the
-                        // cursor bound above).
-                        let dst = unsafe { shared.slice_mut(cursors[s] * stride, buf.len()) };
-                        if nt {
-                            nt_copy(dst, buf);
-                        } else {
-                            dst.copy_from_slice(buf);
-                        }
-                        cursors[s] += buf.len() / stride;
-                        set.clear(s);
-                    }
-                }
-                metrics::record_read(self.phases.pass2, bytes as u64);
-                metrics::record_write(self.phases.pass2, bytes as u64);
-                crate::simd::note(
-                    crate::simd::Kernel::Scatter,
-                    crate::simd::active(),
-                    bytes / stride,
-                );
-            }
-            nt_fence();
+        let label = match build_bloom {
+            true => format!("radix partition pass 2 + bloom build ({side_label})"),
+            false => format!("radix partition pass 2 ({side_label})"),
         };
-        run_parallel(threads, fanout1, run_scatter);
-        drop(pass2_span);
-        if let Some(e) = phase_err.lock().take() {
-            return Err(e);
-        }
+        let label = PipelineLabel::new(&label, WaitState::CpuPartition);
+        exec.run_tasks(&self.ctx, label, fanout1, |p| {
+            let mut set = use_swwcb.then(|| SwwcbSet::new(fanout2, stride));
+            // Row cursors per sub-partition, in absolute rows. Cursor `s`
+            // only moves over the rows this task scatters to `s`, which the
+            // histogram counted exactly: it stays within final partition
+            // `p * fanout2 + s`'s bounds, which lie inside `shared`, whose
+            // length is the sum of all bounds. No other task writes them:
+            // the morsel loop's cursor hands each pre-partition `p` to
+            // exactly one task, on a scoped team and on the pool alike.
+            let mut cursors: Vec<usize> = (0..fanout2).map(|s| bounds[p * fanout2 + s]).collect();
+            let mut bytes = 0usize;
+            for lists in &worker_lists {
+                for chunk in lists[p].chunks() {
+                    bytes += chunk.len();
+                    for row in chunk.chunks_exact(stride) {
+                        let h = read_u64(row, hash_off);
+                        let s = ((h >> pass2_shift) & mask2) as usize;
+                        if let Some(b) = &bloom {
+                            b.insert(p * fanout2 + s, h);
+                        }
+                        match &mut set {
+                            Some(set) => {
+                                if set.is_full(s) {
+                                    let buf = set.filled(s);
+                                    let rows = buf.len() / stride;
+                                    // SAFETY: the buffered rows are this
+                                    // task's next `rows` rows of `s`, in
+                                    // the range only task `p` writes (the
+                                    // cursor bound above).
+                                    let dst =
+                                        unsafe { shared.slice_mut(cursors[s] * stride, buf.len()) };
+                                    if nt {
+                                        nt_copy(dst, buf);
+                                    } else {
+                                        dst.copy_from_slice(buf);
+                                    }
+                                    cursors[s] += rows;
+                                    set.clear(s);
+                                }
+                                set.next_slot(s).copy_from_slice(row);
+                            }
+                            None => {
+                                // SAFETY: one row of this task's `s`, in
+                                // the range only task `p` writes (the
+                                // cursor bound above).
+                                let dst = unsafe { shared.slice_mut(cursors[s] * stride, stride) };
+                                dst.copy_from_slice(row);
+                                cursors[s] += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            if let Some(set) = &mut set {
+                for s in set.non_empty() {
+                    let buf = set.filled(s);
+                    // SAFETY: the last rows of this task's `s`, in the range
+                    // only task `p` writes (the cursor bound above).
+                    let dst = unsafe { shared.slice_mut(cursors[s] * stride, buf.len()) };
+                    if nt {
+                        nt_copy(dst, buf);
+                    } else {
+                        dst.copy_from_slice(buf);
+                    }
+                    cursors[s] += buf.len() / stride;
+                    set.clear(s);
+                }
+            }
+            metrics::record_read(self.phases.pass2, bytes as u64);
+            metrics::record_write(self.phases.pass2, bytes as u64);
+            crate::simd::note(
+                crate::simd::Kernel::Scatter,
+                crate::simd::active(),
+                bytes / stride,
+            );
+            // The task's streaming stores are visible before the pipeline
+            // ends, whichever worker reads the partition next.
+            nt_fence();
+            Ok(())
+        })?;
 
         let side = PartitionedSide {
             layout: self.layout.clone(),
@@ -1208,8 +1188,9 @@ impl PartitionSink {
     /// bits after this sink's. The bucket array is leased where pass 2's
     /// contiguous buffer would be, and a refusal — or a table of more than
     /// `cap` bytes, rows and buckets — closes one more victim
-    /// ([`PartitionSink::settle`]). Call [`PartitionSink::take_runs`] after.
-    pub fn finalize_table(&self, cap: usize, threads: usize) -> ExecResult<Arc<BhjState>> {
+    /// ([`PartitionSink::settle`]). The table is linked on `exec`
+    /// ([`BhjState::link`]). Call [`PartitionSink::take_runs`] after.
+    pub fn finalize_table(&self, cap: usize, exec: &Executor) -> ExecResult<Arc<BhjState>> {
         assert!(self.layout.has_header(), "table rows carry a chain header");
         let Settled {
             worker_lists,
@@ -1227,12 +1208,10 @@ impl PartitionSink {
             })
             .collect();
         lease.absorb(pass1_lease);
-        let keys = self.key_cols.clone();
+        let (layout, keys) = (self.layout.clone(), self.key_cols.clone());
         let shift = self.shift + self.cfg.bits_pass1;
-        let layout = self.layout.clone();
-        Ok(BhjState::link(
-            layout, keys, arenas, heaps, lease, shift, threads,
-        ))
+        let state = BhjState::new(layout, keys, arenas, heaps, lease, shift);
+        state.link(exec, &self.ctx, WaitState::CpuPartition)
     }
 
     /// Write what the finished workers still hold of pre-partition `p` to
@@ -1402,24 +1381,12 @@ impl Operator for RouteOp {
     }
 }
 
-/// Tiny scoped-thread fork-join used by the histogram and scatter stages.
-fn run_parallel(threads: usize, tasks: usize, body: impl Fn() + Sync) {
-    if threads <= 1 || tasks <= 1 {
-        body();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(tasks) {
-                scope.spawn(&body);
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hash::hash_u64;
     use joinstudy_exec::batch::BatchBuilder;
+    use joinstudy_exec::WorkerPool;
     use joinstudy_storage::types::{DataType, Value};
 
     fn partition_i64(
@@ -1493,25 +1460,30 @@ mod tests {
     fn parallel_partitioning_matches_serial() {
         let values: Vec<i64> = (0..30_000).map(|i| i * 7 + 3).collect();
         let serial = partition_i64(&values, RadixConfig::default(), 1, Some(4));
-        // Multi-worker pass 1 (simulate two workers consuming halves).
-        let layout = RowLayout::new(&[DataType::Int64], false);
-        let sink = PartitionSink::new(layout, vec![0], RadixConfig::default(), PhaseSet::build());
-        std::thread::scope(|scope| {
-            for half in values.chunks(values.len() / 2 + 1) {
-                let sink = &sink;
-                scope.spawn(move || feed_i64(sink, half));
-            }
-        });
-        let parallel = sink.finalize(4, Some(4), false).unwrap().0;
+        // Histogram scan and scatter on a scoped team and on a pool.
+        for exec in [Executor::new(4), Executor::pooled(WorkerPool::new(2))] {
+            // Multi-worker pass 1 (simulate two workers consuming halves).
+            let layout = RowLayout::new(&[DataType::Int64], false);
+            let sink =
+                PartitionSink::new(layout, vec![0], RadixConfig::default(), PhaseSet::build());
+            std::thread::scope(|scope| {
+                for half in values.chunks(values.len() / 2 + 1) {
+                    let sink = &sink;
+                    scope.spawn(move || feed_i64(sink, half));
+                }
+            });
+            let parallel = sink.finalize_on(&exec, Some(4), false).unwrap().0;
 
-        assert_eq!(parallel.total_rows(), serial.total_rows());
-        assert_eq!(parallel.num_partitions(), serial.num_partitions());
-        // Same (partition, value) multiset; order within a partition may differ.
-        let mut a = collect_sorted(&serial);
-        let mut b = collect_sorted(&parallel);
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+            assert_eq!(parallel.total_rows(), serial.total_rows());
+            assert_eq!(parallel.num_partitions(), serial.num_partitions());
+            // Same (partition, value) multiset; order within a partition may
+            // differ.
+            let mut a = collect_sorted(&serial);
+            let mut b = collect_sorted(&parallel);
+            a.sort_unstable();
+            b.sort_unstable();
+            assert_eq!(a, b, "{exec:?}");
+        }
     }
 
     #[test]
@@ -1703,16 +1675,19 @@ mod tests {
 
     #[test]
     fn finalize_observes_cancellation() {
-        let ctx = QueryContext::unbounded();
-        let layout = RowLayout::new(&[DataType::Int64], false);
-        let sink = PartitionSink::new(layout, vec![0], RadixConfig::default(), PhaseSet::build())
-            .with_context(Arc::clone(&ctx));
-        feed_i64(&sink, &(0..10_000i64).collect::<Vec<_>>());
-        ctx.cancel();
-        let err = sink.finalize(2, Some(2), false).err().unwrap();
-        assert_eq!(err, ExecError::Cancelled);
-        drop(sink);
-        assert_eq!(ctx.used(), 0);
+        for exec in [Executor::new(2), Executor::pooled(WorkerPool::new(2))] {
+            let ctx = QueryContext::unbounded();
+            let layout = RowLayout::new(&[DataType::Int64], false);
+            let sink =
+                PartitionSink::new(layout, vec![0], RadixConfig::default(), PhaseSet::build())
+                    .with_context(Arc::clone(&ctx));
+            feed_i64(&sink, &(0..10_000i64).collect::<Vec<_>>());
+            ctx.cancel();
+            let err = sink.finalize_on(&exec, Some(2), false).err().unwrap();
+            assert_eq!(err, ExecError::Cancelled, "{exec:?}");
+            drop(sink);
+            assert_eq!(ctx.used(), 0, "{exec:?}");
+        }
     }
 
     #[test]

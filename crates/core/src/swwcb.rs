@@ -51,8 +51,8 @@ pub fn nt_copy(dst: &mut [u8], src: &[u8]) {
 }
 
 /// Drain the CPU's write-combining buffers. Must run before another thread
-/// reads data written through [`nt_copy`]; we call it once per worker at
-/// partitioning-phase end (like the original radix-join code), not per flush.
+/// reads data written through [`nt_copy`]; we call it once per pass-1 worker
+/// and pass-2 task (like the original radix-join code), not per flush.
 #[inline]
 pub fn nt_fence() {
     // SAFETY: `sfence` only orders stores; it touches no memory.
@@ -236,7 +236,7 @@ mod tests {
     #[should_panic(expected = "unaligned NT destination")]
     fn nt_copy_rejects_an_unaligned_destination() {
         let mut buf = [0u8; 24];
-        let skew = usize::from(buf.as_ptr() as usize % 8 == 0);
+        let skew = usize::from((buf.as_ptr() as usize).is_multiple_of(8));
         nt_copy(&mut buf[skew..skew + 16], &[0u8; 16]);
     }
 

@@ -21,6 +21,7 @@ use joinstudy_core::JoinType;
 use joinstudy_exec::batch::Batch;
 use joinstudy_exec::expr::Expr;
 use joinstudy_exec::pipeline::{Operator, Sink, Source};
+use joinstudy_exec::Executor;
 use joinstudy_storage::column::{ColumnData, StrColumn};
 use joinstudy_storage::types::{DataType, Value};
 use proptest::prelude::*;
@@ -118,7 +119,7 @@ fn build_state(
         sink.consume(&mut local, input.take(&sel)).unwrap();
         sink.finish_local(local).unwrap();
     }
-    let state = sink.into_state(2).unwrap();
+    let state = sink.into_state(&Executor::new(2)).unwrap();
     if !tiny {
         return state;
     }

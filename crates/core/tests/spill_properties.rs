@@ -19,6 +19,7 @@ use joinstudy_exec::error::ExecError;
 use joinstudy_exec::ops::{AggFunc, AggSpec};
 use joinstudy_exec::pipeline::{Operator, Sink};
 use joinstudy_exec::profile::DetailValue;
+use joinstudy_exec::Executor;
 use joinstudy_storage::column::ColumnData;
 use joinstudy_storage::gen::{Rng, Zipf};
 use joinstudy_storage::table::{Schema, Table, TableBuilder};
@@ -280,7 +281,9 @@ fn only_probe_rows_of_closed_partitions_are_written() {
         sink.consume(&mut local, batch).unwrap();
     }
     sink.finish_local(local).unwrap();
-    let table = join.table(&level, &sink, &closed, 1).unwrap();
+    let table = join
+        .table(&level, &sink, &closed, &Executor::new(1))
+        .unwrap();
     let shut = table.closed_partitions();
     assert!(
         shut > 0 && shut < level.fanout(),
@@ -354,7 +357,9 @@ fn a_level_table_keeps_to_its_share_across_runs() {
         }
         sink.finish_local(local).unwrap();
     }
-    let table = join.table(&level, &sink, &closed, 1).unwrap();
+    let table = join
+        .table(&level, &sink, &closed, &Executor::new(1))
+        .unwrap();
     let state = &table.state;
     let held = state.rows * state.layout.stride() + state.table.num_buckets() * 8;
     assert!(table.closed_partitions() > 0);

@@ -81,6 +81,16 @@ pub trait Sink: Send + Sync {
     fn finish(&self) {}
 }
 
+/// A sink that drops everything: the end of a pipeline whose work is done on
+/// the way (a marking probe, an [`crate::Executor::run_tasks`] pipeline).
+pub struct DiscardSink;
+
+impl Sink for DiscardSink {
+    fn consume(&self, _local: &mut LocalState, _input: Batch) -> ExecResult {
+        Ok(())
+    }
+}
+
 /// A compiled (sub-)pipeline: where tuples come from, which fused operators
 /// they traverse, and the schema they carry at the end of the chain.
 ///

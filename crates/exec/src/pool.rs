@@ -77,10 +77,10 @@ struct PipelineRefs {
     sink: *const dyn Sink,
 }
 
-// SAFETY: the pointees are `Sync` (`Source`/`Operator`/`Sink` require it,
-// the scoped executor already shares them across its worker team) and the
-// submitting thread keeps the borrows alive until the pipeline retires.
+// SAFETY: sending the pointers moves no ownership; the submitting thread
+// keeps the borrows alive until the pipeline retires.
 unsafe impl Send for PipelineRefs {}
+// SAFETY: every pointee is `Sync` (`QueryContext` is; the traits require it).
 unsafe impl Sync for PipelineRefs {}
 
 /// One pipeline currently being served by the pool. All counter fields are
@@ -117,9 +117,10 @@ impl ActivePipeline {
     ///
     /// # Safety
     ///
-    /// Only while the pipeline has not retired (the caller is engaged on it
-    /// or holds the state lock with the pipeline still in the active list):
-    /// until then the submitter is blocked and the pointees are alive.
+    /// The caller keeps the pipeline from retiring while it uses the view: it
+    /// is engaged on it, or holds the state lock with the pipeline active.
+    /// Until retirement the submitter is blocked in
+    /// [`WorkerPool::run_pipeline_obs`], so the borrows behind `refs` live.
     unsafe fn view(&self) -> Pipeline<'_> {
         Pipeline {
             ctx: &*self.refs.ctx,
@@ -253,21 +254,21 @@ impl WorkerPool {
         // Submitted but no morsel claimed yet; each morsel re-stamps the
         // CPU flavor on entry and PoolWait on exit.
         ctx.stamp_wait(WaitState::PoolWait);
-        // Erase the borrow lifetimes into raw pointers. SAFETY: this
-        // function blocks until the pipeline retires (no worker can reach
-        // these pointers afterwards), so the pointees outlive every use.
         let source_ptr: *const (dyn Source + '_) = source;
         let sink_ptr: *const (dyn Sink + '_) = sink;
         let pipe = Arc::new(ActivePipeline {
             id: self.inner.next_id.fetch_add(1, Ordering::Relaxed),
             refs: PipelineRefs {
                 ctx: Arc::as_ptr(ctx),
+                // SAFETY: erases only the lifetime; `source` is borrowed until
+                // this function returns, which is after the pipeline retired.
                 source: unsafe {
                     std::mem::transmute::<*const (dyn Source + '_), *const (dyn Source + 'static)>(
                         source_ptr,
                     )
                 },
                 ops: ops as *const [Arc<dyn Operator>],
+                // SAFETY: as for `source`.
                 sink: unsafe {
                     std::mem::transmute::<*const (dyn Sink + '_), *const (dyn Sink + 'static)>(
                         sink_ptr,

@@ -7,8 +7,8 @@
 //! the morsel-driven scheduler of Leis et al. that the paper's host system
 //! uses for all pipelines, including both radix-partitioning passes.
 //!
-//! This module owns only the threads: an [`Executor`] spawns one scoped
-//! team per pipeline (or hands the pipeline to the shared
+//! This module and [`crate::pool`] own every thread: an [`Executor`] spawns
+//! one scoped team per pipeline (or hands the pipeline to the shared
 //! [`WorkerPool`](crate::pool::WorkerPool)), and every worker runs the one
 //! morsel loop of [`crate::morsel`] — `while worker.step()? {}`, then
 //! `worker.drain()`. Profiling, live progress and tracing are data that
@@ -30,7 +30,7 @@
 use crate::context::QueryContext;
 use crate::error::ExecResult;
 use crate::morsel::{Failure, Pipeline, PipelineLabel, Worker};
-use crate::pipeline::{Operator, Sink, Source};
+use crate::pipeline::{DiscardSink, Emit, Operator, Sink, Source};
 use crate::profile::PipelineStats;
 use crate::trace;
 use std::sync::atomic::AtomicUsize;
@@ -57,14 +57,6 @@ impl Executor {
             threads,
             pool: None,
         }
-    }
-
-    /// An executor using all available hardware parallelism.
-    pub fn default_parallel() -> Executor {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Executor::new(n)
     }
 
     /// An executor that submits every pipeline to `pool` instead of
@@ -161,6 +153,34 @@ impl Executor {
         }
         stats.record_run(started.elapsed().as_nanos() as u64, workers as u64);
         failure.conclude(sink)
+    }
+
+    /// Run `body(task)` for each task of `0..tasks` as one pipeline under
+    /// `label` that emits nothing (a radix histogram scan or scatter, a hash
+    /// table's link): the morsel loop claims each task once, checks `ctx`
+    /// before each, and turns the first error or panic into the result.
+    pub fn run_tasks(
+        &self,
+        ctx: &Arc<QueryContext>,
+        label: PipelineLabel<'_>,
+        tasks: usize,
+        body: impl Fn(usize) -> ExecResult + Send + Sync,
+    ) -> ExecResult {
+        let stats = Arc::new(PipelineStats::new(ctx, label, 0, tasks as u64, false));
+        self.run_pipeline_obs(ctx, &TaskSource(tasks, body), &[], &DiscardSink, &stats)
+    }
+}
+
+/// The source of a [`Executor::run_tasks`] pipeline: task count and body.
+struct TaskSource<F>(usize, F);
+
+impl<F: Fn(usize) -> ExecResult + Send + Sync> Source for TaskSource<F> {
+    fn task_count(&self) -> usize {
+        self.0
+    }
+
+    fn poll_task(&self, task: usize, _out: Emit) -> ExecResult {
+        (self.1)(task)
     }
 }
 

@@ -20,9 +20,10 @@
 //!   drains its pipeline — the "epoch flush": span buffers only migrate at
 //!   pipeline-drain boundaries, never mid-execution.
 //! - **Cold path goes straight to the collector**: pipeline-breaker
-//!   finalize phases, radix partition passes, Bloom build, and degradation
-//!   instants happen a handful of times per query, so they push under the
-//!   mutex directly via [`phase_scope`] / [`instant`].
+//!   finalize phases, hybrid reloads and degradation instants happen a
+//!   handful of times per query, so they push under the mutex directly via
+//!   [`phase_scope`] / [`instant`]. (The radix histogram scan, scatter and
+//!   Bloom build are pipelines, traced like any other.)
 //! - **Idle spans are synthesized, not measured**: when a worker drains it
 //!   reports its drain timestamp; when the pipeline ends, the gap between
 //!   each worker's drain and the pipeline end becomes an `Idle` span. That
@@ -68,8 +69,8 @@ pub enum SpanKind {
     /// One morsel (source task) executed by a worker, inclusive of the
     /// downstream operator chain and sink consume.
     Morsel,
-    /// A cold-path phase on the control track: breaker finalize, radix
-    /// histogram scan / pass-2 scatter, Bloom build.
+    /// A cold-path phase on the control track: a breaker's serial finalize
+    /// (e.g. a hash table's allocation and inline link), a hybrid reload.
     Phase,
     /// Synthesized wait interval: a worker drained its pipeline and parked
     /// until the slowest sibling finished (the partition-barrier gap).

@@ -94,18 +94,20 @@ fn rj_trace_shows_partition_work_absent_from_bhj() {
     let (_, brj) = run_traced(&engine, JoinAlgo::Brj);
 
     let has = |t: &QueryTrace, needle: &str| t.spans.iter().any(|s| s.name.contains(needle));
+    let ran = |t: &QueryTrace, needle: &str| t.pipelines.iter().any(|p| p.label.contains(needle));
 
     // The partitioned joins do radix work the non-partitioned join never
-    // does: histogram scans, scatter passes, and workers parked at the
-    // partition barrier (idle spans of the partition pipelines).
+    // does: histogram scans, scatter passes (each a pipeline of its own),
+    // and workers parked at the partition barrier (idle spans of the
+    // partition pipelines).
     for (tag, t) in [("RJ", &rj), ("BRJ", &brj)] {
         assert!(
-            has(t, "radix histogram scan"),
-            "{tag} trace lacks histogram-scan phase spans"
+            ran(t, "radix histogram scan"),
+            "{tag} trace lacks histogram-scan pipelines"
         );
         assert!(
-            has(t, "radix partition pass 2"),
-            "{tag} trace lacks scatter phase spans"
+            ran(t, "radix partition pass 2"),
+            "{tag} trace lacks scatter pipelines"
         );
         assert!(
             t.spans
@@ -114,12 +116,17 @@ fn rj_trace_shows_partition_work_absent_from_bhj() {
             "{tag} trace lacks partition-pipeline idle spans"
         );
     }
-    assert!(has(&brj, "bloom build"), "BRJ trace lacks bloom-build span");
+    assert!(
+        ran(&brj, "bloom build"),
+        "BRJ trace lacks bloom-build pipeline"
+    );
     for needle in ["radix", "partition", "bloom"] {
+        let spans = bhj.spans.iter().map(|s| &*s.name);
+        let pipelines = bhj.pipelines.iter().map(|p| p.label.as_str());
         assert!(
-            !bhj.spans
-                .iter()
-                .any(|s| s.name.to_ascii_lowercase().contains(needle)),
+            !spans
+                .chain(pipelines)
+                .any(|name| name.to_ascii_lowercase().contains(needle)),
             "BHJ trace unexpectedly mentions {needle:?}"
         );
     }
