@@ -170,9 +170,12 @@ pub fn hash_i32_scalar(vals: &[i32], out: &mut [u64], first: bool) {
 
 /// Dispatched i64 key hashing. Counts rows under `simd.hash.*`.
 pub fn hash_i64(vals: &[i64], out: &mut [u64], first: bool) {
+    assert_eq!(vals.len(), out.len(), "hash output length");
     let path = active();
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     if path == SimdPath::Avx2 {
+        // SAFETY: the dispatcher chose AVX2, so the CPU has it, and the
+        // kernel's bound `vals.len() == out.len()` was asserted above.
         unsafe { avx2::hash_i64(vals, out, first) };
         note(Kernel::Hash, path, vals.len());
         return;
@@ -183,9 +186,12 @@ pub fn hash_i64(vals: &[i64], out: &mut [u64], first: bool) {
 
 /// Dispatched i32 key hashing. Counts rows under `simd.hash.*`.
 pub fn hash_i32(vals: &[i32], out: &mut [u64], first: bool) {
+    assert_eq!(vals.len(), out.len(), "hash output length");
     let path = active();
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     if path == SimdPath::Avx2 {
+        // SAFETY: the dispatcher chose AVX2, so the CPU has it, and the
+        // kernel's bound `vals.len() == out.len()` was asserted above.
         unsafe { avx2::hash_i32(vals, out, first) };
         note(Kernel::Hash, path, vals.len());
         return;
@@ -197,8 +203,11 @@ pub fn hash_i32(vals: &[i32], out: &mut [u64], first: bool) {
 /// AVX2 i64 hashing, callable directly by equivalence tests. Falls back to
 /// scalar if AVX2 is unavailable (so the call is always safe).
 pub fn hash_i64_avx2(vals: &[i64], out: &mut [u64], first: bool) {
+    assert_eq!(vals.len(), out.len(), "hash output length");
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     if avx2_available() {
+        // SAFETY: AVX2 is present, and `vals.len() == out.len()` was
+        // asserted above.
         unsafe { avx2::hash_i64(vals, out, first) };
         return;
     }
@@ -207,8 +216,11 @@ pub fn hash_i64_avx2(vals: &[i64], out: &mut [u64], first: bool) {
 
 /// AVX2 i32 hashing, callable directly by equivalence tests.
 pub fn hash_i32_avx2(vals: &[i32], out: &mut [u64], first: bool) {
+    assert_eq!(vals.len(), out.len(), "hash output length");
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     if avx2_available() {
+        // SAFETY: AVX2 is present, and `vals.len() == out.len()` was
+        // asserted above.
         unsafe { avx2::hash_i32(vals, out, first) };
         return;
     }
@@ -236,6 +248,16 @@ pub fn hist_chunk_scalar(
     }
 }
 
+/// Panics unless every row's 8-byte hash at `hash_off` lies inside its
+/// `stride`-byte row — the bound the AVX2 gather relies on.
+#[inline]
+fn assert_hash_in_row(stride: usize, hash_off: usize) {
+    assert!(
+        stride > 0 && hash_off.checked_add(8).is_some_and(|end| end <= stride),
+        "hash word at {hash_off} outside a {stride}-byte row"
+    );
+}
+
 /// Dispatched histogram over one chunk. The caller notes `simd.hist.*` at
 /// task granularity (one task scans many chunks).
 #[inline]
@@ -247,8 +269,11 @@ pub fn hist_chunk(
     mask2: u64,
     counts: &mut [usize],
 ) {
+    assert_hash_in_row(stride, hash_off);
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     if active() == SimdPath::Avx2 {
+        // SAFETY: the dispatcher chose AVX2, so the CPU has it, and the
+        // gather's bound `hash_off + 8 <= stride` was asserted above.
         unsafe { avx2::hist_chunk(chunk, stride, hash_off, bits1, mask2, counts) };
         return;
     }
@@ -265,8 +290,11 @@ pub fn hist_chunk_avx2(
     mask2: u64,
     counts: &mut [usize],
 ) {
+    assert_hash_in_row(stride, hash_off);
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     if avx2_available() {
+        // SAFETY: AVX2 is present, and `hash_off + 8 <= stride` was
+        // asserted above.
         unsafe { avx2::hist_chunk(chunk, stride, hash_off, bits1, mask2, counts) };
         return;
     }
@@ -312,9 +340,10 @@ pub fn nt_copy_avx2(dst: &mut [u8], src: &[u8]) {
 ///
 /// # Safety
 ///
-/// `words` must point to at least `(1 << (bits1 + bits2 + wpp_shift))`
-/// readable words, and every hash's derived index stays below that bound by
-/// construction (partition bits and word bits are masked).
+/// The CPU must have AVX2. `words` must point to at least
+/// `(1 << (bits1 + bits2 + wpp_shift))` readable words, and every hash's
+/// derived index stays below that bound by construction (partition bits and
+/// word bits are masked).
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 pub unsafe fn bloom_probe_avx2(
     words: *const u64,
@@ -325,7 +354,9 @@ pub unsafe fn bloom_probe_avx2(
     hashes: &[u64],
     sel: &mut Vec<u32>,
 ) {
-    avx2::bloom_probe(words, wpp_shift, word_mask, bits1, bits2, hashes, sel)
+    // SAFETY: the caller upholds the `words` bound stated above, and the
+    // caller dispatched here only with AVX2 present.
+    unsafe { avx2::bloom_probe(words, wpp_shift, word_mask, bits1, bits2, hashes, sel) }
 }
 
 // ---------------------------------------------------------------------------
@@ -342,6 +373,9 @@ mod avx2 {
 
     /// 64x64→64 low multiply synthesized from 32-bit multiplies (AVX2 has no
     /// `_mm256_mullo_epi64`): `lo(a)*lo(b) + ((hi(a)*lo(b) + lo(a)*hi(b)) << 32)`.
+    ///
+    /// # Safety
+    /// The CPU must have AVX2; the rest is register arithmetic.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn mul64(a: __m256i, b: __m256i) -> __m256i {
@@ -354,6 +388,9 @@ mod avx2 {
 
     /// Four murmur finalizers at once — bit-identical to
     /// [`crate::hash::hash_u64`] per lane.
+    ///
+    /// # Safety
+    /// The CPU must have AVX2; the rest is register arithmetic.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn fmix4(mut h: __m256i) -> __m256i {
@@ -365,6 +402,9 @@ mod avx2 {
     }
 
     /// Four `hash_combine(acc, next)` at once.
+    ///
+    /// # Safety
+    /// The CPU must have AVX2; the rest is register arithmetic.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn combine4(acc: __m256i, next: __m256i) -> __m256i {
@@ -375,6 +415,9 @@ mod avx2 {
         fmix4(_mm256_xor_si256(acc, t))
     }
 
+    /// # Safety
+    /// The CPU must have AVX2, and `vals.len() == out.len()`: every 4-lane
+    /// load and store is at `i + 4 <= vals.len()`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn hash_i64(vals: &[i64], out: &mut [u64], first: bool) {
         debug_assert_eq!(vals.len(), out.len());
@@ -395,6 +438,9 @@ mod avx2 {
         super::hash_i64_scalar(&vals[i..], &mut out[i..], first);
     }
 
+    /// # Safety
+    /// The CPU must have AVX2, and `vals.len() == out.len()`: every 4-lane
+    /// load and store is at `i + 4 <= vals.len()`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn hash_i32(vals: &[i32], out: &mut [u64], first: bool) {
         debug_assert_eq!(vals.len(), out.len());
@@ -417,6 +463,10 @@ mod avx2 {
         super::hash_i32_scalar(&vals[i..], &mut out[i..], first);
     }
 
+    /// # Safety
+    /// The CPU must have AVX2, `stride > 0` and `hash_off + 8 <= stride`:
+    /// the gather reads 8 bytes at `hash_off` of rows `i..i + 4`, all below
+    /// `chunk.len() / stride`, so each read stays inside its row.
     #[target_feature(enable = "avx2")]
     pub unsafe fn hist_chunk(
         chunk: &[u8],
@@ -456,6 +506,10 @@ mod avx2 {
         super::hist_chunk_scalar(&chunk[i * stride..], stride, hash_off, bits1, mask2, counts);
     }
 
+    /// # Safety
+    /// The CPU must have AVX2, and `dst` and `src` have one length, a
+    /// multiple of 8 (`nt_copy_avx2` asserts both): every load and store is
+    /// 8 or 32 bytes inside `rem`, which counts down from that length.
     #[target_feature(enable = "avx2")]
     pub unsafe fn nt_copy(dst: &mut [u8], src: &[u8]) {
         let mut rem = dst.len();
@@ -484,6 +538,9 @@ mod avx2 {
         }
     }
 
+    /// # Safety
+    /// As [`super::bloom_probe_avx2`]; the hash loads are at
+    /// `i + 4 <= hashes.len()`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn bloom_probe(
         words: *const u64,
@@ -619,12 +676,53 @@ mod tests {
         assert_eq!(a.iter().sum::<usize>(), rows);
     }
 
+    // The safe wrappers check the bounds the AVX2 kernels rely on, in
+    // release builds too, whichever path the host dispatches to.
+
+    #[test]
+    #[should_panic(expected = "hash output length")]
+    fn hash_i64_rejects_a_short_output() {
+        hash_i64(&[1; 9], &mut [0; 5], true);
+    }
+
+    #[test]
+    #[should_panic(expected = "hash output length")]
+    fn hash_i32_rejects_a_short_output() {
+        hash_i32(&[1; 9], &mut [0; 5], false);
+    }
+
+    #[test]
+    #[should_panic(expected = "hash output length")]
+    fn hash_i64_avx2_rejects_a_short_output() {
+        hash_i64_avx2(&[1; 9], &mut [0; 5], true);
+    }
+
+    #[test]
+    #[should_panic(expected = "hash output length")]
+    fn hash_i32_avx2_rejects_a_short_output() {
+        hash_i32_avx2(&[1; 9], &mut [0; 5], false);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 16-byte row")]
+    fn hist_chunk_rejects_a_hash_past_the_row() {
+        hist_chunk(&[0; 16 * 8], 16, 9, 0, 7, &mut [0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 0-byte row")]
+    fn hist_chunk_avx2_rejects_a_zero_stride() {
+        hist_chunk_avx2(&[0; 64], 0, 0, 0, 7, &mut [0; 8]);
+    }
+
     #[test]
     fn nt_copy_avx2_roundtrip_all_lengths() {
         // Cover head-alignment + body + tail combinations.
         for words in [1usize, 2, 3, 4, 5, 8, 9, 16, 31] {
             let src: Vec<u8> = (0..words * 8).map(|i| i as u8).collect();
             let mut dst_words = vec![0u64; words];
+            // SAFETY: `dst_words` owns `words * 8` initialized bytes, 8-byte
+            // aligned, and outlives `dst`.
             let dst = unsafe {
                 std::slice::from_raw_parts_mut(dst_words.as_mut_ptr().cast::<u8>(), words * 8)
             };

@@ -93,12 +93,20 @@ impl Rng {
         v
     }
 
-    /// Random ASCII string of lowercase letters with length in `[min, max]`.
-    pub fn alpha_string(&mut self, min: usize, max: usize, out: &mut String) {
+    /// Random ASCII string of lowercase letters with length in `[min, max]`,
+    /// written into `out`. The draws are the same whether or not there is an
+    /// `out`, so a caller that does not need the string still advances the
+    /// stream exactly as one that does.
+    pub fn alpha_string(&mut self, min: usize, max: usize, mut out: Option<&mut String>) {
         let len = min + self.u64_below((max - min + 1) as u64) as usize;
-        out.clear();
+        if let Some(s) = out.as_deref_mut() {
+            s.clear();
+        }
         for _ in 0..len {
-            out.push((b'a' + self.u64_below(26) as u8) as char);
+            let c = (b'a' + self.u64_below(26) as u8) as char;
+            if let Some(s) = out.as_deref_mut() {
+                s.push(c);
+            }
         }
     }
 
@@ -291,9 +299,20 @@ mod tests {
         let mut rng = Rng::new(19);
         let mut s = String::new();
         for _ in 0..100 {
-            rng.alpha_string(3, 9, &mut s);
+            rng.alpha_string(3, 9, Some(&mut s));
             assert!((3..=9).contains(&s.len()));
             assert!(s.bytes().all(|b| b.is_ascii_lowercase()));
+        }
+    }
+
+    #[test]
+    fn alpha_string_without_output_draws_the_same() {
+        let (mut a, mut b) = (Rng::new(23), Rng::new(23));
+        let mut s = String::new();
+        for _ in 0..100 {
+            a.alpha_string(3, 9, Some(&mut s));
+            b.alpha_string(3, 9, None);
+            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 

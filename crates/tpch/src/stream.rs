@@ -17,14 +17,24 @@
 //! module (one materializing pass over the chunks), so the streaming and
 //! materializing paths cannot drift apart: they are the same code.
 //!
+//! # Projection
+//!
+//! [`StreamGen::chunk_cols`] generates only the requested columns, and
+//! [`StreamGen::chunk`] is its all-columns case: one routine per table.
+//! A unit makes the same draws in the same order whatever is requested,
+//! formats and stores only the requested values, and stops drawing after
+//! the last of them. Nothing can observe the skipped draws, because no
+//! other unit shares its [`Rng`], so each projected column equals that
+//! column of the full chunk.
+//!
 //! # Constant memory
 //!
 //! A [`StreamScan`] holds no table data; each executor task materializes
-//! one chunk (default [`CHUNK_UNITS`] units, a few MiB at most), slices it
-//! into batches, and drops it. Peak generator memory is
-//! `chunks_in_flight × chunk_bytes`, independent of scale factor — SF 10+
-//! flows straight into the (spilling) join path without ever existing as
-//! a whole table.
+//! the projected columns of one chunk (default [`CHUNK_UNITS`] units, a
+//! few MiB at most), slices them into batches, and drops them. Peak
+//! generator memory is `chunks_in_flight × chunk_bytes`, independent of
+//! scale factor — SF 10+ flows straight into the (spilling) join path
+//! without ever existing as a whole table.
 
 use crate::dbgen::{cardinalities, retail_price_cents, supp_for_part};
 use crate::text;
@@ -35,8 +45,9 @@ use joinstudy_exec::pipeline::{Emit, Source};
 use joinstudy_exec::BATCH_ROWS;
 use joinstudy_storage::column::ColumnData;
 use joinstudy_storage::gen::{Rng, Zipf};
-use joinstudy_storage::table::{Field, Schema, Table, TableBuilder};
+use joinstudy_storage::table::{Schema, Table, TableBuilder};
 use joinstudy_storage::types::{DataType, Date};
+use std::fmt::Write;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -311,19 +322,29 @@ impl StreamGen {
         }
     }
 
-    /// Materialize one chunk as a standalone table — deterministic in
-    /// `(sf, seed, table, unit range)` only.
+    /// Materialize one chunk with every column, as a standalone table —
+    /// deterministic in `(sf, seed, table, unit range)` only.
     pub fn chunk(&self, table: TpchTable, idx: usize) -> Table {
+        self.chunk_cols(table, idx, &all_columns(table))
+    }
+
+    /// Materialize the columns `cols` (schema indices, in output order) of
+    /// one chunk. Each column equals the same column of
+    /// [`StreamGen::chunk`]: every unit makes the same draws from its own
+    /// [`Rng`] up to its last requested value, and only the requested
+    /// columns are formatted and stored.
+    pub fn chunk_cols(&self, table: TpchTable, idx: usize, cols: &[usize]) -> Table {
         let range = self.unit_range(table, idx);
         let cap = match table {
             TpchTable::Lineitem => range.len() * 5,
             _ => range.len(),
         };
-        let mut b = TableBuilder::with_capacity(table.schema(), cap);
+        let mut b = TableBuilder::with_capacity(project(&table.schema(), cols), cap);
+        let out = Out::new(&mut b, cols);
         match table {
-            TpchTable::Orders => self.append_orders_lineitem(range, Some(&mut b), None),
-            TpchTable::Lineitem => self.append_orders_lineitem(range, None, Some(&mut b)),
-            t => self.append_units(t, range, &mut b),
+            TpchTable::Orders => self.append_orders_lineitem(range, Some(out), None),
+            TpchTable::Lineitem => self.append_orders_lineitem(range, None, Some(out)),
+            t => self.append_units(t, range, out),
         }
         b.finish()
     }
@@ -336,80 +357,115 @@ impl StreamGen {
         );
         let units = self.units(table);
         let mut b = TableBuilder::with_capacity(table.schema(), units);
-        self.append_units(table, 0..units, &mut b);
+        self.append_units(table, 0..units, Out::new(&mut b, &all_columns(table)));
         b.finish()
     }
 
     /// Materialize orders and lineitem in one co-generating pass.
     pub fn materialize_orders_lineitem(&self) -> (Table, Table) {
-        let mut ob = TableBuilder::with_capacity(TpchTable::Orders.schema(), self.orders);
-        let mut lb = TableBuilder::with_capacity(TpchTable::Lineitem.schema(), self.orders * 4);
-        self.append_orders_lineitem(0..self.orders, Some(&mut ob), Some(&mut lb));
+        let (orders, lineitem) = (TpchTable::Orders, TpchTable::Lineitem);
+        let mut ob = TableBuilder::with_capacity(orders.schema(), self.orders);
+        let mut lb = TableBuilder::with_capacity(lineitem.schema(), self.orders * 4);
+        self.append_orders_lineitem(
+            0..self.orders,
+            Some(Out::new(&mut ob, &all_columns(orders))),
+            Some(Out::new(&mut lb, &all_columns(lineitem))),
+        );
         (ob.finish(), lb.finish())
     }
 
-    /// Generate the units `range` of a base table into `b`.
-    fn append_units(&self, table: TpchTable, range: Range<usize>, b: &mut TableBuilder) {
+    /// Generate the units `range` of a base table into `out`.
+    fn append_units(&self, table: TpchTable, range: Range<usize>, mut out: Out) {
         let mut buf = String::new();
-        let mut c = String::new();
         for u in range {
             let mut rng = unit_rng(self.seed, table, u as u64);
             match table {
                 TpchTable::Region => {
-                    comment(&mut rng, &mut c);
-                    push_i64(b, 0, u as i64);
-                    push_str(b, 1, text::REGIONS[u]);
-                    push_str(b, 2, &c);
+                    out.i64(0, u as i64);
+                    out.str(1, text::REGIONS[u]);
+                    if out.wants(2) {
+                        comment(&mut rng, Some(&mut buf));
+                        out.str(2, &buf);
+                    }
                 }
                 TpchTable::Nation => {
                     let (name, region) = text::NATIONS[u];
-                    comment(&mut rng, &mut c);
-                    push_i64(b, 0, u as i64);
-                    push_str(b, 1, name);
-                    push_i64(b, 2, region);
-                    push_str(b, 3, &c);
+                    out.i64(0, u as i64);
+                    out.str(1, name);
+                    out.i64(2, region);
+                    if out.wants(3) {
+                        comment(&mut rng, Some(&mut buf));
+                        out.str(3, &buf);
+                    }
                 }
-                TpchTable::Supplier => self.supplier_row(&mut rng, u as i64 + 1, b, &mut buf),
-                TpchTable::Part => self.part_row(&mut rng, u as i64 + 1, b, &mut buf),
+                TpchTable::Supplier => {
+                    self.supplier_row(&mut rng, u as i64 + 1, &mut out, &mut buf)
+                }
+                TpchTable::Part => self.part_row(&mut rng, u as i64 + 1, &mut out, &mut buf),
                 TpchTable::Partsupp => {
                     // Unit u is the u-th partsupp row: part u/4, slot u%4.
                     let pk = (u / 4) as i64 + 1;
                     let i = (u % 4) as i64;
-                    push_i64(b, 0, pk);
-                    push_i64(b, 1, supp_for_part(pk, i, self.suppliers as i64));
-                    push_i32(b, 2, rng.i32_range(1, 9_999));
-                    push_dec(b, 3, rng.i64_range(100, 100_000));
-                    comment(&mut rng, &mut buf);
-                    push_str(b, 4, &buf);
+                    out.i64(0, pk);
+                    out.i64(1, supp_for_part(pk, i, self.suppliers as i64));
+                    if !out.needs_from(2) {
+                        continue;
+                    }
+                    out.i32(2, rng.i32_range(1, 9_999));
+                    out.dec(3, rng.i64_range(100, 100_000));
+                    if out.wants(4) {
+                        comment(&mut rng, Some(&mut buf));
+                        out.str(4, &buf);
+                    }
                 }
-                TpchTable::Customer => self.customer_row(&mut rng, u as i64 + 1, b, &mut buf),
+                TpchTable::Customer => {
+                    self.customer_row(&mut rng, u as i64 + 1, &mut out, &mut buf)
+                }
                 TpchTable::Orders | TpchTable::Lineitem => unreachable!(),
             }
         }
     }
 
-    fn supplier_row(&self, rng: &mut Rng, k: i64, b: &mut TableBuilder, buf: &mut String) {
+    fn supplier_row(&self, rng: &mut Rng, k: i64, out: &mut Out, buf: &mut String) {
+        out.i64(0, k);
+        if out.wants(1) {
+            buf.clear();
+            let _ = write!(buf, "Supplier#{k:09}");
+            out.str(1, buf);
+        }
+        if !out.needs_from(2) {
+            return;
+        }
         let nation = rng.u64_below(25) as i64;
-        push_i64(b, 0, k);
-        push_str(b, 1, &format!("Supplier#{k:09}"));
-        rng.alpha_string(10, 30, buf);
-        push_str(b, 2, buf);
-        push_i64(b, 3, nation);
-        phone(rng, nation, buf);
-        push_str(b, 4, buf);
-        push_dec(b, 5, rng.i64_range(-99_999, 999_999));
+        rng.alpha_string(10, 30, out.wants(2).then_some(&mut *buf));
+        out.str(2, buf);
+        out.i64(3, nation);
+        if !out.needs_from(4) {
+            return;
+        }
+        phone(rng, nation, out.wants(4).then_some(&mut *buf));
+        out.str(4, buf);
+        out.dec(5, rng.i64_range(-99_999, 999_999));
+        if !out.wants(6) {
+            return;
+        }
         // Q16's pattern: the spec injects complaints into 5 per 10k suppliers.
         if rng.bool(0.0005) {
-            push_str(b, 6, "the slyly final Customer ironic Complaints sleep");
+            out.str(6, "the slyly final Customer ironic Complaints sleep");
         } else {
-            comment(rng, buf);
-            push_str(b, 6, buf);
+            comment(rng, Some(buf));
+            out.str(6, buf);
         }
     }
 
-    fn part_row(&self, rng: &mut Rng, k: i64, b: &mut TableBuilder, buf: &mut String) {
-        push_i64(b, 0, k);
+    fn part_row(&self, rng: &mut Rng, k: i64, out: &mut Out, buf: &mut String) {
+        out.i64(0, k);
+        out.dec(7, retail_price_cents(k));
+        if !out.needs_from(1) {
+            return;
+        }
         // p_name: five distinct color words.
+        let name = out.wants(1);
         buf.clear();
         let mut used = [usize::MAX; 5];
         for w in 0..5 {
@@ -421,64 +477,112 @@ impl StreamGen {
                 }
             }
             used[w] = idx;
-            if w > 0 {
-                buf.push(' ');
+            if name {
+                if w > 0 {
+                    buf.push(' ');
+                }
+                buf.push_str(text::COLORS[idx]);
             }
-            buf.push_str(text::COLORS[idx]);
         }
-        push_str(b, 1, buf);
+        out.str(1, buf);
         let mfgr = 1 + rng.u64_below(5);
-        push_str(b, 2, &format!("Manufacturer#{mfgr}"));
-        push_str(b, 3, &format!("Brand#{}{}", mfgr, 1 + rng.u64_below(5)));
-        let ptype = format!(
-            "{} {} {}",
+        let brand = 1 + rng.u64_below(5);
+        if out.wants(2) {
+            buf.clear();
+            let _ = write!(buf, "Manufacturer#{mfgr}");
+            out.str(2, buf);
+        }
+        if out.wants(3) {
+            buf.clear();
+            let _ = write!(buf, "Brand#{mfgr}{brand}");
+            out.str(3, buf);
+        }
+        let ptype = [
             *rng.pick::<&str>(&text::TYPE_S1),
             *rng.pick::<&str>(&text::TYPE_S2),
-            *rng.pick::<&str>(&text::TYPE_S3)
-        );
-        push_str(b, 4, &ptype);
-        push_i32(b, 5, rng.i32_range(1, 50));
-        let container = format!(
-            "{} {}",
+            *rng.pick::<&str>(&text::TYPE_S3),
+        ];
+        if out.wants(4) {
+            buf.clear();
+            let _ = write!(buf, "{} {} {}", ptype[0], ptype[1], ptype[2]);
+            out.str(4, buf);
+        }
+        out.i32(5, rng.i32_range(1, 50));
+        let container = [
             *rng.pick::<&str>(&text::CONTAINER_S1),
-            *rng.pick::<&str>(&text::CONTAINER_S2)
-        );
-        push_str(b, 6, &container);
-        push_dec(b, 7, retail_price_cents(k));
-        comment(rng, buf);
-        push_str(b, 8, buf);
+            *rng.pick::<&str>(&text::CONTAINER_S2),
+        ];
+        if out.wants(6) {
+            buf.clear();
+            let _ = write!(buf, "{} {}", container[0], container[1]);
+            out.str(6, buf);
+        }
+        if out.wants(8) {
+            comment(rng, Some(buf));
+            out.str(8, buf);
+        }
     }
 
-    fn customer_row(&self, rng: &mut Rng, k: i64, b: &mut TableBuilder, buf: &mut String) {
+    fn customer_row(&self, rng: &mut Rng, k: i64, out: &mut Out, buf: &mut String) {
+        out.i64(0, k);
+        if out.wants(1) {
+            buf.clear();
+            let _ = write!(buf, "Customer#{k:09}");
+            out.str(1, buf);
+        }
+        if !out.needs_from(2) {
+            return;
+        }
         let nation = rng.u64_below(25) as i64;
-        push_i64(b, 0, k);
-        push_str(b, 1, &format!("Customer#{k:09}"));
-        rng.alpha_string(10, 40, buf);
-        push_str(b, 2, buf);
-        push_i64(b, 3, nation);
-        phone(rng, nation, buf);
-        push_str(b, 4, buf);
-        push_dec(b, 5, rng.i64_range(-99_999, 999_999));
-        push_str(b, 6, rng.pick::<&str>(&text::SEGMENTS));
-        comment(rng, buf);
-        push_str(b, 7, buf);
+        rng.alpha_string(10, 40, out.wants(2).then_some(&mut *buf));
+        out.str(2, buf);
+        out.i64(3, nation);
+        if !out.needs_from(4) {
+            return;
+        }
+        phone(rng, nation, out.wants(4).then_some(&mut *buf));
+        out.str(4, buf);
+        out.dec(5, rng.i64_range(-99_999, 999_999));
+        out.str(6, rng.pick::<&str>(&text::SEGMENTS));
+        if out.wants(7) {
+            comment(rng, Some(buf));
+            out.str(7, buf);
+        }
     }
 
-    /// Generate orders `range`, appending order rows to `ob` and their
-    /// lineitems to `lb` (either side optional: a lineitem-only stream
-    /// still draws the order-level values its dates derive from).
+    /// Generate orders `range`, appending the requested order columns to
+    /// `ob` and lineitem columns to `lb`. A unit draws in three stages: the
+    /// head (`o_custkey`, `o_orderdate`), the lines (every lineitem value,
+    /// and `o_orderstatus`/`o_totalprice` from them), then the trailer
+    /// (`o_orderpriority`, `o_clerk`, `o_comment`). It stops after the last
+    /// stage a requested value comes from: `o_orderkey` and
+    /// `o_shippriority` draw nothing, and a lineitem-only stream skips the
+    /// trailer. Within the lines every draw runs.
     fn append_orders_lineitem(
         &self,
         range: Range<usize>,
-        mut ob: Option<&mut TableBuilder>,
-        mut lb: Option<&mut TableBuilder>,
+        mut ob: Option<Out>,
+        mut lb: Option<Out>,
     ) {
-        let mut buf = String::new();
+        let o = |c| ob.as_ref().is_some_and(|ob| ob.wants(c));
+        let trailer = o(5) || o(6) || o(8);
+        let lines = trailer || o(2) || o(3) || lb.is_some();
+        let head = lines || o(1) || o(4);
+        let (clerk_col, order_comment) = (o(6), o(8));
+        let line_comment = lb.as_ref().is_some_and(|lb| lb.wants(15));
+        let (mut lbuf, mut obuf) = (String::new(), String::new());
         for u in range {
-            let mut rng = unit_rng(self.seed, TpchTable::Orders, u as u64);
             let i = u as i64;
             // Sparse keys: 8 used out of every 32 consecutive values.
             let orderkey = (i / 8) * 32 + i % 8 + 1;
+            if let Some(ob) = ob.as_mut() {
+                ob.i64(0, orderkey);
+                ob.i32(7, 0);
+            }
+            if !head {
+                continue;
+            }
+            let mut rng = unit_rng(self.seed, TpchTable::Orders, u as u64);
             // A third of the customers place no orders (custkey % 3 == 0).
             let custkey = loop {
                 let c = match &self.skew {
@@ -490,6 +594,13 @@ impl StreamGen {
                 }
             };
             let orderdate = rng.i32_range(self.date_lo, self.date_hi);
+            if let Some(ob) = ob.as_mut() {
+                ob.i64(1, custkey);
+                ob.date(4, orderdate);
+            }
+            if !lines {
+                continue;
+            }
 
             let nlines = 1 + rng.u64_below(7) as i32;
             let mut total = 0i64;
@@ -526,117 +637,194 @@ impl StreamGen {
                 }
                 total += extprice * (100 - discount) / 100 * (100 + tax) / 100;
 
-                // The order-level draws below (instruction, mode, comment)
-                // must happen whether or not lineitems are materialized, so
-                // both streams see identical values.
+                // The line's last draws (instruction, mode, comment) run
+                // whether or not lineitems are stored: the trailer draws
+                // after them.
                 let instruction = *rng.pick::<&str>(&text::INSTRUCTIONS);
                 let mode = *rng.pick::<&str>(&text::MODES);
-                comment(&mut rng, &mut buf);
-                if let Some(lb) = lb.as_deref_mut() {
-                    push_i64(lb, 0, orderkey);
-                    push_i64(lb, 1, partkey);
-                    push_i64(lb, 2, suppkey);
-                    push_i32(lb, 3, ln);
-                    push_dec(lb, 4, qty * 100);
-                    push_dec(lb, 5, extprice);
-                    push_dec(lb, 6, discount);
-                    push_dec(lb, 7, tax);
-                    push_str(lb, 8, returnflag);
-                    push_str(lb, 9, linestatus);
-                    push_date(lb, 10, shipdate);
-                    push_date(lb, 11, commitdate);
-                    push_date(lb, 12, receiptdate);
-                    push_str(lb, 13, instruction);
-                    push_str(lb, 14, mode);
-                    push_str(lb, 15, &buf);
+                comment(&mut rng, line_comment.then_some(&mut lbuf));
+                if let Some(lb) = lb.as_mut() {
+                    lb.i64(0, orderkey);
+                    lb.i64(1, partkey);
+                    lb.i64(2, suppkey);
+                    lb.i32(3, ln);
+                    lb.dec(4, qty * 100);
+                    lb.dec(5, extprice);
+                    lb.dec(6, discount);
+                    lb.dec(7, tax);
+                    lb.str(8, returnflag);
+                    lb.str(9, linestatus);
+                    lb.date(10, shipdate);
+                    lb.date(11, commitdate);
+                    lb.date(12, receiptdate);
+                    lb.str(13, instruction);
+                    lb.str(14, mode);
+                    lb.str(15, &lbuf);
                 }
             }
-
+            let Some(ob) = ob.as_mut() else { continue };
             let status = match (any_open, any_fulfilled) {
                 (true, false) => "O",
                 (false, true) => "F",
                 _ => "P",
             };
-            let priority = *rng.pick::<&str>(&text::PRIORITIES);
-            let clerk = 1 + rng.u64_below(self.clerks as u64);
-            comment(&mut rng, &mut buf);
-            if let Some(ob) = ob.as_deref_mut() {
-                push_i64(ob, 0, orderkey);
-                push_i64(ob, 1, custkey);
-                push_str(ob, 2, status);
-                push_dec(ob, 3, total);
-                push_date(ob, 4, orderdate);
-                push_str(ob, 5, priority);
-                push_str(ob, 6, &format!("Clerk#{clerk:09}"));
-                push_i32(ob, 7, 0);
-                push_str(ob, 8, &buf);
+            ob.str(2, status);
+            ob.dec(3, total);
+            if !trailer {
+                continue;
             }
+            ob.str(5, rng.pick::<&str>(&text::PRIORITIES));
+            let clerk = 1 + rng.u64_below(self.clerks as u64);
+            if clerk_col {
+                obuf.clear();
+                let _ = write!(obuf, "Clerk#{clerk:09}");
+                ob.str(6, &obuf);
+            }
+            comment(&mut rng, order_comment.then_some(&mut obuf));
+            ob.str(8, &obuf);
         }
     }
 }
 
-fn comment(rng: &mut Rng, out: &mut String) {
-    out.clear();
+/// A comment of 3–7 vocabulary words. The draws are the same whether or
+/// not there is an `out`; the words are joined into it only if there is.
+fn comment(rng: &mut Rng, mut out: Option<&mut String>) {
     let words = 3 + rng.u64_below(5);
+    if let Some(s) = out.as_deref_mut() {
+        s.clear();
+    }
     for w in 0..words {
-        if w > 0 {
-            out.push(' ');
-        }
-        match w % 3 {
-            0 => out.push_str(rng.pick::<&str>(&text::ADVERBS)),
-            1 => out.push_str(rng.pick::<&str>(&text::NOUNS)),
-            _ => out.push_str(rng.pick::<&str>(&text::VERBS)),
+        let vocabulary: &[&str] = match w % 3 {
+            0 => &text::ADVERBS,
+            1 => &text::NOUNS,
+            _ => &text::VERBS,
+        };
+        let word = *rng.pick(vocabulary);
+        if let Some(s) = out.as_deref_mut() {
+            if w > 0 {
+                s.push(' ');
+            }
+            s.push_str(word);
         }
     }
 }
 
-fn phone(rng: &mut Rng, nationkey: i64, out: &mut String) {
-    use std::fmt::Write;
-    out.clear();
-    let _ = write!(
-        out,
-        "{}-{:03}-{:03}-{:04}",
-        10 + nationkey,
+/// A phone number for `nationkey`: three draws, formatted into `out` only
+/// if there is one.
+fn phone(rng: &mut Rng, nationkey: i64, out: Option<&mut String>) {
+    let (a, b, c) = (
         100 + rng.u64_below(900),
         100 + rng.u64_below(900),
-        1000 + rng.u64_below(9000)
+        1000 + rng.u64_below(9000),
     );
-}
-
-// Typed push helpers (hot path: no Value boxing).
-
-pub(crate) fn push_i64(b: &mut TableBuilder, col: usize, v: i64) {
-    match b.column_mut(col) {
-        ColumnData::Int64(c) => c.push(v),
-        _ => unreachable!(),
+    if let Some(out) = out {
+        out.clear();
+        let _ = write!(out, "{}-{a:03}-{b:03}-{c:04}", 10 + nationkey);
     }
 }
 
-pub(crate) fn push_i32(b: &mut TableBuilder, col: usize, v: i32) {
-    match b.column_mut(col) {
-        ColumnData::Int32(c) => c.push(v),
-        _ => unreachable!(),
-    }
+/// Every column of `table`, in schema order.
+fn all_columns(table: TpchTable) -> Vec<usize> {
+    (0..table.schema().len()).collect()
 }
 
-pub(crate) fn push_dec(b: &mut TableBuilder, col: usize, cents: i64) {
-    match b.column_mut(col) {
-        ColumnData::Decimal(c) => c.push(cents),
-        _ => unreachable!(),
+/// The schema of the columns `cols` of `schema`, in that order. A
+/// projection names at least one column, each at most once.
+fn project(schema: &Schema, cols: &[usize]) -> Schema {
+    assert!(!cols.is_empty(), "a projection needs at least one column");
+    for (i, c) in cols.iter().enumerate() {
+        assert!(!cols[..i].contains(c), "column {c} projected twice");
     }
+    Schema::new(cols.iter().map(|&c| schema.fields[c].clone()).collect())
 }
 
-pub(crate) fn push_date(b: &mut TableBuilder, col: usize, days: i32) {
-    match b.column_mut(col) {
-        ColumnData::Date(c) => c.push(days),
-        _ => unreachable!(),
-    }
+/// The widest TPC-H table (lineitem) has 16 columns.
+const MAX_COLS: usize = 16;
+const NO_SLOT: u8 = u8::MAX;
+
+/// Where one chunk's values go: for every schema column, its slot in the
+/// builder of the projected columns, or none. Resolved once per chunk, so a
+/// push is one table lookup, and a push to a column not asked for does
+/// nothing. The generation routines test [`Out::wants`] before they format
+/// a string and [`Out::needs_from`] before they draw the rest of a unit.
+struct Out<'a> {
+    b: &'a mut TableBuilder,
+    slot: [u8; MAX_COLS],
+    /// Bit `c` is set iff schema column `c` is requested.
+    mask: u32,
 }
 
-pub(crate) fn push_str(b: &mut TableBuilder, col: usize, v: &str) {
-    match b.column_mut(col) {
-        ColumnData::Str(c) => c.push(v),
-        _ => unreachable!(),
+impl<'a> Out<'a> {
+    /// `cols` as checked by [`project`], which built `b`'s schema.
+    fn new(b: &'a mut TableBuilder, cols: &[usize]) -> Out<'a> {
+        let mut slot = [NO_SLOT; MAX_COLS];
+        let mut mask = 0u32;
+        for (i, &c) in cols.iter().enumerate() {
+            slot[c] = i as u8;
+            mask |= 1 << c;
+        }
+        Out { b, slot, mask }
+    }
+
+    #[inline]
+    fn wants(&self, col: usize) -> bool {
+        self.mask >> col & 1 != 0
+    }
+
+    /// Whether a column at schema index `col` or later is requested.
+    #[inline]
+    fn needs_from(&self, col: usize) -> bool {
+        self.mask >> col != 0
+    }
+
+    #[inline]
+    fn column(&mut self, col: usize) -> Option<&mut ColumnData> {
+        match self.slot[col] {
+            NO_SLOT => None,
+            s => Some(self.b.column_mut(usize::from(s))),
+        }
+    }
+
+    // Typed pushes (hot path: no Value boxing).
+
+    fn i64(&mut self, col: usize, v: i64) {
+        match self.column(col) {
+            Some(ColumnData::Int64(c)) => c.push(v),
+            None => {}
+            Some(_) => unreachable!(),
+        }
+    }
+
+    fn i32(&mut self, col: usize, v: i32) {
+        match self.column(col) {
+            Some(ColumnData::Int32(c)) => c.push(v),
+            None => {}
+            Some(_) => unreachable!(),
+        }
+    }
+
+    fn dec(&mut self, col: usize, cents: i64) {
+        match self.column(col) {
+            Some(ColumnData::Decimal(c)) => c.push(cents),
+            None => {}
+            Some(_) => unreachable!(),
+        }
+    }
+
+    fn date(&mut self, col: usize, days: i32) {
+        match self.column(col) {
+            Some(ColumnData::Date(c)) => c.push(days),
+            None => {}
+            Some(_) => unreachable!(),
+        }
+    }
+
+    fn str(&mut self, col: usize, v: &str) {
+        match self.column(col) {
+            Some(ColumnData::Str(c)) => c.push(v),
+            None => {}
+            Some(_) => unreachable!(),
+        }
     }
 }
 
@@ -672,13 +860,7 @@ impl StreamScan {
 
     /// The schema of emitted batches.
     pub fn output_schema(&self) -> Schema {
-        let schema = self.table.schema();
-        let fields: Vec<Field> = self
-            .cols
-            .iter()
-            .map(|&i| schema.fields[i].clone())
-            .collect();
-        Schema::new(fields)
+        project(&self.table.schema(), &self.cols)
     }
 
     pub fn est_rows(&self) -> f64 {
@@ -696,16 +878,16 @@ impl Source for StreamScan {
     }
 
     fn poll_task(&self, task: usize, out: Emit) -> ExecResult {
-        let chunk = self.gen.chunk(self.table, task);
+        let chunk = self.gen.chunk_cols(self.table, task, &self.cols);
         let rows = chunk.num_rows();
         metrics::add_source_rows(rows as u64);
         let mut start = 0usize;
         while start < rows {
             let end = (start + BATCH_ROWS).min(rows);
-            let columns: Vec<ColumnData> = self
-                .cols
+            let columns: Vec<ColumnData> = chunk
+                .columns()
                 .iter()
-                .map(|&c| slice_column(chunk.column(c), start, end))
+                .map(|c| slice_column(c, start, end))
                 .collect();
             let batch = Batch::new(columns);
             if metrics::enabled() {
