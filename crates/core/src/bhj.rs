@@ -111,15 +111,17 @@ pub struct BhjBuildSink {
     global: Mutex<BuildGlobal>,
 }
 
-/// Build sides below this many rows are linked by the caller alone. A
-/// pipeline on a scoped team of two costs 50–100 µs to launch on the
-/// reference host (`exec.sched.pipeline_launch_us` 66–99 µs) and an insert
+/// Build sides below this many rows are linked by the caller alone.
+/// Measured when every pipeline spawned a team of its own: a team of two
+/// cost 50–100 µs to launch on the reference host
+/// (`exec.sched.pipeline_launch_us` 66–99 µs) and an insert
 /// into a cache-resident table 9–13 ns, so a launch is worth 5–10 K inserts
 /// and two workers, each saving the other half the rows, cannot win below
 /// 10–20 K rows. That is a floor: the team's threads also start with cold
 /// caches, and a link on two workers timed against one on two arenas (best
 /// of 12–40) loses at 4, 16 and 64 Ki rows (80 / 304 / 941 µs against 38 /
-/// 195 / 864) and first wins at 128 Ki (1.76 against 1.90 ms).
+/// 195 / 864) and first wins at 128 Ki (1.76 against 1.90 ms). A hand-off
+/// to a running pool costs less than a spawn; the floor is not re-measured.
 const INLINE_LINK_ROWS: usize = 128 * 1024;
 
 impl BhjBuildSink {
@@ -853,8 +855,9 @@ mod tests {
     #[test]
     fn parallel_build_equals_serial() {
         // Below INLINE_LINK_ROWS a parallel executor links on the caller,
-        // at and above it as a pipeline of four tasks on a scoped team of
-        // four or a pool of two: either way the table is the serial one.
+        // at and above it as a pipeline of four tasks on a private pool of
+        // four or a shared pool of two: either way the table is the serial
+        // one.
         let parallel = [
             Executor::new(4),
             Executor::pooled(joinstudy_exec::WorkerPool::new(2)),

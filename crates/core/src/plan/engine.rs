@@ -56,10 +56,10 @@ pub struct Engine {
     /// tests and benchmarks inject a specific one via
     /// [`Engine::with_cost_model`].
     cost_model: Option<Arc<crate::cost::CostModel>>,
-    /// Shared worker pool for concurrent serving. `None` (the default)
-    /// gives every query its own scoped worker team; `Some` submits all
-    /// pipelines to the pool so workers interleave morsels across queries.
-    pool: Option<Arc<joinstudy_exec::pool::WorkerPool>>,
+    /// Where every pipeline runs: inline for one thread, else a private
+    /// pool spawned by the first pipeline (shared across clones), or the
+    /// pool [`Engine::set_worker_pool`] handed in.
+    exec: Executor,
     /// [`Plan::live_joins`] of the plan being executed: whether a hybrid
     /// join has the memory budget to itself. Shared across clones.
     live_joins: Arc<AtomicUsize>,
@@ -86,7 +86,7 @@ impl Engine {
             pipelines: Arc::new(Mutex::new(Vec::new())),
             trace_out: Arc::new(Mutex::new(None)),
             cost_model: None,
-            pool: None,
+            exec: Executor::new(threads),
             live_joins: Arc::new(AtomicUsize::new(1)),
         }
     }
@@ -97,22 +97,23 @@ impl Engine {
     }
 
     /// Route every pipeline of this engine through a shared worker pool
-    /// (`None` restores private scoped worker teams). The engine's
-    /// `threads` is updated to the pool's worker count so plan-time
-    /// parallelism decisions (radix fan-out, morsel sizing) match the
-    /// workers that will actually run the query.
+    /// (`None` restores the engine's own executor of `threads` workers).
+    /// The engine's `threads` is updated to the pool's worker count so
+    /// plan-time parallelism decisions (radix fan-out, morsel sizing) match
+    /// the workers that will actually run the query.
     pub fn set_worker_pool(&mut self, pool: Option<Arc<joinstudy_exec::pool::WorkerPool>>) {
-        if let Some(p) = &pool {
-            self.threads = p.threads();
-        }
-        self.pool = pool;
+        self.exec = match pool {
+            Some(p) => Executor::pooled(p),
+            None => Executor::new(self.threads),
+        };
+        self.threads = self.exec.threads();
     }
 
-    /// The shared worker pool this engine submits pipelines to, if any.
-    /// Telemetry surfaces (the `jsys.pool` system table, the `METRICS`
-    /// scrape) read pool gauges through this.
+    /// The worker pool this engine's pipelines run on, if there is one yet.
+    /// Telemetry surfaces (the `jsys.pool` system table) read pool gauges
+    /// through this.
     pub fn worker_pool(&self) -> Option<Arc<joinstudy_exec::pool::WorkerPool>> {
-        self.pool.clone()
+        self.exec.worker_pool().cloned()
     }
 
     /// Pin the cost model consulted by [`JoinAlgo::Adaptive`] join nodes
@@ -139,12 +140,9 @@ impl Engine {
     }
 
     /// The executor this engine's pipelines run on: the shared pool when
-    /// one is set, else a private scoped team of `threads` workers.
-    pub fn executor(&self) -> Executor {
-        match &self.pool {
-            Some(pool) => Executor::pooled(Arc::clone(pool)),
-            None => Executor::new(self.threads),
-        }
+    /// one is set, else the engine's own of `threads` workers.
+    pub fn executor(&self) -> &Executor {
+        &self.exec
     }
 
     /// Execute a plan to a materialized result table, honouring the
@@ -300,7 +298,7 @@ impl Engine {
                 timed,
             ));
             let run = self
-                .executor()
+                .exec
                 .run_pipeline_obs(&self.ctx, source, ops, sink, &stats);
             (stats, run)
         };
@@ -528,6 +526,10 @@ mod tests {
     use joinstudy_exec::profile::DetailValue;
 
     fn join_count(algo: JoinAlgo, threads: usize) -> i64 {
+        count_on(&Engine::new(threads), algo)
+    }
+
+    fn count_on(engine: &Engine, algo: JoinAlgo) -> i64 {
         let build: Vec<(i64, i64)> = (0..3000).map(|i| (i, i)).collect();
         let probe: Vec<(i64, i64)> = (0..9000).map(|i| (i % 4500, i)).collect();
         let bt = table_kv(&build);
@@ -541,9 +543,55 @@ mod tests {
                 &[0],
             )
             .aggregate(&[], vec![AggSpec::new(AggFunc::CountStar, 0, "cnt")]);
-        let engine = Engine::new(threads);
         let result = engine.run(&plan);
         result.column_by_name("cnt").as_i64()[0]
+    }
+
+    #[test]
+    fn a_given_pool_runs_every_pipeline_and_no_private_pool_is_built() {
+        let mut engine = Engine::new(4);
+        let own = engine.executor().clone();
+        let pool = joinstudy_exec::WorkerPool::new(2);
+        engine.set_worker_pool(Some(Arc::clone(&pool)));
+        assert_eq!((engine.threads, engine.executor().threads()), (2, 2));
+        // Each task of a pipeline submitted through `executor()` runs while
+        // the pool holds that pipeline.
+        let on_pool = AtomicUsize::new(0);
+        engine
+            .executor()
+            .run_tasks(&engine.ctx, "probe".into(), 4, |_| {
+                on_pool.fetch_add(pool.active_pipelines(), Ordering::Relaxed);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(on_pool.into_inner(), 4);
+        for algo in [JoinAlgo::Bhj, JoinAlgo::Rj, JoinAlgo::Brj] {
+            assert_eq!(count_on(&engine, algo), 6000, "{algo:?}");
+        }
+        let clone = engine.clone();
+        for e in [&engine, &clone] {
+            assert!(Arc::ptr_eq(e.executor().worker_pool().unwrap(), &pool));
+            assert!(Arc::ptr_eq(&e.worker_pool().unwrap(), &pool));
+        }
+        assert!(
+            own.worker_pool().is_none(),
+            "the engine spawned a pool of its own"
+        );
+    }
+
+    #[test]
+    fn an_engine_spawns_its_pool_once_and_shares_it_with_its_clones() {
+        let engine = Engine::new(3);
+        assert!(engine.worker_pool().is_none(), "spawned before first use");
+        let clone = engine.clone();
+        assert_eq!(count_on(&clone, JoinAlgo::Rj), 6000);
+        let pool = engine.worker_pool().expect("spawned by the clone's query");
+        assert_eq!(pool.threads(), 3);
+        assert_eq!(count_on(&engine, JoinAlgo::Bhj), 6000);
+        assert!(Arc::ptr_eq(&engine.worker_pool().unwrap(), &pool));
+        let inline = Engine::new(1);
+        assert_eq!(count_on(&inline, JoinAlgo::Rj), 6000);
+        assert!(inline.worker_pool().is_none(), "one thread runs inline");
     }
 
     #[test]

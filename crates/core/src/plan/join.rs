@@ -201,7 +201,7 @@ impl Engine {
         let label = PipelineLabel::new(name, WaitState::CpuBuild);
         let stats = self.run_breaker(label, &spec, &sink, prof)?;
         let _span = trace::phase_scope(format!("{name} finalize (hash table)"));
-        let state = sink.into_state(&self.executor())?;
+        let state = sink.into_state(self.executor())?;
         Ok((state, spec.schema, stats, child))
     }
 
@@ -377,7 +377,7 @@ impl Engine {
         drop(build_spec);
 
         if evicting {
-            let table = join.table(&level, &build_sink, &closed, &self.executor())?;
+            let table = join.table(&level, &build_sink, &closed, self.executor())?;
             let build_rows = table.build_rows();
             joinlog::record(joinlog::JoinSizes {
                 algo: tag,
@@ -434,7 +434,7 @@ impl Engine {
             return Ok((StreamSpec::new(Arc::new(reloads), out_schema), id));
         }
 
-        let (build, bloom) = HybridJoin::finish(&build_sink, &self.executor(), None, use_bloom)?;
+        let (build, bloom) = HybridJoin::finish(&build_sink, self.executor(), None, use_bloom)?;
         if let Some(decision) = adaptive {
             self.check_regime(decision, &build)?;
         }
@@ -470,7 +470,7 @@ impl Engine {
         };
         let probe_stats = self.run_breaker(label, &probe_spec, &probe_sink, prof.as_deref_mut())?;
         drop(probe_spec);
-        let (probe, _) = HybridJoin::finish(&probe_sink, &self.executor(), Some(bits2), false)?;
+        let (probe, _) = HybridJoin::finish(&probe_sink, self.executor(), Some(bits2), false)?;
         let stats = Arc::new(JoinStats::default());
         let source = join.radix_join(build, probe).with_stats(Arc::clone(&stats));
         let (build, probe) = (source.build(), source.probe());

@@ -844,7 +844,7 @@ struct SharedBuf {
 // SAFETY: `ptr` and `len` are written once, at construction, and only read
 // after; the bytes behind `ptr` are reached only through `slice_mut`, whose
 // callers write disjoint ranges, so sharing the handle across the scatter
-// pipeline's workers, scoped or pooled, races on nothing.
+// pipeline's workers, inline or pooled, races on nothing.
 unsafe impl Sync for SharedBuf {}
 
 impl SharedBuf {
@@ -862,7 +862,8 @@ impl SharedBuf {
 }
 
 impl PartitionSink {
-    /// [`PartitionSink::finalize_on`] on a scoped team of `threads` workers.
+    /// [`PartitionSink::finalize_on`] on an `Executor::new(threads)`: inline
+    /// for one thread, else a pool of `threads` workers spawned for the call.
     pub fn finalize(
         &self,
         threads: usize,
@@ -1010,7 +1011,7 @@ impl PartitionSink {
             // `p * fanout2 + s`'s bounds, which lie inside `shared`, whose
             // length is the sum of all bounds. No other task writes them:
             // the morsel loop's cursor hands each pre-partition `p` to
-            // exactly one task, on a scoped team and on the pool alike.
+            // exactly one task, inline and on a pool alike.
             let mut cursors: Vec<usize> = (0..fanout2).map(|s| bounds[p * fanout2 + s]).collect();
             let mut bytes = 0usize;
             for lists in &worker_lists {
@@ -1460,7 +1461,7 @@ mod tests {
     fn parallel_partitioning_matches_serial() {
         let values: Vec<i64> = (0..30_000).map(|i| i * 7 + 3).collect();
         let serial = partition_i64(&values, RadixConfig::default(), 1, Some(4));
-        // Histogram scan and scatter on a scoped team and on a pool.
+        // Histogram scan and scatter on a private pool and on a shared one.
         for exec in [Executor::new(4), Executor::pooled(WorkerPool::new(2))] {
             // Multi-worker pass 1 (simulate two workers consuming halves).
             let layout = RowLayout::new(&[DataType::Int64], false);

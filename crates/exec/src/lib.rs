@@ -12,8 +12,7 @@
 //! * **Morsel-driven parallelism** ([`morsel`], [`sched`]): worker threads
 //!   pull morsels from a shared queue, giving work stealing and skew
 //!   tolerance (Leis et al., SIGMOD'14). One claim → poll → feed → drain
-//!   loop serves every pipeline, on the per-query scoped teams and on the
-//!   shared pool alike.
+//!   loop serves every pipeline, inline on the caller or on a worker pool.
 //! * **Relaxed operator fusion**: tuples flow in cache-resident batches of
 //!   [`batch::BATCH_ROWS`] rows — exactly the staging points ROF
 //!   (Menon et al., VLDB'17) introduces into data-centric plans, which is
@@ -37,9 +36,9 @@
 //! * **Worker-timeline tracing** ([`trace`]): opt-in per-worker span
 //!   buffers (morsels, phases, synthesized idle intervals) exported as
 //!   Chrome/Perfetto `trace_event` JSON.
-//! * **Shared worker pool** ([`pool`]): one process-wide worker team that
-//!   interleaves morsels from every active query — the concurrent-serving
-//!   counterpart to the per-query scoped teams in [`sched`].
+//! * **Worker pool** ([`pool`]): the one owner of threads — a fixed worker
+//!   team that interleaves morsels from every pipeline submitted to it,
+//!   shared by the server's sessions or private to an [`Executor`].
 //! * **Admission control** ([`admission`]): a global memory pool granting
 //!   each admitted query a budget lease, queueing queries when memory is
 //!   contended and shrinking grants so joins degrade RJ → BHJ → HHJ

@@ -29,10 +29,11 @@
 //!
 //! All counters are updated and read with `Ordering::Relaxed`. Relaxed
 //! reads are only *exact* once every thread that recorded into the counter
-//! has been joined: thread join (and `std::thread::scope` exit) establishes
-//! the happens-before edge that makes the final `fetch_add`s visible. The
-//! executor joins all workers before a pipeline returns, so post-drain
-//! reads — [`snapshot`], [`degradations`], [`take_source_rows`] after
+//! is ordered before the reader. A pipeline returns only after every
+//! worker drained: inline the caller did the work itself, and on a pool the
+//! submitter observes retirement under the pool's state lock, which every
+//! worker takes after its last step or drain — the happens-before edge that
+//! makes the final `fetch_add`s visible. So post-drain reads — [`snapshot`], [`degradations`], [`take_source_rows`] after
 //! `Engine::execute` returns — are exact. A read taken *while* a query is
 //! running may lag in-flight increments and is advisory only.
 

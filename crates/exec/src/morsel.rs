@@ -1,20 +1,20 @@
 //! The one morsel loop: claim → poll → feed → drain.
 //!
 //! Every pipeline of every query — BHJ build and probe, both radix passes,
-//! scans, aggregates — crosses exactly the code in this module, whichever
-//! back-end owns the threads. The scoped team ([`crate::sched`]) runs
-//! `while worker.step()? {}` then `worker.drain()`; the shared pool
-//! ([`crate::pool`]) runs one `step()` per fairness quantum and `drain()`
-//! once the pipeline is exhausted. The back-ends differ only in thread
-//! management; what a tuple crosses is shared by construction.
+//! scans, aggregates — crosses exactly the code in this module, on either
+//! kind of [`crate::Executor`]. Inline, the caller runs
+//! `while worker.step()? {}` then `worker.drain()`; a
+//! [`WorkerPool`](crate::pool::WorkerPool) runs one `step()` per fairness
+//! quantum and `drain()` once the pipeline is exhausted. The two differ only
+//! in who owns the threads; what a tuple crosses is shared by construction.
 //!
-//! Observation is data, not a second code path. A [`Worker`] always keeps
-//! its row/batch/morsel counts in a private [`WorkerProf`] (plain integer
-//! adds); clock reads happen only when somebody will read the time (a
-//! `timed` block, a live reader, or a trace track), and the counts are
-//! published into the pipeline's one [`PipelineStats`] block — per morsel
-//! when the back-end made the block readable mid-flight, otherwise once at
-//! drain.
+//! Observation is data, not a second code path. A [`Worker`] keeps its
+//! row/batch/morsel counts in a private [`WorkerProf`] (plain integer adds)
+//! and publishes them into the pipeline's one [`PipelineStats`] block after
+//! every morsel, so the block is readable mid-flight through
+//! [`crate::progress::global`]; each morsel reads the clock twice and
+//! stamps the query's wait state around itself. A `timed` block adds clock
+//! reads per batch, and a traced pipeline gives each worker a track.
 
 use crate::batch::Batch;
 use crate::context::QueryContext;
@@ -130,8 +130,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Everything the workers of one pipeline run share: the borrowed parts,
-/// the claim cursor and failure slot, and the run's counter block.
+/// Everything the workers of one pipeline share: the borrowed parts, the
+/// claim cursor and failure slot, and the run's counter block.
 pub(crate) struct Pipeline<'a> {
     pub ctx: &'a QueryContext,
     pub source: &'a dyn Source,
@@ -139,17 +139,23 @@ pub(crate) struct Pipeline<'a> {
     pub sink: &'a dyn Sink,
     /// Next unclaimed task — the simplest form of work stealing: no worker
     /// idles while tasks remain.
-    pub cursor: &'a AtomicUsize,
+    pub cursor: AtomicUsize,
     pub task_count: usize,
-    pub failure: &'a Failure,
+    pub failure: Failure,
     /// Where every worker's counts end up; `stats.timed` turns the
     /// per-batch clock reads on.
     pub stats: &'a PipelineStats,
-    /// The block is readable mid-flight (pooled pipelines): publish after
-    /// every morsel, not only at drain, and stamp the query's wait state.
-    pub live: bool,
     /// Tracer pipeline id (traced pipelines).
     pub trace: Option<u32>,
+}
+
+impl Pipeline<'_> {
+    /// No more morsels will ever be claimed: tasks drained or a failure
+    /// raised.
+    #[inline]
+    pub(crate) fn exhausted(&self) -> bool {
+        self.failure.raised() || self.cursor.load(Ordering::Relaxed) >= self.task_count
+    }
 }
 
 /// Scheduler histograms, recorded on traced pipelines only: morsel
@@ -193,8 +199,8 @@ pub(crate) struct Worker {
 }
 
 impl Worker {
-    /// `track` is this worker's index in the trace timeline (ignored on
-    /// untraced pipelines).
+    /// `track` is this worker's index in the trace timeline: its pool
+    /// worker index, 0 inline (ignored on untraced pipelines).
     pub(crate) fn new(p: &Pipeline<'_>, track: u32) -> Worker {
         Worker {
             op_locals: p.ops.iter().map(|o| o.create_local()).collect(),
@@ -226,18 +232,15 @@ impl Worker {
         if task >= p.task_count {
             return Ok(false);
         }
-        if p.live {
-            // This query is on-CPU in this pipeline's phase for the morsel.
-            p.ctx.stamp_wait(p.stats.cpu_state);
-        }
+        // This query is on-CPU in this pipeline's phase for the morsel.
+        p.ctx.stamp_wait(p.stats.cpu_state);
         let hists = self.trace.as_ref().map(|t| t.hists);
         if let Some(h) = hists {
             h.queue_depth
                 .record(p.task_count.saturating_sub(task + 1) as u64);
         }
         let timed = p.stats.timed;
-        let clock = timed || p.live || self.trace.is_some();
-        let t0 = if clock { trace::now_ns() } else { 0 };
+        let t0 = trace::now_ns();
         let rows_before = self.counts.source.rows_out;
 
         // Emit callbacks are infallible, so a downstream error is parked in
@@ -260,32 +263,28 @@ impl Worker {
         });
         self.counts.source.morsels += 1;
 
-        if clock {
-            // Source busy time is *inclusive* of the downstream work done in
-            // the emit callback (pipeline time).
-            let dur = trace::now_ns().saturating_sub(t0);
-            self.counts.source.busy_ns += dur;
-            if let Some(t) = &mut self.trace {
-                t.hists.morsel_ns.record(dur);
-                t.spans.push(TraceSpan {
-                    name: Cow::Borrowed("morsel"),
-                    kind: SpanKind::Morsel,
-                    track: t.track,
-                    pipeline: t.pipe,
-                    start_ns: t0,
-                    dur_ns: dur,
-                    arg: self.counts.source.rows_out - rows_before,
-                    hw: None,
-                });
-            }
-            if p.live {
-                p.ctx.add_cpu_ns(dur);
-                // Until the next claim this query is waiting on the pool.
-                p.ctx.stamp_wait(WaitState::PoolWait);
-                // Somebody may be watching mid-flight.
-                self.publish(p);
-            }
+        // Source busy time is *inclusive* of the downstream work done in the
+        // emit callback (pipeline time).
+        let dur = trace::now_ns().saturating_sub(t0);
+        self.counts.source.busy_ns += dur;
+        if let Some(t) = &mut self.trace {
+            t.hists.morsel_ns.record(dur);
+            t.spans.push(TraceSpan {
+                name: Cow::Borrowed("morsel"),
+                kind: SpanKind::Morsel,
+                track: t.track,
+                pipeline: t.pipe,
+                start_ns: t0,
+                dur_ns: dur,
+                arg: self.counts.source.rows_out - rows_before,
+                hw: None,
+            });
         }
+        p.ctx.add_cpu_ns(dur);
+        // Until the next claim this query waits for a worker.
+        p.ctx.stamp_wait(WaitState::PoolWait);
+        // Somebody may be watching mid-flight.
+        self.publish(p);
         if let Some(e) = chain_err {
             return Err(e);
         }
@@ -298,9 +297,7 @@ impl Worker {
     /// on error, so a failed query still shows partial counts and a partial
     /// timeline.
     pub(crate) fn drain(&mut self, p: &Pipeline<'_>) -> ExecResult {
-        if p.live {
-            p.ctx.stamp_wait(WaitState::Finalizing);
-        }
+        p.ctx.stamp_wait(WaitState::Finalizing);
         let result = self.flush_and_merge(p);
         self.publish(p);
         crate::pmu::finish_worker(self.hw.take(), &p.stats.hw);
@@ -402,9 +399,9 @@ fn feed_chain(
 
 #[cfg(test)]
 mod tests {
-    //! One table over {scoped×1, scoped×4, pooled×1, pooled×4} × {plain,
-    //! profiled, traced+profiled where supported}: whatever owns the
-    //! threads and whatever is observing, a pipeline gives the same sink
+    //! One table over {inline, private pool×4, shared pool×1, shared
+    //! pool×4} × {plain, profiled, traced, traced+profiled}: whatever owns
+    //! the threads and whatever is observing, a pipeline gives the same sink
     //! total, the same per-stage counts and the same failure behaviour.
 
     use super::*;
@@ -416,31 +413,46 @@ mod tests {
 
     #[derive(Debug, Clone, Copy)]
     enum Backend {
-        Scoped(usize),
-        Pooled(usize),
+        /// `Executor::new(1)`: the caller is the one worker.
+        Inline,
+        /// `Executor::new(n)`: a pool of its own, spawned on first use.
+        Private(usize),
+        /// `Executor::pooled`: a pool the caller hands in.
+        Shared(usize),
     }
 
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Mode {
         Plain,
         Profiled,
-        /// Traced *and* profiled, so the two are shown to compose. Traced
-        /// pipelines of a pooled executor run on a scoped team of the
-        /// pool's size.
         Traced,
+        /// Traced *and* profiled, so the two are shown to compose.
+        TracedProfiled,
+    }
+
+    impl Mode {
+        fn timed(self) -> bool {
+            matches!(self, Mode::Profiled | Mode::TracedProfiled)
+        }
+
+        fn traced(self) -> bool {
+            matches!(self, Mode::Traced | Mode::TracedProfiled)
+        }
     }
 
     impl Backend {
         fn executor(self) -> Executor {
             match self {
-                Backend::Scoped(n) => Executor::new(n),
-                Backend::Pooled(n) => Executor::pooled(WorkerPool::new(n)),
+                Backend::Inline => Executor::new(1),
+                Backend::Private(n) => Executor::new(n),
+                Backend::Shared(n) => Executor::pooled(WorkerPool::new(n)),
             }
         }
 
         fn threads(self) -> usize {
             match self {
-                Backend::Scoped(n) | Backend::Pooled(n) => n,
+                Backend::Inline => 1,
+                Backend::Private(n) | Backend::Shared(n) => n,
             }
         }
     }
@@ -463,9 +475,14 @@ mod tests {
     ) -> Outcome {
         let sink = SumSink::default();
         let (label, tasks) = ("test pipeline".into(), source.task_count() as u64);
-        let timed = mode != Mode::Plain;
-        let stats = Arc::new(PipelineStats::new(ctx, label, ops.len(), tasks, timed));
-        let traced = mode == Mode::Traced;
+        let stats = Arc::new(PipelineStats::new(
+            ctx,
+            label,
+            ops.len(),
+            tasks,
+            mode.timed(),
+        ));
+        let traced = mode.traced();
         if traced {
             assert!(trace::begin("morsel-test"), "no other trace may be active");
         }
@@ -501,19 +518,30 @@ mod tests {
         // The tracer is process-global: serialize with its lifecycle test.
         let _serial = trace::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let backends = [
-            Backend::Scoped(1),
-            Backend::Scoped(4),
-            Backend::Pooled(1),
-            Backend::Pooled(4),
+            Backend::Inline,
+            Backend::Private(4),
+            Backend::Shared(1),
+            Backend::Shared(4),
         ];
         for backend in backends {
             // One executor per backend for all rows: it must stay usable
             // after the failing and panicking ones.
             let exec = backend.executor();
             assert_eq!(exec.threads(), backend.threads());
-            for mode in [Mode::Plain, Mode::Profiled, Mode::Traced] {
+            // A private pool is spawned by the first pipeline, not before.
+            let pooled = !matches!(backend, Backend::Inline);
+            assert_eq!(
+                exec.worker_pool().is_some(),
+                matches!(backend, Backend::Shared(_))
+            );
+            let modes = [
+                Mode::Plain,
+                Mode::Profiled,
+                Mode::Traced,
+                Mode::TracedProfiled,
+            ];
+            for mode in modes {
                 let case = format!("{backend:?} {mode:?}");
-                let scoped = matches!(backend, Backend::Scoped(_)) || mode == Mode::Traced;
                 let ctx = QueryContext::unbounded();
 
                 // No operators: every value reaches the sink once.
@@ -521,6 +549,7 @@ mod tests {
                 o.result.unwrap();
                 assert_eq!(o.sink.total(), expected_sum(40), "{case}");
                 assert!(o.sink.finished(), "{case}");
+                assert_eq!(exec.worker_pool().is_some(), pooled, "{case}");
 
                 // Multi-emission through a chain, and the counts it leaves.
                 let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(DupOp), Arc::new(DupOp)];
@@ -535,14 +564,14 @@ mod tests {
                     "{case}"
                 );
                 assert!(o.stats.wall_ns() > 0, "{case}");
-                if scoped {
+                if !pooled {
                     assert_eq!(o.stats.workers(), backend.threads() as u64, "{case}");
                 } else {
                     assert!((1..=backend.threads() as u64).contains(&o.stats.workers()));
                 }
                 // Clock reads per batch are what `timed` buys.
                 let op_busy = o.stats.ops[0].busy_ns() + o.stats.ops[1].busy_ns();
-                assert_eq!(op_busy > 0, mode != Mode::Plain, "{case}");
+                assert_eq!(op_busy > 0, mode.timed(), "{case}");
                 if let Some(t) = &o.trace {
                     // One morsel span per task, rows attributed, pipeline
                     // labeled.
@@ -629,11 +658,11 @@ mod tests {
                 o.result.unwrap();
                 assert_eq!(o.sink.total(), expected_sum(10), "{case}");
 
-                // Pooled and profiled: the live reader and the profiler read
-                // one block. What the registry hands out mid-flight is the
+                // Profiled: the live reader and the profiler read one
+                // block. What the registry hands out mid-flight is the
                 // submitter's own `Arc`, and its final slots are what the
                 // profile tree sums (`ProfCtx::build` is `add_stats`).
-                if matches!(backend, Backend::Pooled(_)) && mode == Mode::Profiled {
+                if mode == Mode::Profiled {
                     ctx.arm();
                     let source = WatchingSource {
                         inner: NumberSource { tasks: 12 },

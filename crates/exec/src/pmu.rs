@@ -38,10 +38,12 @@
 //!
 //! Aggregation slots ([`HwSlot`], the `pmu.*` registry counters) use
 //! `Ordering::Relaxed`, same contract as [`metrics`](crate::metrics):
-//! reads are exact only after every sampling thread has been joined.
-//! Workers flush exactly once at drain inside `std::thread::scope`, so
-//! post-drain reads — profile snapshots, registry snapshots after
-//! `Engine::execute` returns — are exact.
+//! reads are exact only once every sampling worker has drained. Workers
+//! flush exactly once, at drain, and the submitter of a pipeline returns
+//! only after every worker drained (a pool's retirement waits under its
+//! state lock, which orders the flushes before the return), so post-drain
+//! reads — profile snapshots, registry snapshots after `Engine::execute`
+//! returns — are exact.
 
 use crate::metrics::MemPhase;
 use crate::registry::{self, Counter};
@@ -282,6 +284,8 @@ mod sys {
             bp_type: 0,
             bp_addr: 0,
         };
+        // SAFETY: `attr` is a live, fully initialised `perf_event_attr`
+        // whose `size` field declares its length; the kernel only reads it.
         unsafe {
             syscall(
                 SYS_PERF_EVENT_OPEN,
@@ -295,6 +299,8 @@ mod sys {
     }
 
     pub fn reset_group(leader_fd: i32) {
+        // SAFETY: this request takes an integer argument and touches no
+        // memory of ours; a stale fd fails with EBADF.
         unsafe {
             ioctl(
                 leader_fd,
@@ -305,6 +311,7 @@ mod sys {
     }
 
     pub fn enable_group(leader_fd: i32) {
+        // SAFETY: as in `reset_group`.
         unsafe {
             ioctl(
                 leader_fd,
@@ -315,6 +322,7 @@ mod sys {
     }
 
     pub fn disable_group(leader_fd: i32) {
+        // SAFETY: as in `reset_group`.
         unsafe {
             ioctl(
                 leader_fd,
@@ -328,6 +336,8 @@ mod sys {
     /// of u64 words filled, or `None` on error/short read.
     pub fn read_group(leader_fd: i32, buf: &mut [u64]) -> Option<usize> {
         let bytes = std::mem::size_of_val(buf);
+        // SAFETY: `buf` is a live exclusive borrow of exactly `bytes` bytes,
+        // and any bit pattern is a valid `u64`.
         let n = unsafe { read(leader_fd, buf.as_mut_ptr() as *mut u8, bytes) };
         if n < 0 || !(n as usize).is_multiple_of(8) {
             return None;
@@ -336,6 +346,8 @@ mod sys {
     }
 
     pub fn close_fd(fd: i32) {
+        // SAFETY: callers pass only an fd `open` returned and close it once
+        // (`CounterGroup`'s drop, `probe`), so no other owner's fd is hit.
         unsafe {
             close(fd);
         }

@@ -1,32 +1,36 @@
-//! Shared process-wide worker pool for concurrent query serving.
+//! The worker pool: the one owner of the engine's threads.
 //!
-//! The scoped executor in [`crate::sched`] gives every pipeline its own
-//! worker team: perfect for one query at a time, but under concurrent
-//! sessions each query would spawn `threads` workers and the OS scheduler
-//! — not the engine — would arbitrate the machine. The [`WorkerPool`]
-//! inverts that: one fixed team of workers serves *all* active pipelines,
-//! interleaving morsels from different queries at morsel granularity.
+//! A [`WorkerPool`] is a fixed team of workers that serves *all* active
+//! pipelines submitted to it, interleaving morsels from different queries
+//! at morsel granularity. The server shares one pool among its sessions,
+//! so the engine — not the OS scheduler — arbitrates the machine; an
+//! [`Executor::new(n > 1)`](crate::sched::Executor::new) and the engines
+//! built on it own a private pool of `n` workers, spawned for the first
+//! pipeline and kept for the rest.
 //!
 //! # Design
 //!
 //! This module owns the threads, the fairness rule and retirement; what
 //! runs on the threads is the one morsel loop of [`crate::morsel`], the
-//! same `step` / `drain` a scoped worker runs. A submitted pipeline becomes
-//! an [`ActivePipeline`]: the shared atomic task cursor and first-error
-//! failure slot, tagged with a pipeline id. Workers loop over a small
-//! state machine:
+//! same `step` / `drain` an inline run makes. A submitted [`Pipeline`]
+//! (with its shared atomic task cursor and first-error failure slot)
+//! becomes an [`ActivePipeline`], tagged with a pipeline id. Workers loop
+//! over a small state machine:
 //!
 //! 1. If this worker holds a [`Worker`] for a pipeline that is *exhausted*
-//!    (cursor drained or failure raised), `drain` it — exactly like a
-//!    scoped worker that ran out of tasks. Draining before anything else is
+//!    (cursor drained or failure raised), `drain` it — exactly like an
+//!    inline run that ran out of tasks. Draining before anything else is
 //!    what makes the pool deadlock-free: a worker never parks while it
 //!    still owes a pipeline its merge step.
 //! 2. Otherwise run one `step` — at most one morsel — of the next claimable
 //!    pipeline in round-robin order (the fairness rule: a heavy query
 //!    cannot starve a light one — between two morsels of query A every
-//!    other active query gets offered a morsel first). A pipeline with zero
-//!    tasks is still *adopted* by exactly one worker so it gets the one
-//!    flush + `finish_local` a scoped run gives it.
+//!    other active query gets offered a morsel first). A worker joins a
+//!    pipeline only while it has fewer workers than tasks, so no pipeline
+//!    builds more sets of operator and sink locals (and their memory) than
+//!    it has tasks. A pipeline with zero tasks is still *adopted* by
+//!    exactly one worker so it gets the one flush + `finish_local` an
+//!    inline run gives it.
 //! 3. If nothing is claimable, park on a condvar until a submit, an
 //!    exhaustion, or shutdown wakes the pool.
 //!
@@ -34,66 +38,47 @@
 //! `ExecError::WorkerPanic` — a bug in one query cannot take down the pool
 //! or any other query.
 //!
-//! For as long as a pipeline is active its counter block — the
-//! [`PipelineStats`] the submitter passed — is registered in
-//! [`progress::global`]; the morsel loop publishes into it after every
-//! morsel and stamps the query's wait state around it, so the block is
-//! readable mid-flight.
+//! A traced pipeline runs here like any other. Worker `w` records its
+//! spans on trace track `w`, so the morsels it runs for other queries in
+//! between show as gaps in this query's timeline, not as its spans.
 //!
 //! # Borrow safety
 //!
-//! [`WorkerPool::run_pipeline_obs`] borrows its source/ops/sink like the
-//! scoped executor does, but hands them to long-lived pool threads, so the
-//! pipeline record stores raw pointers. This is sound because the
-//! submitting thread **blocks until the pipeline retires**: retirement
-//! requires that no worker is engaged on the pipeline and that every
-//! held [`Worker`] has been drained and dropped, and a retired pipeline is
-//! removed from the active list so no worker can select it again. The
-//! pointers therefore never outlive the borrow they were created from.
-//!
-//! Traced pipelines never reach the pool — [`crate::sched::Executor`]
-//! routes them to a private scoped team so a query's timeline contains
-//! only its own workers (see `run_pipeline_obs` in `sched.rs`).
+//! [`WorkerPool::run`] hands long-lived pool threads a [`Pipeline`] that
+//! borrows its source/ops/sink from the submitter's stack, so the pipeline
+//! record stores a raw pointer to it. This is sound because the submitting
+//! thread **blocks until the pipeline retires**: retirement requires that
+//! no worker is engaged on the pipeline and that every held [`Worker`] has
+//! been drained and dropped, and a retired pipeline is removed from the
+//! active list so no worker can select it again. The pointer therefore
+//! never outlives the borrow it was created from.
 
-use crate::context::QueryContext;
-use crate::error::ExecResult;
-use crate::morsel::{Failure, Pipeline, Worker};
-use crate::pipeline::{Operator, Sink, Source};
-use crate::profile::PipelineStats;
-use crate::progress::{self, WaitState};
+use crate::morsel::{Pipeline, Worker};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
-/// Borrowed pipeline parts, type-erased so long-lived pool workers can
-/// reach them. See the module docs for why storing raw pointers here is
-/// sound (the submitter outlives every access).
-struct PipelineRefs {
-    ctx: *const QueryContext,
-    source: *const dyn Source,
-    ops: *const [Arc<dyn Operator>],
-    sink: *const dyn Sink,
-}
+/// The submitter's [`Pipeline`], lifetime-erased so long-lived pool workers
+/// can reach it. See the module docs for why this is sound (the submitter
+/// outlives every access).
+struct PipelinePtr(*const Pipeline<'static>);
 
-// SAFETY: sending the pointers moves no ownership; the submitting thread
-// keeps the borrows alive until the pipeline retires.
-unsafe impl Send for PipelineRefs {}
-// SAFETY: every pointee is `Sync` (`QueryContext` is; the traits require it).
-unsafe impl Sync for PipelineRefs {}
+// SAFETY: sending the pointer moves no ownership; the submitting thread
+// keeps the pipeline alive until it retires.
+unsafe impl Send for PipelinePtr {}
+// SAFETY: the pointee is `Sync`: its borrowed context, counter block,
+// source, ops and sink are (`QueryContext` and `PipelineStats` are, the
+// traits require it), its cursor is an atomic and its failure slot an
+// atomic flag plus a mutex.
+unsafe impl Sync for PipelinePtr {}
 
-/// One pipeline currently being served by the pool. All counter fields are
-/// only mutated under the pool's state lock; the atomics exist so the
-/// cursor/failure hot path (outside the lock) matches the scoped executor.
+/// One pipeline currently being served by the pool. The counters are only
+/// mutated under the pool's state lock; the claim cursor and failure flag
+/// the hot path touches live in the [`Pipeline`].
 struct ActivePipeline {
     id: u64,
-    refs: PipelineRefs,
-    task_count: usize,
-    /// Shared claim cursor, same discipline as the scoped executor.
-    cursor: AtomicUsize,
-    /// First-error-wins slot, shared by every participating worker.
-    failure: Failure,
+    pipeline: PipelinePtr,
     /// Workers currently inside a step or drain for this pipeline.
     /// Retirement requires zero.
     engaged: AtomicUsize,
@@ -106,47 +91,41 @@ struct ActivePipeline {
     participants: AtomicUsize,
     /// Set at retirement, under the state lock; the submitter waits on it.
     done: AtomicBool,
-    /// The submitter's counter block: registered in [`progress::global`]
-    /// at submit, removed at retirement, readable mid-flight through
-    /// `jsys.query_progress`.
-    stats: Arc<PipelineStats>,
 }
 
 impl ActivePipeline {
-    /// The view of this pipeline the morsel loop runs against.
+    /// The submitted pipeline.
     ///
     /// # Safety
     ///
-    /// The caller keeps the pipeline from retiring while it uses the view: it
-    /// is engaged on it, or holds the state lock with the pipeline active.
-    /// Until retirement the submitter is blocked in
-    /// [`WorkerPool::run_pipeline_obs`], so the borrows behind `refs` live.
-    unsafe fn view(&self) -> Pipeline<'_> {
-        Pipeline {
-            ctx: &*self.refs.ctx,
-            source: &*self.refs.source,
-            ops: &*self.refs.ops,
-            sink: &*self.refs.sink,
-            cursor: &self.cursor,
-            task_count: self.task_count,
-            failure: &self.failure,
-            stats: &self.stats,
-            live: true,
-            trace: None,
-        }
+    /// The caller keeps the pipeline from retiring while it uses the
+    /// reference: it is engaged on it, or holds the state lock with the
+    /// pipeline not `done`. Until retirement the submitter is blocked in
+    /// [`WorkerPool::run`], so the pipeline lives.
+    unsafe fn pipeline(&self) -> &Pipeline<'_> {
+        &*self.pipeline.0
     }
 
-    /// No more morsels will ever be claimed: tasks drained or a failure
-    /// raised. Held workers must now be drained.
-    #[inline]
-    fn exhausted(&self) -> bool {
-        self.failure.raised() || self.cursor.load(Ordering::Relaxed) >= self.task_count
+    /// No more morsels will ever be claimed: tasks drained, a failure
+    /// raised, or retired. Held workers must now be drained. `_locked` is
+    /// the state the caller holds the lock of.
+    fn exhausted(&self, _locked: &PoolState) -> bool {
+        // SAFETY: under the state lock a pipeline that is not `done` cannot
+        // retire, so its submitter is still blocked.
+        self.done.load(Ordering::Relaxed) || unsafe { self.pipeline() }.exhausted()
     }
 
     /// Whether a worker scanning the active list should pick this
-    /// pipeline: either a morsel is claimable or nobody adopted it yet.
-    fn selectable(&self) -> bool {
-        !self.exhausted() || !self.adopted.load(Ordering::Relaxed)
+    /// pipeline: nobody adopted it yet, or a morsel is claimable and the
+    /// worker already `holds` it or the pipeline has fewer workers than
+    /// tasks — so a one-task pipeline makes one set of locals, as inline.
+    fn selectable(&self, locked: &PoolState, holds: bool) -> bool {
+        if self.exhausted(locked) {
+            return !self.adopted.load(Ordering::Relaxed);
+        }
+        // SAFETY: as in `exhausted`; this one is not `done`.
+        let tasks = unsafe { self.pipeline() }.task_count;
+        holds || self.participants.load(Ordering::Relaxed) < tasks
     }
 }
 
@@ -211,7 +190,7 @@ impl WorkerPool {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("joinstudy-pool-{w}"))
-                    .spawn(move || worker_loop(inner))
+                    .spawn(move || worker_loop(inner, w as u32))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -235,55 +214,20 @@ impl WorkerPool {
             .len()
     }
 
-    /// Submit one pipeline and block until it retires. Same contract as
-    /// [`crate::sched::Executor::run_pipeline_obs`] — it is the same loop:
-    /// on success the sink is finalized; on error the first failure is
-    /// returned and `finish` is skipped — but every held worker state has
-    /// been drained and dropped, so no worker still references the
-    /// pipeline.
-    pub fn run_pipeline_obs(
-        &self,
-        ctx: &Arc<QueryContext>,
-        source: &dyn Source,
-        ops: &[Arc<dyn Operator>],
-        sink: &dyn Sink,
-        stats: &Arc<PipelineStats>,
-    ) -> ExecResult {
-        let started = Instant::now();
-        progress::global().register(Arc::clone(stats));
-        // Submitted but no morsel claimed yet; each morsel re-stamps the
-        // CPU flavor on entry and PoolWait on exit.
-        ctx.stamp_wait(WaitState::PoolWait);
-        let source_ptr: *const (dyn Source + '_) = source;
-        let sink_ptr: *const (dyn Sink + '_) = sink;
+    /// Submit `p` and block until it retires; returns how many workers
+    /// took part. On return every held worker state has been drained and
+    /// dropped, so no worker still references `p`.
+    pub(crate) fn run(&self, p: &Pipeline<'_>) -> u64 {
         let pipe = Arc::new(ActivePipeline {
             id: self.inner.next_id.fetch_add(1, Ordering::Relaxed),
-            refs: PipelineRefs {
-                ctx: Arc::as_ptr(ctx),
-                // SAFETY: erases only the lifetime; `source` is borrowed until
-                // this function returns, which is after the pipeline retired.
-                source: unsafe {
-                    std::mem::transmute::<*const (dyn Source + '_), *const (dyn Source + 'static)>(
-                        source_ptr,
-                    )
-                },
-                ops: ops as *const [Arc<dyn Operator>],
-                // SAFETY: as for `source`.
-                sink: unsafe {
-                    std::mem::transmute::<*const (dyn Sink + '_), *const (dyn Sink + 'static)>(
-                        sink_ptr,
-                    )
-                },
-            },
-            task_count: source.task_count(),
-            cursor: AtomicUsize::new(0),
-            failure: Failure::new(),
+            // Erases only the lifetime: `p` is borrowed until this function
+            // returns, which is after the pipeline retired.
+            pipeline: PipelinePtr(std::ptr::from_ref(p).cast()),
             engaged: AtomicUsize::new(0),
             holders: AtomicUsize::new(0),
             adopted: AtomicBool::new(false),
             participants: AtomicUsize::new(0),
             done: AtomicBool::new(false),
-            stats: Arc::clone(stats),
         });
         {
             let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -292,8 +236,8 @@ impl WorkerPool {
         self.inner.work_cv.notify_all();
 
         // Block until retirement. After this loop no worker holds any
-        // reference into this pipeline (see module docs), so the raw
-        // pointers in `refs` are dead and the borrows may end.
+        // reference into this pipeline (see module docs), so the pointer
+        // is dead and the borrow may end.
         let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
         while !pipe.done.load(Ordering::Relaxed) {
             state = self
@@ -303,11 +247,7 @@ impl WorkerPool {
                 .unwrap_or_else(|e| e.into_inner());
         }
         drop(state);
-        let workers = pipe.participants.load(Ordering::Relaxed).max(1) as u64;
-        stats.record_run(started.elapsed().as_nanos() as u64, workers);
-        progress::global().retire(stats);
-        ctx.stamp_wait(WaitState::Other);
-        pipe.failure.conclude(sink)
+        pipe.participants.load(Ordering::Relaxed).max(1) as u64
     }
 }
 
@@ -322,8 +262,8 @@ impl Drop for WorkerPool {
     }
 }
 
-fn worker_loop(inner: Arc<PoolInner>) {
-    // Per-(worker, pipeline) state — exactly what a scoped worker keeps on
+fn worker_loop(inner: Arc<PoolInner>, track: u32) {
+    // Per-(worker, pipeline) state — exactly what an inline run keeps on
     // its stack for the duration of a pipeline.
     let mut held: HashMap<u64, (Arc<ActivePipeline>, Worker)> = HashMap::new();
     loop {
@@ -332,7 +272,7 @@ fn worker_loop(inner: Arc<PoolInner>) {
         let (action, fresh) = {
             let mut state = inner.state.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some((id, (pipe, _))) = held.iter().find(|(_, (p, _))| p.exhausted()) {
+                if let Some((id, (pipe, _))) = held.iter().find(|(_, (p, _))| p.exhausted(&state)) {
                     pipe.engaged.fetch_add(1, Ordering::Relaxed);
                     break (Action::Flush(*id), false);
                 }
@@ -340,7 +280,8 @@ fn worker_loop(inner: Arc<PoolInner>) {
                 let mut picked = None;
                 for k in 0..n {
                     let i = (state.rr + k) % n;
-                    if state.active[i].selectable() {
+                    let p = &state.active[i];
+                    if p.selectable(&state, held.contains_key(&p.id)) {
                         state.rr = (i + 1) % n;
                         picked = Some(Arc::clone(&state.active[i]));
                         break;
@@ -372,12 +313,12 @@ fn worker_loop(inner: Arc<PoolInner>) {
                 {
                     // SAFETY: `engaged` was raised under the lock, so the
                     // pipeline cannot retire before it is lowered below.
-                    let p = unsafe { pipe.view() };
-                    pipe.failure.guard(|| {
+                    let p = unsafe { pipe.pipeline() };
+                    p.failure.guard(|| {
                         let (_, worker) = held
                             .entry(pipe.id)
-                            .or_insert_with(|| (Arc::clone(&pipe), Worker::new(&p, 0)));
-                        worker.step(&p).map(drop)
+                            .or_insert_with(|| (Arc::clone(&pipe), Worker::new(p, track)));
+                        worker.step(p).map(drop)
                     });
                 }
                 let mut state = inner.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -387,8 +328,7 @@ fn worker_loop(inner: Arc<PoolInner>) {
                     pipe.holders.fetch_sub(1, Ordering::Relaxed);
                 }
                 pipe.engaged.fetch_sub(1, Ordering::Relaxed);
-                maybe_retire(&mut state, &inner, &pipe);
-                if pipe.exhausted() {
+                if !maybe_retire(&mut state, &inner, &pipe) && pipe.exhausted(&state) {
                     // Wake holders on other workers so they drain.
                     inner.work_cv.notify_all();
                 }
@@ -397,8 +337,8 @@ fn worker_loop(inner: Arc<PoolInner>) {
                 let (pipe, mut worker) = held.remove(&id).expect("drain of un-held pipeline");
                 {
                     // SAFETY: as above — engaged until lowered below.
-                    let p = unsafe { pipe.view() };
-                    pipe.failure.guard(|| worker.drain(&p));
+                    let p = unsafe { pipe.pipeline() };
+                    p.failure.guard(|| worker.drain(p));
                 }
                 drop(worker);
                 let mut state = inner.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -410,30 +350,35 @@ fn worker_loop(inner: Arc<PoolInner>) {
     }
 }
 
-/// Retire a pipeline once it is exhausted, adopted, and nobody holds or
-/// runs state for it. Called under the pool state lock.
-fn maybe_retire(state: &mut PoolState, inner: &PoolInner, pipe: &Arc<ActivePipeline>) {
-    if pipe.exhausted()
+/// Retire a pipeline once it is adopted, exhausted, and nobody holds or
+/// runs state for it; returns whether it retired. Called under the pool
+/// state lock.
+fn maybe_retire(state: &mut PoolState, inner: &PoolInner, pipe: &Arc<ActivePipeline>) -> bool {
+    let retire = !pipe.done.load(Ordering::Relaxed)
         && pipe.adopted.load(Ordering::Relaxed)
         && pipe.engaged.load(Ordering::Relaxed) == 0
         && pipe.holders.load(Ordering::Relaxed) == 0
-        && !pipe.done.load(Ordering::Relaxed)
-    {
+        && pipe.exhausted(state);
+    if retire {
         state.active.retain(|q| q.id != pipe.id);
         pipe.done.store(true, Ordering::Relaxed);
         inner.done_cv.notify_all();
     }
+    retire
 }
 
 #[cfg(test)]
 mod tests {
-    //! What only the pool does: interleaving concurrent pipelines and
-    //! making the counter block readable mid-flight. That a pooled pipeline
-    //! computes what a scoped one does is a row of the table in
-    //! [`crate::morsel`].
+    //! What only the pool does: interleaving concurrent pipelines, with the
+    //! counter block readable mid-flight. That a pooled pipeline computes
+    //! what an inline one does is a row of the table in [`crate::morsel`].
 
     use super::*;
+    use crate::context::QueryContext;
     use crate::morsel::PipelineLabel;
+    use crate::pipeline::Operator;
+    use crate::profile::PipelineStats;
+    use crate::progress::WaitState;
     use crate::sched::Executor;
     use crate::test_fixtures::*;
 
@@ -517,7 +462,7 @@ mod tests {
 
     #[test]
     fn unlabeled_pooled_pipeline_does_not_inherit_an_earlier_label() {
-        // A labelled run on a scoped team, where nothing reads the label …
+        // A labelled inline run …
         let label = PipelineLabel {
             name: "BHJ build",
             cpu: WaitState::CpuBuild,

@@ -2,16 +2,15 @@
 //! running pipelines behind `jsys.ash` and `jsys.query_progress`.
 //!
 //! The tracer ([`crate::trace`]) answers *where did the time go* only after
-//! a query finishes, and only on a private scoped worker team, so a pooled
-//! serving workload is invisible to it. This module is the always-on
-//! counterpart:
+//! a query finishes, and only for the one query it traces. This module is
+//! the always-on counterpart:
 //!
 //! * Every [`QueryContext`](crate::context::QueryContext) carries a
 //!   **wait-state stamp** — one relaxed `AtomicU64` written at boundaries
 //!   that already exist (admission enqueue/grant, pipeline submit, morsel
 //!   claim, worker drain, spill I/O). An external sampler reads the
 //!   stamp every ~10 ms; between stamps nothing on the hot path is touched.
-//! * The pool registers every pipeline's [`PipelineStats`] block here for
+//! * The executor registers every pipeline's [`PipelineStats`] block here for
 //!   as long as the pipeline runs. There is no second set of progress
 //!   counters: a live reader gets the `Arc` of the very block the morsel
 //!   loop adds into after every morsel and EXPLAIN ANALYZE reads at the
@@ -39,7 +38,7 @@ pub enum WaitState {
     Other = 0,
     /// Blocked in the admission controller's ticket queue.
     AdmissionQueued = 1,
-    /// Pipeline submitted to the shared pool, no morsel claimed yet.
+    /// Pipeline submitted, waiting for a worker to claim its next morsel.
     PoolWait = 2,
     /// Running a hash-table build pipeline.
     CpuBuild = 3,
@@ -95,7 +94,7 @@ impl WaitState {
     }
 }
 
-/// Process-wide registry of live pooled pipelines. One mutex, touched once
+/// Process-wide registry of live pipelines. One mutex, touched once
 /// per pipeline at submit and once at retire — never per morsel.
 #[derive(Debug, Default)]
 pub struct ProgressRegistry {

@@ -1,4 +1,4 @@
-//! Morsel-driven parallel pipeline executor: the scoped worker team.
+//! Morsel-driven parallel pipeline executor.
 //!
 //! Workers claim tasks from a shared atomic cursor — the simplest form of
 //! work stealing: no worker ever idles while tasks remain, which is what
@@ -7,12 +7,15 @@
 //! the morsel-driven scheduler of Leis et al. that the paper's host system
 //! uses for all pipelines, including both radix-partitioning passes.
 //!
-//! This module and [`crate::pool`] own every thread: an [`Executor`] spawns
-//! one scoped team per pipeline (or hands the pipeline to the shared
-//! [`WorkerPool`](crate::pool::WorkerPool)), and every worker runs the one
-//! morsel loop of [`crate::morsel`] — `while worker.step()? {}`, then
-//! `worker.drain()`. Profiling, live progress and tracing are data that
-//! loop carries, not separate bodies.
+//! An [`Executor`] runs a pipeline either inline (one worker: the caller)
+//! or on a [`WorkerPool`] — the server's shared one, or a private one the
+//! executor spawns for its first pipeline. [`crate::pool`] is the one place
+//! threads are owned. Either way every worker runs the one morsel loop of
+//! [`crate::morsel`] — `step` until exhausted, then `drain` — and this
+//! module wraps each run in the same bookkeeping: the counter block is
+//! registered in [`progress::global`] while the pipeline runs, the query's
+//! wait state is stamped, and a pipeline submitted by the thread that owns
+//! the live trace is traced, whichever back-end runs it.
 //!
 //! # Failure handling
 //!
@@ -20,8 +23,8 @@
 //! deadline) before claiming each morsel, and every `poll_task` / `process` /
 //! `consume` call returns [`ExecResult`]. The first error is stored in a
 //! shared slot; the remaining workers observe the raised failure flag, stop
-//! claiming tasks, and join cleanly. A panicking worker is additionally
-//! isolated with `catch_unwind` and converted into
+//! claiming tasks, and drain. A panicking worker is additionally isolated
+//! with `catch_unwind` and converted into
 //! [`ExecError::WorkerPanic`](crate::error::ExecError::WorkerPanic), so a
 //! bug in one operator cannot abort the whole process. On failure the
 //! sink's `finish` is skipped and [`Executor::run_pipeline`] returns the
@@ -31,23 +34,28 @@ use crate::context::QueryContext;
 use crate::error::ExecResult;
 use crate::morsel::{Failure, Pipeline, PipelineLabel, Worker};
 use crate::pipeline::{DiscardSink, Emit, Operator, Sink, Source};
+use crate::pool::WorkerPool;
 use crate::profile::PipelineStats;
+use crate::progress::{self, WaitState};
 use crate::trace;
 use std::sync::atomic::AtomicUsize;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// A pipeline executor with a fixed worker count.
 ///
-/// `threads == 1` runs inline on the calling thread (deterministic order,
-/// easier profiling); `threads > 1` spawns scoped workers. An executor
-/// built with [`Executor::pooled`] instead submits its pipelines to a
-/// shared process-wide [`WorkerPool`](crate::pool::WorkerPool), whose
-/// workers interleave morsels from every active query.
+/// `Executor::new(1)` runs inline on the calling thread (deterministic
+/// order, easier profiling); `Executor::new(n > 1)` submits to a private
+/// [`WorkerPool`] of `n` workers, spawned by the first pipeline and shared
+/// by every clone of the executor. [`Executor::pooled`] submits to a pool
+/// the caller shares — the server's, whose workers interleave morsels from
+/// every active query.
 #[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,
-    pool: Option<Arc<crate::pool::WorkerPool>>,
+    /// `None` runs inline; otherwise the pool, set on first use when
+    /// private.
+    pool: Option<Arc<OnceLock<Arc<WorkerPool>>>>,
 }
 
 impl Executor {
@@ -55,22 +63,28 @@ impl Executor {
         assert!(threads > 0, "executor needs at least one thread");
         Executor {
             threads,
-            pool: None,
+            pool: (threads > 1).then(Default::default),
         }
     }
 
-    /// An executor that submits every pipeline to `pool` instead of
-    /// spawning a private worker team. `threads()` reports the pool's
-    /// worker count so plan-time parallelism decisions stay meaningful.
-    pub fn pooled(pool: Arc<crate::pool::WorkerPool>) -> Executor {
+    /// An executor that submits every pipeline to `pool` instead of a
+    /// private one. `threads()` reports the pool's worker count so
+    /// plan-time parallelism decisions stay meaningful.
+    pub fn pooled(pool: Arc<WorkerPool>) -> Executor {
         Executor {
             threads: pool.threads(),
-            pool: Some(pool),
+            pool: Some(Arc::new(OnceLock::from(pool))),
         }
     }
 
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// The pool this executor's pipelines run on, once there is one: a
+    /// private pool exists only after its first pipeline.
+    pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
+        self.pool.as_deref()?.get()
     }
 
     /// Run one unlabeled, untimed pipeline to completion: drain every
@@ -79,7 +93,7 @@ impl Executor {
     ///
     /// Returns the first error any worker hit (cancellation, timeout, budget
     /// breach, operator failure, or a caught panic). On error the sink is
-    /// left un-finalized but every worker thread has joined.
+    /// left un-finalized but every worker has drained.
     pub fn run_pipeline(
         &self,
         ctx: &Arc<QueryContext>,
@@ -95,12 +109,12 @@ impl Executor {
     /// [`Executor::run_pipeline`] into a counter block the caller built
     /// (for `source`'s task count and `ops.len()` operators) and keeps.
     ///
-    /// `stats.label` is what the pipeline is called in a trace and (on the
-    /// pool, which registers the block for its run) in
-    /// `jsys.query_progress`. Each worker's private counts are added into
-    /// `stats` when it drains — on the pool after every morsel — along with
-    /// the pipeline's wall time and worker count; with `stats.timed` the
-    /// workers also time every batch.
+    /// `stats.label` is what the pipeline is called in a trace and in
+    /// `jsys.query_progress`, where the block is registered while the
+    /// pipeline runs. Each worker's private counts are added into `stats`
+    /// after every morsel and at drain, along with the pipeline's wall time
+    /// and worker count; with `stats.timed` the workers also time every
+    /// batch.
     pub fn run_pipeline_obs(
         &self,
         ctx: &Arc<QueryContext>,
@@ -109,50 +123,39 @@ impl Executor {
         sink: &dyn Sink,
         stats: &Arc<PipelineStats>,
     ) -> ExecResult {
-        // The check is per-thread ownership, not the bare enabled flag, so a
-        // trace begun by one session never captures a concurrent session's
-        // pipelines. A traced pipeline always runs on a private scoped team
-        // (never the shared pool): its timeline then contains exactly this
-        // query's workers, and the per-worker track indices stay stable.
-        let traced = trace::thread_active();
-        match &self.pool {
-            Some(pool) if !traced => return pool.run_pipeline_obs(ctx, source, ops, sink, stats),
-            _ => {}
-        }
         let started = Instant::now();
-        let task_count = source.task_count();
-        let (cursor, failure) = (AtomicUsize::new(0), Failure::new());
+        progress::global().register(Arc::clone(stats));
+        // Submitted but no morsel claimed yet; each morsel stamps the CPU
+        // flavor on entry and PoolWait on exit.
+        ctx.stamp_wait(WaitState::PoolWait);
         let pipeline = Pipeline {
             ctx,
             source,
             ops,
             sink,
-            cursor: &cursor,
-            task_count,
-            failure: &failure,
+            cursor: AtomicUsize::new(0),
+            task_count: source.task_count(),
+            failure: Failure::new(),
             stats,
-            live: false,
-            trace: traced.then(|| trace::pipeline_begin(&stats.label)),
+            trace: trace::pipeline_begin(&stats.label),
         };
-
-        let workers = if task_count <= 1 { 1 } else { self.threads };
-        if workers == 1 {
-            run_worker(&pipeline, 0);
-        } else {
-            std::thread::scope(|scope| {
-                for track in 0..workers as u32 {
-                    let pipeline = &pipeline;
-                    scope.spawn(move || run_worker(pipeline, track));
-                }
-            });
-        }
-
-        if let Some(pipe) = pipeline.trace {
+        let workers = match &self.pool {
+            None => {
+                run_worker(&pipeline, 0);
+                1
+            }
+            Some(pool) => pool
+                .get_or_init(|| WorkerPool::new(self.threads))
+                .run(&pipeline),
+        };
+        if let Some(id) = pipeline.trace {
             // Closes the pipeline span and synthesizes the idle intervals.
-            trace::pipeline_end(pipe, trace::now_ns(), workers as u32);
+            trace::pipeline_end(id, trace::now_ns(), self.threads as u32);
         }
-        stats.record_run(started.elapsed().as_nanos() as u64, workers as u64);
-        failure.conclude(sink)
+        stats.record_run(started.elapsed().as_nanos() as u64, workers);
+        progress::global().retire(stats);
+        ctx.stamp_wait(WaitState::Other);
+        pipeline.failure.conclude(sink)
     }
 
     /// Run `body(task)` for each task of `0..tasks` as one pipeline under
@@ -184,10 +187,10 @@ impl<F: Fn(usize) -> ExecResult + Send + Sync> Source for TaskSource<F> {
     }
 }
 
-/// One scoped worker: step until nothing is left to claim (or a failure is
-/// raised), then drain. The drain also runs after this worker's own error
-/// or panic — it then skips the operator flush and sink merge and only
-/// publishes the counts, PMU sample and spans gathered so far.
+/// The inline worker: step until nothing is left to claim (or a failure
+/// is raised), then drain. The drain also runs after this worker's own
+/// error or panic — it then skips the operator flush and sink merge and
+/// only publishes the counts, PMU sample and spans gathered so far.
 fn run_worker(p: &Pipeline<'_>, track: u32) {
     let mut worker = None;
     p.failure.guard(|| {

@@ -9,11 +9,11 @@
 //! # Design
 //!
 //! - A process-global tracer guarded by one relaxed [`enabled`] flag. The
-//!   scheduler checks it once per pipeline run ([`thread_active`]) and, for
-//!   a traced run, registers the pipeline under the label its submitter
+//!   executor asks once per pipeline run ([`pipeline_begin`]) and, for a
+//!   traced run, registers the pipeline under the label its submitter
 //!   passed and gives every worker of the one morsel loop
-//!   ([`crate::morsel`]) a track; an untraced worker has no track and
-//!   reads no clock on the tracer's behalf.
+//!   ([`crate::morsel`]) a track — its index in the pool, 0 inline; an
+//!   untraced worker has no track and records no span.
 //! - **Hot path is lock-free**: each traced worker records spans into a
 //!   reusable `Vec<TraceSpan>` (timestamp pairs only) and flushes it
 //!   into the global collector with a *single* mutex acquisition when it
@@ -37,18 +37,18 @@
 //! # Scope
 //!
 //! One query is traced at a time: [`begin`] returns `false` while a trace
-//! is active and the caller then runs untraced. Since PR 7 the active
-//! trace is additionally *owned* by the thread that called [`begin`]: the
-//! collector carries a generation token and the owning thread holds the
-//! matching thread-local token, so pipelines run by *other* sessions while
-//! a trace is active no longer leak spans into it. The scheduler and the
-//! shared worker pool consult [`thread_active`] (or the token captured at
-//! pipeline submission) instead of the bare [`enabled`] flag, and the
-//! cold-path helpers ([`phase_scope`], [`instant`]) are inert on
-//! non-owning threads. Two traced
-//! queries on different sessions therefore serialize (second [`begin`]
-//! refuses, that query runs untraced) and two *concurrent* queries — one
-//! traced, one not — cannot corrupt each other's spans.
+//! is active and the caller then runs untraced. The active trace is
+//! additionally *owned* by the thread that called [`begin`]: the collector
+//! carries a generation token and the owning thread holds the matching
+//! thread-local token. [`pipeline_begin`] and the cold-path helpers
+//! ([`phase_scope`], [`instant`]) consult [`thread_active`] instead of the
+//! bare [`enabled`] flag, so only pipelines the owning thread submits are
+//! traced, and a pool worker records spans only for a pipeline it took
+//! from a traced submitter. Two traced queries on different sessions
+//! therefore serialize (second [`begin`] refuses, that query runs
+//! untraced), and two *concurrent* queries on one pool — one traced, one
+//! not — cannot corrupt each other's spans: the untraced query's morsels
+//! are gaps on the traced query's worker tracks.
 
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
@@ -124,6 +124,7 @@ pub struct PipelineSpan {
     pub label: String,
     pub start_ns: u64,
     pub end_ns: u64,
+    /// Size of the team it ran on: 1 inline, else the pool's worker count.
     pub workers: u32,
 }
 
@@ -186,8 +187,8 @@ pub fn enabled() -> bool {
 
 /// Whether the *calling thread* owns the live trace: a trace is active and
 /// its token matches this thread's. This — not the bare [`enabled`] flag —
-/// is what the scheduler and the cold-path helpers consult, so concurrent
-/// sessions cannot record into a trace they did not begin.
+/// is what [`pipeline_begin`] and the cold-path helpers consult, so
+/// concurrent sessions cannot record into a trace they did not begin.
 #[inline]
 pub fn thread_active() -> bool {
     if !enabled() {
@@ -259,42 +260,41 @@ pub fn end() -> Option<QueryTrace> {
     })
 }
 
-/// Register a pipeline run under `label` (e.g. "RJ partition (build)");
-/// returns the pipeline id for [`pipeline_end`], or [`NO_PIPELINE`] when no
-/// trace is active (a race with [`end`]); worker flushes are then silently
-/// dropped.
-pub fn pipeline_begin(label: &str) -> u32 {
+/// Register a pipeline run under `label` (e.g. "RJ partition (build)")
+/// and return its id for [`pipeline_end`] — if the calling thread owns the
+/// live trace ([`thread_active`]); otherwise `None`, and the pipeline runs
+/// untraced. Called for every pipeline by the executor, which is how a
+/// trace contains exactly its own query's pipelines, whatever pool runs
+/// them.
+pub fn pipeline_begin(label: &str) -> Option<u32> {
+    if !thread_active() {
+        return None;
+    }
     let start = now_ns();
     let hw = crate::pmu::control_sample();
     let mut slot = COLLECTOR.lock().unwrap();
-    match slot.as_mut() {
-        None => NO_PIPELINE,
-        Some(col) => {
-            let id = col.pipelines.len() as u32;
-            col.pipelines.push(PipelineSpan {
-                label: label.to_string(),
-                start_ns: start,
-                end_ns: start,
-                workers: 0,
-            });
-            if let Some(values) = hw {
-                col.counters.push(HwSample {
-                    at_ns: start,
-                    values,
-                });
-            }
-            id
-        }
+    let col = slot.as_mut()?;
+    let id = col.pipelines.len() as u32;
+    col.pipelines.push(PipelineSpan {
+        label: label.to_string(),
+        start_ns: start,
+        end_ns: start,
+        workers: 0,
+    });
+    if let Some(values) = hw {
+        col.counters.push(HwSample {
+            at_ns: start,
+            values,
+        });
     }
+    Some(id)
 }
 
 /// Close a pipeline span and synthesize `Idle` spans from each worker's
 /// drain timestamp to the pipeline end. Must run after every worker of the
-/// pipeline has flushed (the executor calls it after the scoped join).
+/// pipeline has flushed (the executor calls it once the run returned).
+/// `workers` is the size of the team the pipeline ran on.
 pub fn pipeline_end(id: u32, end_ns: u64, workers: u32) {
-    if id == NO_PIPELINE {
-        return;
-    }
     let hw = crate::pmu::control_sample();
     let mut slot = COLLECTOR.lock().unwrap();
     let Some(col) = slot.as_mut() else { return };
@@ -344,11 +344,11 @@ pub fn flush_worker(pipeline: u32, track: u32, mut spans: Vec<TraceSpan>, draine
     {
         let mut slot = COLLECTOR.lock().unwrap();
         match slot.as_mut() {
-            Some(col) if pipeline != NO_PIPELINE => {
+            Some(col) => {
                 col.spans.append(&mut spans);
                 col.drains.push((pipeline, track, drained_at));
             }
-            _ => spans.clear(),
+            None => spans.clear(),
         }
     }
     WORKER_BUF.with(|b| *b.borrow_mut() = spans);
@@ -665,7 +665,7 @@ mod tests {
         assert!(!begin("nested"), "second begin must refuse");
         assert!(enabled());
 
-        let pid = pipeline_begin("RJ partition (build)");
+        let pid = pipeline_begin("RJ partition (build)").expect("this thread owns the trace");
         assert_eq!(pid, 0);
 
         let mut buf = take_worker_buffer();

@@ -47,7 +47,9 @@ impl StrColumn {
     }
 
     pub fn get(&self, i: usize) -> &str {
-        // Arena only ever receives whole UTF-8 strings at recorded offsets.
+        // SAFETY: every byte range between two offsets was appended as a
+        // whole `&str` (`push`), or copied whole from such a range (`slice`,
+        // `take`); spill decode validates UTF-8 before it pushes.
         unsafe { std::str::from_utf8_unchecked(self.bytes_of(i)) }
     }
 

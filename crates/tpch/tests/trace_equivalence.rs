@@ -7,11 +7,13 @@
 //! non-partitioned BHJ timeline does not have.
 
 use joinstudy_core::{Engine, JoinAlgo};
-use joinstudy_exec::trace::{QueryTrace, SpanKind};
+use joinstudy_exec::trace::{QueryTrace, SpanKind, CONTROL_TRACK};
+use joinstudy_exec::WorkerPool;
 use joinstudy_storage::table::Table;
 use joinstudy_tpch::queries::{all_queries, QueryConfig, TpchQuery};
 use joinstudy_tpch::{generate, TpchData};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The tracer is process-global (one trace at a time), so tests that
 /// enable it serialize here.
@@ -138,4 +140,88 @@ fn rj_trace_shows_partition_work_absent_from_bhj() {
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"thread_name\""));
     }
+}
+
+/// Per pipeline of a trace, in run order: its label and morsel-span count.
+fn shape(t: &QueryTrace) -> Vec<(String, usize)> {
+    t.pipelines
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let morsels = t
+                .spans
+                .iter()
+                .filter(|s| s.kind == SpanKind::Morsel && s.pipeline == i as u32);
+            (p.label.clone(), morsels.count())
+        })
+        .collect()
+}
+
+#[test]
+fn q3_traced_on_a_shared_pool_beside_an_untraced_session() {
+    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let pool = WorkerPool::new(2);
+    let session = || {
+        let mut engine = Engine::new(1);
+        engine.set_worker_pool(Some(Arc::clone(&pool)));
+        engine
+    };
+    let (engine, other) = (session(), session());
+    let untraced = canonical(&(q3().run)(
+        data(),
+        &QueryConfig::new(JoinAlgo::Rj),
+        &engine,
+    ));
+    // The same query traced alone on the pool: what the contended trace
+    // must look like.
+    let (_, alone) = run_traced(&engine, JoinAlgo::Rj);
+
+    let (started, stop, other_runs) = (
+        AtomicBool::new(false),
+        AtomicBool::new(false),
+        AtomicUsize::new(0),
+    );
+    let (traced, trace) = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                started.store(true, Ordering::Relaxed);
+                (q3().run)(data(), &QueryConfig::new(JoinAlgo::Brj), &other);
+                other_runs.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        while !started.load(Ordering::Relaxed) {
+            std::thread::yield_now();
+        }
+        let traced = run_traced(&engine, JoinAlgo::Rj);
+        stop.store(true, Ordering::Relaxed);
+        traced
+    });
+    assert!(
+        other_runs.into_inner() > 0,
+        "the untraced session ran no query"
+    );
+    assert!(
+        other.take_trace().is_none(),
+        "the untraced session recorded a trace"
+    );
+
+    assert_eq!(
+        traced, untraced,
+        "result changed under tracing on a shared pool"
+    );
+    trace
+        .validate()
+        .unwrap_or_else(|e| panic!("shared-pool trace invalid: {e}"));
+    let ran = |needle: &str| trace.pipelines.iter().any(|p| p.label.contains(needle));
+    assert!(ran("radix histogram scan"), "no histogram-scan pipeline");
+    assert!(ran("radix partition pass 2"), "no scatter pipeline");
+    // No span of the other session: every worker span belongs to one of
+    // this query's pipelines, which ran the morsels they ran alone.
+    for s in trace.spans.iter().filter(|s| s.track != CONTROL_TRACK) {
+        assert!(
+            (s.pipeline as usize) < trace.pipelines.len() && s.track < 2,
+            "foreign span {s:?}"
+        );
+    }
+    assert_eq!(shape(&trace), shape(&alone));
 }
