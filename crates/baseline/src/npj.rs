@@ -35,6 +35,9 @@ impl SharedChainTable {
         // `next` is written only by the worker owning index i — expose it as
         // a raw pointer wrapper for disjoint writes.
         struct NextPtr(*mut u32);
+        // SAFETY: the workers share only the base pointer; each writes the
+        // `next` slots of the build indices in the chunks it claimed, and
+        // the counter hands every chunk to one worker.
         unsafe impl Sync for NextPtr {}
         let next_ptr = NextPtr(next.as_mut_ptr());
         let chunk = build.len().div_ceil(threads.max(1)).max(1);
@@ -47,6 +50,9 @@ impl SharedChainTable {
                 let mut old = head.load(Ordering::Relaxed);
                 loop {
                     let prev = if old == 0 { NIL } else { (old - 1) as u32 };
+                    // SAFETY: `i < build.len() == next.len()`, and slot `i`
+                    // belongs to the one worker that claimed its chunk;
+                    // nothing reads `next` before every writer is done.
                     unsafe { *next_ptr.0.add(i) = prev };
                     match head.compare_exchange_weak(
                         old,

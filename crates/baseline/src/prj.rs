@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 #[inline]
 pub fn prefetch<T>(ptr: *const T) {
     #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint; it faults on no address, mapped or not.
     unsafe {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         _mm_prefetch(ptr.cast::<i8>(), _MM_HINT_T0);
@@ -106,6 +107,8 @@ fn partition_pass<T: JoinTuple>(
 
     // Scatter: each chunk writes to its precomputed disjoint slots.
     struct OutPtr<T>(*mut T);
+    // SAFETY: the threads share only the base pointer; each writes the
+    // slots its own cursors own, which no other chunk's cursors reach.
     unsafe impl<T> Sync for OutPtr<T> {}
     let out_ptr = OutPtr(output.as_mut_ptr());
     std::thread::scope(|scope| {
@@ -117,6 +120,11 @@ fn partition_pass<T: JoinTuple>(
                 let end = (start + chunk).min(n);
                 for t in &input[start..end] {
                     let p = ((key_hash(t.key()) >> shift) & mask) as usize;
+                    // SAFETY: the prefix sums give chunk `c` the slots
+                    // `[cursors[c][p], cursors[c][p] + histograms[c][p])`,
+                    // disjoint from every other chunk's and inside
+                    // `output` (they sum to `n`); the scope joins every
+                    // writer before `output` is read.
                     unsafe { out_ptr.0.add(cursor[p]).write(*t) };
                     cursor[p] += 1;
                 }
@@ -149,8 +157,12 @@ fn radix_partition<T: JoinTuple>(
 
     // Pass 2 per pre-partition, task-parallel (work stealing via counter).
     struct OutPtr<T>(*mut T);
+    // SAFETY: the tasks share only the base pointers; task `p1` writes the
+    // `out` slots of pre-partition `p1` and the `bounds` slots
+    // `p1 * fanout2 ..`, which no other task reaches.
     unsafe impl<T> Sync for OutPtr<T> {}
     struct BoundsPtr(*mut usize);
+    // SAFETY: as for `OutPtr` above.
     unsafe impl Sync for BoundsPtr {}
     let out_ptr = OutPtr(out.as_mut_ptr());
     let bounds_ptr = BoundsPtr(bounds.as_mut_ptr());
@@ -180,12 +192,19 @@ fn radix_partition<T: JoinTuple>(
                 let mut acc = base;
                 for s in 0..fanout2 {
                     cursors[s] = acc;
-                    // Disjoint bounds slots per task.
+                    // SAFETY: `p1 < fanout1` and `s < fanout2`, so the slot
+                    // is inside `bounds` (`fanout1 * fanout2 + 1` long) and
+                    // owned by this task alone; the counter hands each
+                    // `p1` to one task.
                     unsafe { bounds_ptr.0.add(p1 * fanout2 + s).write(acc) };
                     acc += hist[s];
                 }
                 for t in slice {
                     let s = ((key_hash(t.key()) >> shift) & mask2) as usize;
+                    // SAFETY: the cursors start at `bounds1[p1]` and advance
+                    // by this slice's own histogram, so every write lands in
+                    // `bounds1[p1]..bounds1[p1 + 1]`: inside `out` and in
+                    // pre-partition `p1`, which only this task writes.
                     unsafe { out_ptr.0.add(cursors[s]).write(*t) };
                     cursors[s] += 1;
                 }

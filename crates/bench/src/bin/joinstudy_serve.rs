@@ -34,7 +34,6 @@ fn main() {
         "pool-mb",
         "query-mb",
         "min-grant-mb",
-        "no-ash",
     ]);
     let sf = args.f64("sf", 0.05);
     let port = args.usize("port", 5433);
@@ -43,7 +42,6 @@ fn main() {
         pool_bytes: args.usize("pool-mb", 256) << 20,
         query_bytes: args.usize("query-mb", 64) << 20,
         min_grant_bytes: args.usize("min-grant-mb", 8) << 20,
-        ash_enabled: !args.flag("no-ash"),
         ..ServerConfig::default()
     };
 

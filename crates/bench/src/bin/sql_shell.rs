@@ -26,11 +26,11 @@
 //! `.budget <mb>|off` caps per-statement materialization memory (joins
 //! degrade RJ → BHJ → spilling HHJ before failing), `.stats` prints the
 //! session's statement statistics (the same aggregates behind `SELECT *
-//! FROM jsys.statements`), `.slowlog <path>|stderr|off [threshold_ms]`
-//! routes the slow-query JSON log, `.top <addr> [frames]` renders the
-//! live dashboard of a *running server* (same frames as the
-//! `joinstudy_top` binary; the embedded shell has no sampler of its own),
-//! and `.quit` exits.
+//! FROM jsys.statements`), `.top <addr> [frames]` renders the live
+//! dashboard of a *running server* — pool and admission gauges, the ASH
+//! wait-state window, active queries and pipeline progress, one frame a
+//! second (the embedded shell has no sampler of its own) — and `.quit`
+//! exits.
 
 use joinstudy_bench::harness::Args;
 use joinstudy_core::JoinAlgo;
@@ -258,26 +258,6 @@ fn main() {
                         println!("... ({} more fingerprints)", stats.len() - 20);
                     }
                 }
-                ".slowlog" => match parts.next().map(str::trim) {
-                    Some(arg) if !arg.is_empty() => {
-                        let mut it = arg.split_whitespace();
-                        let target = it.next().unwrap();
-                        session.slowlog().set_target(target);
-                        if let Some(ms) = it.next().and_then(|m| m.parse::<u64>().ok()) {
-                            session.set_slow_query_ns(ms * 1_000_000);
-                        } else if target != "off" && session.slow_query_ns() == 0 {
-                            // A sink with no threshold never fires: default
-                            // to 100 ms unless one was already configured.
-                            session.set_slow_query_ns(100_000_000);
-                        }
-                        println!(
-                            "slow log: {} (threshold {} ms)",
-                            session.slowlog().describe(),
-                            session.slow_query_ns() as f64 / 1e6
-                        );
-                    }
-                    _ => println!("usage: .slowlog <path>|stderr|off [threshold_ms]"),
-                },
                 ".top" => match parts.next().map(str::trim) {
                     Some(arg) if !arg.is_empty() => {
                         let mut it = arg.split_whitespace();
@@ -337,7 +317,7 @@ fn main() {
                     println!(
                         "unknown command {other:?} \
                          (.tables .algo .spill .explain .profile .trace .counters .timing \
-                          .timeout .budget .stats .slowlog .top .quit)"
+                          .timeout .budget .stats .top .quit)"
                     )
                 }
             }

@@ -21,8 +21,8 @@
 //!   skew and pipeline-depth variations (§5.4),
 //! * [`regress`] — the `bench_check` regression gate: one run format for
 //!   the current run and `results/baseline.json`, compared exactly,
-//! * [`top`] — the live-server dashboard (`joinstudy_top`, shell `.top`):
-//!   jsys query helpers and frame rendering.
+//! * [`top`] — the live-server dashboard of the shell's `.top`: jsys
+//!   query helpers and frame rendering.
 //!
 //! Defaults are sized for a small container; `--build`/`--sf`/`--threads`/
 //! `--reps` scale every experiment up to real hardware.

@@ -1,11 +1,10 @@
-//! Live-server dashboard rendering shared by the `joinstudy_top` binary
-//! and the SQL shell's `.top` command.
+//! Live-server dashboard rendering for the SQL shell's `.top` command.
 //!
 //! Everything here is a plain line-protocol client of a running
 //! [`SqlServer`](joinstudy_sql::SqlServer): each frame issues a handful of
 //! `SELECT ... FROM jsys.*` statements (pool gauges, active queries,
-//! per-operator progress, the ASH wait-state window, and the 1-second
-//! time-series ring) and renders them as one text frame. There is no
+//! per-operator progress and the ASH wait-state window) and renders them
+//! as one text frame. There is no
 //! side channel — if `.top` can show it, so can any SQL client, which is
 //! the observability contract DESIGN.md §14 describes.
 
@@ -62,9 +61,6 @@ pub struct Frame {
     pub waits: BTreeMap<String, u64>,
     /// Total ASH samples in the window (denominator for percentages).
     pub wait_total: u64,
-    /// (queue_depth, admitted_bytes, active_queries) per 1-second tick,
-    /// oldest first.
-    pub ticks: Vec<(i64, i64, i64)>,
 }
 
 /// Milliseconds of ASH history a frame's wait-state breakdown covers.
@@ -114,23 +110,7 @@ pub fn fetch(client: &mut Client) -> io::Result<Frame> {
             frame.wait_total += 1;
         }
     }
-    for row in query_rows(
-        client,
-        "SELECT at_ms, queue_depth, admitted_bytes, active_queries FROM jsys.timeseries",
-    )? {
-        frame.ticks.push((num(&row, 1), num(&row, 2), num(&row, 3)));
-    }
     Ok(frame)
-}
-
-/// Unicode sparkline of `values` scaled to the series maximum.
-pub fn sparkline(values: &[i64]) -> String {
-    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let max = values.iter().copied().max().unwrap_or(0).max(1);
-    values
-        .iter()
-        .map(|&v| BARS[((v * (BARS.len() as i64 - 1)) / max) as usize])
-        .collect()
 }
 
 fn mib(bytes: i64) -> f64 {
@@ -212,39 +192,12 @@ pub fn render(frame: &Frame, title: &str) -> String {
         }
         out.push('\n');
     }
-
-    if !frame.ticks.is_empty() {
-        let depth: Vec<i64> = frame.ticks.iter().map(|t| t.0).collect();
-        let leased: Vec<i64> = frame.ticks.iter().map(|t| t.1).collect();
-        let active: Vec<i64> = frame.ticks.iter().map(|t| t.2).collect();
-        let tail = depth.len().saturating_sub(60);
-        out.push_str(&format!(
-            "queue depth   (1 s/tick) {}\n",
-            sparkline(&depth[tail..])
-        ));
-        out.push_str(&format!(
-            "leased bytes  (1 s/tick) {}\n",
-            sparkline(&leased[tail..])
-        ));
-        out.push_str(&format!(
-            "active queries(1 s/tick) {}\n",
-            sparkline(&active[tail..])
-        ));
-    }
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sparkline_scales_to_max() {
-        assert_eq!(sparkline(&[0, 7]), "▁█");
-        assert_eq!(sparkline(&[0, 0, 0]), "▁▁▁");
-        let s = sparkline(&[1, 2, 4, 8]);
-        assert_eq!(s.chars().count(), 4);
-    }
 
     #[test]
     fn render_empty_frame_mentions_idle() {
@@ -274,13 +227,11 @@ mod tests {
             0.5,
             2 << 20,
         ));
-        frame.ticks = vec![(0, 0, 1), (2, 1 << 20, 2)];
         let text = render(&frame, "t");
         assert!(text.contains("cpu_probe 75%"), "{text}");
         assert!(text.contains("spill_io 25%"), "{text}");
         assert!(text.contains("RJ partition (probe)"), "{text}");
         assert!(text.contains("morsels 3/8"), "{text}");
         assert!(text.contains("spill 2.0 MiB"), "{text}");
-        assert!(text.contains("queue depth"), "{text}");
     }
 }

@@ -174,6 +174,8 @@ mod tests {
     fn nt_copy_roundtrip() {
         let src: Vec<u8> = (0..64u8).collect();
         let mut dst_words = vec![0u64; 8];
+        // SAFETY: eight `u64`s are 64 initialized bytes, and `dst_words` is
+        // not touched again while `dst` lives.
         let dst =
             unsafe { std::slice::from_raw_parts_mut(dst_words.as_mut_ptr().cast::<u8>(), 64) };
         nt_copy(dst, &src);

@@ -88,10 +88,6 @@ pub struct QueryContext {
     /// Connection id of the owning session (0 when embedded). Persists
     /// across [`QueryContext::arm`] like the budget.
     conn_id: AtomicU64,
-    /// Nanoseconds spent running morsels since the last
-    /// [`QueryContext::arm`] (summed across workers, so it can exceed
-    /// wall time).
-    cpu_ns: AtomicU64,
     /// Nanoseconds spent inside spill-file reads/writes since the last
     /// [`QueryContext::arm`].
     spill_io_ns: AtomicU64,
@@ -147,7 +143,6 @@ impl Default for QueryContext {
             wait_state: AtomicU64::new(WaitState::Other.as_u64()),
             query_id: AtomicU64::new(0),
             conn_id: AtomicU64::new(0),
-            cpu_ns: AtomicU64::new(0),
             spill_io_ns: AtomicU64::new(0),
         }
     }
@@ -365,18 +360,6 @@ impl QueryContext {
         self.conn_id.load(Ordering::Relaxed)
     }
 
-    /// Account `ns` of morsel-execution time against this query.
-    #[inline]
-    pub fn add_cpu_ns(&self, ns: u64) {
-        self.cpu_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Summed morsel-execution nanoseconds since the last
-    /// [`QueryContext::arm`] (across workers; can exceed wall time).
-    pub fn cpu_ns(&self) -> u64 {
-        self.cpu_ns.load(Ordering::Relaxed)
-    }
-
     /// Account `ns` spent inside spill-file I/O against this query.
     #[inline]
     pub fn add_spill_io_ns(&self, ns: u64) {
@@ -405,7 +388,6 @@ impl QueryContext {
         self.spill_max_depth.store(0, Ordering::Relaxed);
         self.degradations.store(0, Ordering::Relaxed);
         self.join_algos.store(0, Ordering::Relaxed);
-        self.cpu_ns.store(0, Ordering::Relaxed);
         self.spill_io_ns.store(0, Ordering::Relaxed);
         self.stamp_wait(WaitState::Other);
         self.query_id.store(
@@ -644,18 +626,15 @@ mod tests {
         let ctx = QueryContext::unbounded();
         assert_eq!(ctx.wait_state(), WaitState::Other);
         ctx.stamp_wait(WaitState::SpillIo);
-        ctx.add_cpu_ns(500);
         ctx.add_spill_io_ns(200);
         ctx.set_conn_id(7);
         assert_eq!(ctx.wait_state(), WaitState::SpillIo);
-        assert_eq!(ctx.cpu_ns(), 500);
         assert_eq!(ctx.spill_io_ns(), 200);
         let before = ctx.query_id();
         ctx.arm();
         // Per-query readings clear, the conn tag persists, and each arm
         // takes a fresh process-wide query id.
         assert_eq!(ctx.wait_state(), WaitState::Other);
-        assert_eq!(ctx.cpu_ns(), 0);
         assert_eq!(ctx.spill_io_ns(), 0);
         assert_eq!(ctx.conn_id(), 7);
         assert!(ctx.query_id() > before);

@@ -385,7 +385,7 @@ mod tests {
                 p.slug()
                     .chars()
                     .all(|c| c.is_ascii_alphanumeric() || c == '_'),
-                "slug {:?} has unsafe chars",
+                "slug {:?} has characters outside [A-Za-z0-9_]",
                 p.slug()
             );
         }

@@ -234,6 +234,10 @@ impl Worker {
         }
         // This query is on-CPU in this pipeline's phase for the morsel.
         p.ctx.stamp_wait(p.stats.cpu_state);
+        let _on_track = self
+            .trace
+            .as_ref()
+            .map(|t| trace::worker_scope(t.pipe, t.track));
         let hists = self.trace.as_ref().map(|t| t.hists);
         if let Some(h) = hists {
             h.queue_depth
@@ -280,7 +284,6 @@ impl Worker {
                 hw: None,
             });
         }
-        p.ctx.add_cpu_ns(dur);
         // Until the next claim this query waits for a worker.
         p.ctx.stamp_wait(WaitState::PoolWait);
         // Somebody may be watching mid-flight.
@@ -298,7 +301,12 @@ impl Worker {
     /// timeline.
     pub(crate) fn drain(&mut self, p: &Pipeline<'_>) -> ExecResult {
         p.ctx.stamp_wait(WaitState::Finalizing);
+        let on_track = self
+            .trace
+            .as_ref()
+            .map(|t| trace::worker_scope(t.pipe, t.track));
         let result = self.flush_and_merge(p);
+        drop(on_track);
         self.publish(p);
         crate::pmu::finish_worker(self.hw.take(), &p.stats.hw);
         if let Some(t) = self.trace.take() {

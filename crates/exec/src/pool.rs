@@ -253,7 +253,13 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
+        // Raised under the state lock: a worker checks `shutdown` and parks
+        // in one critical section, so a store between its check and its
+        // wait would be a lost wake-up and a join that never returns.
+        {
+            let _state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
+            self.inner.shutdown.store(true, Ordering::Release);
+        }
         self.inner.work_cv.notify_all();
         let handles = std::mem::take(&mut *self.handles.lock().unwrap_or_else(|e| e.into_inner()));
         for h in handles {

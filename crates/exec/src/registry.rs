@@ -567,7 +567,16 @@ mod tests {
         assert_eq!(bucket_of(4), 3);
         assert_eq!(bucket_of(u64::MAX), 64);
 
+        // An idle server reads its latency histograms before any statement
+        // ran: every quantile of an empty histogram is 0, not NaN or garbage.
         let h = Histogram::new();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.quantile(0.5), 0);
+        assert_eq!(h.quantile(0.99), 0);
+        for (_, v) in h.quantiles() {
+            assert_eq!(v, 0, "zero-sample quantiles are 0");
+        }
+
         for v in [0, 1, 2, 3, 1000, 1000, 1000] {
             h.record(v);
         }

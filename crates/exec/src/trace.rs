@@ -23,7 +23,11 @@
 //!   finalize phases, hybrid reloads and degradation instants happen a
 //!   handful of times per query, so they push under the mutex directly via
 //!   [`phase_scope`] / [`instant`]. (The radix histogram scan, scatter and
-//!   Bloom build are pipelines, traced like any other.)
+//!   Bloom build are pipelines, traced like any other.) An instant raised
+//!   inside a traced morsel or drain — a hybrid-join eviction, the Bloom
+//!   filter switching itself off — lands on that worker's track: the
+//!   morsel loop marks the thread with a [`worker_scope`], one
+//!   thread-local store per traced morsel and none per untraced one.
 //! - **Idle spans are synthesized, not measured**: when a worker drains it
 //!   reports its drain timestamp; when the pipeline ends, the gap between
 //!   each worker's drain and the pipeline end becomes an `Idle` span. That
@@ -43,10 +47,11 @@
 //! thread-local token. [`pipeline_begin`] and the cold-path helpers
 //! ([`phase_scope`], [`instant`]) consult [`thread_active`] instead of the
 //! bare [`enabled`] flag, so only pipelines the owning thread submits are
-//! traced, and a pool worker records spans only for a pipeline it took
-//! from a traced submitter. Two traced queries on different sessions
-//! therefore serialize (second [`begin`] refuses, that query runs
-//! untraced), and two *concurrent* queries on one pool — one traced, one
+//! traced, and a pool worker records spans and instants only while it runs
+//! a morsel of a pipeline it took from a traced submitter. Two traced
+//! queries on different sessions therefore serialize (second [`begin`]
+//! refuses, that query runs untraced), and two *concurrent* queries on one
+//! pool — one traced, one
 //! not — cannot corrupt each other's spans: the untraced query's morsels
 //! are gaps on the traced query's worker tracks.
 
@@ -170,6 +175,9 @@ thread_local! {
     /// Token of the trace this thread owns (0 = none). Set by [`begin`] on
     /// the calling thread; checked by every cold-path helper.
     static THREAD_TOKEN: Cell<u64> = const { Cell::new(0) };
+    /// `(pipeline, track)` of the traced pipeline whose morsel or drain
+    /// this thread is running, while a [`worker_scope`] is open.
+    static WORKER_TRACK: Cell<Option<(u32, u32)>> = const { Cell::new(None) };
 }
 
 /// Nanoseconds since the process trace epoch.
@@ -354,19 +362,48 @@ pub fn flush_worker(pipeline: u32, track: u32, mut spans: Vec<TraceSpan>, draine
     WORKER_BUF.with(|b| *b.borrow_mut() = spans);
 }
 
-/// Record a zero-duration event on the control track (e.g. an RJ→BHJ
-/// budget degradation).
+/// Marks the calling thread as a worker of a traced pipeline for as long
+/// as it lives; see [`worker_scope`].
+pub struct WorkerScope {
+    prev: Option<(u32, u32)>,
+}
+
+impl Drop for WorkerScope {
+    fn drop(&mut self) {
+        WORKER_TRACK.with(|c| c.set(self.prev));
+    }
+}
+
+/// Open while a worker runs a morsel or the drain of traced pipeline
+/// `pipeline` on `track`: an [`instant`] raised meanwhile lands on that
+/// track. Dropping restores the previous marking, so a nested pipeline run
+/// and an unwinding panic leave the thread as they found it.
+pub fn worker_scope(pipeline: u32, track: u32) -> WorkerScope {
+    WorkerScope {
+        prev: WORKER_TRACK.with(|c| c.replace(Some((pipeline, track)))),
+    }
+}
+
+/// Record a zero-duration event (e.g. an RJ→BHJ budget degradation): on
+/// the worker's track inside a traced morsel or drain ([`worker_scope`]),
+/// on the control track on the thread that owns the trace, and nowhere
+/// else.
 pub fn instant(name: impl Into<Cow<'static, str>>) {
-    if !thread_active() {
+    if !enabled() {
         return;
     }
+    let (pipeline, track) = match WORKER_TRACK.with(Cell::get) {
+        Some(on_worker) => on_worker,
+        None if thread_active() => (NO_PIPELINE, CONTROL_TRACK),
+        None => return,
+    };
     let now = now_ns();
     if let Some(col) = COLLECTOR.lock().unwrap().as_mut() {
         col.spans.push(TraceSpan {
             name: name.into(),
             kind: SpanKind::Instant,
-            track: CONTROL_TRACK,
-            pipeline: NO_PIPELINE,
+            track,
+            pipeline,
             start_ns: now,
             dur_ns: 0,
             arg: 0,

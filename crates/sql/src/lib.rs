@@ -38,4 +38,4 @@ pub mod stats;
 
 pub use server::{ServerConfig, SqlServer};
 pub use session::{Session, SqlError};
-pub use stats::{AshRing, AshSample, SlowLog, StatLog, TimeseriesRing, TsSample};
+pub use stats::{AshRing, AshSample, StatLog};

@@ -34,12 +34,12 @@
 //! multi-client equivalence tests can render a serial single-session run
 //! with byte-identical framing.
 //!
-//! Besides SQL, two protocol commands are recognized: `.quit` closes the
-//! connection, and `METRICS` returns the server's current metrics in
-//! Prometheus text exposition (terminated by the same `.` line; see
-//! [`SqlServer::metrics_text`]). Telemetry-wise, every connection shares
-//! the server's [`StatLog`] and [`SlowLog`], so `SELECT * FROM
-//! jsys.statements` on any connection sees every connection's statements.
+//! Besides SQL, one protocol command is recognized: `.quit` closes the
+//! connection. Everything else the server knows about itself is answered
+//! over SQL: every connection shares the server's [`StatLog`] and
+//! [`AshRing`], so `SELECT * FROM jsys.statements` (or `jsys.ash`,
+//! `jsys.pool`, `jsys.metrics`) on any connection sees every connection's
+//! statements.
 //!
 //! # Disconnects
 //!
@@ -52,19 +52,16 @@
 //! so a vanished client leaks neither disk nor memory budget.
 
 use crate::session::{Session, SqlError};
-use crate::stats::{
-    now_ms, render_exposition, AshRing, AshSample, SlowLog, StatLog, TimeseriesRing, TsSample,
-};
+use crate::stats::{now_ms, AshRing, AshSample, StatLog};
 use joinstudy_exec::admission::AdmissionController;
 use joinstudy_exec::pool::WorkerPool;
 use joinstudy_exec::progress;
-use joinstudy_exec::registry;
 use joinstudy_storage::table::Table;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How often the per-connection watchdog polls the socket for EOF, and
@@ -83,14 +80,9 @@ pub struct ServerConfig {
     pub query_bytes: usize,
     /// Smallest grant worth admitting a query with.
     pub min_grant_bytes: usize,
-    /// Run the active-session-history sampler thread. Off, `jsys.ash`
-    /// stays empty (the table still answers); the A/B knob behind the
-    /// sampler-overhead contract in DESIGN.md §14.
-    pub ash_enabled: bool,
-    /// Wait-state sampling interval.
+    /// Wait-state sampling interval of the always-on active-session-history
+    /// sampler (`jsys.ash`).
     pub ash_interval: Duration,
-    /// Gauge time-series tick interval (`jsys.timeseries`).
-    pub timeseries_interval: Duration,
 }
 
 impl Default for ServerConfig {
@@ -103,9 +95,7 @@ impl Default for ServerConfig {
             pool_bytes: 256 << 20,
             query_bytes: 64 << 20,
             min_grant_bytes: 8 << 20,
-            ash_enabled: true,
             ash_interval: Duration::from_millis(10),
-            timeseries_interval: Duration::from_secs(1),
         }
     }
 }
@@ -120,120 +110,35 @@ pub struct SqlServer {
     /// One statement-statistics log shared by every connection, so
     /// `jsys.statements` is a server-wide view.
     statlog: Arc<StatLog>,
-    /// One slow-query sink shared by every connection.
-    slowlog: Arc<SlowLog>,
     /// Active session history: the wait-state sampler's output ring.
     ash: Arc<AshRing>,
-    /// 1-second server gauges (`jsys.timeseries`).
-    timeseries: Arc<TimeseriesRing>,
-    /// Stops the sampler and ticker threads when the server drops.
-    telemetry_stop: Arc<AtomicBool>,
-    telemetry_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Stops the sampler thread when the server drops.
+    sampler_stop: Arc<AtomicBool>,
+    sampler: Option<std::thread::JoinHandle<()>>,
     config: ServerConfig,
 }
 
 impl SqlServer {
     pub fn new(config: ServerConfig) -> SqlServer {
-        let server = SqlServer {
+        let statlog = Arc::new(StatLog::new());
+        let ash = Arc::new(AshRing::new());
+        let sampler_stop = Arc::new(AtomicBool::new(false));
+        let sampler = spawn_sampler(
+            Arc::clone(&sampler_stop),
+            Arc::clone(&statlog),
+            Arc::clone(&ash),
+            config.ash_interval,
+        );
+        SqlServer {
             catalog: BTreeMap::new(),
             pool: WorkerPool::new(config.threads),
             admission: AdmissionController::new(config.pool_bytes, config.min_grant_bytes),
-            statlog: Arc::new(StatLog::new()),
-            slowlog: Arc::new(SlowLog::from_env()),
-            ash: Arc::new(AshRing::new()),
-            timeseries: Arc::new(TimeseriesRing::new()),
-            telemetry_stop: Arc::new(AtomicBool::new(false)),
-            telemetry_threads: Mutex::new(Vec::new()),
+            statlog,
+            ash,
+            sampler_stop,
+            sampler: Some(sampler),
             config,
-        };
-        server.start_telemetry();
-        server
-    }
-
-    /// Spawn the ASH sampler (when enabled) and the gauge ticker. Both are
-    /// pure readers of shared state — they never take a lock a query's hot
-    /// path holds for more than a registry push/snapshot — so sampling
-    /// cost stays off the serving path (the <2% p50 contract is tested in
-    /// `bench_serve`'s sampler A/B).
-    fn start_telemetry(&self) {
-        let mut threads = self
-            .telemetry_threads
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if self.config.ash_enabled {
-            let stop = Arc::clone(&self.telemetry_stop);
-            let statlog = Arc::clone(&self.statlog);
-            let ash = Arc::clone(&self.ash);
-            let interval = self.config.ash_interval;
-            threads.push(std::thread::spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    let at_ms = now_ms();
-                    // One read of the live counter blocks serves every
-                    // sample of this tick.
-                    let live = progress::global().live();
-                    for q in statlog.active_detail() {
-                        let (query_id, wait_state) = match &q.ctx {
-                            Some(ctx) => (ctx.query_id(), ctx.wait_state().name()),
-                            // A statement queued before its session ever
-                            // shared a context: classify from the registry
-                            // state alone.
-                            None if q.state == "queued" => (0, "admission_queued"),
-                            None => (0, "other"),
-                        };
-                        // The query's most recently registered pipeline is
-                        // what it runs now; `rows` sums the source rows of
-                        // all its live pipelines. Query id 0 owns none.
-                        let mut mine = live
-                            .iter()
-                            .filter(|p| query_id != 0 && p.query_id == query_id);
-                        let rows = mine.clone().map(|p| p.source.rows_out()).sum();
-                        let pipeline = mine.next_back().map_or(String::new(), |p| p.label.clone());
-                        ash.push(AshSample {
-                            at_ms,
-                            conn: q.conn,
-                            query_id,
-                            fingerprint: q.fingerprint,
-                            wait_state,
-                            pipeline,
-                            rows,
-                            granted_bytes: q.granted_bytes,
-                        });
-                    }
-                    std::thread::sleep(interval);
-                }
-            }));
         }
-        let stop = Arc::clone(&self.telemetry_stop);
-        let statlog = Arc::clone(&self.statlog);
-        let admission = Arc::clone(&self.admission);
-        let pool = Arc::clone(&self.pool);
-        let timeseries = Arc::clone(&self.timeseries);
-        let interval = self.config.timeseries_interval;
-        threads.push(std::thread::spawn(move || {
-            while !stop.load(Ordering::Acquire) {
-                let reg = registry::global();
-                let available = admission.available() as u64;
-                timeseries.push(TsSample {
-                    at_ms: now_ms(),
-                    queue_depth: admission.queued() as u64,
-                    available_bytes: available,
-                    admitted_bytes: admission.total() as u64 - available,
-                    pool_threads: pool.threads() as u64,
-                    active_pipelines: pool.active_pipelines() as u64,
-                    active_queries: statlog.active_snapshot().len() as u64,
-                    spill_write_bytes: reg.counter("spill.write_bytes").get(),
-                    spill_read_bytes: reg.counter("spill.read_bytes").get(),
-                });
-                // Sleep in short slices so dropping the server never
-                // blocks a full tick behind the join.
-                let mut slept = Duration::ZERO;
-                while slept < interval && !stop.load(Ordering::Acquire) {
-                    let slice = WATCHDOG_TICK.min(interval - slept);
-                    std::thread::sleep(slice);
-                    slept += slice;
-                }
-            }
-        }));
     }
 
     /// Register a table every connection's session will see.
@@ -256,19 +161,9 @@ impl SqlServer {
         Arc::clone(&self.statlog)
     }
 
-    /// The server-wide slow-query sink.
-    pub fn slowlog(&self) -> Arc<SlowLog> {
-        Arc::clone(&self.slowlog)
-    }
-
     /// The active-session-history ring (for tests and benches).
     pub fn ash(&self) -> Arc<AshRing> {
         Arc::clone(&self.ash)
-    }
-
-    /// The gauge time-series ring (for tests and benches).
-    pub fn timeseries(&self) -> Arc<TimeseriesRing> {
-        Arc::clone(&self.timeseries)
     }
 
     /// Build the per-connection session: shared pool, registered tables,
@@ -277,49 +172,13 @@ impl SqlServer {
         let mut session = Session::new(self.config.threads);
         session.set_worker_pool(Some(Arc::clone(&self.pool)));
         session.set_statlog(Arc::clone(&self.statlog));
-        session.set_slowlog(Arc::clone(&self.slowlog));
         session.set_conn_id(self.statlog.next_conn_id());
         session.set_admission(Some(Arc::clone(&self.admission)));
         session.set_ash(Some(Arc::clone(&self.ash)));
-        session.set_timeseries(Some(Arc::clone(&self.timeseries)));
         for (name, table) in &self.catalog {
             session.register(name.clone(), Arc::clone(table));
         }
         session
-    }
-
-    /// Current metrics in Prometheus text exposition: every global-registry
-    /// counter and histogram quantile plus live pool and admission gauges,
-    /// each prefixed `joinstudy_`. Served by the `METRICS` protocol command.
-    pub fn metrics_text(&self) -> String {
-        let mut samples = registry::global().snapshot();
-        samples.push(("pool.threads".to_string(), self.pool.threads() as f64));
-        samples.push((
-            "pool.active_pipelines".to_string(),
-            self.pool.active_pipelines() as f64,
-        ));
-        samples.push((
-            "admission.total_bytes".to_string(),
-            self.admission.total() as f64,
-        ));
-        samples.push((
-            "admission.available_bytes".to_string(),
-            self.admission.available() as f64,
-        ));
-        samples.push((
-            "admission.queued".to_string(),
-            self.admission.queued() as f64,
-        ));
-        samples.push((
-            "admission.peak_granted_bytes".to_string(),
-            self.admission.peak_granted() as f64,
-        ));
-        samples.push((
-            "statements.recorded".to_string(),
-            self.statlog.total_recorded() as f64,
-        ));
-        samples.push(("ash.samples".to_string(), self.ash.total_samples() as f64));
-        render_exposition(&samples)
     }
 
     /// Accept loop: one thread per connection, until the process exits.
@@ -427,17 +286,6 @@ impl SqlServer {
             if stmt == ".quit" {
                 break;
             }
-            // `METRICS` is a protocol command, not SQL: it answers from
-            // shared server state without touching the session, so a
-            // scraper never queues behind admission control.
-            if stmt.eq_ignore_ascii_case("METRICS") {
-                let mut response = self.metrics_text();
-                response.push_str(".\n");
-                if writer.write_all(response.as_bytes()).is_err() || writer.flush().is_err() {
-                    break;
-                }
-                continue;
-            }
             let response = self.run_statement(&mut session, conn, stmt);
             if writer.write_all(response.as_bytes()).is_err() || writer.flush().is_err() {
                 break;
@@ -480,17 +328,60 @@ impl SqlServer {
 
 impl Drop for SqlServer {
     fn drop(&mut self) {
-        self.telemetry_stop.store(true, Ordering::Release);
-        let threads = std::mem::take(
-            &mut *self
-                .telemetry_threads
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()),
-        );
-        for t in threads {
+        self.sampler_stop.store(true, Ordering::Release);
+        if let Some(t) = self.sampler.take() {
             let _ = t.join();
         }
     }
+}
+
+/// Spawn the ASH sampler. It is a pure reader of shared state — it
+/// never takes a lock a query's hot path holds for more than a
+/// registry push/snapshot — so sampling stays off the serving path;
+/// its cost is inside `serve_mix`'s latencies (DESIGN.md §14).
+fn spawn_sampler(
+    stop: Arc<AtomicBool>,
+    statlog: Arc<StatLog>,
+    ash: Arc<AshRing>,
+    interval: Duration,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        while !stop.load(Ordering::Acquire) {
+            let at_ms = now_ms();
+            // One read of the live counter blocks serves every
+            // sample of this tick.
+            let live = progress::global().live();
+            for q in statlog.active_detail() {
+                let (query_id, wait_state) = match &q.ctx {
+                    Some(ctx) => (ctx.query_id(), ctx.wait_state().name()),
+                    // A statement queued before its session ever
+                    // shared a context: classify from the registry
+                    // state alone.
+                    None if q.state == "queued" => (0, "admission_queued"),
+                    None => (0, "other"),
+                };
+                // The query's most recently registered pipeline is
+                // what it runs now; `rows` sums the source rows of
+                // all its live pipelines. Query id 0 owns none.
+                let mut mine = live
+                    .iter()
+                    .filter(|p| query_id != 0 && p.query_id == query_id);
+                let rows = mine.clone().map(|p| p.source.rows_out()).sum();
+                let pipeline = mine.next_back().map_or(String::new(), |p| p.label.clone());
+                ash.push(AshSample {
+                    at_ms,
+                    conn: q.conn,
+                    query_id,
+                    fingerprint: q.fingerprint,
+                    wait_state,
+                    pipeline,
+                    rows,
+                    granted_bytes: q.granted_bytes,
+                });
+            }
+            std::thread::sleep(interval);
+        }
+    })
 }
 
 /// Handle to a [`SqlServer::spawn`]ed accept loop.
@@ -551,7 +442,7 @@ pub fn encode_error(e: &SqlError) -> String {
 
 /// Read one framed response (everything up to and including the `.`
 /// terminator line) from the server. The client half of the protocol,
-/// shared by the tests and `bench_serve`.
+/// shared by the tests, the yardstick's `serve_mix` and the shell's `.top`.
 pub fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<String> {
     let mut out = String::new();
     loop {

@@ -4,9 +4,8 @@
 //!
 //! Every statement a session executes — queries, DDL, even statements that
 //! fail to parse — is recorded into the session's [`StatLog`]
-//! (fingerprinted aggregates + recent-query ring) and, above the
-//! `slow_query_ns` threshold, into the shared [`SlowLog`]. The log also
-//! backs the `jsys.*` virtual system tables: a SELECT whose FROM names a
+//! (fingerprinted aggregates + recent-query ring). The log also backs the
+//! `jsys.*` virtual system tables: a SELECT whose FROM names a
 //! `jsys.`-prefixed table gets that table materialized from live telemetry
 //! at plan time, so plain SQL (`SELECT * FROM jsys.statements`) works
 //! against serving state.
@@ -14,12 +13,10 @@
 use crate::ast::{Literal, Select, Statement};
 use crate::parser::parse;
 use crate::planner::plan_select;
-use crate::stats::{
-    should_log_slow, AshRing, SlowEvent, SlowLog, StatLog, StatRecord, TimeseriesRing,
-};
+use crate::stats::{AshRing, StatLog, StatRecord};
 use joinstudy_core::{Engine, JoinAlgo};
 use joinstudy_exec::admission::AdmissionController;
-use joinstudy_exec::context::{algo_bits, QueryContext};
+use joinstudy_exec::context::QueryContext;
 use joinstudy_exec::error::ExecError;
 use joinstudy_exec::profile::QueryProfile;
 use joinstudy_exec::trace::QueryTrace;
@@ -136,10 +133,6 @@ pub struct Session {
     /// Statement statistics; a server shares one log across all
     /// connections, an embedded session gets its own.
     statlog: Arc<StatLog>,
-    /// Slow-query sink (shared like the statlog).
-    slowlog: Arc<SlowLog>,
-    /// Slow-query threshold in nanoseconds; 0 disables.
-    slow_query_ns: u64,
     /// Connection id stamped on telemetry rows (0 for embedded sessions).
     conn_id: u64,
     /// The server's admission controller, for `jsys.pool` gauges.
@@ -148,16 +141,10 @@ pub struct Session {
     /// for embedded sessions, which have no sampler — the table is then
     /// empty rather than an error).
     ash: Option<Arc<AshRing>>,
-    /// The server's 1-second gauge ring, for `jsys.timeseries`.
-    timeseries: Option<Arc<TimeseriesRing>>,
 }
 
 impl Session {
     pub fn new(threads: usize) -> Session {
-        let slow_query_ns = std::env::var("JOINSTUDY_SLOW_QUERY_NS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(0);
         Session {
             catalog: HashMap::new(),
             engine: Engine::new(threads),
@@ -166,12 +153,9 @@ impl Session {
             // paper's drop-in replacement switch).
             algo: JoinAlgo::Adaptive,
             statlog: Arc::new(StatLog::new()),
-            slowlog: Arc::new(SlowLog::from_env()),
-            slow_query_ns,
             conn_id: 0,
             admission: None,
             ash: None,
-            timeseries: None,
         }
     }
 
@@ -271,27 +255,6 @@ impl Session {
         Arc::clone(&self.statlog)
     }
 
-    /// Share a slow-query sink (server-wide, like the statlog).
-    pub fn set_slowlog(&mut self, log: Arc<SlowLog>) {
-        self.slowlog = log;
-    }
-
-    /// This session's slow-query sink.
-    pub fn slowlog(&self) -> Arc<SlowLog> {
-        Arc::clone(&self.slowlog)
-    }
-
-    /// Slow-query threshold in nanoseconds (0 disables). Also settable in
-    /// SQL: `SET slow_query_ns = 1000000`.
-    pub fn set_slow_query_ns(&mut self, ns: u64) {
-        self.slow_query_ns = ns;
-    }
-
-    /// The current slow-query threshold in nanoseconds.
-    pub fn slow_query_ns(&self) -> u64 {
-        self.slow_query_ns
-    }
-
     /// Stamp telemetry rows from this session with a connection id. Also
     /// stamped on the engine's [`QueryContext`] so ASH samples taken from
     /// executor state carry the same id.
@@ -317,12 +280,6 @@ impl Session {
         self.ash = ash;
     }
 
-    /// Share the server's gauge time-series ring so `jsys.timeseries`
-    /// answers on this session.
-    pub fn set_timeseries(&mut self, ts: Option<Arc<TimeseriesRing>>) {
-        self.timeseries = ts;
-    }
-
     /// Register an existing table (e.g. a generated TPC-H relation).
     pub fn register(&mut self, name: impl Into<String>, table: Arc<Table>) {
         self.catalog.insert(name.into().to_ascii_lowercase(), table);
@@ -336,8 +293,7 @@ impl Session {
     /// Parse and execute one statement. DDL/DML return an empty table.
     ///
     /// Every call — including parse failures — lands in the session's
-    /// [`StatLog`] and, past the `slow_query_ns` threshold, the
-    /// [`SlowLog`].
+    /// [`StatLog`].
     pub fn execute(&mut self, sql: &str) -> Result<Table, SqlError> {
         let started = Instant::now();
         self.statlog.active_upsert(
@@ -454,23 +410,10 @@ impl Session {
                         };
                         self.engine.ctx.set_spill_dir(dir);
                     }
-                    "slow_query_ns" => {
-                        let ns = value.trim().parse::<u64>().map_err(|_| {
-                            SqlError::Plan(format!(
-                                "slow_query_ns expects a non-negative integer of \
-                                 nanoseconds, got {value:?}"
-                            ))
-                        })?;
-                        self.slow_query_ns = ns;
-                    }
-                    "slow_query_log" => {
-                        // `off`, `stderr`, or a file path (appended to).
-                        self.slowlog.set_target(&value);
-                    }
                     other => {
                         return Err(SqlError::Plan(format!(
-                            "unknown session variable {other:?} (expected join_algo, \
-                             spill_dir, slow_query_ns, or slow_query_log)"
+                            "unknown session variable {other:?} (expected join_algo \
+                             or spill_dir)"
                         )))
                     }
                 }
@@ -487,9 +430,8 @@ impl Session {
         self.finish_statement(sql, started, false, &Err(err.clone()));
     }
 
-    /// Close out one statement: drop it from the active registry, fold it
-    /// into the statement statistics, and emit a slow-query line when it
-    /// crossed the threshold. Engine-context readings (spill, admission,
+    /// Close out one statement: drop it from the active registry and fold
+    /// it into the statement statistics. Engine-context readings (spill, admission,
     /// degradations, join shapes) are taken only from statements that armed
     /// the context — SET/DDL never execute through the engine, and a query
     /// that failed at parse/plan time never reached `arm()`, so in both
@@ -505,29 +447,22 @@ impl Session {
         let latency_ns = started.elapsed().as_nanos() as u64;
         let ctx = &self.engine.ctx;
         let armed = is_query && !matches!(result, Err(SqlError::Parse(_)) | Err(SqlError::Plan(_)));
-        let (spill_bytes, admission_wait_ns, granted_bytes, degradations, algo_mask, peak_bytes) =
-            if armed {
-                (
-                    ctx.spill_write_bytes(),
-                    ctx.admission_wait_ns(),
-                    ctx.admission_granted(),
-                    ctx.degradations(),
-                    ctx.join_algos(),
-                    ctx.high_water() as u64,
-                )
-            } else {
-                (0, 0, 0, 0, 0, 0)
-            };
-        let (cpu_ns, spill_io_ns) = if armed {
-            (ctx.cpu_ns(), ctx.spill_io_ns())
+        let (spill_bytes, admission_wait_ns, granted_bytes, degradations, algo_mask) = if armed {
+            (
+                ctx.spill_write_bytes(),
+                ctx.admission_wait_ns(),
+                ctx.admission_granted(),
+                ctx.degradations(),
+                ctx.join_algos(),
+            )
         } else {
-            (0, 0)
+            (0, 0, 0, 0, 0)
         };
         let rows_out = match result {
             Ok(t) => t.num_rows() as u64,
             Err(_) => 0,
         };
-        let fingerprint = self.statlog.record(&StatRecord {
+        self.statlog.record(&StatRecord {
             conn: self.conn_id,
             sql,
             ok: result.is_ok(),
@@ -539,34 +474,6 @@ impl Session {
             degradations,
             algo_mask,
         });
-        if should_log_slow(latency_ns, self.slow_query_ns) && self.slowlog.enabled() {
-            let ts_ms = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_millis())
-                .unwrap_or(0);
-            let algos = algo_bits::label(algo_mask);
-            self.slowlog.emit(
-                &SlowEvent {
-                    ts_ms,
-                    conn: self.conn_id,
-                    fingerprint: &fingerprint,
-                    sql,
-                    ok: result.is_ok(),
-                    latency_ns,
-                    threshold_ns: self.slow_query_ns,
-                    rows_out,
-                    spill_bytes,
-                    admission_wait_ns,
-                    cpu_ns,
-                    spill_io_ns,
-                    granted_bytes,
-                    degradations,
-                    algos: &algos,
-                    peak_bytes,
-                }
-                .to_json(),
-            );
-        }
     }
 
     /// The catalog a SELECT should plan against: `None` (plan against the
@@ -694,29 +601,11 @@ impl Session {
                     ("spill_bytes", Int64, |(p, _, _)| int(p.spill_bytes())),
                 ],
             ),
-            "jsys.timeseries" => jsys_table(
-                &self
-                    .timeseries
-                    .as_ref()
-                    .map(|t| t.snapshot())
-                    .unwrap_or_default(),
-                &[
-                    ("at_ms", Int64, |t| int(t.at_ms)),
-                    ("queue_depth", Int64, |t| int(t.queue_depth)),
-                    ("available_bytes", Int64, |t| int(t.available_bytes)),
-                    ("admitted_bytes", Int64, |t| int(t.admitted_bytes)),
-                    ("pool_threads", Int64, |t| int(t.pool_threads)),
-                    ("active_pipelines", Int64, |t| int(t.active_pipelines)),
-                    ("active_queries", Int64, |t| int(t.active_queries)),
-                    ("spill_write_bytes", Int64, |t| int(t.spill_write_bytes)),
-                    ("spill_read_bytes", Int64, |t| int(t.spill_read_bytes)),
-                ],
-            ),
             other => {
                 return Err(SqlError::Plan(format!(
                     "unknown system table {other:?} (expected jsys.statements, \
                      jsys.recent_queries, jsys.active_queries, jsys.metrics, jsys.pool, \
-                     jsys.ash, jsys.query_progress, or jsys.timeseries)"
+                     jsys.ash, or jsys.query_progress)"
                 )))
             }
         })

@@ -1,5 +1,5 @@
-//! Always-on serving telemetry: statement statistics, recent/active query
-//! registries, the slow-query log, and the Prometheus-style exposition.
+//! Always-on serving telemetry: statement statistics, the recent/active
+//! query registries, and the active-session-history ring.
 //!
 //! The paper's thesis is that join decisions must be grounded in
 //! measurement on a *real system*; this module is the serving side of that
@@ -9,15 +9,13 @@
 //! error counts, total/min/max latency plus a 65-bucket log₂ latency
 //! histogram (the p50/p95/p99 source), rows out, spill traffic, admission
 //! waits and grants, join-algorithm choices and degradation events. The
-//! same record feeds a bounded ring of [`RecentQuery`] rows and, above a
-//! session threshold, one JSON line in the [`SlowLog`].
+//! same record feeds a bounded ring of [`RecentQuery`] rows.
 //!
-//! The module also owns the sampler-facing rings: the [`AshRing`] of
+//! The module also owns the sampler-facing [`AshRing`] of
 //! active-session-history samples (the server's wait-state sampler pushes
-//! one [`AshSample`] per active query every ~10 ms) and the
-//! [`TimeseriesRing`] of 1-second server gauges ([`TsSample`]). Both are
-//! the same fixed-slot structure as the recent-query ring and surface as
-//! `jsys.ash` / `jsys.timeseries`.
+//! one [`AshSample`] per active query every ~10 ms). It is the same
+//! fixed-slot structure as the recent-query ring and surfaces as
+//! `jsys.ash`.
 //!
 //! # Overhead contract
 //!
@@ -34,15 +32,13 @@
 //!   loops are untouched.
 //! * Fingerprinting is one linear scan of the statement text.
 //!
-//! The system tables (`jsys.*`, materialized by [`crate::Session`]) and
-//! the `METRICS` exposition are snapshot readers over these structures;
-//! they pay their cost at read time, never on the execute path.
+//! The system tables (`jsys.*`, materialized by [`crate::Session`]) are
+//! snapshot readers over these structures; they pay their cost at read
+//! time, never on the execute path.
 
 use joinstudy_exec::context::{algo_bits, QueryContext};
-use joinstudy_exec::registry::{json_string, Histogram};
+use joinstudy_exec::registry::Histogram;
 use std::collections::HashMap;
-use std::io::Write;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -54,10 +50,6 @@ pub const RECENT_CAP: usize = 256;
 /// (~40 s of history at the default 10 ms sampling interval with one
 /// active query).
 pub const ASH_CAP: usize = 4096;
-
-/// How many [`TsSample`] rows the gauge time-series ring keeps (10
-/// minutes at the 1 s tick).
-pub const TIMESERIES_CAP: usize = 600;
 
 /// Milliseconds since the Unix epoch, the timestamp unit every ring here
 /// shares (0 if the clock is before the epoch).
@@ -279,9 +271,9 @@ pub struct StatementStats {
 #[derive(Debug, Clone)]
 pub struct RecentQuery {
     pub seq: u64,
-    /// Completion time, milliseconds since the Unix epoch — what lets
-    /// `bench_serve --ash` join a finished request against the ASH
-    /// samples taken while it ran.
+    /// Completion time, milliseconds since the Unix epoch — what lets a
+    /// reader join a finished request against the `jsys.ash` samples
+    /// taken while it ran.
     pub ts_ms: u64,
     pub conn: u64,
     pub sql: String,
@@ -567,7 +559,6 @@ pub struct AshSample {
 #[derive(Debug)]
 pub struct AshRing {
     ring: Mutex<Ring<AshSample>>,
-    taken: AtomicU64,
 }
 
 impl Default for AshRing {
@@ -584,12 +575,10 @@ impl AshRing {
     pub fn with_capacity(cap: usize) -> AshRing {
         AshRing {
             ring: Mutex::new(Ring::new(cap)),
-            taken: AtomicU64::new(0),
         }
     }
 
     pub fn push(&self, sample: AshSample) {
-        self.taken.fetch_add(1, Ordering::Relaxed);
         self.ring
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -603,310 +592,6 @@ impl AshRing {
             .unwrap_or_else(|e| e.into_inner())
             .snapshot()
     }
-
-    /// Samples ever taken (retained or evicted).
-    pub fn total_samples(&self) -> u64 {
-        self.taken.load(Ordering::Relaxed)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Gauge time series
-// ---------------------------------------------------------------------------
-
-/// One 1-second tick of server-wide gauges — a row of `jsys.timeseries`.
-#[derive(Debug, Clone, Default)]
-pub struct TsSample {
-    pub at_ms: u64,
-    /// Queries waiting in the admission queue.
-    pub queue_depth: u64,
-    /// Admission pool bytes not currently leased out.
-    pub available_bytes: u64,
-    /// Admission pool bytes currently leased out.
-    pub admitted_bytes: u64,
-    pub pool_threads: u64,
-    pub active_pipelines: u64,
-    /// Statements in flight (queued or running).
-    pub active_queries: u64,
-    /// Cumulative spill bytes written (process-wide counter; diff adjacent
-    /// rows for throughput).
-    pub spill_write_bytes: u64,
-    /// Cumulative spill bytes read back.
-    pub spill_read_bytes: u64,
-}
-
-/// Bounded ring of [`TsSample`]s — `jsys.timeseries`. Pushed once a
-/// second by the server's ticker thread.
-#[derive(Debug)]
-pub struct TimeseriesRing {
-    ring: Mutex<Ring<TsSample>>,
-}
-
-impl Default for TimeseriesRing {
-    fn default() -> TimeseriesRing {
-        TimeseriesRing::with_capacity(TIMESERIES_CAP)
-    }
-}
-
-impl TimeseriesRing {
-    pub fn new() -> TimeseriesRing {
-        TimeseriesRing::default()
-    }
-
-    pub fn with_capacity(cap: usize) -> TimeseriesRing {
-        TimeseriesRing {
-            ring: Mutex::new(Ring::new(cap)),
-        }
-    }
-
-    pub fn push(&self, sample: TsSample) {
-        self.ring
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(sample);
-    }
-
-    /// Oldest-first snapshot of the retained ticks.
-    pub fn snapshot(&self) -> Vec<TsSample> {
-        self.ring
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .snapshot()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Slow-query log
-// ---------------------------------------------------------------------------
-
-/// Whether a statement of `latency_ns` crosses the slow-log `threshold_ns`
-/// (0 disables the log; a latency exactly at the threshold logs).
-#[inline]
-pub fn should_log_slow(latency_ns: u64, threshold_ns: u64) -> bool {
-    threshold_ns > 0 && latency_ns >= threshold_ns
-}
-
-#[derive(Debug)]
-enum SlowSink {
-    Off,
-    Stderr,
-    File(PathBuf),
-}
-
-/// Destination for slow-query JSON lines. Shared (`Arc`) across a server's
-/// connections so `SET slow_query_log = ...` on one connection and the
-/// `JOINSTUDY_SLOW_LOG` env default compose; the per-statement *threshold*
-/// stays per session (`SET slow_query_ns = ...`).
-#[derive(Debug)]
-pub struct SlowLog {
-    sink: Mutex<SlowSink>,
-}
-
-impl Default for SlowLog {
-    fn default() -> SlowLog {
-        SlowLog {
-            sink: Mutex::new(SlowSink::Off),
-        }
-    }
-}
-
-impl SlowLog {
-    pub fn new() -> SlowLog {
-        SlowLog::default()
-    }
-
-    /// A slow log honoring `JOINSTUDY_SLOW_LOG` (`stderr`, or a file path;
-    /// unset/empty means off).
-    pub fn from_env() -> SlowLog {
-        let log = SlowLog::new();
-        if let Ok(v) = std::env::var("JOINSTUDY_SLOW_LOG") {
-            log.set_target(&v);
-        }
-        log
-    }
-
-    /// Point the log at `target`: `off`/`` disables, `stderr` writes to
-    /// standard error, anything else is a file path (append).
-    pub fn set_target(&self, target: &str) {
-        let sink = match target.trim() {
-            "" | "off" => SlowSink::Off,
-            "stderr" => SlowSink::Stderr,
-            path => SlowSink::File(PathBuf::from(path)),
-        };
-        *self.sink.lock().unwrap_or_else(|e| e.into_inner()) = sink;
-    }
-
-    /// Human-readable description of the current sink.
-    pub fn describe(&self) -> String {
-        match &*self.sink.lock().unwrap_or_else(|e| e.into_inner()) {
-            SlowSink::Off => "off".to_string(),
-            SlowSink::Stderr => "stderr".to_string(),
-            SlowSink::File(p) => p.display().to_string(),
-        }
-    }
-
-    /// Whether any sink is configured (lets the execute path skip building
-    /// the JSON line entirely).
-    pub fn enabled(&self) -> bool {
-        !matches!(
-            &*self.sink.lock().unwrap_or_else(|e| e.into_inner()),
-            SlowSink::Off
-        )
-    }
-
-    /// Write one pre-rendered JSON line. Errors are swallowed: losing a
-    /// slow-log line must never fail a query.
-    pub fn emit(&self, line: &str) {
-        let sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
-        match &*sink {
-            SlowSink::Off => {}
-            SlowSink::Stderr => {
-                let _ = writeln!(std::io::stderr(), "{line}");
-            }
-            SlowSink::File(path) => {
-                if let Ok(mut f) = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                {
-                    let _ = writeln!(f, "{line}");
-                }
-            }
-        }
-    }
-}
-
-/// Everything one slow-query line carries; [`SlowEvent::to_json`] renders
-/// the single-line JSON document.
-#[derive(Debug, Clone)]
-pub struct SlowEvent<'a> {
-    pub ts_ms: u128,
-    pub conn: u64,
-    pub fingerprint: &'a str,
-    pub sql: &'a str,
-    pub ok: bool,
-    pub latency_ns: u64,
-    pub threshold_ns: u64,
-    pub rows_out: u64,
-    pub spill_bytes: u64,
-    pub admission_wait_ns: u64,
-    /// Worker CPU time the statement's morsels consumed (summed across
-    /// workers, so it can exceed wall latency).
-    pub cpu_ns: u64,
-    /// Time spent blocked on spill-partition writes and read-backs.
-    pub spill_io_ns: u64,
-    pub granted_bytes: u64,
-    pub degradations: u64,
-    pub algos: &'a str,
-    pub peak_bytes: u64,
-}
-
-impl SlowEvent<'_> {
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"ts_ms\":{},\"conn\":{},\"fingerprint\":{},\"latency_ns\":{},\
-             \"threshold_ns\":{},\"ok\":{},\"rows_out\":{},\"spill_bytes\":{},\
-             \"admission_wait_ns\":{},\"cpu_ns\":{},\"spill_io_ns\":{},\
-             \"granted_bytes\":{},\"degradations\":{},\
-             \"algos\":{},\"peak_bytes\":{},\"sql\":{}}}",
-            self.ts_ms,
-            self.conn,
-            json_string(self.fingerprint),
-            self.latency_ns,
-            self.threshold_ns,
-            self.ok,
-            self.rows_out,
-            self.spill_bytes,
-            self.admission_wait_ns,
-            self.cpu_ns,
-            self.spill_io_ns,
-            self.granted_bytes,
-            self.degradations,
-            json_string(self.algos),
-            self.peak_bytes,
-            json_string(self.sql),
-        )
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Prometheus-style text exposition
-// ---------------------------------------------------------------------------
-
-/// Sanitize a registry metric name into the exposition charset
-/// (`[a-zA-Z_:][a-zA-Z0-9_:]*`): dots and other foreign characters become
-/// `_`, and a leading digit gets a `_` prefix.
-pub fn sanitize_metric_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for (i, c) in name.chars().enumerate() {
-        let ok = c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit());
-        if i == 0 && c.is_ascii_digit() {
-            out.push('_');
-            out.push(c);
-        } else if ok {
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    if out.is_empty() {
-        out.push('_');
-    }
-    out
-}
-
-/// Render `(name, value)` samples as Prometheus text exposition, each
-/// sample prefixed `joinstudy_` with a `# TYPE ... gauge` comment.
-/// Non-finite values are skipped (the exposition format has no place for
-/// them that scrapers agree on).
-pub fn render_exposition(samples: &[(String, f64)]) -> String {
-    let mut out = String::new();
-    for (name, value) in samples {
-        if !value.is_finite() {
-            continue;
-        }
-        let name = format!("joinstudy_{}", sanitize_metric_name(name));
-        out.push_str(&format!("# TYPE {name} gauge\n"));
-        if *value == value.trunc() && value.abs() < 1e15 {
-            out.push_str(&format!("{name} {}\n", *value as i64));
-        } else {
-            out.push_str(&format!("{name} {value}\n"));
-        }
-    }
-    out
-}
-
-/// Check a text exposition parses: every line is a comment or a
-/// `name value` sample with a legal metric name and a float value.
-/// Returns the number of samples.
-pub fn validate_exposition(text: &str) -> Result<usize, String> {
-    let mut samples = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (name, value) = line
-            .split_once(' ')
-            .ok_or_else(|| format!("line {}: no sample value: {line:?}", lineno + 1))?;
-        let mut chars = name.chars();
-        let head_ok = chars
-            .next()
-            .map(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
-            .unwrap_or(false);
-        if !head_ok || !chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':') {
-            return Err(format!("line {}: bad metric name {name:?}", lineno + 1));
-        }
-        value
-            .trim()
-            .parse::<f64>()
-            .map_err(|_| format!("line {}: bad sample value {value:?}", lineno + 1))?;
-        samples += 1;
-    }
-    if samples == 0 {
-        return Err("no samples in exposition".to_string());
-    }
-    Ok(samples)
 }
 
 #[cfg(test)]
@@ -1097,7 +782,7 @@ mod tests {
         );
     }
 
-    // -- ASH / timeseries rings ---------------------------------------------
+    // -- ASH ring ---------------------------------------------------------
 
     fn ash(at_ms: u64) -> AshSample {
         AshSample {
@@ -1122,174 +807,6 @@ mod tests {
         assert_eq!(snap.len(), 4);
         assert_eq!(snap[0].at_ms, 7, "oldest retained sample");
         assert_eq!(snap[3].at_ms, 10);
-        assert_eq!(ring.total_samples(), 10, "evicted samples still counted");
-    }
-
-    #[test]
-    fn timeseries_ring_is_bounded_and_oldest_first() {
-        let ring = TimeseriesRing::with_capacity(3);
-        for i in 1..=5 {
-            ring.push(TsSample {
-                at_ms: i,
-                queue_depth: i,
-                ..TsSample::default()
-            });
-        }
-        let snap = ring.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert_eq!(snap[0].at_ms, 3);
-        assert_eq!(snap[2].at_ms, 5);
-        assert_eq!(snap[2].queue_depth, 5);
-    }
-
-    // -- slow log (satellite: threshold boundaries) -------------------------
-
-    #[test]
-    fn slow_threshold_boundaries() {
-        assert!(!should_log_slow(999, 0), "threshold 0 disables");
-        assert!(!should_log_slow(0, 0));
-        assert!(!should_log_slow(999, 1000), "just under");
-        assert!(should_log_slow(1000, 1000), "exactly at threshold logs");
-        assert!(should_log_slow(1001, 1000));
-        assert!(should_log_slow(u64::MAX, 1));
-    }
-
-    #[test]
-    fn slow_event_renders_one_json_line() {
-        let ev = SlowEvent {
-            ts_ms: 1,
-            conn: 2,
-            fingerprint: "select ?",
-            sql: "SELECT 'x\n'",
-            ok: true,
-            latency_ns: 5_000,
-            threshold_ns: 1_000,
-            rows_out: 3,
-            spill_bytes: 0,
-            admission_wait_ns: 10,
-            cpu_ns: 4_000,
-            spill_io_ns: 250,
-            granted_bytes: 64,
-            degradations: 0,
-            algos: "-",
-            peak_bytes: 128,
-        };
-        let line = ev.to_json();
-        assert!(!line.contains('\n'), "must be a single line: {line}");
-        assert!(line.contains("\"latency_ns\":5000"), "{line}");
-        assert!(
-            line.contains("\"admission_wait_ns\":10,\"cpu_ns\":4000,\"spill_io_ns\":250"),
-            "wait-state breakdown rides along: {line}"
-        );
-        assert!(line.contains("\"sql\":\"SELECT 'x\\n'\""), "{line}");
-        assert!(line.starts_with('{') && line.ends_with('}'));
-    }
-
-    #[test]
-    fn slowlog_writes_to_file_and_describes_sinks() {
-        let dir = std::env::temp_dir().join(format!("joinstudy_slowlog_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("slow.jsonl");
-        let log = SlowLog::new();
-        assert!(!log.enabled());
-        assert_eq!(log.describe(), "off");
-        log.set_target(path.to_str().unwrap());
-        assert!(log.enabled());
-        log.emit("{\"a\":1}");
-        log.emit("{\"a\":2}");
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(body, "{\"a\":1}\n{\"a\":2}\n");
-        log.set_target("off");
-        assert!(!log.enabled());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    // -- exposition ---------------------------------------------------------
-
-    #[test]
-    fn exposition_sanitizes_and_validates() {
-        assert_eq!(
-            sanitize_metric_name("admission.wait_ns.p95"),
-            "admission_wait_ns_p95"
-        );
-        assert_eq!(sanitize_metric_name("9lives"), "_9lives");
-        let samples = vec![
-            ("pool.active_pipelines".to_string(), 3.0),
-            ("spill.write_bytes".to_string(), 1.5e9),
-            ("bad".to_string(), f64::NAN),
-        ];
-        let text = render_exposition(&samples);
-        assert!(text.contains("# TYPE joinstudy_pool_active_pipelines gauge"));
-        assert!(text.contains("joinstudy_pool_active_pipelines 3\n"));
-        assert!(text.contains("joinstudy_spill_write_bytes 1500000000\n"));
-        assert!(!text.contains("bad"), "non-finite values are skipped");
-        assert_eq!(validate_exposition(&text), Ok(2));
-    }
-
-    #[test]
-    fn exposition_empty_histogram_has_zero_quantiles_and_stays_valid() {
-        // An idle server scrapes before any statement ran: every latency
-        // histogram is empty, every quantile must render as a parseable 0
-        // rather than NaN or a missing sample.
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile(0.5), 0);
-        assert_eq!(h.quantile(0.99), 0);
-        for (_, v) in h.quantiles() {
-            assert_eq!(v, 0, "zero-sample quantiles are 0");
-        }
-        let samples = vec![
-            (
-                "statements.latency_ns.p50".to_string(),
-                h.quantile(0.5) as f64,
-            ),
-            (
-                "statements.latency_ns.p99".to_string(),
-                h.quantile(0.99) as f64,
-            ),
-        ];
-        let text = render_exposition(&samples);
-        assert!(
-            text.contains("joinstudy_statements_latency_ns_p50 0\n"),
-            "{text}"
-        );
-        assert_eq!(validate_exposition(&text), Ok(2));
-    }
-
-    #[test]
-    fn exposition_sanitizes_fingerprints_with_braces_and_utf8() {
-        // Fingerprints flow into metric names (per-statement gauges);
-        // brace characters collide with Prometheus label syntax and
-        // multi-byte characters are outside the charset — both must
-        // flatten to `_`.
-        let fp = fingerprint("SELECT 名前 FROM t{} WHERE tag = '{\"k\":1}' AND x = 42");
-        assert!(fp.contains('{') && fp.contains('}'), "precondition: {fp}");
-        assert!(!fp.is_ascii(), "precondition: {fp}");
-        let name = sanitize_metric_name(&format!("stmt.{fp}.p99_ns"));
-        assert!(
-            name.chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
-            "sanitized name stays in the exposition charset: {name}"
-        );
-        let text = render_exposition(&[(format!("stmt.{fp}.p99_ns"), 7.0)]);
-        assert!(!text.contains('{') && !text.contains('}'), "{text}");
-        assert_eq!(validate_exposition(&text), Ok(1));
-        // Braces alone, as a scraper would inject via label syntax.
-        let braced = sanitize_metric_name("q{instance=\"a\"}.count");
-        assert!(
-            !braced.contains('{') && !braced.contains('}') && !braced.contains('"'),
-            "{braced}"
-        );
-    }
-
-    #[test]
-    fn validate_rejects_malformed_exposition() {
-        assert!(validate_exposition("").is_err(), "no samples");
-        assert!(validate_exposition("# only comments\n").is_err());
-        assert!(validate_exposition("no-dashes-allowed 1\n").is_err());
-        assert!(validate_exposition("name notanumber\n").is_err());
-        assert!(validate_exposition("nameonly\n").is_err());
-        assert_eq!(validate_exposition("ok_name 1.25\n"), Ok(1));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Live-server tests for the active-session-history surface: the
-//! wait-state sampler (`jsys.ash`), live per-operator progress
-//! (`jsys.query_progress`), and the 1-second gauge ring
-//! (`jsys.timeseries`) — all answered over plain SQL through the line
-//! protocol, exactly as `joinstudy_top` reads them.
+//! wait-state sampler (`jsys.ash`) and live per-operator progress
+//! (`jsys.query_progress`), both answered over plain SQL through the line
+//! protocol, exactly as the shell's `.top` reads them.
 //!
 //! The second test is the acceptance scenario from DESIGN.md §14: a
 //! deliberately spill-heavy join under a 16 MiB budget must surface
@@ -82,15 +81,13 @@ fn spawn_server(
 }
 
 #[test]
-fn ash_progress_and_timeseries_answer_over_plain_sql() {
+fn ash_and_progress_answer_over_plain_sql() {
     let config = ServerConfig {
         threads: 2,
         pool_bytes: 64 << 20,
         query_bytes: 16 << 20,
         min_grant_bytes: 1 << 20,
-        ash_enabled: true,
         ash_interval: Duration::from_millis(2),
-        timeseries_interval: Duration::from_millis(20),
     };
     let t = keyed_table(50_000);
     let handle = spawn_server(config, &[("t", Arc::clone(&t)), ("u", t)]);
@@ -112,8 +109,6 @@ fn ash_progress_and_timeseries_answer_over_plain_sql() {
     for c in clients {
         c.join().expect("client thread");
     }
-    // Let at least a few timeseries ticks land.
-    std::thread::sleep(Duration::from_millis(80));
 
     let mut observer = Client::connect(addr).expect("connect observer");
 
@@ -166,19 +161,6 @@ fn ash_progress_and_timeseries_answer_over_plain_sql() {
         ]
     );
 
-    // jsys.timeseries: ticks accumulated, and the gauges describe this
-    // server (2 pool threads).
-    let ticks = rows(
-        &mut observer,
-        "SELECT at_ms, queue_depth, pool_threads, active_queries FROM jsys.timeseries",
-    );
-    assert!(ticks.len() >= 2, "expected several 20 ms ticks");
-    for tick in &ticks {
-        assert_eq!(tick[2], "2", "pool_threads gauge should match config");
-    }
-    let at: Vec<i64> = ticks.iter().map(|t| t[0].parse().unwrap()).collect();
-    assert!(at.windows(2).all(|w| w[0] <= w[1]), "ticks oldest-first");
-
     observer.query(".quit").ok();
     handle.stop();
 }
@@ -193,9 +175,7 @@ fn spill_heavy_query_shows_spill_io_samples_and_monotone_progress() {
         pool_bytes: 24 << 20,
         query_bytes: 16 << 20,
         min_grant_bytes: 1 << 20,
-        ash_enabled: true,
         ash_interval: Duration::from_millis(1),
-        timeseries_interval: Duration::from_millis(50),
     };
     let rows_n = 1_200_000usize;
     let big = keyed_table(rows_n);

@@ -279,9 +279,8 @@ fn set_join_algo_statement_switches_the_session() {
         .unwrap_err()
         .to_string();
     assert!(err.contains("unknown join_algo"), "{err}");
-    let err = session
-        .execute("SET partition_bits = 6")
-        .unwrap_err()
-        .to_string();
-    assert!(err.contains("unknown session variable"), "{err}");
+    for unknown in ["SET partition_bits = 6", "SET slow_query_ns = 1000"] {
+        let err = session.execute(unknown).unwrap_err().to_string();
+        assert!(err.contains("unknown session variable"), "{unknown}: {err}");
+    }
 }

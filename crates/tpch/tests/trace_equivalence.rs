@@ -225,3 +225,36 @@ fn q3_traced_on_a_shared_pool_beside_an_untraced_session() {
     }
     assert_eq!(shape(&trace), shape(&alone));
 }
+
+/// An instant raised on a pool worker — here the hybrid join closing a
+/// partition out to disk inside a morsel — lands on that worker's track,
+/// and recording it changes no row.
+#[test]
+fn hybrid_evictions_on_pool_workers_reach_the_trace() {
+    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut engine = Engine::new(1);
+    engine.set_worker_pool(Some(WorkerPool::new(2)));
+    // Q3's hybrid joins cannot keep their build sides under 256 KiB.
+    engine.ctx.set_memory_budget(Some(256 << 10));
+    let untraced = canonical(&(q3().run)(
+        data(),
+        &QueryConfig::new(JoinAlgo::Hybrid),
+        &engine,
+    ));
+    let (traced, trace) = run_traced(&engine, JoinAlgo::Hybrid);
+    assert_eq!(traced, untraced, "result changed under tracing");
+    trace
+        .validate()
+        .unwrap_or_else(|e| panic!("spilling trace invalid: {e}"));
+    let evictions: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Instant && s.name.starts_with("HHJ evict"))
+        .collect();
+    assert!(
+        evictions
+            .iter()
+            .any(|s| s.track < 2 && (s.pipeline as usize) < trace.pipelines.len()),
+        "no HHJ eviction on a worker track: {evictions:?}"
+    );
+}
