@@ -8,7 +8,8 @@
 //! ```
 //!
 //! Each of the four passes (BHJ, RJ, BRJ, and the hybrid join under a
-//! 256 KiB budget) records its result rows, degradations, every
+//! 256 KiB budget) records its result rows, its query context's
+//! degradations, every
 //! `mem.<phase>.{read,write}_bytes` counter (spill included) and the five
 //! `spill.*` counters. On the pinned workload (SF 0.01, seed 20260706,
 //! 4 threads, Q3) every one is a function of the code alone, so the gate
@@ -25,7 +26,7 @@ use joinstudy_bench::harness::{banner, Args};
 use joinstudy_bench::regress::{compare, Run};
 use joinstudy_bench::workloads::engine;
 use joinstudy_core::JoinAlgo;
-use joinstudy_exec::metrics::{self, MemPhase};
+use joinstudy_exec::metrics;
 use joinstudy_exec::registry;
 use joinstudy_tpch::queries::{query, QueryConfig};
 use std::path::Path;
@@ -80,8 +81,6 @@ fn main() {
         let t0 = Instant::now();
         let result = (query.run)(&data, &QueryConfig::new(algo), &engine);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        // Every pass ends in the same phase, so the next one starts alike.
-        metrics::mark_phase(MemPhase::Other);
 
         let mut gate = |name: &str, value: f64| {
             current
@@ -89,10 +88,7 @@ fn main() {
                 .insert(format!("q{QUERY_ID:02}.{tag}.{name}"), value)
         };
         gate("rows", result.num_rows() as f64);
-        gate(
-            "degradations",
-            reg.counter("exec.degradations").get() as f64,
-        );
+        gate("degradations", engine.ctx.degradations() as f64);
         for (name, value) in reg.snapshot() {
             if name.starts_with("mem.") && name.ends_with("_bytes") {
                 gate(&name, value);

@@ -251,8 +251,6 @@ fn accounted_run(e: &Engine, plan: &Plan) -> f64 {
     let start = Instant::now();
     let result = e.run(plan);
     let secs = start.elapsed().as_secs_f64();
-    // Flush the control thread's tail counter delta into the final phase.
-    metrics::mark_phase(MemPhase::Other);
     metrics::set_enabled(false);
     std::hint::black_box(result);
     secs

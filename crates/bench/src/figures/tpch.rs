@@ -8,13 +8,12 @@ use crate::report::Col;
 use crate::report::Fmt::{Bytes, Fixed, Plain, Si, Tagged};
 use crate::row;
 use crate::workloads::{bench_plan, count_plan, engine, tables, ProbeKeys};
-use joinstudy_core::plan::joinlog::{self, JoinSizes};
 use joinstudy_core::Engine;
 use joinstudy_core::JoinAlgo::{self, Bhj, Brj, Rj};
 use joinstudy_exec::expr::Expr;
 use joinstudy_exec::metrics;
 use joinstudy_exec::ops::scan::TableScan;
-use joinstudy_exec::Source;
+use joinstudy_exec::{DetailValue, Source};
 use joinstudy_storage::types::DataType::Int64;
 use joinstudy_tpch::queries::q19::{lineitem_filter, LINEITEM_COLUMNS};
 use joinstudy_tpch::queries::{all_queries, query, QueryConfig, TpchQuery};
@@ -51,16 +50,43 @@ pub fn run_ms(q: &TpchQuery, data: &TpchData, cfg: &QueryConfig, e: &Engine, rep
     measure(reps, || (q.run)(data, cfg, e)).0.as_secs_f64() * 1e3
 }
 
-/// An all-RJ run materializes both sides of every join, so its join log
-/// holds every join's exact build/probe footprint, in post-order (the
-/// override numbering).
-fn rj_join_log(q: &TpchQuery, data: &TpchData, e: &Engine) -> Vec<JoinSizes> {
-    joinlog::set_enabled(true);
-    joinlog::take();
+/// One join of an all-RJ run as its profile node reports it: both sides
+/// materialized, and the probe tuples that found a partner.
+struct RjJoin {
+    build_rows: usize,
+    build_bytes: usize,
+    probe_rows: usize,
+    probe_bytes: usize,
+    /// Fraction of the probed tuples with a partner (0 when none probed).
+    matched: f64,
+}
+
+/// An all-RJ run materializes both sides of every join, so the Join nodes
+/// of its profile hold every join's exact build/probe footprint; in
+/// post-order they follow the override numbering.
+fn rj_joins(q: &TpchQuery, data: &TpchData, e: &Engine) -> Vec<RjJoin> {
+    e.ctx.set_profiling(true);
     let _ = (q.run)(data, &QueryConfig::new(Rj), e);
-    joinlog::set_enabled(false);
-    let log = joinlog::take().into_iter();
-    log.filter(|j| j.algo == "RJ").collect()
+    e.ctx.set_profiling(false);
+    let profile = e.take_profile().expect("a profiled run");
+    let nodes = profile.root.post_order().into_iter();
+    let joins = nodes.filter(|n| n.label.starts_with("Join RJ "));
+    joins
+        .map(|n| {
+            let int = |key: &str| match n.details.iter().find(|(k, _)| k == key) {
+                Some((_, DetailValue::Int(v))) => *v as usize,
+                _ => 0,
+            };
+            let probed = int("probe_total");
+            RjJoin {
+                build_rows: int("build_rows"),
+                build_bytes: int("build_bytes"),
+                probe_rows: int("probe_rows"),
+                probe_bytes: int("probe_bytes"),
+                matched: int("probe_matched") as f64 / probed.max(1) as f64,
+            }
+        })
+        .collect()
 }
 
 /// §5.3.2's isolation method: all joins BHJ, then only join j flipped to
@@ -83,8 +109,8 @@ fn join_impact(q: &TpchQuery, data: &TpchData, e: &Engine, reps: usize) -> (f64,
 
 /// Figure 1 — relative performance of BRJ vs BHJ for *every individual
 /// join* in TPC-H, against each join's build × probe materialized sizes.
-/// Sizes come from a separate all-RJ run whose join-log order equals the
-/// override numbering.
+/// Sizes come from a separate profiled all-RJ run, whose Join nodes in
+/// post-order follow the override numbering.
 pub fn fig01(r: &mut Report, p: &Params) {
     let (sf, threads, reps) = (p.get::<f64>("sf"), p.threads(), p.reps());
     p.banner(r, &format!("SF {sf}, {threads} threads, median of {reps}"));
@@ -101,7 +127,7 @@ pub fn fig01(r: &mut Report, p: &Params) {
     let mut t = r.table("fig01_join_matrix", &cols);
     t.header(r);
     for q in queries(p) {
-        let sizes = rj_join_log(&q, &data, &e);
+        let sizes = rj_joins(&q, &data, &e);
         let (base, flipped) = join_impact(&q, &data, &e, reps);
         for (j, (ms, delta)) in flipped.into_iter().enumerate() {
             let (build, probe) = sizes
@@ -133,9 +159,9 @@ fn print_hist(r: &mut Report, title: &str, unit: &str, edges: &[f64], values: &[
 }
 
 /// Figure 2 — tuple-size and join-partner distributions: TPC-H vs prior
-/// work (§1). The all-RJ join log yields exact per-join materialized tuple
-/// widths and (via the probe-match counters) the fraction of probe tuples
-/// with a join partner. Prior work's microbenchmarks sit at 8–16 B tuples
+/// work (§1). The Join nodes of a profiled all-RJ run yield exact per-join
+/// materialized tuple widths and (via the probe-match counters) the
+/// fraction of probe tuples with a join partner. Prior work's microbenchmarks sit at 8–16 B tuples
 /// and 100% join partners — the mismatch that motivates the whole paper.
 pub fn fig02(r: &mut Report, p: &Params) {
     let sf: f64 = p.get("sf");
@@ -155,16 +181,13 @@ pub fn fig02(r: &mut Report, p: &Params) {
     let mut t = r.table("fig02_workload_hist", &cols);
     let (mut widths, mut partners) = (Vec::new(), Vec::new());
     for q in all_queries() {
-        for (j, s) in rj_join_log(&q, &data, &e).iter().enumerate() {
+        for (j, s) in rj_joins(&q, &data, &e).iter().enumerate() {
             if s.probe_rows == 0 {
                 continue;
             }
             let probe_width = s.probe_bytes as f64 / s.probe_rows as f64;
             let build_width = s.build_bytes as f64 / s.build_rows.max(1) as f64;
-            let matched = s
-                .stats
-                .as_ref()
-                .map_or(0.0, |st| st.match_fraction() * 100.0);
+            let matched = s.matched * 100.0;
             widths.push(probe_width);
             partners.push(matched);
             row!(t, r, q.id, j + 1, probe_width, build_width, matched);
@@ -290,13 +313,13 @@ pub fn fig12(r: &mut Report, p: &Params) {
 }
 
 /// Figure 13 — Q21's join tree annotated with materialized build and probe
-/// sizes (§5.3.2), from one all-RJ execution (join-log post-order =
-/// bottom-up, matching the paper's numbering).
+/// sizes (§5.3.2), from one profiled all-RJ execution (its Join nodes in
+/// post-order = bottom-up, matching the paper's numbering).
 pub fn fig13(r: &mut Report, p: &Params) {
     let sf: f64 = p.get("sf");
     let how = "sizes from an all-RJ run (both sides materialized)";
     p.banner(r, &format!("SF {sf}, {how}"));
-    let log = rj_join_log(&query(21), &tpch(sf), &engine(p.threads(), false));
+    let log = rj_joins(&query(21), &tpch(sf), &engine(p.threads(), false));
     let cols = [
         Col::key("", "join", 1, Plain),
         Col::key("", "", -28, Plain),
@@ -388,9 +411,9 @@ pub fn fig18(r: &mut Report, p: &Params) {
 
 /// Table 5 — workload characteristics for join processing: prior work vs
 /// TPC-H vs the real world (§6). The TPC-H column is *measured* from this
-/// repository's own data and plans (join-log pass at the given SF); the
-/// other two restate the paper's synthesis (Vogelsgesang et al. for the
-/// real-world evidence).
+/// repository's own data and plans (a profiled all-RJ pass at the given
+/// SF); the other two restate the paper's synthesis (Vogelsgesang et al.
+/// for the real-world evidence).
 pub fn table5(r: &mut Report, p: &Params) {
     let sf: f64 = p.get("sf");
     p.banner(
@@ -400,12 +423,12 @@ pub fn table5(r: &mut Report, p: &Params) {
     let (data, e) = (tpch(sf), engine(p.threads(), false));
     let (mut widths, mut partner_pcts, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
     let (mut joins, mut small_builds) = (0, 0);
-    for s in all_queries().iter().flat_map(|q| rj_join_log(q, &data, &e)) {
+    for s in all_queries().iter().flat_map(|q| rj_joins(q, &data, &e)) {
         joins += 1;
         small_builds += usize::from(s.build_bytes < p.host.llc_bytes);
         if s.probe_rows > 0 {
             widths.push(s.probe_bytes as f64 / s.probe_rows as f64);
-            partner_pcts.extend(s.stats.as_ref().map(|st| st.match_fraction() * 100.0));
+            partner_pcts.push(s.matched * 100.0);
             ratios.extend((s.build_bytes > 0).then(|| s.probe_bytes as f64 / s.build_bytes as f64));
         }
     }

@@ -202,8 +202,9 @@ impl BhjState {
     /// then CAS-insert — so the bucket misses of a batch overlap. At
     /// [`INLINE_LINK_ROWS`] rows and above, and with more than one worker
     /// and arena, the arenas are the tasks of one pipeline on `exec` under
-    /// `ctx`, its work sampled as `cpu` (arenas are per build worker, so
-    /// they are balanced); below it the caller links alone.
+    /// `ctx` in the `Build` phase, its work sampled as `cpu` (arenas are per
+    /// build worker, so they are balanced); below it the caller links
+    /// alone.
     pub(crate) fn link(
         self,
         exec: &Executor,
@@ -232,7 +233,7 @@ impl BhjState {
         if exec.threads() <= 1 || self.arenas.len() <= 1 || self.rows < INLINE_LINK_ROWS {
             self.arenas.iter().for_each(link_arena);
         } else {
-            let label = PipelineLabel::new("hash table link", cpu);
+            let label = PipelineLabel::new("hash table link", cpu, MemPhase::Build);
             exec.run_tasks(ctx, label, self.arenas.len(), |a| {
                 link_arena(&self.arenas[a]);
                 Ok(())

@@ -73,27 +73,15 @@ impl JoinType {
     }
 }
 
-/// Shared per-join counters filled during the probe phase (Figure 2's
-/// join-partner statistics).
-#[derive(Debug, Default)]
+/// Shared per-join counters filled during the probe phase: the Join
+/// node's `probe_total` and `probe_matched` (Figure 2's join-partner
+/// statistics).
+#[derive(Debug, Default, Clone)]
 pub struct JoinStats {
     /// Probe tuples processed.
-    pub probe_total: std::sync::atomic::AtomicU64,
+    pub probe_total: Arc<AtomicU64>,
     /// Probe tuples with at least one join partner.
-    pub probe_matched: std::sync::atomic::AtomicU64,
-}
-
-impl JoinStats {
-    /// Fraction of probe tuples that found a partner (0 when never probed).
-    pub fn match_fraction(&self) -> f64 {
-        let total = self.probe_total.load(std::sync::atomic::Ordering::Relaxed);
-        if total == 0 {
-            return 0.0;
-        }
-        self.probe_matched
-            .load(std::sync::atomic::Ordering::Relaxed) as f64
-            / total as f64
-    }
+    pub probe_matched: Arc<AtomicU64>,
 }
 
 /// A join's residual predicate: a condition beyond key equality, written

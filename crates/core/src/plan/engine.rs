@@ -10,6 +10,7 @@ use crate::qprof::{ProfCtx, Slot};
 use crate::radix::RadixConfig;
 use joinstudy_exec::context::QueryContext;
 use joinstudy_exec::error::ExecResult;
+use joinstudy_exec::metrics::MemPhase;
 use joinstudy_exec::ops::{
     AggSink, CollectSink, FilterOp, LateLoadOp, ProjectOp, SortSink, TableScan,
 };
@@ -176,7 +177,7 @@ impl Engine {
         // any debug-mode test or run executes.
         debug_assert_eq!(plan.schema(), spec.schema);
         let sink = CollectSink::new(spec.schema.clone());
-        let label = PipelineLabel::new("output", spec.cpu);
+        let label = spec.label("output");
         let stats = self.run_breaker(label, &spec, &sink, prof.as_deref_mut())?;
         let out = prof.map(|pc| {
             let out = pc.node("Output", root.into_iter().collect());
@@ -192,7 +193,7 @@ impl Engine {
     /// for [`Engine::take_trace`]. The tracer records one query at a time:
     /// if another trace is already active, `f` runs untraced.
     fn traced<R>(&self, f: impl FnOnce() -> R) -> R {
-        let tracing = self.ctx.tracing() && trace::begin("query");
+        let tracing = self.ctx.tracing() && trace::begin("query", self.ctx.counters());
         if tracing {
             trace::instant(format!("simd path: {}", crate::simd::active().name()));
         }
@@ -390,7 +391,7 @@ impl Engine {
             } => {
                 let (spec, child) = self.stream(input, prof.as_deref_mut())?;
                 let sink = AggSink::new(spec.schema.clone(), group_cols.clone(), aggs.clone());
-                let label = PipelineLabel::new("aggregate", spec.cpu);
+                let label = spec.label("aggregate");
                 let stats = self.run_breaker(label, &spec, &sink, prof.as_deref_mut())?;
                 let table_bytes = sink.table_bytes();
                 let result = sink.into_table();
@@ -406,7 +407,7 @@ impl Engine {
             Plan::Sort { input, keys, limit } => {
                 let (spec, child) = self.stream(input, prof.as_deref_mut())?;
                 let sink = SortSink::new(spec.schema.clone(), keys.clone(), *limit);
-                let label = PipelineLabel::new("sort", spec.cpu);
+                let label = spec.label("sort");
                 let stats = self.run_breaker(label, &spec, &sink, prof.as_deref_mut())?;
                 Ok(rescan(plan, child, &stats, sink.into_table(), prof))
             }
@@ -445,7 +446,8 @@ impl Engine {
                     id
                 });
                 let spec = probe_spec.push_op(op, out_schema.clone());
-                let label = PipelineLabel::new("groupjoin probe", WaitState::CpuProbe);
+                let label =
+                    PipelineLabel::new("groupjoin probe", WaitState::CpuProbe, MemPhase::Other);
                 self.run_breaker(label, &spec, &DiscardSink, prof.as_deref_mut())?;
 
                 // Pipeline 3: every build row, i.e. one row per group.

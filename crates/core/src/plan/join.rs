@@ -14,7 +14,7 @@ use super::details::{
     adaptive_details, hw_details, partition_details, residual_details, walk_details,
 };
 use super::engine::Compiled;
-use super::{joinlog, Engine, JoinAlgo, JoinNode, Plan};
+use super::{Engine, JoinAlgo, JoinNode, Plan};
 use crate::bhj::{BhjBuildSink, BhjProbeOp, BhjState, BhjUnmatchedSource};
 use crate::cost::Decision;
 use crate::groupjoin::{self, GroupAggSpec};
@@ -25,7 +25,7 @@ use crate::radix::{ClosedSet, PartitionedSide};
 use crate::rj::BloomProbeOp;
 use joinstudy_exec::context::algo_bits;
 use joinstudy_exec::error::{ExecError, ExecResult};
-use joinstudy_exec::metrics::{self, MemPhase};
+use joinstudy_exec::metrics::MemPhase;
 use joinstudy_exec::pipeline::{DiscardSink, Source, StreamSpec};
 use joinstudy_exec::profile::PipelineStats;
 use joinstudy_exec::{registry, trace, PipelineLabel, WaitState};
@@ -59,8 +59,8 @@ impl Engine {
     /// the rung just tried fails in a way the next one can absorb:
     ///
     /// * [`ExecError::BudgetExceeded`] — the memory budget cannot hold what
-    ///   this rung materializes. Counted as a degradation on the process
-    ///   metrics and the query context.
+    ///   this rung materializes. Counted as a degradation on the query
+    ///   context.
     /// * [`ExecError::RegimeMismatch`] — an *adaptively chosen* radix join
     ///   measured its build side and found the plan-time estimate wrong
     ///   ([`Engine::check_regime`]). Counted in `adaptive.fallbacks`.
@@ -103,7 +103,6 @@ impl Engine {
             let step = format!("{} -> {}", algo.name(), next.name());
             match &err {
                 ExecError::BudgetExceeded { .. } => {
-                    metrics::record_degradation();
                     self.ctx.note_degradation();
                     trace::instant(format!("degradation: {step} (memory budget)"));
                     degraded = if degraded.is_empty() {
@@ -174,9 +173,9 @@ impl Engine {
     /// The hash-table build the BHJ and the groupjoin share: `build`'s
     /// pipeline, widened by one zero cell per aggregate of `aggs` (none for
     /// the BHJ), runs as `name` into a [`BhjBuildSink`] on `keys`, then the
-    /// chaining table is linked over its rows. Only the BHJ's build is
-    /// `charged`: its sink leases from the query context and its pipeline
-    /// runs in the `Build` memory phase.
+    /// chaining table is linked over its rows, both in the `Build` phase.
+    /// Only the BHJ's build is `charged`: its sink leases from the query
+    /// context.
     pub(super) fn build_table(
         &self,
         build: &Plan,
@@ -196,9 +195,8 @@ impl Engine {
         let mut sink = BhjBuildSink::new(&types, keys.to_vec());
         if charged {
             sink = sink.with_context(Arc::clone(&self.ctx));
-            metrics::mark_phase(MemPhase::Build);
         }
-        let label = PipelineLabel::new(name, WaitState::CpuBuild);
+        let label = PipelineLabel::new(name, WaitState::CpuBuild, MemPhase::Build);
         let stats = self.run_breaker(label, &spec, &sink, prof)?;
         let _span = trace::phase_scope(format!("{name} finalize (hash table)"));
         let state = sink.into_state(self.executor())?;
@@ -219,13 +217,6 @@ impl Engine {
             true,
             prof.as_deref_mut(),
         )?;
-        joinlog::record(joinlog::JoinSizes {
-            algo: JoinAlgo::Bhj.name(),
-            build_rows: state.rows,
-            build_bytes: state.byte_size(),
-            // The probe side is never materialized.
-            ..Default::default()
-        });
 
         // Pipeline 2: the probe side, with the probe fused in.
         let (probe_spec, pchild) = self.stream(node.probe, prof.as_deref_mut())?;
@@ -251,17 +242,17 @@ impl Engine {
             id
         });
 
-        metrics::mark_phase(MemPhase::Other);
         let mut spec = probe_spec.push_op(probe_op, out_schema.clone());
         // Whatever breaker this pipeline ends in, what it mostly does is
-        // probe.
+        // probe; the non-partitioned probe is Figure 10's `Other`.
         spec.cpu = WaitState::CpuProbe;
+        spec.phase = MemPhase::Other;
         if !kind.preserves_build() {
             return Ok((spec, id));
         }
         // The probe pipeline only marks; the result pipeline scans the
         // hash table (how real systems start an anti-join's output).
-        let label = PipelineLabel::new("BHJ probe (mark)", WaitState::CpuProbe);
+        let label = spec.label("BHJ probe (mark)");
         self.run_breaker(label, &spec, &DiscardSink, prof.as_deref_mut())?;
         if let (Some(pc), Some(id)) = (prof, id) {
             pc.pend(id, Slot::Source);
@@ -364,12 +355,12 @@ impl Engine {
         // Pipeline 1: build side → radix partitions (full breaker).
         let (build_spec, bchild) = self.stream(node.build, prof.as_deref_mut())?;
         let build_sink = join.build_sink(&level, &closed);
-        metrics::mark_phase(MemPhase::Build);
         // The cost model's cardinality estimate rides along so
         // `jsys.query_progress` can report an est-vs-actual fraction.
         let label = PipelineLabel {
             name: &format!("{tag} partition (build)"),
             cpu: WaitState::CpuPartition,
+            phase: MemPhase::Build,
             est_rows: adaptive.map_or(0, |d| d.estimate.build_rows as u64),
         };
         let build_stats = self.run_breaker(label, &build_spec, &build_sink, prof.as_deref_mut())?;
@@ -378,14 +369,6 @@ impl Engine {
 
         if evicting {
             let table = join.table(&level, &build_sink, &closed, self.executor())?;
-            let build_rows = table.build_rows();
-            joinlog::record(joinlog::JoinSizes {
-                algo: tag,
-                build_rows: build_rows as usize,
-                build_bytes: build_rows as usize * build_sink.layout().stride(),
-                // The probe side is never materialized.
-                ..Default::default()
-            });
             // Pipeline 2: the probe side, routed and probed in flight.
             let (probe_spec, pchild) = self.stream(node.probe, prof.as_deref_mut())?;
             let op_idx = probe_spec.ops.len();
@@ -411,9 +394,9 @@ impl Engine {
                 pc.pend(id, Slot::Op(op_idx));
                 id
             });
-            metrics::mark_phase(MemPhase::Join);
             let mut spec = probe_spec.push_op(Arc::clone(&route) as _, out_schema.clone());
             spec.cpu = WaitState::CpuProbe;
+            spec.phase = MemPhase::Join;
             let reloads = HybridJoinSource::new(join, &level, table, route);
             if !kind.preserves_build() {
                 // What was closed joins after the probe side, in the same
@@ -426,12 +409,14 @@ impl Engine {
                 }
                 return Ok((spec, id));
             }
-            let label = PipelineLabel::new("HHJ probe (mark)", WaitState::CpuProbe);
+            let label = spec.label("HHJ probe (mark)");
             self.run_breaker(label, &spec, &DiscardSink, prof.as_deref_mut())?;
             if let (Some(pc), Some(id)) = (prof, id) {
                 pc.pend(id, Slot::Source);
             }
-            return Ok((StreamSpec::new(Arc::new(reloads), out_schema), id));
+            let mut spec = StreamSpec::new(Arc::new(reloads), out_schema);
+            spec.phase = MemPhase::Join;
+            return Ok((spec, id));
         }
 
         let (build, bloom) = HybridJoin::finish(&build_sink, self.executor(), None, use_bloom)?;
@@ -457,7 +442,6 @@ impl Engine {
             probe_spec = probe_spec.push_op(op, schema);
         }
         let probe_sink = join.probe_sink(&level);
-        metrics::mark_phase(MemPhase::PartitionPass1);
         let bloom_suffix = if bloom_op.is_some() {
             " + bloom probe"
         } else {
@@ -466,25 +450,17 @@ impl Engine {
         let label = PipelineLabel {
             name: &format!("{tag} partition (probe){bloom_suffix}"),
             cpu: WaitState::CpuPartition,
+            phase: MemPhase::PartitionPass1,
             est_rows: adaptive.map_or(0, |d| d.estimate.probe_rows as u64),
         };
         let probe_stats = self.run_breaker(label, &probe_spec, &probe_sink, prof.as_deref_mut())?;
         drop(probe_spec);
         let (probe, _) = HybridJoin::finish(&probe_sink, self.executor(), Some(bits2), false)?;
-        let stats = Arc::new(JoinStats::default());
-        let source = join.radix_join(build, probe).with_stats(Arc::clone(&stats));
+        let stats = JoinStats::default();
+        let source = join.radix_join(build, probe).with_stats(stats.clone());
         let (build, probe) = (source.build(), source.probe());
-        joinlog::record(joinlog::JoinSizes {
-            algo: tag,
-            build_rows: build.total_rows(),
-            build_bytes: build.byte_size(),
-            probe_rows: probe.total_rows(),
-            probe_bytes: probe.byte_size(),
-            stats: Some(stats),
-        });
 
         // Pipeline 3 starts here: the partition-wise join.
-        metrics::mark_phase(MemPhase::Join);
         let id = prof.map(|pc| {
             let id = pc.node(node.label(tag), bchild.into_iter().chain(pchild).collect());
             pc.bind(id, &build_stats, Slot::Sink);
@@ -495,6 +471,8 @@ impl Engine {
             pc.detail(id, "bits2", bits2);
             partition_details(pc, id, "build", build);
             partition_details(pc, id, "probe", probe);
+            pc.live_detail(id, "probe_total", &stats.probe_total);
+            pc.live_detail(id, "probe_matched", &stats.probe_matched);
             residual_details(pc, id, join.residual.as_ref());
             if let Some((idx, op, bytes)) = &bloom_op {
                 pc.detail(id, "bloom_bytes", *bytes);
@@ -512,7 +490,9 @@ impl Engine {
             pc.pend(id, Slot::Source);
             id
         });
-        Ok((StreamSpec::new(Arc::new(source), out_schema), id))
+        let mut spec = StreamSpec::new(Arc::new(source), out_schema);
+        spec.phase = MemPhase::Join;
+        Ok((spec, id))
     }
 
     /// The adaptive escape hatch's measurement check, run right after the
@@ -644,6 +624,14 @@ mod profile_tests {
             Some(DetailValue::Float(s)) => assert!(*s >= 1.0),
             other => panic!("probe_skew: {other:?}"),
         }
+        // The join phase's match counters: all 6000 probe tuples probed,
+        // the 4000 with a key below 2000 matched.
+        for (key, n) in [("probe_total", 6000), ("probe_matched", 4000)] {
+            match detail(key).map(|(_, v)| v) {
+                Some(DetailValue::Int(got)) => assert_eq!(*got, n, "{key}"),
+                other => panic!("{key}: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -660,6 +648,10 @@ mod profile_tests {
         match detail("bloom_probed") {
             Some(DetailValue::Int(n)) => assert_eq!(*n, 6000),
             other => panic!("bloom_probed: {other:?}"),
+        }
+        match detail("probe_matched") {
+            Some(DetailValue::Int(n)) => assert_eq!(*n, 4000),
+            other => panic!("probe_matched: {other:?}"),
         }
         match detail("bloom_selectivity") {
             Some(DetailValue::Float(s)) => {

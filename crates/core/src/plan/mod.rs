@@ -576,48 +576,6 @@ fn fmt_join_keys(build: &Plan, build_keys: &[usize], probe: &Plan, probe_keys: &
     )
 }
 
-/// Per-join size accounting for the Figure-1 scatter plot (build × probe
-/// side bytes of every executed join). Enabled explicitly by the harness;
-/// sizes are exact for RJ/BRJ (both sides materialized) and build-only for
-/// the BHJ and the HHJ (their probe sides are never materialized — the
-/// point of the paper).
-pub mod joinlog {
-    use parking_lot::Mutex;
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    /// One executed join's materialization footprint.
-    #[derive(Debug, Clone, Default)]
-    pub struct JoinSizes {
-        pub algo: &'static str,
-        pub build_rows: usize,
-        pub build_bytes: usize,
-        pub probe_rows: usize,
-        /// 0 for BHJ and HHJ (probe side not materialized).
-        pub probe_bytes: usize,
-        /// Probe-match statistics, filled lazily while the consuming
-        /// pipeline runs (RJ/BRJ only).
-        pub stats: Option<std::sync::Arc<crate::join_common::JoinStats>>,
-    }
-
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static LOG: Mutex<Vec<JoinSizes>> = Mutex::new(Vec::new());
-
-    pub fn set_enabled(on: bool) {
-        ENABLED.store(on, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record(entry: JoinSizes) {
-        if ENABLED.load(Ordering::Relaxed) {
-            LOG.lock().push(entry);
-        }
-    }
-
-    /// Drain the recorded entries (execution order).
-    pub fn take() -> Vec<JoinSizes> {
-        std::mem::take(&mut *LOG.lock())
-    }
-}
-
 /// A two-column `(k, v)` table, shared by this module's test suites.
 #[cfg(test)]
 pub(crate) fn table_kv(rows: &[(i64, i64)]) -> Arc<Table> {

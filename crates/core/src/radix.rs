@@ -542,7 +542,7 @@ impl PartitionSink {
                     requested: charge,
                     in_use: local.lease.bytes(),
                     budget: ev.cfg.worker_cap,
-                    phase: metrics::current_phase().name(),
+                    phase: self.ctx.wait_state().name(),
                 }
             } else {
                 match local.lease.grow(charge) {
@@ -937,12 +937,11 @@ impl PartitionSink {
         };
 
         // Histogram scan: per pre-partition, count rows per sub-partition.
-        metrics::mark_phase(self.phases.hist);
         let histograms: Vec<Mutex<Vec<usize>>> =
             (0..fanout1).map(|_| Mutex::new(Vec::new())).collect();
         let hash_off = self.layout.hash_offset();
         let label = format!("radix histogram scan ({side_label})");
-        let label = PipelineLabel::new(&label, WaitState::CpuPartition);
+        let label = PipelineLabel::new(&label, WaitState::CpuPartition, self.phases.hist);
         exec.run_tasks(&self.ctx, label, fanout1, |p| {
             let mut counts = vec![0usize; fanout2];
             let mut bytes = 0usize;
@@ -985,7 +984,6 @@ impl PartitionSink {
         }
 
         // Pass 2: scatter every pre-partition into its contiguous region.
-        metrics::mark_phase(self.phases.pass2);
         let mut data = vec![0u64; (total_rows * stride).div_ceil(8)];
         let shared = SharedBuf {
             ptr: data.as_mut_ptr().cast::<u8>(),
@@ -1002,7 +1000,7 @@ impl PartitionSink {
             true => format!("radix partition pass 2 + bloom build ({side_label})"),
             false => format!("radix partition pass 2 ({side_label})"),
         };
-        let label = PipelineLabel::new(&label, WaitState::CpuPartition);
+        let label = PipelineLabel::new(&label, WaitState::CpuPartition, self.phases.pass2);
         exec.run_tasks(&self.ctx, label, fanout1, |p| {
             let mut set = use_swwcb.then(|| SwwcbSet::new(fanout2, stride));
             // Row cursors per sub-partition, in absolute rows. Cursor `s`
@@ -1156,7 +1154,7 @@ impl PartitionSink {
                     requested: held,
                     in_use: 0,
                     budget: cap,
-                    phase: metrics::current_phase().name(),
+                    phase: self.ctx.wait_state().name(),
                 }),
                 _ => BudgetLease::reserve(&self.ctx, bytes),
             };

@@ -49,7 +49,7 @@ pub struct RadixJoinSource {
     join_type: JoinType,
     /// Tested on every key-equal candidate pair.
     residual: Option<Arc<Residual>>,
-    stats: Option<Arc<JoinStats>>,
+    stats: Option<JoinStats>,
 }
 
 impl RadixJoinSource {
@@ -85,8 +85,8 @@ impl RadixJoinSource {
         &self.probe
     }
 
-    /// Attach shared match-statistics counters (Figure 2 harness).
-    pub fn with_stats(mut self, stats: Arc<JoinStats>) -> RadixJoinSource {
+    /// Attach shared match-statistics counters (EXPLAIN ANALYZE).
+    pub fn with_stats(mut self, stats: JoinStats) -> RadixJoinSource {
         self.stats = Some(stats);
         self
     }

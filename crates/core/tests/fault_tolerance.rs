@@ -7,12 +7,12 @@
 use joinstudy_core::spill::fault;
 use joinstudy_core::{Engine, JoinAlgo, JoinType, Plan};
 use joinstudy_exec::error::ExecError;
-use joinstudy_exec::metrics;
 use joinstudy_exec::ops::{AggFunc, AggSpec};
+use joinstudy_exec::pool::WorkerPool;
 use joinstudy_exec::profile::{DetailValue, ProfileNode};
 use joinstudy_storage::table::{Schema, Table, TableBuilder};
 use joinstudy_storage::types::{DataType, Value};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
 fn fault_lock() -> MutexGuard<'static, ()> {
@@ -100,12 +100,11 @@ fn radix_join_degrades_to_bhj_under_memory_budget() {
 
     let engine = Engine::new(2);
     engine.ctx.set_memory_budget(Some(512 * 1024));
-    let before = metrics::degradations();
     let t = engine.run(&plan);
     assert_eq!(t.column_by_name("cnt").as_i64()[0], expected);
     assert_eq!(
-        metrics::degradations(),
-        before + 1,
+        engine.ctx.degradations(),
+        1,
         "budgeted RJ should have fallen back to BHJ exactly once"
     );
     assert_eq!(engine.ctx.used(), 0, "all leases released after the query");
@@ -126,11 +125,43 @@ fn brj_also_degrades_and_bloom_budget_is_charged() {
     let plan = count_join_plan(&build, &probe, JoinAlgo::Brj);
     let engine = Engine::new(2);
     engine.ctx.set_memory_budget(Some(512 * 1024));
-    let before = metrics::degradations();
     let t = engine.run(&plan);
     assert_eq!(t.column_by_name("cnt").as_i64()[0], 200_000);
-    assert_eq!(metrics::degradations(), before + 1);
+    assert_eq!(engine.ctx.degradations(), 1);
     assert_eq!(engine.ctx.used(), 0);
+}
+
+/// A degradation is counted on its own query: an RJ that degrades and an
+/// unbudgeted BHJ, started together on one shared pool, report 1 and 0 on
+/// their contexts, run after run.
+#[test]
+fn concurrent_queries_on_one_pool_count_their_own_degradations() {
+    let build = table_kv(1_000, 1_000);
+    let probe = table_kv(200_000, 1_000);
+    let pool = WorkerPool::new(2);
+    let start = Barrier::new(2);
+    let query = |algo: JoinAlgo, budget: Option<usize>, degradations: u64| {
+        let mut engine = Engine::new(2);
+        engine.set_worker_pool(Some(Arc::clone(&pool)));
+        engine.ctx.set_memory_budget(budget);
+        let plan = count_join_plan(&build, &probe, algo);
+        let start = &start;
+        move || {
+            for run in 0..4 {
+                start.wait();
+                let t = engine.run(&plan);
+                assert_eq!(t.column_by_name("cnt").as_i64()[0], 200_000);
+                let got = engine.ctx.degradations();
+                assert_eq!(got, degradations, "{} run {run}", algo.name());
+            }
+        }
+    };
+    let rj = query(JoinAlgo::Rj, Some(512 * 1024), 1);
+    let bhj = query(JoinAlgo::Bhj, None, 0);
+    std::thread::scope(|s| {
+        s.spawn(rj);
+        s.spawn(bhj);
+    });
 }
 
 #[test]

@@ -74,8 +74,8 @@ pub struct QueryContext {
     /// effect). Persists across [`QueryContext::arm`] like the wait.
     admission_granted: AtomicU64,
     /// Plan-degradation events (RJ→BHJ→HHJ downgrades) observed since the
-    /// last [`QueryContext::arm`]; the per-query view of the process-wide
-    /// `joins.degraded` counter.
+    /// last [`QueryContext::arm`]: the one degradation count, read by the
+    /// profile, `jsys.statements` and `bench_check`.
     degradations: AtomicU64,
     /// Bitmask of join algorithms compiled for this query since the last
     /// [`QueryContext::arm`]; see [`QueryContext::note_join_algo`].
@@ -418,7 +418,8 @@ impl QueryContext {
     /// Reserve `bytes` against the memory budget. On success the caller owns
     /// the reservation and must `release` it (or transfer that obligation to
     /// the structure holding the memory). Fails with
-    /// [`ExecError::BudgetExceeded`] without changing the accounted usage.
+    /// [`ExecError::BudgetExceeded`], naming this query's wait state as the
+    /// phase, without changing the accounted usage.
     pub fn try_reserve(&self, bytes: usize) -> ExecResult {
         if bytes == 0 {
             return Ok(());
@@ -431,7 +432,7 @@ impl QueryContext {
                 requested: bytes,
                 in_use: prev,
                 budget,
-                phase: crate::metrics::current_phase().name(),
+                phase: self.wait_state().name(),
             });
         }
         self.high_water.fetch_max(prev + bytes, Ordering::Relaxed);
@@ -563,36 +564,25 @@ mod tests {
         assert_eq!(ctx.high_water(), 60);
     }
 
-    /// Satellite regression: a budget breach reports the phase that issued
-    /// the failed reservation, and a failed `grow` leaks neither lease bytes
-    /// nor context usage. The current phase is a process-wide atomic shared
-    /// with concurrently running tests, so retry until our own `mark_phase`
-    /// was still in effect at breach time.
+    /// A budget breach reports the phase its own query was in, and a failed
+    /// `grow` leaks neither lease bytes nor context usage.
     #[test]
     fn breach_reports_phase_and_failed_grow_leaks_nothing() {
-        use crate::metrics::{mark_phase, MemPhase};
         let ctx = QueryContext::unbounded();
         ctx.set_memory_budget(Some(100));
         let mut lease = BudgetLease::reserve(&ctx, 40).unwrap();
 
-        let mut reported = String::new();
-        for _ in 0..64 {
-            mark_phase(MemPhase::PartitionPass2);
-            let err = lease.grow(500).unwrap_err();
-            // Neither the lease nor the context may retain the failed grow.
-            assert_eq!(lease.bytes(), 40);
-            assert_eq!(ctx.used(), 40);
-            let ExecError::BudgetExceeded { phase, .. } = err else {
-                panic!("expected budget breach, got {err}");
-            };
-            reported = phase.to_string();
-            if reported == "partition pass 2" {
-                break;
-            }
-        }
-        assert_eq!(reported, "partition pass 2");
+        ctx.stamp_wait(WaitState::CpuPartition);
+        let err = lease.grow(500).unwrap_err();
+        // Neither the lease nor the context may retain the failed grow.
+        assert_eq!(lease.bytes(), 40);
+        assert_eq!(ctx.used(), 40);
+        let ExecError::BudgetExceeded { phase, .. } = err else {
+            panic!("expected budget breach, got {err}");
+        };
+        assert_eq!(phase, "cpu_partition");
         let msg = lease.grow(500).unwrap_err().to_string();
-        assert!(msg.contains("phase"), "phase missing from message: {msg}");
+        assert!(msg.contains("cpu_partition phase"), "{msg}");
 
         lease.shrink(15);
         assert_eq!(lease.bytes(), 25);
@@ -600,7 +590,6 @@ mod tests {
         lease.shrink(usize::MAX);
         assert_eq!(lease.bytes(), 0);
         assert_eq!(ctx.used(), 0);
-        mark_phase(MemPhase::Other);
     }
 
     #[test]

@@ -22,13 +22,15 @@
 //! * **Relational operators** ([`ops`]): scans with predicate pushdown,
 //!   filters, projections, hash aggregation, sorting, late materialization.
 //! * **Byte-accounting instrumentation** ([`metrics`]): per-phase memory
-//!   traffic for Figure 10, backed by the named-metric [`registry`]. It is
-//!   the portable fallback for — and since PR 4 runs alongside — the real
-//!   hardware counters in [`pmu`].
+//!   traffic and the phase timeline for Figure 10, backed by the
+//!   named-metric [`registry`]. It is the portable fallback for, and runs
+//!   alongside, the real hardware counters in [`pmu`]. The phase is the
+//!   pipeline's own: its compiler labels it ([`PipelineLabel::phase`]).
 //! * **Hardware PMU counters** ([`pmu`]): raw `perf_event_open` counter
 //!   groups (cycles, instructions, LLC/dTLB loads+misses, branch misses)
-//!   sampled per worker and per phase, replacing the paper's Intel PCM;
-//!   degrades to a no-op where the syscall is denied.
+//!   sampled per worker and pipeline and folded into that pipeline's
+//!   phase, replacing the paper's Intel PCM; degrades to a no-op where the
+//!   syscall is denied.
 //! * **Per-operator counters** ([`profile`]): one counter block per
 //!   pipeline run (morsels, tuples, and — for profiled queries — busy
 //!   time), fed by the morsel loop — the data behind `EXPLAIN ANALYZE`,

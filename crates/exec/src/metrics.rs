@@ -1,29 +1,28 @@
 //! Byte-accounting instrumentation — the portable software fallback for
-//! the PCM hardware counters the paper uses for Figure 10. Since PR 4 the
-//! *measured* path exists too: [`crate::pmu`] samples real cycle/cache/TLB
-//! counters via `perf_event_open` (`repro fig10 --hw`, `repro fig07`),
-//! and [`mark_phase`] feeds it phase boundaries so both
-//! accountings attribute to the same [`MemPhase`] taxonomy. Byte
-//! accounting stays the default because it works everywhere — containers
-//! and locked-down hosts routinely deny `perf_event_open`.
+//! the PCM hardware counters the paper uses for Figure 10. The *measured*
+//! path exists too: [`crate::pmu`] samples real cycle/cache/TLB counters
+//! via `perf_event_open` (`repro fig10 --hw`, `repro fig07`), attributed
+//! to the same [`MemPhase`] taxonomy: every pipeline carries its phase
+//! (`PipelineLabel::phase`). Byte accounting stays the default because it
+//! works everywhere — containers and locked-down hosts routinely deny
+//! `perf_event_open`.
 //!
 //! Every materializing primitive (partition scatter, page writes, hash-table
 //! build, scans) reports the bytes it read and wrote, attributed to a
-//! [`MemPhase`]. The harness additionally records a wall-clock timeline of
-//! phase transitions, so `fig10_bandwidth` can print per-phase duration,
-//! volume and effective bandwidth exactly in the shape of the paper's plot
-//! (build → partition pass 1 → scan → partition pass 2 → join).
+//! [`MemPhase`]. The executor additionally records a wall-clock timeline:
+//! one event per pipeline start, in that pipeline's phase. From it
+//! `repro fig10` prints per-phase duration, volume and effective bandwidth
+//! exactly in the shape of the paper's plot (build → partition pass 1 →
+//! scan → partition pass 2 → join).
 //!
 //! Accounting is global and lock-free (relaxed atomics), off by default, and
 //! recorded at page/batch granularity so enabling it does not distort the
-//! measured run.
-//!
-//! Since PR 3 the storage lives in the named-metric
+//! measured run. The storage lives in the named-metric
 //! [`registry`](crate::registry) (`mem.<phase>.read_bytes` /
-//! `.write_bytes`, `exec.degradations`, `exec.source_rows`); this module
-//! keeps the original byte-accounting API as a thin facade over resolved
-//! counter handles, so callers and the registry's JSON exporter see the
-//! same numbers.
+//! `.write_bytes`, `exec.source_rows`), so callers and the registry's JSON
+//! exporter see the same numbers. What belongs to one query — its
+//! degradations, spill traffic, peak memory — is counted on its
+//! [`QueryContext`](crate::QueryContext), not here.
 //!
 //! # Ordering contract
 //!
@@ -33,9 +32,10 @@
 //! worker drained: inline the caller did the work itself, and on a pool the
 //! submitter observes retirement under the pool's state lock, which every
 //! worker takes after its last step or drain — the happens-before edge that
-//! makes the final `fetch_add`s visible. So post-drain reads — [`snapshot`], [`degradations`], [`take_source_rows`] after
-//! `Engine::execute` returns — are exact. A read taken *while* a query is
-//! running may lag in-flight increments and is advisory only.
+//! makes the final `fetch_add`s visible. So post-drain reads — [`snapshot`],
+//! [`take_source_rows`] after `Engine::execute` returns — are exact. A read
+//! taken *while* a query is running may lag in-flight increments and is
+//! advisory only.
 
 use crate::registry::{self, Counter};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -114,7 +114,6 @@ impl MemPhase {
 /// Registry-backed counter handles, resolved once per process.
 struct Handles {
     phases: Vec<(Arc<Counter>, Arc<Counter>)>, // (read, write) by phase index
-    degradations: Arc<Counter>,
     source_rows: Arc<Counter>,
 }
 
@@ -133,7 +132,6 @@ fn handles() -> &'static Handles {
                     )
                 })
                 .collect(),
-            degradations: reg.counter("exec.degradations"),
             source_rows: reg.counter("exec.source_rows"),
         }
     })
@@ -170,16 +168,14 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Zero the byte counters and degradation count and restart the timeline
-/// clock. Source rows and unrelated registry metrics are untouched (see
-/// [`reset_all`]).
+/// Zero the byte counters and restart the timeline clock. Source rows and
+/// unrelated registry metrics are untouched (see [`reset_all`]).
 pub fn reset() {
     let h = handles();
     for (r, w) in &h.phases {
         r.reset();
         w.reset();
     }
-    h.degradations.reset();
     let mut t = TIMELINE.lock().unwrap();
     t.origin = Some(Instant::now());
     t.events.clear();
@@ -224,13 +220,10 @@ pub fn record_write(phase: MemPhase, bytes: u64) {
     }
 }
 
-/// Record a phase transition for the Figure-10 timeline.
-///
-/// Also notifies [`crate::pmu`] *unconditionally* (one relaxed store when
-/// counter sampling is off) so hardware-counter deltas attribute to the
-/// same phase taxonomy as the byte accounting.
-pub fn mark_phase(phase: MemPhase) {
-    crate::pmu::phase_boundary(phase);
+/// Record the start of a pipeline in `phase` on the Figure-10 timeline
+/// (the executor calls this for every pipeline). No-op when accounting is
+/// off.
+pub(crate) fn pipeline_started(phase: MemPhase) {
     if !enabled() {
         return;
     }
@@ -238,15 +231,6 @@ pub fn mark_phase(phase: MemPhase) {
     let origin = *t.origin.get_or_insert_with(Instant::now);
     let at_secs = origin.elapsed().as_secs_f64();
     t.events.push(TimelineEvent { phase, at_secs });
-}
-
-/// The phase most recently announced via [`mark_phase`], process-wide.
-/// Maintained unconditionally (the index lives in [`crate::pmu`], one
-/// relaxed load), so budget-breach errors can report *which phase* ran out
-/// of memory even when byte accounting is off.
-#[inline]
-pub fn current_phase() -> MemPhase {
-    MemPhase::ALL[crate::pmu::current_phase_index()]
 }
 
 /// Per-phase read/write byte totals since the last [`reset`]. Exact only
@@ -265,22 +249,6 @@ pub fn snapshot() -> Vec<(MemPhase, u64, u64)> {
 /// The recorded phase-transition timeline since the last [`reset`].
 pub fn timeline() -> Vec<TimelineEvent> {
     TIMELINE.lock().unwrap().events.clone()
-}
-
-/// Record one RJ→BHJ degradation event. Always counted (not gated on
-/// [`enabled`]) so the harness can report degradation frequency without
-/// turning on byte accounting.
-#[inline]
-pub fn record_degradation() {
-    handles().degradations.inc();
-}
-
-/// Degradations recorded since the last [`reset`]. Exact only after the
-/// degrading query has returned (see the module-level ordering contract);
-/// in practice degradations are recorded on the coordinating thread during
-/// plan compilation, so any read from that same thread is already exact.
-pub fn degradations() -> u64 {
-    handles().degradations.get()
 }
 
 /// Count `rows` scanned by a pipeline source (the paper's throughput
@@ -310,8 +278,16 @@ mod tests {
         record_read(MemPhase::Build, 100);
         record_write(MemPhase::Build, 50);
         record_write(MemPhase::PartitionPass1, 7);
-        mark_phase(MemPhase::Build);
-        mark_phase(MemPhase::PartitionPass1);
+        // Pipelines of concurrently running tests add their own events (in
+        // phase `Other`, or `Build`); none starts in these two.
+        pipeline_started(MemPhase::HistogramScan);
+        pipeline_started(MemPhase::PartitionPass2);
+        let ours = |tl: Vec<TimelineEvent>| -> Vec<TimelineEvent> {
+            let fig10 = [MemPhase::HistogramScan, MemPhase::PartitionPass2];
+            tl.into_iter()
+                .filter(|e| fig10.contains(&e.phase))
+                .collect()
+        };
 
         let snap = snapshot();
         let build = snap.iter().find(|(p, _, _)| *p == MemPhase::Build).unwrap();
@@ -322,10 +298,10 @@ mod tests {
             .unwrap();
         assert_eq!((p1.1, p1.2), (0, 7));
 
-        let tl = timeline();
+        let tl = ours(timeline());
         assert_eq!(tl.len(), 2);
         assert!(tl[0].at_secs <= tl[1].at_secs);
-        assert_eq!(tl[0].phase, MemPhase::Build);
+        assert_eq!(tl[0].phase, MemPhase::HistogramScan);
 
         // The registry sees the same counters under their flat names.
         let reg = crate::registry::global();
@@ -346,7 +322,7 @@ mod tests {
         reset();
         let snap3 = snapshot();
         assert!(snap3.iter().all(|(_, r, w)| *r == 0 && *w == 0));
-        assert!(timeline().is_empty());
+        assert!(ours(timeline()).is_empty());
 
         // reset_all additionally clears source rows (reset does not).
         // Parallel tests may scan concurrently, so compare against a large

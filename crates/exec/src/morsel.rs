@@ -19,6 +19,7 @@
 use crate::batch::Batch;
 use crate::context::QueryContext;
 use crate::error::{ExecError, ExecResult};
+use crate::metrics::MemPhase;
 use crate::pipeline::{LocalState, Operator, Sink, Source};
 use crate::profile::{PipelineStats, WorkerProf};
 use crate::progress::WaitState;
@@ -31,16 +32,20 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// What a pipeline is called, which CPU wait state its work is sampled as,
-/// and how many source rows the planner expects (0 = no estimate). Goes
-/// into the pipeline's [`PipelineStats`]; shows up as the pipeline's name in
-/// traces, as label + `est_rows` in `jsys.query_progress`, and as the
-/// `cpu_*` state of its ASH samples.
+/// which Figure 10 phase it runs in, and how many source rows the planner
+/// expects (0 = no estimate). Goes into the pipeline's [`PipelineStats`];
+/// shows up as the pipeline's name in traces, as label + `est_rows` in
+/// `jsys.query_progress`, as the `cpu_*` state of its ASH samples, and as
+/// the phase of its timeline event and its `pmu.<phase>.*` counts.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineLabel<'a> {
     pub name: &'a str,
     /// Set by whoever compiles the pipeline — the only one who knows
     /// whether it builds, partitions or probes. Anything else scans.
     pub cpu: WaitState,
+    /// Set by the same compiler: a join's build, partitioning passes and
+    /// join phase; anything else is `Other`.
+    pub phase: MemPhase,
     pub est_rows: u64,
 }
 
@@ -48,13 +53,14 @@ impl<'a> PipelineLabel<'a> {
     /// What a pipeline submitted through [`crate::Executor::run_pipeline`]
     /// is reported as.
     pub const UNLABELED: PipelineLabel<'static> =
-        PipelineLabel::new("pipeline", WaitState::CpuScan);
+        PipelineLabel::new("pipeline", WaitState::CpuScan, MemPhase::Other);
 
     /// A label without a planner estimate.
-    pub const fn new(name: &'a str, cpu: WaitState) -> PipelineLabel<'a> {
+    pub const fn new(name: &'a str, cpu: WaitState, phase: MemPhase) -> PipelineLabel<'a> {
         PipelineLabel {
             name,
             cpu,
+            phase,
             est_rows: 0,
         }
     }
@@ -62,7 +68,7 @@ impl<'a> PipelineLabel<'a> {
 
 impl<'a> From<&'a str> for PipelineLabel<'a> {
     fn from(name: &'a str) -> PipelineLabel<'a> {
-        PipelineLabel::new(name, WaitState::CpuScan)
+        PipelineLabel::new(name, WaitState::CpuScan, MemPhase::Other)
     }
 }
 
@@ -308,7 +314,7 @@ impl Worker {
         let result = self.flush_and_merge(p);
         drop(on_track);
         self.publish(p);
-        crate::pmu::finish_worker(self.hw.take(), &p.stats.hw);
+        crate::pmu::finish_worker(self.hw.take(), &p.stats.hw, p.stats.phase);
         if let Some(t) = self.trace.take() {
             trace::flush_worker(t.pipe, t.track, t.spans, trace::now_ns());
         }
@@ -492,7 +498,10 @@ mod tests {
         ));
         let traced = mode.traced();
         if traced {
-            assert!(trace::begin("morsel-test"), "no other trace may be active");
+            assert!(
+                trace::begin("morsel-test", false),
+                "no other trace may be active"
+            );
         }
         let result = exec.run_pipeline_obs(ctx, source, ops, &sink, &stats);
         let trace = traced.then(|| trace::end().expect("trace recorded"));

@@ -15,6 +15,8 @@
 
 use crate::batch::Batch;
 use crate::error::ExecResult;
+use crate::metrics::MemPhase;
+use crate::morsel::PipelineLabel;
 use crate::progress::WaitState;
 use joinstudy_storage::table::Schema;
 use std::any::Any;
@@ -105,6 +107,9 @@ pub struct StreamSpec {
     /// output) reports this pipeline's CPU time as: `CpuScan`, until a
     /// compiler fuses a hash-join probe into the chain.
     pub cpu: WaitState,
+    /// The Figure 10 phase such a breaker's pipeline runs in: `Other`,
+    /// until a join compiler starts the pipeline with its join phase.
+    pub phase: MemPhase,
     /// Output of fused operators that only exists once `source` is drained
     /// (a hybrid join's reloaded partitions), in the order it must run.
     pub continuations: Vec<Continuation>,
@@ -126,8 +131,15 @@ impl StreamSpec {
             ops: Vec::new(),
             schema,
             cpu: WaitState::CpuScan,
+            phase: MemPhase::Other,
             continuations: Vec::new(),
         }
+    }
+
+    /// What a pipeline of this spec named `name` is labeled: its CPU wait
+    /// state and its Figure 10 phase.
+    pub fn label<'a>(&self, name: &'a str) -> PipelineLabel<'a> {
+        PipelineLabel::new(name, self.cpu, self.phase)
     }
 
     /// Append a fused operator and update the carried schema.

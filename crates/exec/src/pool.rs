@@ -269,6 +269,7 @@ impl Drop for WorkerPool {
 }
 
 fn worker_loop(inner: Arc<PoolInner>, track: u32) {
+    crate::pmu::pool_thread();
     // Per-(worker, pipeline) state — exactly what an inline run keeps on
     // its stack for the duration of a pipeline.
     let mut held: HashMap<u64, (Arc<ActivePipeline>, Worker)> = HashMap::new();
@@ -381,6 +382,7 @@ mod tests {
 
     use super::*;
     use crate::context::QueryContext;
+    use crate::metrics::MemPhase;
     use crate::morsel::PipelineLabel;
     use crate::pipeline::Operator;
     use crate::profile::PipelineStats;
@@ -452,6 +454,7 @@ mod tests {
         let label = PipelineLabel {
             name: "RJ partition (build)",
             cpu: WaitState::CpuPartition,
+            phase: MemPhase::Build,
             est_rows: 12,
         };
         let s = watch(&exec, Some(label));
@@ -472,6 +475,7 @@ mod tests {
         let label = PipelineLabel {
             name: "BHJ build",
             cpu: WaitState::CpuBuild,
+            phase: MemPhase::Build,
             est_rows: 7,
         };
         let ctx = QueryContext::unbounded();
@@ -484,5 +488,6 @@ mod tests {
         // next.
         let s = watch(&Executor::pooled(WorkerPool::new(2)), None);
         assert_eq!((s.block.label.as_str(), s.block.est_rows), ("pipeline", 0));
+        assert_eq!(s.block.phase, MemPhase::Other);
     }
 }

@@ -35,6 +35,7 @@
 //! containers, the text rendering, and the stable JSON export.
 
 use crate::context::QueryContext;
+use crate::metrics::MemPhase;
 use crate::morsel::PipelineLabel;
 use crate::progress::WaitState;
 use crate::registry::json_string;
@@ -105,6 +106,9 @@ pub struct PipelineStats {
     /// CPU wait state the pool stamps while a worker runs this pipeline's
     /// morsels ([`PipelineLabel::cpu`]).
     pub cpu_state: WaitState,
+    /// The Figure 10 phase this pipeline runs in ([`PipelineLabel::phase`]):
+    /// its timeline event and its workers' `pmu.<phase>.*` counts.
+    pub phase: MemPhase,
     /// Planner cardinality estimate for this pipeline's source rows
     /// (0 = no estimate). From the adaptive join's cost model.
     pub est_rows: u64,
@@ -139,6 +143,7 @@ impl PipelineStats {
             conn: ctx.conn_id(),
             label: label.name.to_string(),
             cpu_state: label.cpu,
+            phase: label.phase,
             est_rows: label.est_rows,
             tasks_total,
             timed,
@@ -341,6 +346,14 @@ impl ProfileNode {
         out
     }
 
+    /// This node and all descendants, post-order: children first, left to
+    /// right — the plan's join numbering (`Plan::override_join_algo`).
+    pub fn post_order(&self) -> Vec<&ProfileNode> {
+        let mut out: Vec<_> = self.children.iter().flat_map(|c| c.post_order()).collect();
+        out.push(self);
+        out
+    }
+
     fn render_into(&self, depth: usize, out: &mut String) {
         let pad = "  ".repeat(depth);
         out.push_str(&format!(
@@ -516,6 +529,7 @@ mod tests {
         let label = PipelineLabel {
             name: "BHJ probe",
             cpu: WaitState::CpuProbe,
+            phase: MemPhase::Other,
             est_rows: 200,
         };
         let stats = Arc::new(PipelineStats::new(&ctx, label, 2, 8, true));

@@ -14,8 +14,10 @@
 //! [`crate::morsel`] — `step` until exhausted, then `drain` — and this
 //! module wraps each run in the same bookkeeping: the counter block is
 //! registered in [`progress::global`] while the pipeline runs, the query's
-//! wait state is stamped, and a pipeline submitted by the thread that owns
-//! the live trace is traced, whichever back-end runs it.
+//! wait state is stamped, the pipeline's Figure 10 phase starts on the
+//! [`metrics`] timeline and takes the submitting thread's counter delta
+//! since its previous pipeline ([`pmu`]), and a pipeline submitted by the
+//! thread that owns the live trace is traced, whichever back-end runs it.
 //!
 //! # Failure handling
 //!
@@ -32,8 +34,10 @@
 
 use crate::context::QueryContext;
 use crate::error::ExecResult;
+use crate::metrics;
 use crate::morsel::{Failure, Pipeline, PipelineLabel, Worker};
 use crate::pipeline::{DiscardSink, Emit, Operator, Sink, Source};
+use crate::pmu;
 use crate::pool::WorkerPool;
 use crate::profile::PipelineStats;
 use crate::progress::{self, WaitState};
@@ -124,6 +128,8 @@ impl Executor {
         stats: &Arc<PipelineStats>,
     ) -> ExecResult {
         let started = Instant::now();
+        metrics::pipeline_started(stats.phase);
+        pmu::control_begin(ctx.counters());
         progress::global().register(Arc::clone(stats));
         // Submitted but no morsel claimed yet; each morsel stamps the CPU
         // flavor on entry and PoolWait on exit.
@@ -152,6 +158,7 @@ impl Executor {
             // Closes the pipeline span and synthesizes the idle intervals.
             trace::pipeline_end(id, trace::now_ns(), self.threads as u32);
         }
+        pmu::control_end(ctx.counters(), stats.phase);
         stats.record_run(started.elapsed().as_nanos() as u64, workers);
         progress::global().retire(stats);
         ctx.stamp_wait(WaitState::Other);

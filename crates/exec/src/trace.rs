@@ -159,6 +159,9 @@ struct Collector {
     /// `Idle` spans.
     drains: Vec<(u32, u32, u64)>,
     counters: Vec<HwSample>,
+    /// Whether the traced query samples hardware counters: the control
+    /// track's samples follow it.
+    sample_counters: bool,
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -206,10 +209,11 @@ pub fn thread_active() -> bool {
     t != 0 && t == ACTIVE_TOKEN.load(Ordering::Relaxed)
 }
 
-/// Start recording a trace owned by the calling thread. Returns `false`
-/// (and records nothing) if a trace is already active — the caller should
-/// then run untraced.
-pub fn begin(label: &str) -> bool {
+/// Start recording a trace owned by the calling thread, with control-track
+/// counter samples when the traced query samples counters
+/// (`QueryContext::counters`). Returns `false` (and records nothing) if a
+/// trace is already active — the caller should then run untraced.
+pub fn begin(label: &str, sample_counters: bool) -> bool {
     let mut slot = COLLECTOR.lock().unwrap();
     if slot.is_some() {
         return false;
@@ -223,6 +227,7 @@ pub fn begin(label: &str) -> bool {
         pipelines: Vec::new(),
         drains: Vec::new(),
         counters: Vec::new(),
+        sample_counters,
     });
     ACTIVE_TOKEN.store(token, Ordering::Relaxed);
     THREAD_TOKEN.with(|c| c.set(token));
@@ -279,9 +284,9 @@ pub fn pipeline_begin(label: &str) -> Option<u32> {
         return None;
     }
     let start = now_ns();
-    let hw = crate::pmu::control_sample();
     let mut slot = COLLECTOR.lock().unwrap();
     let col = slot.as_mut()?;
+    let hw = crate::pmu::control_sample(col.sample_counters);
     let id = col.pipelines.len() as u32;
     col.pipelines.push(PipelineSpan {
         label: label.to_string(),
@@ -303,9 +308,9 @@ pub fn pipeline_begin(label: &str) -> Option<u32> {
 /// pipeline has flushed (the executor calls it once the run returned).
 /// `workers` is the size of the team the pipeline ran on.
 pub fn pipeline_end(id: u32, end_ns: u64, workers: u32) {
-    let hw = crate::pmu::control_sample();
     let mut slot = COLLECTOR.lock().unwrap();
     let Some(col) = slot.as_mut() else { return };
+    let hw = crate::pmu::control_sample(col.sample_counters);
     if let Some(values) = hw {
         col.counters.push(HwSample {
             at_ns: end_ns,
@@ -414,8 +419,8 @@ pub fn instant(name: impl Into<Cow<'static, str>>) {
 
 /// RAII guard for a cold-path phase span on the control track. Records on
 /// drop, so early returns and `?` propagation still close the span. When
-/// hardware-counter sampling is on ([`crate::pmu`]) the span carries the
-/// control thread's counter delta over the phase.
+/// the traced query samples hardware counters ([`crate::pmu`]) the span
+/// carries the control thread's counter delta over the phase.
 pub struct PhaseGuard {
     name: Option<Cow<'static, str>>,
     start_ns: u64,
@@ -426,10 +431,10 @@ impl Drop for PhaseGuard {
     fn drop(&mut self) {
         let Some(name) = self.name.take() else { return };
         let end = now_ns();
-        let hw = match (self.hw_start.take(), crate::pmu::control_sample()) {
-            (Some(start), Some(now)) => Some((now, Box::new(now.delta_since(&start)))),
-            _ => None,
-        };
+        let hw = self.hw_start.take().and_then(|start| {
+            let now = crate::pmu::control_sample(true)?;
+            Some((now, Box::new(now.delta_since(&start))))
+        });
         if let Some(col) = COLLECTOR.lock().unwrap().as_mut() {
             let hw_delta = hw.map(|(now, delta)| {
                 col.counters.push(HwSample {
@@ -462,10 +467,15 @@ pub fn phase_scope(name: impl Into<Cow<'static, str>>) -> PhaseGuard {
             hw_start: None,
         };
     }
+    let sample_counters = COLLECTOR
+        .lock()
+        .unwrap()
+        .as_ref()
+        .is_some_and(|col| col.sample_counters);
     PhaseGuard {
         name: Some(name.into()),
         start_ns: now_ns(),
-        hw_start: crate::pmu::control_sample(),
+        hw_start: crate::pmu::control_sample(sample_counters),
     }
 }
 
@@ -698,8 +708,8 @@ mod tests {
     #[test]
     fn lifecycle_spans_pipelines_and_idle_synthesis() {
         let _serial = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        assert!(begin("t"));
-        assert!(!begin("nested"), "second begin must refuse");
+        assert!(begin("t", false));
+        assert!(!begin("nested", false), "second begin must refuse");
         assert!(enabled());
 
         let pid = pipeline_begin("RJ partition (build)").expect("this thread owns the trace");

@@ -89,7 +89,7 @@ proptest! {
         with_phase in any::<bool>(),
     ) {
         let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        prop_assert!(trace::begin("prop query"));
+        prop_assert!(trace::begin("prop query", false));
 
         let exec = Executor::new(threads);
         let ctx = QueryContext::unbounded();
@@ -173,8 +173,8 @@ fn no_trace_without_begin() {
 #[test]
 fn concurrent_begin_refused() {
     let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    assert!(trace::begin("outer"));
-    assert!(!trace::begin("inner"));
+    assert!(trace::begin("outer", false));
+    assert!(!trace::begin("inner", false));
     let t = trace::end().expect("outer trace still active");
     assert_eq!(t.label, "outer");
     assert!(trace::end().is_none());

@@ -233,15 +233,15 @@ impl Session {
         self.engine.take_trace()
     }
 
-    /// Enable or disable hardware PMU counter sampling for subsequent
-    /// statements. While enabled (and where `perf_event_open` is permitted),
-    /// worker threads sample cycle/cache/TLB counters per pipeline, EXPLAIN
-    /// ANALYZE shows per-operator counter deltas, and traces carry counter
-    /// tracks. Where the PMU is unavailable this is a harmless no-op:
-    /// results and output are identical to counters-off.
+    /// Enable or disable hardware PMU counter sampling for this session's
+    /// subsequent statements, and for no other session's. While enabled
+    /// (and where `perf_event_open` is permitted), worker threads sample
+    /// cycle/cache/TLB counters per pipeline of this session's queries,
+    /// EXPLAIN ANALYZE shows per-operator counter deltas, and traces carry
+    /// counter tracks. Where the PMU is unavailable this is a harmless
+    /// no-op: results and output are identical to counters-off.
     pub fn set_counters(&mut self, on: bool) {
         self.engine.ctx.set_counters(on);
-        joinstudy_exec::pmu::set_enabled(on);
     }
 
     /// Share a statement-statistics log (the server passes one log to

@@ -59,6 +59,21 @@ fn explain_analyze_statement_returns_annotated_plan() {
     );
 }
 
+/// The counters switch is the session's own: turning it on leaves the
+/// process-wide switch off, and another session's EXPLAIN ANALYZE shows no
+/// hardware counters.
+#[test]
+fn counters_switch_is_per_session() {
+    let mut counted = session_with_data();
+    counted.set_counters(true);
+    assert!(!joinstudy_exec::pmu::enabled());
+    counted.execute(JOIN_SQL).unwrap();
+    let mut other = session_with_data();
+    let result = other.execute(&format!("EXPLAIN ANALYZE {JOIN_SQL}"));
+    let text = plan_text(&result.unwrap());
+    assert!(!text.contains("hw_"), "{text}");
+}
+
 #[test]
 fn plain_explain_does_not_execute() {
     let mut session = session_with_data();

@@ -3,7 +3,6 @@
 //! guarantee that a failed statement leaves the session fully usable.
 
 use joinstudy_core::JoinAlgo;
-use joinstudy_exec::metrics;
 use joinstudy_sql::{Session, SqlError};
 use joinstudy_storage::column::ColumnData;
 use joinstudy_storage::table::{Schema, TableBuilder};
@@ -71,10 +70,9 @@ fn budget_degradation_is_transparent_in_sql() {
     let mut session = joined_session(1_000, 200_000);
     session.set_join_algo(JoinAlgo::Rj);
     session.set_memory_budget(Some(512 * 1024));
-    let before = metrics::degradations();
     let t = session.execute(COUNT_SQL).unwrap();
     assert_eq!(t.column(0).as_i64(), &[200_000]);
-    assert_eq!(metrics::degradations(), before + 1);
+    assert_eq!(session.context().degradations(), 1);
 
     // A budget too small even for the BHJ surfaces the typed error.
     session.set_memory_budget(Some(1024));
