@@ -180,8 +180,8 @@ pub(crate) fn revenue_expr(schema: &Schema) -> Expr {
 pub struct TpchQuery {
     pub id: u32,
     /// Number of swappable joins in the query's one plan: what
-    /// `Plan::count_joins` counts, the length of an all-RJ join log, and
-    /// the bound of the Fig 12 override numbering.
+    /// `Plan::count_joins` counts, the Join nodes of a profiled all-RJ
+    /// run, and the bound of the Fig 12 override numbering.
     pub main_joins: usize,
     pub run: fn(&TpchData, &QueryConfig, &Engine) -> Table,
 }
