@@ -8,13 +8,16 @@
 //! ```
 //!
 //! Each of the four passes (BHJ, RJ, BRJ, and the hybrid join under a
-//! 256 KiB budget) records its result rows, its query context's
-//! degradations, every
-//! `mem.<phase>.{read,write}_bytes` counter (spill included) and the five
-//! `spill.*` counters. On the pinned workload (SF 0.01, seed 20260706,
-//! 4 threads, Q3) every one is a function of the code alone, so the gate
-//! fails on any unequal value, missing or extra counter or changed
-//! workload, and when the hybrid pass spilled nothing. Wall time, hardware
+//! 256 KiB budget) records its result rows, and from its query context its
+//! degradations and its five spill counts (`spill.write_bytes`,
+//! `.read_bytes`, `.partitions`, `.recursions`, `.bnl_fallbacks`), plus
+//! every process-wide `mem.<phase>.{read,write}_bytes` counter (spill
+//! included). On the pinned workload (SF 0.01, seed 20260706, 4 threads,
+//! Q3) every one is a function of the code alone, so the gate fails on any
+//! unequal value, missing or extra counter or changed workload, when the
+//! hybrid pass spilled nothing, and when a pass's context spill bytes
+//! differ from its `mem.spill.{write,read}_bytes`: the two accountings of
+//! the same bytes must agree. Wall time, hardware
 //! counters and the SIMD path are host properties, measured by the
 //! yardstick under `benchmark/` and by `repro fig07` and `fig10 --hw`.
 //!
@@ -39,13 +42,6 @@ const QUERY_ID: u32 = 3;
 /// Memory budget for the hybrid-join pass: far below Q3's working set at
 /// SF 0.01, so the run only completes by spilling partitions to disk.
 const SPILL_BUDGET: usize = 256 * 1024;
-const SPILL_COUNTERS: [&str; 5] = [
-    "spill.write_bytes",
-    "spill.read_bytes",
-    "spill.partitions",
-    "spill.recursions",
-    "spill.bnl_fallbacks",
-];
 
 fn main() {
     let with_trace = Args::parse(&["trace"]).flag("trace");
@@ -94,11 +90,30 @@ fn main() {
                 gate(&name, value);
             }
         }
-        for name in SPILL_COUNTERS {
-            gate(name, reg.counter(name).get() as f64);
+        let ctx = &engine.ctx;
+        let (written, read) = (ctx.spill_write_bytes(), ctx.spill_read_bytes());
+        let spill = [
+            ("spill.write_bytes", written),
+            ("spill.read_bytes", read),
+            ("spill.partitions", ctx.spill_partitions()),
+            ("spill.recursions", ctx.spill_recursions()),
+            ("spill.bnl_fallbacks", ctx.spill_bnl_fallbacks()),
+        ];
+        for (name, value) in spill {
+            gate(name, value as f64);
         }
-        if hybrid && reg.counter("spill.write_bytes").get() == 0 {
+        if hybrid && written == 0 {
             eprintln!("FAIL: the {SPILL_BUDGET} B hybrid pass completed without spilling");
+            std::process::exit(1);
+        }
+        let mem = |name: &str| reg.counter(&format!("mem.spill.{name}_bytes")).get();
+        if (written, read) != (mem("write"), mem("read")) {
+            eprintln!(
+                "FAIL: {tag}: the context spilled {written} B written / {read} B read, \
+                 mem.spill counted {} / {}",
+                mem("write"),
+                mem("read")
+            );
             std::process::exit(1);
         }
 

@@ -15,7 +15,7 @@ use crate::workloads::ProbeKeys::{self, Selectivity, UniformFk};
 use crate::workloads::{engine, tables, Micro};
 use joinstudy_core::cost::{Calibration, CostModel, JoinEstimate, HT_OVERHEAD_BYTES};
 use joinstudy_core::JoinAlgo::{self, Adaptive, Bhj, Brj, Rj};
-use joinstudy_exec::registry;
+use joinstudy_exec::QueryProfile;
 use joinstudy_storage::types::DataType::Int64;
 use joinstudy_tpch::queries::QueryConfig;
 
@@ -142,20 +142,22 @@ pub fn adaptive(r: &mut Report, p: &Params) {
     ];
     let mut t = r.table("adaptive_tpch", &cols);
     t.header(r);
-    let count = |name| {
-        registry::global()
-            .counter(&format!("adaptive.{name}"))
-            .get()
-    };
-    let counters = || ["decisions", "choice.bhj", "fallbacks"].map(count);
-    let (before, mut joins, mut missed) = (counters(), 0, Vec::new());
+    let (mut joins, mut missed, mut selector) = (0, Vec::new(), [0; 3]);
     for q in queries(p) {
         let run = |algo| {
             let cfg = QueryConfig::new(algo);
+            // The adaptive warm-up is profiled: its Join nodes record what
+            // the selector decided, once per join.
+            e.ctx.set_profiling(algo == Adaptive);
             let _ = (q.run)(&data, &cfg, &e); // warm-up
+            e.ctx.set_profiling(false);
             run_ms(&q, &data, &cfg, &e, reps)
         };
         let [bhj, rj, brj, adpt] = [Bhj, Rj, Brj, Adaptive].map(run);
+        let profile = e.take_profile().expect("a profiled adaptive run");
+        for (total, n) in selector.iter_mut().zip(selector_counts(&profile)) {
+            *total += n;
+        }
         let (best, best_ms) = fastest([(Bhj, bhj), (Rj, rj), (Brj, brj)]);
         let (best, regret) = (best.name(), adpt / best_ms);
         row!(t, r, q.id, q.main_joins, bhj, rj, brj, adpt, best, regret);
@@ -166,8 +168,7 @@ pub fn adaptive(r: &mut Report, p: &Params) {
             missed.push(format!("Q{} at {regret:.2}x", q.id));
         }
     }
-    let after = counters();
-    let [decisions, picks, fallbacks] = [0, 1, 2].map(|i| after[i] - before[i]);
+    let [decisions, picks, fallbacks] = selector;
     let share = picks as f64 / decisions.max(1) as f64;
     let held = |ok: bool, why: String| r.m(if ok { "held".into() } else { why });
     let regret_held = held(
@@ -190,6 +191,22 @@ pub fn adaptive(r: &mut Report, p: &Params) {
     let note = "Paper shape (Table 4): 58 of 59 TPC-H joins answer \"do not partition\"; the \
                 predicted regime boundary should sit near the measured crossover.";
     r.footer(&t, note);
+}
+
+/// What the selector did on the Join nodes of one profiled adaptive run:
+/// `[decisions, BHJ picks, runtime fallbacks]`, one decision per join.
+fn selector_counts(profile: &QueryProfile) -> [usize; 3] {
+    let mut counts = [0; 3];
+    let joins = profile.nodes().into_iter();
+    for n in joins.filter(|n| n.label.starts_with("Join ")) {
+        let detail = |key| n.details.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        if let Some(choice) = detail("adaptive_choice") {
+            counts[0] += 1;
+            counts[1] += usize::from(choice.to_string() == Bhj.name());
+        }
+        counts[2] += usize::from(detail("adaptive_fallback").is_some());
+    }
+    counts
 }
 
 /// Time one join at both probe ratios and solve `t = B·per_build +

@@ -58,7 +58,7 @@ use joinstudy_exec::batch::Batch;
 use joinstudy_exec::context::{BudgetLease, QueryContext};
 use joinstudy_exec::error::{ExecError, ExecResult};
 use joinstudy_exec::pipeline::{Emit, Operator, Sink, Source};
-use joinstudy_exec::{registry, trace, Executor};
+use joinstudy_exec::{trace, Executor};
 use joinstudy_storage::column::ColumnData;
 use joinstudy_storage::types::DataType;
 use parking_lot::Mutex;
@@ -482,10 +482,9 @@ impl HybridJoin {
                 table.closed.len(),
                 level.depth
             ));
-            self.ctx.note_spill_depth(u64::from(level.depth));
+            self.ctx.note_spill_recursion(u64::from(level.depth));
             self.reload_depth
                 .fetch_max(u64::from(level.depth), Ordering::Relaxed);
-            registry::global().counter("spill.recursions").inc();
         }
         let build_rows = table.build_rows();
         let mut pairs = Vec::new();
@@ -542,7 +541,7 @@ impl HybridJoin {
             "HHJ fallback: block nested loop ({} build rows)",
             build.rows()
         ));
-        registry::global().counter("spill.bnl_fallbacks").inc();
+        self.ctx.note_bnl_fallback();
         let needs_bitmap = matches!(
             self.kind,
             JoinType::ProbeSemi | JoinType::ProbeAnti | JoinType::ProbeMark | JoinType::ProbeOuter

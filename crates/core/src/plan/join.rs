@@ -28,7 +28,7 @@ use joinstudy_exec::error::{ExecError, ExecResult};
 use joinstudy_exec::metrics::MemPhase;
 use joinstudy_exec::pipeline::{DiscardSink, Source, StreamSpec};
 use joinstudy_exec::profile::PipelineStats;
-use joinstudy_exec::{registry, trace, PipelineLabel, WaitState};
+use joinstudy_exec::{trace, PipelineLabel, WaitState};
 use joinstudy_storage::table::Schema;
 use std::sync::Arc;
 
@@ -63,7 +63,7 @@ impl Engine {
     ///   context.
     /// * [`ExecError::RegimeMismatch`] — an *adaptively chosen* radix join
     ///   measured its build side and found the plan-time estimate wrong
-    ///   ([`Engine::check_regime`]). Counted in `adaptive.fallbacks`.
+    ///   ([`Engine::check_regime`]).
     ///
     /// Each failed rung's trace nodes are rolled back — the next rung
     /// re-runs the join's whole subtree and re-traces it — and the node of
@@ -112,7 +112,6 @@ impl Engine {
                     };
                 }
                 ExecError::RegimeMismatch { detail } => {
-                    registry::global().counter("adaptive.fallbacks").add(1);
                     trace::instant(format!("adaptive fallback: {step} ({detail})"));
                     fallback = Some(format!("{step}: {detail}"));
                 }
@@ -138,7 +137,8 @@ impl Engine {
     }
 
     /// Answer the join question for one `Adaptive` join node: estimate,
-    /// decide, and record the decision (registry counters + trace instant).
+    /// decide, and mark the decision on the trace; the profile records it
+    /// as the node's `adaptive_*` details.
     fn decide(&self, node: &JoinNode<'_>) -> Decision {
         let model = self.cost_model();
         let mut decision = crate::adaptive::decide(
@@ -153,15 +153,6 @@ impl Engine {
         // cannot fit goes straight to the out-of-core hybrid join instead
         // of degrading its way there at runtime.
         model.apply_budget(&mut decision, self.ctx.memory_budget());
-        let reg = registry::global();
-        reg.counter("adaptive.decisions").add(1);
-        reg.counter(match decision.algo {
-            JoinAlgo::Rj => "adaptive.choice.rj",
-            JoinAlgo::Brj => "adaptive.choice.brj",
-            JoinAlgo::Hybrid => "adaptive.choice.hybrid",
-            _ => "adaptive.choice.bhj",
-        })
-        .add(1);
         trace::instant(format!(
             "adaptive: {} — {}",
             decision.algo.name(),

@@ -52,7 +52,7 @@ use joinstudy_exec::context::{BudgetLease, QueryContext};
 use joinstudy_exec::error::{ExecError, ExecResult};
 use joinstudy_exec::metrics::{self, MemPhase};
 use joinstudy_exec::pipeline::{Emit, LocalState, Operator, Sink};
-use joinstudy_exec::{registry, trace, Executor, PipelineLabel, WaitState};
+use joinstudy_exec::{trace, Executor, PipelineLabel, WaitState};
 use joinstudy_storage::column::ColumnData;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -596,7 +596,6 @@ impl PartitionSink {
                 SpillWriter::create_sized(&ev.cfg.dir, &name, &self.ctx, ev.cfg.write_buf)?;
             *run = Some(writer);
             self.ctx.add_spill_partition();
-            registry::global().counter("spill.partitions").inc();
         }
         let run = run.as_mut().expect("just created");
         spill_rows(&self.layout, heaps, list.chunks(), run)
@@ -1326,7 +1325,6 @@ impl RouteOp {
             let writer = SpillWriter::create_sized(&self.dir, &name, &self.ctx, self.write_buf)?;
             *run = Some(writer);
             self.ctx.add_spill_partition();
-            registry::global().counter("spill.partitions").inc();
         }
         run.as_mut().expect("just opened").write_batch(rows)
     }

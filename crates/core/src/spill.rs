@@ -42,7 +42,6 @@ use joinstudy_exec::context::{BudgetLease, QueryContext};
 use joinstudy_exec::error::{ExecError, ExecResult};
 use joinstudy_exec::metrics::{self, MemPhase};
 use joinstudy_exec::progress::WaitState;
-use joinstudy_exec::registry;
 use joinstudy_storage::column::{ColumnData, StrColumn};
 use joinstudy_storage::types::DataType;
 use std::fs::{self, File};
@@ -575,7 +574,6 @@ impl SpillWriter {
         self.bytes += n;
         self.ctx.add_spill_write(n);
         metrics::record_write(MemPhase::Spill, n);
-        registry::global().counter("spill.write_bytes").add(n);
         self.buf.clear();
         Ok(())
     }
@@ -723,7 +721,6 @@ impl SpillReader {
         let n = (FRAME_HEADER_BYTES + payload_len) as u64;
         self.ctx.add_spill_read(n);
         metrics::record_read(MemPhase::Spill, n);
-        registry::global().counter("spill.read_bytes").add(n);
         Ok(Some(batch))
     }
 }

@@ -1,12 +1,11 @@
 //! End-to-end tests of `JoinAlgo::Adaptive`: the engine answers the join
-//! question itself, records the decision in EXPLAIN ANALYZE and the
-//! `adaptive.*` registry counters, and a mis-predicted radix join falls
-//! back to the BHJ at runtime when the first partitioning pass's measured
-//! histogram contradicts the estimate (the skew escape hatch).
+//! question itself, records the decision on the join's EXPLAIN ANALYZE
+//! node, and a mis-predicted radix join falls back to the BHJ at runtime
+//! when the first partitioning pass's measured histogram contradicts the
+//! estimate (the skew escape hatch).
 
 use joinstudy_core::cost::{Calibration, CostModel};
 use joinstudy_core::{Engine, JoinAlgo, JoinType, Plan};
-use joinstudy_exec::registry;
 use joinstudy_storage::column::ColumnData;
 use joinstudy_storage::table::{Schema, TableBuilder};
 use joinstudy_storage::types::DataType;
@@ -22,7 +21,9 @@ fn table_kv(keys: impl Iterator<Item = i64>) -> Arc<joinstudy_storage::table::Ta
     Arc::new(b.finish())
 }
 
-fn count_inner(engine: &Engine, build: &Plan, probe: &Plan) -> usize {
+/// Rows of the adaptive inner join of `build` and `probe`, and how many of
+/// its Join nodes carry the profile detail `key`.
+fn count_inner(engine: &Engine, build: &Plan, probe: &Plan, key: &str) -> (usize, usize) {
     let plan = build.clone().join(
         probe.clone(),
         JoinAlgo::Adaptive,
@@ -30,7 +31,13 @@ fn count_inner(engine: &Engine, build: &Plan, probe: &Plan) -> usize {
         &[0],
         &[0],
     );
-    engine.run(&plan).num_rows()
+    let (table, profile) = engine.execute_profiled(&plan).unwrap();
+    let joins = profile
+        .nodes()
+        .into_iter()
+        .filter(|n| n.label.starts_with("Join "));
+    let marked = joins.filter(|n| n.details.iter().any(|(k, _)| k == key));
+    (table.num_rows(), marked.count())
 }
 
 /// A calibration whose tiny LLC makes any non-trivial hash table "too big",
@@ -49,10 +56,9 @@ fn adaptive_join_matches_static_results() {
     let bp = Plan::scan(&build, &["k", "v"], None);
     let pp = Plan::scan(&probe, &["k", "v"], None);
     let engine = Engine::new(2);
-    let decisions0 = registry::global().counter("adaptive.decisions").get();
-    assert_eq!(count_inner(&engine, &bp, &pp), 30_000);
-    let decisions = registry::global().counter("adaptive.decisions").get();
-    assert!(decisions > decisions0, "decision not counted");
+    let (rows, decisions) = count_inner(&engine, &bp, &pp, "adaptive_choice");
+    assert_eq!(rows, 30_000);
+    assert_eq!(decisions, 1, "one join, one decision");
 }
 
 #[test]
@@ -94,12 +100,11 @@ fn skewed_build_falls_back_to_bhj_at_runtime() {
         "plan-time choice must be a radix variant for this test: {decision}"
     );
 
-    let fallbacks0 = registry::global().counter("adaptive.fallbacks").get();
     // Key 42 matches exactly one probe row; every build row pairs with it.
-    assert_eq!(count_inner(&engine, &bp, &pp), 120_000);
-    let fallbacks = registry::global().counter("adaptive.fallbacks").get();
-    assert!(
-        fallbacks > fallbacks0,
+    let (rows, fallbacks) = count_inner(&engine, &bp, &pp, "adaptive_fallback");
+    assert_eq!(rows, 120_000);
+    assert_eq!(
+        fallbacks, 1,
         "skewed build must trigger the regime-mismatch fallback"
     );
 }

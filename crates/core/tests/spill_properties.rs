@@ -18,6 +18,7 @@ use joinstudy_exec::context::QueryContext;
 use joinstudy_exec::error::ExecError;
 use joinstudy_exec::ops::{AggFunc, AggSpec};
 use joinstudy_exec::pipeline::{Operator, Sink};
+use joinstudy_exec::pool::WorkerPool;
 use joinstudy_exec::profile::DetailValue;
 use joinstudy_exec::Executor;
 use joinstudy_storage::column::ColumnData;
@@ -26,7 +27,7 @@ use joinstudy_storage::table::{Schema, Table, TableBuilder};
 use joinstudy_storage::types::{DataType, Value};
 use proptest::prelude::*;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Barrier, Mutex, OnceLock};
 
 fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static TEST_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -150,8 +151,71 @@ fn degenerate_keys_fall_back_to_nested_loop() {
     let bt = kv_table(&build);
     let pt = kv_table(&probe);
     for kind in [JoinType::Inner, JoinType::ProbeOuter, JoinType::BuildAnti] {
-        check_equivalence(&bt, &pt, kind, 96 * 1024);
+        let engine = check_equivalence(&bt, &pt, kind, 96 * 1024);
+        assert!(
+            engine.ctx.spill_bnl_fallbacks() > 0,
+            "{kind:?}: a single-key build must reach the nested loop"
+        );
     }
+}
+
+/// A query's spill counts are its own: two budgeted hybrid joins, one of
+/// which only the block nested loop can finish, started together on one
+/// shared two-worker pool, count on their contexts exactly what each counts
+/// when it runs alone, run after run.
+#[test]
+fn concurrent_spilling_joins_on_one_pool_count_their_own_spill() {
+    let _guard = test_lock();
+    let spread = kv_table(&(0..8_000).map(|i| (i % 900, i)).collect::<Vec<_>>());
+    let probe = kv_table(&(0..24_000).map(|i| (i % 1800, i)).collect::<Vec<_>>());
+    let one_key = kv_table(&(0..3_000).map(|i| (7, i)).collect::<Vec<_>>());
+    let few = kv_table(&(0..300).map(|i| (7, i)).collect::<Vec<_>>());
+    let pool = WorkerPool::new(2);
+    let engine = |budget: usize| {
+        let mut engine = Engine::new(2);
+        engine.set_worker_pool(Some(Arc::clone(&pool)));
+        engine.ctx.set_memory_budget(Some(budget));
+        engine
+    };
+    let spill = |ctx: &QueryContext| {
+        [
+            ctx.spill_write_bytes(),
+            ctx.spill_read_bytes(),
+            ctx.spill_partitions(),
+            ctx.spill_recursions(),
+            ctx.spill_bnl_fallbacks(),
+        ]
+    };
+    let hybrid = |bt, pt| join_plan(bt, pt, JoinAlgo::Hybrid, JoinType::Inner);
+    let queries = [
+        (hybrid(&spread, &probe), 256 * 1024),
+        (hybrid(&one_key, &few), 96 * 1024),
+    ];
+    let alone = queries.each_ref().map(|(plan, budget)| {
+        let engine = engine(*budget);
+        engine.run(plan);
+        spill(&engine.ctx)
+    });
+    assert!(alone[0][0] > 0, "the spread join spills: {:?}", alone[0]);
+    assert_eq!(alone[0][4], 0, "the spread join needs no nested loop");
+    assert!(
+        alone[1][4] > 0,
+        "the single-key join reaches the nested loop"
+    );
+
+    let start = Barrier::new(2);
+    std::thread::scope(|s| {
+        for ((plan, budget), expected) in queries.iter().zip(alone) {
+            let (engine, start) = (engine(*budget), &start);
+            s.spawn(move || {
+                for run in 0..4 {
+                    start.wait();
+                    engine.run(plan);
+                    assert_eq!(spill(&engine.ctx), expected, "run {run}");
+                }
+            });
+        }
+    });
 }
 
 #[test]

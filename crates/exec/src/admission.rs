@@ -216,10 +216,6 @@ impl AdmissionController {
                 let wait_ns = enqueued.elapsed().as_nanos() as u64;
                 ctx.set_admission_outcome(wait_ns, bytes as u64);
                 ctx.stamp_wait(crate::progress::WaitState::Other);
-                let reg = crate::registry::global();
-                reg.counter("admission.admitted").inc();
-                reg.histogram("admission.wait_ns").record(wait_ns);
-                reg.counter("admission.granted_bytes").add(bytes as u64);
                 return Ok(AdmissionGrant {
                     ctrl: Arc::clone(self),
                     bytes,

@@ -66,6 +66,12 @@ pub struct QueryContext {
     /// Deepest recursive-repartitioning level reached since the last
     /// [`QueryContext::arm`] (0 = no recursion).
     spill_max_depth: AtomicU64,
+    /// Join levels that closed partitions again on reload since the last
+    /// [`QueryContext::arm`].
+    spill_recursions: AtomicU64,
+    /// Closed pairs joined by the block nested loop since the last
+    /// [`QueryContext::arm`].
+    spill_bnl_fallbacks: AtomicU64,
     /// Nanoseconds this query waited in the admission queue. Set by the
     /// admission controller *before* the session arms the context for
     /// execution, so it persists across [`QueryContext::arm`].
@@ -136,6 +142,8 @@ impl Default for QueryContext {
             spill_read_bytes: AtomicU64::new(0),
             spill_partitions: AtomicU64::new(0),
             spill_max_depth: AtomicU64::new(0),
+            spill_recursions: AtomicU64::new(0),
+            spill_bnl_fallbacks: AtomicU64::new(0),
             admission_wait_ns: AtomicU64::new(0),
             admission_granted: AtomicU64::new(0),
             degradations: AtomicU64::new(0),
@@ -261,9 +269,16 @@ impl QueryContext {
         self.spill_partitions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Raise the recorded maximum recursive-repartitioning depth to `depth`.
-    pub fn note_spill_depth(&self, depth: u64) {
+    /// Count one join level at `depth` that closed partitions again on
+    /// reload, and raise the recorded maximum depth to it.
+    pub fn note_spill_recursion(&self, depth: u64) {
+        self.spill_recursions.fetch_add(1, Ordering::Relaxed);
         self.spill_max_depth.fetch_max(depth, Ordering::Relaxed);
+    }
+
+    /// Count one closed pair joined by the block nested loop.
+    pub fn note_bnl_fallback(&self) {
+        self.spill_bnl_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Bytes written to spill files since the last [`QueryContext::arm`].
@@ -284,6 +299,17 @@ impl QueryContext {
     /// Deepest recursion level reached since the last [`QueryContext::arm`].
     pub fn spill_max_depth(&self) -> u64 {
         self.spill_max_depth.load(Ordering::Relaxed)
+    }
+
+    /// Reload levels that closed partitions again since the last
+    /// [`QueryContext::arm`].
+    pub fn spill_recursions(&self) -> u64 {
+        self.spill_recursions.load(Ordering::Relaxed)
+    }
+
+    /// Block nested-loop fallbacks since the last [`QueryContext::arm`].
+    pub fn spill_bnl_fallbacks(&self) -> u64 {
+        self.spill_bnl_fallbacks.load(Ordering::Relaxed)
     }
 
     /// Record the admission-queue outcome for the upcoming query: how long
@@ -386,6 +412,8 @@ impl QueryContext {
         self.spill_read_bytes.store(0, Ordering::Relaxed);
         self.spill_partitions.store(0, Ordering::Relaxed);
         self.spill_max_depth.store(0, Ordering::Relaxed);
+        self.spill_recursions.store(0, Ordering::Relaxed);
+        self.spill_bnl_fallbacks.store(0, Ordering::Relaxed);
         self.degradations.store(0, Ordering::Relaxed);
         self.join_algos.store(0, Ordering::Relaxed);
         self.spill_io_ns.store(0, Ordering::Relaxed);
@@ -599,11 +627,23 @@ mod tests {
         ctx.note_degradation();
         ctx.note_join_algo(algo_bits::RJ);
         ctx.note_join_algo(algo_bits::BHJ);
+        ctx.note_spill_recursion(2);
+        ctx.note_spill_recursion(1);
+        ctx.note_bnl_fallback();
         assert_eq!(ctx.degradations(), 1);
         assert_eq!(algo_bits::label(ctx.join_algos()), "bhj+rj");
+        assert_eq!(
+            (ctx.spill_recursions(), ctx.spill_max_depth()),
+            (2, 2),
+            "two recursions, the deeper at 2"
+        );
+        assert_eq!(ctx.spill_bnl_fallbacks(), 1);
         ctx.arm();
         // Per-query counters clear; admission outcome (set pre-arm) persists.
         assert_eq!(ctx.degradations(), 0);
+        assert_eq!(ctx.spill_recursions(), 0);
+        assert_eq!(ctx.spill_max_depth(), 0);
+        assert_eq!(ctx.spill_bnl_fallbacks(), 0);
         assert_eq!(ctx.join_algos(), 0);
         assert_eq!(algo_bits::label(ctx.join_algos()), "-");
         assert_eq!(ctx.admission_wait_ns(), 1234);

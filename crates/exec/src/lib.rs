@@ -23,7 +23,7 @@
 //!   filters, projections, hash aggregation, sorting, late materialization.
 //! * **Byte-accounting instrumentation** ([`metrics`]): per-phase memory
 //!   traffic and the phase timeline for Figure 10, backed by the
-//!   named-metric [`registry`]. It is the portable fallback for, and runs
+//!   named-counter [`registry`] of process-wide totals. It is the portable fallback for, and runs
 //!   alongside, the real hardware counters in [`pmu`]. The phase is the
 //!   pipeline's own: its compiler labels it ([`PipelineLabel::phase`]).
 //! * **Hardware PMU counters** ([`pmu`]): raw `perf_event_open` counter
@@ -78,6 +78,6 @@ pub use pmu::{CounterGroup, CounterKind, CounterValues, HwSlot};
 pub use pool::WorkerPool;
 pub use profile::{DetailValue, PipelineStats, ProfileNode, QueryProfile, StageStats, WorkerProf};
 pub use progress::{ProgressRegistry, WaitState};
-pub use registry::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use registry::{Counter, Histogram, MetricsRegistry};
 pub use sched::Executor;
 pub use trace::{QueryTrace, SpanKind, TraceSpan};

@@ -17,11 +17,11 @@
 //!
 //! Accounting is global and lock-free (relaxed atomics), off by default, and
 //! recorded at page/batch granularity so enabling it does not distort the
-//! measured run. The storage lives in the named-metric
+//! measured run. The storage lives in the named-counter
 //! [`registry`](crate::registry) (`mem.<phase>.read_bytes` /
-//! `.write_bytes`, `exec.source_rows`), so callers and the registry's JSON
-//! exporter see the same numbers. What belongs to one query — its
-//! degradations, spill traffic, peak memory — is counted on its
+//! `.write_bytes`, `exec.source_rows`), so callers and `jsys.metrics` see
+//! the same numbers. What belongs to one query — its degradations, spill
+//! traffic and spill recursions, peak memory — is counted on its
 //! [`QueryContext`](crate::QueryContext), not here.
 //!
 //! # Ordering contract
@@ -182,7 +182,7 @@ pub fn reset() {
 }
 
 /// Full reset for test isolation: [`reset`] plus the source-row counter and
-/// *every* other metric in the global registry (scheduler histograms
+/// *every* other counter in the global registry (`pmu.*` and `simd.*`
 /// included). Tests sharing a process — in particular the single-threaded
 /// CI job, where test order is deterministic and bleed is reproducible —
 /// call this instead of [`reset`] so no counter carries over between tests.

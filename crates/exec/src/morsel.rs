@@ -23,12 +23,11 @@ use crate::metrics::MemPhase;
 use crate::pipeline::{LocalState, Operator, Sink, Source};
 use crate::profile::{PipelineStats, WorkerProf};
 use crate::progress::WaitState;
-use crate::registry::Histogram;
 use crate::trace::{self, SpanKind, TraceSpan};
 use std::borrow::Cow;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// What a pipeline is called, which CPU wait state its work is sampled as,
@@ -164,33 +163,12 @@ impl Pipeline<'_> {
     }
 }
 
-/// Scheduler histograms, recorded on traced pipelines only: morsel
-/// latency, queue depth at claim time, and source batch fill.
-struct SchedHists {
-    morsel_ns: Arc<Histogram>,
-    queue_depth: Arc<Histogram>,
-    batch_rows: Arc<Histogram>,
-}
-
-fn sched_hists() -> &'static SchedHists {
-    static SCHED_HISTS: OnceLock<SchedHists> = OnceLock::new();
-    SCHED_HISTS.get_or_init(|| {
-        let reg = crate::registry::global();
-        SchedHists {
-            morsel_ns: reg.histogram("sched.morsel_ns"),
-            queue_depth: reg.histogram("sched.queue_depth"),
-            batch_rows: reg.histogram("sched.batch_rows"),
-        }
-    })
-}
-
 /// A traced worker's timeline: spans are buffered here without locks and
 /// moved into the collector once, at drain.
 struct TraceTrack {
     pipe: u32,
     track: u32,
     spans: Vec<TraceSpan>,
-    hists: &'static SchedHists,
 }
 
 /// One worker's state for one pipeline: operator and sink locals plus its
@@ -219,7 +197,6 @@ impl Worker {
                 pipe,
                 track,
                 spans: trace::take_worker_buffer(),
-                hists: sched_hists(),
             }),
         }
     }
@@ -244,11 +221,6 @@ impl Worker {
             .trace
             .as_ref()
             .map(|t| trace::worker_scope(t.pipe, t.track));
-        let hists = self.trace.as_ref().map(|t| t.hists);
-        if let Some(h) = hists {
-            h.queue_depth
-                .record(p.task_count.saturating_sub(task + 1) as u64);
-        }
         let timed = p.stats.timed;
         let t0 = trace::now_ns();
         let rows_before = self.counts.source.rows_out;
@@ -263,9 +235,6 @@ impl Worker {
                 let n = batch.num_rows() as u64;
                 counts.source.batches += 1;
                 counts.source.rows_out += n;
-                if let Some(h) = hists {
-                    h.batch_rows.record(n);
-                }
                 if let Err(e) = feed_chain(p, op_locals, sink_local, batch, 0, counts, timed) {
                     chain_err = Some(e);
                 }
@@ -278,7 +247,6 @@ impl Worker {
         let dur = trace::now_ns().saturating_sub(t0);
         self.counts.source.busy_ns += dur;
         if let Some(t) = &mut self.trace {
-            t.hists.morsel_ns.record(dur);
             t.spans.push(TraceSpan {
                 name: Cow::Borrowed("morsel"),
                 kind: SpanKind::Morsel,

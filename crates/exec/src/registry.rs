@@ -1,21 +1,27 @@
-//! Named-metric registry: counters, gauges and log-scale histograms.
+//! Named-counter registry, the storage of what is a property of the whole
+//! process: the `mem.<phase>.*` byte accounting and `exec.source_rows` of
+//! [`crate::metrics`], the `pmu.*` hardware-counter totals and the
+//! `simd.*` kernel-dispatch counts. What one query measures — its spill
+//! traffic, its adaptive decisions, its admission outcome — is counted on
+//! its [`QueryContext`](crate::QueryContext) and its profile, not here.
+//! Handles are `Arc`s resolved once by name; after resolution every update
+//! is a single relaxed atomic operation, so hot paths never touch the
+//! registry lock.
 //!
-//! The registry is the storage layer behind [`crate::metrics`] (which keeps
-//! its original byte-accounting API) and the scheduler's trace-path
-//! histograms. Handles are `Arc`s resolved once by name; after resolution
-//! every update is a single relaxed atomic operation, so hot paths never
-//! touch the registry lock.
+//! Beside the registry live the workspace's two small shared pieces with no
+//! better home: the log2 [`Histogram`] behind `jsys.statements`' latency
+//! quantiles, and the hand-rolled JSON writer and reader.
 //!
 //! # Ordering contract
 //!
-//! All metric updates use `Ordering::Relaxed`. Reads are therefore only
+//! All counter updates use `Ordering::Relaxed`. Reads are therefore only
 //! guaranteed exact once every recording thread has been joined (thread join
 //! establishes the necessary happens-before edge); mid-query snapshots are
 //! advisory and may lag in-flight increments. This is the same contract the
 //! executor relies on: it reads metrics only after the pipeline drain.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Monotonic counter (relaxed atomics; see module docs for the contract).
@@ -53,50 +59,18 @@ impl Counter {
     }
 }
 
-/// Last-write-wins signed gauge.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.value.fetch_add(d, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
-}
-
 /// Number of histogram buckets: bucket 0 holds zeros, bucket `i >= 1` holds
 /// values `v` with `floor(log2(v)) == i - 1` (i.e. `2^(i-1) <= v < 2^i`).
-pub const HIST_BUCKETS: usize = 65;
+const HIST_BUCKETS: usize = 65;
 
-/// Log2-bucketed histogram for latencies, depths and fill levels.
-///
-/// Recording is one relaxed `fetch_add` per value (plus count and sum), so
-/// it is cheap enough for the traced scheduler's per-morsel path. Quantiles
-/// are bucket lower bounds — accurate to a factor of two, which is all a
-/// regression gate or a latency overview needs.
+/// Log2-bucketed histogram: one relaxed `fetch_add` per recorded value.
+/// Quantiles are bucket lower bounds — accurate to a factor of two, which
+/// is all a latency overview needs. Not a registry metric: a histogram
+/// belongs to whoever records into it (`jsys.statements` keeps one per
+/// statement fingerprint).
 #[derive(Debug)]
 pub struct Histogram {
     count: AtomicU64,
-    sum: AtomicU64,
     buckets: [AtomicU64; HIST_BUCKETS],
 }
 
@@ -104,7 +78,6 @@ impl Default for Histogram {
     fn default() -> Histogram {
         Histogram {
             count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
@@ -124,30 +97,13 @@ impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
-    /// Lower bound of the bucket containing the `q`-quantile (0.0 ..= 1.0).
+    /// Lower bound of the bucket containing the `q`-quantile (0.0 ..= 1.0);
+    /// 0 while nothing was recorded.
     pub fn quantile(&self, q: f64) -> u64 {
-        let n = self.count();
+        let n = self.count.load(Ordering::Relaxed);
         if n == 0 {
             return 0;
         }
@@ -161,57 +117,14 @@ impl Histogram {
         }
         1u64 << (HIST_BUCKETS - 2)
     }
-
-    /// The standard latency quantile set as `(label, lower_bound)` pairs:
-    /// p50 / p90 / p95 / p99. One pass per quantile over 65 buckets — cheap
-    /// enough for any snapshot path.
-    pub fn quantiles(&self) -> [(&'static str, u64); 4] {
-        [
-            ("p50", self.quantile(0.5)),
-            ("p90", self.quantile(0.9)),
-            ("p95", self.quantile(0.95)),
-            ("p99", self.quantile(0.99)),
-        ]
-    }
-
-    pub fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Non-empty buckets as `(lower_bound, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let c = b.load(Ordering::Relaxed);
-                if c == 0 {
-                    None
-                } else {
-                    Some((if i == 0 { 0 } else { 1u64 << (i - 1) }, c))
-                }
-            })
-            .collect()
-    }
 }
 
-enum Metric {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-/// Name-keyed registry of metrics. `counter`/`gauge`/`histogram` are
-/// get-or-create: the first call under a name registers the metric, later
-/// calls return the same handle. Registering one name with two different
-/// kinds panics — that is a programming error, not a runtime condition.
+/// Name-keyed registry of counters. `counter` is get-or-create: the first
+/// call under a name registers the counter, later calls return the same
+/// handle.
 #[derive(Default)]
 pub struct MetricsRegistry {
-    inner: Mutex<BTreeMap<String, Metric>>,
+    inner: Mutex<BTreeMap<String, Arc<Counter>>>,
 }
 
 impl MetricsRegistry {
@@ -220,86 +133,24 @@ impl MetricsRegistry {
     }
 
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.inner.lock().unwrap();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Arc::new(Counter::new())))
-        {
-            Metric::Counter(c) => Arc::clone(c),
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
+        let mut map = self.inner.lock().expect("registry lock poisoned");
+        Arc::clone(map.entry(name.to_string()).or_default())
     }
 
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.inner.lock().unwrap();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())))
-        {
-            Metric::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
-    }
-
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.inner.lock().unwrap();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())))
-        {
-            Metric::Histogram(h) => Arc::clone(h),
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
-    }
-
-    /// Zero every registered metric (handles stay valid).
+    /// Zero every registered counter (handles stay valid).
     pub fn reset_all(&self) {
-        let map = self.inner.lock().unwrap();
-        for m in map.values() {
-            match m {
-                Metric::Counter(c) => c.reset(),
-                Metric::Gauge(g) => g.reset(),
-                Metric::Histogram(h) => h.reset(),
-            }
+        for c in self.inner.lock().expect("registry lock poisoned").values() {
+            c.reset();
         }
     }
 
-    /// All counters and gauges as flat `(name, value)` pairs, plus derived
-    /// scalar views of each histogram (`<name>.count` / `.sum` / `.p50` /
-    /// `.p90` / `.p95` / `.p99`). Sorted by name (BTreeMap order) so exports
-    /// are stable across runs.
+    /// Every counter as a `(name, value)` pair, sorted by name (BTreeMap
+    /// order) so exports are stable across runs.
     pub fn snapshot(&self) -> Vec<(String, f64)> {
-        let map = self.inner.lock().unwrap();
-        let mut out = Vec::new();
-        for (name, m) in map.iter() {
-            match m {
-                Metric::Counter(c) => out.push((name.clone(), c.get() as f64)),
-                Metric::Gauge(g) => out.push((name.clone(), g.get() as f64)),
-                Metric::Histogram(h) => {
-                    out.push((format!("{name}.count"), h.count() as f64));
-                    out.push((format!("{name}.sum"), h.sum() as f64));
-                    for (label, q) in h.quantiles() {
-                        out.push((format!("{name}.{label}"), q as f64));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Flat metrics JSON: `{"name": value, ...}` using the same flattening
-    /// as [`MetricsRegistry::snapshot`].
-    pub fn to_json(&self) -> String {
-        let snap = self.snapshot();
-        let mut s = String::from("{");
-        for (i, (name, v)) in snap.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("{}:{}", json_string(name), json_f64(*v)));
-        }
-        s.push('}');
-        s
+        let map = self.inner.lock().expect("registry lock poisoned");
+        map.iter()
+            .map(|(name, c)| (name.clone(), c.get() as f64))
+            .collect()
     }
 }
 
@@ -550,15 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_and_add() {
-        let r = MetricsRegistry::new();
-        let g = r.gauge("depth");
-        g.set(10);
-        g.add(-3);
-        assert_eq!(g.get(), 7);
-    }
-
-    #[test]
     fn histogram_buckets_are_log2() {
         assert_eq!(bucket_of(0), 0);
         assert_eq!(bucket_of(1), 1);
@@ -567,86 +409,38 @@ mod tests {
         assert_eq!(bucket_of(4), 3);
         assert_eq!(bucket_of(u64::MAX), 64);
 
-        // An idle server reads its latency histograms before any statement
-        // ran: every quantile of an empty histogram is 0, not NaN or garbage.
+        // A fingerprint's latency is read before any statement ran: every
+        // quantile of an empty histogram is 0, not NaN or garbage.
         let h = Histogram::new();
-        assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.quantile(0.99), 0);
-        for (_, v) in h.quantiles() {
-            assert_eq!(v, 0, "zero-sample quantiles are 0");
-        }
 
         for v in [0, 1, 2, 3, 1000, 1000, 1000] {
             h.record(v);
         }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.sum(), 3006);
         // p99 lands in the 1000-bucket, whose lower bound is 512.
         assert_eq!(h.quantile(0.99), 512);
+        assert_eq!(h.quantile(0.5), 2);
         assert_eq!(h.quantile(0.0), 0);
-        let nz = h.nonzero_buckets();
-        assert!(nz.iter().any(|&(lo, c)| lo == 512 && c == 3));
     }
 
     #[test]
-    fn reset_all_zeroes_every_kind() {
+    fn reset_all_zeroes_every_counter() {
         let r = MetricsRegistry::new();
-        let c = r.counter("c");
-        let g = r.gauge("g");
-        let h = r.histogram("h");
-        c.add(1);
-        g.set(2);
-        h.record(3);
+        let (a, b) = (r.counter("a"), r.counter("b"));
+        a.add(1);
+        b.add(2);
         r.reset_all();
-        assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0);
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum(), 0);
+        assert_eq!((a.get(), b.get()), (0, 0));
     }
 
     #[test]
-    fn snapshot_and_json_are_stable() {
+    fn snapshot_is_sorted_by_name() {
         let r = MetricsRegistry::new();
         r.counter("b").add(2);
         r.counter("a").add(1);
         let snap = r.snapshot();
-        assert_eq!(snap[0].0, "a");
-        assert_eq!(snap[1].0, "b");
-        assert_eq!(r.to_json(), r#"{"a":1,"b":2}"#);
-    }
-
-    #[test]
-    fn snapshot_flattens_histogram_quantiles() {
-        let r = MetricsRegistry::new();
-        let h = r.histogram("lat");
-        for v in [1u64, 2, 4, 8, 1000] {
-            h.record(v);
-        }
-        let snap: std::collections::HashMap<String, f64> = r.snapshot().into_iter().collect();
-        for key in [
-            "lat.count",
-            "lat.sum",
-            "lat.p50",
-            "lat.p90",
-            "lat.p95",
-            "lat.p99",
-        ] {
-            assert!(snap.contains_key(key), "missing {key}");
-        }
-        assert_eq!(snap["lat.count"], 5.0);
-        assert_eq!(snap["lat.p99"], 512.0, "p99 lower-bounds the 1000 bucket");
-        let qs = h.quantiles();
-        assert_eq!(qs[2].0, "p95");
-        assert!(qs[2].1 >= qs[0].1, "p95 >= p50");
-    }
-
-    #[test]
-    #[should_panic(expected = "different kind")]
-    fn kind_conflict_panics() {
-        let r = MetricsRegistry::new();
-        r.counter("dual");
-        r.gauge("dual");
+        assert_eq!(snap, vec![("a".to_string(), 1.0), ("b".to_string(), 2.0)]);
     }
 
     #[test]

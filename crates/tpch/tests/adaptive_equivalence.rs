@@ -4,7 +4,6 @@
 //! answers "do not partition" for the overwhelming majority of joins.
 
 use joinstudy_core::{Engine, JoinAlgo};
-use joinstudy_exec::registry;
 use joinstudy_storage::table::Table;
 use joinstudy_tpch::queries::{all_queries, QueryConfig};
 use joinstudy_tpch::{generate, TpchData};
@@ -33,20 +32,26 @@ fn canonical(t: &Table) -> Vec<String> {
 fn adaptive_matches_bhj_reference_and_mostly_picks_bhj() {
     let data = data();
     let engine = Engine::new(2);
-    let reg = registry::global();
-    let decisions0 = reg.counter("adaptive.decisions").get();
-    let bhj0 = reg.counter("adaptive.choice.bhj").get();
+    let (mut decisions, mut bhj) = (0, 0);
     for q in all_queries() {
         let reference = canonical(&(q.run)(data, &QueryConfig::new(JoinAlgo::Bhj), &engine));
+        engine.ctx.set_profiling(true);
         let adaptive = canonical(&(q.run)(
             data,
             &QueryConfig::new(JoinAlgo::Adaptive),
             &engine,
         ));
+        engine.ctx.set_profiling(false);
         assert_eq!(adaptive, reference, "Q{} differs under Adaptive", q.id);
+        // Each adaptive join records its choice on its own profile node.
+        let profile = engine.take_profile().expect("a profiled run");
+        for n in profile.nodes() {
+            if let Some((_, choice)) = n.details.iter().find(|(k, _)| k == "adaptive_choice") {
+                decisions += 1;
+                bhj += usize::from(choice.to_string() == JoinAlgo::Bhj.name());
+            }
+        }
     }
-    let decisions = reg.counter("adaptive.decisions").get() - decisions0;
-    let bhj = reg.counter("adaptive.choice.bhj").get() - bhj0;
     assert!(decisions > 0, "no adaptive decisions recorded");
     // At SF 0.01 every hash table fits the LLC comfortably: the model must
     // answer "do not partition" nearly everywhere (paper: 58 of 59 joins).

@@ -55,7 +55,6 @@ fn orphans(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
 fn disconnect_and_fault_leak_nothing() {
     let build = kv_table("b", 60_000, 3_000);
     let probe = kv_table("p", 120_000, 6_000);
-    let spill_written = joinstudy::exec::registry::global().counter("spill.write_bytes");
 
     for pool_threads in [1, 4] {
         let mut server = SqlServer::new(ServerConfig {
@@ -82,7 +81,6 @@ fn disconnect_and_fault_leak_nothing() {
         let set_spill = format!("SET spill_dir = '{}'", spill_base.display());
 
         // Sanity: the workload completes and spills when the client stays.
-        let written_before = spill_written.get();
         let mut client = Client::connect(addr).expect("connect");
         assert!(client
             .query("SET join_algo = hybrid")
@@ -95,8 +93,13 @@ fn disconnect_and_fault_leak_nothing() {
             "heavy join should succeed under a 256 KiB grant: {}",
             response.lines().next().unwrap_or("")
         );
+        let spilled: u64 = statlog
+            .statements_snapshot()
+            .iter()
+            .map(|s| s.spill_bytes)
+            .sum();
         assert!(
-            spill_written.get() > written_before,
+            spilled > 0,
             "a ~960 KiB build under a 256 KiB grant must take the spill path"
         );
         drop(client);
