@@ -20,8 +20,13 @@
 //! `micro_fk` pass (2 workers, times summed over both) such a walk takes
 //! 750 ms beside 8 ms of hashing, 60 ms of head prefetch and 40 ms of emit;
 //! in rounds it takes 300–360 ms. The table link is staged the same way
-//! ([`BhjBuildSink::into_state`]: read hash → prefetch bucket → CAS insert,
-//! a batch at a time; 80–90 → 60–70 ms wall there).
+//! ([`BhjState::link`]: read hash → prefetch bucket → CAS insert, a batch
+//! at a time; 80–90 → 60–70 ms wall there).
+//!
+//! The build side is materialized by the radix partition sink at one
+//! pre-partition ([`build_sink`]) and linked where it lies by
+//! [`PartitionSink::finalize_table`] — the same sink and table a hybrid
+//! join level builds at 2^bits pre-partitions.
 //!
 //! Build-preserving variants (e.g. Q22's anti join) mark matched build rows
 //! through an atomic flag in the row header; a follow-up pipeline
@@ -31,7 +36,7 @@
 //!
 //! The walk itself is [`BhjWalker`], which [`BhjProbeOp`] dispatches over
 //! the join types; the groupjoin ([`crate::groupjoin`]) runs it bare, with
-//! its own action on a match, over a table built by the same sink.
+//! its own action on a match, over a table built the same way.
 //!
 //! A join with a [`Residual`] (Q21's `l2.l_suppkey <> l1.l_suppkey`) walks
 //! every chain to its end, collects all key-equal candidates, and filters
@@ -41,19 +46,19 @@
 use crate::hash::hash_columns;
 use crate::ht_chain::{ChainTable, RowArena};
 use crate::join_common::{default_column, JoinType, Residual};
+use crate::radix::{PartitionSink, PhaseSet, RadixConfig};
 use crate::row::{RowLayout, StrHeap};
 use crate::swwcb::prefetch_read;
 use joinstudy_exec::batch::{Batch, BatchBuilder, BATCH_ROWS};
 use joinstudy_exec::context::{BudgetLease, QueryContext};
 use joinstudy_exec::error::ExecResult;
-use joinstudy_exec::metrics::{self, MemPhase};
-use joinstudy_exec::pipeline::{Emit, LocalState, Operator, Sink, Source};
+use joinstudy_exec::metrics::MemPhase;
+use joinstudy_exec::pipeline::{Emit, LocalState, Operator, Source};
 use joinstudy_exec::{Executor, PipelineLabel, WaitState};
 use joinstudy_storage::column::ColumnData;
 use joinstudy_storage::types::DataType;
-use parking_lot::Mutex;
 use std::mem::take;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// The materialized build side: arenas + chaining table. Kept alive behind
@@ -73,7 +78,7 @@ pub struct BhjState {
 impl BhjState {
     /// Total bytes of materialized build rows (harness size accounting).
     pub fn byte_size(&self) -> usize {
-        self.arenas.iter().map(RowArena::byte_size).sum::<usize>()
+        self.arenas.iter().map(RowArena::bytes).sum::<usize>()
             + self.heaps.iter().map(StrHeap::byte_len).sum::<usize>()
     }
 
@@ -84,31 +89,6 @@ impl BhjState {
         // handed the state out, so no insert runs concurrently.
         unsafe { self.table.chain_stats() }
     }
-}
-
-struct BuildLocal {
-    arena: RowArena,
-    heap: StrHeap,
-    heap_id: usize,
-    hashes: Vec<u64>,
-    /// Budget charged for this worker's arena; released if the local is
-    /// dropped without reaching `finish_local` (pipeline failure).
-    lease: BudgetLease,
-}
-
-struct BuildGlobal {
-    arenas: Vec<RowArena>,
-    heaps: Vec<(usize, StrHeap)>,
-    lease: BudgetLease,
-}
-
-/// Pipeline breaker materializing the build side into row arenas.
-pub struct BhjBuildSink {
-    layout: RowLayout,
-    key_cols: Vec<usize>,
-    ctx: Arc<QueryContext>,
-    next_heap_id: AtomicUsize,
-    global: Mutex<BuildGlobal>,
 }
 
 /// Build sides below this many rows are linked by the caller alone.
@@ -124,52 +104,17 @@ pub struct BhjBuildSink {
 /// to a running pool costs less than a spawn; the floor is not re-measured.
 const INLINE_LINK_ROWS: usize = 128 * 1024;
 
-impl BhjBuildSink {
-    /// `types`: the build input schema's column types; `key_cols`: join-key
-    /// columns within that schema.
-    pub fn new(types: &[DataType], key_cols: Vec<usize>) -> BhjBuildSink {
-        let ctx = QueryContext::unbounded();
-        BhjBuildSink {
-            layout: RowLayout::new(types, true),
-            key_cols,
-            next_heap_id: AtomicUsize::new(0),
-            global: Mutex::new(BuildGlobal {
-                arenas: Vec::new(),
-                heaps: Vec::new(),
-                lease: BudgetLease::empty(&ctx),
-            }),
-            ctx,
-        }
-    }
-
-    /// Charge this sink's materialization against `ctx`'s memory budget.
-    pub fn with_context(mut self, ctx: Arc<QueryContext>) -> BhjBuildSink {
-        self.global.get_mut().lease = BudgetLease::empty(&ctx);
-        self.ctx = ctx;
-        self
-    }
-
-    /// Build the chaining hash table over all materialized rows on `exec`
-    /// and freeze the state ([`BhjState::link`]). Fails if the bucket array
-    /// would exceed the memory budget.
-    pub fn into_state(&self, exec: &Executor) -> ExecResult<Arc<BhjState>> {
-        let mut global = self.global.lock();
-        let arenas = take(&mut global.arenas);
-        let heap_pairs = take(&mut global.heaps);
-        let mut lease = std::mem::replace(&mut global.lease, BudgetLease::empty(&self.ctx));
-        drop(global);
-
-        let slots = heap_pairs.iter().map(|(id, _)| id + 1).max().unwrap_or(0);
-        let mut heaps: Vec<StrHeap> = (0..slots).map(|_| StrHeap::new()).collect();
-        for (id, heap) in heap_pairs {
-            heaps[id] = heap;
-        }
-        let rows: usize = arenas.iter().map(RowArena::rows).sum();
-        lease.grow(ChainTable::buckets_for(rows) * 8)?;
-        let (layout, keys) = (self.layout.clone(), self.key_cols.clone());
-        let state = BhjState::new(layout, keys, arenas, heaps, lease, 0);
-        state.link(exec, &self.ctx, WaitState::CpuBuild)
-    }
+/// The BHJ's build sink: the partition sink at one pre-partition
+/// ([`PartitionSink`]), its rows carrying the chain header, over the
+/// `types` of the build input and its join-key columns `key_cols`. Finish
+/// it with [`PartitionSink::finalize_table`], which links the table.
+pub fn build_sink(types: &[DataType], key_cols: Vec<usize>) -> PartitionSink {
+    let radix = RadixConfig {
+        bits_pass1: 0,
+        ..RadixConfig::default()
+    };
+    let layout = RowLayout::new(types, true);
+    PartitionSink::new(layout, key_cols, radix, PhaseSet::build())
 }
 
 impl BhjState {
@@ -197,85 +142,55 @@ impl BhjState {
         }
     }
 
-    /// Link every row into the table and share the state. Rows are linked a
-    /// batch at a time — read the stored hashes and prefetch their buckets,
-    /// then CAS-insert — so the bucket misses of a batch overlap. At
-    /// [`INLINE_LINK_ROWS`] rows and above, and with more than one worker
-    /// and arena, the arenas are the tasks of one pipeline on `exec` under
-    /// `ctx` in the `Build` phase, its work sampled as `cpu` (arenas are per
-    /// build worker, so they are balanced); below it the caller links
-    /// alone.
+    /// Link every row into the table where it lies and share the state.
+    /// Rows are linked a batch at a time — read the stored hashes and
+    /// prefetch their buckets, then CAS-insert — so the bucket misses of a
+    /// batch overlap. At [`INLINE_LINK_ROWS`] rows and above, and with more
+    /// than one worker and arena, the arenas (one per build worker, so they
+    /// are balanced) are the tasks of one pipeline on `exec` under `ctx`,
+    /// sampled as `CpuBuild` in the `Build` phase; below it the caller
+    /// links alone.
     pub(crate) fn link(
         self,
         exec: &Executor,
         ctx: &Arc<QueryContext>,
-        cpu: WaitState,
     ) -> ExecResult<Arc<BhjState>> {
         let hash_off = self.layout.hash_offset();
         let link_arena = |arena: &RowArena| {
-            let mut hashes = [0u64; BATCH_ROWS];
-            for chunk in arena.row_ptrs().chunks(BATCH_ROWS) {
-                for (h, &ptr) in hashes.iter_mut().zip(chunk) {
+            let mut batch = [(std::ptr::null::<u8>(), 0u64); BATCH_ROWS];
+            let mut rows = arena.row_iter();
+            loop {
+                let mut n = 0;
+                for (slot, ptr) in batch.iter_mut().zip(&mut rows) {
                     // SAFETY: `ptr` is a row of `arena`, which outlives this
-                    // closure; `consume` stored the row's hash at `hash_off`.
-                    *h = unsafe { std::ptr::read(ptr.add(hash_off).cast::<u64>()) };
-                    prefetch_read(self.table.bucket_ptr(*h));
+                    // closure; the sink stored the row's hash at `hash_off`.
+                    let h = unsafe { std::ptr::read(ptr.add(hash_off).cast::<u64>()) };
+                    prefetch_read(self.table.bucket_ptr(h));
+                    *slot = (ptr, h);
+                    n += 1;
                 }
-                for (&h, &ptr) in hashes.iter().zip(chunk) {
+                if n == 0 {
+                    break;
+                }
+                for &(ptr, h) in &batch[..n] {
                     // SAFETY: as above; each row is linked exactly once (the
                     // morsel loop hands each arena to one task), nobody
                     // reads the table before `link` returns it, and the
                     // arenas live in the state that owns the table.
-                    unsafe { self.table.insert(ptr as *mut u8, h) };
+                    unsafe { self.table.insert(ptr.cast_mut(), h) };
                 }
             }
         };
         if exec.threads() <= 1 || self.arenas.len() <= 1 || self.rows < INLINE_LINK_ROWS {
             self.arenas.iter().for_each(link_arena);
         } else {
-            let label = PipelineLabel::new("hash table link", cpu, MemPhase::Build);
+            let label = PipelineLabel::new("hash table link", WaitState::CpuBuild, MemPhase::Build);
             exec.run_tasks(ctx, label, self.arenas.len(), |a| {
                 link_arena(&self.arenas[a]);
                 Ok(())
             })?;
         }
         Ok(Arc::new(self))
-    }
-}
-
-impl Sink for BhjBuildSink {
-    fn create_local(&self) -> LocalState {
-        Box::new(BuildLocal {
-            arena: RowArena::new(self.layout.stride()),
-            heap: StrHeap::new(),
-            heap_id: self.next_heap_id.fetch_add(1, Relaxed),
-            hashes: Vec::new(),
-            lease: BudgetLease::empty(&self.ctx),
-        })
-    }
-
-    fn consume(&self, local: &mut LocalState, input: Batch) -> ExecResult {
-        let local = local.downcast_mut::<BuildLocal>().unwrap();
-        let n = input.num_rows();
-        local.lease.grow(n * self.layout.stride())?;
-        let key_cols: Vec<_> = self.key_cols.iter().map(|&c| input.column(c)).collect();
-        hash_columns(&key_cols, n, &mut local.hashes);
-        for (r, &hash) in local.hashes.iter().enumerate() {
-            let row = local.arena.alloc_row();
-            self.layout
-                .encode_row(row, hash, &input, r, &mut local.heap, local.heap_id);
-        }
-        metrics::record_write(MemPhase::Build, (n * self.layout.stride()) as u64);
-        Ok(())
-    }
-
-    fn finish_local(&self, local: LocalState) -> ExecResult {
-        let local = *local.downcast::<BuildLocal>().unwrap();
-        let mut global = self.global.lock();
-        global.arenas.push(local.arena);
-        global.heaps.push((local.heap_id, local.heap));
-        global.lease.absorb(local.lease);
-        Ok(())
     }
 }
 
@@ -409,7 +324,7 @@ impl BhjWalker {
                 // whose tag is set (so non-null) or a linked row's `next` —
                 // and every linked row lives in `state.arenas`, which the
                 // `Arc<BhjState>` this walker holds keeps alive. After
-                // `into_state` nobody writes a row but for `mark_matched`'s
+                // `link` nobody writes a row but for `mark_matched`'s
                 // atomic flag in the header word and the groupjoin's
                 // `fetch_add`s into its aggregate cells — both atomics only,
                 // while walkers hold a view of the row. `bytes` spans that
@@ -705,7 +620,7 @@ impl Source for BhjUnmatchedSource {
                 out(b);
             }
         };
-        for ptr in arena.row_ptrs() {
+        for ptr in arena.row_iter() {
             // SAFETY: `ptr` is a row of `arena`, alive with `self.state`;
             // the probe pipeline — which marks flags or, in a groupjoin,
             // adds into cells — finished before this source was polled, so
@@ -726,6 +641,7 @@ impl Source for BhjUnmatchedSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use joinstudy_exec::pipeline::Sink;
     use joinstudy_storage::types::Value;
 
     fn build_state(keys: &[i64], payloads: &[i64], threads: usize) -> Arc<BhjState> {
@@ -739,7 +655,7 @@ mod tests {
         arenas: usize,
         exec: &Executor,
     ) -> Arc<BhjState> {
-        let sink = BhjBuildSink::new(&[DataType::Int64, DataType::Int64], vec![0]);
+        let sink = build_sink(&[DataType::Int64, DataType::Int64], vec![0]);
         for a in 0..arenas {
             let mut local = sink.create_local();
             let mine = |col: &[i64]| col.iter().copied().skip(a).step_by(arenas).collect();
@@ -750,7 +666,7 @@ mod tests {
             sink.consume(&mut local, batch).unwrap();
             sink.finish_local(local).unwrap();
         }
-        sink.into_state(exec).unwrap()
+        sink.finalize_table(usize::MAX, exec).unwrap()
     }
 
     fn probe(state: Arc<BhjState>, join_type: JoinType, probe_keys: &[i64]) -> Vec<Vec<Value>> {

@@ -120,7 +120,7 @@ impl Operator for GroupJoinProbeOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bhj::{BhjBuildSink, BhjUnmatchedSource};
+    use crate::bhj::{build_sink, BhjUnmatchedSource};
     use joinstudy_exec::pipeline::{Sink, Source};
     use joinstudy_storage::column::ColumnData;
     use joinstudy_storage::types::{DataType, Value, Value::Int64};
@@ -133,14 +133,15 @@ mod tests {
             let col = |f: fn(&(i64, i64)) -> i64| ColumnData::Int64(rows.iter().map(f).collect());
             Batch::new(vec![col(|r| r.0), col(|r| r.1)])
         };
-        let sink = BhjBuildSink::new(&vec![DataType::Int64; 2 + aggs.len()], vec![0]);
+        let sink = build_sink(&vec![DataType::Int64; 2 + aggs.len()], vec![0]);
         let pad = cells_op(2, &aggs);
         let mut local = sink.create_local();
         let mut consume = |b| sink.consume(&mut local, b).unwrap();
         pad.process(&mut pad.create_local(), kv(build), &mut consume)
             .unwrap();
         sink.finish_local(local).unwrap();
-        let state = sink.into_state(&joinstudy_exec::Executor::new(1)).unwrap();
+        let exec = joinstudy_exec::Executor::new(1);
+        let state = sink.finalize_table(usize::MAX, &exec).unwrap();
         let op = GroupJoinProbeOp::new(BhjWalker::new(state.clone(), vec![0], true), &aggs);
         let mut plocal = op.create_local();
         let mut no_output = |_: Batch| panic!("groupjoin probe must not emit");

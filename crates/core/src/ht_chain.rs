@@ -1,8 +1,9 @@
 //! Global chaining hash table with tagged pointers — the heart of the
 //! buffered non-partitioned hash join (BHJ).
 //!
-//! Build tuples are materialized once into per-worker [`RowArena`]s (stable
-//! addresses, no relocation), then linked into a shared bucket array with
+//! Build tuples are materialized once into the partition sink's
+//! [`RowArena`]s, one per worker and pre-partition (stable addresses, no
+//! relocation), then linked where they lie into a shared bucket array with
 //! lock-free CAS inserts. Each bucket head carries a 16-bit *tag* — a tiny
 //! Bloom filter ORed from one-hot bits of every inserted hash (Leis et al.,
 //! SIGMOD'14). A probe whose tag bit is absent skips the pointer chase
@@ -15,6 +16,7 @@
 //! (right-semi/right-anti, e.g. TPC-H Q22's anti join).
 
 use crate::hash::pointer_tag;
+use crate::swwcb::nt_copy;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Low 48 bits: the actual row address (x86-64 canonical user pointers).
@@ -24,9 +26,39 @@ pub const TAG_MASK: u64 = !PTR_MASK;
 /// Bit 63 of a row header: set when a probe tuple matched this build tuple.
 pub const MATCH_FLAG: u64 = 1 << 63;
 
-/// A paged allocator handing out fixed-stride row slots with stable
-/// addresses. One arena per build worker; arenas are kept alive by the join
-/// state for as long as any pointer into them exists.
+/// Growth schedule: "whenever a page is full, a larger page is prepended".
+/// A [`RowArena`]'s first page has this size, each next one twice the last,
+/// up to [`MAX_PAGE_BYTES`].
+pub(crate) const FIRST_PAGE_BYTES: usize = 4 * 1024;
+/// Big enough to amortize allocation, small enough that a worker's working
+/// set stays reasonable.
+const MAX_PAGE_BYTES: usize = 256 * 1024;
+
+/// One page of a [`RowArena`]: its buffer and the bytes of rows it holds.
+struct Page {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl Page {
+    fn capacity(&self) -> usize {
+        self.words.len() * 8
+    }
+
+    fn bytes(&self) -> &[u8] {
+        // SAFETY: `len <= capacity()`, the byte size of `words`: `len` only
+        // grows in `RowArena::append`/`alloc_row`, by at most the room
+        // `current_page` guaranteed. The words are initialized (zeroed at
+        // allocation), and `u8` has no alignment to meet.
+        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<u8>(), self.len) }
+    }
+}
+
+/// The one row container: a list of pages holding fixed-stride rows at
+/// stable addresses (pages never move or shrink). A partition sink's worker
+/// keeps one per pre-partition; a BHJ table takes them over, one per worker
+/// ([`RowArena::concat`]), and links their rows into its [`ChainTable`]
+/// where they lie.
 ///
 /// `Send` and `Sync` by its fields. The contract its raw row pointers carry:
 /// `&mut self` methods run in the single-owner build phase only; afterwards
@@ -34,16 +66,10 @@ pub const MATCH_FLAG: u64 = 1 << 63;
 /// hashes nobody writes any more, and touch the header word through
 /// [`ChainTable`]'s atomics alone.
 pub struct RowArena {
-    /// Each page with the rows allocated in it.
-    pages: Vec<(Vec<u64>, usize)>,
+    pages: Vec<Page>,
     stride: usize,
-    rows_per_page: usize,
-    rows: usize,
+    bytes: usize,
 }
-
-/// Target page size. Big enough to amortize allocation, small enough that a
-/// worker's working set stays reasonable.
-const ARENA_PAGE_BYTES: usize = 256 * 1024;
 
 impl RowArena {
     pub fn new(stride: usize) -> RowArena {
@@ -51,86 +77,115 @@ impl RowArena {
             stride > 0 && stride.is_multiple_of(8),
             "arena stride must be a multiple of 8"
         );
-        let rows_per_page = (ARENA_PAGE_BYTES / stride).max(1);
         RowArena {
             pages: Vec::new(),
             stride,
-            rows_per_page,
-            rows: 0,
+            bytes: 0,
         }
-    }
-
-    /// An arena over rows already written: each page with its row count,
-    /// rows of `stride` bytes from the page's start (the hybrid join's
-    /// pass-1 pages, linked where they lie).
-    pub fn from_pages(
-        stride: usize,
-        pages: impl IntoIterator<Item = (Vec<u64>, usize)>,
-    ) -> RowArena {
-        let mut arena = RowArena::new(stride);
-        for (words, rows) in pages {
-            assert!(rows * stride <= words.len() * 8, "a page holds its rows");
-            arena.rows += rows;
-            arena.pages.push((words, rows));
-        }
-        // Nothing is allocated after the adopted pages.
-        arena.rows_per_page = 0;
-        arena
     }
 
     pub fn rows(&self) -> usize {
-        self.rows
+        self.bytes / self.stride
     }
 
-    pub fn stride(&self) -> usize {
-        self.stride
+    /// Bytes of the rows held (the figure a lease is charged).
+    pub fn bytes(&self) -> usize {
+        self.bytes
     }
 
-    /// Total bytes occupied by allocated rows.
-    pub fn byte_size(&self) -> usize {
-        self.rows * self.stride
+    /// Take the pages out, leaving an empty arena of the same stride.
+    pub(crate) fn take(&mut self) -> RowArena {
+        std::mem::replace(self, RowArena::new(self.stride))
+    }
+
+    /// The page the next write goes to, guaranteed to have room for
+    /// `bytes` more. This is the single place encoding the arena's growth
+    /// rule: writes go to the last page, or to a new one when it is full,
+    /// so they never search.
+    fn current_page(&mut self, bytes: usize) -> &mut Page {
+        if self
+            .pages
+            .last()
+            .is_none_or(|p| p.capacity() - p.len < bytes)
+        {
+            let grown = self
+                .pages
+                .last()
+                .map_or(FIRST_PAGE_BYTES, |p| (p.capacity() * 2).min(MAX_PAGE_BYTES));
+            let cap = grown.max(bytes.next_multiple_of(8));
+            self.pages.push(Page {
+                words: vec![0u64; cap / 8],
+                len: 0,
+            });
+        }
+        self.pages.last_mut().expect("a page with room was pushed")
+    }
+
+    /// This arena with `other`'s pages behind its own (rows of one stride).
+    pub(crate) fn concat(mut self, mut other: RowArena) -> RowArena {
+        assert_eq!(self.stride, other.stride, "arenas of one row layout");
+        self.bytes += other.bytes;
+        self.pages.append(&mut other.pages);
+        self
+    }
+
+    /// Append a block of whole rows (a flushed SWWCB), with non-temporal
+    /// stores when `nt`.
+    pub(crate) fn append(&mut self, bytes: &[u8], nt: bool) {
+        debug_assert_eq!(bytes.len() % self.stride, 0);
+        if bytes.is_empty() {
+            return;
+        }
+        self.bytes += bytes.len();
+        let page = self.current_page(bytes.len());
+        let off = page.len;
+        page.len += bytes.len();
+        // SAFETY: `current_page` returned a page with at least
+        // `bytes.len()` bytes free past `off`, so the slice lies inside
+        // `words`, which the `&mut` page borrow keeps from any other alias.
+        let dst = unsafe {
+            std::slice::from_raw_parts_mut(
+                page.words.as_mut_ptr().cast::<u8>().add(off),
+                bytes.len(),
+            )
+        };
+        if nt {
+            nt_copy(dst, bytes);
+        } else {
+            dst.copy_from_slice(bytes);
+        }
     }
 
     /// Allocate the next row slot and return it for initialization.
     pub fn alloc_row(&mut self) -> &mut [u8] {
-        assert!(
-            self.rows_per_page > 0,
-            "an arena over adopted pages is full"
-        );
-        if self
-            .pages
-            .last()
-            .is_none_or(|&(_, n)| n == self.rows_per_page)
-        {
-            let words = vec![0u64; self.rows_per_page * self.stride / 8];
-            self.pages.push((words, 0));
-        }
-        let (page, used) = self.pages.last_mut().unwrap();
-        let off = *used * self.stride;
-        *used += 1;
-        self.rows += 1;
-        // SAFETY: the page holds `rows_per_page * stride` bytes and it had
-        // fewer than `rows_per_page` rows (checked above), so the slot lies
-        // inside it; the `&mut self` borrow the slice inherits keeps any
-        // other slot from being handed out while it lives.
+        let stride = self.stride;
+        self.bytes += stride;
+        let page = self.current_page(stride);
+        let off = page.len;
+        page.len += stride;
+        // SAFETY: `current_page` returned a page with at least `stride`
+        // bytes free past `off`; the slice borrows `self` mutably, so it is
+        // the only view of those bytes while it lives.
         unsafe {
-            std::slice::from_raw_parts_mut(page.as_mut_ptr().cast::<u8>().add(off), self.stride)
+            std::slice::from_raw_parts_mut(page.words.as_mut_ptr().cast::<u8>().add(off), stride)
         }
     }
 
-    /// Raw pointers to every allocated row. The pointers remain valid for
-    /// the arena's lifetime (pages never move or shrink).
-    pub fn row_ptrs(&self) -> Vec<*const u8> {
-        let mut out = Vec::with_capacity(self.rows);
-        for (page, rows) in &self.pages {
-            let base = page.as_ptr().cast::<u8>();
-            for r in 0..*rows {
-                // SAFETY: a page's `rows` rows lie inside it (`alloc_row`
-                // fills at most `rows_per_page`, `from_pages` asserts it).
-                out.push(unsafe { base.add(r * self.stride) });
-            }
-        }
-        out
+    /// The filled part of every page.
+    pub(crate) fn chunks(&self) -> impl Iterator<Item = &[u8]> {
+        self.pages.iter().map(Page::bytes)
+    }
+
+    /// Every row where it lies, in page order. The pointers stay valid for
+    /// the arena's lifetime and, derived from the pages' buffers rather than
+    /// from a shared slice, may write a row's header through
+    /// [`ChainTable::insert`].
+    pub(crate) fn row_iter(&self) -> impl Iterator<Item = *const u8> + '_ {
+        let stride = self.stride;
+        self.pages.iter().flat_map(move |p| {
+            let base = p.words.as_ptr().cast::<u8>();
+            (0..p.len / stride).map(move |r| base.wrapping_add(r * stride))
+        })
     }
 }
 
@@ -338,7 +393,7 @@ impl ChainStats {
 mod tests {
     use super::*;
     use crate::hash::hash_u64;
-    use crate::row::write_u64;
+    use crate::row::{read_u64, write_u64};
 
     /// Build tiny rows: [next][hash][key] with stride 24.
     fn make_rows(arena: &mut RowArena, keys: &[u64]) -> Vec<(*mut u8, u64)> {
@@ -385,15 +440,58 @@ mod tests {
             ptrs.push(row.as_ptr());
         }
         assert_eq!(arena.rows(), 20_000);
-        assert_eq!(arena.byte_size(), 20_000 * 24);
+        assert_eq!(arena.bytes(), 20_000 * 24);
         // Every recorded pointer still reads back its value.
         for (i, &p) in ptrs.iter().enumerate() {
             // SAFETY: `p` is a 24-byte slot of `arena`, whose pages never move.
             let v = unsafe { std::ptr::read(p.add(16).cast::<u64>()) };
             assert_eq!(v, i as u64);
         }
-        assert_eq!(arena.row_ptrs().len(), 20_000);
-        assert_eq!(arena.row_ptrs()[5], ptrs[5]);
+        assert!(arena.row_iter().eq(ptrs.iter().copied()));
+    }
+
+    #[test]
+    fn arena_pages_grow_and_chunk() {
+        let mut arena = RowArena::new(16);
+        let row_count = 10_000;
+        for i in 0..row_count {
+            let slot = arena.alloc_row();
+            slot[..8].copy_from_slice(&(i as u64).to_le_bytes());
+        }
+        // A flushed write-combine buffer appends whole rows, streamed or not.
+        let block: Vec<u8> = (row_count..row_count + 4)
+            .flat_map(|i| [(i as u64).to_le_bytes(), [0; 8]].concat())
+            .collect();
+        arena.append(&block[..32], true);
+        arena.append(&block[32..], false);
+        assert_eq!(arena.rows(), row_count + 4);
+        assert_eq!(arena.bytes(), (row_count + 4) * 16);
+        let pages: Vec<usize> = arena.chunks().map(<[u8]>::len).collect();
+        // Full pages double from the first; the last holds the remainder.
+        let full: Vec<usize> = (0..5).map(|i| FIRST_PAGE_BYTES << i).collect();
+        assert_eq!(pages[..5], full[..], "{pages:?}");
+        assert_eq!(pages.len(), 6, "{pages:?}");
+        let mut seen = 0u64;
+        for chunk in arena.chunks() {
+            assert_eq!(chunk.len() % 16, 0);
+            for row in chunk.chunks_exact(16) {
+                assert_eq!(read_u64(row, 0), seen);
+                seen += 1;
+            }
+        }
+        assert_eq!(seen, row_count as u64 + 4);
+        let taken = arena.take();
+        assert_eq!((taken.rows(), arena.rows()), (row_count + 4, 0));
+        // Concatenation moves pages: the rows keep their order and places.
+        let first: Vec<*const u8> = taken.row_iter().collect();
+        arena.alloc_row()[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let joined = taken.concat(arena);
+        assert_eq!(joined.rows(), row_count + 5);
+        assert!(joined.row_iter().take(row_count + 4).eq(first));
+        // SAFETY: `joined` holds `row_count + 5` rows of 16 bytes, 8-aligned
+        // (pages are `Vec<u64>`).
+        let last = unsafe { std::ptr::read(joined.row_iter().last().unwrap().cast::<u64>()) };
+        assert_eq!(last, u64::MAX);
     }
 
     #[test]

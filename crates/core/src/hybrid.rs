@@ -43,12 +43,12 @@
 //! in the [`RadixJoinSource`] of the RJ and BRJ, and in the [`BhjProbeOp`]s
 //! of the HHJ's levels and nested loop. This module never evaluates it.
 
-use crate::bhj::{BhjBuildSink, BhjProbeOp, BhjState, BhjUnmatchedSource};
+use crate::bhj::{self, BhjProbeOp, BhjState, BhjUnmatchedSource};
 use crate::bloom::BlockedBloom;
+use crate::ht_chain::FIRST_PAGE_BYTES;
 use crate::join_common::{default_column, JoinType, Residual};
 use crate::radix::{
     ClosedSet, Eviction, PartitionSink, PartitionedSide, PhaseSet, RadixConfig, RouteOp,
-    FIRST_PAGE_BYTES,
 };
 use crate::rj::RadixJoinSource;
 use crate::row::RowLayout;
@@ -562,7 +562,7 @@ impl HybridJoin {
             // Assemble one chunk: consume until the budget refuses (leaving
             // the refused batch for the next chunk) or the chunk has its
             // part of the share (the rest is the chunk's hash table).
-            let sink = BhjBuildSink::new(&self.build_types, self.build_keys.clone())
+            let sink = bhj::build_sink(&self.build_types, self.build_keys.clone())
                 .with_context(Arc::clone(&self.ctx));
             let mut local = sink.create_local();
             let mut chunk_rows = 0u64;
@@ -594,7 +594,7 @@ impl HybridJoin {
                 break;
             }
             sink.finish_local(local)?;
-            let state = sink.into_state(&Executor::new(1))?;
+            let state = sink.finalize_table(usize::MAX, &Executor::new(1))?;
             self.probe_chunk(&state, &probe, &mut matched, out)?;
         }
         drop(stream);

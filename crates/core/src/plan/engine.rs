@@ -231,7 +231,7 @@ impl Engine {
                 threads: self.threads,
                 degradations: ctx.degradations(),
                 peak_bytes: ctx.high_water(),
-                spill_bytes: ctx.spill_write_bytes() + ctx.spill_read_bytes(),
+                spill_bytes: ctx.spill_bytes(),
                 admission_wait_ns: ctx.admission_wait_ns(),
                 admission_granted: ctx.admission_granted(),
                 simd: crate::simd::active().name(),

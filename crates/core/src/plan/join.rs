@@ -15,7 +15,7 @@ use super::details::{
 };
 use super::engine::Compiled;
 use super::{Engine, JoinAlgo, JoinNode, Plan};
-use crate::bhj::{BhjBuildSink, BhjProbeOp, BhjState, BhjUnmatchedSource};
+use crate::bhj::{self, BhjProbeOp, BhjState, BhjUnmatchedSource};
 use crate::cost::Decision;
 use crate::groupjoin::{self, GroupAggSpec};
 use crate::hybrid::{HybridJoin, HybridJoinSource};
@@ -163,10 +163,11 @@ impl Engine {
 
     /// The hash-table build the BHJ and the groupjoin share: `build`'s
     /// pipeline, widened by one zero cell per aggregate of `aggs` (none for
-    /// the BHJ), runs as `name` into a [`BhjBuildSink`] on `keys`, then the
-    /// chaining table is linked over its rows, both in the `Build` phase.
-    /// Only the BHJ's build is `charged`: its sink leases from the query
-    /// context.
+    /// the BHJ), runs as `name` into the partition sink at one
+    /// pre-partition ([`bhj::build_sink`]) on `keys`, then the chaining
+    /// table is linked over its rows where they lie, both in the `Build`
+    /// phase. Only the BHJ's build is `charged`: its sink leases from the
+    /// query context, and a table it cannot hold fails the build.
     pub(super) fn build_table(
         &self,
         build: &Plan,
@@ -183,14 +184,14 @@ impl Engine {
             spec = spec.push_op(Arc::new(cells), widened);
         }
         let types: Vec<_> = spec.schema.fields.iter().map(|f| f.dtype).collect();
-        let mut sink = BhjBuildSink::new(&types, keys.to_vec());
+        let mut sink = bhj::build_sink(&types, keys.to_vec());
         if charged {
             sink = sink.with_context(Arc::clone(&self.ctx));
         }
         let label = PipelineLabel::new(name, WaitState::CpuBuild, MemPhase::Build);
         let stats = self.run_breaker(label, &spec, &sink, prof)?;
         let _span = trace::phase_scope(format!("{name} finalize (hash table)"));
-        let state = sink.into_state(self.executor())?;
+        let state = sink.finalize_table(usize::MAX, self.executor())?;
         Ok((state, spec.schema, stats, child))
     }
 

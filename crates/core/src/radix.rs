@@ -7,15 +7,15 @@
 //!
 //! 1. **Pass 1** — each worker consumes morsels from the source pipeline,
 //!    hashes the join key, and scatters rows by the hash's low `bits1` bits
-//!    into its *worker-local* set of pre-partitions, each a linked list of
-//!    pages. Writes go through SWWCBs flushed with non-temporal stores.
-//!    No synchronization anywhere.
-//! 2. **Histogram scan** — the pre-partition page lists are scanned to
+//!    into its *worker-local* set of pre-partitions, each a
+//!    [`RowArena`] (a list of pages). Writes go through SWWCBs flushed
+//!    with non-temporal stores. No synchronization anywhere.
+//! 2. **Histogram scan** — the pre-partitions' pages are scanned to
 //!    count, per pre-partition, how many rows fall into each of the
 //!    `2^bits2` second-pass sub-partitions.
 //! 3. **Exchange** — prefix sums over the histograms yield the exact byte
 //!    range every final partition occupies in one contiguous output buffer;
-//!    all workers' page lists for a pre-partition are (conceptually)
+//!    all workers' arenas for a pre-partition are (conceptually)
 //!    concatenated.
 //! 4. **Pass 2** — pre-partitions become morsels again: workers steal them
 //!    from a shared queue (skew tolerance) and scatter each row to its
@@ -39,6 +39,12 @@
 //! through [`RouteOp`]: rows of closed pre-partitions go to runs, the rest
 //! probe the table in flight. Without an eviction, nothing below differs
 //! from the above.
+//!
+//! The BHJ's build side is this sink at one pre-partition
+//! ([`crate::bhj::build_sink`]), finished by the same
+//! [`PartitionSink::finalize_table`]: not to partition is to partition
+//! 2^0 ways. A sink of one pre-partition writes its rows in place — a
+//! write-combine buffer in front of a single output gains nothing.
 
 use crate::bhj::{BhjProbeOp, BhjState};
 use crate::bloom::BlockedBloom;
@@ -125,147 +131,6 @@ impl PhaseSet {
             hist: MemPhase::HistogramScan,
             pass2: MemPhase::PartitionPass2,
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Paged pre-partitions (pass-1 output)
-// ---------------------------------------------------------------------------
-
-struct Page {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl Page {
-    fn capacity(&self) -> usize {
-        self.words.len() * 8
-    }
-
-    fn bytes(&self) -> &[u8] {
-        // SAFETY: `len <= capacity()`, the byte size of `words`: `len` only
-        // grows in `PageList::append`/`alloc_row`, by at most the room
-        // `current_page` guaranteed. The words are initialized (zeroed at
-        // allocation), and `u8` has no alignment to meet.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<u8>(), self.len) }
-    }
-}
-
-/// Growth schedule: "whenever a page is full, a larger page is prepended".
-pub(crate) const FIRST_PAGE_BYTES: usize = 4 * 1024;
-const MAX_PAGE_BYTES: usize = 256 * 1024;
-
-/// A linked list of pages holding materialized rows of one pre-partition.
-pub struct PageList {
-    pages: Vec<Page>,
-    stride: usize,
-    total_bytes: usize,
-}
-
-impl PageList {
-    pub fn new(stride: usize) -> PageList {
-        PageList {
-            pages: Vec::new(),
-            stride,
-            total_bytes: 0,
-        }
-    }
-
-    pub fn rows(&self) -> usize {
-        self.total_bytes / self.stride
-    }
-
-    /// Bytes of the rows held (the figure a lease is charged).
-    pub fn bytes(&self) -> usize {
-        self.total_bytes
-    }
-
-    /// The pages' buffers, each with the rows it holds.
-    fn into_pages(self) -> impl Iterator<Item = (Vec<u64>, usize)> {
-        let stride = self.stride;
-        self.pages
-            .into_iter()
-            .map(move |p| (p.words, p.len / stride))
-    }
-
-    /// Take the pages out, leaving an empty list of the same stride.
-    fn take(&mut self) -> PageList {
-        std::mem::replace(self, PageList::new(self.stride))
-    }
-
-    fn next_page_capacity(&self, at_least: usize) -> usize {
-        let grown = match self.pages.last() {
-            None => FIRST_PAGE_BYTES,
-            Some(p) => (p.capacity() * 2).min(MAX_PAGE_BYTES),
-        };
-        grown.max(at_least.next_multiple_of(8))
-    }
-
-    /// The page the next write goes to, guaranteed to have room for
-    /// `bytes` more. This is the single place encoding the list's growth
-    /// invariant: a page with free space, if any, is always the last one,
-    /// so appends never have to search.
-    fn current_page(&mut self, bytes: usize) -> &mut Page {
-        let need_new = match self.pages.last() {
-            None => true,
-            Some(p) => p.capacity() - p.len < bytes,
-        };
-        if need_new {
-            let cap = self.next_page_capacity(bytes);
-            self.pages.push(Page {
-                words: vec![0u64; cap / 8],
-                len: 0,
-            });
-        }
-        self.pages
-            .last_mut()
-            .expect("current_page pushed a page when none had room")
-    }
-
-    /// Append a block of whole rows (e.g. a flushed SWWCB).
-    pub fn append(&mut self, bytes: &[u8], nt: bool) {
-        debug_assert_eq!(bytes.len() % self.stride, 0);
-        if bytes.is_empty() {
-            return;
-        }
-        let page = self.current_page(bytes.len());
-        let off = page.len;
-        // SAFETY: `current_page` returned a page with at least
-        // `bytes.len()` bytes free past `off`, so the slice lies inside
-        // `words`, which the `&mut` page borrow keeps from any other alias.
-        let dst = unsafe {
-            std::slice::from_raw_parts_mut(
-                page.words.as_mut_ptr().cast::<u8>().add(off),
-                bytes.len(),
-            )
-        };
-        if nt {
-            nt_copy(dst, bytes);
-        } else {
-            dst.copy_from_slice(bytes);
-        }
-        page.len += bytes.len();
-        self.total_bytes += bytes.len();
-    }
-
-    /// Reserve one row slot for in-place encoding (the no-SWWCB path).
-    pub fn alloc_row(&mut self) -> &mut [u8] {
-        let stride = self.stride;
-        self.total_bytes += stride;
-        let page = self.current_page(stride);
-        let off = page.len;
-        page.len += stride;
-        // SAFETY: `current_page` returned a page with at least `stride`
-        // bytes free past `off`; the slice borrows `self` mutably, so it is
-        // the only view of those bytes while it lives.
-        unsafe {
-            std::slice::from_raw_parts_mut(page.words.as_mut_ptr().cast::<u8>().add(off), stride)
-        }
-    }
-
-    /// Iterate the filled chunk of every page.
-    pub fn chunks(&self) -> impl Iterator<Item = &[u8]> {
-        self.pages.iter().map(Page::bytes)
     }
 }
 
@@ -375,7 +240,7 @@ fn spill_rows<'a>(
 
 struct Pass1Local {
     swwcb: Option<SwwcbSet>,
-    lists: Vec<PageList>,
+    arenas: Vec<RowArena>,
     /// String heaps by heap id. Only this worker's own (`heap_id`) and,
     /// once it has seen a closed partition, its staging heap have content.
     heaps: Vec<StrHeap>,
@@ -398,17 +263,17 @@ impl Pass1Local {
     /// Row bytes in this worker's pages per pre-partition, counting only the
     /// partitions it treats as closed (`closed`) or only the open ones.
     fn held(&self, closed: bool) -> Vec<usize> {
-        self.lists
+        self.arenas
             .iter()
             .zip(&self.closed)
-            .map(|(list, &c)| if c == closed { list.bytes() } else { 0 })
+            .map(|(arena, &c)| if c == closed { arena.bytes() } else { 0 })
             .collect()
     }
 }
 
 struct Pass1Global {
-    /// One entry per finished worker: its pre-partition page lists.
-    worker_lists: Vec<Vec<PageList>>,
+    /// One entry per finished worker: its pre-partitions' arenas.
+    worker_arenas: Vec<Vec<RowArena>>,
     /// (heap_id, heap) pairs, placed into a dense vec at finalize.
     heaps: Vec<(usize, StrHeap)>,
     /// Accumulated worker leases; released when pass-1 pages are freed.
@@ -449,7 +314,7 @@ impl PartitionSink {
             phases,
             next_heap_id: AtomicUsize::new(0),
             global: Mutex::new(Pass1Global {
-                worker_lists: Vec::new(),
+                worker_arenas: Vec::new(),
                 heaps: Vec::new(),
                 lease: BudgetLease::empty(&ctx),
             }),
@@ -583,10 +448,10 @@ impl PartitionSink {
         Ok(())
     }
 
-    /// Append the rows of `list`, pages of pre-partition `p`, to p's run,
+    /// Append the rows of `arena`, of pre-partition `p`, to p's run,
     /// which is created on first use.
-    fn write(&self, ev: &Evictor, p: usize, heaps: &[StrHeap], list: &PageList) -> ExecResult {
-        if list.bytes() == 0 {
+    fn write(&self, ev: &Evictor, p: usize, heaps: &[StrHeap], arena: &RowArena) -> ExecResult {
+        if arena.bytes() == 0 {
             return Ok(());
         }
         let mut run = ev.runs[p].lock();
@@ -598,21 +463,21 @@ impl PartitionSink {
             self.ctx.add_spill_partition();
         }
         let run = run.as_mut().expect("just created");
-        spill_rows(&self.layout, heaps, list.chunks(), run)
+        spill_rows(&self.layout, heaps, arena.chunks(), run)
     }
 
     /// Move this worker's rows of pre-partition `p` — write-combine buffer
     /// remainder and pages — to p's run.
     fn drain(&self, ev: &Evictor, local: &mut Pass1Local, p: usize) -> ExecResult {
         if let Some(set) = &mut local.swwcb {
-            local.lists[p].append(set.filled(p), false);
+            local.arenas[p].append(set.filled(p), false);
             set.clear(p);
         }
-        let list = local.lists[p].take();
+        let arena = local.arenas[p].take();
         // The pages are on their way out: their bytes go back first, so a
         // run's write buffer can be reserved out of what its rows free.
-        local.lease.shrink(list.bytes());
-        self.write(ev, p, &local.heaps, &list)
+        local.lease.shrink(arena.bytes());
+        self.write(ev, p, &local.heaps, &arena)
     }
 
     /// Write out everything this worker has staged for closed partitions;
@@ -669,12 +534,12 @@ impl PartitionSink {
             let slot = match &mut local.swwcb {
                 Some(set) => {
                     if set.is_full(p) {
-                        local.lists[p].append(set.filled(p), nt);
+                        local.arenas[p].append(set.filled(p), nt);
                         set.clear(p);
                     }
                     set.next_slot(p)
                 }
-                None => local.lists[p].alloc_row(),
+                None => local.arenas[p].alloc_row(),
             };
             self.layout.encode_row(
                 &mut slot[..width],
@@ -692,10 +557,12 @@ impl Sink for PartitionSink {
     fn create_local(&self) -> LocalState {
         let heap_id = self.next_heap_id.fetch_add(1, Ordering::Relaxed);
         let stride = self.layout.stride();
-        let use_swwcb = self.cfg.use_swwcb && self.layout.swwcb_eligible();
+        // One pre-partition is written in place: no buffer combines writes
+        // to a single output.
+        let use_swwcb = self.cfg.use_swwcb && self.layout.swwcb_eligible() && self.fanout1() > 1;
         Box::new(Pass1Local {
             swwcb: use_swwcb.then(|| SwwcbSet::new(self.fanout1(), stride)),
-            lists: (0..self.fanout1()).map(|_| PageList::new(stride)).collect(),
+            arenas: (0..self.fanout1()).map(|_| RowArena::new(stride)).collect(),
             heaps: (0..=heap_id).map(|_| StrHeap::new()).collect(),
             heap_id,
             heap_of: vec![
@@ -740,7 +607,7 @@ impl Sink for PartitionSink {
         let mut local = *local.downcast::<Pass1Local>().unwrap();
         if let Some(set) = &mut local.swwcb {
             for p in set.non_empty() {
-                local.lists[p].append(set.filled(p), self.cfg.use_nt_stores);
+                local.arenas[p].append(set.filled(p), self.cfg.use_nt_stores);
                 set.clear(p);
             }
         }
@@ -750,7 +617,7 @@ impl Sink for PartitionSink {
             self.drain_closed(ev, &mut local)?;
         }
         let mut global = self.global.lock();
-        global.worker_lists.push(local.lists);
+        global.worker_arenas.push(local.arenas);
         global.heaps.push((
             local.heap_id,
             std::mem::take(&mut local.heaps[local.heap_id]),
@@ -893,7 +760,7 @@ impl PartitionSink {
         // row.
         let stride = self.layout.stride();
         let Settled {
-            worker_lists,
+            worker_arenas,
             heaps,
             pre_counts,
             pass1_lease: _pass1_lease,
@@ -944,8 +811,8 @@ impl PartitionSink {
         exec.run_tasks(&self.ctx, label, fanout1, |p| {
             let mut counts = vec![0usize; fanout2];
             let mut bytes = 0usize;
-            for lists in &worker_lists {
-                for chunk in lists[p].chunks() {
+            for arenas in &worker_arenas {
+                for chunk in arenas[p].chunks() {
                     bytes += chunk.len();
                     crate::simd::hist_chunk(
                         chunk,
@@ -1011,8 +878,8 @@ impl PartitionSink {
             // exactly one task, inline and on a pool alike.
             let mut cursors: Vec<usize> = (0..fanout2).map(|s| bounds[p * fanout2 + s]).collect();
             let mut bytes = 0usize;
-            for lists in &worker_lists {
-                for chunk in lists[p].chunks() {
+            for arenas in &worker_arenas {
+                for chunk in arenas[p].chunks() {
                     bytes += chunk.len();
                     for row in chunk.chunks_exact(stride) {
                         let h = read_u64(row, hash_off);
@@ -1098,12 +965,12 @@ impl PartitionSink {
 /// What pass 1 left once the resident copy of it is reserved
 /// ([`PartitionSink::settle`]).
 struct Settled {
-    worker_lists: Vec<Vec<PageList>>,
+    worker_arenas: Vec<Vec<RowArena>>,
     /// Dense, indexed by heap id.
     heaps: Vec<StrHeap>,
     /// Rows per pre-partition that stay; 0 for closed ones.
     pre_counts: Vec<usize>,
-    /// Charged for the pages, which die with `worker_lists`.
+    /// Charged for the pages, which die with `worker_arenas`.
     pass1_lease: BudgetLease,
     /// Charged for the resident copy.
     lease: BudgetLease,
@@ -1121,7 +988,7 @@ impl PartitionSink {
     /// the sum here.)
     fn settle(&self, cap: usize, copy_bytes: impl Fn(usize) -> usize) -> ExecResult<Settled> {
         let mut global = self.global.lock();
-        let mut worker_lists = std::mem::take(&mut global.worker_lists);
+        let mut worker_arenas = std::mem::take(&mut global.worker_arenas);
         let heap_pairs = std::mem::take(&mut global.heaps);
         let mut pass1_lease = std::mem::replace(&mut global.lease, BudgetLease::empty(&self.ctx));
         drop(global);
@@ -1133,14 +1000,14 @@ impl PartitionSink {
         }
 
         let mut pre_counts = vec![0usize; self.fanout1()];
-        for lists in &worker_lists {
-            for (p, list) in lists.iter().enumerate() {
-                pre_counts[p] += list.rows();
+        for arenas in &worker_arenas {
+            for (p, arena) in arenas.iter().enumerate() {
+                pre_counts[p] += arena.rows();
             }
         }
         if let Some(ev) = &self.evict {
             for p in ev.cfg.closed.closed() {
-                self.evict_resident(ev, p, &mut worker_lists, &heaps, &mut pass1_lease)?;
+                self.evict_resident(ev, p, &mut worker_arenas, &heaps, &mut pass1_lease)?;
                 pre_counts[p] = 0;
             }
         }
@@ -1163,14 +1030,14 @@ impl PartitionSink {
                     let resident: Vec<usize> = pre_counts.iter().map(|&n| n * stride).collect();
                     let victim = (ev.cfg.victim)(&resident).ok_or(e)?;
                     ev.close(victim);
-                    self.evict_resident(ev, victim, &mut worker_lists, &heaps, &mut pass1_lease)?;
+                    self.evict_resident(ev, victim, &mut worker_arenas, &heaps, &mut pass1_lease)?;
                     pre_counts[victim] = 0;
                 }
                 (Err(e), _) => return Err(e),
             }
         };
         Ok(Settled {
-            worker_lists,
+            worker_arenas,
             heaps,
             pre_counts,
             pass1_lease,
@@ -1178,12 +1045,13 @@ impl PartitionSink {
         })
     }
 
-    /// Finish the sink as a hybrid join level's resident table instead of
-    /// running pass 2: the rows of the pre-partitions still open are linked
-    /// where pass 1 wrote them — its pages become the row arenas of one BHJ
-    /// table (one per pass-1 worker), which is why this sink's rows carry
-    /// the BHJ's chain header — into one [`ChainTable`] indexed by the hash
-    /// bits after this sink's. The bucket array is leased where pass 2's
+    /// Finish the sink as a BHJ table instead of running pass 2 — the
+    /// BHJ's own (at one pre-partition) or a hybrid join level's resident
+    /// one: the rows of the pre-partitions still open are linked where
+    /// pass 1 wrote them — its arenas hold the rows of the table, which
+    /// is why this sink's rows carry the BHJ's chain header — into one
+    /// [`ChainTable`] indexed by the hash bits after this sink's. The
+    /// bucket array is leased where pass 2's
     /// contiguous buffer would be, and a refusal — or a table of more than
     /// `cap` bytes, rows and buckets — closes one more victim
     /// ([`PartitionSink::settle`]). The table is linked on `exec`
@@ -1191,25 +1059,29 @@ impl PartitionSink {
     pub fn finalize_table(&self, cap: usize, exec: &Executor) -> ExecResult<Arc<BhjState>> {
         assert!(self.layout.has_header(), "table rows carry a chain header");
         let Settled {
-            worker_lists,
+            worker_arenas,
             heaps,
             pass1_lease,
             mut lease,
             ..
         } = self.settle(cap, |rows| ChainTable::buckets_for(rows) * 8)?;
         self.ctx.check()?;
+        // One arena per pass-1 worker, its pre-partitions end to end: the
+        // link's and the build-row scan's tasks, as many as the workers.
         let stride = self.layout.stride();
-        let arenas = worker_lists
+        let arenas = worker_arenas
             .into_iter()
-            .map(|lists| {
-                RowArena::from_pages(stride, lists.into_iter().flat_map(PageList::into_pages))
+            .map(|parts| {
+                parts
+                    .into_iter()
+                    .fold(RowArena::new(stride), RowArena::concat)
             })
             .collect();
         lease.absorb(pass1_lease);
         let (layout, keys) = (self.layout.clone(), self.key_cols.clone());
         let shift = self.shift + self.cfg.bits_pass1;
         let state = BhjState::new(layout, keys, arenas, heaps, lease, shift);
-        state.link(exec, &self.ctx, WaitState::CpuPartition)
+        state.link(exec, &self.ctx)
     }
 
     /// Write what the finished workers still hold of pre-partition `p` to
@@ -1218,14 +1090,14 @@ impl PartitionSink {
         &self,
         ev: &Evictor,
         p: usize,
-        worker_lists: &mut [Vec<PageList>],
+        worker_arenas: &mut [Vec<RowArena>],
         heaps: &[StrHeap],
         lease: &mut BudgetLease,
     ) -> ExecResult {
-        for lists in worker_lists {
-            let list = lists[p].take();
-            lease.shrink(list.bytes());
-            self.write(ev, p, heaps, &list)?;
+        for arenas in worker_arenas {
+            let arena = arenas[p].take();
+            lease.shrink(arena.bytes());
+            self.write(ev, p, heaps, &arena)?;
         }
         Ok(())
     }
@@ -1565,26 +1437,6 @@ mod tests {
             }
         }
         assert!(rejected > 8500, "bloom rejected only {rejected}/10000");
-    }
-
-    #[test]
-    fn page_list_growth_and_iteration() {
-        let mut list = PageList::new(16);
-        let row_count = 10_000;
-        for i in 0..row_count {
-            let slot = list.alloc_row();
-            slot[..8].copy_from_slice(&(i as u64).to_le_bytes());
-        }
-        assert_eq!(list.rows(), row_count);
-        let mut seen = 0u64;
-        for chunk in list.chunks() {
-            assert_eq!(chunk.len() % 16, 0);
-            for row in chunk.chunks_exact(16) {
-                assert_eq!(read_u64(row, 0), seen);
-                seen += 1;
-            }
-        }
-        assert_eq!(seen, row_count as u64);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! match, is one more row of the grid: every build row once, with its
 //! partners' count, Int64 sum and Decimal sum.
 
-use joinstudy_core::bhj::{BhjBuildSink, BhjProbeOp, BhjState, BhjUnmatchedSource, BhjWalker};
+use joinstudy_core::bhj::{build_sink, BhjProbeOp, BhjState, BhjUnmatchedSource, BhjWalker};
 use joinstudy_core::groupjoin::{cells_op, GroupAggFunc, GroupAggSpec, GroupJoinProbeOp};
 use joinstudy_core::ht_chain::ChainTable;
 use joinstudy_core::join_common::Residual;
@@ -111,7 +111,7 @@ fn build_state(
     let types: Vec<DataType> = (0..input.num_columns())
         .map(|c| input.column(c).data_type())
         .collect();
-    let sink = BhjBuildSink::new(&types, (0..keys.arity()).collect());
+    let sink = build_sink(&types, (0..keys.arity()).collect());
     let half: Vec<u32> = (0..rows.len() as u32 / 2).collect();
     let rest: Vec<u32> = (rows.len() as u32 / 2..rows.len() as u32).collect();
     for sel in [half, rest] {
@@ -119,7 +119,7 @@ fn build_state(
         sink.consume(&mut local, input.take(&sel)).unwrap();
         sink.finish_local(local).unwrap();
     }
-    let state = sink.into_state(&Executor::new(2)).unwrap();
+    let state = sink.finalize_table(usize::MAX, &Executor::new(2)).unwrap();
     if !tiny {
         return state;
     }

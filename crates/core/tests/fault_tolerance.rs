@@ -268,6 +268,48 @@ fn only_the_hybrid_rung_evicts() {
     std::fs::remove_dir_all(&base).ok();
 }
 
+/// A forced BHJ whose build rows fit the budget but whose bucket array
+/// does not: 16 Ki rows of 32 B (512 KiB) and 16 Ki buckets (128 KiB).
+/// Pass 1 holds the rows; the table's reservation at finalize (one
+/// pre-partition, nothing to evict) is what the budget refuses, and the
+/// ladder takes the join to the HHJ once. Room for the buckets as well
+/// runs the BHJ as compiled.
+#[test]
+fn forced_bhj_degrades_when_its_bucket_array_does_not_fit() {
+    let _guard = fault_lock();
+    let build = table_kv(16 << 10, 16 << 10);
+    let probe = table_kv(40_000, 16 << 10);
+    let plan = count_join_plan(&build, &probe, JoinAlgo::Bhj);
+    let join_node = |budget: usize| {
+        let engine = Engine::new(2);
+        engine.ctx.set_memory_budget(Some(budget));
+        let (t, profile) = engine
+            .execute_profiled(&plan)
+            .unwrap_or_else(|e| panic!("under {budget} B: {e}"));
+        assert_eq!(t.column_by_name("cnt").as_i64()[0], 40_000);
+        assert_eq!(engine.ctx.used(), 0, "under {budget} B");
+        let node = profile
+            .root
+            .iter()
+            .into_iter()
+            .find(|n| n.label.starts_with("Join "));
+        (profile.degradations, node.expect("the join's node").clone())
+    };
+
+    let (degradations, node) = join_node(576 << 10);
+    assert_eq!(degradations, 1);
+    assert!(node.label.starts_with("Join HHJ "), "{}", node.label);
+    let degraded = node.details.iter().find(|(k, _)| k == "degraded");
+    assert_eq!(
+        degraded.map(|(_, v)| v.clone()),
+        Some(DetailValue::Str("BHJ -> HHJ".into()))
+    );
+
+    let (degradations, node) = join_node(704 << 10);
+    assert_eq!(degradations, 0);
+    assert!(node.label.starts_with("Join BHJ "), "{}", node.label);
+}
+
 /// The HHJ node's EXPLAIN ANALYZE details in order, hardware counters
 /// aside.
 const HHJ_DETAILS: [&str; 16] = [

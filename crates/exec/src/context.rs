@@ -291,6 +291,13 @@ impl QueryContext {
         self.spill_read_bytes.load(Ordering::Relaxed)
     }
 
+    /// Spill I/O since the last [`QueryContext::arm`], written plus read
+    /// bytes: the one `spill_bytes` every surface reports (EXPLAIN
+    /// ANALYZE's `spill=`, `jsys.query_progress`, `jsys.statements`).
+    pub fn spill_bytes(&self) -> u64 {
+        self.spill_write_bytes() + self.spill_read_bytes()
+    }
+
     /// Partitions evicted to disk since the last [`QueryContext::arm`].
     pub fn spill_partitions(&self) -> u64 {
         self.spill_partitions.load(Ordering::Relaxed)

@@ -213,9 +213,7 @@ impl PipelineStats {
     /// Spill bytes (write + read) of the owning query so far; 0 once the
     /// session dropped its context.
     pub fn spill_bytes(&self) -> u64 {
-        self.ctx
-            .upgrade()
-            .map_or(0, |c| c.spill_write_bytes() + c.spill_read_bytes())
+        self.ctx.upgrade().map_or(0, |c| c.spill_bytes())
     }
 }
 

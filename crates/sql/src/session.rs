@@ -449,7 +449,7 @@ impl Session {
         let armed = is_query && !matches!(result, Err(SqlError::Parse(_)) | Err(SqlError::Plan(_)));
         let (spill_bytes, admission_wait_ns, granted_bytes, degradations, algo_mask) = if armed {
             (
-                ctx.spill_write_bytes(),
+                ctx.spill_bytes(),
                 ctx.admission_wait_ns(),
                 ctx.admission_granted(),
                 ctx.degradations(),

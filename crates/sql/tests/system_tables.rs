@@ -190,3 +190,42 @@ fn unknown_system_table_is_a_plan_error() {
         );
     }
 }
+
+/// One spilling statement reports one `spill_bytes`, written plus read: a
+/// Q3-shaped join forced onto the hybrid join under 256 KiB shows the same
+/// value in `jsys.recent_queries` as in its profile (EXPLAIN ANALYZE's
+/// `spill=`), and more than its written bytes alone, since the join reads
+/// back what it spilled.
+#[test]
+fn recent_queries_and_explain_analyze_agree_on_spill_bytes() {
+    const Q3: &str = "SELECT o_orderkey, sum(l_extendedprice * (1 - l_discount)) AS revenue \
+         FROM customer, orders, lineitem \
+         WHERE c_mktsegment = 'BUILDING' AND c_custkey = o_custkey \
+           AND l_orderkey = o_orderkey \
+           AND o_orderdate < DATE '1995-03-15' AND l_shipdate > DATE '1995-03-15' \
+         GROUP BY o_orderkey ORDER BY revenue DESC, o_orderkey LIMIT 5";
+    let data = joinstudy_tpch::generate(0.01, 99);
+    let mut s = Session::new(2);
+    s.register("customer", data.customer);
+    s.register("orders", data.orders);
+    s.register("lineitem", data.lineitem);
+    s.execute("SET join_algo = hybrid").unwrap();
+    s.set_memory_budget(Some(256 << 10));
+    s.set_profiling(true);
+    s.execute(Q3).unwrap();
+    let written = s.context().spill_write_bytes();
+    let profile = s.take_profile().expect("the statement was profiled");
+    s.set_profiling(false);
+    assert!(written > 0, "{}", profile.render());
+    assert!(profile.spill_bytes > written, "{}", profile.render());
+
+    let t = s
+        .execute("SELECT sql, spill_bytes FROM jsys.recent_queries")
+        .unwrap();
+    let (sql, spill) = (col(&t, "sql"), col(&t, "spill_bytes"));
+    let row = (0..t.num_rows())
+        .map(|r| t.row(r))
+        .find(|row| row[sql] == Value::Str(Q3.into()))
+        .expect("the Q3 statement in the recent-query ring");
+    assert_eq!(row[spill], Value::Int64(profile.spill_bytes as i64));
+}
