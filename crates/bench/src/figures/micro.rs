@@ -283,9 +283,10 @@ fn counter_cells(row: &Counters) -> [Cell; 4] {
 ///
 /// The paper samples hardware counters with Intel PCM. The portable default
 /// here accounts bytes in software at every materializing primitive,
-/// attributed to the paper's phases, and combines them with the recorded
-/// phase-transition timeline: per-phase volumes are exact; rates are
-/// averages per phase rather than 100 ms samples. With `--hw` the run
+/// attributed to the paper's phases, and combines them with the phase
+/// bands of the run's trace (each pipeline span carries its phase):
+/// per-phase volumes are exact; rates are averages per phase rather than
+/// 100 ms samples. With `--hw` the run
 /// additionally samples real PMU counters per phase (`perf_event_open`),
 /// degrading to a note when the syscall is unavailable (DESIGN.md §9).
 pub fn fig10(r: &mut Report, p: &Params) {
@@ -313,14 +314,17 @@ pub fn fig10(r: &mut Report, p: &Params) {
     let m = tables(n, probe_n, Int64, 1, UniformFk, 31);
     pmu::set_enabled(hw && p.host.pmu);
     let plan = sum_plan(&m, Rj, 1, false);
-    let total_secs = accounted_run(&engine(threads, false), &plan);
+    let e = engine(threads, false);
+    e.ctx.set_tracing(true);
+    let total_secs = accounted_run(&e, &plan);
     pmu::set_enabled(false);
 
-    // Phase bands (phase, start, end) from the transition timeline.
-    let timeline = metrics::timeline();
-    let starts = timeline.iter().map(|ev| ev.at_secs);
+    // Phase bands (phase, start, end): from one pipeline's start in the
+    // accounted run's trace to the next.
+    let trace = e.take_trace().expect("the accounted run is traced");
+    let starts = trace.pipelines.iter().map(|p| p.start_ns as f64 / 1e9);
     let ends = starts.clone().skip(1).chain([total_secs]);
-    let phases = timeline.iter().map(|ev| ev.phase);
+    let phases = trace.pipelines.iter().map(|p| p.phase);
     let bands: Vec<_> = phases.zip(starts.zip(ends)).collect();
 
     let total_ms = r.m(format!("{:.1}", total_secs * 1e3));

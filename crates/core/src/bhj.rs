@@ -666,7 +666,8 @@ mod tests {
             sink.consume(&mut local, batch).unwrap();
             sink.finish_local(local).unwrap();
         }
-        sink.finalize_table(usize::MAX, exec).unwrap()
+        sink.finalize_table(usize::MAX, exec, &QueryContext::unbounded())
+            .unwrap()
     }
 
     fn probe(state: Arc<BhjState>, join_type: JoinType, probe_keys: &[i64]) -> Vec<Vec<Value>> {

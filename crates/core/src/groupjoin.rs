@@ -141,7 +141,8 @@ mod tests {
             .unwrap();
         sink.finish_local(local).unwrap();
         let exec = joinstudy_exec::Executor::new(1);
-        let state = sink.finalize_table(usize::MAX, &exec).unwrap();
+        let ctx = joinstudy_exec::context::QueryContext::unbounded();
+        let state = sink.finalize_table(usize::MAX, &exec, &ctx).unwrap();
         let op = GroupJoinProbeOp::new(BhjWalker::new(state.clone(), vec![0], true), &aggs);
         let mut plocal = op.create_local();
         let mut no_output = |_: Batch| panic!("groupjoin probe must not emit");

@@ -44,7 +44,6 @@
 //! of the HHJ's levels and nested loop. This module never evaluates it.
 
 use crate::bhj::{self, BhjProbeOp, BhjState, BhjUnmatchedSource};
-use crate::bloom::BlockedBloom;
 use crate::ht_chain::FIRST_PAGE_BYTES;
 use crate::join_common::{default_column, JoinType, Residual};
 use crate::radix::{
@@ -363,17 +362,6 @@ impl HybridJoin {
         self.plain_sink(level, false, false)
     }
 
-    /// Run pass 2 of a sink whose input is complete on `exec`, building the
-    /// Bloom filter in it when asked to (the BRJ's build side).
-    pub fn finish(
-        sink: &PartitionSink,
-        exec: &Executor,
-        bits2: Option<u32>,
-        bloom: bool,
-    ) -> ExecResult<(PartitionedSide, Option<BlockedBloom>)> {
-        sink.finalize_on(exec, bits2, bloom)
-    }
-
     /// The radix join of two sides partitioned alike (the RJ and BRJ).
     pub fn radix_join(&self, build: PartitionedSide, probe: PartitionedSide) -> RadixJoinSource {
         RadixJoinSource::new(
@@ -396,7 +384,7 @@ impl HybridJoin {
         closed: &ClosedSet,
         exec: &Executor,
     ) -> ExecResult<LevelTable> {
-        let state = sink.finalize_table(level.table_cap(), exec)?;
+        let state = sink.finalize_table(level.table_cap(), exec, &self.ctx)?;
         Ok(LevelTable {
             state,
             runs: sink.take_runs()?,
@@ -477,11 +465,12 @@ impl HybridJoin {
         }
 
         if !table.closed.is_empty() {
-            trace::instant(format!(
-                "HHJ recurse: {} partitions closed again at depth {}",
-                table.closed.len(),
-                level.depth
-            ));
+            let closed = table.closed.len();
+            let depth = level.depth;
+            trace::instant(
+                &self.ctx,
+                format!("HHJ recurse: {closed} partitions closed again at depth {depth}"),
+            );
             self.ctx.note_spill_recursion(u64::from(level.depth));
             self.reload_depth
                 .fetch_max(u64::from(level.depth), Ordering::Relaxed);
@@ -537,10 +526,11 @@ impl HybridJoin {
     /// (charged against the budget) and emit survivors in one final probe
     /// pass.
     fn block_nested_loop(&self, build: Run, probe: Run, level: &Level, out: Emit) -> ExecResult {
-        trace::instant(format!(
-            "HHJ fallback: block nested loop ({} build rows)",
-            build.rows()
-        ));
+        let rows = build.rows();
+        trace::instant(
+            &self.ctx,
+            format!("HHJ fallback: block nested loop ({rows} build rows)"),
+        );
         self.ctx.note_bnl_fallback();
         let needs_bitmap = matches!(
             self.kind,
@@ -594,7 +584,7 @@ impl HybridJoin {
                 break;
             }
             sink.finish_local(local)?;
-            let state = sink.finalize_table(usize::MAX, &Executor::new(1))?;
+            let state = sink.finalize_table(usize::MAX, &Executor::new(1), &self.ctx)?;
             self.probe_chunk(&state, &probe, &mut matched, out)?;
         }
         drop(stream);
@@ -811,7 +801,7 @@ impl Source for HybridJoinSource {
         let Some(pair) = self.join.pair(build, Run(probe), self.build_rows) else {
             return Ok(());
         };
-        let _scope = trace::phase_scope(format!("HHJ reload p{p}"));
+        let _scope = trace::phase_scope(&self.join.ctx, format!("HHJ reload p{p}"));
         self.join.reload(pair, self.child, out)
     }
 }

@@ -190,17 +190,17 @@ impl Engine {
 
     /// Record a worker-timeline trace around `f` when the context asks for
     /// one ([`QueryContext::set_tracing`]); the finished trace is stashed
-    /// for [`Engine::take_trace`]. The tracer records one query at a time:
-    /// if another trace is already active, `f` runs untraced.
+    /// for [`Engine::take_trace`]. The trace rides on this engine's
+    /// context, so every session records its own, side by side.
     fn traced<R>(&self, f: impl FnOnce() -> R) -> R {
-        let tracing = self.ctx.tracing() && trace::begin("query", self.ctx.counters());
-        if tracing {
-            trace::instant(format!("simd path: {}", crate::simd::active().name()));
+        if !self.ctx.tracing() {
+            return f();
         }
+        trace::begin(&self.ctx, "query");
+        let simd = crate::simd::active().name();
+        trace::instant(&self.ctx, format!("simd path: {simd}"));
         let result = f();
-        if tracing {
-            *self.trace_out.lock() = trace::end();
-        }
+        *self.trace_out.lock() = trace::end(&self.ctx);
         result
     }
 

@@ -104,7 +104,7 @@ impl Engine {
             match &err {
                 ExecError::BudgetExceeded { .. } => {
                     self.ctx.note_degradation();
-                    trace::instant(format!("degradation: {step} (memory budget)"));
+                    trace::instant(&self.ctx, format!("degradation: {step} (memory budget)"));
                     degraded = if degraded.is_empty() {
                         step
                     } else {
@@ -112,7 +112,7 @@ impl Engine {
                     };
                 }
                 ExecError::RegimeMismatch { detail } => {
-                    trace::instant(format!("adaptive fallback: {step} ({detail})"));
+                    trace::instant(&self.ctx, format!("adaptive fallback: {step} ({detail})"));
                     fallback = Some(format!("{step}: {detail}"));
                 }
                 _ => return Err(err),
@@ -153,11 +153,10 @@ impl Engine {
         // cannot fit goes straight to the out-of-core hybrid join instead
         // of degrading its way there at runtime.
         model.apply_budget(&mut decision, self.ctx.memory_budget());
-        trace::instant(format!(
-            "adaptive: {} — {}",
-            decision.algo.name(),
-            decision.reason
-        ));
+        trace::instant(
+            &self.ctx,
+            format!("adaptive: {} — {}", decision.algo.name(), decision.reason),
+        );
         decision
     }
 
@@ -190,8 +189,8 @@ impl Engine {
         }
         let label = PipelineLabel::new(name, WaitState::CpuBuild, MemPhase::Build);
         let stats = self.run_breaker(label, &spec, &sink, prof)?;
-        let _span = trace::phase_scope(format!("{name} finalize (hash table)"));
-        let state = sink.finalize_table(usize::MAX, self.executor())?;
+        let _span = trace::phase_scope(&self.ctx, format!("{name} finalize (hash table)"));
+        let state = sink.finalize_table(usize::MAX, self.executor(), &self.ctx)?;
         Ok((state, spec.schema, stats, child))
     }
 
@@ -411,7 +410,7 @@ impl Engine {
             return Ok((spec, id));
         }
 
-        let (build, bloom) = HybridJoin::finish(&build_sink, self.executor(), None, use_bloom)?;
+        let (build, bloom) = build_sink.finalize_on(self.executor(), None, use_bloom)?;
         if let Some(decision) = adaptive {
             self.check_regime(decision, &build)?;
         }
@@ -429,6 +428,7 @@ impl Engine {
                 build.bits1(),
                 bits2,
                 self.adaptive_bloom,
+                Arc::clone(&self.ctx),
             ));
             bloom_op = Some((probe_spec.ops.len(), Arc::clone(&op), bloom_bytes));
             probe_spec = probe_spec.push_op(op, schema);
@@ -447,7 +447,7 @@ impl Engine {
         };
         let probe_stats = self.run_breaker(label, &probe_spec, &probe_sink, prof.as_deref_mut())?;
         drop(probe_spec);
-        let (probe, _) = HybridJoin::finish(&probe_sink, self.executor(), Some(bits2), false)?;
+        let (probe, _) = probe_sink.finalize_on(self.executor(), Some(bits2), false)?;
         let stats = JoinStats::default();
         let source = join.radix_join(build, probe).with_stats(stats.clone());
         let (build, probe) = (source.build(), source.probe());

@@ -55,14 +55,16 @@ pub enum JoinAlgo {
     /// partitioned join falls back to the BHJ at runtime when the first
     /// radix pass contradicts the estimate.
     Adaptive,
-    /// Out-of-core dynamic hybrid hash join ([`crate::hybrid`]): the RJ
+    /// Out-of-core dynamic hybrid hash join ([`crate::hybrid`]): the BHJ
     /// compiled with an eviction — keeps as many pass-1 partitions
-    /// memory-resident as its share of the budget allows, spills the rest
+    /// memory-resident as its share of the budget allows, links them into
+    /// one BHJ table and streams the probe side through it, spills the rest
     /// ([`crate::spill`]), and reloads spilled pairs on the next hash-bit
-    /// window. Without a budget it is the RJ; under one it is correct down
-    /// to its minimum working set. It is the last rung of the degradation
-    /// ladder — the only one that evicts — and so the fallback of last
-    /// resort for every other algorithm.
+    /// window. Without a budget it links one BHJ table built through
+    /// 2^`bits_pass1` pre-partitions and never spills; under one it is
+    /// correct down to its minimum working set. It is the last rung of the
+    /// degradation ladder — the only one that evicts — and so the fallback
+    /// of last resort for every other algorithm.
     Hybrid,
 }
 

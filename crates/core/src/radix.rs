@@ -198,11 +198,12 @@ struct Evictor {
 }
 
 impl Evictor {
-    /// Close `p` as a victim of memory pressure.
-    fn close(&self, p: usize) {
+    /// Close `p` as a victim of memory pressure, marked in the trace of
+    /// the query `ctx` runs.
+    fn close(&self, ctx: &QueryContext, p: usize) {
         if self.cfg.closed.close(p) {
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            trace::instant(format!("HHJ evict: {} p{p} -> disk", self.cfg.tag));
+            trace::instant(ctx, format!("HHJ evict: {} p{p} -> disk", self.cfg.tag));
         }
     }
 }
@@ -508,7 +509,7 @@ impl PartitionSink {
         }
         match (ev.cfg.victim)(&local.held(false)) {
             Some(victim) => {
-                ev.close(victim);
+                ev.close(&self.ctx, victim);
                 self.observe_closures(ev, local)?;
                 Ok(true)
             }
@@ -1029,7 +1030,7 @@ impl PartitionSink {
                 (Err(e @ ExecError::BudgetExceeded { .. }), Some(ev)) => {
                     let resident: Vec<usize> = pre_counts.iter().map(|&n| n * stride).collect();
                     let victim = (ev.cfg.victim)(&resident).ok_or(e)?;
-                    ev.close(victim);
+                    ev.close(&self.ctx, victim);
                     self.evict_resident(ev, victim, &mut worker_arenas, &heaps, &mut pass1_lease)?;
                     pre_counts[victim] = 0;
                 }
@@ -1054,9 +1055,15 @@ impl PartitionSink {
     /// bucket array is leased where pass 2's
     /// contiguous buffer would be, and a refusal — or a table of more than
     /// `cap` bytes, rows and buckets — closes one more victim
-    /// ([`PartitionSink::settle`]). The table is linked on `exec`
-    /// ([`BhjState::link`]). Call [`PartitionSink::take_runs`] after.
-    pub fn finalize_table(&self, cap: usize, exec: &Executor) -> ExecResult<Arc<BhjState>> {
+    /// ([`PartitionSink::settle`]). The table is linked on `exec` under
+    /// `ctx`, the query's context whether or not this sink is charged to
+    /// it ([`BhjState::link`]). Call [`PartitionSink::take_runs`] after.
+    pub fn finalize_table(
+        &self,
+        cap: usize,
+        exec: &Executor,
+        ctx: &Arc<QueryContext>,
+    ) -> ExecResult<Arc<BhjState>> {
         assert!(self.layout.has_header(), "table rows carry a chain header");
         let Settled {
             worker_arenas,
@@ -1065,7 +1072,7 @@ impl PartitionSink {
             mut lease,
             ..
         } = self.settle(cap, |rows| ChainTable::buckets_for(rows) * 8)?;
-        self.ctx.check()?;
+        ctx.check()?;
         // One arena per pass-1 worker, its pre-partitions end to end: the
         // link's and the build-row scan's tasks, as many as the workers.
         let stride = self.layout.stride();
@@ -1081,7 +1088,7 @@ impl PartitionSink {
         let (layout, keys) = (self.layout.clone(), self.key_cols.clone());
         let shift = self.shift + self.cfg.bits_pass1;
         let state = BhjState::new(layout, keys, arenas, heaps, lease, shift);
-        state.link(exec, &self.ctx)
+        state.link(exec, ctx)
     }
 
     /// Write what the finished workers still hold of pre-partition `p` to

@@ -28,6 +28,7 @@ use crate::ht_rh::RobinHoodTable;
 use crate::join_common::{default_column, JoinStats, JoinType, Residual};
 use crate::radix::PartitionedSide;
 use joinstudy_exec::batch::{Batch, BATCH_ROWS};
+use joinstudy_exec::context::QueryContext;
 use joinstudy_exec::error::ExecResult;
 use joinstudy_exec::metrics::{self, MemPhase};
 use joinstudy_exec::pipeline::{Emit, LocalState, Operator, Source};
@@ -434,6 +435,8 @@ pub struct BloomProbeOp {
     /// Whether any worker's adaptive sampling switched the filter off
     /// (reported by EXPLAIN ANALYZE).
     disabled_flag: std::sync::atomic::AtomicBool,
+    /// The query's context, whose trace marks the switch-off.
+    ctx: Arc<QueryContext>,
 }
 
 /// Adaptive switch-off: after this many sampled tuples ...
@@ -455,6 +458,7 @@ impl BloomProbeOp {
         bits1: u32,
         bits2: u32,
         adaptive: bool,
+        ctx: Arc<QueryContext>,
     ) -> BloomProbeOp {
         BloomProbeOp {
             bloom,
@@ -463,6 +467,7 @@ impl BloomProbeOp {
             bits2,
             adaptive,
             disabled_flag: std::sync::atomic::AtomicBool::new(false),
+            ctx,
         }
     }
 
@@ -507,7 +512,7 @@ impl Operator for BloomProbeOp {
             local.disabled = true;
             self.disabled_flag
                 .store(true, std::sync::atomic::Ordering::Relaxed);
-            joinstudy_exec::trace::instant("bloom filter adaptively disabled");
+            joinstudy_exec::trace::instant(&self.ctx, "bloom filter adaptively disabled");
         }
         local.hashes = hashes;
         if sel.len() == n {
@@ -672,7 +677,15 @@ mod tests {
         let build: Vec<(i64, i64)> = (0..1000).map(|k| (k, 0)).collect();
         let (bside, bloom, bits2) = partition_pairs(&build, Some(2), true);
         let bloom = bloom.unwrap();
-        let op = BloomProbeOp::new(bloom.clone(), vec![0], bside.bits1(), bits2, false);
+        let ctx = QueryContext::unbounded();
+        let op = BloomProbeOp::new(
+            bloom.clone(),
+            vec![0],
+            bside.bits1(),
+            bits2,
+            false,
+            ctx.clone(),
+        );
         let mut local = op.create_local();
         let probe_keys: Vec<i64> = (0..10_000).collect();
         let input = Batch::new(vec![ColumnData::Int64(probe_keys)]);
@@ -684,7 +697,7 @@ mod tests {
         assert!(passed < 2000, "bloom too weak: {passed}/10000 passed");
 
         // Adaptive mode disables itself under a 100%-hit workload.
-        let op = BloomProbeOp::new(bloom, vec![0], bside.bits1(), bits2, true);
+        let op = BloomProbeOp::new(bloom, vec![0], bside.bits1(), bits2, true, ctx);
         let mut local = op.create_local();
         for _ in 0..80 {
             let keys: Vec<i64> = (0..1000).collect();

@@ -19,6 +19,7 @@ use joinstudy_core::ht_chain::ChainTable;
 use joinstudy_core::join_common::Residual;
 use joinstudy_core::JoinType;
 use joinstudy_exec::batch::Batch;
+use joinstudy_exec::context::QueryContext;
 use joinstudy_exec::expr::Expr;
 use joinstudy_exec::pipeline::{Operator, Sink, Source};
 use joinstudy_exec::Executor;
@@ -119,7 +120,10 @@ fn build_state(
         sink.consume(&mut local, input.take(&sel)).unwrap();
         sink.finish_local(local).unwrap();
     }
-    let state = sink.finalize_table(usize::MAX, &Executor::new(2)).unwrap();
+    let ctx = QueryContext::unbounded();
+    let state = sink
+        .finalize_table(usize::MAX, &Executor::new(2), &ctx)
+        .unwrap();
     if !tiny {
         return state;
     }

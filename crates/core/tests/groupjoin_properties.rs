@@ -77,3 +77,44 @@ proptest! {
         }
     }
 }
+
+/// A build side past the inline-link threshold on two workers links its
+/// table as a pipeline of its own, run under the query's context: it shows
+/// in the query's trace, the groupjoin's build stays uncharged, and the
+/// rows are those of the untraced run.
+#[test]
+fn groupjoin_link_runs_under_the_query_context() {
+    let n = 160_000i64;
+    let build: Vec<(i64, i64)> = (0..n).map(|k| (k, k)).collect();
+    let probe: Vec<(i64, i64)> = (0..2 * n).map(|i| (i % n, i)).collect();
+    let (bt, pt) = (kv_table(&build), kv_table(&probe));
+    let plan = Plan::scan(&bt, &["k", "v"], None).group_join(
+        Plan::scan(&pt, &["k", "v"], None),
+        &[0],
+        &[0],
+        vec![GroupAggSpec::count("n")],
+    );
+    let engine = Engine::new(2);
+    let rows = |t: &Table| {
+        let mut rows: Vec<Vec<i64>> = (0..t.num_rows())
+            .map(|r| (0..3).map(|c| t.column(c).as_i64()[r]).collect())
+            .collect();
+        rows.sort();
+        rows
+    };
+    let untraced = rows(&engine.run(&plan));
+    assert_eq!(untraced.len(), n as usize);
+    assert!(untraced.iter().all(|r| r[2] == 2), "two probe rows per key");
+
+    engine.ctx.set_tracing(true);
+    let traced = rows(&engine.run(&plan));
+    let trace = engine.take_trace().expect("traced run");
+    assert_eq!(traced, untraced);
+    assert!(
+        trace.pipelines.iter().any(|p| p.label == "hash table link"),
+        "no link pipeline in {:?}",
+        trace.pipelines.iter().map(|p| &p.label).collect::<Vec<_>>()
+    );
+    trace.validate().unwrap();
+    assert_eq!(engine.ctx.used(), 0);
+}

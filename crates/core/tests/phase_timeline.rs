@@ -1,10 +1,9 @@
-//! Every pipeline carries its Figure 10 phase, and the executor puts each
-//! one's start on the byte-accounting timeline: the phases in run order
-//! are the timeline `repro fig10` prints. Its own test binary, because the
-//! timeline is process-wide.
+//! Every pipeline carries its Figure 10 phase, and a traced query's trace
+//! records it on each pipeline span: the phases in run order are the
+//! timeline `repro fig10` prints.
 
 use joinstudy_core::{Engine, JoinAlgo, JoinType, Plan};
-use joinstudy_exec::metrics::{self, MemPhase};
+use joinstudy_exec::metrics::MemPhase;
 use joinstudy_exec::ops::{AggFunc, AggSpec};
 use joinstudy_storage::table::{Schema, Table, TableBuilder};
 use joinstudy_storage::types::{DataType, Value};
@@ -34,15 +33,15 @@ fn sum_plan(algo: JoinAlgo) -> Plan {
         .aggregate(&[], vec![AggSpec::new(AggFunc::Sum, 2, "s")])
 }
 
-/// The phases of the pipelines one run of `plan` started, in run order.
+/// The phases of the pipelines one traced run of `plan` started, in run
+/// order.
 fn phases(plan: &Plan) -> Vec<MemPhase> {
     let engine = Engine::new(2);
     engine.ctx.set_memory_budget(None);
-    metrics::set_enabled(true);
-    metrics::reset();
+    engine.ctx.set_tracing(true);
     engine.run(plan);
-    metrics::set_enabled(false);
-    metrics::timeline().iter().map(|e| e.phase).collect()
+    let trace = engine.take_trace().expect("a traced run leaves its trace");
+    trace.pipelines.iter().map(|p| p.phase).collect()
 }
 
 #[test]

@@ -52,6 +52,10 @@ pub struct QueryContext {
     profiling: AtomicBool,
     /// Whether the engine should record a worker-timeline trace.
     tracing: AtomicBool,
+    /// The trace this query records into while one is being recorded
+    /// ([`crate::trace::begin`] to [`crate::trace::end`]): every pipeline
+    /// run under this context is traced into it.
+    pub(crate) trace: Mutex<Option<Arc<crate::trace::Collector>>>,
     /// Whether workers should sample hardware PMU counters.
     counters: AtomicBool,
     /// Base directory for spill files; `None` means `$JOINSTUDY_SPILL_DIR`
@@ -136,6 +140,7 @@ impl Default for QueryContext {
             high_water: AtomicUsize::new(0),
             profiling: AtomicBool::new(false),
             tracing: AtomicBool::new(false),
+            trace: Mutex::new(None),
             counters: AtomicBool::new(false),
             spill_dir: Mutex::new(None),
             spill_write_bytes: AtomicU64::new(0),

@@ -22,7 +22,8 @@
 //! * **Relational operators** ([`ops`]): scans with predicate pushdown,
 //!   filters, projections, hash aggregation, sorting, late materialization.
 //! * **Byte-accounting instrumentation** ([`metrics`]): per-phase memory
-//!   traffic and the phase timeline for Figure 10, backed by the
+//!   traffic for Figure 10 (its phase bands are a traced run's pipeline
+//!   spans, [`trace`]), backed by the
 //!   named-counter [`registry`] of process-wide totals. It is the portable fallback for, and runs
 //!   alongside, the real hardware counters in [`pmu`]. The phase is the
 //!   pipeline's own: its compiler labels it ([`PipelineLabel::phase`]).
@@ -36,8 +37,9 @@
 //!   time), fed by the morsel loop — the data behind `EXPLAIN ANALYZE`,
 //!   `jsys.query_progress` and ASH alike.
 //! * **Worker-timeline tracing** ([`trace`]): opt-in per-worker span
-//!   buffers (morsels, phases, synthesized idle intervals) exported as
-//!   Chrome/Perfetto `trace_event` JSON.
+//!   buffers (morsels, phases, synthesized idle intervals) collected on the
+//!   query's own context and exported as Chrome/Perfetto `trace_event`
+//!   JSON.
 //! * **Worker pool** ([`pool`]): the one owner of threads — a fixed worker
 //!   team that interleaves morsels from every pipeline submitted to it,
 //!   shared by the server's sessions or private to an [`Executor`].

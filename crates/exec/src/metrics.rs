@@ -9,11 +9,12 @@
 //!
 //! Every materializing primitive (partition scatter, page writes, hash-table
 //! build, scans) reports the bytes it read and wrote, attributed to a
-//! [`MemPhase`]. The executor additionally records a wall-clock timeline:
-//! one event per pipeline start, in that pipeline's phase. From it
-//! `repro fig10` prints per-phase duration, volume and effective bandwidth
-//! exactly in the shape of the paper's plot (build → partition pass 1 →
-//! scan → partition pass 2 → join).
+//! [`MemPhase`]. The wall-clock side is the query's own trace
+//! ([`crate::trace`]): every pipeline span there carries its phase, so
+//! from one pipeline's start to the next is that phase's band. From the
+//! two `repro fig10` prints per-phase duration, volume and effective
+//! bandwidth exactly in the shape of the paper's plot (build → partition
+//! pass 1 → scan → partition pass 2 → join).
 //!
 //! Accounting is global and lock-free (relaxed atomics), off by default, and
 //! recorded at page/batch granularity so enabling it does not distort the
@@ -39,8 +40,7 @@
 
 use crate::registry::{self, Counter};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
 
 /// Execution phases matching the legend of the paper's Figure 10.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -139,24 +139,6 @@ fn handles() -> &'static Handles {
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// One entry of the phase-transition timeline.
-#[derive(Debug, Clone)]
-pub struct TimelineEvent {
-    pub phase: MemPhase,
-    /// Seconds since [`reset`] was called.
-    pub at_secs: f64,
-}
-
-struct Timeline {
-    origin: Option<Instant>,
-    events: Vec<TimelineEvent>,
-}
-
-static TIMELINE: Mutex<Timeline> = Mutex::new(Timeline {
-    origin: None,
-    events: Vec::new(),
-});
-
 /// Turn byte accounting on or off globally.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
@@ -168,17 +150,14 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Zero the byte counters and restart the timeline clock. Source rows and
-/// unrelated registry metrics are untouched (see [`reset_all`]).
+/// Zero the byte counters. Source rows and unrelated registry metrics are
+/// untouched (see [`reset_all`]).
 pub fn reset() {
     let h = handles();
     for (r, w) in &h.phases {
         r.reset();
         w.reset();
     }
-    let mut t = TIMELINE.lock().unwrap();
-    t.origin = Some(Instant::now());
-    t.events.clear();
 }
 
 /// Full reset for test isolation: [`reset`] plus the source-row counter and
@@ -220,19 +199,6 @@ pub fn record_write(phase: MemPhase, bytes: u64) {
     }
 }
 
-/// Record the start of a pipeline in `phase` on the Figure-10 timeline
-/// (the executor calls this for every pipeline). No-op when accounting is
-/// off.
-pub(crate) fn pipeline_started(phase: MemPhase) {
-    if !enabled() {
-        return;
-    }
-    let mut t = TIMELINE.lock().unwrap();
-    let origin = *t.origin.get_or_insert_with(Instant::now);
-    let at_secs = origin.elapsed().as_secs_f64();
-    t.events.push(TimelineEvent { phase, at_secs });
-}
-
 /// Per-phase read/write byte totals since the last [`reset`]. Exact only
 /// post-drain (see the module-level ordering contract).
 pub fn snapshot() -> Vec<(MemPhase, u64, u64)> {
@@ -244,11 +210,6 @@ pub fn snapshot() -> Vec<(MemPhase, u64, u64)> {
             (p, r.get(), w.get())
         })
         .collect()
-}
-
-/// The recorded phase-transition timeline since the last [`reset`].
-pub fn timeline() -> Vec<TimelineEvent> {
-    TIMELINE.lock().unwrap().events.clone()
 }
 
 /// Count `rows` scanned by a pipeline source (the paper's throughput
@@ -278,16 +239,6 @@ mod tests {
         record_read(MemPhase::Build, 100);
         record_write(MemPhase::Build, 50);
         record_write(MemPhase::PartitionPass1, 7);
-        // Pipelines of concurrently running tests add their own events (in
-        // phase `Other`, or `Build`); none starts in these two.
-        pipeline_started(MemPhase::HistogramScan);
-        pipeline_started(MemPhase::PartitionPass2);
-        let ours = |tl: Vec<TimelineEvent>| -> Vec<TimelineEvent> {
-            let fig10 = [MemPhase::HistogramScan, MemPhase::PartitionPass2];
-            tl.into_iter()
-                .filter(|e| fig10.contains(&e.phase))
-                .collect()
-        };
 
         let snap = snapshot();
         let build = snap.iter().find(|(p, _, _)| *p == MemPhase::Build).unwrap();
@@ -297,11 +248,6 @@ mod tests {
             .find(|(p, _, _)| *p == MemPhase::PartitionPass1)
             .unwrap();
         assert_eq!((p1.1, p1.2), (0, 7));
-
-        let tl = ours(timeline());
-        assert_eq!(tl.len(), 2);
-        assert!(tl[0].at_secs <= tl[1].at_secs);
-        assert_eq!(tl[0].phase, MemPhase::HistogramScan);
 
         // The registry sees the same counters under their flat names.
         let reg = crate::registry::global();
@@ -322,7 +268,6 @@ mod tests {
         reset();
         let snap3 = snapshot();
         assert!(snap3.iter().all(|(_, r, w)| *r == 0 && *w == 0));
-        assert!(ours(timeline()).is_empty());
 
         // reset_all additionally clears source rows (reset does not).
         // Parallel tests may scan concurrently, so compare against a large

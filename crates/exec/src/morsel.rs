@@ -23,7 +23,7 @@ use crate::metrics::MemPhase;
 use crate::pipeline::{LocalState, Operator, Sink, Source};
 use crate::profile::{PipelineStats, WorkerProf};
 use crate::progress::WaitState;
-use crate::trace::{self, SpanKind, TraceSpan};
+use crate::trace::{self, Collector, SpanKind, TraceSpan, Track};
 use std::borrow::Cow;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -35,7 +35,7 @@ use std::time::Instant;
 /// expects (0 = no estimate). Goes into the pipeline's [`PipelineStats`];
 /// shows up as the pipeline's name in traces, as label + `est_rows` in
 /// `jsys.query_progress`, as the `cpu_*` state of its ASH samples, and as
-/// the phase of its timeline event and its `pmu.<phase>.*` counts.
+/// the phase of its trace span and its `pmu.<phase>.*` counts.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineLabel<'a> {
     pub name: &'a str,
@@ -150,8 +150,9 @@ pub(crate) struct Pipeline<'a> {
     /// Where every worker's counts end up; `stats.timed` turns the
     /// per-batch clock reads on.
     pub stats: &'a PipelineStats,
-    /// Tracer pipeline id (traced pipelines).
-    pub trace: Option<u32>,
+    /// The collector of the query's trace and this pipeline's id in it
+    /// (traced pipelines).
+    pub trace: Option<(Arc<Collector>, u32)>,
 }
 
 impl Pipeline<'_> {
@@ -166,8 +167,7 @@ impl Pipeline<'_> {
 /// A traced worker's timeline: spans are buffered here without locks and
 /// moved into the collector once, at drain.
 struct TraceTrack {
-    pipe: u32,
-    track: u32,
+    at: Track,
     spans: Vec<TraceSpan>,
 }
 
@@ -193,9 +193,12 @@ impl Worker {
             // One PMU sample per worker per pipeline, folded in at drain;
             // one relaxed load when counters are off.
             hw: crate::pmu::worker_sampler(p.ctx.counters()),
-            trace: p.trace.map(|pipe| TraceTrack {
-                pipe,
-                track,
+            trace: p.trace.as_ref().map(|(col, pipeline)| TraceTrack {
+                at: Track {
+                    col: Arc::clone(col),
+                    pipeline: *pipeline,
+                    track,
+                },
                 spans: trace::take_worker_buffer(),
             }),
         }
@@ -217,10 +220,7 @@ impl Worker {
         }
         // This query is on-CPU in this pipeline's phase for the morsel.
         p.ctx.stamp_wait(p.stats.cpu_state);
-        let _on_track = self
-            .trace
-            .as_ref()
-            .map(|t| trace::worker_scope(t.pipe, t.track));
+        let _on_track = self.trace.as_ref().map(|t| trace::worker_scope(&t.at));
         let timed = p.stats.timed;
         let t0 = trace::now_ns();
         let rows_before = self.counts.source.rows_out;
@@ -250,8 +250,8 @@ impl Worker {
             t.spans.push(TraceSpan {
                 name: Cow::Borrowed("morsel"),
                 kind: SpanKind::Morsel,
-                track: t.track,
-                pipeline: t.pipe,
+                track: t.at.track,
+                pipeline: t.at.pipeline,
                 start_ns: t0,
                 dur_ns: dur,
                 arg: self.counts.source.rows_out - rows_before,
@@ -275,16 +275,13 @@ impl Worker {
     /// timeline.
     pub(crate) fn drain(&mut self, p: &Pipeline<'_>) -> ExecResult {
         p.ctx.stamp_wait(WaitState::Finalizing);
-        let on_track = self
-            .trace
-            .as_ref()
-            .map(|t| trace::worker_scope(t.pipe, t.track));
+        let on_track = self.trace.as_ref().map(|t| trace::worker_scope(&t.at));
         let result = self.flush_and_merge(p);
         drop(on_track);
         self.publish(p);
         crate::pmu::finish_worker(self.hw.take(), &p.stats.hw, p.stats.phase);
         if let Some(t) = self.trace.take() {
-            trace::flush_worker(t.pipe, t.track, t.spans, trace::now_ns());
+            t.at.flush(t.spans, trace::now_ns());
         }
         result
     }
@@ -466,13 +463,10 @@ mod tests {
         ));
         let traced = mode.traced();
         if traced {
-            assert!(
-                trace::begin("morsel-test", false),
-                "no other trace may be active"
-            );
+            trace::begin(ctx, "morsel-test");
         }
         let result = exec.run_pipeline_obs(ctx, source, ops, &sink, &stats);
-        let trace = traced.then(|| trace::end().expect("trace recorded"));
+        let trace = traced.then(|| trace::end(ctx).expect("trace recorded"));
         Outcome {
             result,
             sink,
@@ -500,8 +494,6 @@ mod tests {
 
     #[test]
     fn every_backend_and_observation_mode_runs_the_same_pipeline() {
-        // The tracer is process-global: serialize with its lifecycle test.
-        let _serial = trace::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let backends = [
             Backend::Inline,
             Backend::Private(4),

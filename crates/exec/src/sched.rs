@@ -14,10 +14,10 @@
 //! [`crate::morsel`] — `step` until exhausted, then `drain` — and this
 //! module wraps each run in the same bookkeeping: the counter block is
 //! registered in [`progress::global`] while the pipeline runs, the query's
-//! wait state is stamped, the pipeline's Figure 10 phase starts on the
-//! [`metrics`] timeline and takes the submitting thread's counter delta
-//! since its previous pipeline ([`pmu`]), and a pipeline submitted by the
-//! thread that owns the live trace is traced, whichever back-end runs it.
+//! wait state is stamped, the pipeline's Figure 10 phase takes the
+//! submitting thread's counter delta since its previous pipeline ([`pmu`]),
+//! and a pipeline whose context carries a trace is traced into it, with its
+//! phase, whichever back-end runs it.
 //!
 //! # Failure handling
 //!
@@ -34,7 +34,6 @@
 
 use crate::context::QueryContext;
 use crate::error::ExecResult;
-use crate::metrics;
 use crate::morsel::{Failure, Pipeline, PipelineLabel, Worker};
 use crate::pipeline::{DiscardSink, Emit, Operator, Sink, Source};
 use crate::pmu;
@@ -128,7 +127,6 @@ impl Executor {
         stats: &Arc<PipelineStats>,
     ) -> ExecResult {
         let started = Instant::now();
-        metrics::pipeline_started(stats.phase);
         pmu::control_begin(ctx.counters());
         progress::global().register(Arc::clone(stats));
         // Submitted but no morsel claimed yet; each morsel stamps the CPU
@@ -143,7 +141,10 @@ impl Executor {
             task_count: source.task_count(),
             failure: Failure::new(),
             stats,
-            trace: trace::pipeline_begin(&stats.label),
+            trace: trace::collector(ctx).map(|col| {
+                let id = col.pipeline_begin(&stats.label, stats.phase);
+                (col, id)
+            }),
         };
         let workers = match &self.pool {
             None => {
@@ -154,9 +155,9 @@ impl Executor {
                 .get_or_init(|| WorkerPool::new(self.threads))
                 .run(&pipeline),
         };
-        if let Some(id) = pipeline.trace {
+        if let Some((col, id)) = &pipeline.trace {
             // Closes the pipeline span and synthesizes the idle intervals.
-            trace::pipeline_end(id, trace::now_ns(), self.threads as u32);
+            col.pipeline_end(*id, trace::now_ns(), self.threads as u32);
         }
         pmu::control_end(ctx.counters(), stats.phase);
         stats.record_run(started.elapsed().as_nanos() as u64, workers);

@@ -8,26 +8,31 @@
 //!
 //! # Design
 //!
-//! - A process-global tracer guarded by one relaxed [`enabled`] flag. The
-//!   executor asks once per pipeline run ([`pipeline_begin`]) and, for a
-//!   traced run, registers the pipeline under the label its submitter
-//!   passed and gives every worker of the one morsel loop
-//!   ([`crate::morsel`]) a track — its index in the pool, 0 inline; an
-//!   untraced worker has no track and records no span.
+//! - **The trace belongs to the query.** [`begin`] puts a [`Collector`] on
+//!   the query's [`QueryContext`] and [`end`] takes it off again as a
+//!   [`QueryTrace`]. The executor traces a pipeline if and only if its
+//!   context carries a collector — one check per pipeline run — and then
+//!   registers the pipeline under the label and Figure 10 phase its
+//!   submitter passed and gives every worker of the one morsel loop
+//!   ([`crate::morsel`]) a track: its index in the pool, 0 inline. Two
+//!   queries, pooled or private, record into two collectors.
 //! - **Hot path is lock-free**: each traced worker records spans into a
-//!   reusable `Vec<TraceSpan>` (timestamp pairs only) and flushes it
-//!   into the global collector with a *single* mutex acquisition when it
-//!   drains its pipeline — the "epoch flush": span buffers only migrate at
+//!   reusable `Vec<TraceSpan>` (timestamp pairs only) and flushes it into
+//!   the pipeline's collector with a *single* mutex acquisition when it
+//!   drains the pipeline — the "epoch flush": span buffers only migrate at
 //!   pipeline-drain boundaries, never mid-execution.
 //! - **Cold path goes straight to the collector**: pipeline-breaker
 //!   finalize phases, hybrid reloads and degradation instants happen a
 //!   handful of times per query, so they push under the mutex directly via
 //!   [`phase_scope`] / [`instant`]. (The radix histogram scan, scatter and
-//!   Bloom build are pipelines, traced like any other.) An instant raised
-//!   inside a traced morsel or drain — a hybrid-join eviction, the Bloom
-//!   filter switching itself off — lands on that worker's track: the
-//!   morsel loop marks the thread with a [`worker_scope`], one
+//!   Bloom build are pipelines, traced like any other.) A phase or instant
+//!   raised inside a traced morsel or drain — a pooled hybrid reload, an
+//!   eviction, the Bloom filter switching itself off — lands on that
+//!   worker's track, nested in the morsel: the morsel loop marks the thread
+//!   with a [`worker_scope`] naming the pipeline's collector, one
 //!   thread-local store per traced morsel and none per untraced one.
+//!   Anywhere else, the two helpers find the collector through the query's
+//!   context and record on the control track.
 //! - **Idle spans are synthesized, not measured**: when a worker drains it
 //!   reports its drain timestamp; when the pipeline ends, the gap between
 //!   each worker's drain and the pipeline end becomes an `Idle` span. That
@@ -37,28 +42,12 @@
 //!
 //! Timestamps are nanoseconds from a process-wide monotonic epoch;
 //! [`end`] normalizes them to query-relative time.
-//!
-//! # Scope
-//!
-//! One query is traced at a time: [`begin`] returns `false` while a trace
-//! is active and the caller then runs untraced. The active trace is
-//! additionally *owned* by the thread that called [`begin`]: the collector
-//! carries a generation token and the owning thread holds the matching
-//! thread-local token. [`pipeline_begin`] and the cold-path helpers
-//! ([`phase_scope`], [`instant`]) consult [`thread_active`] instead of the
-//! bare [`enabled`] flag, so only pipelines the owning thread submits are
-//! traced, and a pool worker records spans and instants only while it runs
-//! a morsel of a pipeline it took from a traced submitter. Two traced
-//! queries on different sessions therefore serialize (second [`begin`]
-//! refuses, that query runs untraced), and two *concurrent* queries on one
-//! pool — one traced, one
-//! not — cannot corrupt each other's spans: the untraced query's morsels
-//! are gaps on the traced query's worker tracks.
 
+use crate::context::QueryContext;
+use crate::metrics::MemPhase;
 use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::cell::RefCell;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Track id used for spans recorded off the worker fleet (the coordinating
@@ -74,8 +63,9 @@ pub enum SpanKind {
     /// One morsel (source task) executed by a worker, inclusive of the
     /// downstream operator chain and sink consume.
     Morsel,
-    /// A cold-path phase on the control track: a breaker's serial finalize
-    /// (e.g. a hash table's allocation and inline link), a hybrid reload.
+    /// A cold-path phase: a breaker's serial finalize on the control track
+    /// (e.g. a hash table's allocation and inline link), a hybrid reload
+    /// inside the morsel that runs it.
     Phase,
     /// Synthesized wait interval: a worker drained its pipeline and parked
     /// until the slowest sibling finished (the partition-barrier gap).
@@ -108,9 +98,9 @@ pub struct TraceSpan {
     pub dur_ns: u64,
     /// Kind-specific payload: rows for `Morsel`, 0 otherwise.
     pub arg: u64,
-    /// Hardware-counter delta over this span (phase spans when counter
-    /// sampling is on — see [`crate::pmu`]); boxed so the common no-counter
-    /// span stays small.
+    /// Hardware-counter delta over this span (control-track phase spans
+    /// when counter sampling is on — see [`crate::pmu`]); boxed so the
+    /// common no-counter span stays small.
     pub hw: Option<Box<crate::pmu::CounterValues>>,
 }
 
@@ -127,6 +117,9 @@ pub struct HwSample {
 #[derive(Debug, Clone)]
 pub struct PipelineSpan {
     pub label: String,
+    /// The Figure 10 phase the pipeline runs in (`PipelineLabel::phase`);
+    /// from one pipeline's start to the next is that phase's band.
+    pub phase: MemPhase,
     pub start_ns: u64,
     pub end_ns: u64,
     /// Size of the team it ran on: 1 inline, else the pool's worker count.
@@ -145,42 +138,47 @@ pub struct QueryTrace {
     pub counters: Vec<HwSample>,
 }
 
-struct Collector {
+/// One query's trace while it records: what [`begin`] puts on the query's
+/// context, what the query's traced pipelines and their workers record
+/// into, and what [`end`] turns into a [`QueryTrace`].
+#[derive(Debug)]
+pub struct Collector {
     label: String,
-    /// Generation token of this trace; matches [`ACTIVE_TOKEN`] while the
-    /// trace is live. The thread that called [`begin`] holds the same
-    /// value in [`THREAD_TOKEN`] — that pairing is what scopes a trace to
-    /// one query among concurrent sessions.
-    token: u64,
     start_ns: u64,
-    spans: Vec<TraceSpan>,
-    pipelines: Vec<PipelineSpan>,
-    /// `(pipeline, track, drained_at)` — consumed by [`pipeline_end`] into
-    /// `Idle` spans.
-    drains: Vec<(u32, u32, u64)>,
-    counters: Vec<HwSample>,
     /// Whether the traced query samples hardware counters: the control
     /// track's samples follow it.
     sample_counters: bool,
+    rec: Mutex<Recording>,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static COLLECTOR: Mutex<Option<Collector>> = Mutex::new(None);
+#[derive(Debug, Default)]
+struct Recording {
+    spans: Vec<TraceSpan>,
+    pipelines: Vec<PipelineSpan>,
+    /// `(pipeline, track, drained_at)` — consumed by
+    /// [`Collector::pipeline_end`] into `Idle` spans.
+    drains: Vec<(u32, u32, u64)>,
+    counters: Vec<HwSample>,
+}
+
+/// Where a span raised on a thread is recorded: a collector, and the
+/// pipeline and track inside it.
+#[derive(Debug, Clone)]
+pub(crate) struct Track {
+    pub col: Arc<Collector>,
+    pub pipeline: u32,
+    pub track: u32,
+}
+
 static EPOCH: OnceLock<Instant> = OnceLock::new();
-/// Token of the live trace (0 = none). Monotonic generations, never reused.
-static ACTIVE_TOKEN: AtomicU64 = AtomicU64::new(0);
-static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     /// Reusable worker span buffer (only the capacity is reused; contents
     /// are moved into the collector at flush).
     static WORKER_BUF: RefCell<Vec<TraceSpan>> = const { RefCell::new(Vec::new()) };
-    /// Token of the trace this thread owns (0 = none). Set by [`begin`] on
-    /// the calling thread; checked by every cold-path helper.
-    static THREAD_TOKEN: Cell<u64> = const { Cell::new(0) };
-    /// `(pipeline, track)` of the traced pipeline whose morsel or drain
-    /// this thread is running, while a [`worker_scope`] is open.
-    static WORKER_TRACK: Cell<Option<(u32, u32)>> = const { Cell::new(None) };
+    /// The traced pipeline whose morsel or drain this thread is running,
+    /// while a [`worker_scope`] is open.
+    static WORKER_TRACK: RefCell<Option<Track>> = const { RefCell::new(None) };
 }
 
 /// Nanoseconds since the process trace epoch.
@@ -189,83 +187,43 @@ pub fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// Whether a trace is being recorded. One relaxed load; this is the only
-/// cost tracing adds to an untraced pipeline run.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Whether the *calling thread* owns the live trace: a trace is active and
-/// its token matches this thread's. This — not the bare [`enabled`] flag —
-/// is what [`pipeline_begin`] and the cold-path helpers consult, so
-/// concurrent sessions cannot record into a trace they did not begin.
-#[inline]
-pub fn thread_active() -> bool {
-    if !enabled() {
-        return false;
-    }
-    let t = THREAD_TOKEN.with(|c| c.get());
-    t != 0 && t == ACTIVE_TOKEN.load(Ordering::Relaxed)
-}
-
-/// Start recording a trace owned by the calling thread, with control-track
-/// counter samples when the traced query samples counters
-/// (`QueryContext::counters`). Returns `false` (and records nothing) if a
-/// trace is already active — the caller should then run untraced.
-pub fn begin(label: &str, sample_counters: bool) -> bool {
-    let mut slot = COLLECTOR.lock().unwrap();
-    if slot.is_some() {
-        return false;
-    }
-    let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
-    *slot = Some(Collector {
+/// Start recording a trace of the query `ctx` runs: every pipeline run
+/// under `ctx` from now on is traced, and the control track samples
+/// hardware counters when the query does ([`QueryContext::counters`]).
+/// A trace `ctx` was still carrying is dropped.
+pub fn begin(ctx: &QueryContext, label: &str) {
+    let col = Collector {
         label: label.to_string(),
-        token,
         start_ns: now_ns(),
-        spans: Vec::new(),
-        pipelines: Vec::new(),
-        drains: Vec::new(),
-        counters: Vec::new(),
-        sample_counters,
-    });
-    ACTIVE_TOKEN.store(token, Ordering::Relaxed);
-    THREAD_TOKEN.with(|c| c.set(token));
-    ENABLED.store(true, Ordering::Release);
-    true
+        sample_counters: ctx.counters(),
+        rec: Mutex::default(),
+    };
+    *slot(ctx) = Some(Arc::new(col));
 }
 
-/// Stop recording and return the trace begun by the matching [`begin`].
-/// Must be called from the thread that called [`begin`] (the trace owner);
-/// the engine and the tests satisfy this by construction.
-pub fn end() -> Option<QueryTrace> {
-    let mut slot = COLLECTOR.lock().unwrap();
-    let col = slot.take()?;
-    debug_assert_eq!(
-        THREAD_TOKEN.with(|c| c.get()),
-        col.token,
-        "trace::end() must be called from the thread that called begin()"
-    );
-    ENABLED.store(false, Ordering::Release);
-    ACTIVE_TOKEN.store(0, Ordering::Relaxed);
-    THREAD_TOKEN.with(|c| c.set(0));
+/// Stop recording `ctx`'s trace and return it; `None` if [`begin`] was not
+/// called on `ctx` since the last `end`. Call it once the query's
+/// pipelines have returned.
+pub fn end(ctx: &QueryContext) -> Option<QueryTrace> {
+    let col = slot(ctx).take()?;
     let end_ns = now_ns();
+    let rec = std::mem::take(&mut *col.rec());
     let t0 = col.start_ns;
-    let mut spans = col.spans;
+    let mut spans = rec.spans;
     for s in &mut spans {
         s.start_ns = s.start_ns.saturating_sub(t0);
     }
-    let mut pipelines = col.pipelines;
+    let mut pipelines = rec.pipelines;
     for p in &mut pipelines {
         p.start_ns = p.start_ns.saturating_sub(t0);
         p.end_ns = p.end_ns.saturating_sub(t0);
     }
-    let mut counters = col.counters;
+    let mut counters = rec.counters;
     for c in &mut counters {
         c.at_ns = c.at_ns.saturating_sub(t0);
     }
     Some(QueryTrace {
-        label: col.label,
+        label: col.label.clone(),
         wall_ns: end_ns.saturating_sub(t0),
         spans,
         pipelines,
@@ -273,209 +231,223 @@ pub fn end() -> Option<QueryTrace> {
     })
 }
 
-/// Register a pipeline run under `label` (e.g. "RJ partition (build)")
-/// and return its id for [`pipeline_end`] — if the calling thread owns the
-/// live trace ([`thread_active`]); otherwise `None`, and the pipeline runs
-/// untraced. Called for every pipeline by the executor, which is how a
-/// trace contains exactly its own query's pipelines, whatever pool runs
-/// them.
-pub fn pipeline_begin(label: &str) -> Option<u32> {
-    if !thread_active() {
-        return None;
-    }
-    let start = now_ns();
-    let mut slot = COLLECTOR.lock().unwrap();
-    let col = slot.as_mut()?;
-    let hw = crate::pmu::control_sample(col.sample_counters);
-    let id = col.pipelines.len() as u32;
-    col.pipelines.push(PipelineSpan {
-        label: label.to_string(),
-        start_ns: start,
-        end_ns: start,
-        workers: 0,
-    });
-    if let Some(values) = hw {
-        col.counters.push(HwSample {
-            at_ns: start,
-            values,
-        });
-    }
-    Some(id)
+/// The collector of the trace `ctx` records, if any: the one check the
+/// executor makes per pipeline run.
+pub(crate) fn collector(ctx: &QueryContext) -> Option<Arc<Collector>> {
+    slot(ctx).clone()
 }
 
-/// Close a pipeline span and synthesize `Idle` spans from each worker's
-/// drain timestamp to the pipeline end. Must run after every worker of the
-/// pipeline has flushed (the executor calls it once the run returned).
-/// `workers` is the size of the team the pipeline ran on.
-pub fn pipeline_end(id: u32, end_ns: u64, workers: u32) {
-    let mut slot = COLLECTOR.lock().unwrap();
-    let Some(col) = slot.as_mut() else { return };
-    let hw = crate::pmu::control_sample(col.sample_counters);
-    if let Some(values) = hw {
-        col.counters.push(HwSample {
-            at_ns: end_ns,
-            values,
-        });
+/// `ctx`'s trace slot. Each update sets or takes it whole, so a panic
+/// elsewhere cannot leave it invalid and a poisoned lock is taken as is.
+fn slot(ctx: &QueryContext) -> MutexGuard<'_, Option<Arc<Collector>>> {
+    ctx.trace.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Collector {
+    /// The recording. Each update is whole pushes and takes, so a panic
+    /// elsewhere cannot leave it invalid and a poisoned lock is taken as
+    /// is (a phase guard's drop must not panic).
+    fn rec(&self) -> MutexGuard<'_, Recording> {
+        self.rec.lock().unwrap_or_else(PoisonError::into_inner)
     }
-    let Some(p) = col.pipelines.get_mut(id as usize) else {
-        return;
-    };
-    p.end_ns = end_ns;
-    p.workers = workers;
-    let label = p.label.clone();
-    let mut i = 0;
-    while i < col.drains.len() {
-        if col.drains[i].0 == id {
-            let (_, track, at) = col.drains.swap_remove(i);
-            if end_ns > at {
-                col.spans.push(TraceSpan {
-                    name: Cow::Owned(format!("idle ({label})")),
-                    kind: SpanKind::Idle,
-                    track,
-                    pipeline: id,
-                    start_ns: at,
-                    dur_ns: end_ns - at,
-                    arg: 0,
-                    hw: None,
-                });
-            }
-        } else {
-            i += 1;
+
+    /// Register a pipeline run under `label` (e.g. "RJ partition (build)")
+    /// in `phase` and return its id for [`Collector::pipeline_end`].
+    pub(crate) fn pipeline_begin(&self, label: &str, phase: MemPhase) -> u32 {
+        let start = now_ns();
+        let hw = crate::pmu::control_sample(self.sample_counters);
+        let mut rec = self.rec();
+        let id = rec.pipelines.len() as u32;
+        rec.pipelines.push(PipelineSpan {
+            label: label.to_string(),
+            phase,
+            start_ns: start,
+            end_ns: start,
+            workers: 0,
+        });
+        if let Some(values) = hw {
+            rec.counters.push(HwSample {
+                at_ns: start,
+                values,
+            });
         }
+        id
+    }
+
+    /// Close a pipeline span and synthesize `Idle` spans from each worker's
+    /// drain timestamp to the pipeline end. Must run after every worker of
+    /// the pipeline has flushed (the executor calls it once the run
+    /// returned). `workers` is the size of the team the pipeline ran on.
+    pub(crate) fn pipeline_end(&self, id: u32, end_ns: u64, workers: u32) {
+        let hw = crate::pmu::control_sample(self.sample_counters);
+        let mut rec = self.rec();
+        if let Some(values) = hw {
+            rec.counters.push(HwSample {
+                at_ns: end_ns,
+                values,
+            });
+        }
+        let rec = &mut *rec;
+        let Some(p) = rec.pipelines.get_mut(id as usize) else {
+            return;
+        };
+        p.end_ns = end_ns;
+        p.workers = workers;
+        let label = &p.label;
+        let mut i = 0;
+        while i < rec.drains.len() {
+            if rec.drains[i].0 == id {
+                let (_, track, at) = rec.drains.swap_remove(i);
+                if end_ns > at {
+                    rec.spans.push(TraceSpan {
+                        name: Cow::Owned(format!("idle ({label})")),
+                        kind: SpanKind::Idle,
+                        track,
+                        pipeline: id,
+                        start_ns: at,
+                        dur_ns: end_ns - at,
+                        arg: 0,
+                        hw: None,
+                    });
+                }
+            } else {
+                i += 1;
+            }
+        }
+    }
+}
+
+impl Track {
+    /// Epoch flush: move a drained worker's spans into the collector under
+    /// one lock, record the drain timestamp for idle synthesis, and hand
+    /// the (now empty) buffer back to the thread-local slot.
+    pub(crate) fn flush(&self, mut spans: Vec<TraceSpan>, drained_at: u64) {
+        {
+            let mut rec = self.col.rec();
+            rec.spans.append(&mut spans);
+            rec.drains.push((self.pipeline, self.track, drained_at));
+        }
+        WORKER_BUF.with(|b| *b.borrow_mut() = spans);
     }
 }
 
 /// Take the calling thread's reusable span buffer (empty, capacity kept).
-pub fn take_worker_buffer() -> Vec<TraceSpan> {
+pub(crate) fn take_worker_buffer() -> Vec<TraceSpan> {
     WORKER_BUF.with(|b| std::mem::take(&mut *b.borrow_mut()))
-}
-
-/// Epoch flush: move a drained worker's spans into the collector under one
-/// lock, record the drain timestamp for idle synthesis, and hand the
-/// (now empty) buffer back to the thread-local slot.
-pub fn flush_worker(pipeline: u32, track: u32, mut spans: Vec<TraceSpan>, drained_at: u64) {
-    {
-        let mut slot = COLLECTOR.lock().unwrap();
-        match slot.as_mut() {
-            Some(col) => {
-                col.spans.append(&mut spans);
-                col.drains.push((pipeline, track, drained_at));
-            }
-            None => spans.clear(),
-        }
-    }
-    WORKER_BUF.with(|b| *b.borrow_mut() = spans);
 }
 
 /// Marks the calling thread as a worker of a traced pipeline for as long
 /// as it lives; see [`worker_scope`].
 pub struct WorkerScope {
-    prev: Option<(u32, u32)>,
+    prev: Option<Track>,
 }
 
 impl Drop for WorkerScope {
     fn drop(&mut self) {
-        WORKER_TRACK.with(|c| c.set(self.prev));
+        WORKER_TRACK.with(|c| *c.borrow_mut() = self.prev.take());
     }
 }
 
-/// Open while a worker runs a morsel or the drain of traced pipeline
-/// `pipeline` on `track`: an [`instant`] raised meanwhile lands on that
-/// track. Dropping restores the previous marking, so a nested pipeline run
-/// and an unwinding panic leave the thread as they found it.
-pub fn worker_scope(pipeline: u32, track: u32) -> WorkerScope {
+/// Open while a worker runs a morsel or the drain of a traced pipeline at
+/// `at`: a [`phase_scope`] or [`instant`] raised meanwhile lands on that
+/// track of that pipeline's collector. Dropping restores the previous
+/// marking, so a nested pipeline run and an unwinding panic leave the
+/// thread as they found it.
+pub(crate) fn worker_scope(at: &Track) -> WorkerScope {
     WorkerScope {
-        prev: WORKER_TRACK.with(|c| c.replace(Some((pipeline, track)))),
+        prev: WORKER_TRACK.with(|c| c.replace(Some(at.clone()))),
     }
 }
 
-/// Record a zero-duration event (e.g. an RJ→BHJ budget degradation): on
-/// the worker's track inside a traced morsel or drain ([`worker_scope`]),
-/// on the control track on the thread that owns the trace, and nowhere
-/// else.
-pub fn instant(name: impl Into<Cow<'static, str>>) {
-    if !enabled() {
-        return;
-    }
-    let (pipeline, track) = match WORKER_TRACK.with(Cell::get) {
-        Some(on_worker) => on_worker,
-        None if thread_active() => (NO_PIPELINE, CONTROL_TRACK),
-        None => return,
-    };
-    let now = now_ns();
-    if let Some(col) = COLLECTOR.lock().unwrap().as_mut() {
-        col.spans.push(TraceSpan {
-            name: name.into(),
-            kind: SpanKind::Instant,
-            track,
-            pipeline,
-            start_ns: now,
-            dur_ns: 0,
-            arg: 0,
-            hw: None,
-        });
-    }
+/// Where a cold-path span raised on the calling thread goes: the worker
+/// track of the traced morsel or drain it runs, else the control track of
+/// the trace `ctx` records, else nowhere.
+fn target(ctx: &QueryContext) -> Option<Track> {
+    WORKER_TRACK.with(|c| c.borrow().clone()).or_else(|| {
+        collector(ctx).map(|col| Track {
+            col,
+            pipeline: NO_PIPELINE,
+            track: CONTROL_TRACK,
+        })
+    })
 }
 
-/// RAII guard for a cold-path phase span on the control track. Records on
-/// drop, so early returns and `?` propagation still close the span. When
-/// the traced query samples hardware counters ([`crate::pmu`]) the span
-/// carries the control thread's counter delta over the phase.
+/// Record a zero-duration event (e.g. an RJ→BHJ budget degradation) in the
+/// trace of the query `ctx` runs: on the worker's track inside a traced
+/// morsel or drain ([`worker_scope`]), on the control track elsewhere, and
+/// nowhere when the query is not traced.
+pub fn instant(ctx: &QueryContext, name: impl Into<Cow<'static, str>>) {
+    let Some(at) = target(ctx) else { return };
+    at.col.rec().spans.push(TraceSpan {
+        name: name.into(),
+        kind: SpanKind::Instant,
+        track: at.track,
+        pipeline: at.pipeline,
+        start_ns: now_ns(),
+        dur_ns: 0,
+        arg: 0,
+        hw: None,
+    });
+}
+
+/// RAII guard for a cold-path phase span. Records on drop, so early
+/// returns and `?` propagation still close the span. On the control track,
+/// when the traced query samples hardware counters ([`crate::pmu`]), the
+/// span carries the control thread's counter delta over the phase.
 pub struct PhaseGuard {
-    name: Option<Cow<'static, str>>,
+    open: Option<(Track, Cow<'static, str>)>,
     start_ns: u64,
     hw_start: Option<crate::pmu::CounterValues>,
 }
 
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
-        let Some(name) = self.name.take() else { return };
+        let Some((at, name)) = self.open.take() else {
+            return;
+        };
         let end = now_ns();
         let hw = self.hw_start.take().and_then(|start| {
             let now = crate::pmu::control_sample(true)?;
             Some((now, Box::new(now.delta_since(&start))))
         });
-        if let Some(col) = COLLECTOR.lock().unwrap().as_mut() {
-            let hw_delta = hw.map(|(now, delta)| {
-                col.counters.push(HwSample {
-                    at_ns: end,
-                    values: now,
-                });
-                delta
+        let mut rec = at.col.rec();
+        let hw_delta = hw.map(|(now, delta)| {
+            rec.counters.push(HwSample {
+                at_ns: end,
+                values: now,
             });
-            col.spans.push(TraceSpan {
-                name,
-                kind: SpanKind::Phase,
-                track: CONTROL_TRACK,
-                pipeline: NO_PIPELINE,
-                start_ns: self.start_ns,
-                dur_ns: end.saturating_sub(self.start_ns),
-                arg: 0,
-                hw: hw_delta,
-            });
-        }
+            delta
+        });
+        rec.spans.push(TraceSpan {
+            name,
+            kind: SpanKind::Phase,
+            track: at.track,
+            pipeline: at.pipeline,
+            start_ns: self.start_ns,
+            dur_ns: end.saturating_sub(self.start_ns),
+            arg: 0,
+            hw: hw_delta,
+        });
     }
 }
 
-/// Open a phase span; inert (no clock read, no lock) when tracing is off
-/// or when the calling thread does not own the active trace.
-pub fn phase_scope(name: impl Into<Cow<'static, str>>) -> PhaseGuard {
-    if !thread_active() {
+/// Open a phase span in the trace of the query `ctx` runs, on the track
+/// [`instant`] would use; inert (no clock read, no span) when the query is
+/// not traced.
+pub fn phase_scope(ctx: &QueryContext, name: impl Into<Cow<'static, str>>) -> PhaseGuard {
+    let Some(at) = target(ctx) else {
         return PhaseGuard {
-            name: None,
+            open: None,
             start_ns: 0,
             hw_start: None,
         };
-    }
-    let sample_counters = COLLECTOR
-        .lock()
-        .unwrap()
-        .as_ref()
-        .is_some_and(|col| col.sample_counters);
+    };
+    // Counter samples are the control thread's: a worker's phase has none.
+    let sample = at.track == CONTROL_TRACK && at.col.sample_counters;
     PhaseGuard {
-        name: Some(name.into()),
+        open: Some((at, name.into())),
         start_ns: now_ns(),
-        hw_start: crate::pmu::control_sample(sample_counters),
+        hw_start: crate::pmu::control_sample(sample),
     }
 }
 
@@ -694,25 +666,17 @@ impl QueryTrace {
     }
 }
 
-/// Serializes tests that use the process-global tracer (this module's
-/// lifecycle test and the scheduler's traced-path test share one binary).
-#[cfg(test)]
-pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The tracer is process-global; exercise the whole lifecycle in one test
-    // to avoid cross-test interference under the parallel runner.
     #[test]
     fn lifecycle_spans_pipelines_and_idle_synthesis() {
-        let _serial = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        assert!(begin("t", false));
-        assert!(!begin("nested", false), "second begin must refuse");
-        assert!(enabled());
+        let ctx = QueryContext::unbounded();
+        begin(&ctx, "t");
+        let col = collector(&ctx).expect("begin puts a collector on the context");
 
-        let pid = pipeline_begin("RJ partition (build)").expect("this thread owns the trace");
+        let pid = col.pipeline_begin("RJ partition (build)", MemPhase::Build);
         assert_eq!(pid, 0);
 
         let mut buf = take_worker_buffer();
@@ -728,21 +692,34 @@ mod tests {
             hw: None,
         });
         let drained = t0 + 10;
-        flush_worker(pid, 0, buf, drained);
+        let worker = Track {
+            col: Arc::clone(&col),
+            pipeline: pid,
+            track: 0,
+        };
+        worker.flush(buf, drained);
         std::thread::sleep(std::time::Duration::from_millis(1));
-        pipeline_end(pid, now_ns(), 1);
+        col.pipeline_end(pid, now_ns(), 1);
 
         {
-            let _g = phase_scope("histogram scan");
+            let _g = phase_scope(&ctx, "histogram scan");
         }
-        instant("degradation: RJ -> BHJ");
+        instant(&ctx, "degradation: RJ -> BHJ");
+        {
+            // Inside a traced morsel, a phase and an instant land on the
+            // worker's track.
+            let _on_track = worker_scope(&worker);
+            let _g = phase_scope(&ctx, "HHJ reload p0");
+            instant(&ctx, "HHJ evict: build-0 p1 -> disk");
+        }
 
-        let trace = end().expect("trace recorded");
-        assert!(end().is_none(), "second end returns nothing");
-        assert!(!enabled());
+        let trace = end(&ctx).expect("trace recorded");
+        assert!(end(&ctx).is_none(), "second end returns nothing");
+        assert!(collector(&ctx).is_none(), "end takes the collector off");
 
         assert_eq!(trace.pipelines.len(), 1);
         assert_eq!(trace.pipelines[0].label, "RJ partition (build)");
+        assert_eq!(trace.pipelines[0].phase, MemPhase::Build);
         assert!(trace.pipelines[0].end_ns >= trace.pipelines[0].start_ns);
 
         let kinds: Vec<SpanKind> = trace.spans.iter().map(|s| s.kind).collect();
@@ -757,6 +734,11 @@ mod tests {
             .unwrap();
         assert_eq!(idle.name, "idle (RJ partition (build))");
         assert!(idle.dur_ns >= 900_000, "slept ~1ms before pipeline_end");
+        let track_of = |name: &str| trace.spans.iter().find(|s| s.name == name).unwrap().track;
+        assert_eq!(track_of("histogram scan"), CONTROL_TRACK);
+        assert_eq!(track_of("degradation: RJ -> BHJ"), CONTROL_TRACK);
+        assert_eq!(track_of("HHJ reload p0"), 0);
+        assert_eq!(track_of("HHJ evict: build-0 p1 -> disk"), 0);
 
         trace.validate().expect("invariants hold");
 
@@ -820,12 +802,11 @@ mod tests {
 
     #[test]
     fn disabled_helpers_are_inert() {
-        // No begin() active (other tests hold their own collector; the
-        // helpers must not record into it from this thread's perspective
-        // when they observe enabled() == false at their check).
-        let g = phase_scope("never");
-        drop(g);
-        instant("never");
-        // Nothing to assert beyond "does not panic / deadlock".
+        let ctx = QueryContext::unbounded();
+        drop(phase_scope(&ctx, "never"));
+        instant(&ctx, "never");
+        begin(&ctx, "t");
+        let trace = end(&ctx).unwrap();
+        assert!(trace.spans.is_empty() && trace.pipelines.is_empty());
     }
 }

@@ -4,9 +4,8 @@
 //! per-worker busy + idle time never exceeds the wall time — and tracing
 //! must never change pipeline results.
 //!
-//! The tracer is process-global (one trace at a time), so every test case
-//! holds a file-local lock around the begin/run/end window; proptest cases
-//! within one `#[test]` already run sequentially.
+//! A trace belongs to the query context it was begun on, so the tests of
+//! this binary run side by side, each on contexts of its own.
 
 use joinstudy_exec::batch::Batch;
 use joinstudy_exec::context::QueryContext;
@@ -14,13 +13,10 @@ use joinstudy_exec::error::ExecResult;
 use joinstudy_exec::pipeline::{Emit, LocalState, Operator, Sink, Source};
 use joinstudy_exec::profile::PipelineStats;
 use joinstudy_exec::sched::Executor;
-use joinstudy_exec::trace::{self, SpanKind};
+use joinstudy_exec::trace::{self, QueryTrace, SpanKind};
 use joinstudy_storage::column::ColumnData;
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
-
-/// Serializes trace sessions across the tests in this binary.
-static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Source emitting `tasks` tasks of one two-value i64 batch each.
 struct NumberSource {
@@ -88,16 +84,14 @@ proptest! {
         pipelines in prop::collection::vec((0usize..24, 0usize..3), 1..4),
         with_phase in any::<bool>(),
     ) {
-        let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        prop_assert!(trace::begin("prop query", false));
-
         let exec = Executor::new(threads);
         let ctx = QueryContext::unbounded();
+        trace::begin(&ctx, "prop query");
         let mut sums = Vec::new();
         for (i, &(tasks, dup_ops)) in pipelines.iter().enumerate() {
             if with_phase {
-                let _span = trace::phase_scope("prop phase");
-                trace::instant("prop instant");
+                let _span = trace::phase_scope(&ctx, "prop phase");
+                trace::instant(&ctx, "prop instant");
             }
             let sink = SumSink::default();
             let ops: Vec<Arc<dyn Operator>> =
@@ -110,7 +104,7 @@ proptest! {
             sums.push(*sink.total.lock().unwrap());
         }
 
-        let t = trace::end().expect("active trace");
+        let t = trace::end(&ctx).expect("active trace");
 
         // Tracing must not change results.
         for (i, &(tasks, dup_ops)) in pipelines.iter().enumerate() {
@@ -154,28 +148,66 @@ proptest! {
 /// `end` has nothing to return.
 #[test]
 fn no_trace_without_begin() {
-    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let ctx = QueryContext::unbounded();
     let sink = SumSink::default();
     Executor::new(3)
-        .run_pipeline(
-            &QueryContext::unbounded(),
-            &NumberSource { tasks: 8 },
-            &[],
-            &sink,
-        )
+        .run_pipeline(&ctx, &NumberSource { tasks: 8 }, &[], &sink)
         .unwrap();
     assert_eq!(*sink.total.lock().unwrap(), expected_sum(8, 0));
-    assert!(trace::end().is_none());
+    assert!(trace::end(&ctx).is_none());
 }
 
-/// Only one trace can be active: a nested `begin` is refused and the outer
-/// trace keeps collecting.
+/// Two collectors record independently: queries traced at the same time
+/// on one executor each get exactly their own pipelines, and ending one
+/// trace leaves the other recording.
 #[test]
-fn concurrent_begin_refused() {
-    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    assert!(trace::begin("outer", false));
-    assert!(!trace::begin("inner", false));
-    let t = trace::end().expect("outer trace still active");
-    assert_eq!(t.label, "outer");
-    assert!(trace::end().is_none());
+fn two_collectors_record_independently() {
+    let exec = Executor::new(3);
+    let (outer, inner) = (QueryContext::unbounded(), QueryContext::unbounded());
+    trace::begin(&outer, "outer");
+    trace::begin(&inner, "inner");
+    let run = |ctx: &Arc<QueryContext>, label: &str, tasks: usize| {
+        let stats = Arc::new(PipelineStats::new(
+            ctx,
+            label.into(),
+            0,
+            tasks as u64,
+            false,
+        ));
+        let sink = SumSink::default();
+        exec.run_pipeline_obs(ctx, &NumberSource { tasks }, &[], &sink, &stats)
+            .unwrap();
+        trace::instant(ctx, format!("{label} done"));
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| run(&outer, "outer pipeline", 12));
+        s.spawn(|| run(&inner, "inner pipeline", 5));
+    });
+    let t = trace::end(&inner).expect("inner trace active");
+    run(&outer, "outer pipeline", 3);
+    let u = trace::end(&outer).expect("outer trace still active");
+    assert!(trace::end(&outer).is_none() && trace::end(&inner).is_none());
+
+    assert_eq!(t.label, "inner");
+    assert_eq!(u.label, "outer");
+    let labels =
+        |t: &QueryTrace| -> Vec<String> { t.pipelines.iter().map(|p| p.label.clone()).collect() };
+    assert_eq!(labels(&t), ["inner pipeline"]);
+    assert_eq!(labels(&u), ["outer pipeline", "outer pipeline"]);
+    let morsels = |t: &QueryTrace| {
+        t.spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Morsel)
+            .count()
+    };
+    assert_eq!(morsels(&t), 5);
+    assert_eq!(morsels(&u), 15);
+    let instants = |t: &QueryTrace| -> Vec<String> {
+        let instants = t.spans.iter().filter(|s| s.kind == SpanKind::Instant);
+        instants.map(|s| s.name.to_string()).collect()
+    };
+    assert_eq!(instants(&t), ["inner pipeline done"]);
+    assert_eq!(instants(&u), ["outer pipeline done", "outer pipeline done"]);
+    t.validate().unwrap();
+    u.validate().unwrap();
 }

@@ -4,7 +4,9 @@
 //! nest, fit in the wall clock, busy + idle <= wall per worker), and the
 //! traces must tell the paper's story — the RJ/BRJ timelines contain the
 //! radix partition phases and partition-barrier idle spans that the
-//! non-partitioned BHJ timeline does not have.
+//! non-partitioned BHJ timeline does not have. A trace belongs to its
+//! session's query, so the tests run side by side and two sessions on one
+//! pool trace at the same time.
 
 use joinstudy_core::{Engine, JoinAlgo};
 use joinstudy_exec::trace::{QueryTrace, SpanKind, CONTROL_TRACK};
@@ -13,11 +15,7 @@ use joinstudy_storage::table::Table;
 use joinstudy_tpch::queries::{all_queries, QueryConfig, TpchQuery};
 use joinstudy_tpch::{generate, TpchData};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// The tracer is process-global (one trace at a time), so tests that
-/// enable it serialize here.
-static TRACE_LOCK: Mutex<()> = Mutex::new(());
+use std::sync::{Arc, Barrier, OnceLock};
 
 fn data() -> &'static TpchData {
     static DATA: OnceLock<TpchData> = OnceLock::new();
@@ -58,7 +56,6 @@ fn run_traced(engine: &Engine, algo: JoinAlgo) -> (Vec<String>, QueryTrace) {
 
 #[test]
 fn q3_results_identical_with_tracing_on_and_off() {
-    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let engine = Engine::new(4);
     let mut reference: Option<Vec<String>> = None;
     for algo in [JoinAlgo::Bhj, JoinAlgo::Rj, JoinAlgo::Brj] {
@@ -89,7 +86,6 @@ fn q3_results_identical_with_tracing_on_and_off() {
 
 #[test]
 fn rj_trace_shows_partition_work_absent_from_bhj() {
-    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let engine = Engine::new(4);
     let (_, bhj) = run_traced(&engine, JoinAlgo::Bhj);
     let (_, rj) = run_traced(&engine, JoinAlgo::Rj);
@@ -159,7 +155,6 @@ fn shape(t: &QueryTrace) -> Vec<(String, usize)> {
 
 #[test]
 fn q3_traced_on_a_shared_pool_beside_an_untraced_session() {
-    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let pool = WorkerPool::new(2);
     let session = || {
         let mut engine = Engine::new(1);
@@ -226,12 +221,11 @@ fn q3_traced_on_a_shared_pool_beside_an_untraced_session() {
     assert_eq!(shape(&trace), shape(&alone));
 }
 
-/// An instant raised on a pool worker — here the hybrid join closing a
-/// partition out to disk inside a morsel — lands on that worker's track,
-/// and recording it changes no row.
+/// An instant or phase raised on a pool worker — here the hybrid join
+/// closing a partition out to disk, and reloading a closed pair, inside a
+/// morsel — lands on that worker's track, and recording it changes no row.
 #[test]
 fn hybrid_evictions_on_pool_workers_reach_the_trace() {
-    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut engine = Engine::new(1);
     engine.set_worker_pool(Some(WorkerPool::new(2)));
     // Q3's hybrid joins cannot keep their build sides under 256 KiB.
@@ -257,4 +251,66 @@ fn hybrid_evictions_on_pool_workers_reach_the_trace() {
             .any(|s| s.track < 2 && (s.pipeline as usize) < trace.pipelines.len()),
         "no HHJ eviction on a worker track: {evictions:?}"
     );
+    let reloads: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Phase && s.name.starts_with("HHJ reload p"))
+        .collect();
+    assert!(
+        reloads
+            .iter()
+            .any(|s| s.track < 2 && (s.pipeline as usize) < trace.pipelines.len()),
+        "no HHJ reload phase on a worker track: {reloads:?}"
+    );
+}
+
+/// Pipeline labels of a trace as a multiset (sorted).
+fn labels(t: &QueryTrace) -> Vec<String> {
+    let mut labels: Vec<String> = t.pipelines.iter().map(|p| p.label.clone()).collect();
+    labels.sort();
+    labels
+}
+
+/// Two sessions on one pool trace Q3 at the same time, started together
+/// round after round: each trace validates and holds exactly the
+/// pipelines its own query runs alone, and tracing changes no row.
+#[test]
+fn two_traced_sessions_on_one_pool() {
+    let pool = WorkerPool::new(2);
+    let sessions = [JoinAlgo::Rj, JoinAlgo::Brj].map(|algo| {
+        let mut engine = Engine::new(1);
+        engine.set_worker_pool(Some(Arc::clone(&pool)));
+        let untraced = canonical(&(q3().run)(data(), &QueryConfig::new(algo), &engine));
+        let (_, alone) = run_traced(&engine, algo);
+        (engine, algo, untraced, labels(&alone))
+    });
+    // The rounds only record; the checks follow the scope, so a session
+    // that fails cannot leave the other waiting at the barrier.
+    let barrier = Barrier::new(sessions.len());
+    let runs = std::thread::scope(|scope| {
+        let handles = sessions.each_ref().map(|(engine, algo, _, _)| {
+            let barrier = &barrier;
+            scope.spawn(move || {
+                (0..4)
+                    .map(|_| {
+                        barrier.wait();
+                        engine.ctx.set_tracing(true);
+                        let rows = (q3().run)(data(), &QueryConfig::new(*algo), engine);
+                        (canonical(&rows), engine.take_trace())
+                    })
+                    .collect::<Vec<_>>()
+            })
+        });
+        handles.map(|h| h.join().expect("session thread"))
+    });
+    for ((_, algo, untraced, alone), rounds) in sessions.iter().zip(runs) {
+        for (round, (rows, trace)) in rounds.into_iter().enumerate() {
+            assert_eq!(&rows, untraced, "{algo:?} round {round}: rows changed");
+            let trace = trace.unwrap_or_else(|| panic!("{algo:?} round {round}: no trace"));
+            trace
+                .validate()
+                .unwrap_or_else(|e| panic!("{algo:?} round {round}: {e}"));
+            assert_eq!(&labels(&trace), alone, "{algo:?} round {round}");
+        }
+    }
 }
