@@ -144,6 +144,7 @@ pub fn adaptive(r: &mut Report, p: &Params) {
     t.header(r);
     let (mut joins, mut missed, mut selector) = (0, Vec::new(), [0; 3]);
     for q in queries(p) {
+        let mut profile = None;
         let run = |algo| {
             let cfg = QueryConfig::new(algo);
             // The adaptive warm-up is profiled: its Join nodes record what
@@ -151,10 +152,11 @@ pub fn adaptive(r: &mut Report, p: &Params) {
             e.ctx.set_profiling(algo == Adaptive);
             let _ = (q.run)(&data, &cfg, &e); // warm-up
             e.ctx.set_profiling(false);
+            profile = profile.take().or_else(|| e.take_profile());
             run_ms(&q, &data, &cfg, &e, reps)
         };
         let [bhj, rj, brj, adpt] = [Bhj, Rj, Brj, Adaptive].map(run);
-        let profile = e.take_profile().expect("a profiled adaptive run");
+        let profile = profile.expect("a profiled adaptive run");
         for (total, n) in selector.iter_mut().zip(selector_counts(&profile)) {
             *total += n;
         }

@@ -315,16 +315,17 @@ pub fn fig10(r: &mut Report, p: &Params) {
     pmu::set_enabled(hw && p.host.pmu);
     let plan = sum_plan(&m, Rj, 1, false);
     let e = engine(threads, false);
-    e.ctx.set_tracing(true);
     let total_secs = accounted_run(&e, &plan);
     pmu::set_enabled(false);
 
     // Phase bands (phase, start, end): from one pipeline's start in the
-    // accounted run's trace to the next.
-    let trace = e.take_trace().expect("the accounted run is traced");
-    let starts = trace.pipelines.iter().map(|p| p.start_ns as f64 / 1e9);
+    // accounted run's record to the next.
+    let record = e
+        .take_record()
+        .expect("the accounted run leaves its record");
+    let starts = record.pipelines().map(|(s, _)| s.start_ns as f64 / 1e9);
     let ends = starts.clone().skip(1).chain([total_secs]);
-    let phases = trace.pipelines.iter().map(|p| p.phase);
+    let phases = record.pipelines().map(|(_, p)| p.phase);
     let bands: Vec<_> = phases.zip(starts.zip(ends)).collect();
 
     let total_ms = r.m(format!("{:.1}", total_secs * 1e3));

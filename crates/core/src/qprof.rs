@@ -60,10 +60,6 @@ pub(crate) struct ProfCtx {
     /// Stages of the pipeline currently being composed, waiting for their
     /// breaker: `(node id, slot)` pairs.
     pending: Vec<(usize, Slot)>,
-    /// The block of every pipeline run so far, in run order. Not rolled
-    /// back by [`ProfCtx::restore`]: an abandoned compile's pipelines still
-    /// spent the query's wall time.
-    pub runs: Vec<Arc<PipelineStats>>,
     /// Main blocks with continuations: each continuation's block and entry.
     continued: Vec<(Arc<PipelineStats>, Continued)>,
 }
@@ -110,9 +106,6 @@ impl ProfCtx {
     /// The breaker ran: bind every pending stage to the run's block, and
     /// to the blocks of its `continued` runs.
     pub fn bind_pending(&mut self, stats: &Arc<PipelineStats>, continued: Continued) {
-        self.runs.push(Arc::clone(stats));
-        self.runs
-            .extend(continued.iter().map(|(c, _)| Arc::clone(c)));
         let sources: Vec<_> = continued.iter().map(|(c, _)| Arc::clone(c)).collect();
         if !continued.is_empty() {
             self.continued.push((Arc::clone(stats), continued));

@@ -17,10 +17,11 @@
 //! usage counter while keeping the configured budget and timeout.
 
 use crate::error::{ExecError, ExecResult};
-use crate::progress::WaitState;
+use crate::profile::PipelineStats;
+use crate::progress::{QueryRecord, Recorder, WaitState};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Sentinel for "no deadline armed".
@@ -52,10 +53,9 @@ pub struct QueryContext {
     profiling: AtomicBool,
     /// Whether the engine should record a worker-timeline trace.
     tracing: AtomicBool,
-    /// The trace this query records into while one is being recorded
-    /// ([`crate::trace::begin`] to [`crate::trace::end`]): every pipeline
-    /// run under this context is traced into it.
-    pub(crate) trace: Mutex<Option<Arc<crate::trace::Collector>>>,
+    /// The record of the current query ([`crate::progress`]), and the trace
+    /// it records into ([`crate::trace::begin`] to [`crate::trace::end`]).
+    record: Mutex<Recorder>,
     /// Whether workers should sample hardware PMU counters.
     counters: AtomicBool,
     /// Base directory for spill files; `None` means `$JOINSTUDY_SPILL_DIR`
@@ -95,9 +95,6 @@ pub struct QueryContext {
     wait_state: AtomicU64,
     /// Process-wide serial of the execution this context is armed for.
     query_id: AtomicU64,
-    /// Connection id of the owning session (0 when embedded). Persists
-    /// across [`QueryContext::arm`] like the budget.
-    conn_id: AtomicU64,
     /// Nanoseconds spent inside spill-file reads/writes since the last
     /// [`QueryContext::arm`].
     spill_io_ns: AtomicU64,
@@ -140,7 +137,7 @@ impl Default for QueryContext {
             high_water: AtomicUsize::new(0),
             profiling: AtomicBool::new(false),
             tracing: AtomicBool::new(false),
-            trace: Mutex::new(None),
+            record: Mutex::default(),
             counters: AtomicBool::new(false),
             spill_dir: Mutex::new(None),
             spill_write_bytes: AtomicU64::new(0),
@@ -155,7 +152,6 @@ impl Default for QueryContext {
             join_algos: AtomicU64::new(0),
             wait_state: AtomicU64::new(WaitState::Other.as_u64()),
             query_id: AtomicU64::new(0),
-            conn_id: AtomicU64::new(0),
             spill_io_ns: AtomicU64::new(0),
         }
     }
@@ -387,17 +383,6 @@ impl QueryContext {
         self.query_id.load(Ordering::Relaxed)
     }
 
-    /// Tag this context with its owning connection id. Set once by the
-    /// session; persists across [`QueryContext::arm`].
-    pub fn set_conn_id(&self, conn: u64) {
-        self.conn_id.store(conn, Ordering::Relaxed);
-    }
-
-    /// Connection id of the owning session (0 when embedded).
-    pub fn conn_id(&self) -> u64 {
-        self.conn_id.load(Ordering::Relaxed)
-    }
-
     /// Account `ns` spent inside spill-file I/O against this query.
     #[inline]
     pub fn add_spill_io_ns(&self, ns: u64) {
@@ -410,9 +395,32 @@ impl QueryContext {
         self.spill_io_ns.load(Ordering::Relaxed)
     }
 
+    /// The query's record. Each update leaves it whole, so a poisoned lock
+    /// is taken as is.
+    pub(crate) fn record(&self) -> MutexGuard<'_, Recorder> {
+        self.record.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A session is about to parse the statement the next `arm` runs: its
+    /// record then starts with the admission wait and parse/plan.
+    pub fn open_statement(&self) {
+        self.record().statement_ns = Some(crate::trace::now_ns());
+    }
+
+    /// The block of the pipeline this query runs now, if any.
+    pub fn running_pipeline(&self) -> Option<Arc<PipelineStats>> {
+        self.record().running()
+    }
+
+    /// End the current query's record and return it, without profile or
+    /// trace (the engine calls it after the query's last pipeline).
+    pub fn close_record(&self) -> QueryRecord {
+        self.record().close()
+    }
+
     /// Re-arm the context for a fresh query: clears the cancel flag, the
-    /// usage counter, the high-water mark, the spill counters, and the
-    /// per-query degradation/join-shape telemetry; re-starts the timeout
+    /// usage counter, the high-water mark, the spill counters, the record
+    /// and the per-query degradation/join-shape telemetry; re-starts the timeout
     /// clock if a timeout is configured. Budget, timeout, spill-directory,
     /// and admission-outcome settings persist (admission runs *before* the
     /// engine arms the context).
@@ -430,6 +438,8 @@ impl QueryContext {
         self.join_algos.store(0, Ordering::Relaxed);
         self.spill_io_ns.store(0, Ordering::Relaxed);
         self.stamp_wait(WaitState::Other);
+        let counters = self.counters() || crate::pmu::enabled();
+        self.record().arm(self.admission_wait_ns(), counters);
         self.query_id.store(
             NEXT_QUERY_ID.fetch_add(1, Ordering::Relaxed),
             Ordering::Relaxed,
@@ -668,16 +678,14 @@ mod tests {
         assert_eq!(ctx.wait_state(), WaitState::Other);
         ctx.stamp_wait(WaitState::SpillIo);
         ctx.add_spill_io_ns(200);
-        ctx.set_conn_id(7);
         assert_eq!(ctx.wait_state(), WaitState::SpillIo);
         assert_eq!(ctx.spill_io_ns(), 200);
         let before = ctx.query_id();
         ctx.arm();
-        // Per-query readings clear, the conn tag persists, and each arm
-        // takes a fresh process-wide query id.
+        // Per-query readings clear, and each arm takes a fresh
+        // process-wide query id.
         assert_eq!(ctx.wait_state(), WaitState::Other);
         assert_eq!(ctx.spill_io_ns(), 0);
-        assert_eq!(ctx.conn_id(), 7);
         assert!(ctx.query_id() > before);
     }
 

@@ -79,7 +79,7 @@ pub use pipeline::{Operator, Sink, Source, StreamSpec};
 pub use pmu::{CounterGroup, CounterKind, CounterValues, HwSlot};
 pub use pool::WorkerPool;
 pub use profile::{DetailValue, PipelineStats, ProfileNode, QueryProfile, StageStats, WorkerProf};
-pub use progress::{ProgressRegistry, WaitState};
+pub use progress::{QueryRecord, Segment, SegmentKind, WaitState};
 pub use registry::{Counter, Histogram, MetricsRegistry};
 pub use sched::Executor;
 pub use trace::{QueryTrace, SpanKind, TraceSpan};

@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Execution phases matching the legend of the paper's Figure 10.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MemPhase {
     /// Build-side pipeline (scan + partition of the build input).
     Build,
@@ -59,6 +59,7 @@ pub enum MemPhase {
     /// eviction writes and the restore/probe reads after the in-memory pass.
     Spill,
     /// Non-partitioned probe phase (BHJ) and everything else.
+    #[default]
     Other,
 }
 
@@ -174,7 +175,7 @@ pub fn reset() {
 /// asserts that no pooled pipeline is in flight.
 pub fn reset_all() {
     debug_assert_eq!(
-        crate::progress::global().len(),
+        crate::progress::RUNNING.load(Ordering::Relaxed),
         0,
         "metrics::reset_all() while queries are executing on a shared \
          worker pool — it would corrupt their counters"

@@ -11,10 +11,12 @@
 //! Observation is data, not a second code path. A [`Worker`] keeps its
 //! row/batch/morsel counts in a private [`WorkerProf`] (plain integer adds)
 //! and publishes them into the pipeline's one [`PipelineStats`] block after
-//! every morsel, so the block is readable mid-flight through
-//! [`crate::progress::global`]; each morsel reads the clock twice and
+//! every morsel, so the block is readable mid-flight through the query's
+//! record ([`crate::progress`]); each morsel reads the clock twice and
 //! stamps the query's wait state around itself. A `timed` block adds clock
-//! reads per batch, and a traced pipeline gives each worker a track.
+//! reads per batch, a traced pipeline gives each worker a track, and with
+//! counters on each step and the drain read the worker's counter group
+//! before and after ([`crate::pmu`]).
 
 use crate::batch::Batch;
 use crate::context::QueryContext;
@@ -190,8 +192,9 @@ impl Worker {
             op_locals: p.ops.iter().map(|o| o.create_local()).collect(),
             sink_local: Some(p.sink.create_local()),
             counts: WorkerProf::new(p.ops.len()),
-            // One PMU sample per worker per pipeline, folded in at drain;
-            // one relaxed load when counters are off.
+            // One PMU sample per worker per pipeline, read around each
+            // step and folded in at drain; one relaxed load when counters
+            // are off.
             hw: crate::pmu::worker_sampler(p.ctx.counters()),
             trace: p.trace.as_ref().map(|(col, pipeline)| TraceTrack {
                 at: Track {
@@ -220,6 +223,7 @@ impl Worker {
         }
         // This query is on-CPU in this pipeline's phase for the morsel.
         p.ctx.stamp_wait(p.stats.cpu_state);
+        let hw = self.hw.as_ref().map(crate::pmu::WorkerSampler::start);
         let _on_track = self.trace.as_ref().map(|t| trace::worker_scope(&t.at));
         let timed = p.stats.timed;
         let t0 = trace::now_ns();
@@ -255,8 +259,10 @@ impl Worker {
                 start_ns: t0,
                 dur_ns: dur,
                 arg: self.counts.source.rows_out - rows_before,
-                hw: None,
             });
+        }
+        if let (Some(s), Some(start)) = (&mut self.hw, &hw) {
+            s.stop(start);
         }
         // Until the next claim this query waits for a worker.
         p.ctx.stamp_wait(WaitState::PoolWait);
@@ -275,9 +281,13 @@ impl Worker {
     /// timeline.
     pub(crate) fn drain(&mut self, p: &Pipeline<'_>) -> ExecResult {
         p.ctx.stamp_wait(WaitState::Finalizing);
+        let hw = self.hw.as_ref().map(crate::pmu::WorkerSampler::start);
         let on_track = self.trace.as_ref().map(|t| trace::worker_scope(&t.at));
         let result = self.flush_and_merge(p);
         drop(on_track);
+        if let (Some(s), Some(start)) = (&mut self.hw, &hw) {
+            s.stop(start);
+        }
         self.publish(p);
         crate::pmu::finish_worker(self.hw.take(), &p.stats.hw, p.stats.phase);
         if let Some(t) = self.trace.take() {
@@ -557,7 +567,7 @@ mod tests {
                     assert_eq!(morsels.iter().map(|s| s.arg).sum::<u64>(), 40, "{case}");
                     assert_eq!(t.pipelines.len(), 1, "{case}");
                     assert_eq!(t.pipelines[0].label, "test pipeline", "{case}");
-                    assert_eq!(t.pipelines[0].workers as usize, backend.threads());
+                    assert_eq!(u64::from(t.pipelines[0].workers), o.stats.workers());
                     t.validate().expect("trace invariants");
                 }
 
@@ -643,7 +653,7 @@ mod tests {
                     ctx.arm();
                     let source = WatchingSource {
                         inner: NumberSource { tasks: 12 },
-                        query_id: ctx.query_id(),
+                        ctx: Arc::clone(&ctx),
                         seen: Mutex::new(Vec::new()),
                     };
                     let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(DupOp)];

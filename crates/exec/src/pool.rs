@@ -269,7 +269,6 @@ impl Drop for WorkerPool {
 }
 
 fn worker_loop(inner: Arc<PoolInner>, track: u32) {
-    crate::pmu::pool_thread();
     // Per-(worker, pipeline) state — exactly what an inline run keeps on
     // its stack for the duration of a pipeline.
     let mut held: HashMap<u64, (Arc<ActivePipeline>, Worker)> = HashMap::new();
@@ -428,7 +427,7 @@ mod tests {
         ctx.arm();
         let source = WatchingSource {
             inner: NumberSource { tasks: 6 },
-            query_id: ctx.query_id(),
+            ctx: Arc::clone(&ctx),
             seen: Mutex::new(Vec::new()),
         };
         let ops: Vec<Arc<dyn Operator>> = vec![Arc::new(DupOp)];

@@ -9,17 +9,17 @@
 //! # One block per pipeline run, three readers
 //!
 //! * Whoever submits a pipeline creates one [`PipelineStats`]: identity
-//!   (query, connection, label, planner estimate, task count) plus one
+//!   (query, label, planner estimate, task count) plus one
 //!   [`StageStats`] per stage (source, each fused operator, sink). The
 //!   slots are relaxed atomics.
 //! * Workers never touch the shared slots while streaming: the one morsel
 //!   loop ([`crate::morsel`]) counts into a plain-integer [`WorkerProf`]
 //!   and adds it into the block ([`PipelineStats::add`], the only writer)
-//!   when the worker drains — or after every morsel on the shared pool,
-//!   which also registers the block in [`crate::progress::global`].
+//!   after every morsel and when the worker drains.
 //! * The readers all load the same atomics: EXPLAIN ANALYZE sums the slots
 //!   into [`ProfileNode`]s after the query, `jsys.query_progress` and the
-//!   ASH sampler read a registered block while its pipeline runs, and the
+//!   ASH sampler read the block off its query's record
+//!   ([`crate::progress`]) while its pipeline runs, and the
 //!   perf ledger folds finished profiles by operator kind. Mid-flight the
 //!   values trail the workers by at most a morsel; they are exact once the
 //!   pipeline has retired.
@@ -40,7 +40,7 @@ use crate::morsel::PipelineLabel;
 use crate::progress::WaitState;
 use crate::registry::json_string;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// Shared counters of one pipeline stage. Relaxed atomics, written only by
 /// [`PipelineStats::add`].
@@ -99,8 +99,6 @@ impl StageStats {
 pub struct PipelineStats {
     /// Process-wide query serial (see `QueryContext::query_id`).
     pub query_id: u64,
-    /// Connection id of the owning session (0 when embedded).
-    pub conn: u64,
     /// Pipeline label, e.g. `"BHJ probe"`; `"pipeline"` when unlabeled.
     pub label: String,
     /// CPU wait state the pool stamps while a worker runs this pipeline's
@@ -125,9 +123,6 @@ pub struct PipelineStats {
     pub hw: crate::pmu::HwSlot,
     wall_ns: AtomicU64,
     workers: AtomicU64,
-    /// Owning query context, for live spill readings. Weak so a lingering
-    /// reader cannot keep a session's context alive.
-    ctx: Weak<QueryContext>,
 }
 
 impl PipelineStats {
@@ -140,7 +135,6 @@ impl PipelineStats {
     ) -> PipelineStats {
         PipelineStats {
             query_id: ctx.query_id(),
-            conn: ctx.conn_id(),
             label: label.name.to_string(),
             cpu_state: label.cpu,
             phase: label.phase,
@@ -150,10 +144,9 @@ impl PipelineStats {
             source: StageStats::default(),
             ops: (0..num_ops).map(|_| StageStats::default()).collect(),
             sink: StageStats::default(),
-            hw: crate::pmu::HwSlot::new(),
+            hw: crate::pmu::HwSlot::default(),
             wall_ns: AtomicU64::new(0),
             workers: AtomicU64::new(0),
-            ctx: Arc::downgrade(ctx),
         }
     }
 
@@ -208,12 +201,6 @@ impl PipelineStats {
         } else {
             1.0
         }
-    }
-
-    /// Spill bytes (write + read) of the owning query so far; 0 once the
-    /// session dropped its context.
-    pub fn spill_bytes(&self) -> u64 {
-        self.ctx.upgrade().map_or(0, |c| c.spill_bytes())
     }
 }
 
@@ -515,13 +502,12 @@ fn json_f64(f: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::progress::ProgressRegistry;
 
     /// The one writer and both kinds of read: a worker record is added into
-    /// the block, and the same block is what a registry reader sees live.
+    /// the block, and the same block is what a live reader finds in the
+    /// query's record.
     #[test]
-    fn worker_prof_adds_into_the_block_the_registry_serves() {
-        let reg = ProgressRegistry::default();
+    fn worker_prof_adds_into_the_block_the_record_serves() {
         let ctx = QueryContext::unbounded();
         ctx.arm();
         let label = PipelineLabel {
@@ -531,7 +517,7 @@ mod tests {
             est_rows: 200,
         };
         let stats = Arc::new(PipelineStats::new(&ctx, label, 2, 8, true));
-        reg.register(Arc::clone(&stats));
+        let (at, _) = ctx.record().pipeline_begin(&stats);
         let mut w = WorkerProf::new(2);
         let slot = |morsels, rows_in, rows_out, busy_ns| LocalSlot {
             morsels,
@@ -556,10 +542,8 @@ mod tests {
         assert_eq!(stats.ops[1].busy_ns(), 100);
         assert_eq!(stats.sink.rows_in(), 60);
 
-        // The live read goes through the registry to the same memory.
-        let live = reg.live();
-        assert_eq!(live.len(), 1);
-        let s = &live[0];
+        // The live read goes through the record to the same memory.
+        let s = &ctx.running_pipeline().expect("the pipeline runs");
         assert!(Arc::ptr_eq(s, &stats));
         assert_eq!(s.label, "BHJ probe");
         assert_eq!(s.cpu_state, WaitState::CpuProbe);
@@ -579,18 +563,9 @@ mod tests {
             ]
         );
         assert!((s.fraction() - 0.5).abs() < 1e-9, "100/200 est fraction");
-        assert_eq!(s.spill_bytes(), 0);
-        // What an ASH sample takes: the query's rows so far and the label
-        // of its most recently registered pipeline.
-        let mut mine = live.iter().filter(|p| p.query_id == ctx.query_id());
-        assert_eq!(mine.clone().map(|p| p.source.rows_out()).sum::<u64>(), 100);
-        assert_eq!(
-            mine.next_back().map(|p| p.label.as_str()),
-            Some("BHJ probe")
-        );
 
-        reg.retire(&stats);
-        assert!(reg.is_empty());
+        ctx.record().pipeline_end(at, crate::trace::now_ns());
+        assert!(ctx.running_pipeline().is_none());
     }
 
     #[test]

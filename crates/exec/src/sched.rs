@@ -12,12 +12,12 @@
 //! executor spawns for its first pipeline. [`crate::pool`] is the one place
 //! threads are owned. Either way every worker runs the one morsel loop of
 //! [`crate::morsel`] — `step` until exhausted, then `drain` — and this
-//! module wraps each run in the same bookkeeping: the counter block is
-//! registered in [`progress::global`] while the pipeline runs, the query's
-//! wait state is stamped, the pipeline's Figure 10 phase takes the
-//! submitting thread's counter delta since its previous pipeline ([`pmu`]),
-//! and a pipeline whose context carries a trace is traced into it, with its
-//! phase, whichever back-end runs it.
+//! module wraps each run in the same bookkeeping: a top-level pipeline is a
+//! segment of its query's record ([`crate::progress`]) from submit to
+//! retire, which also closes the stretch the submitting thread spent
+//! since the previous one; the query's wait state is stamped; and a
+//! top-level pipeline whose context carries a trace is traced into it,
+//! whichever back-end runs it.
 //!
 //! # Failure handling
 //!
@@ -36,12 +36,11 @@ use crate::context::QueryContext;
 use crate::error::ExecResult;
 use crate::morsel::{Failure, Pipeline, PipelineLabel, Worker};
 use crate::pipeline::{DiscardSink, Emit, Operator, Sink, Source};
-use crate::pmu;
 use crate::pool::WorkerPool;
 use crate::profile::PipelineStats;
-use crate::progress::{self, WaitState};
+use crate::progress::{WaitState, RUNNING};
 use crate::trace;
-use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -113,11 +112,12 @@ impl Executor {
     /// (for `source`'s task count and `ops.len()` operators) and keeps.
     ///
     /// `stats.label` is what the pipeline is called in a trace and in
-    /// `jsys.query_progress`, where the block is registered while the
-    /// pipeline runs. Each worker's private counts are added into `stats`
-    /// after every morsel and at drain, along with the pipeline's wall time
-    /// and worker count; with `stats.timed` the workers also time every
-    /// batch.
+    /// `jsys.query_progress`, which reads the block off the query's record
+    /// while the pipeline runs; a nested pipeline (submitted inside a morsel
+    /// of its query) is neither a segment nor a trace lane. Each worker's
+    /// private counts are added into `stats` after every morsel and at
+    /// drain, along with the pipeline's wall time and worker count; with
+    /// `stats.timed` the workers also time every batch.
     pub fn run_pipeline_obs(
         &self,
         ctx: &Arc<QueryContext>,
@@ -127,8 +127,8 @@ impl Executor {
         stats: &Arc<PipelineStats>,
     ) -> ExecResult {
         let started = Instant::now();
-        pmu::control_begin(ctx.counters());
-        progress::global().register(Arc::clone(stats));
+        RUNNING.fetch_add(1, Ordering::Relaxed);
+        let (at, trace) = ctx.record().pipeline_begin(stats);
         // Submitted but no morsel claimed yet; each morsel stamps the CPU
         // flavor on entry and PoolWait on exit.
         ctx.stamp_wait(WaitState::PoolWait);
@@ -141,10 +141,7 @@ impl Executor {
             task_count: source.task_count(),
             failure: Failure::new(),
             stats,
-            trace: trace::collector(ctx).map(|col| {
-                let id = col.pipeline_begin(&stats.label, stats.phase);
-                (col, id)
-            }),
+            trace,
         };
         let workers = match &self.pool {
             None => {
@@ -155,13 +152,14 @@ impl Executor {
                 .get_or_init(|| WorkerPool::new(self.threads))
                 .run(&pipeline),
         };
+        let end = trace::now_ns();
         if let Some((col, id)) = &pipeline.trace {
-            // Closes the pipeline span and synthesizes the idle intervals.
-            col.pipeline_end(*id, trace::now_ns(), self.threads as u32);
+            // Synthesizes the idle intervals up to the pipeline's end.
+            col.pipeline_end(*id, &stats.label, end);
         }
-        pmu::control_end(ctx.counters(), stats.phase);
         stats.record_run(started.elapsed().as_nanos() as u64, workers);
-        progress::global().retire(stats);
+        ctx.record().pipeline_end(at, end);
+        RUNNING.fetch_sub(1, Ordering::Relaxed);
         ctx.stamp_wait(WaitState::Other);
         pipeline.failure.conclude(sink)
     }

@@ -1,6 +1,7 @@
 //! Pipeline parts shared by the scheduler unit tests (`morsel`, `pool`).
 
 use crate::batch::Batch;
+use crate::context::QueryContext;
 use crate::error::{ExecError, ExecResult};
 use crate::pipeline::{Emit, LocalState, Operator, Sink, Source};
 use crate::profile::PipelineStats;
@@ -40,7 +41,7 @@ pub(crate) fn stage_rows(stats: &PipelineStats) -> Vec<(u64, u64)> {
 
 /// What a [`WatchingSource`] saw of its own pipeline from inside it.
 pub(crate) struct Seen {
-    /// The block the live registry handed out.
+    /// The block the query's record handed out.
     pub block: Arc<PipelineStats>,
     /// Its readings at that moment.
     pub tasks_done: u64,
@@ -48,10 +49,10 @@ pub(crate) struct Seen {
 }
 
 /// A [`NumberSource`] that, from inside its last task, looks its own
-/// pipeline up in the live registry — a mid-flight reader.
+/// pipeline up in its query's record — a mid-flight reader.
 pub(crate) struct WatchingSource {
     pub inner: NumberSource,
-    pub query_id: u64,
+    pub ctx: Arc<QueryContext>,
     pub seen: Mutex<Vec<Seen>>,
 }
 
@@ -62,8 +63,7 @@ impl Source for WatchingSource {
 
     fn poll_task(&self, task: usize, out: Emit) -> ExecResult {
         if task + 1 == self.inner.tasks {
-            let live = crate::progress::global().live();
-            let mine = live.into_iter().filter(|p| p.query_id == self.query_id);
+            let mine = self.ctx.running_pipeline();
             self.seen.lock().unwrap().extend(mine.map(|block| Seen {
                 tasks_done: block.tasks_done(),
                 rows: stage_rows(&block),

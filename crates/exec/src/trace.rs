@@ -10,12 +10,16 @@
 //!
 //! - **The trace belongs to the query.** [`begin`] puts a [`Collector`] on
 //!   the query's [`QueryContext`] and [`end`] takes it off again as a
-//!   [`QueryTrace`]. The executor traces a pipeline if and only if its
-//!   context carries a collector — one check per pipeline run — and then
-//!   registers the pipeline under the label and Figure 10 phase its
-//!   submitter passed and gives every worker of the one morsel loop
+//!   [`QueryTrace`]. The executor traces a top-level pipeline if and only
+//!   if its context carries a collector — read under the record lock the
+//!   submit takes anyway — and gives every worker of the one morsel loop
 //!   ([`crate::morsel`]) a track: its index in the pool, 0 inline. Two
 //!   queries, pooled or private, record into two collectors.
+//! - **Pipeline lanes and counter samples are the query's record.** The
+//!   collector keeps only morsel, phase, idle and instant spans; [`end`]
+//!   reads the pipeline spans (label, Figure 10 phase, start, end) and the
+//!   submitting thread's counter samples off the segments of the query's
+//!   record ([`crate::progress`]) that began while the trace recorded.
 //! - **Hot path is lock-free**: each traced worker records spans into a
 //!   reusable `Vec<TraceSpan>` (timestamp pairs only) and flushes it into
 //!   the pipeline's collector with a *single* mutex acquisition when it
@@ -45,8 +49,11 @@
 
 use crate::context::QueryContext;
 use crate::metrics::MemPhase;
+use crate::pmu::CounterValues;
+use crate::progress::SegmentKind;
 use std::borrow::Cow;
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -98,19 +105,15 @@ pub struct TraceSpan {
     pub dur_ns: u64,
     /// Kind-specific payload: rows for `Morsel`, 0 otherwise.
     pub arg: u64,
-    /// Hardware-counter delta over this span (control-track phase spans
-    /// when counter sampling is on — see [`crate::pmu`]); boxed so the
-    /// common no-counter span stays small.
-    pub hw: Option<Box<crate::pmu::CounterValues>>,
 }
 
-/// One timeline sample of the control thread's cumulative hardware
-/// counters (taken at pipeline begin/end and phase ends while counter
-/// sampling is on). `at_ns` is query-relative after [`end`].
+/// The submitting thread's cumulative hardware counters at the end of a
+/// stretch between pipelines (while the query samples counters).
+/// `at_ns` is query-relative.
 #[derive(Debug, Clone)]
 pub struct HwSample {
     pub at_ns: u64,
-    pub values: crate::pmu::CounterValues,
+    pub values: CounterValues,
 }
 
 /// One pipeline run: an async span stretching over all its workers.
@@ -122,7 +125,7 @@ pub struct PipelineSpan {
     pub phase: MemPhase,
     pub start_ns: u64,
     pub end_ns: u64,
-    /// Size of the team it ran on: 1 inline, else the pool's worker count.
+    /// Workers that took part in it.
     pub workers: u32,
 }
 
@@ -133,8 +136,8 @@ pub struct QueryTrace {
     pub wall_ns: u64,
     pub spans: Vec<TraceSpan>,
     pub pipelines: Vec<PipelineSpan>,
-    /// Control-thread hardware-counter samples (empty unless counter
-    /// sampling was on during the trace).
+    /// Submitting-thread hardware-counter samples (empty unless the query
+    /// sampled counters).
     pub counters: Vec<HwSample>,
 }
 
@@ -145,20 +148,17 @@ pub struct QueryTrace {
 pub struct Collector {
     label: String,
     start_ns: u64,
-    /// Whether the traced query samples hardware counters: the control
-    /// track's samples follow it.
-    sample_counters: bool,
+    /// Lanes handed out so far: the next top-level pipeline's id.
+    lanes: AtomicU32,
     rec: Mutex<Recording>,
 }
 
 #[derive(Debug, Default)]
 struct Recording {
     spans: Vec<TraceSpan>,
-    pipelines: Vec<PipelineSpan>,
     /// `(pipeline, track, drained_at)` — consumed by
     /// [`Collector::pipeline_end`] into `Idle` spans.
     drains: Vec<(u32, u32, u64)>,
-    counters: Vec<HwSample>,
 }
 
 /// Where a span raised on a thread is recorded: a collector, and the
@@ -187,60 +187,63 @@ pub fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// Start recording a trace of the query `ctx` runs: every pipeline run
-/// under `ctx` from now on is traced, and the control track samples
-/// hardware counters when the query does ([`QueryContext::counters`]).
-/// A trace `ctx` was still carrying is dropped.
+/// Start recording a trace of the query `ctx` runs: every top-level
+/// pipeline run under `ctx` from now on is traced. A trace `ctx` was still
+/// carrying is dropped.
 pub fn begin(ctx: &QueryContext, label: &str) {
     let col = Collector {
         label: label.to_string(),
         start_ns: now_ns(),
-        sample_counters: ctx.counters(),
+        lanes: AtomicU32::new(0),
         rec: Mutex::default(),
     };
-    *slot(ctx) = Some(Arc::new(col));
+    ctx.record().trace = Some(Arc::new(col));
 }
 
 /// Stop recording `ctx`'s trace and return it; `None` if [`begin`] was not
 /// called on `ctx` since the last `end`. Call it once the query's
-/// pipelines have returned.
+/// pipelines have returned: its pipeline spans and counter samples are the
+/// segments of the query's record that began after [`begin`].
 pub fn end(ctx: &QueryContext) -> Option<QueryTrace> {
-    let col = slot(ctx).take()?;
+    let record = &mut *ctx.record();
+    let col = record.trace.take()?;
     let end_ns = now_ns();
-    let rec = std::mem::take(&mut *col.rec());
     let t0 = col.start_ns;
-    let mut spans = rec.spans;
+    let rel = |ns: u64| ns.saturating_sub(t0);
+    let mut spans = std::mem::take(&mut col.rec().spans);
     for s in &mut spans {
-        s.start_ns = s.start_ns.saturating_sub(t0);
+        s.start_ns = rel(s.start_ns);
     }
-    let mut pipelines = rec.pipelines;
-    for p in &mut pipelines {
-        p.start_ns = p.start_ns.saturating_sub(t0);
-        p.end_ns = p.end_ns.saturating_sub(t0);
-    }
-    let mut counters = rec.counters;
-    for c in &mut counters {
-        c.at_ns = c.at_ns.saturating_sub(t0);
+    let (start, segments) = (record.start_ns, &record.segments);
+    let (mut pipelines, mut counters) = (Vec::new(), Vec::new());
+    let mut sum = CounterValues::default();
+    for seg in segments.iter().filter(|seg| start + seg.start_ns >= t0) {
+        let end = rel(start + seg.end_ns.unwrap_or(seg.start_ns));
+        match &seg.kind {
+            SegmentKind::Pipeline(p) => pipelines.push(PipelineSpan {
+                label: p.label.clone(),
+                phase: p.phase,
+                start_ns: rel(start + seg.start_ns),
+                end_ns: end,
+                workers: p.workers() as u32,
+            }),
+            SegmentKind::Between { hw: Some(hw), .. } => {
+                sum.add(hw);
+                counters.push(HwSample {
+                    at_ns: end,
+                    values: sum,
+                });
+            }
+            _ => {}
+        }
     }
     Some(QueryTrace {
         label: col.label.clone(),
-        wall_ns: end_ns.saturating_sub(t0),
+        wall_ns: rel(end_ns),
         spans,
         pipelines,
         counters,
     })
-}
-
-/// The collector of the trace `ctx` records, if any: the one check the
-/// executor makes per pipeline run.
-pub(crate) fn collector(ctx: &QueryContext) -> Option<Arc<Collector>> {
-    slot(ctx).clone()
-}
-
-/// `ctx`'s trace slot. Each update sets or takes it whole, so a panic
-/// elsewhere cannot leave it invalid and a poisoned lock is taken as is.
-fn slot(ctx: &QueryContext) -> MutexGuard<'_, Option<Arc<Collector>>> {
-    ctx.trace.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Collector {
@@ -251,49 +254,17 @@ impl Collector {
         self.rec.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Register a pipeline run under `label` (e.g. "RJ partition (build)")
-    /// in `phase` and return its id for [`Collector::pipeline_end`].
-    pub(crate) fn pipeline_begin(&self, label: &str, phase: MemPhase) -> u32 {
-        let start = now_ns();
-        let hw = crate::pmu::control_sample(self.sample_counters);
-        let mut rec = self.rec();
-        let id = rec.pipelines.len() as u32;
-        rec.pipelines.push(PipelineSpan {
-            label: label.to_string(),
-            phase,
-            start_ns: start,
-            end_ns: start,
-            workers: 0,
-        });
-        if let Some(values) = hw {
-            rec.counters.push(HwSample {
-                at_ns: start,
-                values,
-            });
-        }
-        id
+    /// The id of the next top-level pipeline traced into this collector:
+    /// its index in [`QueryTrace::pipelines`].
+    pub(crate) fn next_pipeline(&self) -> u32 {
+        self.lanes.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Close a pipeline span and synthesize `Idle` spans from each worker's
-    /// drain timestamp to the pipeline end. Must run after every worker of
-    /// the pipeline has flushed (the executor calls it once the run
-    /// returned). `workers` is the size of the team the pipeline ran on.
-    pub(crate) fn pipeline_end(&self, id: u32, end_ns: u64, workers: u32) {
-        let hw = crate::pmu::control_sample(self.sample_counters);
-        let mut rec = self.rec();
-        if let Some(values) = hw {
-            rec.counters.push(HwSample {
-                at_ns: end_ns,
-                values,
-            });
-        }
-        let rec = &mut *rec;
-        let Some(p) = rec.pipelines.get_mut(id as usize) else {
-            return;
-        };
-        p.end_ns = end_ns;
-        p.workers = workers;
-        let label = &p.label;
+    /// Synthesize `Idle` spans from each worker's drain timestamp to the
+    /// pipeline's end. Must run after every worker of the pipeline has
+    /// flushed (the executor calls it once the run returned).
+    pub(crate) fn pipeline_end(&self, id: u32, label: &str, end_ns: u64) {
+        let rec = &mut *self.rec();
         let mut i = 0;
         while i < rec.drains.len() {
             if rec.drains[i].0 == id {
@@ -307,7 +278,6 @@ impl Collector {
                         start_ns: at,
                         dur_ns: end_ns - at,
                         arg: 0,
-                        hw: None,
                     });
                 }
             } else {
@@ -364,7 +334,7 @@ pub(crate) fn worker_scope(at: &Track) -> WorkerScope {
 /// the trace `ctx` records, else nowhere.
 fn target(ctx: &QueryContext) -> Option<Track> {
     WORKER_TRACK.with(|c| c.borrow().clone()).or_else(|| {
-        collector(ctx).map(|col| Track {
+        ctx.record().trace.clone().map(|col| Track {
             col,
             pipeline: NO_PIPELINE,
             track: CONTROL_TRACK,
@@ -386,18 +356,14 @@ pub fn instant(ctx: &QueryContext, name: impl Into<Cow<'static, str>>) {
         start_ns: now_ns(),
         dur_ns: 0,
         arg: 0,
-        hw: None,
     });
 }
 
 /// RAII guard for a cold-path phase span. Records on drop, so early
-/// returns and `?` propagation still close the span. On the control track,
-/// when the traced query samples hardware counters ([`crate::pmu`]), the
-/// span carries the control thread's counter delta over the phase.
+/// returns and `?` propagation still close the span.
 pub struct PhaseGuard {
     open: Option<(Track, Cow<'static, str>)>,
     start_ns: u64,
-    hw_start: Option<crate::pmu::CounterValues>,
 }
 
 impl Drop for PhaseGuard {
@@ -406,19 +372,7 @@ impl Drop for PhaseGuard {
             return;
         };
         let end = now_ns();
-        let hw = self.hw_start.take().and_then(|start| {
-            let now = crate::pmu::control_sample(true)?;
-            Some((now, Box::new(now.delta_since(&start))))
-        });
-        let mut rec = at.col.rec();
-        let hw_delta = hw.map(|(now, delta)| {
-            rec.counters.push(HwSample {
-                at_ns: end,
-                values: now,
-            });
-            delta
-        });
-        rec.spans.push(TraceSpan {
+        at.col.rec().spans.push(TraceSpan {
             name,
             kind: SpanKind::Phase,
             track: at.track,
@@ -426,7 +380,6 @@ impl Drop for PhaseGuard {
             start_ns: self.start_ns,
             dur_ns: end.saturating_sub(self.start_ns),
             arg: 0,
-            hw: hw_delta,
         });
     }
 }
@@ -435,20 +388,9 @@ impl Drop for PhaseGuard {
 /// [`instant`] would use; inert (no clock read, no span) when the query is
 /// not traced.
 pub fn phase_scope(ctx: &QueryContext, name: impl Into<Cow<'static, str>>) -> PhaseGuard {
-    let Some(at) = target(ctx) else {
-        return PhaseGuard {
-            open: None,
-            start_ns: 0,
-            hw_start: None,
-        };
-    };
-    // Counter samples are the control thread's: a worker's phase has none.
-    let sample = at.track == CONTROL_TRACK && at.col.sample_counters;
-    PhaseGuard {
-        open: Some((at, name.into())),
-        start_ns: now_ns(),
-        hw_start: crate::pmu::control_sample(sample),
-    }
+    let open = target(ctx).map(|at| (at, name.into()));
+    let start_ns = if open.is_some() { now_ns() } else { 0 };
+    PhaseGuard { open, start_ns }
 }
 
 impl QueryTrace {
@@ -511,16 +453,11 @@ impl QueryTrace {
             if t == CONTROL_TRACK {
                 continue;
             }
-            let busy: u64 = self
-                .track_spans(t)
-                .filter(|s| s.kind == SpanKind::Morsel)
-                .map(|s| s.dur_ns)
-                .sum();
-            let idle: u64 = self
-                .track_spans(t)
-                .filter(|s| s.kind == SpanKind::Idle)
-                .map(|s| s.dur_ns)
-                .sum();
+            let time = |kind| -> u64 {
+                let spans = self.track_spans(t).filter(|s| s.kind == kind);
+                spans.map(|s| s.dur_ns).sum()
+            };
+            let (busy, idle) = (time(SpanKind::Morsel), time(SpanKind::Idle));
             if busy + idle > self.wall_ns {
                 return Err(format!(
                     "track {t}: busy {busy} + idle {idle} exceeds wall {} ns",
@@ -533,21 +470,9 @@ impl QueryTrace {
 
     /// One-line summary for interactive display.
     pub fn summary(&self) -> String {
-        let morsels = self
-            .spans
-            .iter()
-            .filter(|s| s.kind == SpanKind::Morsel)
-            .count();
-        let idles = self
-            .spans
-            .iter()
-            .filter(|s| s.kind == SpanKind::Idle)
-            .count();
-        let phases = self
-            .spans
-            .iter()
-            .filter(|s| s.kind == SpanKind::Phase)
-            .count();
+        let count = |kind| self.spans.iter().filter(|s| s.kind == kind).count();
+        let (morsels, idles) = (count(SpanKind::Morsel), count(SpanKind::Idle));
+        let phases = count(SpanKind::Phase);
         format!(
             "{} spans ({morsels} morsels, {idles} idle, {phases} phases) over {} pipelines, {:.3} ms wall",
             self.spans.len(),
@@ -617,27 +542,15 @@ impl QueryTrace {
                     us(s.start_ns),
                     json_string(&s.name)
                 )),
-                _ => {
-                    // Per-span args: rows, plus the hardware-counter delta
-                    // when the span carries one (phase spans with counter
-                    // sampling on).
-                    let mut args = format!("\"rows\":{}", s.arg);
-                    if let Some(hw) = &s.hw {
-                        for k in crate::pmu::CounterKind::ALL {
-                            if let Some(v) = hw.get(k) {
-                                args.push_str(&format!(",\"hw_{}\":{v}", k.slug()));
-                            }
-                        }
-                    }
-                    events.push(format!(
-                        r#"{{"ph":"X","cat":{},"pid":1,"tid":{},"ts":{},"dur":{},"name":{},"args":{{{args}}}}}"#,
-                        json_string(s.kind.name()),
-                        tid(s.track),
-                        us(s.start_ns),
-                        us(s.dur_ns),
-                        json_string(&s.name),
-                    ))
-                }
+                _ => events.push(format!(
+                    r#"{{"ph":"X","cat":{},"pid":1,"tid":{},"ts":{},"dur":{},"name":{},"args":{{"rows":{}}}}}"#,
+                    json_string(s.kind.name()),
+                    tid(s.track),
+                    us(s.start_ns),
+                    us(s.dur_ns),
+                    json_string(&s.name),
+                    s.arg,
+                )),
             }
         }
         // Counter tracks: one Perfetto "C" series per counter kind,
@@ -669,14 +582,27 @@ impl QueryTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::morsel::PipelineLabel;
+    use crate::profile::PipelineStats;
+    use crate::progress::WaitState;
 
     #[test]
     fn lifecycle_spans_pipelines_and_idle_synthesis() {
         let ctx = QueryContext::unbounded();
         begin(&ctx, "t");
-        let col = collector(&ctx).expect("begin puts a collector on the context");
+        assert!(
+            ctx.record().trace.is_some(),
+            "begin puts a collector on the context"
+        );
 
-        let pid = col.pipeline_begin("RJ partition (build)", MemPhase::Build);
+        let label = PipelineLabel::new(
+            "RJ partition (build)",
+            WaitState::CpuPartition,
+            MemPhase::Build,
+        );
+        let stats = Arc::new(PipelineStats::new(&ctx, label, 0, 1, false));
+        let (at, traced) = ctx.record().pipeline_begin(&stats);
+        let (col, pid) = traced.expect("a traced query's top-level pipeline is a lane");
         assert_eq!(pid, 0);
 
         let mut buf = take_worker_buffer();
@@ -689,7 +615,6 @@ mod tests {
             start_ns: t0,
             dur_ns: 10,
             arg: 42,
-            hw: None,
         });
         let drained = t0 + 10;
         let worker = Track {
@@ -699,7 +624,9 @@ mod tests {
         };
         worker.flush(buf, drained);
         std::thread::sleep(std::time::Duration::from_millis(1));
-        col.pipeline_end(pid, now_ns(), 1);
+        let end_ns = now_ns();
+        col.pipeline_end(pid, &stats.label, end_ns);
+        ctx.record().pipeline_end(at, end_ns);
 
         {
             let _g = phase_scope(&ctx, "histogram scan");
@@ -715,7 +642,7 @@ mod tests {
 
         let trace = end(&ctx).expect("trace recorded");
         assert!(end(&ctx).is_none(), "second end returns nothing");
-        assert!(collector(&ctx).is_none(), "end takes the collector off");
+        assert!(ctx.record().trace.is_none(), "end takes the collector off");
 
         assert_eq!(trace.pipelines.len(), 1);
         assert_eq!(trace.pipelines[0].label, "RJ partition (build)");
@@ -761,7 +688,6 @@ mod tests {
             start_ns: start,
             dur_ns: dur,
             arg: 0,
-            hw: None,
         };
         let good = QueryTrace {
             label: "t".into(),

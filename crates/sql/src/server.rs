@@ -55,7 +55,6 @@ use crate::session::{Session, SqlError};
 use crate::stats::{now_ms, AshRing, AshSample, StatLog};
 use joinstudy_exec::admission::AdmissionController;
 use joinstudy_exec::pool::WorkerPool;
-use joinstudy_exec::progress;
 use joinstudy_storage::table::Table;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -348,9 +347,6 @@ fn spawn_sampler(
     std::thread::spawn(move || {
         while !stop.load(Ordering::Acquire) {
             let at_ms = now_ms();
-            // One read of the live counter blocks serves every
-            // sample of this tick.
-            let live = progress::global().live();
             for q in statlog.active_detail() {
                 let (query_id, wait_state) = match &q.ctx {
                     Some(ctx) => (ctx.query_id(), ctx.wait_state().name()),
@@ -360,14 +356,11 @@ fn spawn_sampler(
                     None if q.state == "queued" => (0, "admission_queued"),
                     None => (0, "other"),
                 };
-                // The query's most recently registered pipeline is
-                // what it runs now; `rows` sums the source rows of
-                // all its live pipelines. Query id 0 owns none.
-                let mut mine = live
-                    .iter()
-                    .filter(|p| query_id != 0 && p.query_id == query_id);
-                let rows = mine.clone().map(|p| p.source.rows_out()).sum();
-                let pipeline = mine.next_back().map_or(String::new(), |p| p.label.clone());
+                // The pipeline the query's record shows running is what
+                // it runs now, and `rows` its source rows so far.
+                let running = q.ctx.as_ref().and_then(|ctx| ctx.running_pipeline());
+                let rows = running.as_ref().map_or(0, |p| p.source.rows_out());
+                let pipeline = running.map_or(String::new(), |p| p.label.clone());
                 ash.push(AshSample {
                     at_ms,
                     conn: q.conn,

@@ -298,23 +298,15 @@ struct ActiveQuery {
     ctx: Option<Arc<QueryContext>>,
 }
 
-/// A read-time snapshot of one in-flight statement.
-#[derive(Debug, Clone)]
-pub struct ActiveQuerySnapshot {
-    pub conn: u64,
-    pub state: &'static str,
-    pub sql: String,
-    pub elapsed_ns: u64,
-    pub granted_bytes: u64,
-}
-
-/// The sampler's view of one in-flight statement: fingerprint plus the
-/// live [`QueryContext`] (when the session shared one).
+/// A read-time snapshot of one in-flight statement, with its live
+/// [`QueryContext`] when the session shared one.
 #[derive(Debug, Clone)]
 pub struct ActiveQueryDetail {
     pub conn: u64,
     pub state: &'static str,
+    pub sql: String,
     pub fingerprint: String,
+    pub elapsed_ns: u64,
     pub granted_bytes: u64,
     pub ctx: Option<Arc<QueryContext>>,
 }
@@ -490,25 +482,9 @@ impl StatLog {
             .snapshot()
     }
 
-    /// Snapshot the in-flight statements, by connection id.
-    pub fn active_snapshot(&self) -> Vec<ActiveQuerySnapshot> {
-        let active = self.active.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out: Vec<ActiveQuerySnapshot> = active
-            .iter()
-            .map(|(&conn, q)| ActiveQuerySnapshot {
-                conn,
-                state: q.state,
-                sql: q.sql.clone(),
-                elapsed_ns: q.started.elapsed().as_nanos() as u64,
-                granted_bytes: q.granted_bytes,
-            })
-            .collect();
-        out.sort_by_key(|q| q.conn);
-        out
-    }
-
-    /// The in-flight statements with their query contexts attached — the
-    /// ASH sampler's read path.
+    /// Snapshot the in-flight statements, by connection id, with their
+    /// query contexts attached: `jsys.active_queries`, the ASH sampler and
+    /// live progress read it.
     pub fn active_detail(&self) -> Vec<ActiveQueryDetail> {
         let active = self.active.lock().unwrap_or_else(|e| e.into_inner());
         let mut out: Vec<ActiveQueryDetail> = active
@@ -516,7 +492,9 @@ impl StatLog {
             .map(|(&conn, q)| ActiveQueryDetail {
                 conn,
                 state: q.state,
+                sql: q.sql.clone(),
                 fingerprint: q.fingerprint.clone(),
+                elapsed_ns: q.started.elapsed().as_nanos() as u64,
                 granted_bytes: q.granted_bytes,
                 ctx: q.ctx.clone(),
             })
@@ -752,7 +730,7 @@ mod tests {
         log.active_upsert(7, "SELECT 1", "queued", 0, None);
         std::thread::sleep(std::time::Duration::from_millis(2));
         log.active_upsert(7, "SELECT 1", "running", 4096, None);
-        let snap = log.active_snapshot();
+        let snap = log.active_detail();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].state, "running");
         assert_eq!(snap[0].granted_bytes, 4096);
@@ -762,7 +740,7 @@ mod tests {
             snap[0].elapsed_ns
         );
         log.active_end(7);
-        assert!(log.active_snapshot().is_empty());
+        assert!(log.active_detail().is_empty());
     }
 
     #[test]

@@ -2,8 +2,16 @@
 //! `jsys.*` virtual system tables queried through plain SQL and statement
 //! fingerprint folding.
 
+use joinstudy_exec::admission::AdmissionController;
+use joinstudy_exec::context::QueryContext;
+use joinstudy_exec::metrics::MemPhase;
+use joinstudy_exec::{Executor, PipelineLabel, SegmentKind, WaitState};
+use joinstudy_sql::stats::StatLog;
 use joinstudy_sql::Session;
 use joinstudy_storage::types::Value;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn session_with_data() -> Session {
     let mut s = Session::new(2);
@@ -228,4 +236,137 @@ fn recent_queries_and_explain_analyze_agree_on_spill_bytes() {
         .find(|row| row[sql] == Value::Str(Q3.into()))
         .expect("the Q3 statement in the recent-query ring");
     assert_eq!(row[spill], Value::Int64(profile.spill_bytes as i64));
+}
+
+/// `jsys.query_progress` rows of `s`: `(conn, pipeline)` per stage row.
+fn progress_rows(s: &mut Session) -> Vec<(Value, Value)> {
+    let t = s
+        .execute("SELECT conn, pipeline FROM jsys.query_progress")
+        .unwrap();
+    (0..t.num_rows())
+        .map(|r| (t.row(r)[0].clone(), t.row(r)[1].clone()))
+        .collect()
+}
+
+/// Run a one-task pipeline named "held" on `ctx` until `release` is set,
+/// as connection `conn`'s running statement in `log`; returns once it runs.
+fn hold(
+    log: &Arc<StatLog>,
+    conn: u64,
+    ctx: Arc<QueryContext>,
+    release: &Arc<AtomicBool>,
+) -> std::thread::JoinHandle<()> {
+    log.active_upsert(conn, "held", "running", 0, Some(&ctx));
+    let release = Arc::clone(release);
+    let running = Arc::clone(&ctx);
+    let held = std::thread::spawn(move || {
+        let label = PipelineLabel::new("held", WaitState::CpuScan, MemPhase::Other);
+        Executor::new(1)
+            .run_tasks(&ctx, label, 1, |_| {
+                while !release.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Ok(())
+            })
+            .unwrap();
+    });
+    while running.running_pipeline().is_none() {
+        std::thread::yield_now();
+    }
+    held
+}
+
+/// A context's running pipeline is live progress for the sessions that
+/// share its log, and for no other session: two sessions on one log see
+/// each other's held pipeline while it runs and neither sees it once it
+/// retired; a fresh embedded session sees nothing.
+#[test]
+fn query_progress_shows_the_running_pipelines_of_its_log_only() {
+    let log = Arc::new(StatLog::new());
+    let mut sessions = [session_with_data(), session_with_data()];
+    for (conn, s) in sessions.iter_mut().enumerate() {
+        s.set_statlog(Arc::clone(&log));
+        s.set_conn_id(conn as u64 + 1);
+    }
+    let mut fresh = session_with_data();
+    for holder in 0..2 {
+        let release = Arc::new(AtomicBool::new(false));
+        let conn = holder as u64 + 1;
+        let held = hold(&log, conn, sessions[holder].context(), &release);
+        let watcher = &mut sessions[1 - holder];
+        let stage = (Value::Int64(conn as i64), Value::Str("held".into()));
+        assert_eq!(
+            progress_rows(watcher),
+            [stage.clone(), stage],
+            "source and sink"
+        );
+        assert!(
+            progress_rows(&mut fresh).is_empty(),
+            "another log's pipeline"
+        );
+        release.store(true, Ordering::Release);
+        held.join().unwrap();
+        assert!(progress_rows(watcher).is_empty(), "a retired pipeline");
+        log.active_end(conn);
+    }
+}
+
+/// A statement's record starts with its admission wait and its parse/plan;
+/// with its pipelines and the stretches between them it tiles the
+/// statement's wall time, and the pipelines' own clocks plus the rest add
+/// up to that wall within 2 %.
+#[test]
+fn statement_record_tiles_admission_parse_plan_and_pipelines() {
+    let mut s = session_with_data();
+    let admission = AdmissionController::new(1 << 20, 1 << 10);
+    let held = admission
+        .admit(1 << 20, &QueryContext::unbounded())
+        .unwrap();
+    let t0 = Instant::now();
+    let releaser = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(5));
+        drop(held);
+    });
+    let grant = admission.admit(1 << 20, &s.context()).unwrap();
+    s.execute("SELECT count(*) FROM r, b WHERE r.k = b.key")
+        .unwrap();
+    let outer = t0.elapsed().as_nanos() as u64;
+    drop(grant);
+    releaser.join().unwrap();
+
+    let record = s.take_record().expect("the statement leaves its record");
+    assert!(record.wall_ns <= outer, "the record outlasts the statement");
+    let kinds: Vec<_> = record.segments.iter().map(|s| &s.kind).collect();
+    assert!(matches!(
+        kinds[..2],
+        [SegmentKind::Admission, SegmentKind::ParsePlan]
+    ));
+    assert_eq!(record.segments[0].dur_ns(), s.context().admission_wait_ns());
+    assert!(
+        record.segments[0].dur_ns() >= 4_000_000,
+        "it queued behind the held grant"
+    );
+    assert!(
+        record.pipelines().count() >= 2,
+        "a build and the probe into the output"
+    );
+    let mut at = 0;
+    for seg in &record.segments {
+        assert_eq!(seg.start_ns, at, "a gap or overlap before {:?}", seg.kind);
+        at = seg.end_ns.unwrap();
+    }
+    assert_eq!(at, record.wall_ns);
+    let own: u64 = record
+        .segments
+        .iter()
+        .map(|s| match &s.kind {
+            SegmentKind::Pipeline(p) => p.wall_ns(),
+            _ => s.dur_ns(),
+        })
+        .sum();
+    assert!(
+        own.abs_diff(record.wall_ns) <= record.wall_ns / 50,
+        "{own} vs {}",
+        record.wall_ns
+    );
 }
