@@ -57,6 +57,14 @@ fn explain_analyze_statement_returns_annotated_plan() {
         text.contains("ht_load_factor"),
         "missing join details: {text}"
     );
+    // The Output root carries the query's time between pipelines.
+    assert!(
+        text.contains("between_ns="),
+        "missing between total: {text}"
+    );
+    // The profile is the statement's result; with profiling off nothing is
+    // left behind for take_profile to print a second time.
+    assert!(session.take_profile().is_none());
 }
 
 /// The counters switch is the session's own: turning it on leaves the
