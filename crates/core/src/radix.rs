@@ -690,11 +690,6 @@ impl PartitionedSide {
         }
     }
 
-    /// Byte size of one partition (harness size accounting).
-    pub fn partition_bytes(&self, p: usize) -> usize {
-        self.partition_row_range(p).len() * self.layout.stride()
-    }
-
     /// Total materialized bytes (rows + out-of-line strings).
     pub fn byte_size(&self) -> usize {
         self.total_rows * self.layout.stride()

@@ -180,11 +180,6 @@ impl Decimal {
         Decimal(v * Self::SCALE)
     }
 
-    /// From cents, i.e. the raw scaled representation.
-    pub fn from_scaled(v: i64) -> Decimal {
-        Decimal(v)
-    }
-
     /// Parse from `whole.frac` with up to two fractional digits.
     pub fn from_parts(whole: i64, cents: i64) -> Decimal {
         debug_assert!((0..100).contains(&cents));
